@@ -26,8 +26,8 @@ from .params import (ConfigError, ContinuumParams, FitResult,
                      parse_problem_dict, sample_continuum)
 from .power_series import (LinearSystem, PsKernelSolution, SolverConfig,
                            assemble, coeff_vector, count_unknowns,
-                           optimality_check, residual_series, solve,
-                           solve_ls)
+                           optimality_certificate, optimality_check,
+                           residual_series, solve, solve_ls)
 from .series import (AnalyticFactor, Constant, Cos, Exp, Polynomial,
                      SeparableSum, SeparableTerm, Sin, TruncatedSeries, Var,
                      taylor)

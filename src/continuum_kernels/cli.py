@@ -22,7 +22,8 @@ from .fd_kernels import TriGrid, refine_study, solve_characteristics
 from .gains import (GainTable, diff_solutions, gains, read_gain_csv,
                     sample_gains, write_gain_csv)
 from .params import ConfigError, Problem, fit_q, load_problem
-from .power_series import SolverConfig, assemble, count_unknowns, solve_ls
+from .power_series import (SolverConfig, assemble, count_unknowns,
+                           optimality_certificate, solve_ls)
 from .simulate import SimConfig, Simulator, write_sim_csv
 
 EXIT_OK = 0
@@ -117,6 +118,10 @@ def cmd_solve(args) -> int:
         "num_unknowns": sol.num_unknowns,
         "num_equations": sol.num_equations,
         "residual": sol.residual,
+        "solve_path": sol.solve_path,
+        "rank": sol.rank,
+        "nnz": int(system.A.nnz),
+        "certificate": optimality_certificate(system, sol.x),
         "timing_s": elapsed,
     }
     if args.compare_exact:

@@ -13,6 +13,7 @@ The ensemble coupling kernel ``sigma`` is stored over the variables
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass, field, replace
 from importlib import resources
 from typing import Mapping
@@ -280,6 +281,18 @@ class Problem:
         return replace(self, continuum=cont, fit=fit)
 
 
+def _number(value, where: str) -> float:
+    """``value`` as a finite float; NaN and inf would otherwise be pruned
+    from the series as zeros and solve to a plausible-looking kernel."""
+    try:
+        v = float(value)
+    except (TypeError, ValueError):
+        raise ConfigError(f"{where}: expected a number, got {value!r}") from None
+    if not math.isfinite(v):
+        raise ConfigError(f"{where}: non-finite value {value!r}")
+    return v
+
+
 def _parse_factor(d: Mapping, where: str):
     if not isinstance(d, Mapping):
         raise ConfigError(f"{where}: factor must be an object")
@@ -290,15 +303,17 @@ def _parse_factor(d: Mapping, where: str):
     v = _VAR_NAMES[var]
     try:
         if kind == "poly":
-            return Polynomial(v, [float(c) for c in d["coeffs"]])
+            return Polynomial(v, [_number(c, f"{where}.coeffs") for c in d["coeffs"]])
         if kind == "exp":
-            return Exp(v, float(d["rate"]))
+            return Exp(v, _number(d["rate"], f"{where}.rate"))
         if kind == "cos":
-            return Cos(v, float(d["angular"]), float(d.get("phase", 0.0)))
+            return Cos(v, _number(d["angular"], f"{where}.angular"),
+                       _number(d.get("phase", 0.0), f"{where}.phase"))
         if kind == "sin":
-            return Sin(v, float(d["angular"]), float(d.get("phase", 0.0)))
+            return Sin(v, _number(d["angular"], f"{where}.angular"),
+                       _number(d.get("phase", 0.0), f"{where}.phase"))
         if kind == "const":
-            return Constant(v, float(d["value"]))
+            return Constant(v, _number(d["value"], f"{where}.value"))
     except KeyError as e:
         raise ConfigError(f"{where}: missing field {e} for kind {kind!r}") from None
     raise ConfigError(f"{where}: unknown factor kind {kind!r}")
@@ -306,14 +321,14 @@ def _parse_factor(d: Mapping, where: str):
 
 def _parse_param(d, where: str, allowed: set[Var]) -> SeparableSum:
     if isinstance(d, (int, float)):
-        return SeparableSum.constant(float(d))
+        return SeparableSum.constant(_number(d, where))
     if not isinstance(d, Mapping) or "terms" not in d:
         raise ConfigError(f"{where}: expected a number or an object with 'terms'")
     terms = []
     for i, t in enumerate(d["terms"]):
         if not isinstance(t, Mapping):
             raise ConfigError(f"{where}.terms[{i}]: must be an object")
-        scale = float(t.get("scale", 1.0))
+        scale = _number(t.get("scale", 1.0), f"{where}.terms[{i}].scale")
         factors = [
             _parse_factor(f, f"{where}.terms[{i}].factors[{j}]")
             for j, f in enumerate(t.get("factors", []))
@@ -346,7 +361,8 @@ def parse_problem_dict(cfg: Mapping, name: str = "<config>") -> Problem:
     q_offset = 0.0
     fit = None
     if isinstance(qcfg, Mapping) and "data" in qcfg:
-        q_data = np.asarray([float(v) for v in qcfg["data"]], dtype=float)
+        q_data = np.asarray([_number(v, f"{name}.q.data[{k}]")
+                             for k, v in enumerate(qcfg["data"])])
         degree = int(qcfg.get("fit_degree", 2))
         q_offset = -1.0 if qcfg.get("points") == "(i-1)/n" else 0.0
         fit = fit_q(q_data, degree, n=len(q_data), offset=q_offset)

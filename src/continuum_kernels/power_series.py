@@ -31,6 +31,7 @@ import numpy as np
 import scipy.integrate
 import scipy.linalg
 import scipy.sparse
+import scipy.sparse.linalg
 
 from .params import ContinuumParams, check_positivity
 from .series import TruncatedSeries, Var, grlex_key
@@ -44,6 +45,7 @@ __all__ = [
     "solve_ls",
     "solve",
     "optimality_check",
+    "optimality_certificate",
     "coeff_vector",
     "residual_series",
     "OrderReductionWarning",
@@ -142,14 +144,6 @@ class LinearSystem:
     config: SolverConfig
 
     @property
-    def col_index(self) -> dict:
-        return {c: i for i, c in enumerate(self.cols)}
-
-    @property
-    def row_index(self) -> dict:
-        return {r: i for i, r in enumerate(self.rows)}
-
-    @property
     def shape(self) -> tuple[int, int]:
         return self.A.shape
 
@@ -167,6 +161,7 @@ class PsKernelSolution:
     x: np.ndarray = field(repr=False)
     cols: list = field(repr=False)
     rank: int | None = None
+    solve_path: str | None = None       # "sparse_lu" or "dense_lstsq"
 
 
 def _param_series(p: ContinuumParams, cfg: SolverConfig):
@@ -341,27 +336,73 @@ def assemble(p: ContinuumParams, cfg: SolverConfig) -> LinearSystem:
     return LinearSystem(A=A, b=b_vec, cols=cols, rows=keys, config=cfg)
 
 
-def solve_ls(system: LinearSystem) -> PsKernelSolution:
-    """Minimum-norm least-squares solve via rank-revealing orthogonal
-    factorization; the returned residual is ||Ax - b||_2 recomputed from the
-    solution."""
-    A = system.A.toarray()
+# Diagonal weight of the augmented system. With 1.0, two refinement steps
+# lost accuracy where the residual sits at roundoff (example1, N = 30, exact
+# q: residual 2.9e-10 against 3.9e-12 from a dense solve); 1e-2 gave 4.8e-13.
+_AUG_ALPHA = 1e-2
+_REFINE_STEPS = 2
+
+
+def _solve_augmented(A: scipy.sparse.spmatrix, b: np.ndarray) -> np.ndarray | None:
+    """Least-squares solution by sparse LU of the augmented system.
+
+    With the columns of A scaled to unit 2-norm (A_s = A D), the system
+
+        [[alpha I, A_s], [A_s^T, 0]] [s; y] = [b; 0]
+
+    gives A_s^T (b - A_s y) = 0, the normal equations, without forming
+    A^T A (Bjorck, Numerical Methods for Least Squares Problems, 1996,
+    sec. 2.5). Returns x = D y, or None when A is rank-deficient: a zero
+    column, a singular factor or a pivot at roundoff level.
+    """
+    m, n = A.shape
+    norms = scipy.sparse.linalg.norm(A, axis=0)
+    if not np.all(norms > 0.0):
+        return None
+    scale = 1.0 / norms
+    As = A @ scipy.sparse.diags(scale)
+    K = scipy.sparse.bmat([[_AUG_ALPHA * scipy.sparse.identity(m), As],
+                           [As.T, None]], format="csc")
     try:
+        lu = scipy.sparse.linalg.splu(K)
+    except RuntimeError:    # SuperLU: "Factor is exactly singular"
+        return None
+    # An exactly repeated column does not always give an exact zero pivot:
+    # roundoff can leave one near 1e-20 of the largest. The smallest ratio
+    # among the built-in configs' systems is 6.6e-9 (example1, N = 30, N_y = 2).
+    pivots = np.abs(lu.U.diagonal())
+    if pivots.min() <= (m + n) * np.finfo(float).eps * pivots.max():
+        return None
+    rhs = np.concatenate([b, np.zeros(n)])
+    z = lu.solve(rhs)
+    for _ in range(_REFINE_STEPS):
+        z += lu.solve(rhs - K @ z)
+    x = scale * z[m:]
+    return x if np.all(np.isfinite(x)) else None
+
+
+def solve_ls(system: LinearSystem) -> PsKernelSolution:
+    """Least-squares solve of the coefficient-matching system.
+
+    The normal path factors the column-scaled augmented system with sparse
+    LU and takes two steps of iterative refinement (``solve_path`` is
+    ``"sparse_lu"``); A is never densified. A full-rank factor implies full
+    column rank, so ``rank`` is the column count. When A is rank-deficient
+    the minimum-norm solution comes from a dense rank-revealing QR
+    (``"dense_lstsq"``, LAPACK gelsy), whose rank estimate is reported. The
+    returned residual is ||Ax - b||_2 recomputed from the solution."""
+    x = _solve_augmented(system.A, system.b)
+    if x is not None:
+        solve_path, rank = "sparse_lu", system.A.shape[1]
+    else:
+        A = system.A.toarray()
         x, _, rank, _ = scipy.linalg.lstsq(A, system.b, lapack_driver="gelsy",
                                            check_finite=False)
-    except Exception as e:  # pragma: no cover - driver fallback
-        try:
-            x, _, rank, _ = scipy.linalg.lstsq(A, system.b, lapack_driver="gelsd",
-                                               check_finite=False)
-        except Exception:
+        solve_path = "dense_lstsq"
+        if not np.all(np.isfinite(x)):
             raise RuntimeError(
-                f"least-squares factorization failed on a "
-                f"{A.shape[0]}x{A.shape[1]} system "
-                f"(max |A| {np.abs(A).max():.3g}): {e}") from e
-    if not np.all(np.isfinite(x)):
-        raise RuntimeError(
-            f"least-squares factorization produced non-finite values "
-            f"({A.shape[0]}x{A.shape[1]} system, rank estimate {rank})")
+                f"least-squares factorization produced non-finite values "
+                f"({A.shape[0]}x{A.shape[1]} system, rank estimate {rank})")
     residual = float(np.linalg.norm(system.A @ x - system.b))
     cfg = system.config
     nK, nKB = count_unknowns(cfg.N, cfg.N_y)
@@ -379,7 +420,7 @@ def solve_ls(system: LinearSystem) -> PsKernelSolution:
     return PsKernelSolution(
         k=k, kbar=kbar, residual=residual, config=cfg,
         num_unknowns=nK + nKB, num_equations=system.A.shape[0],
-        x=x, cols=system.cols, rank=int(rank),
+        x=x, cols=system.cols, rank=int(rank), solve_path=solve_path,
     )
 
 
@@ -395,7 +436,7 @@ def coeff_vector(system: LinearSystem, k: TruncatedSeries,
     Coefficients outside the column set are rejected: the vector must be
     conformal with the unknowns."""
     x = np.zeros(len(system.cols))
-    index = system.col_index
+    index = {c: i for i, c in enumerate(system.cols)}
     for e, v in k.coeffs.items():
         key = ("K", e)
         if key not in index:
@@ -426,6 +467,19 @@ def optimality_check(system: LinearSystem, candidate: np.ndarray,
     rc = np.linalg.norm(system.A @ candidate - system.b)
     rr = np.linalg.norm(system.A @ reference - system.b)
     return bool(rc <= rr + slack)
+
+
+def optimality_certificate(system: LinearSystem, x: np.ndarray) -> float:
+    """||A^T r|| / (||A||_F ||r||) with r = A x - b.
+
+    Zero at an exact least-squares minimizer and at roundoff level at a
+    computed one; 0.0 when the residual vanishes."""
+    r = system.A @ x - system.b
+    rn = float(np.linalg.norm(r))
+    if rn == 0.0:
+        return 0.0
+    return float(np.linalg.norm(system.A.T @ r)) / (
+        float(scipy.sparse.linalg.norm(system.A)) * rn)
 
 
 def residual_series(p: ContinuumParams, cfg: SolverConfig,

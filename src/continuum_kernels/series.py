@@ -74,6 +74,10 @@ class TruncatedSeries:
 
     def __post_init__(self):
         object.__setattr__(self, "vars", tuple(self.vars))
+        # checked before pruning, which would drop a NaN (abs(nan) > tol is False)
+        if not all(map(math.isfinite, self.coeffs.values())):
+            e, c = next((e, c) for e, c in self.coeffs.items() if not math.isfinite(c))
+            raise ValueError(f"non-finite coefficient {c} at exponent {tuple(e)}")
         cleaned = {
             tuple(e): float(c)
             for e, c in self.coeffs.items()
@@ -327,22 +331,6 @@ class TruncatedSeries:
                 term = np.multiply.outer(term, vec)
             out += term
         return out
-
-    def eval_arrays(self, point: Mapping[Var, np.ndarray]) -> np.ndarray:
-        """Evaluate with broadcast arrays (all arrays share one shape)."""
-        if not self.coeffs:
-            arrays = [np.asarray(point[v], dtype=float) for v in self.vars if v in point]
-            return np.zeros(np.broadcast(*arrays).shape if arrays else ())
-        out = None
-        for e, c in self.coeffs.items():
-            term = c
-            for v, p in zip(self.vars, e):
-                if p:
-                    term = term * np.asarray(point[v], dtype=float) ** p
-                else:
-                    term = term * np.ones_like(np.asarray(point[v], dtype=float))
-            out = term if out is None else out + term
-        return np.asarray(out)
 
 
 # ---------------------------------------------------------------------------

@@ -4,6 +4,7 @@ CK_ACCEPT_FULL=1 is set; everything else is the default gate.
 """
 
 import math
+import os
 import subprocess
 import sys
 from pathlib import Path
@@ -377,7 +378,12 @@ def test_c8_property_suites_standalone(tmp_path):
     files = ["test_series.py", "test_simulator.py", "test_closed_form.py"]
     cmd = [sys.executable, "-m", "pytest", "-q", "-p", "no:cacheprovider",
            *(str(root / f) for f in files)]
-    proc = subprocess.run(cmd, cwd=tmp_path, capture_output=True, text=True)
+    # the child runs in tmp_path, where a relative PYTHONPATH entry such as
+    # "src" does not resolve: put the package source first, as an absolute path
+    pythonpath = [str(root.parent / "src"), os.environ.get("PYTHONPATH", "")]
+    env = os.environ | {"PYTHONPATH": os.pathsep.join(filter(None, pythonpath))}
+    proc = subprocess.run(cmd, cwd=tmp_path, env=env, capture_output=True,
+                          text=True)
     ok = proc.returncode == 0
     tail = proc.stdout.strip().splitlines()[-1] if proc.stdout else ""
     _report("8", ok, f"algebra, simulator, and closed-form property suites "

@@ -5,6 +5,7 @@ import pytest
 
 from continuum_kernels.cli import main
 from continuum_kernels.gains import read_gain_csv
+from continuum_kernels.params import load_problem
 
 
 def run(argv):
@@ -29,6 +30,10 @@ class TestSolve:
         report = json.loads((tmp_path / "e1_report.json").read_text())
         assert "max_error_vs_exact" in report
         assert report["num_unknowns"] == 154  # 109 + 45
+        assert report["solve_path"] == "sparse_lu"
+        assert report["rank"] == report["num_unknowns"]
+        assert 0 < report["nnz"] < report["num_unknowns"] * report["num_equations"]
+        assert 0.0 <= report["certificate"] < 1e-10
         coeffs = json.loads((tmp_path / "e1_coeffs.json").read_text())
         assert "k" in coeffs and "kbar" in coeffs
 
@@ -42,6 +47,16 @@ class TestSolve:
         gb = (tmp_path / "b_gains.csv").read_text().splitlines()
         # identical numeric content; only the manifest path line differs
         assert ga[1:] == gb[1:]
+
+    def test_non_finite_config_exits_1(self, tmp_path, capsys):
+        cfg = load_problem("example1").source
+        cfg["theta"]["terms"][0]["scale"] = float("nan")
+        path = tmp_path / "nan.json"
+        path.write_text(json.dumps(cfg))
+        assert run(["solve", "--config", str(path), "--order", "6",
+                    "--out-prefix", str(tmp_path / "x")]) == 1
+        assert "non-finite" in capsys.readouterr().err
+        assert not (tmp_path / "x_report.json").exists()
 
     def test_bad_config_exits_1(self, tmp_path):
         assert run(["solve", "--config", "missing-config", "--order", "4",

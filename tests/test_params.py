@@ -183,6 +183,22 @@ class TestConfigLoading:
         with pytest.raises(ConfigError, match="not allowed"):
             parse_problem_dict(bad)
 
+    @pytest.mark.parametrize("field,value", [
+        ("theta", {"terms": [{"scale": float("nan"), "factors": [
+            {"var": "x", "kind": "poly", "coeffs": [1.0]}]}]}),
+        ("sigma", {"terms": [{"factors": [
+            {"var": "x", "kind": "exp", "rate": float("inf")}]}]}),
+        ("mu", float("-inf")),
+        ("q", {"data": [0.0, float("nan"), 0.1], "fit_degree": 1}),
+    ])
+    def test_non_finite_values_rejected(self, field, value):
+        # NaN would otherwise be pruned from the series as a zero and solve
+        # to the zero kernel with residual 0
+        cfg = {"lambda": 1, "mu": 1, "sigma": 0, "theta": 0, "w": 0, "q": 0,
+               field: value}
+        with pytest.raises(ConfigError, match="non-finite"):
+            parse_problem_dict(cfg)
+
     def test_json_syntax_diagnostics(self, tmp_path):
         path = tmp_path / "broken.json"
         path.write_text('{"lambda": 1,\n  "mu": }\n')

@@ -56,6 +56,13 @@ class TestTaylor:
             taylor(Exp(X, 1.0), -1)
 
 
+class TestConstruction:
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    def test_non_finite_coefficient_rejected(self, bad):
+        with pytest.raises(ValueError, match="non-finite"):
+            TruncatedSeries((X, Y), {(0, 0): 1.0, (1, 2): bad})
+
+
 class TestRingOps:
     def test_add_cancels(self):
         one_plus = series({((X, 1),): 1.0}) + TruncatedSeries.constant(1.0)
