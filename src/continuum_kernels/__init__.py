@@ -20,7 +20,7 @@ from .fd_kernels import (ConvergenceError, LsKernelSolution, TriGrid,
 from .gains import (GainTable, continuum_residual, diff_solutions, gains,
                     largescale_residual, read_gain_csv, sample_gains,
                     write_gain_csv)
-from .params import (ConfigError, ContinuumParams, FitResult,
+from .params import (ConfigError, ContinuumParams, FitResult, GridParams,
                      LargeScaleParams, PositivityReport, Problem,
                      check_positivity, fit_q, lift_separable, load_problem,
                      parse_problem_dict, sample_continuum)

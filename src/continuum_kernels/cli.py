@@ -13,6 +13,7 @@ import argparse
 import json
 import sys
 import time
+from pathlib import Path
 
 import numpy as np
 
@@ -254,7 +255,8 @@ def cmd_bench(args) -> int:
             r = gains(exact, grid_xi=grid, grid_y=grid)
             row["max_error"] = diff_solutions(t, r)
         if baseline is not None:
-            t = sample_gains(sol, ls.n, grid_xi=baseline.grid_xi)
+            t = sample_gains(sol, ls.n, grid_xi=baseline.grid_xi,
+                             offset=ls.sample_offset)
             row["d_np1"] = diff_solutions(t, baseline)
         cur = gains(sol, grid_xi=grid, grid_y=grid)
         row["d_prev"] = (diff_solutions(cur, prev_table)
@@ -287,21 +289,22 @@ def cmd_simulate(args) -> int:
         if args.gains:
             table = read_gain_csv(args.gains)
             if not table.sampled or len(table.grid_y) != n:
-                # ensemble table: resample rows at the component points i/n
-                ys = np.arange(1, n + 1) / n
-                k = np.empty((n, len(table.grid_xi)))
-                for j in range(len(table.grid_xi)):
-                    k[:, j] = np.interp(ys, table.grid_y, table.k[:, j])
+                # ensemble table: resample rows at the component points
+                ys = ls.y_points()
+                k = np.array([np.interp(ys, table.grid_y, c) for c in table.k.T]).T
                 table = GainTable(grid_xi=table.grid_xi, grid_y=ys, k=k,
                                   kbar=table.kbar, sampled=True)
         elif args.solve_order is not None:
             cfg = SolverConfig(N=args.solve_order, N_y=args.solve_order_y,
                                sigma_sign=args.sigma_sign or 1)
             sol = solve_ls(assemble(problem.continuum, cfg))
-            table = sample_gains(sol, n, grid_xi=np.linspace(0, 1, args.mx))
+            table = sample_gains(sol, n, grid_xi=np.linspace(0, 1, args.mx),
+                                 offset=ls.sample_offset)
         else:
             raise ConfigError("simulate needs --gains, --solve-order, or "
                               "--open-loop")
+    if args.t_final is None:  # twice the settling time 1/min mu + 1/min lambda
+        args.t_final = 2.0 * sum(1.0 / s for s in ls.check_speeds())
     cfg = SimConfig(n=n, m_x=args.mx, t_final=args.t_final, cfl=args.cfl,
                     initial_profile=args.profile, amplitude=args.amplitude,
                     control_mode=mode)
@@ -395,7 +398,8 @@ def build_parser() -> argparse.ArgumentParser:
     mp.add_argument("--config", required=True)
     mp.add_argument("--n", type=int, default=None)
     mp.add_argument("--mx", type=int, default=256)
-    mp.add_argument("--t-final", type=float, default=3.0)
+    mp.add_argument("--t-final", type=float, default=None,
+                    help="end time (default 2 (1/min mu + 1/min lambda))")
     mp.add_argument("--cfl", type=float, default=0.4)
     mp.add_argument("--profile", default="sine")
     mp.add_argument("--amplitude", type=float, default=1.0)
@@ -422,6 +426,9 @@ def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
+        if getattr(args, "out_prefix", None):
+            # outputs go last: a missing directory must not waste the run
+            Path(args.out_prefix).parent.mkdir(parents=True, exist_ok=True)
         return args.func(args)
     except ConfigError as e:
         print(f"error: {e}", file=sys.stderr)

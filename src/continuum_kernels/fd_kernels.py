@@ -17,7 +17,6 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .params import LargeScaleParams
-from .series import Var
 
 __all__ = ["TriGrid", "LsKernelSolution", "ConvergenceError",
            "solve_characteristics", "refine_study", "RefineReport"]
@@ -94,15 +93,8 @@ def solve_characteristics(ls: LargeScaleParams, grid: TriGrid | None = None,
     n, m, h = ls.n, grid.m, grid.h
     xs = grid.nodes()
 
-    lam = np.array([l.eval1(Var.X, xs) for l in ls.lam])          # (n, m+1)
-    dlam = np.array([l.diff(Var.X).eval1(Var.X, xs) for l in ls.lam])
-    mu = ls.mu.eval1(Var.X, xs)
-    dmu = ls.mu.diff(Var.X).eval1(Var.X, xs)
-    SIG = np.array([[ls.sigma[j][i].eval1(Var.X, xs) for i in range(n)]
-                    for j in range(n)])                           # [j,i,b]
-    TH = np.array([t.eval1(Var.X, xs) for t in ls.theta])
-    WW = np.array([w.eval1(Var.X, xs) for w in ls.W])
-    q = ls.q
+    g = ls.on_grid(xs)
+    lam, dlam, mu, dmu, TH, WW, q = g.lam, g.dlam, g.mu, g.dmu, g.theta, g.W, g.q
     lam0 = lam[:, 0]
     diag_bc = -TH / (lam + mu[None, :])                           # (n, m+1)
     mu_of = lambda t: np.interp(t, xs, mu)
@@ -113,7 +105,7 @@ def solve_characteristics(ls: LargeScaleParams, grid: TriGrid | None = None,
     while iterations < max_iter:
         iterations += 1
         # sources from the previous iterate, on the grid
-        S = np.einsum("jib,jab->iab", SIG, K[:n]) / n
+        S = g.couple_kernel(K[:n]) / n
         S += dlam[:, None, :] * K[:n] + TH[:, None, :] * K[n][None]
         Sb = -dmu[None, :] * K[n] + np.einsum("jb,jab->ab", WW, K[:n]) / n
 
@@ -185,12 +177,10 @@ class RefineReport:
     diffs: list[float]              # sup difference between successive solutions
     ratios: list[float]             # diffs[k] / diffs[k+1]
     reference_errors: list[float] = field(default_factory=list)
-    solutions: list[LsKernelSolution] = field(default_factory=list)
 
 
 def refine_study(ls: LargeScaleParams, m_list, tol: float = 1e-10,
-                 max_iter: int = 200, reference=None,
-                 keep_solutions: bool = False) -> RefineReport:
+                 max_iter: int = 200, reference=None) -> RefineReport:
     """Solve on increasingly fine grids and report successive sup-norm
     differences (restricted to the common coarse nodes) and, optionally,
     errors against a reference kernel family callable(ref(i, x, xi))."""
@@ -224,5 +214,4 @@ def refine_study(ls: LargeScaleParams, m_list, tol: float = 1e-10,
         diffs.append(float(np.abs(s1.k - sub)[:, tri].max()))
     ratios = [d1 / d2 for d1, d2 in zip(diffs, diffs[1:]) if d2 > 0]
     return RefineReport(m_list=m_list, diffs=diffs, ratios=ratios,
-                        reference_errors=ref_errors,
-                        solutions=sols if keep_solutions else [])
+                        reference_errors=ref_errors)

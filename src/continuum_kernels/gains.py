@@ -234,8 +234,8 @@ def _closed_form_residual(sol: "ClosedFormKernel", p: ContinuumParams,
 # ---------------------------------------------------------------------------
 
 
-def largescale_residual(sol, ls: LargeScaleParams, grid_m: int = 64,
-                        offset: float | None = None) -> dict[str, float]:
+def largescale_residual(sol, ls: LargeScaleParams,
+                        grid_m: int = 64) -> dict[str, float]:
     """Plug a candidate kernel family into the n+1 kernel equations.
 
     ``sol`` is either an ensemble solution (series or closed form), whose
@@ -261,8 +261,7 @@ def largescale_residual(sol, ls: LargeScaleParams, grid_m: int = 64,
     else:
         m = grid_m
         xs = np.linspace(0.0, 1.0, m + 1)
-        offs = ls.sample_offset if offset is None else offset
-        ys = (np.arange(1, n + 1) + offs) / n
+        ys = ls.y_points()
         X, XI = np.meshgrid(xs, xs, indexing="ij")
         K = np.empty((n + 1, m + 1, m + 1))
         dKdx = np.empty_like(K)
@@ -289,20 +288,12 @@ def largescale_residual(sol, ls: LargeScaleParams, grid_m: int = 64,
             K[n] = sol.kbar(X, XI)
             dKdx[n] = sol.dkbar_dx(X, XI)
             dKdxi[n] = sol.dkbar_dxi(X, XI)
-        interior = np.zeros((m + 1, m + 1), dtype=bool)
-        for a in range(m + 1):
-            interior[a, :a + 1] = True
+        interior = np.tri(m + 1, dtype=bool)                      # xi <= x
 
-    lam = np.array([l.eval1(Var.X, xs) for l in ls.lam])          # (n, m+1)
-    dlam = np.array([l.diff(Var.X).eval1(Var.X, xs) for l in ls.lam])
-    mu = ls.mu.eval1(Var.X, xs)
-    dmu = ls.mu.diff(Var.X).eval1(Var.X, xs)
-    SIG = np.array([[ls.sigma[i][j].eval1(Var.X, xs) for j in range(n)]
-                    for i in range(n)])                           # [i,j,b]
-    TH = np.array([t.eval1(Var.X, xs) for t in ls.theta])
-    WW = np.array([w.eval1(Var.X, xs) for w in ls.W])
+    g = ls.on_grid(xs)
+    lam, dlam, mu, dmu, TH, WW = g.lam, g.dlam, g.mu, g.dmu, g.theta, g.W
 
-    coup = np.einsum("jib,jab->iab", SIG, K[:n]) / n
+    coup = g.couple_kernel(K[:n]) / n
     e_k = mu[:, None] * dKdx[:n] - lam[:, None, :] * dKdxi[:n] \
         - dlam[:, None, :] * K[:n] - coup - TH[:, None, :] * K[n][None]
     e_kb = mu[:, None] * dKdx[n] + mu[None, :] * dKdxi[n] \
@@ -315,7 +306,7 @@ def largescale_residual(sol, ls: LargeScaleParams, grid_m: int = 64,
     e_diag = kdiag + TH / (lam + mu[None, :])
     r_diag = float(np.abs(e_diag).max())
     lam0 = lam[:, 0]
-    e_left = mu[0] * K[n, :, 0] - (ls.q[:, None] * lam0[:, None] * K[:n, :, 0]
+    e_left = mu[0] * K[n, :, 0] - (g.q[:, None] * lam0[:, None] * K[:n, :, 0]
                                    ).sum(axis=0) / n
     r_left = float(np.abs(e_left).max())
     return {"pde_k": r_pde_k, "pde_kbar": r_pde_kb,

@@ -34,6 +34,7 @@ from .series import (
 __all__ = [
     "ContinuumParams",
     "LargeScaleParams",
+    "GridParams",
     "FitResult",
     "PositivityReport",
     "Problem",
@@ -86,28 +87,60 @@ class ContinuumParams:
                 raise ValueError(f"parameter {name} uses variables {got}, allowed {vs}")
 
 
+@dataclass(frozen=True)
+class GridParams:
+    """Sampled parameters of the n+1 system on an x grid of m points.
+
+    Sigma stays in factor form, one row per separable term t:
+    ``sigma_ij(x) = sum_t sigma_x[t](x) sigma_eta[t, i] sigma_y[t, j]``,
+    so each contraction costs O(r n m), not the O(n^2 m) of a dense table.
+    """
+
+    lam: np.ndarray        # (n, m)
+    dlam: np.ndarray       # (n, m), d/dx
+    mu: np.ndarray         # (m,)
+    dmu: np.ndarray        # (m,), d/dx
+    theta: np.ndarray      # (n, m)
+    W: np.ndarray          # (n, m)
+    q: np.ndarray          # (n,)
+    sigma_x: np.ndarray    # (r, m), term scale times its x factors
+    sigma_eta: np.ndarray  # (r, n), eta factors at the sample points
+    sigma_y: np.ndarray    # (r, n), y factors at the sample points
+
+    def couple(self, u: np.ndarray) -> np.ndarray:
+        """sum_j sigma_ij u_j, the plant's coupling; ``u`` is (n, ..., m)."""
+        return _contract(self.sigma_eta, self.sigma_y, self.sigma_x, u)
+
+    def couple_kernel(self, K: np.ndarray) -> np.ndarray:
+        """sum_j sigma_ji K_j, the kernel equations' coupling; ``K`` is
+        (n, ..., m) with sigma evaluated on its last axis."""
+        return _contract(self.sigma_y, self.sigma_eta, self.sigma_x, K)
+
+
+def _contract(out_f: np.ndarray, sum_f: np.ndarray, a: np.ndarray,
+              u: np.ndarray) -> np.ndarray:
+    """sum_t out_f[t, i] a[t, x] sum_j sum_f[t, j] u[j, ..., x]."""
+    r, cols = len(a), u[0].size
+    s = (sum_f @ u.reshape(len(u), cols)).reshape((r,) + u.shape[1:])
+    s *= a.reshape((r,) + (1,) * (u.ndim - 2) + a.shape[1:])
+    return (out_f.T @ s.reshape(r, cols)).reshape(u.shape)
+
+
 @dataclass
 class LargeScaleParams:
-    """Sampled (per component) parameters of the n+1 kernel equations."""
+    """Sampled parameters of the n+1 kernel equations: the ensemble template
+    at the component points, evaluated on demand by :meth:`on_grid`."""
 
     n: int
-    lam: list[SeparableSum]                 # lam[i](x), i = 0..n-1
-    mu: SeparableSum
-    sigma: list[list[SeparableSum]]         # sigma[i][j](x)
-    theta: list[SeparableSum]
-    W: list[SeparableSum]
-    q: np.ndarray
-    template: ContinuumParams | None = None
+    template: ContinuumParams
+    q: np.ndarray | None = None             # q_i; None samples template.q
     sample_offset: float = 0.0              # component i sits at y=(i+1+offset)/n
 
     def __post_init__(self):
         if self.n < 1:
             raise ValueError("n must be positive")
-        for name in ("lam", "theta", "W"):
-            if len(getattr(self, name)) != self.n:
-                raise ValueError(f"{name} must have {self.n} entries")
-        if len(self.sigma) != self.n or any(len(r) != self.n for r in self.sigma):
-            raise ValueError("sigma must be an n-by-n table")
+        if self.q is None:
+            self.q = self.template.q.eval1(Var.Y, self.y_points())
         self.q = np.asarray(self.q, dtype=float)
         if self.q.shape != (self.n,):
             raise ValueError("q must have n entries")
@@ -115,15 +148,42 @@ class LargeScaleParams:
     def y_points(self) -> np.ndarray:
         return (np.arange(1, self.n + 1) + self.sample_offset) / self.n
 
-    def check_speeds(self) -> None:
-        xs = np.linspace(0.0, 1.0, GRID_POINTS)
-        mu_min = self.mu.eval1(Var.X, xs).min()
-        lam_min = min(l.eval1(Var.X, xs).min() for l in self.lam)
+    def on_grid(self, xs) -> GridParams:
+        """Evaluate every sampled parameter on the grid ``xs`` at once."""
+        c = self.template
+        xs = np.asarray(xs, dtype=float)
+        ys = self.y_points()
+        at = {Var.X: xs[None, :], Var.Y: ys[:, None]}
+
+        def rows(p: SeparableSum) -> np.ndarray:
+            return np.broadcast_to(p(at), (self.n, len(xs))).copy()
+
+        terms = c.sigma.terms
+
+        def factor(v: Var, t: np.ndarray) -> np.ndarray:
+            """(r, len(t)): each sigma term's v factors, ones if it has none."""
+            return np.array([
+                SeparableTerm(1.0, [f for f in term.factors if f.var == v])({v: t})
+                for term in terms]).reshape(len(terms), len(t))
+
+        return GridParams(
+            lam=rows(c.lam), dlam=rows(c.lam.diff(Var.X)),
+            mu=c.mu.eval1(Var.X, xs), dmu=c.mu.diff(Var.X).eval1(Var.X, xs),
+            theta=rows(c.theta), W=rows(c.W), q=self.q,
+            sigma_x=np.array([t.scale for t in terms])[:, None] * factor(Var.X, xs),
+            sigma_eta=factor(Var.ETA, ys), sigma_y=factor(Var.Y, ys),
+        )
+
+    def check_speeds(self) -> tuple[float, float]:
+        """Minima of lambda and mu on the audit grid; raises unless positive."""
+        g = self.on_grid(np.linspace(0.0, 1.0, GRID_POINTS))
+        lam_min, mu_min = float(g.lam.min()), float(g.mu.min())
         if mu_min <= 0 or lam_min <= 0:
             raise ValueError(
                 f"transport speeds must be positive on [0,1]: "
                 f"min lam={lam_min:.3g}, min mu={mu_min:.3g}"
             )
+        return lam_min, mu_min
 
 
 @dataclass(frozen=True)
@@ -158,46 +218,21 @@ def sample_continuum(c: ContinuumParams, n: int, offset: float = 0.0) -> LargeSc
     Component i (1-based) is placed at y = (i + offset)/n; the default
     offset 0 puts the family at i/n, offset -1 at (i-1)/n.
     """
-    if n < 1:
-        raise ValueError("n must be positive")
-    ys = (np.arange(1, n + 1) + offset) / n
-    lam = [c.lam.substitute(Var.Y, float(y)) for y in ys]
-    theta = [c.theta.substitute(Var.Y, float(y)) for y in ys]
-    W = [c.W.substitute(Var.Y, float(y)) for y in ys]
-    sigma = [
-        [c.sigma.substitute(Var.ETA, float(yi)).substitute(Var.Y, float(yj))
-         for yj in ys]
-        for yi in ys
-    ]
-    q = c.q.eval1(Var.Y, ys)
-    return LargeScaleParams(
-        n=n, lam=lam, mu=c.mu, sigma=sigma, theta=theta, W=W, q=np.asarray(q),
-        template=c, sample_offset=offset,
-    )
+    return LargeScaleParams(n=n, template=c, sample_offset=offset)
 
 
 def lift_separable(ls: LargeScaleParams) -> ContinuumParams:
-    """Recover the ensemble parameters a sampled set was generated from.
+    """The ensemble parameters a sampled set was generated from.
 
-    Requires the large-scale set to carry its generating template (the
-    separable expressions in i/n and j/n). The round trip through
-    :func:`sample_continuum` is verified exactly at all sample points.
+    A sampled set holds its generating template (the separable expressions
+    in i/n and j/n), so the lift is exact by construction.
     """
     if ls.template is None:
         raise ValueError(
             "large-scale parameters are not in template form; build an "
             "ensemble approximation explicitly (e.g. with fit_q) instead"
         )
-    cont = ls.template
-    back = sample_continuum(cont, ls.n, ls.sample_offset)
-    xs = np.linspace(0.0, 1.0, 11)
-    for i in range(ls.n):
-        for a, b in ((back.lam[i], ls.lam[i]), (back.theta[i], ls.theta[i]),
-                     (back.W[i], ls.W[i])):
-            if not np.allclose(a.eval1(Var.X, xs), b.eval1(Var.X, xs),
-                               rtol=0.0, atol=0.0):
-                raise ValueError("template does not reproduce the sampled data")
-    return cont
+    return ls.template
 
 
 def fit_q(data: np.ndarray, degree: int, points: np.ndarray | None = None,
@@ -260,13 +295,16 @@ class Problem:
     fit: FitResult | None = None
     source: dict = field(default_factory=dict)
 
-    def large_scale(self, n: int | None = None, offset: float = 0.0) -> LargeScaleParams:
-        """Sample the n+1 parameter set; raw q data is used verbatim when the
-        requested size matches the data."""
+    def large_scale(self, n: int | None = None,
+                    offset: float | None = None) -> LargeScaleParams:
+        """Sample the n+1 parameter set, by default at the data's sample
+        offset; raw q data is used verbatim when the requested size and
+        offset match the data."""
         if n is None:
             n = self.n
         if n is None:
             raise ValueError("problem does not fix n; pass it explicitly")
+        offset = self.q_offset if offset is None else offset
         ls = sample_continuum(self.continuum, n, offset)
         if self.q_data is not None and len(self.q_data) == n and offset == self.q_offset:
             ls.q = np.asarray(self.q_data, dtype=float)

@@ -117,9 +117,6 @@ class TruncatedSeries:
     def is_zero(self) -> bool:
         return not self.coeffs
 
-    def total_degree(self) -> int:
-        return max((sum(e) for e in self.coeffs), default=0)
-
     def degree_in(self, v: Var) -> int:
         if v not in self.vars:
             return 0
@@ -563,24 +560,6 @@ class SeparableSum:
             for t in self.terms
             for f in t.factors
         )
-
-    def poly_degree_in(self, v: Var) -> int | None:
-        """Exact degree in ``v`` if polynomial in ``v``, else None."""
-        deg = 0
-        for t in self.terms:
-            d = 0
-            for f in t.factors:
-                if f.var != v:
-                    continue
-                if isinstance(f, Constant):
-                    continue
-                if isinstance(f, Polynomial):
-                    nz = [k for k, c in enumerate(f.coeffs) if c != 0.0]
-                    d += max(nz) if nz else 0
-                else:
-                    return None
-            deg = max(deg, d)
-        return deg
 
     # -- algebra -----------------------------------------------------------
 

@@ -24,7 +24,6 @@ import numpy as np
 
 from .gains import GainTable
 from .params import LargeScaleParams
-from .series import Var
 
 __all__ = ["SimConfig", "SimReport", "Simulator", "run_closed_loop",
            "write_sim_csv"]
@@ -87,19 +86,14 @@ class Simulator:
             raise ValueError("gain_table control mode needs a gain table")
         ls.check_speeds()
         self.cfg = cfg
-        self.ls = ls
         n, m = ls.n, cfg.m_x
         self.n, self.m = n, m
         xs = np.linspace(0.0, 1.0, m)
         self.xs = xs
         self.h = xs[1] - xs[0]
-        self.lam = np.array([l.eval1(Var.X, xs) for l in ls.lam])
-        self.mu = ls.mu.eval1(Var.X, xs)
-        self.sig = np.array([[ls.sigma[i][j].eval1(Var.X, xs) for j in range(n)]
-                             for i in range(n)])
-        self.theta = np.array([t.eval1(Var.X, xs) for t in ls.theta])
-        self.W = np.array([w.eval1(Var.X, xs) for w in ls.W])
-        self.q = ls.q
+        self.params = g = ls.on_grid(xs)
+        self.lam, self.mu, self.q = g.lam, g.mu, g.q
+        self.theta, self.W = g.theta, g.W
         speed = max(float(self.lam.max()), float(self.mu.max()))
         self.dt = cfg.cfl * self.h / speed
         self.weights = np.full(m, self.h)
@@ -158,7 +152,7 @@ class Simulator:
         dv = np.zeros_like(v)
         adv_u = (u[:, 1:] - u[:, :-1]) / h
         du[:, 1:] = -self.lam[:, 1:] * adv_u
-        du += np.einsum("ijx,jx->ix", self.sig, u) / self.n
+        du += self.params.couple(u) / self.n
         du += self.W * v[None, :]
         du[:, 0] = 0.0
         dv[:-1] = self.mu[:-1] * (v[1:] - v[:-1]) / h

@@ -170,6 +170,30 @@ class TestSimulate:
                     str(tmp_path / "g_gains.csv"),
                     "--out-prefix", prefix]) == 0
 
+    def test_default_horizon_reports_stable(self, tmp_path, capsys):
+        # the default t_final is 2 t_F = 2 (1/mu + 1/lambda) = 4 for example2
+        prefix = str(tmp_path / "d")
+        assert run(["simulate", "--config", "example2", "--solve-order", "20",
+                    "--out-prefix", prefix]) == 0
+        assert "simulate: stable" in capsys.readouterr().out
+        man = json.loads((tmp_path / "d_manifest.json").read_text())
+        assert man["arguments"]["t_final"] == 4.0
+
+    def test_missing_output_directory_is_created(self, tmp_path):
+        prefix = tmp_path / "a" / "b" / "s"
+        assert run(["simulate", "--config", "zero", "--n", "2", "--mx", "32",
+                    "--t-final", "0.5", "--open-loop",
+                    "--out-prefix", str(prefix)]) == 0
+        assert (tmp_path / "a" / "b" / "s_sim.csv").exists()
+        assert (tmp_path / "a" / "b" / "s_manifest.json").exists()
+
+    def test_unwritable_output_directory_exits_1(self, tmp_path, capsys):
+        (tmp_path / "f").write_text("a file, not a directory")
+        assert run(["simulate", "--config", "zero", "--n", "2", "--mx", "32",
+                    "--t-final", "0.5", "--open-loop",
+                    "--out-prefix", str(tmp_path / "f" / "sub" / "s")]) == 1
+        assert "error:" in capsys.readouterr().err
+
     def test_needs_a_control_source(self, tmp_path):
         assert run(["simulate", "--config", "example2",
                     "--out-prefix", str(tmp_path / "x")]) == 1

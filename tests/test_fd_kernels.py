@@ -6,9 +6,6 @@ from continuum_kernels.fd_kernels import (ConvergenceError, TriGrid,
                                           refine_study,
                                           solve_characteristics)
 from continuum_kernels.params import parse_problem_dict, sample_continuum
-from continuum_kernels.series import Var
-
-X = Var.X
 
 
 def decoupled_problem(theta_scale=0.0):
@@ -52,10 +49,11 @@ class TestSolveCharacteristics:
         sol = solve_characteristics(ls, TriGrid(32))
         xs = sol.grid.nodes()
         diag = np.arange(len(xs))
+        g = ls.on_grid(xs)
         for i in range(ls.n):
-            lam = ls.lam[i].eval1(X, xs)
-            mu = ls.mu.eval1(X, xs)
-            th = ls.theta[i].eval1(X, xs)
+            lam = g.lam[i]
+            mu = g.mu
+            th = g.theta[i]
             np.testing.assert_array_equal(sol.k[i, diag, diag],
                                           -th / (lam + mu))
 
@@ -63,9 +61,10 @@ class TestSolveCharacteristics:
         ls = example2.large_scale()
         sol = solve_characteristics(ls, TriGrid(32), tol=1e-11)
         xs = sol.grid.nodes()
-        mu0 = float(ls.mu.eval1(X, 0.0))
-        lam0 = np.array([float(l.eval1(X, 0.0)) for l in ls.lam])
-        rhs = (ls.q[:, None] * lam0[:, None] * sol.k[:ls.n, :, 0]).sum(0) / ls.n
+        g = ls.on_grid(np.array([0.0]))
+        mu0 = float(g.mu[0])
+        lam0 = g.lam[:, 0]
+        rhs = (g.q[:, None] * lam0[:, None] * sol.k[:ls.n, :, 0]).sum(0) / ls.n
         np.testing.assert_allclose(mu0 * sol.k[ls.n, :, 0], rhs, atol=1e-8)
 
     def test_nonconvergence_raises(self, example2):

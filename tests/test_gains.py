@@ -1,7 +1,12 @@
+import functools
 import math
+import tempfile
+from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from continuum_kernels.closed_form import solve_closed_form
 from continuum_kernels.fd_kernels import TriGrid, solve_characteristics
@@ -9,10 +14,16 @@ from continuum_kernels.gains import (GainTable, continuum_residual,
                                      diff_solutions, gains,
                                      largescale_residual, read_gain_csv,
                                      sample_gains, write_gain_csv)
+from continuum_kernels.params import load_problem
 from continuum_kernels.power_series import SolverConfig, solve
 from continuum_kernels.series import SeparableSum, SeparableTerm, Var
 
 X, XI, Y, ETA = Var.X, Var.XI, Var.Y, Var.ETA
+
+
+@functools.lru_cache(maxsize=1)
+def example1_kernel():
+    return solve_closed_form(load_problem("example1").continuum)
 
 
 class TestGains:
@@ -158,6 +169,23 @@ class TestCsvRoundTrip:
         np.testing.assert_array_equal(back.kbar, t.kbar)
         np.testing.assert_array_equal(back.grid_xi, t.grid_xi)
         assert back.sampled == t.sampled
+
+    @given(n=st.integers(1, 40), m=st.integers(2, 40))
+    @settings(max_examples=25, deadline=None)
+    def test_left_offset_roundtrip(self, n, m):
+        t = sample_gains(example1_kernel(), n, grid_xi=np.linspace(0, 1, m),
+                         offset=-1.0)
+        assert t.grid_y[0] == 0.0
+        with tempfile.TemporaryDirectory() as d:
+            path = Path(d) / "g.csv"
+            write_gain_csv(t, path)
+            back = read_gain_csv(path)
+        assert back.sampled and back.grid_y[0] == 0.0
+        np.testing.assert_array_equal(back.k, t.k)
+        np.testing.assert_array_equal(back.kbar, t.kbar)
+        np.testing.assert_array_equal(back.grid_xi, t.grid_xi)
+        # the header keeps 12 digits of y; diff_solutions accepts 1e-12
+        assert diff_solutions(back, t) == 0.0
 
     def test_reader_requires_data(self, tmp_path):
         p = tmp_path / "empty.csv"

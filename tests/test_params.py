@@ -1,3 +1,4 @@
+import copy
 import json
 
 import numpy as np
@@ -12,13 +13,20 @@ from continuum_kernels.series import (Polynomial, SeparableSum,
 X, Y, ETA = Var.X, Var.Y, Var.ETA
 
 
+def sigma_entry(g, i, j):
+    """sigma_ij on the grid, from the factor form of the grid record."""
+    return np.einsum("tx,t,t->x", g.sigma_x, g.sigma_eta[:, i],
+                     g.sigma_y[:, j])
+
+
 class TestSampleContinuum:
     def test_example2_sigma_vanishes_at_last_component(self, example2):
         ls = sample_continuum(example2.continuum, 10)
         xs = np.linspace(0, 1, 11)
-        np.testing.assert_allclose(ls.sigma[9][9].eval1(X, xs), 0.0, atol=1e-15)
+        g = ls.on_grid(xs)
+        np.testing.assert_allclose(sigma_entry(g, 9, 9), 0.0, atol=1e-15)
         # and a generic entry matches the product form
-        vals = ls.sigma[2][4].eval1(X, xs)
+        vals = sigma_entry(g, 2, 4)
         expected = xs ** 3 * (xs + 1) * (0.3 - 1) * (0.5 - 1)
         np.testing.assert_allclose(vals, expected, rtol=1e-14)
 
@@ -26,7 +34,7 @@ class TestSampleContinuum:
         # theta(x, 1/2) = -70 x (1/2)(-1/2) = 17.5 x
         ls = sample_continuum(example2.continuum, 10)
         xs = np.linspace(0, 1, 11)
-        np.testing.assert_allclose(ls.theta[4].eval1(X, xs), 17.5 * xs,
+        np.testing.assert_allclose(ls.on_grid(xs).theta[4], 17.5 * xs,
                                    rtol=1e-14)
 
     def test_constant_family(self):
@@ -35,19 +43,32 @@ class TestSampleContinuum:
         prob = parse_problem_dict(cfg)
         ls = sample_continuum(prob.continuum, 5)
         xs = np.linspace(0, 1, 5)
-        for lam in ls.lam:
-            np.testing.assert_allclose(lam.eval1(X, xs), 1.0)
+        for lam in ls.on_grid(xs).lam:
+            np.testing.assert_allclose(lam, 1.0)
 
     def test_left_offset_sampling(self, example2):
         ls = sample_continuum(example2.continuum, 10, offset=-1.0)
         np.testing.assert_allclose(ls.y_points(), np.arange(0, 10) / 10)
         xs = np.linspace(0, 1, 5)
-        np.testing.assert_allclose(ls.theta[0].eval1(X, xs), 0.0, atol=1e-15)
+        np.testing.assert_allclose(ls.on_grid(xs).theta[0], 0.0, atol=1e-15)
 
     def test_q_data_used_verbatim(self, example2):
         ls = example2.large_scale()
         np.testing.assert_array_equal(
-            ls.q, np.asarray(example2.q_data, dtype=float))
+            ls.on_grid(np.linspace(0, 1, 5)).q,
+            np.asarray(example2.q_data, dtype=float))
+
+    def test_left_offset_data_sampled_at_its_points(self, example2):
+        # data at "(i-1)/n": the sampled system keeps that offset and the
+        # raw data, not the fit
+        cfg = copy.deepcopy(example2.source)
+        cfg["q"]["points"] = "(i-1)/n"
+        prob = parse_problem_dict(cfg)
+        ls = prob.large_scale()
+        assert ls.y_points()[0] == 0.0
+        np.testing.assert_array_equal(
+            ls.on_grid(np.linspace(0, 1, 5)).q,
+            np.asarray(prob.q_data, dtype=float))
 
 
 class TestLiftSeparable:
@@ -73,10 +94,10 @@ class TestLiftSeparable:
         cont = replace(prob.continuum, W=w)
         ls = sample_continuum(cont, 10)
         xs = np.linspace(0, 1, 9)
+        g = ls.on_grid(xs)
         for i in (0, 4, 9):
             np.testing.assert_allclose(
-                ls.W[i].eval1(X, xs), 2 * xs * (xs + 1) * (i + 1) / 10,
-                rtol=1e-14)
+                g.W[i], 2 * xs * (xs + 1) * (i + 1) / 10, rtol=1e-14)
         lifted = lift_separable(ls)
         Xg, Yg = np.meshgrid(xs, xs, indexing="ij")
         np.testing.assert_allclose(lifted.W({X: Xg, Y: Yg}),

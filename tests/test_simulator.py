@@ -1,8 +1,13 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from continuum_kernels.gains import GainTable, sample_gains
-from continuum_kernels.params import parse_problem_dict, sample_continuum
+from continuum_kernels.params import (ContinuumParams, parse_problem_dict,
+                                      sample_continuum)
+from continuum_kernels.series import (Cos, Exp, Polynomial, SeparableSum,
+                                      SeparableTerm, Var)
 from continuum_kernels.simulate import (SimConfig, Simulator,
                                         run_closed_loop)
 
@@ -146,3 +151,63 @@ class TestConfigValidation:
         with pytest.raises(ValueError, match="disagree"):
             Simulator(SimConfig(n=4, m_x=32, t_final=1.0,
                                 control_mode="open_loop"), ls, None)
+
+
+# -- factored sigma coupling against a dense table ----------------------------
+
+_coef = st.floats(-2.0, 2.0, allow_nan=False)
+
+
+@st.composite
+def sigma_factor(draw, var):
+    kind = draw(st.sampled_from(("poly", "exp", "cos")))
+    if kind == "poly":
+        return Polynomial(var, draw(st.lists(_coef, min_size=1, max_size=4)))
+    if kind == "exp":
+        return Exp(var, draw(_coef))
+    return Cos(var, 3.0 * draw(_coef), draw(_coef))
+
+
+@st.composite
+def separable_sigma(draw):
+    """1-3 terms with factors spread over x, eta and y; a term may lack any
+    of the three variables, or carry several factors in one."""
+    terms = []
+    for _ in range(draw(st.integers(1, 3))):
+        vs = draw(st.lists(st.sampled_from((Var.X, Var.ETA, Var.Y)),
+                           max_size=4))
+        terms.append(SeparableTerm(draw(_coef),
+                                   [draw(sigma_factor(v)) for v in vs]))
+    return SeparableSum(terms)
+
+
+def dense_sigma(sigma, ys, xs):
+    """sig[i, j] = sigma(x, eta=y_i, y=y_j) on xs, entry by entry."""
+    return np.array([[sigma.substitute(Var.ETA, float(yi))
+                      .substitute(Var.Y, float(yj)).eval1(Var.X, xs)
+                      for yj in ys] for yi in ys])
+
+
+def assert_close_to(got, want, scale):
+    # relative to the summed magnitudes, which bound the roundoff of a sum
+    assert np.abs(got - want).max() <= 1e-12 * max(scale.max(), 1e-300)
+
+
+@given(sigma=separable_sigma(), n=st.integers(1, 6), m=st.integers(2, 9),
+       offset=st.sampled_from((0.0, -1.0)), seed=st.integers(0, 2 ** 32 - 1))
+@settings(max_examples=60, deadline=None)
+def test_factored_coupling_matches_dense(sigma, n, m, offset, seed):
+    one, zero = SeparableSum.constant(1.0), SeparableSum.zero()
+    p = ContinuumParams(lam=one, mu=one, sigma=sigma, theta=zero, W=zero,
+                        q=zero)
+    ls = sample_continuum(p, n, offset)
+    xs = np.linspace(0.0, 1.0, m)
+    g = ls.on_grid(xs)
+    sig = dense_sigma(sigma, ls.y_points(), xs)                 # [i, j, x]
+    rng = np.random.default_rng(seed)
+    u = rng.normal(size=(n, m))
+    assert_close_to(g.couple(u), np.einsum("ijx,jx->ix", sig, u),
+                    np.einsum("ijx,jx->ix", np.abs(sig), np.abs(u)))
+    K = rng.normal(size=(n, 3, m))
+    assert_close_to(g.couple_kernel(K), np.einsum("jib,jab->iab", sig, K),
+                    np.einsum("jib,jab->iab", np.abs(sig), np.abs(K)))
