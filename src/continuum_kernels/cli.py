@@ -288,9 +288,16 @@ def cmd_simulate(args) -> int:
     if not args.open_loop:
         if args.gains:
             table = read_gain_csv(args.gains)
-            if not table.sampled or len(table.grid_y) != n:
+            ys = ls.y_points()
+            per_component = table.sampled and len(table.grid_y) == n
+            if per_component and not np.allclose(table.grid_y, ys, rtol=0,
+                                                 atol=1e-12):
+                raise ConfigError(
+                    f"gain table {args.gains} is sampled at y = "
+                    f"{np.array2string(table.grid_y)}, but the problem's "
+                    f"components sit at y = {np.array2string(ys)}")
+            if not per_component:
                 # ensemble table: resample rows at the component points
-                ys = ls.y_points()
                 k = np.array([np.interp(ys, table.grid_y, c) for c in table.k.T]).T
                 table = GainTable(grid_xi=table.grid_xi, grid_y=ys, k=k,
                                   kbar=table.kbar, sampled=True)
@@ -344,6 +351,7 @@ def cmd_ls_kernels(args) -> int:
         "manifest": man,
         "problem": problem.name, "n": n, "m": args.m,
         "iterations": sol.iterations, "final_delta": sol.final_delta,
+        "sweep_history": sol.history,
         "timing_s": elapsed,
     })
     print(f"ls-kernels: converged in {sol.iterations} sweeps "

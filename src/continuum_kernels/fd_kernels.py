@@ -23,12 +23,13 @@ __all__ = ["TriGrid", "LsKernelSolution", "ConvergenceError",
 
 
 class ConvergenceError(RuntimeError):
-    def __init__(self, iterations: int, final_delta: float, tol: float):
-        self.iterations = iterations
-        self.final_delta = final_delta
+    def __init__(self, history: list[float], tol: float):
+        self.history = history
+        self.iterations = len(history)
+        self.final_delta = history[-1] if history else np.inf
         super().__init__(
-            f"fixed point did not reach tol={tol:.1e} in {iterations} sweeps "
-            f"(last change {final_delta:.3e})"
+            f"fixed point did not reach tol={tol:.1e} in {self.iterations} "
+            f"sweeps (last change {self.final_delta:.3e})"
         )
 
 
@@ -58,22 +59,92 @@ class LsKernelSolution:
     k: np.ndarray
     grid: TriGrid
     y_points: np.ndarray
-    iterations: int
-    final_delta: float
+    history: list[float]            # sup change of each sweep
+
+    @property
+    def iterations(self) -> int:
+        return len(self.history)
+
+    @property
+    def final_delta(self) -> float:
+        return self.history[-1]
 
 
-def _interp_rows(values: np.ndarray, t: np.ndarray, h: float, length: int):
-    """Row-wise linear interpolation of values[r, 0:length] on the uniform
-    grid {0, h, ..., (length-1)h} at query points t[r, q]."""
-    if length == 1:
-        return np.broadcast_to(values[:, :1], t.shape).copy()
+def _weights(t: np.ndarray, h: float, length):
+    """Cell index and weight of linear interpolation at t on the uniform grid
+    {0, h, ..., (length-1)h}; a one-point grid gives index 0 and weight 0."""
     s = np.clip(t / h, 0.0, length - 1.0)
-    idx = np.minimum(s.astype(int), length - 2)
-    w = s - idx
-    rows = np.arange(values.shape[0])[:, None]
-    lo = values[rows, idx]
-    hi = values[rows, idx + 1]
-    return lo * (1.0 - w) + hi * w
+    idx = np.minimum(s.astype(int), np.maximum(length - 2, 0))
+    return idx, s - idx
+
+
+class _Stencils:
+    """The iterate-independent part of a sweep on one grid.
+
+    Kernels and sources share the layout of one (n+1, m+1, m+1) array, so a
+    flat index ``lo`` addresses the lower interpolation node (``lo + 1`` the
+    upper one) at the foot of a characteristic in both. Nodes whose foot lies
+    on level a-1 are sorted by level: level a owns ``slice(starts[a],
+    starts[a+1])``. A family node ``d`` meets the diagonal and a counter node
+    ``z`` the edge xi = 0 between the two levels; their values come from
+    boundary data and sources alone.
+    """
+
+    def __init__(self, lam, mu, diag_bc, xs, h):
+        n, m = lam.shape[0], len(xs) - 1
+        mu_of = lambda t: np.interp(t, xs, mu)
+        rows = np.arange(n)[:, None]
+        plane = (m + 1) ** 2
+
+        # family kernels: trace back along dxi/dx = -lam_i/mu
+        A, B = np.tril_indices(m + 1, -1)
+        xi, xa = xs[B], xs[A]
+        slope0 = lam[:, B] / mu[A]
+        j, w = _weights(xi + slope0 * h, h, m + 1)
+        slope = 0.5 * (slope0 + (lam[rows, j] * (1.0 - w) + lam[rows, j + 1] * w)
+                       / mu[A - 1])
+        feet = xi + slope * h
+        inside = feet <= xs[A - 1] + 1e-14
+        level = np.broadcast_to(A, inside.shape)
+        node = rows * plane + A * (m + 1) + B
+        out = ~inside
+        xd = ((xi + slope * xa) / (1.0 + slope))[out]
+        j, w = _weights(xd, h, m + 1)
+        i = np.broadcast_to(rows, inside.shape)[out]
+        self.d_node = node[out]
+        self.d_lo = i * plane + j * (m + 2)     # S[i, j, j]
+        self.d_w1, self.d_w = 1.0 - w, w
+        self.d_k = diag_bc[i, j] * (1.0 - w) + diag_bc[i, j + 1] * w
+        self.d_c = (xs[level[out]] - xd) / mu_of(xd)
+        fam = (level[inside], node[inside], feet[inside],
+               (rows * plane + (A - 1) * (m + 1))[inside])
+
+        # counter kernel: trace back along dxi/dx = +mu(xi)/mu(x)
+        A, B = np.tril_indices(m)
+        A, B = A + 1, B + 1
+        xi, xa = xs[B], xs[A]
+        sl0 = np.interp(xi, xs, mu) / mu[A]
+        sl = 0.5 * (sl0 + mu_of(np.clip(xi - sl0 * h, 0.0, 1.0)) / mu[A - 1])
+        feet = xi - sl * h
+        inside = feet >= -1e-14
+        node = n * plane + A * (m + 1) + B
+        out = ~inside
+        x0 = xa[out] - xi[out] / np.maximum(sl[out], 1e-300)
+        self.z_node = node[out]
+        self.z_x = x0
+        self.z_c = (xa[out] - x0) / mu_of(x0)
+        cnt = (A[inside], node[inside],
+               np.clip(feet, 0.0, xs[A - 1])[inside],
+               (n * plane + (A - 1) * (m + 1))[inside])
+
+        level, self.node, t, row = (np.concatenate(v) for v in zip(fam, cnt))
+        order = np.argsort(level, kind="stable")
+        level, self.node, t, row = level[order], self.node[order], t[order], row[order]
+        j, w = _weights(t, h, level)
+        self.lo = row + j
+        self.w1, self.w = 1.0 - w, w
+        self.c = h / mu[level - 1]
+        self.starts = np.searchsorted(level, np.arange(m + 2))
 
 
 def solve_characteristics(ls: LargeScaleParams, grid: TriGrid | None = None,
@@ -84,8 +155,9 @@ def solve_characteristics(ls: LargeScaleParams, grid: TriGrid | None = None,
     Each sweep maps the previous iterate K to a new one: the diagonal and
     xi=0 boundary data are imposed from K, and every node value is the
     boundary value at the characteristic's origin plus the accumulated
-    source integral, evaluated on K. Stops when the sup change drops below
-    ``tol``; raises :class:`ConvergenceError` otherwise.
+    source integral, evaluated on K. The characteristics do not depend on K,
+    so their stencils are built once per solve. Stops when the sup change
+    drops below ``tol``; raises :class:`ConvergenceError` otherwise.
     """
     if grid is None:
         grid = TriGrid(256)
@@ -97,76 +169,43 @@ def solve_characteristics(ls: LargeScaleParams, grid: TriGrid | None = None,
     lam, dlam, mu, dmu, TH, WW, q = g.lam, g.dlam, g.mu, g.dmu, g.theta, g.W, g.q
     lam0 = lam[:, 0]
     diag_bc = -TH / (lam + mu[None, :])                           # (n, m+1)
-    mu_of = lambda t: np.interp(t, xs, mu)
+    st = _Stencils(lam, mu, diag_bc, xs, h)
+    diag = np.arange(m + 1)
 
     K = np.zeros((n + 1, m + 1, m + 1))
-    iterations = 0
-    delta = np.inf
-    while iterations < max_iter:
-        iterations += 1
-        # sources from the previous iterate, on the grid
-        S = g.couple_kernel(K[:n]) / n
-        S += dlam[:, None, :] * K[:n] + TH[:, None, :] * K[n][None]
-        Sb = -dmu[None, :] * K[n] + np.einsum("jb,jab->ab", WW, K[:n]) / n
+    history = []
+    while len(history) < max_iter:
+        # sources from the previous iterate: S[:n] drives the family, S[n]
+        # the counter kernel
+        S = np.empty_like(K)
+        np.divide(g.couple_kernel(K[:n]), n, out=S[:n])
+        S[:n] += dlam[:, None, :] * K[:n] + TH[:, None, :] * K[n][None]
+        S[n] = -dmu[None, :] * K[n] + np.einsum("jb,jab->ab", WW, K[:n]) / n
+        Sf = S.reshape(-1)
+        src = st.c * (Sf[st.lo] * st.w1 + Sf[1:][st.lo] * st.w)
 
         Kn = np.zeros_like(K)
-        Kn[:n, 0, 0] = diag_bc[:, 0]
+        Knf = Kn.reshape(-1)
+        Kn[:n, diag, diag] = diag_bc
         bc_left = (q[:, None] * lam0[:, None] * K[:n, :, 0]).sum(axis=0) / (n * mu[0])
         Kn[n, :, 0] = bc_left
-        Sdiag = np.array([np.diagonal(S[i]) for i in range(n)])   # (n, m+1)
-
+        # crossing nodes read no kernel value of this sweep, so they are set
+        # before the march, which then reads them from level a-1
+        Knf[st.d_node] = st.d_k + st.d_c * (Sf[st.d_lo] * st.d_w1
+                                            + Sf[m + 2:][st.d_lo] * st.d_w)
+        Knf[st.z_node] = (np.interp(st.z_x, xs, bc_left)
+                          + st.z_c * np.interp(st.z_x, xs, S[n, :, 0]))
         for a in range(1, m + 1):
-            xa = xs[a]
-            # family kernels: trace back along dxi/dx = -lam_i/mu
-            bs = np.arange(a)
-            xi = xs[bs]
-            slope0 = lam[:, bs] / mu[a]                            # (n, a)
-            feet0 = xi[None, :] + slope0 * h
-            slope = 0.5 * (slope0 + _interp_rows(lam, feet0, h, m + 1) / mu[a - 1])
-            feet = xi[None, :] + slope * h
-            inside = feet <= xs[a - 1] + 1e-14
-            kfoot = _interp_rows(Kn[:n, a - 1, :], np.where(inside, feet, 0.0),
-                                 h, a)
-            sfoot = _interp_rows(S[:n, a - 1, :], np.where(inside, feet, 0.0),
-                                 h, a)
-            vals = kfoot + (h / mu[a - 1]) * sfoot
-            if not inside.all():
-                # characteristic meets the diagonal between the two levels
-                xd = (xi[None, :] + slope * xa) / (1.0 + slope)
-                kd = _interp_rows(diag_bc, np.broadcast_to(xd, (n, a)), h, m + 1)
-                sd = _interp_rows(Sdiag, np.broadcast_to(xd, (n, a)), h, m + 1)
-                cross = kd + (xa - xd) / mu_of(xd) * sd
-                vals = np.where(inside, vals, cross)
-            Kn[:n, a, :a] = vals
-            Kn[:n, a, a] = diag_bc[:, a]
+            j = slice(st.starts[a], st.starts[a + 1])
+            lo = st.lo[j]
+            Knf[st.node[j]] = Knf[lo] * st.w1[j] + Knf[1:][lo] * st.w[j] + src[j]
 
-            # counter kernel: trace back along dxi/dx = +mu(xi)/mu(x)
-            bs2 = np.arange(1, a + 1)
-            xi2 = xs[bs2]
-            sl0 = np.interp(xi2, xs, mu) / mu[a]
-            feet2 = xi2 - sl0 * h
-            sl = 0.5 * (sl0 + mu_of(np.clip(feet2, 0.0, 1.0)) / mu[a - 1])
-            feet2 = xi2 - sl * h
-            inside2 = feet2 >= -1e-14
-            f2 = np.clip(feet2, 0.0, xs[a - 1])[None, :]
-            kfoot2 = _interp_rows(Kn[n:n + 1, a - 1, :], f2, h, a)[0]
-            sfoot2 = _interp_rows(Sb[None, a - 1, :], f2, h, a)[0]
-            vals2 = kfoot2 + (h / mu[a - 1]) * sfoot2
-            if not inside2.all():
-                # characteristic meets xi = 0 between the two levels
-                x0 = xa - xi2 / np.maximum(sl, 1e-300)
-                k0 = np.interp(x0, xs, bc_left)
-                s0 = np.interp(x0, xs, Sb[:, 0])
-                vals2 = np.where(inside2, vals2,
-                                 k0 + (xa - x0) / mu_of(x0) * s0)
-            Kn[n, a, 1:a + 1] = vals2
-
-        delta = float(np.abs(Kn - K).max())
+        history.append(float(np.abs(Kn - K).max()))
         K = Kn
-        if delta < tol:
+        if history[-1] < tol:
             return LsKernelSolution(k=K, grid=grid, y_points=ls.y_points(),
-                                    iterations=iterations, final_delta=delta)
-    raise ConvergenceError(iterations, delta, tol)
+                                    history=history)
+    raise ConvergenceError(history, tol)
 
 
 @dataclass

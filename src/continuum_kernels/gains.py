@@ -325,7 +325,7 @@ def write_gain_csv(table: GainTable, path, manifest: str | None = None) -> None:
     if manifest:
         buf.write(f"# manifest: {manifest}\n")
     buf.write(f"# sampled: {int(table.sampled)}\n")
-    cols = ",".join(f"k@y={v:.12g}" for v in table.grid_y)
+    cols = ",".join(f"k@y={float(v)!r}" for v in table.grid_y)
     buf.write(f"xi,kbar,{cols}\n")
     for j, xi in enumerate(table.grid_xi):
         vals = ",".join(f"{table.k[i, j]:.17g}" for i in range(len(table.grid_y)))

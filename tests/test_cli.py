@@ -170,6 +170,21 @@ class TestSimulate:
                     str(tmp_path / "g_gains.csv"),
                     "--out-prefix", prefix]) == 0
 
+    def test_gains_sampled_at_other_points_rejected(self, tmp_path, capsys):
+        # the same problem with its components at (i-1)/n: 0, 0.1, ..., 0.9
+        cfg = dict(load_problem("example2").source)
+        cfg["q"] = dict(cfg["q"], points="(i-1)/n")
+        path = tmp_path / "left.json"
+        path.write_text(json.dumps(cfg))
+        assert run(["ls-kernels", "--config", str(path), "--m", "16",
+                    "--out-prefix", str(tmp_path / "g")]) == 0
+        assert run(["simulate", "--config", "example2", "--mx", "32",
+                    "--t-final", "0.1", "--gains", str(tmp_path / "g_gains.csv"),
+                    "--out-prefix", str(tmp_path / "s")]) == 1
+        err = capsys.readouterr().err
+        assert "y = [0.  0.1" in err and "y = [0.1 0.2" in err
+        assert not (tmp_path / "s_sim.csv").exists()
+
     def test_default_horizon_reports_stable(self, tmp_path, capsys):
         # the default t_final is 2 t_F = 2 (1/mu + 1/lambda) = 4 for example2
         prefix = str(tmp_path / "d")
@@ -206,6 +221,8 @@ class TestLsKernels:
                     "--out-prefix", prefix]) == 0
         rep = json.loads((tmp_path / "lk_report.json").read_text())
         assert rep["iterations"] >= 2
+        assert len(rep["sweep_history"]) == rep["iterations"]
+        assert rep["sweep_history"][-1] == rep["final_delta"]
         table = read_gain_csv(tmp_path / "lk_gains.csv")
         assert table.sampled and table.k.shape == (10, 25)
 

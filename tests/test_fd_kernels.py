@@ -5,7 +5,8 @@ from continuum_kernels.closed_form import solve_closed_form
 from continuum_kernels.fd_kernels import (ConvergenceError, TriGrid,
                                           refine_study,
                                           solve_characteristics)
-from continuum_kernels.params import parse_problem_dict, sample_continuum
+from continuum_kernels.params import (load_problem, parse_problem_dict,
+                                      sample_continuum)
 
 
 def decoupled_problem(theta_scale=0.0):
@@ -14,6 +15,108 @@ def decoupled_problem(theta_scale=0.0):
                {"var": "x", "kind": "poly", "coeffs": [0.2, 1.0]},
                {"var": "y", "kind": "poly", "coeffs": [0.5, 0.5]}]}]}}
     return parse_problem_dict(cfg)
+
+
+def varying_speed_problem():
+    # example2's coupling with lambda = (1+x)(1+y) and mu = 2-x: family
+    # characteristics cross the diagonal several nodes back, and counter
+    # characteristics next to xi = 0 cross that edge (the built-in configs
+    # have unit speeds, where neither happens)
+    cfg = dict(load_problem("example2").source)
+    cfg["lambda"] = {"terms": [{"scale": 1.0, "factors": [
+        {"var": "x", "kind": "poly", "coeffs": [1.0, 1.0]},
+        {"var": "y", "kind": "poly", "coeffs": [1.0, 1.0]}]}]}
+    cfg["mu"] = {"terms": [{"scale": 1.0, "factors": [
+        {"var": "x", "kind": "poly", "coeffs": [2.0, -1.0]}]}]}
+    return parse_problem_dict(cfg)
+
+
+def _interp_rows(values, t, h, length):
+    """Row-wise linear interpolation of values[r, 0:length] on the uniform
+    grid {0, h, ..., (length-1)h} at query points t[r, q]."""
+    if length == 1:
+        return np.broadcast_to(values[:, :1], t.shape).copy()
+    s = np.clip(t / h, 0.0, length - 1.0)
+    idx = np.minimum(s.astype(int), length - 2)
+    w = s - idx
+    rows = np.arange(values.shape[0])[:, None]
+    lo = values[rows, idx]
+    hi = values[rows, idx + 1]
+    return lo * (1.0 - w) + hi * w
+
+
+def per_level_sweeps(ls, grid, tol=1e-10, max_iter=200):
+    """Reference for solve_characteristics: every sweep recomputes the
+    characteristics level by level. Returns the last iterate and the sup
+    change of each sweep."""
+    n, m, h = ls.n, grid.m, grid.h
+    xs = grid.nodes()
+    g = ls.on_grid(xs)
+    lam, dlam, mu, dmu, TH, WW, q = g.lam, g.dlam, g.mu, g.dmu, g.theta, g.W, g.q
+    lam0 = lam[:, 0]
+    diag_bc = -TH / (lam + mu[None, :])
+    mu_of = lambda t: np.interp(t, xs, mu)
+
+    K = np.zeros((n + 1, m + 1, m + 1))
+    deltas = []
+    while len(deltas) < max_iter:
+        S = g.couple_kernel(K[:n]) / n
+        S += dlam[:, None, :] * K[:n] + TH[:, None, :] * K[n][None]
+        Sb = -dmu[None, :] * K[n] + np.einsum("jb,jab->ab", WW, K[:n]) / n
+
+        Kn = np.zeros_like(K)
+        Kn[:n, 0, 0] = diag_bc[:, 0]
+        bc_left = (q[:, None] * lam0[:, None] * K[:n, :, 0]).sum(axis=0) / (n * mu[0])
+        Kn[n, :, 0] = bc_left
+        Sdiag = np.array([np.diagonal(S[i]) for i in range(n)])
+
+        for a in range(1, m + 1):
+            xa = xs[a]
+            bs = np.arange(a)
+            xi = xs[bs]
+            slope0 = lam[:, bs] / mu[a]
+            feet0 = xi[None, :] + slope0 * h
+            slope = 0.5 * (slope0 + _interp_rows(lam, feet0, h, m + 1) / mu[a - 1])
+            feet = xi[None, :] + slope * h
+            inside = feet <= xs[a - 1] + 1e-14
+            kfoot = _interp_rows(Kn[:n, a - 1, :], np.where(inside, feet, 0.0),
+                                 h, a)
+            sfoot = _interp_rows(S[:n, a - 1, :], np.where(inside, feet, 0.0),
+                                 h, a)
+            vals = kfoot + (h / mu[a - 1]) * sfoot
+            if not inside.all():
+                xd = (xi[None, :] + slope * xa) / (1.0 + slope)
+                kd = _interp_rows(diag_bc, np.broadcast_to(xd, (n, a)), h, m + 1)
+                sd = _interp_rows(Sdiag, np.broadcast_to(xd, (n, a)), h, m + 1)
+                cross = kd + (xa - xd) / mu_of(xd) * sd
+                vals = np.where(inside, vals, cross)
+            Kn[:n, a, :a] = vals
+            Kn[:n, a, a] = diag_bc[:, a]
+
+            bs2 = np.arange(1, a + 1)
+            xi2 = xs[bs2]
+            sl0 = np.interp(xi2, xs, mu) / mu[a]
+            feet2 = xi2 - sl0 * h
+            sl = 0.5 * (sl0 + mu_of(np.clip(feet2, 0.0, 1.0)) / mu[a - 1])
+            feet2 = xi2 - sl * h
+            inside2 = feet2 >= -1e-14
+            f2 = np.clip(feet2, 0.0, xs[a - 1])[None, :]
+            kfoot2 = _interp_rows(Kn[n:n + 1, a - 1, :], f2, h, a)[0]
+            sfoot2 = _interp_rows(Sb[None, a - 1, :], f2, h, a)[0]
+            vals2 = kfoot2 + (h / mu[a - 1]) * sfoot2
+            if not inside2.all():
+                x0 = xa - xi2 / np.maximum(sl, 1e-300)
+                k0 = np.interp(x0, xs, bc_left)
+                s0 = np.interp(x0, xs, Sb[:, 0])
+                vals2 = np.where(inside2, vals2,
+                                 k0 + (xa - x0) / mu_of(x0) * s0)
+            Kn[n, a, 1:a + 1] = vals2
+
+        deltas.append(float(np.abs(Kn - K).max()))
+        K = Kn
+        if deltas[-1] < tol:
+            break
+    return K, deltas
 
 
 class TestSolveCharacteristics:
@@ -97,6 +200,37 @@ class TestSolveCharacteristics:
                 err = max(err, np.abs(sol.k[i] - ref)[tri].max())
             errs.append(err)
         assert errs[1] < errs[0]
+
+
+class TestAgainstPerLevelSweeps:
+    """The prebuilt stencils keep the per-level loop's arithmetic, so the
+    kernels agree bit for bit."""
+
+    @pytest.mark.parametrize("name,n,m,offset", [
+        ("example2", 10, 64, None),
+        ("example1", 8, 32, None),
+        ("example2", 10, 32, -1.0),
+        ("varying-speeds", 6, 32, None),
+    ])
+    def test_bit_identical(self, name, n, m, offset):
+        problem = (varying_speed_problem() if name == "varying-speeds"
+                   else load_problem(name))
+        ls = problem.large_scale(n, offset=offset)
+        K, deltas = per_level_sweeps(ls, TriGrid(m))
+        sol = solve_characteristics(ls, TriGrid(m))
+        assert np.array_equal(sol.k, K)
+        assert sol.iterations == len(deltas)
+        assert sol.final_delta == deltas[-1]
+        assert sol.history == deltas
+
+    def test_nonconvergence_bit_identical(self, example2):
+        ls = example2.large_scale()
+        _, deltas = per_level_sweeps(ls, TriGrid(16), max_iter=2)
+        with pytest.raises(ConvergenceError) as exc:
+            solve_characteristics(ls, TriGrid(16), max_iter=2)
+        assert exc.value.iterations == len(deltas) == 2
+        assert exc.value.final_delta == deltas[-1]
+        assert exc.value.history == deltas
 
 
 class TestRefineStudy:

@@ -184,8 +184,18 @@ class TestCsvRoundTrip:
         np.testing.assert_array_equal(back.k, t.k)
         np.testing.assert_array_equal(back.kbar, t.kbar)
         np.testing.assert_array_equal(back.grid_xi, t.grid_xi)
-        # the header keeps 12 digits of y; diff_solutions accepts 1e-12
+        np.testing.assert_array_equal(back.grid_y, t.grid_y)
         assert diff_solutions(back, t) == 0.0
+
+    def test_header_keeps_y_exactly(self, tmp_path):
+        ys = np.array([1.0, 2.0, 3.0]) / 3.0
+        t = GainTable(grid_xi=np.linspace(0, 1, 4), grid_y=ys,
+                      k=np.arange(12.0).reshape(3, 4), kbar=np.ones(4),
+                      sampled=True)
+        write_gain_csv(t, tmp_path / "g.csv")
+        back = read_gain_csv(tmp_path / "g.csv")
+        np.testing.assert_array_equal(back.grid_y, ys)
+        np.testing.assert_array_equal(back.k, t.k)
 
     def test_reader_requires_data(self, tmp_path):
         p = tmp_path / "empty.csv"
