@@ -78,7 +78,6 @@ def _solver_config(args) -> SolverConfig:
         N=args.order,
         N_y=args.order_y,
         use_exact_q=args.exact_q,
-        truncate_params=not args.no_truncate_params,
         sigma_sign=args.sigma_sign,
     )
 
@@ -368,7 +367,6 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--order", "-N", type=int, required=True)
     sp.add_argument("--order-y", type=int, default=None)
     sp.add_argument("--exact-q", action="store_true")
-    sp.add_argument("--no-truncate-params", action="store_true")
     sp.add_argument("--sigma-sign", type=int, choices=(1, -1), default=1)
     sp.add_argument("--fit-degree", type=int, default=None)
     sp.add_argument("--grid", type=int, default=101)

@@ -1,6 +1,6 @@
 """Closed-form kernels for separable ensemble problems.
 
-When the transport speeds are constant and the couplings factor as
+When mu is constant, lambda depends on y only, and the couplings factor as
 
     sigma(x, eta, y) = sigma_x(x) sigma_y(eta) sigma_e(y),
     theta(x, y)      = theta_x(x) theta_y(y),
@@ -11,9 +11,13 @@ the kernel equations admit a separable solution
     k(x, xi, y) = -exp(c_x (x - xi)/mu) theta_x(xi) theta_y(y)/(lam(y)+mu),
     kbar(x, xi) =  exp(c_x (x - xi)/mu) f(xi),
 
-provided three compatibility conditions hold. This module checks the
-conditions (grid-based, with fixed tolerances), constructs the kernels, and
-mirrors the same checks on sampled n+1 parameter sets where the continuum
+provided three compatibility conditions hold. The sigma coupling enters
+only through kappa = c * int sigma_y theta_y/(lam+mu), where sigma_e =
+c theta_y (see :func:`sigma_coef`). Constant lambda is the special case of
+one construction in which every y-weight is the constant 1/(lam+mu); only
+then is c_y = kappa (lam+mu) reported. This module checks the conditions
+(grid-based, with fixed tolerances), constructs the kernels, and mirrors
+the same checks on sampled n+1 parameter sets where the continuum
 integrals become finite Riemann sums.
 
 ``sigma_y`` weights the integrated family component (the eta slot of the
@@ -27,10 +31,11 @@ from dataclasses import dataclass, field
 from typing import Callable
 
 import numpy as np
+import numpy.polynomial.polynomial as P
 import scipy.integrate
 
 from .params import ContinuumParams, LargeScaleParams
-from .series import SeparableSum, SeparableTerm, Var
+from .series import Polynomial, SeparableSum, SeparableTerm, Var
 
 __all__ = [
     "NotApplicable",
@@ -38,7 +43,7 @@ __all__ = [
     "SeparableProblem",
     "ClosedFormKernel",
     "LargeScaleConditionReport",
-    "check_cy",
+    "sigma_coef",
     "compute_cx",
     "build_f",
     "build_kernels",
@@ -68,20 +73,27 @@ class ClosedFormError(RuntimeError):
     """A compatibility condition failed beyond tolerance."""
 
 
+def _poly_coeffs(f: SeparableSum) -> np.ndarray:
+    """Ascending coefficients of a univariate polynomial sum."""
+    out = np.zeros(1)
+    for t in f.terms:
+        c = np.array([t.scale])
+        for fac in t.factors:
+            fc = fac.coeffs if isinstance(fac, Polynomial) else (fac.value,)
+            c = P.polymul(c, fc or (0.0,))
+        out = P.polyadd(out, c)
+    return out
+
+
 def _integral01(*funcs: SeparableSum, weight: Callable | None = None) -> float:
     """Integral over [0,1] of a product of univariate sums (times an optional
-    weight). Polynomial products integrate exactly; otherwise adaptive
-    quadrature at 1e-12."""
+    weight). Polynomial products integrate exactly, from the multiplied
+    coefficient arrays; otherwise adaptive quadrature at 1e-12."""
     if all(f.is_polynomial() for f in funcs) and weight is None:
-        prod = None
+        prod = np.ones(1)
         for f in funcs:
-            s = f.taylor(64)
-            prod = s if prod is None else prod * s
-        if prod is None:
-            return 0.0
-        for v in tuple(prod.vars):
-            prod = prod.integrate_unit(v)
-        return prod.coeffs.get((), 0.0)
+            prod = P.polymul(prod, _poly_coeffs(f))
+        return float(prod @ (1.0 / np.arange(1, len(prod) + 1)))
 
     def integrand(t):
         out = 1.0
@@ -193,6 +205,14 @@ class SeparableProblem:
             return np.full_like(np.asarray(y, dtype=float), self.lam_const + self.mu)
         return _eval1(self.lam_y, y) + self.mu
 
+    def weighted_integral(self, *funcs: SeparableSum) -> float:
+        """Integral over [0,1] of the product of ``funcs`` divided by
+        lam(y) + mu: exact for polynomials when lam is constant, adaptive
+        quadrature otherwise."""
+        if self.lam_const is not None:
+            return _integral01(*funcs) / (self.lam_const + self.mu)
+        return _integral01(*funcs, weight=lambda t: 1.0 / float(self.lam_plus_mu(t)))
+
 
 def _proportionality(num: SeparableSum, den: SeparableSum) -> tuple[float, float]:
     """Best constant c with num = c * den on the audit grid, and the max
@@ -206,30 +226,31 @@ def _proportionality(num: SeparableSum, den: SeparableSum) -> tuple[float, float
     return c, dev
 
 
-def check_cy(p: SeparableProblem) -> float | NotApplicable:
-    """Constant-lambda path: the ratio condition on the sigma factors.
+def _sup(f: SeparableSum) -> float:
+    return float(np.abs(_eval1(f, np.linspace(0.0, 1.0, GRID_Y))).max())
 
-    c_y = sigma_e(y)/theta_y(y) * integral_0^1 sigma_y theta_y, which must
-    not depend on y: either the integral vanishes (c_y = 0) or sigma_e is
-    proportional to theta_y.
+
+def sigma_coef(p: SeparableProblem) -> float | NotApplicable:
+    """The sigma coefficient kappa = c * int_0^1 sigma_y theta_y/(lam+mu),
+    where sigma_e = c theta_y.
+
+    kappa is 0 when a sigma factor is zero or the weighted integral
+    vanishes; otherwise sigma_e must be proportional to theta_y. With
+    constant lambda, c_y = kappa (lam+mu) is the classical ratio constant.
     """
-    if p.lam_const is None:
-        return NotApplicable("lambda varies in y; use the general path")
     if p.sigma_x.is_zero() or p.sigma_y.is_zero() or p.sigma_e.is_zero():
         return 0.0
-    I = _integral01(p.sigma_y, p.theta_y)
-    scale = max(1.0, float(np.abs(_eval1(p.sigma_y, np.linspace(0, 1, GRID_Y))).max()),
-                float(np.abs(_eval1(p.theta_y, np.linspace(0, 1, GRID_Y))).max()))
-    if abs(I) <= TOL_ZERO * scale:
+    J = p.weighted_integral(p.sigma_y, p.theta_y)
+    if abs(J) <= TOL_ZERO * max(1.0, _sup(p.sigma_y), _sup(p.theta_y)):
         return 0.0
     c, dev = _proportionality(p.sigma_e, p.theta_y)
-    ref = max(1.0, float(np.abs(_eval1(p.sigma_e, np.linspace(0, 1, GRID_Y))).max()))
-    if dev <= TOL_PROP * ref:
-        return c * I
+    if dev <= TOL_PROP * max(1.0, _sup(p.sigma_e)):
+        return c * J
     return NotApplicable(
-        "no constant c_y: the integral of sigma_y*theta_y is nonzero and "
-        "sigma_e is not proportional to theta_y",
-        details={"integral": I, "best_ratio": c, "max_deviation": dev},
+        "no constant c_y: the integral of sigma_y*theta_y/(lambda+mu) is "
+        "nonzero and sigma_e is not proportional to theta_y",
+        details={"integral": _integral01(p.sigma_y, p.theta_y),
+                 "best_ratio": c, "max_deviation": dev},
     )
 
 
@@ -243,68 +264,47 @@ def _theta_x_log_deriv_at(p: SeparableProblem, x: float) -> float:
     return dtx / tx
 
 
-def compute_cx(p: SeparableProblem, c_y: float | None = None) -> float:
-    """The exponential rate constant of the separable solution.
+def _require_y_constant(vals: np.ndarray, name: str) -> None:
+    """Raise unless ``vals`` (y along the last axis) is constant in y."""
+    spread = float(np.ptp(vals, axis=-1).max())
+    if spread > TOL_CONST * max(1.0, float(np.abs(vals).max())):
+        raise ClosedFormError(
+            f"closed form not applicable: {name} depends on y "
+            f"(spread {spread:.3g})"
+        )
 
-    Constant-lambda path (requires c_y from :func:`check_cy`):
-        c_x = mu/(lam+mu) * ( c_y sigma_x(0) + lam theta_x'(0)/theta_x(0)
-              + (lam/mu) theta_x(0) * int q theta_y )
-    General path: the defining combination is evaluated on a y-grid and must
-    be constant to tolerance.
+
+def compute_cx(p: SeparableProblem, kappa: float) -> float:
+    """The exponential rate constant of the separable solution,
+
+        c_x = mu sigma_x(0) kappa + mu lam(y)/(lam(y)+mu) theta_x'(0)/theta_x(0)
+              + theta_x(0) int lam q theta_y/(lam+mu),
+
+    with kappa from :func:`sigma_coef`. It is evaluated on a y-grid and must
+    be constant to tolerance (trivially so when lambda is constant).
     """
-    if p.lam_const is not None:
-        if c_y is None:
-            raise ValueError("constant-lambda path needs the c_y value")
-        lam, mu = p.lam_const, p.mu
-        sx0 = float(_eval1(p.sigma_x, 0.0))
-        logd0 = _theta_x_log_deriv_at(p, 0.0)
-        tx0 = float(_eval1(p.theta_x, 0.0))
-        Jq = _integral01(p.q, p.theta_y)
-        return mu / (lam + mu) * (c_y * sx0 + lam * logd0 + (lam / mu) * tx0 * Jq)
-
-    # general path: y-varying lambda
     mu = p.mu
-    ys = np.linspace(0.0, 1.0, GRID_Y)
-    lam = _eval1(p.lam_y, ys)
-    J1 = _integral01(p.sigma_y, p.theta_y,
-                     weight=lambda t: 1.0 / float(p.lam_plus_mu(t)))
+    lam = _eval1(p.lam_y, np.linspace(0.0, 1.0, GRID_Y))
     sx0 = float(_eval1(p.sigma_x, 0.0))
-    if abs(J1 * sx0) <= TOL_ZERO:
-        term1 = np.zeros_like(ys)
-    else:
-        c, dev = _proportionality(p.sigma_e, p.theta_y)
-        ref = max(1.0, float(np.abs(_eval1(p.sigma_e, ys)).max()))
-        if dev > TOL_PROP * ref:
-            raise ClosedFormError(
-                "general path: sigma_e/theta_y is not constant and the "
-                "weighted sigma integral does not vanish"
-            )
-        term1 = np.full_like(ys, mu * sx0 * c * J1)
     logd0 = _theta_x_log_deriv_at(p, 0.0)
     tx0 = float(_eval1(p.theta_x, 0.0))
-    J2 = _integral01(p.lam_y, p.q, p.theta_y,
-                     weight=lambda t: 1.0 / float(p.lam_plus_mu(t)))
-    cx_y = term1 + mu * lam / (lam + mu) * logd0 + tx0 * J2
-    spread = float(cx_y.max() - cx_y.min())
-    if spread > TOL_CONST * max(1.0, float(np.abs(cx_y).max())):
-        raise ClosedFormError(
-            f"general path: c_x depends on y (spread {spread:.3g}); "
-            f"conditions violated"
-        )
+    Jq = p.weighted_integral(p.lam_y, p.q, p.theta_y)
+    cx_y = mu * sx0 * kappa + mu * lam / (lam + mu) * logd0 + tx0 * Jq
+    _require_y_constant(cx_y, "c_x")
     return float(cx_y.mean())
 
 
-def build_f(p: SeparableProblem, c_x: float, c_y: float | None
+def build_f(p: SeparableProblem, c_x: float, kappa: float
             ) -> tuple[Callable, Callable]:
     """The xi-profile of kbar and its derivative, after verifying the
     derivative compatibility condition on a xi-grid.
 
-    Constant-lambda form:
-        f(xi) = c_y sigma_x(xi)/(lam+mu) - c_x/mu
-                + lam/(lam+mu) * theta_x'(xi)/theta_x(xi)
-    and the condition
-        c_y sigma_x'(xi) + lam (theta_x'' theta_x - theta_x'^2)/theta_x^2
-            = W_x(xi) theta_x(xi) * int W_y theta_y
+        f(xi) = kappa sigma_x(xi) - c_x/mu + r theta_x'(xi)/theta_x(xi),
+        r = lam(y)/(lam(y)+mu),
+
+    where f must not depend on y, and the condition
+        kappa sigma_x'(xi) + r (theta_x'' theta_x - theta_x'^2)/theta_x^2
+            = W_x(xi) theta_x(xi) * int W_y theta_y/(lam+mu)
     must hold for all xi.
     """
     mu = p.mu
@@ -317,48 +317,18 @@ def build_f(p: SeparableProblem, c_x: float, c_y: float | None
     dtheta = p.theta_x.diff(Var.X)
     ddtheta = dtheta.diff(Var.X)
 
-    if p.lam_const is not None:
-        lam = p.lam_const
-        if c_y is None:
-            raise ValueError("constant-lambda path needs the c_y value")
-        sig_coef = c_y / (lam + mu)
-        log_coef = lam / (lam + mu)
-        Jw = _integral01(p.W_y, p.theta_y)
-        lhs = c_y * _eval1(p.sigma_x.diff(Var.X), xs) + lam * (
-            _eval1(ddtheta, xs) * tx - _eval1(dtheta, xs) ** 2) / tx ** 2
-        rhs = _eval1(p.W_x, xs) * tx * Jw
-    else:
-        ys = np.linspace(0.0, 1.0, GRID_Y)
-        lam_vals = _eval1(p.lam_y, ys)
-        J1 = _integral01(p.sigma_y, p.theta_y,
-                         weight=lambda t: 1.0 / float(p.lam_plus_mu(t)))
-        sx_all = _eval1(p.sigma_x, xs)
-        if abs(J1) <= TOL_ZERO or p.sigma_x.is_zero():
-            sig_coef = 0.0
-        else:
-            c, dev = _proportionality(p.sigma_e, p.theta_y)
-            ref = max(1.0, float(np.abs(_eval1(p.sigma_e, ys)).max()))
-            if dev > TOL_PROP * ref:
-                raise ClosedFormError(
-                    "general path: sigma ratio condition fails in f"
-                )
-            sig_coef = c * J1
-        ratio = lam_vals / (lam_vals + mu)
-        logd = _eval1(dtheta, xs) / tx
-        # f(xi; y) must not depend on y
-        fgrid = sig_coef * sx_all[:, None] - c_x / mu + ratio[None, :] * logd[:, None]
-        spread = float(np.abs(fgrid.max(axis=1) - fgrid.min(axis=1)).max())
-        if spread > TOL_CONST * max(1.0, float(np.abs(fgrid).max())):
-            raise ClosedFormError(
-                f"general path: f depends on y (spread {spread:.3g})"
-            )
-        log_coef = float(ratio.mean())
-        Jw = _integral01(p.W_y, p.theta_y,
-                         weight=lambda t: 1.0 / float(p.lam_plus_mu(t)))
-        lhs = sig_coef * _eval1(p.sigma_x.diff(Var.X), xs) + log_coef * (
-            _eval1(ddtheta, xs) * tx - _eval1(dtheta, xs) ** 2) / tx ** 2
-        rhs = _eval1(p.W_x, xs) * tx * Jw
+    lam = _eval1(p.lam_y, np.linspace(0.0, 1.0, GRID_Y))
+    ratio = lam / (lam + mu)
+    logd = _eval1(dtheta, xs) / tx
+    fgrid = kappa * _eval1(p.sigma_x, xs)[:, None] - c_x / mu \
+        + ratio[None, :] * logd[:, None]
+    _require_y_constant(fgrid, "f")
+    log_coef = float(ratio.mean())
 
+    Jw = p.weighted_integral(p.W_y, p.theta_y)
+    lhs = kappa * _eval1(p.sigma_x.diff(Var.X), xs) + log_coef * (
+        _eval1(ddtheta, xs) * tx - _eval1(dtheta, xs) ** 2) / tx ** 2
+    rhs = _eval1(p.W_x, xs) * tx * Jw
     resid = float(np.abs(lhs - rhs).max())
     scale = max(1.0, float(np.abs(lhs).max()), float(np.abs(rhs).max()))
     if resid > TOL_CONST * scale:
@@ -367,21 +337,16 @@ def build_f(p: SeparableProblem, c_x: float, c_y: float | None
             f"fails with residual {resid:.3g}"
         )
 
-    if p.lam_const is not None:
-        sig_coef_final = c_y / (p.lam_const + mu)
-    else:
-        sig_coef_final = sig_coef
-
     def f(xi):
         xi = np.asarray(xi, dtype=float)
         txv = _eval1(p.theta_x, xi)
-        return (sig_coef_final * _eval1(p.sigma_x, xi) - c_x / mu
+        return (kappa * _eval1(p.sigma_x, xi) - c_x / mu
                 + log_coef * _eval1(dtheta, xi) / txv)
 
     def fprime(xi):
         xi = np.asarray(xi, dtype=float)
         txv = _eval1(p.theta_x, xi)
-        return (sig_coef_final * _eval1(p.sigma_x.diff(Var.X), xi)
+        return (kappa * _eval1(p.sigma_x.diff(Var.X), xi)
                 + log_coef * (_eval1(ddtheta, xi) * txv
                               - _eval1(dtheta, xi) ** 2) / txv ** 2)
 
@@ -479,19 +444,17 @@ def solve_closed_form(p: ContinuumParams) -> ClosedFormKernel | NotApplicable:
         return sep
     if sep.theta_is_zero():
         return _zero_kernel(sep)
-    if sep.lam_const is not None:
-        c_y = check_cy(sep)
-        if isinstance(c_y, NotApplicable):
-            return c_y
-    else:
-        c_y = None
+    kappa = sigma_coef(sep)
+    if isinstance(kappa, NotApplicable):
+        return kappa
     if sep.theta_x_min_abs() < TOL_ZERO:
         return NotApplicable(
             "theta_x vanishes somewhere on [0,1]; the construction divides by it"
         )
+    c_y = None if sep.lam_const is None else kappa * (sep.lam_const + sep.mu)
     try:
-        c_x = compute_cx(sep, c_y)
-        f, fp = build_f(sep, c_x, c_y)
+        c_x = compute_cx(sep, kappa)
+        f, fp = build_f(sep, c_x, kappa)
         return build_kernels(sep, c_x, f, fp, c_y)
     except ClosedFormError as e:
         return NotApplicable(str(e))

@@ -68,10 +68,6 @@ class SolverConfig:
     use_exact_q
         evaluate the x=0 boundary integral with quadrature moments of the
         exact q instead of expanding q as a series.
-    truncate_params
-        truncate parameter expansions at total degree N (the default);
-        otherwise they are expanded to degree 2N. Polynomial parameters of
-        degree <= N are identical either way.
     sigma_sign
         sign s applied to the sigma integral coupling in the first kernel
         equation. +1 is the convention consistent with the sampled n+1
@@ -83,7 +79,6 @@ class SolverConfig:
     N: int
     N_y: int | None = None
     use_exact_q: bool = False
-    truncate_params: bool = True
     sigma_sign: int = 1
 
     def __post_init__(self):
@@ -165,9 +160,9 @@ class PsKernelSolution:
 
 
 def _param_series(p: ContinuumParams, cfg: SolverConfig):
-    """Taylor-expand every parameter and align each to its full variable
-    tuple so coefficient keys have a fixed arity."""
-    order = cfg.N if cfg.truncate_params else 2 * cfg.N
+    """Taylor-expand every parameter to total degree N and align each to its
+    full variable tuple so coefficient keys have a fixed arity."""
+    order = cfg.N
     lam = p.lam.taylor(order).align_to((Var.X, Var.Y))
     mu = p.mu.taylor(order).align_to((Var.X,))
     theta = p.theta.taylor(order).align_to((Var.X, Var.Y))
@@ -505,7 +500,7 @@ def residual_series(p: ContinuumParams, cfg: SolverConfig,
     e2 = muS * kbar.diff(Var.X) + mu_xi * kbar.diff(Var.XI) \
         + mu_xi.diff(Var.XI) * kbar \
         - (W_xi * k).integrate_unit(Var.Y)
-    e3 = (lamS + muS) * k.substitute_diag() + thetaS
+    e3 = (lamS + muS) * k.rename(Var.XI, Var.X) + thetaS
     k0 = k.substitute_value(Var.XI, 0.0)
     kbar0 = kbar.substitute_value(Var.XI, 0.0)
     if cfg.use_exact_q:

@@ -228,21 +228,6 @@ class TruncatedSeries:
         cap = self.degree_cap[:i] + self.degree_cap[i + 1:]
         return TruncatedSeries(new_vars, out, cap)
 
-    def substitute_diag(self) -> TruncatedSeries:
-        """Set xi = x: exponents of x and xi merge."""
-        if Var.XI not in self.vars:
-            return self
-        i = self.vars.index(Var.XI)
-        new_vars = _canonical_vars(set(self.vars) - {Var.XI} | {Var.X})
-        xi_pos = i
-        out: dict[tuple[int, ...], float] = {}
-        for e, c in self.coeffs.items():
-            exps = {v: e[j] for j, v in enumerate(self.vars) if j != xi_pos}
-            exps[Var.X] = exps.get(Var.X, 0) + e[xi_pos]
-            key = tuple(exps.get(v, 0) for v in new_vars)
-            out[key] = out.get(key, 0.0) + c
-        return TruncatedSeries(new_vars, out)
-
     def rename(self, src: Var, dst: Var) -> TruncatedSeries:
         """Substitute variable ``src`` by ``dst`` (exponents merge if present)."""
         if src not in self.vars or src == dst:

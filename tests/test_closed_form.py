@@ -5,10 +5,14 @@ import numpy as np
 import pytest
 import scipy.integrate
 
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
 from continuum_kernels.closed_form import (ClosedFormError, NotApplicable,
-                                           SeparableProblem, build_f,
+                                           SeparableProblem, _integral01,
+                                           build_f,
                                            check_largescale_conditions,
-                                           check_cy, compute_cx,
+                                           compute_cx, sigma_coef,
                                            solve_closed_form)
 from continuum_kernels.gains import continuum_residual
 from continuum_kernels.params import sample_continuum
@@ -41,8 +45,7 @@ def product(scale, *factors) -> SeparableSum:
 class TestCheckCy:
     def test_reference_benchmark_zero_integral(self, example1):
         sep = SeparableProblem.from_continuum(example1.continuum)
-        c_y = check_cy(sep)
-        assert c_y == 0.0
+        assert sigma_coef(sep) == 0.0
         # the defining integral vanishes: int (y-1/2) y (y-1) dy = 0
         val, _ = scipy.integrate.quad(
             lambda t: (t - 0.5) * t * (t - 1.0), 0, 1, epsabs=1e-14)
@@ -57,12 +60,12 @@ class TestCheckCy:
             q=0.0,
         )
         sep = SeparableProblem.from_continuum(p)
-        c_y = check_cy(sep)
+        c_y = sigma_coef(sep) * (sep.lam_const + sep.mu)
         assert c_y == pytest.approx(3.0, abs=1e-12)
 
     def test_second_benchmark_not_applicable(self, example2):
         sep = SeparableProblem.from_continuum(example2.continuum)
-        out = check_cy(sep)
+        out = sigma_coef(sep)
         assert isinstance(out, NotApplicable)
         # the obstruction: nonconstant ratio 1/y and integral 1/12
         assert out.details["integral"] == pytest.approx(1.0 / 12.0, abs=1e-12)
@@ -71,7 +74,12 @@ class TestCheckCy:
         p = make_continuum(theta=product(-70.0, Exp(X, 1.0),
                                          Polynomial(Y, [0, -1, 1])), q=0.0)
         sep = SeparableProblem.from_continuum(p)
-        assert check_cy(sep) == 0.0
+        assert sigma_coef(sep) == 0.0
+
+
+    def test_polynomial_integral_above_degree_64(self):
+        assert _integral01(SeparableSum.poly(Y, [0] * 70 + [1])) == \
+            pytest.approx(1.0 / 71.0, rel=1e-14)
 
 
 class TestComputeCx:
@@ -234,6 +242,25 @@ class TestPipeline:
         assert d < 1e-4, d
         assert sol.residual < 1e-4
 
+    def test_general_path_with_sigma_coupling(self):
+        # y-varying speeds with sigma_e = theta_y/4: kappa is nonzero
+        lam = SeparableSum([SeparableTerm(1.0, []),
+                            SeparableTerm(0.5, [Polynomial(Y, [0, 1])])])
+        p = make_continuum(
+            lam=lam,
+            sigma=product(0.4, Constant(X, 1.0), Polynomial(ETA, [1, 1]),
+                          Polynomial(Y, [1, 0, 1])),
+            theta=product(4.0, Constant(X, 1.0), Polynomial(Y, [1, 0, 1])),
+            q=SeparableSum.poly(Y, [0.3, 0.2]),
+        )
+        sep = SeparableProblem.from_continuum(p)
+        assert sigma_coef(sep) != 0.0
+        kern = solve_closed_form(p)
+        assert not isinstance(kern, NotApplicable)
+        assert kern.c_y is None
+        res = continuum_residual(kern, p, grid_m=15)
+        assert max(res.values()) < 1e-8
+
     def test_general_path_violation_detected(self):
         # theta_x exponential makes the rate combination y-dependent
         lam = SeparableSum([SeparableTerm(1.0, []),
@@ -245,6 +272,148 @@ class TestPipeline:
         )
         out = solve_closed_form(p)
         assert isinstance(out, NotApplicable)
+
+
+# -- oracle: the constant-lambda construction as separate formulas ----------
+#
+# c_y = sigma_e/theta_y * int sigma_y theta_y must be constant;
+# c_x = mu/(lam+mu) (c_y sigma_x(0) + lam theta_x'(0)/theta_x(0)
+#       + (lam/mu) theta_x(0) int q theta_y);
+# f = c_y sigma_x/(lam+mu) - c_x/mu + lam/(lam+mu) theta_x'/theta_x, under
+# c_y sigma_x' + lam (theta_x'' theta_x - theta_x'^2)/theta_x^2
+#     = W_x theta_x int W_y theta_y.
+# Integrals use 48-point Gauss-Legendre, independent of the module.
+
+_GL_T, _GL_W = np.polynomial.legendre.leggauss(48)
+_GL_T, _GL_W = (_GL_T + 1.0) / 2.0, _GL_W / 2.0
+
+
+def _ev(f, t):
+    vs = f.vars()
+    return f.eval1(vs[0] if vs else Y, t)
+
+
+def _int01(*funcs):
+    out = _GL_W.copy()
+    for f in funcs:
+        out = out * _ev(f, _GL_T)
+    return float(out.sum())
+
+
+def oracle_check_cy(p):
+    """c_y, or None when no constant c_y exists."""
+    if p.sigma_x.is_zero() or p.sigma_y.is_zero() or p.sigma_e.is_zero():
+        return 0.0
+    ys = np.linspace(0.0, 1.0, 101)
+    I = _int01(p.sigma_y, p.theta_y)
+    scale = max(1.0, np.abs(_ev(p.sigma_y, ys)).max(),
+                np.abs(_ev(p.theta_y, ys)).max())
+    if abs(I) <= 1e-12 * scale:
+        return 0.0
+    a, b = _ev(p.sigma_e, ys), _ev(p.theta_y, ys)
+    c = float(a @ b) / float(b @ b)
+    dev = np.abs(a - c * b).max()
+    return c * I if dev <= 1e-10 * max(1.0, np.abs(a).max()) else None
+
+
+def oracle_compute_cx(p, c_y):
+    lam, mu = p.lam_const, p.mu
+    tx0 = float(_ev(p.theta_x, 0.0))
+    logd0 = float(_ev(p.theta_x.diff(X), 0.0)) / tx0
+    Jq = _int01(p.q, p.theta_y)
+    return mu / (lam + mu) * (c_y * float(_ev(p.sigma_x, 0.0)) + lam * logd0
+                              + (lam / mu) * tx0 * Jq)
+
+
+def oracle_build_f(p, c_x, c_y):
+    """f, or None when the derivative compatibility condition fails."""
+    lam, mu = p.lam_const, p.mu
+    dth = p.theta_x.diff(X)
+    xs = np.linspace(0.0, 1.0, 201)
+    tx, dtx, ddtx = _ev(p.theta_x, xs), _ev(dth, xs), _ev(dth.diff(X), xs)
+    lhs = c_y * _ev(p.sigma_x.diff(X), xs) + lam * (ddtx * tx - dtx ** 2) / tx ** 2
+    rhs = _ev(p.W_x, xs) * tx * _int01(p.W_y, p.theta_y)
+    scale = max(1.0, np.abs(lhs).max(), np.abs(rhs).max())
+    if np.abs(lhs - rhs).max() > 1e-8 * scale:
+        return None
+    return lambda xi: (c_y * _ev(p.sigma_x, xi) / (lam + mu) - c_x / mu
+                       + lam / (lam + mu) * _ev(dth, xi) / _ev(p.theta_x, xi))
+
+
+def _inner(u, v):
+    """int_0^1 u v for ascending coefficient lists."""
+    return sum(a * b / (i + j + 1) for i, a in enumerate(u) for j, b in enumerate(v))
+
+
+def _plus(u, v, s):
+    """Coefficients of u + s v."""
+    n = max(len(u), len(v))
+    u, v = list(u) + [0.0] * (n - len(u)), list(v) + [0.0] * (n - len(v))
+    return [a + s * b for a, b in zip(u, v)]
+
+
+quarter = st.integers(-8, 8).map(lambda i: i / 4)       # -2 .. 2
+
+
+@st.composite
+def constant_lambda_configs(draw):
+    """Random separable configs with constant speeds. Coefficients are
+    quarter-integers, so no condition sits at the edge of a tolerance. Half
+    the draws satisfy the derivative condition by construction: constant
+    sigma_x, exponential theta_x and W_y orthogonal to theta_y."""
+    easy = draw(st.booleans())
+    th_y = [draw(st.integers(2, 8)) / 4, draw(quarter) / 2, draw(quarter) / 2]
+
+    def profile(var, orthogonal):
+        # a y-profile orthogonal to theta_y, plus a multiple of theta_y or not
+        g = [draw(quarter) for _ in range(3)]
+        g = _plus(g, th_y, -_inner(g, th_y) / _inner(th_y, th_y))
+        s = 0.0 if orthogonal else draw(st.sampled_from([-1.5, -0.5, 0.5, 1.25]))
+        return Polynomial(var, _plus(g, th_y, s))
+
+    if easy or draw(st.booleans()):
+        theta_x = Exp(X, draw(quarter))
+    else:   # nonvanishing on [0,1]: |c1 x + c2 x^2| <= 0.5 < c0
+        theta_x = Polynomial(X, [draw(st.integers(4, 8)) / 4,
+                                 draw(st.sampled_from([-0.25, 0.0, 0.25])),
+                                 draw(st.sampled_from([-0.25, 0.0, 0.25]))])
+    theta = product(draw(st.sampled_from([-3.0, -1.0, 0.5, 2.0])), theta_x,
+                    Polynomial(Y, th_y))
+    sigma_x = Constant(X, 0.75) if easy else draw(st.sampled_from(
+        [Constant(X, 0.75), Polynomial(X, [0.5, -1.0]), Exp(X, -0.5)]))
+    c = draw(st.sampled_from([-2.0, 0.5, 1.5]))
+    sigma_e = Polynomial(Y, _plus([c * t for t in th_y], [0, 0, 0, 1.0],
+                                  draw(st.sampled_from([0.0, 0.75]))))
+    sigma = product(draw(st.sampled_from([1.0, -0.5, 0.0])), sigma_x,
+                    profile(ETA, draw(st.booleans())), sigma_e)
+    W_x = draw(st.sampled_from([Polynomial(X, [0.5, 1.0]), Exp(X, 0.75)]))
+    W = product(1.0, W_x, profile(Y, easy or draw(st.booleans())))
+    q = draw(st.sampled_from([SeparableSum.poly(Y, [0.5, -1.0]),
+                              product(0.5, Exp(Y, 1.25)), SeparableSum.zero()]))
+    lam, mu = (draw(st.integers(1, 20)) / 4 for _ in range(2))
+    return make_continuum(lam=lam, mu=mu, sigma=sigma, theta=theta, W=W, q=q)
+
+
+class TestAgainstConstantLambdaOracle:
+    @settings(max_examples=50, deadline=None)
+    @given(constant_lambda_configs())
+    def test_same_verdict_and_kernels(self, p):
+        sep = SeparableProblem.from_continuum(p)
+        kern = solve_closed_form(p)
+        c_y = oracle_check_cy(sep)
+        c_x = f = None
+        if c_y is not None:
+            c_x = oracle_compute_cx(sep, c_y)
+            f = oracle_build_f(sep, c_x, c_y)
+        assert isinstance(kern, NotApplicable) == (f is None)
+        if f is None:
+            return
+        for new, old in ((kern.c_x, c_x), (kern.c_y, c_y)):
+            assert abs(new - old) <= 1e-12 * max(1.0, abs(old))
+        xs = np.linspace(0.0, 1.0, 31)
+        old = f(xs)
+        np.testing.assert_allclose(kern.f(xs), old, rtol=1e-12,
+                                   atol=1e-12 * max(1.0, np.abs(old).max()))
 
 
 class TestLargeScaleConditions:
