@@ -24,7 +24,8 @@ from .gains import (GainTable, diff_solutions, gains, read_gain_csv,
                     sample_gains, write_gain_csv)
 from .params import ConfigError, Problem, fit_q, load_problem
 from .power_series import (SolverConfig, assemble, count_unknowns,
-                           optimality_certificate, solve_ls)
+                           optimality_certificate, residual_by_source,
+                           solve_ls)
 from .simulate import SimConfig, Simulator, write_sim_csv
 
 EXIT_OK = 0
@@ -98,17 +99,32 @@ def _exact_reference(name: str, problem: Problem):
     return kern
 
 
+def _gain_grid(points: int) -> np.ndarray:
+    """The uniform gain grid on [0, 1]; a table needs both end points."""
+    if points < 2:
+        raise ConfigError(f"--grid must be at least 2, got {points}")
+    return np.linspace(0.0, 1.0, points)
+
+
+def _timed(stages: dict, name: str, f, *args, **kwargs):
+    t = time.perf_counter()
+    out = f(*args, **kwargs)
+    stages[name] = time.perf_counter() - t
+    return out
+
+
 def cmd_solve(args) -> int:
     t0 = time.time()
+    grid = _gain_grid(args.grid)
     problem = load_problem(args.config)
     if args.fit_degree is not None:
         problem = problem.with_fit_degree(args.fit_degree)
     cfg = _solver_config(args)
-    system = assemble(problem.continuum, cfg)
-    sol = solve_ls(system)
+    stages = {}
+    system = _timed(stages, "assemble", assemble, problem.continuum, cfg)
+    sol = _timed(stages, "solve_ls", solve_ls, system)
     elapsed = time.time() - t0
-    grid = np.linspace(0.0, 1.0, args.grid)
-    table = gains(sol, grid_xi=grid, grid_y=grid)
+    table = _timed(stages, "gains", gains, sol, grid_xi=grid, grid_y=grid)
     report = {
         "problem": problem.name,
         "order": cfg.N,
@@ -122,7 +138,9 @@ def cmd_solve(args) -> int:
         "rank": sol.rank,
         "nnz": int(system.A.nnz),
         "certificate": optimality_certificate(system, sol.x),
+        "residual_by_source": residual_by_source(system, sol.x),
         "timing_s": elapsed,
+        "stages_s": stages,
     }
     if args.compare_exact:
         kern = _exact_reference(args.compare_exact, problem)
@@ -148,6 +166,7 @@ def cmd_solve(args) -> int:
 
 def cmd_closed_form(args) -> int:
     t0 = time.time()
+    grid = _gain_grid(args.grid)
     problem = load_problem(args.config)
     kern = solve_closed_form(problem.continuum)
     prefix = args.out_prefix
@@ -162,7 +181,6 @@ def cmd_closed_form(args) -> int:
         })
         print(f"closed-form: not applicable: {kern.reason}")
         return EXIT_NOT_APPLICABLE
-    grid = np.linspace(0.0, 1.0, args.grid)
     table = gains(kern, grid_xi=grid, grid_y=grid)
     write_gain_csv(table, f"{prefix}_gains.csv", manifest=man)
     _write_json(f"{prefix}_report.json", {

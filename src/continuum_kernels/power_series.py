@@ -24,6 +24,7 @@ Equations (everything moved to the left-hand side):
 
 from __future__ import annotations
 
+import itertools
 import warnings
 from dataclasses import dataclass, field
 
@@ -46,6 +47,7 @@ __all__ = [
     "solve",
     "optimality_check",
     "optimality_certificate",
+    "residual_by_source",
     "coeff_vector",
     "residual_series",
     "OrderReductionWarning",
@@ -104,13 +106,8 @@ def count_unknowns(N: int, N_y: int | None = None) -> tuple[int, int]:
 
 
 def _k_columns(N: int, N_y: int) -> list[tuple[int, int, int]]:
-    cols = [
-        (a, b, c)
-        for c in range(N_y + 1)
-        for tot in range(c, N + 1)
-        for b in range(tot - c + 1)
-        for a in (tot - c - b,)
-    ]
+    cols = [(a, b, c) for c in range(N_y + 1) for a in range(N - c + 1)
+            for b in range(N - c - a + 1)]
     return sorted(cols, key=grlex_key)
 
 
@@ -125,7 +122,7 @@ SRC_PDE_KBAR = "pde_kbar"
 SRC_BC_DIAG = "bc_diag"
 SRC_BC_LEFT = "bc_left"
 _SOURCES = (SRC_PDE_K, SRC_PDE_KBAR, SRC_BC_DIAG, SRC_BC_LEFT)
-_SRC_RANK = {s: i for i, s in enumerate(_SOURCES)}
+_ARITY = (3, 2, 2, 1)     # monomial variables: (x, xi, y), (x, xi), (x, y), (x,)
 
 
 @dataclass
@@ -214,10 +211,22 @@ def _q_moments(p: ContinuumParams, cfg: SolverConfig,
     return out
 
 
+def _terms(series: TruncatedSeries):
+    """A series' terms in sorted key order: one (1, n) exponent row per
+    variable, then the (1, n) coefficient row."""
+    items = sorted(series.coeffs.items())
+    exps = np.array([e for e, _ in items], dtype=np.int64)
+    exps = exps.reshape(len(items), len(series.vars)).T[:, None, :]
+    return (*exps, np.array([v for _, v in items], dtype=float)[None, :])
+
+
 def assemble(p: ContinuumParams, cfg: SolverConfig) -> LinearSystem:
     """Insert the truncated series into the kernel equations and match the
     coefficient of every monomial. Products are never re-truncated, so rows
-    reach total degree 2N and the system is over-determined."""
+    reach total degree 2N and the system is over-determined.
+
+    Each term family is scattered for all its columns at once. An entry sums
+    its contributions in scatter order: per column, family, then term."""
     pos = check_positivity(p)
     if not pos.passed:
         raise ValueError(
@@ -231,104 +240,78 @@ def assemble(p: ContinuumParams, cfg: SolverConfig) -> LinearSystem:
     k_cols = _k_columns(N, Ny)
     kb_cols = _kbar_columns(N)
     cols = [("K", e) for e in k_cols] + [("KB", e) for e in kb_cols]
+    # column exponents and indices as (n, 1) arrays
+    a, b, c = np.array(k_cols, dtype=np.int64).T[:, :, None]
+    j = np.arange(len(k_cols))[:, None]
+    ab, bb = np.array(kb_cols, dtype=np.int64).T[:, :, None]
+    jb = len(k_cols) + np.arange(len(kb_cols))[:, None]
 
-    # parameter data in scatter-friendly form
-    mu_terms = sorted(muS.coeffs.items())                       # [(d,), v]
+    md, mv = _terms(muS)
     lam_xi = lamS.rename(Var.X, Var.XI)
-    lam_xi_terms = sorted(lam_xi.coeffs.items())                # [(p,qy), v]
-    dlam_terms = sorted(lam_xi.diff(Var.XI).coeffs.items())
-    theta_xi_terms = sorted(thetaS.rename(Var.X, Var.XI).coeffs.items())
-    W_terms = sorted(WS.rename(Var.X, Var.XI).coeffs.items())
-    lam_plus_mu = sorted((lamS + muS).coeffs.items())           # over (X,Y) & (X,)
-    # eta-moments of sigma: M_c(xi, y) = int sigma(xi, eta, y) eta^c deta
+    lp, lq, lv = _terms(lam_xi)
+    dp, dq, dv = _terms(lam_xi.diff(Var.XI))
+    tp, tq, tv = _terms(thetaS.rename(Var.X, Var.XI))
+    wp, wq, wv = _terms(WS.rename(Var.X, Var.XI))
+    sp, sq, sv = _terms(lamS + muS)
     sigma_xi = sigmaS.rename(Var.X, Var.XI)
-    moments = []
-    for c in range(Ny + 1):
-        eta_c = TruncatedSeries.monomial({Var.ETA: c})
-        moments.append(sorted((sigma_xi * eta_c).integrate_unit(Var.ETA).coeffs.items()))
     q_mom = _q_moments(p, cfg, lamS, qS)
     mu0 = muS.coeffs.get((0,), 0.0)
 
-    rows: dict[tuple[str, tuple[int, ...]], dict[int, float]] = {}
-    bvals: dict[tuple[str, tuple[int, ...]], float] = {}
+    # An entry's key is (row code, column) with the row code in (source, grlex
+    # monomial) order; rows reach total degree 2N, so each digit is below radix.
+    ncol, radix = len(cols), 2 * N + 1
+    keys, vals = [], []     # nonzero contributions, in scatter order
 
-    def scat(src, mono, col, val):
-        if val == 0.0:
-            return
-        d = rows.setdefault((src, mono), {})
-        d[col] = d.get(col, 0.0) + val
+    def scat(src, col, val, *mono):
+        col, val, *mono = np.broadcast_arrays(col, val, *mono, *(0,) * (3 - len(mono)))
+        on = val != 0.0
+        e0, e1, e2 = (m[on] for m in mono)
+        code = (((src * radix + e0 + e1 + e2) * radix + e0) * radix + e1) * radix + e2
+        keys.append(code * (ncol + 1) + col[on])
+        vals.append(val[on])
 
-    lpm = lam_plus_mu
+    # E1: mu(x) dk/dx - lam(xi,y) dk/dxi - (dlam/dxi) k - s * sigma moments
+    scat(0, j, mv * a, a - 1 + md, b, c)
+    scat(0, j, -lv * b, a, b - 1 + lp, c + lq)
+    scat(0, j, -dv, a, b + dp, c + dq)
+    for cc in range(Ny + 1):    # M_c(xi, y) = int sigma(xi, eta, y) eta^c deta
+        eta_c = TruncatedSeries.monomial({Var.ETA: cc})
+        mp, mq, mom = _terms((sigma_xi * eta_c).integrate_unit(Var.ETA))
+        on = c[:, 0] == cc
+        scat(0, j[on], -s_sig * mom, a[on], b[on] + mp, mq)
+    # E2: -int W(xi,y) k dy;  E3: (lam+mu)(x,y) k(x,x,y);  E4: -m_c x^a
+    scat(1, j, -wv / (wq + c + 1), a, b + wp)
+    scat(2, j, sv, a + b + sp, c + sq)
+    scat(3, j, np.where(b == 0, -q_mom[c], 0.0), a)
+    # E1: -theta(xi,y) kbar;  E2: mu(x) dkbar/dx + mu(xi) dkbar/dxi + mu'(xi) kbar
+    scat(0, jb, -tv, ab, bb + tp, tq)
+    scat(1, jb, mv * ab, ab - 1 + md, bb)
+    scat(1, jb, mv * bb, ab, bb - 1 + md)
+    scat(1, jb, mv * md, ab, bb + md - 1)
+    # E4: mu(0) kbar(x,0)
+    scat(3, jb, np.where(bb == 0, mu0, 0.0), ab)
+    # constant side of E3: + theta(x,y), moved to b, scattered as column ncol
+    bp, bq, bv = _terms(thetaS)
+    scat(2, ncol, -bv, bp, bq)
 
-    for j, (a, b, c) in enumerate(k_cols):
-        # E1: mu(x) dk/dx
-        if a > 0:
-            for (d,), v in mu_terms:
-                scat(SRC_PDE_K, (a - 1 + d, b, c), j, v * a)
-        # E1: -lam(xi,y) dk/dxi
-        if b > 0:
-            for (pp, qy), v in lam_xi_terms:
-                scat(SRC_PDE_K, (a, b - 1 + pp, c + qy), j, -v * b)
-        # E1: -(dlam/dxi) k
-        for (pp, qy), v in dlam_terms:
-            scat(SRC_PDE_K, (a, b + pp, c + qy), j, -v)
-        # E1: -s * eta-moment of sigma against this column's y power
-        for (pp, qy), v in moments[c]:
-            scat(SRC_PDE_K, (a, b + pp, qy), j, -s_sig * v)
-        # E2: -int W(xi,y) k dy
-        for (pp, qy), v in W_terms:
-            scat(SRC_PDE_KBAR, (a, b + pp), j, -v / (qy + c + 1))
-        # E3: (lam+mu)(x,y) k(x,x,y)
-        for (pp, qy), v in lpm:
-            scat(SRC_BC_DIAG, (a + b + pp, c + qy), j, v)
-        # E4: -m_c x^a for columns with no xi power
-        if b == 0:
-            scat(SRC_BC_LEFT, (a,), j, -q_mom[c])
-
-    off = len(k_cols)
-    for jj, (a, b) in enumerate(kb_cols):
-        j = off + jj
-        # E1: -theta(xi,y) kbar
-        for (pp, qy), v in theta_xi_terms:
-            scat(SRC_PDE_K, (a, b + pp, qy), j, -v)
-        # E2: mu(x) dkbar/dx + mu(xi) dkbar/dxi + mu'(xi) kbar
-        if a > 0:
-            for (d,), v in mu_terms:
-                scat(SRC_PDE_KBAR, (a - 1 + d, b), j, v * a)
-        if b > 0:
-            for (d,), v in mu_terms:
-                scat(SRC_PDE_KBAR, (a, b - 1 + d), j, v * b)
-        for (d,), v in mu_terms:
-            if d >= 1:
-                scat(SRC_PDE_KBAR, (a, b + d - 1), j, v * d)
-        # E4: mu(0) kbar(x,0)
-        if b == 0:
-            scat(SRC_BC_LEFT, (a,), j, mu0)
-
-    # constant side of E3: + theta(x,y), moved to b as -theta
-    for (pp, qy), v in sorted(thetaS.coeffs.items()):
-        key = (SRC_BC_DIAG, (pp, qy))
-        rows.setdefault(key, {})
-        bvals[key] = bvals.get(key, 0.0) - v
-
-    keys = sorted(rows, key=lambda r: (_SRC_RANK[r[0]], grlex_key(r[1])))
-    keys = [
-        r for r in keys
-        if any(v != 0.0 for v in rows[r].values()) or bvals.get(r, 0.0) != 0.0
-    ]
-    data, ri, ci = [], [], []
-    b_vec = np.zeros(len(keys))
-    for i, r in enumerate(keys):
-        b_vec[i] = bvals.get(r, 0.0)
-        for j, v in sorted(rows[r].items()):
-            if v != 0.0:
-                ri.append(i)
-                ci.append(j)
-                data.append(v)
-    A = scipy.sparse.csr_matrix(
-        (data, (ri, ci)), shape=(len(keys), len(cols)), dtype=float
-    )
-    return LinearSystem(A=A, b=b_vec, cols=cols, rows=keys, config=cfg)
+    # duplicates summed one after another in scatter order
+    keys, inv = np.unique(np.concatenate(keys), return_inverse=True)
+    sums = np.zeros(len(keys))
+    np.add.at(sums, inv, np.concatenate(vals))
+    # rows with a nonzero entry or a nonzero b; keys are sorted
+    code, col = np.divmod(keys[sums != 0.0], ncol + 1)
+    first = np.diff(code, prepend=-1) != 0
+    codes, row, val = code[first], np.cumsum(first) - 1, sums[sums != 0.0]
+    in_A = col < ncol
+    b_vec = np.bincount(row[~in_A], val[~in_A], minlength=len(codes))
+    indptr = np.searchsorted(row[in_A], np.arange(len(codes) + 1))
+    A = scipy.sparse.csr_matrix((val[in_A], col[in_A], indptr), shape=(len(codes), ncol))
+    srcs = codes // radix ** 4
+    exps = codes[:, None] // radix ** np.arange(2, -1, -1) % radix
+    rows = []
+    for k, name in enumerate(_SOURCES):
+        rows += zip(itertools.repeat(name), zip(*exps[srcs == k, :_ARITY[k]].T.tolist()))
+    return LinearSystem(A=A, b=b_vec, cols=cols, rows=rows, config=cfg)
 
 
 # Diagonal weight of the augmented system. With 1.0, two refinement steps
@@ -401,17 +384,13 @@ def solve_ls(system: LinearSystem) -> PsKernelSolution:
     residual = float(np.linalg.norm(system.A @ x - system.b))
     cfg = system.config
     nK, nKB = count_unknowns(cfg.N, cfg.N_y)
-    k_coeffs, kb_coeffs = {}, {}
+    coeffs = {"K": {}, "KB": {}}
     for (kind, e), v in zip(system.cols, x):
-        if v == 0.0:
-            continue
-        if kind == "K":
-            k_coeffs[e] = v
-        else:
-            kb_coeffs[e] = v
-    k = TruncatedSeries((Var.X, Var.XI, Var.Y), k_coeffs,
+        if v != 0.0:
+            coeffs[kind][e] = v
+    k = TruncatedSeries((Var.X, Var.XI, Var.Y), coeffs["K"],
                         (cfg.N, cfg.N, cfg.N_y))
-    kbar = TruncatedSeries((Var.X, Var.XI), kb_coeffs, (cfg.N, cfg.N))
+    kbar = TruncatedSeries((Var.X, Var.XI), coeffs["KB"], (cfg.N, cfg.N))
     return PsKernelSolution(
         k=k, kbar=kbar, residual=residual, config=cfg,
         num_unknowns=nK + nKB, num_equations=system.A.shape[0],
@@ -432,16 +411,12 @@ def coeff_vector(system: LinearSystem, k: TruncatedSeries,
     conformal with the unknowns."""
     x = np.zeros(len(system.cols))
     index = {c: i for i, c in enumerate(system.cols)}
-    for e, v in k.coeffs.items():
-        key = ("K", e)
-        if key not in index:
-            raise ValueError(f"k coefficient {e} outside the truncation pattern")
-        x[index[key]] = v
-    for e, v in kbar.coeffs.items():
-        key = ("KB", e)
-        if key not in index:
-            raise ValueError(f"kbar coefficient {e} outside the truncation pattern")
-        x[index[key]] = v
+    for kind, name, series in (("K", "k", k), ("KB", "kbar", kbar)):
+        for e, v in series.coeffs.items():
+            if (kind, e) not in index:
+                raise ValueError(f"{name} coefficient {e} outside the "
+                                 f"truncation pattern")
+            x[index[kind, e]] = v
     return x
 
 
@@ -475,6 +450,13 @@ def optimality_certificate(system: LinearSystem, x: np.ndarray) -> float:
         return 0.0
     return float(np.linalg.norm(system.A.T @ r)) / (
         float(scipy.sparse.linalg.norm(system.A)) * rn)
+
+
+def residual_by_source(system: LinearSystem, x: np.ndarray) -> dict[str, float]:
+    """2-norm of A x - b over the rows of each equation source."""
+    r = system.A @ x - system.b
+    return {s: float(np.linalg.norm([v for (src, _), v in zip(system.rows, r)
+                                     if src == s])) for s in _SOURCES}
 
 
 def residual_series(p: ContinuumParams, cfg: SolverConfig,

@@ -1,4 +1,5 @@
 import json
+import math
 
 import numpy as np
 import pytest
@@ -61,6 +62,32 @@ class TestSolve:
     def test_bad_config_exits_1(self, tmp_path):
         assert run(["solve", "--config", "missing-config", "--order", "4",
                     "--out-prefix", str(tmp_path / "x")]) == 1
+
+    def test_report_stages_and_residual_by_source(self, tmp_path):
+        prefix = str(tmp_path / "r")
+        assert run(["solve", "--config", "example2", "--order", "6",
+                    "--grid", "11", "--out-prefix", prefix]) == 0
+        report = json.loads((tmp_path / "r_report.json").read_text())
+        assert set(report["stages_s"]) == {"assemble", "solve_ls", "gains"}
+        assert all(t >= 0.0 for t in report["stages_s"].values())
+        assert report["timing_s"] >= 0.0
+        by_source = report["residual_by_source"]
+        assert set(by_source) == {"pde_k", "pde_kbar", "bc_diag", "bc_left"}
+        assert all(v > 0.0 for v in by_source.values())
+        rss = math.sqrt(sum(v * v for v in by_source.values()))
+        assert rss == pytest.approx(report["residual"], rel=1e-12)
+
+
+@pytest.mark.parametrize("points", ["0", "1", "-3"])
+@pytest.mark.parametrize("command", [
+    ["solve", "--config", "example2", "--order", "6"],
+    ["closed-form", "--config", "example1"],
+])
+def test_gain_grid_below_two_exits_1(tmp_path, capsys, command, points):
+    prefix = tmp_path / "out" / "g"
+    assert run(command + ["--grid", points, "--out-prefix", str(prefix)]) == 1
+    assert f"--grid must be at least 2, got {points}" in capsys.readouterr().err
+    assert not list(tmp_path.rglob("*.*"))
 
 
 class TestClosedForm:

@@ -4,19 +4,144 @@ import numpy as np
 import pytest
 import scipy.linalg
 import scipy.sparse
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from continuum_kernels.gains import diff_solutions, gains
-from continuum_kernels.power_series import (LinearSystem,
+from continuum_kernels.params import ContinuumParams, check_positivity
+from continuum_kernels.power_series import (SRC_BC_DIAG, SRC_BC_LEFT,
+                                            SRC_PDE_K, SRC_PDE_KBAR,
+                                            LinearSystem,
                                             OrderReductionWarning,
-                                            SolverConfig, _q_moments,
-                                            assemble, coeff_vector,
+                                            SolverConfig, _check_ny_bound,
+                                            _k_columns, _kbar_columns,
+                                            _param_series, _q_moments,
+                                            _SOURCES, assemble, coeff_vector,
                                             count_unknowns, optimality_check,
                                             residual_series, solve, solve_ls)
-from continuum_kernels.series import TruncatedSeries, Var
+from continuum_kernels.series import (Cos, Exp, Polynomial, SeparableSum,
+                                      SeparableTerm, TruncatedSeries, Var,
+                                      grlex_key)
 
 X, XI, Y = Var.X, Var.XI, Var.Y
+_SRC_RANK = {s: i for i, s in enumerate(_SOURCES)}
+
+
+def scatter_assemble(p: ContinuumParams, cfg: SolverConfig) -> LinearSystem:
+    """The per-entry scatter loop that ``assemble`` replaced, kept as its
+    oracle: one dict update per contribution, summed column by column in
+    family, then term order."""
+    pos = check_positivity(p)
+    if not pos.passed:
+        raise ValueError(
+            f"transport speeds must be positive: min lambda={pos.min_lambda:.3g}, "
+            f"min mu={pos.min_mu:.3g}"
+        )
+    lamS, muS, thetaS, WS, sigmaS, qS = _param_series(p, cfg)
+    _check_ny_bound(cfg, lamS, thetaS)
+    N, Ny, s_sig = cfg.N, cfg.N_y, float(cfg.sigma_sign)
+
+    k_cols = _k_columns(N, Ny)
+    kb_cols = _kbar_columns(N)
+    cols = [("K", e) for e in k_cols] + [("KB", e) for e in kb_cols]
+
+    # parameter data in scatter-friendly form
+    mu_terms = sorted(muS.coeffs.items())                       # [(d,), v]
+    lam_xi = lamS.rename(Var.X, Var.XI)
+    lam_xi_terms = sorted(lam_xi.coeffs.items())                # [(p,qy), v]
+    dlam_terms = sorted(lam_xi.diff(Var.XI).coeffs.items())
+    theta_xi_terms = sorted(thetaS.rename(Var.X, Var.XI).coeffs.items())
+    W_terms = sorted(WS.rename(Var.X, Var.XI).coeffs.items())
+    lam_plus_mu = sorted((lamS + muS).coeffs.items())           # over (X,Y) & (X,)
+    # eta-moments of sigma: M_c(xi, y) = int sigma(xi, eta, y) eta^c deta
+    sigma_xi = sigmaS.rename(Var.X, Var.XI)
+    moments = []
+    for c in range(Ny + 1):
+        eta_c = TruncatedSeries.monomial({Var.ETA: c})
+        moments.append(sorted((sigma_xi * eta_c).integrate_unit(Var.ETA).coeffs.items()))
+    q_mom = _q_moments(p, cfg, lamS, qS)
+    mu0 = muS.coeffs.get((0,), 0.0)
+
+    rows: dict[tuple[str, tuple[int, ...]], dict[int, float]] = {}
+    bvals: dict[tuple[str, tuple[int, ...]], float] = {}
+
+    def scat(src, mono, col, val):
+        if val == 0.0:
+            return
+        d = rows.setdefault((src, mono), {})
+        d[col] = d.get(col, 0.0) + val
+
+    lpm = lam_plus_mu
+
+    for j, (a, b, c) in enumerate(k_cols):
+        # E1: mu(x) dk/dx
+        if a > 0:
+            for (d,), v in mu_terms:
+                scat(SRC_PDE_K, (a - 1 + d, b, c), j, v * a)
+        # E1: -lam(xi,y) dk/dxi
+        if b > 0:
+            for (pp, qy), v in lam_xi_terms:
+                scat(SRC_PDE_K, (a, b - 1 + pp, c + qy), j, -v * b)
+        # E1: -(dlam/dxi) k
+        for (pp, qy), v in dlam_terms:
+            scat(SRC_PDE_K, (a, b + pp, c + qy), j, -v)
+        # E1: -s * eta-moment of sigma against this column's y power
+        for (pp, qy), v in moments[c]:
+            scat(SRC_PDE_K, (a, b + pp, qy), j, -s_sig * v)
+        # E2: -int W(xi,y) k dy
+        for (pp, qy), v in W_terms:
+            scat(SRC_PDE_KBAR, (a, b + pp), j, -v / (qy + c + 1))
+        # E3: (lam+mu)(x,y) k(x,x,y)
+        for (pp, qy), v in lpm:
+            scat(SRC_BC_DIAG, (a + b + pp, c + qy), j, v)
+        # E4: -m_c x^a for columns with no xi power
+        if b == 0:
+            scat(SRC_BC_LEFT, (a,), j, -q_mom[c])
+
+    off = len(k_cols)
+    for jj, (a, b) in enumerate(kb_cols):
+        j = off + jj
+        # E1: -theta(xi,y) kbar
+        for (pp, qy), v in theta_xi_terms:
+            scat(SRC_PDE_K, (a, b + pp, qy), j, -v)
+        # E2: mu(x) dkbar/dx + mu(xi) dkbar/dxi + mu'(xi) kbar
+        if a > 0:
+            for (d,), v in mu_terms:
+                scat(SRC_PDE_KBAR, (a - 1 + d, b), j, v * a)
+        if b > 0:
+            for (d,), v in mu_terms:
+                scat(SRC_PDE_KBAR, (a, b - 1 + d), j, v * b)
+        for (d,), v in mu_terms:
+            if d >= 1:
+                scat(SRC_PDE_KBAR, (a, b + d - 1), j, v * d)
+        # E4: mu(0) kbar(x,0)
+        if b == 0:
+            scat(SRC_BC_LEFT, (a,), j, mu0)
+
+    # constant side of E3: + theta(x,y), moved to b as -theta
+    for (pp, qy), v in sorted(thetaS.coeffs.items()):
+        key = (SRC_BC_DIAG, (pp, qy))
+        rows.setdefault(key, {})
+        bvals[key] = bvals.get(key, 0.0) - v
+
+    keys = sorted(rows, key=lambda r: (_SRC_RANK[r[0]], grlex_key(r[1])))
+    keys = [
+        r for r in keys
+        if any(v != 0.0 for v in rows[r].values()) or bvals.get(r, 0.0) != 0.0
+    ]
+    data, ri, ci = [], [], []
+    b_vec = np.zeros(len(keys))
+    for i, r in enumerate(keys):
+        b_vec[i] = bvals.get(r, 0.0)
+        for j, v in sorted(rows[r].items()):
+            if v != 0.0:
+                ri.append(i)
+                ci.append(j)
+                data.append(v)
+    A = scipy.sparse.csr_matrix(
+        (data, (ri, ci)), shape=(len(keys), len(cols)), dtype=float
+    )
+    return LinearSystem(A=A, b=b_vec, cols=cols, rows=keys, config=cfg)
 
 
 class TestCountUnknowns:
@@ -280,3 +405,122 @@ class TestSparseAgainstDense:
         assert sol.solve_path == "sparse_lu"
         np.testing.assert_allclose(sol.x, _dense_oracle(system), rtol=0.0,
                                    atol=1e-10 * max(1.0, np.abs(sol.x).max()))
+
+
+def _assert_same_system(got: LinearSystem, want: LinearSystem):
+    assert got.rows == want.rows
+    assert got.cols == want.cols
+    assert got.A.shape == want.A.shape
+    assert np.array_equal(got.b, want.b)
+    for part in ("indptr", "indices", "data"):
+        assert np.array_equal(getattr(got.A, part), getattr(want.A, part)), part
+
+
+QUARTERS = st.integers(-8, 8).map(lambda k: k / 4.0)
+
+
+def _factor(var: Var):
+    return st.one_of(
+        st.lists(QUARTERS, min_size=1, max_size=4).map(
+            lambda cs: Polynomial(var, cs)),
+        st.sampled_from([-1.5, -0.5, 0.5, 1.0, 2.0]).map(lambda r: Exp(var, r)),
+        st.tuples(st.sampled_from([1.0, 2.0, 2.0 * math.pi]),
+                  st.sampled_from([0.0, 0.3])).map(lambda ap: Cos(var, *ap)),
+    )
+
+
+@st.composite
+def _coupling(draw, vars_):
+    """Up to three separable terms; a term may lack any of the variables.
+    A term may come with its negative, so their coefficients cancel."""
+    terms = []
+    for _ in range(draw(st.integers(0, 3))):
+        used = draw(st.lists(st.sampled_from(vars_), unique=True))
+        term = SeparableTerm(draw(QUARTERS.filter(bool)),
+                             [draw(_factor(v)) for v in used])
+        terms.append(term)
+        if draw(st.integers(0, 4)) == 0:
+            terms.append(SeparableTerm(-term.scale, term.factors))
+    return SeparableSum(terms)
+
+
+def _speeds(lam_slope: float, mu_slope: float, lam_extra=None, mu_extra=None):
+    """lam = 1 + lam_slope x (+ a y term), mu = 1 + mu_slope x (+ an x
+    term); the extras are bounded by 1/4, so both speeds stay positive."""
+    lam = [SeparableTerm(1.0, []), SeparableTerm(lam_slope, [Polynomial(X, [0, 1])])]
+    mu = [SeparableTerm(1.0, []), SeparableTerm(mu_slope, [Polynomial(X, [0, 1])])]
+    if lam_extra is not None:
+        lam.append(SeparableTerm(0.25, [lam_extra]))
+    if mu_extra is not None:
+        mu.append(SeparableTerm(0.25, [mu_extra]))
+    return SeparableSum(lam), SeparableSum(mu)
+
+
+def _cancelling_problem(mu_slope: float) -> ContinuumParams:
+    """lam = mu = 1 + x: in column (a, b, c) of the k equation the terms
+    mu' a, -lam_xi b and -dlam/dxi sum to a - b - 1, which is exactly 0 for
+    a = b + 1. At total degree N no other column reaches that row, so the
+    row cancels and is dropped. W has several y powers at every xi power, so
+    many W terms land on the same entry of the kbar equation."""
+    lam, mu = _speeds(1.0, mu_slope)
+    W = SeparableSum([SeparableTerm(0.75, [Exp(X, 1.0), Exp(Y, 0.5)])])
+    return ContinuumParams(lam=lam, mu=mu, sigma=SeparableSum.zero(),
+                           theta=SeparableSum.zero(), W=W,
+                           q=SeparableSum.poly(Y, [0.5, -1.0]))
+
+
+@st.composite
+def _problems(draw):
+    slope = draw(st.sampled_from([0.0, 0.5, 1.0]))
+    lam, mu = _speeds(
+        slope,
+        # equal slopes make k-equation entries cancel exactly
+        draw(st.sampled_from([slope, 0.0, 0.25])),
+        draw(st.none() | st.sampled_from([Cos(Y, 2.0), Polynomial(Y, [0, 0, 1]),
+                                          Exp(Y, -1.0)])),
+        draw(st.none() | st.just(Cos(X, 1.0))),
+    )
+    p = ContinuumParams(lam=lam, mu=mu, sigma=draw(_coupling((X, Var.ETA, Y))),
+                        theta=draw(_coupling((X, Y))), W=draw(_coupling((X, Y))),
+                        q=draw(_coupling((Y,))))
+    N = draw(st.integers(0, 12))
+    cfg = SolverConfig(N=N, N_y=draw(st.none() | st.integers(0, N)),
+                       use_exact_q=draw(st.booleans()),
+                       sigma_sign=draw(st.sampled_from([1, -1])))
+    return p, cfg
+
+
+@pytest.mark.filterwarnings("ignore::continuum_kernels.power_series.OrderReductionWarning")
+class TestAgainstScatterOracle:
+    """The array assembly is bit-identical to the per-entry scatter loop:
+    same rows, columns and right-hand side, and the same CSR arrays."""
+
+    @pytest.mark.parametrize("sigma_sign", [1, -1])
+    @pytest.mark.parametrize("exact_q", [False, True])
+    @pytest.mark.parametrize("N_y", [None, 2])
+    @pytest.mark.parametrize("N", [6, 14, 20])
+    @pytest.mark.parametrize("name", ["example1", "example2"])
+    def test_builtin_configs(self, solve_cache, name, N, N_y, exact_q,
+                             sigma_sign):
+        p = solve_cache.problem(name).continuum
+        cfg = SolverConfig(N=N, N_y=N_y, use_exact_q=exact_q,
+                           sigma_sign=sigma_sign)
+        _assert_same_system(assemble(p, cfg), scatter_assemble(p, cfg))
+
+    def test_cancelled_row_is_dropped(self):
+        cfg = SolverConfig(N=10)
+        row = (SRC_PDE_K, (5, 4, 1))
+        cancelled = assemble(_cancelling_problem(1.0), cfg)
+        assert row not in cancelled.rows
+        assert row in assemble(_cancelling_problem(0.5), cfg).rows
+        _assert_same_system(cancelled,
+                            scatter_assemble(_cancelling_problem(1.0), cfg))
+
+    @settings(max_examples=40, deadline=None)
+    @example((_cancelling_problem(1.0), SolverConfig(N=10)))
+    @example((_cancelling_problem(1.0), SolverConfig(N=12, N_y=3,
+                                                      use_exact_q=True)))
+    @given(case=_problems())
+    def test_random_separable_configs(self, case):
+        p, cfg = case
+        _assert_same_system(assemble(p, cfg), scatter_assemble(p, cfg))
