@@ -29,6 +29,5 @@ from .power_series import (LinearSystem, PsKernelSolution, SolverConfig,
                            optimality_certificate, optimality_check,
                            residual_series, solve, solve_ls)
 from .series import (AnalyticFactor, Constant, Cos, Exp, Polynomial,
-                     SeparableSum, SeparableTerm, Sin, TruncatedSeries, Var,
-                     taylor)
+                     SeparableSum, SeparableTerm, Sin, TruncatedSeries, Var)
 from .simulate import SimConfig, SimReport, Simulator, run_closed_loop

@@ -23,9 +23,8 @@ from .fd_kernels import TriGrid, refine_study, solve_characteristics
 from .gains import (GainTable, diff_solutions, gains, read_gain_csv,
                     sample_gains, write_gain_csv)
 from .params import ConfigError, Problem, fit_q, load_problem
-from .power_series import (SolverConfig, assemble, count_unknowns,
-                           optimality_certificate, residual_by_source,
-                           solve_ls)
+from .power_series import (SolverConfig, assemble, optimality_certificate,
+                           residual_by_source, solve_ls)
 from .simulate import SimConfig, Simulator, write_sim_csv
 
 EXIT_OK = 0
@@ -260,7 +259,7 @@ def cmd_bench(args) -> int:
         dt = time.time() - t0
         row = {
             "N": N,
-            "num_unknowns": sum(count_unknowns(cfg.N, cfg.N_y)),
+            "num_unknowns": sol.num_unknowns,
             "num_equations": sol.num_equations,
             "time_s": round(dt, 3),
             "residual": sol.residual,

@@ -135,10 +135,6 @@ class LinearSystem:
     rows: list[tuple[str, tuple[int, ...]]]      # (source, monomial)
     config: SolverConfig
 
-    @property
-    def shape(self) -> tuple[int, int]:
-        return self.A.shape
-
 
 @dataclass
 class PsKernelSolution:
@@ -151,7 +147,6 @@ class PsKernelSolution:
     num_unknowns: int
     num_equations: int
     x: np.ndarray = field(repr=False)
-    cols: list = field(repr=False)
     rank: int | None = None
     solve_path: str | None = None       # "sparse_lu" or "dense_lstsq"
 
@@ -388,13 +383,12 @@ def solve_ls(system: LinearSystem) -> PsKernelSolution:
     for (kind, e), v in zip(system.cols, x):
         if v != 0.0:
             coeffs[kind][e] = v
-    k = TruncatedSeries((Var.X, Var.XI, Var.Y), coeffs["K"],
-                        (cfg.N, cfg.N, cfg.N_y))
-    kbar = TruncatedSeries((Var.X, Var.XI), coeffs["KB"], (cfg.N, cfg.N))
     return PsKernelSolution(
-        k=k, kbar=kbar, residual=residual, config=cfg,
+        k=TruncatedSeries((Var.X, Var.XI, Var.Y), coeffs["K"]),
+        kbar=TruncatedSeries((Var.X, Var.XI), coeffs["KB"]),
+        residual=residual, config=cfg,
         num_unknowns=nK + nKB, num_equations=system.A.shape[0],
-        x=x, cols=system.cols, rank=int(rank), solve_path=solve_path,
+        x=x, rank=int(rank), solve_path=solve_path,
     )
 
 

@@ -10,7 +10,7 @@ across threads.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from enum import Enum
 from typing import Iterable, Mapping
 
@@ -27,7 +27,6 @@ __all__ = [
     "Constant",
     "SeparableTerm",
     "SeparableSum",
-    "taylor",
 ]
 
 # Coefficients below this magnitude are dropped from storage. Deliberately at
@@ -63,14 +62,10 @@ class TruncatedSeries:
     """Sparse polynomial over an ordered subset of the canonical variables.
 
     ``coeffs`` maps exponent tuples (aligned with ``vars``) to floats.
-    ``degree_cap`` records the per-variable maximum exponent the series is
-    allowed to hold; it is bookkeeping for truncation decisions, every stored
-    exponent respects it componentwise.
     """
 
     vars: tuple[Var, ...]
     coeffs: dict[tuple[int, ...], float]
-    degree_cap: tuple[int, ...] = field(default=())
 
     def __post_init__(self):
         object.__setattr__(self, "vars", tuple(self.vars))
@@ -84,17 +79,9 @@ class TruncatedSeries:
             if abs(c) > PRUNE_TOL
         }
         object.__setattr__(self, "coeffs", cleaned)
-        if not self.degree_cap:
-            cap = tuple(
-                max((e[i] for e in cleaned), default=0)
-                for i in range(len(self.vars))
-            )
-            object.__setattr__(self, "degree_cap", cap)
         for e in cleaned:
             if len(e) != len(self.vars):
                 raise ValueError(f"exponent tuple {e} does not match vars {self.vars}")
-            if any(ei > ci for ei, ci in zip(e, self.degree_cap)):
-                raise ValueError(f"exponent {e} exceeds degree cap {self.degree_cap}")
 
     # -- constructors ------------------------------------------------------
 
@@ -154,10 +141,7 @@ class TruncatedSeries:
             for p, ei in zip(pos, e):
                 key[p] = ei
             out[tuple(key)] = c
-        cap = [0] * len(vars_)
-        for p, ci in zip(pos, self.degree_cap):
-            cap[p] = ci
-        return TruncatedSeries(vars_, out, tuple(cap))
+        return TruncatedSeries(vars_, out)
 
     # -- ring operations ---------------------------------------------------
 
@@ -168,12 +152,10 @@ class TruncatedSeries:
         out = dict(a.coeffs)
         for e, c in b.coeffs.items():
             out[e] = out.get(e, 0.0) + c
-        cap = tuple(max(ca, cb) for ca, cb in zip(a.degree_cap, b.degree_cap))
-        return TruncatedSeries(vs, out, cap)
+        return TruncatedSeries(vs, out)
 
     def __neg__(self) -> TruncatedSeries:
-        return TruncatedSeries(self.vars, {e: -c for e, c in self.coeffs.items()},
-                               self.degree_cap)
+        return TruncatedSeries(self.vars, {e: -c for e, c in self.coeffs.items()})
 
     def __sub__(self, other: TruncatedSeries) -> TruncatedSeries:
         return self + (-other)
@@ -181,8 +163,7 @@ class TruncatedSeries:
     def scale(self, s: float) -> TruncatedSeries:
         if s == 0.0:
             return TruncatedSeries.zero(self.vars)
-        return TruncatedSeries(self.vars, {e: s * c for e, c in self.coeffs.items()},
-                               self.degree_cap)
+        return TruncatedSeries(self.vars, {e: s * c for e, c in self.coeffs.items()})
 
     def __mul__(self, other: TruncatedSeries) -> TruncatedSeries:
         """Exact polynomial product. Never re-truncates: products of order-N
@@ -195,8 +176,7 @@ class TruncatedSeries:
             for eb, cb in b.coeffs.items():
                 key = tuple(i + j for i, j in zip(ea, eb))
                 out[key] = out.get(key, 0.0) + ca * cb
-        cap = tuple(ca + cb for ca, cb in zip(a.degree_cap, b.degree_cap))
-        return TruncatedSeries(vs, out, cap)
+        return TruncatedSeries(vs, out)
 
     # -- calculus ----------------------------------------------------------
 
@@ -211,9 +191,7 @@ class TruncatedSeries:
                 continue
             key = e[:i] + (e[i] - 1,) + e[i + 1:]
             out[key] = out.get(key, 0.0) + c * e[i]
-        cap = list(self.degree_cap)
-        cap[i] = max(cap[i] - 1, 0)
-        return TruncatedSeries(self.vars, out, tuple(cap))
+        return TruncatedSeries(self.vars, out)
 
     def integrate_unit(self, v: Var) -> TruncatedSeries:
         """Definite integral over v in [0, 1]; v is removed from the series."""
@@ -225,8 +203,7 @@ class TruncatedSeries:
         for e, c in self.coeffs.items():
             key = e[:i] + e[i + 1:]
             out[key] = out.get(key, 0.0) + c / (e[i] + 1)
-        cap = self.degree_cap[:i] + self.degree_cap[i + 1:]
-        return TruncatedSeries(new_vars, out, cap)
+        return TruncatedSeries(new_vars, out)
 
     def rename(self, src: Var, dst: Var) -> TruncatedSeries:
         """Substitute variable ``src`` by ``dst`` (exponents merge if present)."""
@@ -257,9 +234,8 @@ class TruncatedSeries:
 
     def truncate_total(self, order: int) -> TruncatedSeries:
         """Drop every monomial of total degree above ``order``."""
-        out = {e: c for e, c in self.coeffs.items() if sum(e) <= order}
-        cap = tuple(min(ci, order) for ci in self.degree_cap)
-        return TruncatedSeries(self.vars, out, cap)
+        return TruncatedSeries(self.vars, {e: c for e, c in self.coeffs.items()
+                                           if sum(e) <= order})
 
     # -- evaluation --------------------------------------------------------
 
@@ -337,10 +313,11 @@ class AnalyticFactor:
         raise NotImplementedError
 
     def taylor(self, order: int) -> TruncatedSeries:
+        """Maclaurin expansion up to ``order``."""
+        if order < 0:
+            raise ValueError("order must be non-negative")
         cs = self.taylor_coeffs(order)
-        return TruncatedSeries(
-            (self.var,), {(k,): float(c) for k, c in enumerate(cs)}, (order,)
-        )
+        return TruncatedSeries((self.var,), {(k,): float(c) for k, c in enumerate(cs)})
 
 
 @dataclass(frozen=True)
@@ -437,13 +414,6 @@ class Constant(AnalyticFactor):
 
     def derivative(self):
         return []
-
-
-def taylor(factor: AnalyticFactor, order: int) -> TruncatedSeries:
-    """Maclaurin expansion of an analytic factor up to ``order``."""
-    if order < 0:
-        raise ValueError("order must be non-negative")
-    return factor.taylor(order)
 
 
 # ---------------------------------------------------------------------------
@@ -560,13 +530,13 @@ class SeparableSum:
     def substitute(self, v: Var, value: float) -> "SeparableSum":
         return SeparableSum([t.substitute(v, value) for t in self.terms])
 
-    def taylor(self, order: int, total: bool = True) -> TruncatedSeries:
-        """Expand every term to ``order``; with ``total`` the result keeps
-        only monomials of total degree <= order."""
+    def taylor(self, order: int) -> TruncatedSeries:
+        """Expand every term to ``order``, keeping only monomials of total
+        degree <= order."""
         out = TruncatedSeries.zero(self.vars())
         for t in self.terms:
             out = out + t.taylor(order)
-        return out.truncate_total(order) if total else out
+        return out.truncate_total(order)
 
     def __call__(self, point: Mapping[Var, np.ndarray]) -> np.ndarray:
         out = None
