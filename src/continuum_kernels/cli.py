@@ -204,7 +204,7 @@ def cmd_fit_q(args) -> int:
     else:
         data = np.asarray(json.loads(args.data), dtype=float)
         offset = 0.0
-    fit = fit_q(data, args.degree, n=len(data), offset=offset)
+    fit = fit_q(data, args.degree, offset=offset)
     print(f"fit-q: degree={fit.degree} rms_error={fit.rms_error:.6g}")
     print("fit-q: coefficients (ascending powers):",
           " ".join(f"{c:.12g}" for c in fit.coeffs))

@@ -16,7 +16,7 @@ from typing import TYPE_CHECKING
 import numpy as np
 import scipy.integrate
 
-from .params import ContinuumParams, LargeScaleParams
+from .params import ContinuumParams, LargeScaleParams, sample_points
 from .power_series import PsKernelSolution, residual_series
 from .series import Var
 
@@ -116,8 +116,7 @@ def sample_gains(sol, n: int, grid_xi: np.ndarray | None = None,
     y_i = (i+offset)/n for i = 1..n; the counter-convecting gain is kbar."""
     if n < 1:
         raise ValueError("n must be positive")
-    ys = (np.arange(1, n + 1) + offset) / n
-    t = gains(sol, grid_xi=grid_xi, grid_y=ys)
+    t = gains(sol, grid_xi=grid_xi, grid_y=sample_points(n, offset))
     t.sampled = True
     return t
 
@@ -234,6 +233,24 @@ def _closed_form_residual(sol: "ClosedFormKernel", p: ContinuumParams,
 # ---------------------------------------------------------------------------
 
 
+def _sampled_kernels(sol, ls: LargeScaleParams, xs: np.ndarray) -> list[np.ndarray]:
+    """An ensemble solution as n+1 candidates on the grid ``xs``: k(x, xi, y_i)
+    for i < n and kbar(x, xi) at i = n; then the same for d/dx and d/dxi."""
+    ys, shape = ls.y_points(), (ls.n, len(xs), len(xs))
+    if isinstance(sol, PsKernelSolution):
+        at = {Var.X: xs, Var.XI: xs, Var.Y: ys}
+        pairs = [(sol.k, sol.kbar)] + [(sol.k.diff(v), sol.kbar.diff(v))
+                                       for v in (Var.X, Var.XI)]
+        # eval_grid's axes follow the series' variables: (x, xi, y) -> (y, x, xi)
+        pairs = [(np.moveaxis(k.eval_grid(at), 2, 0), kbar.eval_grid(at))
+                 for k, kbar in pairs]
+    else:
+        Y, X, XI = np.ix_(ys, xs, xs)
+        pairs = [(k(X, XI, Y), kbar(X[0], XI[0])) for k, kbar in [
+            (sol.k, sol.kbar), (sol.dk_dx, sol.dkbar_dx), (sol.dk_dxi, sol.dkbar_dxi)]]
+    return [np.concatenate([np.broadcast_to(k, shape), kbar[None]]) for k, kbar in pairs]
+
+
 def largescale_residual(sol, ls: LargeScaleParams,
                         grid_m: int = 64) -> dict[str, float]:
     """Plug a candidate kernel family into the n+1 kernel equations.
@@ -261,33 +278,7 @@ def largescale_residual(sol, ls: LargeScaleParams,
     else:
         m = grid_m
         xs = np.linspace(0.0, 1.0, m + 1)
-        ys = ls.y_points()
-        X, XI = np.meshgrid(xs, xs, indexing="ij")
-        K = np.empty((n + 1, m + 1, m + 1))
-        dKdx = np.empty_like(K)
-        dKdxi = np.empty_like(K)
-        if isinstance(sol, PsKernelSolution):
-            kx = sol.k.diff(Var.X)
-            kxi = sol.k.diff(Var.XI)
-            for i, y in enumerate(ys):
-                ki = sol.k.substitute_value(Var.Y, float(y))
-                K[i] = ki.eval_grid({Var.X: xs, Var.XI: xs})
-                dKdx[i] = kx.substitute_value(Var.Y, float(y)).eval_grid(
-                    {Var.X: xs, Var.XI: xs})
-                dKdxi[i] = kxi.substitute_value(Var.Y, float(y)).eval_grid(
-                    {Var.X: xs, Var.XI: xs})
-            K[n] = sol.kbar.eval_grid({Var.X: xs, Var.XI: xs})
-            dKdx[n] = sol.kbar.diff(Var.X).eval_grid({Var.X: xs, Var.XI: xs})
-            dKdxi[n] = sol.kbar.diff(Var.XI).eval_grid({Var.X: xs, Var.XI: xs})
-        else:
-            for i, y in enumerate(ys):
-                Yg = np.full_like(X, y)
-                K[i] = sol.k(X, XI, Yg)
-                dKdx[i] = sol.dk_dx(X, XI, Yg)
-                dKdxi[i] = sol.dk_dxi(X, XI, Yg)
-            K[n] = sol.kbar(X, XI)
-            dKdx[n] = sol.dkbar_dx(X, XI)
-            dKdxi[n] = sol.dkbar_dxi(X, XI)
+        K, dKdx, dKdxi = _sampled_kernels(sol, ls, xs)
         interior = np.tri(m + 1, dtype=bool)                      # xi <= x
 
     g = ls.on_grid(xs)

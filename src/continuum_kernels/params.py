@@ -39,6 +39,7 @@ __all__ = [
     "PositivityReport",
     "Problem",
     "ConfigError",
+    "sample_points",
     "sample_continuum",
     "lift_separable",
     "fit_q",
@@ -49,6 +50,11 @@ __all__ = [
 ]
 
 GRID_POINTS = 101  # fixed audit grid for positivity checks
+
+
+def sample_points(n: int, offset: float = 0.0) -> np.ndarray:
+    """Component points y_i = (i + offset)/n, i = 1..n, of an n+1 system."""
+    return (np.arange(1, n + 1) + offset) / n
 
 
 class ConfigError(ValueError):
@@ -146,7 +152,7 @@ class LargeScaleParams:
             raise ValueError("q must have n entries")
 
     def y_points(self) -> np.ndarray:
-        return (np.arange(1, self.n + 1) + self.sample_offset) / self.n
+        return sample_points(self.n, self.sample_offset)
 
     def on_grid(self, xs) -> GridParams:
         """Evaluate every sampled parameter on the grid ``xs`` at once."""
@@ -236,17 +242,15 @@ def lift_separable(ls: LargeScaleParams) -> ContinuumParams:
 
 
 def fit_q(data: np.ndarray, degree: int, points: np.ndarray | None = None,
-          n: int | None = None, offset: float = 0.0) -> FitResult:
+          offset: float = 0.0) -> FitResult:
     """Least-squares polynomial fit to ensemble reflection data.
 
-    ``points`` gives the abscissae explicitly; otherwise the k-th datum is
-    placed at y = (k + 1 + offset)/n with n = len(data).
+    ``points`` gives the abscissae explicitly; otherwise the data sit at
+    ``sample_points(len(data), offset)``.
     """
     data = np.asarray(data, dtype=float)
-    if points is None:
-        nn = n if n is not None else len(data)
-        points = (np.arange(1, len(data) + 1) + offset) / nn
-    points = np.asarray(points, dtype=float)
+    points = np.asarray(sample_points(len(data), offset) if points is None
+                        else points, dtype=float)
     if degree >= len(points):
         raise ValueError("fit degree must be below the number of data points")
     if len(np.unique(points)) != len(points):
@@ -314,7 +318,7 @@ class Problem:
         """Refit the reflection data at another degree."""
         if self.q_data is None:
             raise ValueError("problem has an analytic q; nothing to refit")
-        fit = fit_q(self.q_data, degree, n=len(self.q_data), offset=self.q_offset)
+        fit = fit_q(self.q_data, degree, offset=self.q_offset)
         cont = replace(self.continuum, q=fit.as_sum())
         return replace(self, continuum=cont, fit=fit)
 
@@ -403,7 +407,7 @@ def parse_problem_dict(cfg: Mapping, name: str = "<config>") -> Problem:
                              for k, v in enumerate(qcfg["data"])])
         degree = int(qcfg.get("fit_degree", 2))
         q_offset = -1.0 if qcfg.get("points") == "(i-1)/n" else 0.0
-        fit = fit_q(q_data, degree, n=len(q_data), offset=q_offset)
+        fit = fit_q(q_data, degree, offset=q_offset)
         q = fit.as_sum()
     elif isinstance(qcfg, Mapping) and "exact" in qcfg:
         key = qcfg["exact"]

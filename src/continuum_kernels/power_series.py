@@ -378,16 +378,14 @@ def solve_ls(system: LinearSystem) -> PsKernelSolution:
                 f"({A.shape[0]}x{A.shape[1]} system, rank estimate {rank})")
     residual = float(np.linalg.norm(system.A @ x - system.b))
     cfg = system.config
-    nK, nKB = count_unknowns(cfg.N, cfg.N_y)
     coeffs = {"K": {}, "KB": {}}
     for (kind, e), v in zip(system.cols, x):
-        if v != 0.0:
-            coeffs[kind][e] = v
+        coeffs[kind][e] = v         # exact zeros are pruned by TruncatedSeries
     return PsKernelSolution(
         k=TruncatedSeries((Var.X, Var.XI, Var.Y), coeffs["K"]),
         kbar=TruncatedSeries((Var.X, Var.XI), coeffs["KB"]),
         residual=residual, config=cfg,
-        num_unknowns=nK + nKB, num_equations=system.A.shape[0],
+        num_unknowns=sum(count_unknowns(cfg.N, cfg.N_y)), num_equations=system.A.shape[0],
         x=x, rank=int(rank), solve_path=solve_path,
     )
 

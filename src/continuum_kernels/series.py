@@ -366,15 +366,22 @@ class Exp(AnalyticFactor):
         return [(self.rate, self)]
 
 
+def _trig_taylor(angular: float, phase: float, order: int, shift: int) -> np.ndarray:
+    """a^k cos(phase + (k + shift) pi/2) / k!, k = 0..order, with the cosine
+    from its cycle (cos p, -sin p, -cos p, sin p): exact zeros, no roundoff."""
+    k = np.arange(order + 1)
+    cycle = np.array([math.cos(phase), -math.sin(phase), -math.cos(phase), math.sin(phase)])
+    return (angular ** k) * cycle[(k + shift) % 4] / \
+        np.array([math.factorial(int(i)) for i in k], dtype=float)
+
+
 @dataclass(frozen=True)
 class Cos(AnalyticFactor):
     angular: float = 1.0
     phase: float = 0.0
 
     def taylor_coeffs(self, order: int) -> np.ndarray:
-        k = np.arange(order + 1)
-        return (self.angular ** k) * np.cos(self.phase + k * math.pi / 2) / \
-            np.array([math.factorial(int(i)) for i in k], dtype=float)
+        return _trig_taylor(self.angular, self.phase, order, 0)
 
     def __call__(self, t):
         return np.cos(self.angular * np.asarray(t, dtype=float) + self.phase)
@@ -389,9 +396,8 @@ class Sin(AnalyticFactor):
     phase: float = 0.0
 
     def taylor_coeffs(self, order: int) -> np.ndarray:
-        k = np.arange(order + 1)
-        return (self.angular ** k) * np.sin(self.phase + k * math.pi / 2) / \
-            np.array([math.factorial(int(i)) for i in k], dtype=float)
+        # sin(p + k pi/2) = cos(p + (k - 1) pi/2)
+        return _trig_taylor(self.angular, self.phase, order, -1)
 
     def __call__(self, t):
         return np.sin(self.angular * np.asarray(t, dtype=float) + self.phase)
@@ -531,8 +537,7 @@ class SeparableSum:
         return SeparableSum([t.substitute(v, value) for t in self.terms])
 
     def taylor(self, order: int) -> TruncatedSeries:
-        """Expand every term to ``order``, keeping only monomials of total
-        degree <= order."""
+        """Expand every term to ``order``, then drop total degrees above it."""
         out = TruncatedSeries.zero(self.vars())
         for t in self.terms:
             out = out + t.taylor(order)

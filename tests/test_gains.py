@@ -10,12 +10,13 @@ from hypothesis import strategies as st
 
 from continuum_kernels.closed_form import solve_closed_form
 from continuum_kernels.fd_kernels import TriGrid, solve_characteristics
-from continuum_kernels.gains import (GainTable, continuum_residual,
-                                     diff_solutions, gains,
+from continuum_kernels.gains import (GainTable, _sampled_kernels,
+                                     continuum_residual, diff_solutions, gains,
                                      largescale_residual, read_gain_csv,
                                      sample_gains, write_gain_csv)
 from continuum_kernels.params import load_problem
-from continuum_kernels.power_series import SolverConfig, solve
+from continuum_kernels.power_series import (PsKernelSolution, SolverConfig,
+                                            solve)
 from continuum_kernels.series import SeparableSum, SeparableTerm, Var
 
 X, XI, Y, ETA = Var.X, Var.XI, Var.Y, Var.ETA
@@ -112,6 +113,57 @@ class TestContinuumResidual:
         sol = solve_cache.solution("example1", SolverConfig(N=14))
         res = continuum_residual(sol, solve_cache.problem("example1").continuum)
         assert max(res.values()) < 10.0 * max(sol.residual, 1e-16) + 1e-12
+
+
+def loop_sampled_kernels(sol, ls, xs):
+    """Oracle: the per-component loop the grid evaluation replaced."""
+    n, m = ls.n, len(xs) - 1
+    ys = ls.y_points()
+    X, XI = np.meshgrid(xs, xs, indexing="ij")
+    K = np.empty((n + 1, m + 1, m + 1))
+    dKdx = np.empty_like(K)
+    dKdxi = np.empty_like(K)
+    if isinstance(sol, PsKernelSolution):
+        kx = sol.k.diff(Var.X)
+        kxi = sol.k.diff(Var.XI)
+        for i, y in enumerate(ys):
+            ki = sol.k.substitute_value(Var.Y, float(y))
+            K[i] = ki.eval_grid({Var.X: xs, Var.XI: xs})
+            dKdx[i] = kx.substitute_value(Var.Y, float(y)).eval_grid(
+                {Var.X: xs, Var.XI: xs})
+            dKdxi[i] = kxi.substitute_value(Var.Y, float(y)).eval_grid(
+                {Var.X: xs, Var.XI: xs})
+        K[n] = sol.kbar.eval_grid({Var.X: xs, Var.XI: xs})
+        dKdx[n] = sol.kbar.diff(Var.X).eval_grid({Var.X: xs, Var.XI: xs})
+        dKdxi[n] = sol.kbar.diff(Var.XI).eval_grid({Var.X: xs, Var.XI: xs})
+    else:
+        for i, y in enumerate(ys):
+            Yg = np.full_like(X, y)
+            K[i] = sol.k(X, XI, Yg)
+            dKdx[i] = sol.dk_dx(X, XI, Yg)
+            dKdxi[i] = sol.dk_dxi(X, XI, Yg)
+        K[n] = sol.kbar(X, XI)
+        dKdx[n] = sol.dkbar_dx(X, XI)
+        dKdxi[n] = sol.dkbar_dxi(X, XI)
+    return np.stack([K, dKdx, dKdxi])
+
+
+class TestSampledKernelsAgainstLoop:
+    @pytest.mark.parametrize("offset", [0.0, -1.0])
+    def test_closed_form_bit_identical(self, example1, offset):
+        ls = example1.large_scale(10, offset)
+        xs = np.linspace(0.0, 1.0, 65)
+        np.testing.assert_array_equal(np.stack(_sampled_kernels(example1_kernel(), ls, xs)),
+                                      loop_sampled_kernels(example1_kernel(), ls, xs))
+
+    def test_series(self, example2, solve_cache):
+        sol = solve_cache.solution("example2", SolverConfig(N=12))
+        ls = example2.large_scale()
+        xs = np.linspace(0.0, 1.0, 25)
+        got = _sampled_kernels(sol, ls, xs)
+        want = loop_sampled_kernels(sol, ls, xs)
+        for g, w in zip(got, want):         # k, d/dx, d/dxi
+            assert np.abs(g - w).max() <= 1e-13 * np.abs(w).max()
 
 
 class TestLargescaleResidual:

@@ -4,9 +4,12 @@ import json
 import numpy as np
 import pytest
 
+from continuum_kernels.closed_form import solve_closed_form
+from continuum_kernels.gains import sample_gains
 from continuum_kernels.params import (ConfigError, check_positivity, fit_q,
                                       lift_separable, load_problem,
-                                      parse_problem_dict, sample_continuum)
+                                      parse_problem_dict, sample_continuum,
+                                      sample_points)
 from continuum_kernels.series import (Polynomial, SeparableSum,
                                       SeparableTerm, Var)
 
@@ -110,6 +113,24 @@ class TestLiftSeparable:
             lift_separable(ls)
 
 
+@pytest.mark.parametrize("offset", [0.0, -1.0])
+def test_one_sample_point_rule(example1, offset):
+    # sampled parameters, sampled gains and the q fit share y_i = (i + offset)/n
+    kern = solve_closed_form(example1.continuum)
+    rng = np.random.default_rng(5)
+    for n in range(1, 41):
+        ys = sample_points(n, offset)
+        np.testing.assert_array_equal(ys, (np.arange(1, n + 1) + offset) / n)
+        np.testing.assert_array_equal(
+            sample_continuum(example1.continuum, n, offset).y_points(), ys)
+        np.testing.assert_array_equal(
+            sample_gains(kern, n, grid_xi=np.linspace(0, 1, 3), offset=offset).grid_y, ys)
+        data = rng.normal(size=n)
+        deg = min(2, n - 1)
+        np.testing.assert_array_equal(fit_q(data, deg, offset=offset).coeffs,
+                                      fit_q(data, deg, points=ys).coeffs)
+
+
 class TestFitQ:
     def test_exact_quadratic_recovery(self):
         ys = np.arange(1, 11) / 10
@@ -139,7 +160,7 @@ class TestFitQ:
 
     def test_rms_nonincreasing_in_degree(self, example2):
         data = np.asarray(example2.q_data)
-        errs = [fit_q(data, M, n=10).rms_error for M in range(2, 7)]
+        errs = [fit_q(data, M).rms_error for M in range(2, 7)]
         assert all(a >= b - 1e-14 for a, b in zip(errs, errs[1:]))
 
     def test_duplicate_abscissae_rejected(self):
@@ -148,7 +169,7 @@ class TestFitQ:
 
     def test_degree_bound(self):
         with pytest.raises(ValueError, match="degree"):
-            fit_q(np.ones(3), 3, n=3)
+            fit_q(np.ones(3), 3)
 
 
 class TestPositivity:

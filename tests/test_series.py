@@ -27,14 +27,17 @@ class TestTaylor:
             {(0,): 1.0, (1,): rate, (2,): rate ** 2 / 2.0})
 
     def test_cos_order4(self):
-        s = Cos(Y, 2 * math.pi, 0.0).taylor(4)
-        expected = {
-            (0,): 1.0,
-            (2,): -2.0 * math.pi ** 2,
-            (4,): 2.0 * math.pi ** 4 / 3.0,
-        }
-        got = {e: c for e, c in s.coeffs.items() if abs(c) > 1e-12}
-        assert got == pytest.approx(expected)
+        w = 2 * math.pi
+        s = Cos(Y, w, 0.0).taylor(4)
+        assert s.coeffs == {(0,): 1.0, (2,): -w ** 2 / 2, (4,): w ** 4 / 24}
+
+    @pytest.mark.parametrize("factor, parity", [
+        (Cos(Y, 2 * math.pi, 0.0), 0), (Cos(X, -0.7, 0.0), 0),
+        (Sin(Y, 1.0, 0.0), 1), (Sin(X, 3.5, 0.0), 1)])
+    def test_phase_zero_vanishing_powers_are_exact(self, factor, parity):
+        # cos is even and sin odd: no roundoff may be stored at the other powers
+        s = factor.taylor(11)
+        assert set(s.coeffs) == {(k,) for k in range(12) if k % 2 == parity}
 
     def test_polynomial_truncation_below_degree(self):
         s = Polynomial(X, [0.0, 0.0, -70.0]).taylor(1)
