@@ -30,4 +30,4 @@ from .power_series import (LinearSystem, PsKernelSolution, SolverConfig,
                            residual_series, solve, solve_ls)
 from .series import (AnalyticFactor, Constant, Cos, Exp, Polynomial,
                      SeparableSum, SeparableTerm, Sin, TruncatedSeries, Var)
-from .simulate import SimConfig, SimReport, Simulator, run_closed_loop
+from .simulate import SimConfig, SimReport, Simulator

@@ -234,17 +234,18 @@ def cmd_bench(args) -> int:
     if len(fit_degrees) > 1 and len(orders) != 1:
         raise ConfigError("a fit-degree sweep needs exactly one order")
     rows = []
-    exact = None
+    grid = np.linspace(0.0, 1.0, 101)
+    exact_table = None
     baseline = None
     ls = None
     if orders and problem_name == "example1":
         exact = solve_closed_form(problem.continuum)
         if isinstance(exact, NotApplicable):  # pragma: no cover - guarded data
             raise RuntimeError(f"reference kernels unavailable: {exact.reason}")
+        exact_table = gains(exact, grid_xi=grid, grid_y=grid)
     if orders and problem.n is not None and not args.skip_baseline:
         ls, baseline = _bench_baseline(problem, args.baseline_m)
     prev_table = None
-    grid = np.linspace(0.0, 1.0, 101)
     sweep = [(N, M) for M in fit_degrees for N in orders]
     for N, M in sweep:
         prob = problem if M is None else problem.with_fit_degree(M)
@@ -266,15 +267,13 @@ def cmd_bench(args) -> int:
         }
         if M is not None:
             row["fit_degree"] = M
-        if exact is not None:
-            t = gains(sol, grid_xi=grid, grid_y=grid)
-            r = gains(exact, grid_xi=grid, grid_y=grid)
-            row["max_error"] = diff_solutions(t, r)
+        cur = gains(sol, grid_xi=grid, grid_y=grid)
+        if exact_table is not None:
+            row["max_error"] = diff_solutions(cur, exact_table)
         if baseline is not None:
             t = sample_gains(sol, ls.n, grid_xi=baseline.grid_xi,
                              offset=ls.sample_offset)
             row["d_np1"] = diff_solutions(t, baseline)
-        cur = gains(sol, grid_xi=grid, grid_y=grid)
         row["d_prev"] = (diff_solutions(cur, prev_table)
                          if prev_table is not None else float("nan"))
         prev_table = cur
@@ -299,7 +298,10 @@ def cmd_simulate(args) -> int:
     if n is None:
         raise ConfigError("the problem does not fix n; pass --n")
     ls = problem.large_scale(n)
-    mode = "open_loop" if args.open_loop else "gain_table"
+    if args.t_final is None:  # twice the settling time 1/min mu + 1/min lambda
+        args.t_final = 2.0 * sum(1.0 / s for s in ls.check_speeds())
+    cfg = SimConfig(n=n, m_x=args.mx, t_final=args.t_final, cfl=args.cfl,
+                    initial_profile=args.profile, amplitude=args.amplitude)
     table = None
     if not args.open_loop:
         if args.gains:
@@ -318,19 +320,14 @@ def cmd_simulate(args) -> int:
                 table = GainTable(grid_xi=table.grid_xi, grid_y=ys, k=k,
                                   kbar=table.kbar, sampled=True)
         elif args.solve_order is not None:
-            cfg = SolverConfig(N=args.solve_order, N_y=args.solve_order_y,
-                               sigma_sign=args.sigma_sign or 1)
-            sol = solve_ls(assemble(problem.continuum, cfg))
+            solver = SolverConfig(N=args.solve_order, N_y=args.solve_order_y,
+                                  sigma_sign=args.sigma_sign or 1)
+            sol = solve_ls(assemble(problem.continuum, solver))
             table = sample_gains(sol, n, grid_xi=np.linspace(0, 1, args.mx),
                                  offset=ls.sample_offset)
         else:
             raise ConfigError("simulate needs --gains, --solve-order, or "
                               "--open-loop")
-    if args.t_final is None:  # twice the settling time 1/min mu + 1/min lambda
-        args.t_final = 2.0 * sum(1.0 / s for s in ls.check_speeds())
-    cfg = SimConfig(n=n, m_x=args.mx, t_final=args.t_final, cfl=args.cfl,
-                    initial_profile=args.profile, amplitude=args.amplitude,
-                    control_mode=mode)
     report = Simulator(cfg, ls, table).run()
     prefix = args.out_prefix
     man = _manifest(prefix, "simulate", vars(args), time.time() - t0)

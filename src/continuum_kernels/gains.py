@@ -11,18 +11,15 @@ from __future__ import annotations
 
 import io
 from dataclasses import dataclass
-from typing import TYPE_CHECKING
 
 import numpy as np
 import scipy.integrate
 
+from .closed_form import ClosedFormKernel
+from .fd_kernels import LsKernelSolution
 from .params import ContinuumParams, LargeScaleParams, sample_points
 from .power_series import PsKernelSolution, residual_series
 from .series import Var
-
-if TYPE_CHECKING:  # pragma: no cover
-    from .closed_form import ClosedFormKernel
-    from .fd_kernels import LsKernelSolution
 
 __all__ = [
     "GainTable",
@@ -65,10 +62,6 @@ class GainTable:
             raise ValueError("gain tables must be finite")
 
 
-def _is_closed_form(sol) -> bool:
-    return hasattr(sol, "kbar") and callable(getattr(sol, "kbar"))
-
-
 def _eval_kernels_at(sol, x: float, grid_xi: np.ndarray, grid_y: np.ndarray):
     """Evaluate k(x,.,.) (len_y, len_xi) and kbar(x,.) for either solution type."""
     if isinstance(sol, PsKernelSolution):
@@ -76,7 +69,7 @@ def _eval_kernels_at(sol, x: float, grid_xi: np.ndarray, grid_y: np.ndarray):
             {Var.XI: grid_xi, Var.Y: grid_y}).T
         kbar = sol.kbar.substitute_value(Var.X, x).eval_grid({Var.XI: grid_xi})
         return k, kbar
-    if _is_closed_form(sol):
+    if isinstance(sol, ClosedFormKernel):
         XI, Y = np.meshgrid(grid_xi, grid_y, indexing="xy")
         k = sol.k(np.full_like(XI, x), XI, Y)
         kbar = sol.kbar(np.full_like(grid_xi, x), grid_xi)
@@ -91,8 +84,6 @@ def gains(sol, grid_xi: np.ndarray | None = None,
     Grid-function solutions (from the n+1 reference solver) are returned on
     their own grid with grid_y at the component sample points.
     """
-    from .fd_kernels import LsKernelSolution
-
     if isinstance(sol, LsKernelSolution):
         xs = sol.grid.nodes()
         return GainTable(
@@ -142,8 +133,8 @@ def _prism_mask(xs: np.ndarray) -> np.ndarray:
     return XI <= X + 1e-12
 
 
-def continuum_residual(sol, p: ContinuumParams, grid_m: int = 21,
-                       config=None) -> dict[str, float]:
+def continuum_residual(sol, p: ContinuumParams,
+                       grid_m: int = 21) -> dict[str, float]:
     """Sup-norm residual of each kernel equation for a candidate solution.
 
     Series solutions are checked against the same truncated-parameter
@@ -153,8 +144,7 @@ def continuum_residual(sol, p: ContinuumParams, grid_m: int = 21,
     """
     xs = np.linspace(0.0, 1.0, grid_m)
     if isinstance(sol, PsKernelSolution):
-        cfg = config if config is not None else sol.config
-        res = residual_series(p, cfg, sol.k, sol.kbar)
+        res = residual_series(p, sol.config, sol.k, sol.kbar)
         mask2 = _prism_mask(xs)
         out = {}
         e1 = res["pde_k"].eval_grid({Var.X: xs, Var.XI: xs, Var.Y: xs})
@@ -169,7 +159,7 @@ def continuum_residual(sol, p: ContinuumParams, grid_m: int = 21,
     return _closed_form_residual(sol, p, xs)
 
 
-def _closed_form_residual(sol: "ClosedFormKernel", p: ContinuumParams,
+def _closed_form_residual(sol: ClosedFormKernel, p: ContinuumParams,
                           xs: np.ndarray) -> dict[str, float]:
     """Pointwise residuals for a separable solution; the y/eta integrals
     reduce to scalars (by separability of the kernel) computed once by
@@ -262,8 +252,6 @@ def largescale_residual(sol, ls: LargeScaleParams,
     triangle; for an ensemble solution they quantify how well the sampled
     continuum kernels approximate the n+1 kernels.
     """
-    from .fd_kernels import LsKernelSolution
-
     n = ls.n
     if isinstance(sol, LsKernelSolution):
         xs = sol.grid.nodes()

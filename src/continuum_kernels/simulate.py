@@ -18,6 +18,7 @@ a settling tail just past t_F, so the verdict means "stable" only when
 from __future__ import annotations
 
 import io
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -25,8 +26,7 @@ import numpy as np
 from .gains import GainTable
 from .params import LargeScaleParams
 
-__all__ = ["SimConfig", "SimReport", "Simulator", "run_closed_loop",
-           "write_sim_csv"]
+__all__ = ["SimConfig", "SimReport", "Simulator", "write_sim_csv"]
 
 # Verdict threshold on the final/initial norm ratio at t_final; it reads as
 # stability only when t_final is well past t_F = 1/mu + 1/min(lambda).
@@ -48,19 +48,19 @@ class SimConfig:
     cfl: float = 0.4
     initial_profile: str = "sine"
     amplitude: float = 1.0
-    control_mode: str = "gain_table"   # "gain_table" | "open_loop"
 
     def __post_init__(self):
         if self.m_x < 16:
             raise ValueError("need at least 16 grid points")
         if not 0.0 < self.cfl < 1.0:
             raise ValueError("cfl must lie in (0, 1)")
-        if self.t_final <= 0:
-            raise ValueError("t_final must be positive")
+        if not (math.isfinite(self.t_final) and self.t_final > 0):
+            raise ValueError(f"t_final must be finite and positive, "
+                             f"got {self.t_final}")
+        if not math.isfinite(self.amplitude):
+            raise ValueError(f"amplitude must be finite, got {self.amplitude}")
         if self.initial_profile not in INITIAL_PROFILES:
             raise ValueError(f"unknown initial profile {self.initial_profile!r}")
-        if self.control_mode not in ("gain_table", "open_loop"):
-            raise ValueError(f"unknown control mode {self.control_mode!r}")
 
 
 @dataclass
@@ -76,14 +76,16 @@ class SimReport:
 
 
 class Simulator:
-    """Method-of-lines integrator for one parameter set and gain table."""
+    """Method-of-lines integrator for one parameter set and gain table.
+
+    The state X is one (n+1, m) array: rows 0..n-1 are the family u^i and
+    row n is v, the layout of the n+1 kernels in ``fd_kernels``. ``gains``
+    None runs the plant open loop (U = 0)."""
 
     def __init__(self, cfg: SimConfig, ls: LargeScaleParams,
-                 gains: GainTable | None = None):
+                 gains: GainTable | None):
         if cfg.n != ls.n:
             raise ValueError("config and parameters disagree on n")
-        if cfg.control_mode == "gain_table" and gains is None:
-            raise ValueError("gain_table control mode needs a gain table")
         ls.check_speeds()
         self.cfg = cfg
         n, m = ls.n, cfg.m_x
@@ -99,7 +101,7 @@ class Simulator:
         self.weights = np.full(m, self.h)
         self.weights[0] = self.weights[-1] = self.h / 2.0
 
-        if gains is not None and cfg.control_mode == "gain_table":
+        if gains is not None:
             if len(gains.grid_y) != n:
                 raise ValueError(
                     f"gain table has {len(gains.grid_y)} family rows, need n={n}"
@@ -117,92 +119,93 @@ class Simulator:
             self.kbg = None
             self._denom = 1.0
 
-    # -- state layout: u rows 1..m-1 and v rows 0..m-2 are evolved ----------
+    # -- u columns 1..m-1 and v columns 0..m-2 are evolved; the boundary
+    #    columns u[:, 0] and v[-1] follow from them ---------------------------
 
-    def initial_state(self) -> tuple[np.ndarray, np.ndarray]:
+    def initial_state(self) -> np.ndarray:
         prof = INITIAL_PROFILES[self.cfg.initial_profile]
-        u = np.tile(self.cfg.amplitude * prof(self.xs), (self.n, 1))
-        v = np.zeros(self.m)
-        u[:, 0] = self.q * v[0]
-        v[-1] = self.control(u, v)
-        return u, v
+        X = np.zeros((self.n + 1, self.m))
+        X[:self.n] = self.cfg.amplitude * prof(self.xs)
+        self._apply_bc(X)
+        return X
 
-    def control(self, u: np.ndarray, v: np.ndarray) -> float:
-        """Feedback value for the current state; open loop gives 0.
+    def control(self, X: np.ndarray) -> float:
+        """Feedback value for the state X; open loop gives 0.
 
         The quadrature endpoint carries v(1) = U itself; the scalar equation
         is solved exactly, so the result never depends on the stale v[-1]."""
         if self.kg is None:
             return 0.0
+        u, v = X[:self.n], X[self.n]
         w = self.weights
         su = float((w * (self.kg * u).mean(axis=0)).sum())
         sv = float((w[:-1] * self.kbg[:-1] * v[:-1]).sum())
         return (su + sv) / self._denom
 
-    def _apply_bc(self, u: np.ndarray, v: np.ndarray) -> float:
-        u[:, 0] = self.q * v[0]
-        U = self.control(u, v)
-        v[-1] = U
-        return U
+    def _apply_bc(self, X: np.ndarray) -> None:
+        X[:self.n, 0] = self.q * X[self.n, 0]
+        X[self.n, -1] = self.control(X)
 
-    def _rhs(self, u: np.ndarray, v: np.ndarray):
-        """Upwind space derivatives plus coupling terms on evolved nodes."""
-        h = self.h
-        du = np.zeros_like(u)
-        dv = np.zeros_like(v)
-        adv_u = (u[:, 1:] - u[:, :-1]) / h
-        du[:, 1:] = -self.lam[:, 1:] * adv_u
-        du += self.params.couple(u) / self.n
-        du += self.W * v[None, :]
+    def _rhs(self, X: np.ndarray) -> np.ndarray:
+        """Upwind space derivatives plus coupling terms on evolved nodes.
+
+        The three couplings share one (n, m) temporary: at large n every
+        fresh state-sized array costs page faults."""
+        n, h = self.n, self.h
+        u, v = X[:n], X[n]
+        D = np.zeros_like(X)
+        du, dv = D[:n], D[n]
+        du[:, 1:] = -self.lam[:, 1:] * ((u[:, 1:] - u[:, :-1]) / h)
+        c = self.params.couple(u)
+        c /= n
+        du += c
+        du += np.multiply(self.W, v, out=c)
         du[:, 0] = 0.0
         dv[:-1] = self.mu[:-1] * (v[1:] - v[:-1]) / h
-        dv += (self.theta * u).mean(axis=0)
+        dv += np.multiply(self.theta, u, out=c).mean(axis=0)
         dv[-1] = 0.0
-        return du, dv
+        return D
 
-    def step(self, u: np.ndarray, v: np.ndarray, dt: float):
-        """One classical four-stage explicit step; boundary values are
-        reconstructed from the stage states before every evaluation."""
+    def step(self, X: np.ndarray, dt: float) -> np.ndarray:
+        """One classical four-stage explicit step. Boundary values are set on
+        every stage state before it is evaluated: in place on X, a no-op for
+        states from ``initial_state`` or ``step``, and on the arrays the
+        stage combinations allocate."""
 
-        def f(uu, vv):
-            uu = uu.copy()
-            vv = vv.copy()
-            self._apply_bc(uu, vv)
-            return self._rhs(uu, vv)
+        def f(S):
+            self._apply_bc(S)
+            return self._rhs(S)
 
-        k1u, k1v = f(u, v)
-        k2u, k2v = f(u + 0.5 * dt * k1u, v + 0.5 * dt * k1v)
-        k3u, k3v = f(u + 0.5 * dt * k2u, v + 0.5 * dt * k2v)
-        k4u, k4v = f(u + dt * k3u, v + dt * k3v)
-        un = u + dt / 6.0 * (k1u + 2 * k2u + 2 * k3u + k4u)
-        vn = v + dt / 6.0 * (k1v + 2 * k2v + 2 * k3v + k4v)
-        self._apply_bc(un, vn)
-        return un, vn
+        k1 = f(X)
+        k2 = f(X + 0.5 * dt * k1)
+        k3 = f(X + 0.5 * dt * k2)
+        k4 = f(X + dt * k3)
+        Xn = X + dt / 6.0 * (k1 + 2 * k2 + 2 * k3 + k4)
+        self._apply_bc(Xn)
+        return Xn
 
-    def norm(self, u: np.ndarray, v: np.ndarray) -> float:
+    def norm(self, X: np.ndarray) -> float:
+        u, v = X[:self.n], X[self.n]
         return float(np.sqrt(self.h * ((u ** 2).sum() / self.n + (v ** 2).sum())))
 
     def run(self) -> SimReport:
-        u, v = self.initial_state()
+        X = self.initial_state()
         nsteps = int(np.ceil(self.cfg.t_final / self.dt))
         dt = self.cfg.t_final / nsteps
         ts = [0.0]
-        Us = [self.control(u, v)]
-        norms = [self.norm(u, v)]
+        Us = [self.control(X)]
+        norms = [self.norm(X)]
         diverged = False
         for k in range(nsteps):
-            u, v = self.step(u, v, dt)
-            t = (k + 1) * dt
-            if not (np.all(np.isfinite(u)) and np.all(np.isfinite(v))) or \
-                    max(np.abs(u).max(), np.abs(v).max()) > DIVERGE_LIMIT:
+            X = self.step(X, dt)
+            ts.append((k + 1) * dt)
+            if not np.abs(X).max() <= DIVERGE_LIMIT:   # NaN fails it too
                 diverged = True
-                ts.append(t)
                 Us.append(np.nan)
                 norms.append(np.inf)
                 break
-            ts.append(t)
-            Us.append(self.control(u, v))
-            norms.append(self.norm(u, v))
+            Us.append(self.control(X))
+            norms.append(self.norm(X))
         t_arr = np.asarray(ts)
         U_arr = np.asarray(Us)
         n_arr = np.asarray(norms)
@@ -214,12 +217,6 @@ class Simulator:
         return SimReport(t=t_arr, U=U_arr, norm=n_arr, stable=stable,
                          diverged=diverged, dt=dt,
                          initial_norm=float(initial), final_norm=float(final))
-
-
-def run_closed_loop(cfg: SimConfig, ls: LargeScaleParams,
-                    gains: GainTable | None = None) -> SimReport:
-    """Convenience wrapper: build a Simulator and integrate to t_final."""
-    return Simulator(cfg, ls, gains).run()
 
 
 def write_sim_csv(report: SimReport, path, manifest: str | None = None) -> None:

@@ -23,7 +23,7 @@ from continuum_kernels.power_series import (SolverConfig, assemble,
                                             coeff_vector, count_unknowns,
                                             optimality_check, solve_ls)
 from continuum_kernels.series import TruncatedSeries, Var
-from continuum_kernels.simulate import SimConfig, run_closed_loop
+from continuum_kernels.simulate import SimConfig, Simulator
 
 X, XI, Y = Var.X, Var.XI, Var.Y
 
@@ -281,16 +281,15 @@ def sim_runs(example2, solve_cache, fd_baseline):
     grid = np.linspace(0.0, 1.0, SIM_KW["m_x"])
     cfg = SimConfig(**SIM_KW)
     runs = {}
-    runs["open"] = run_closed_loop(
-        SimConfig(control_mode="open_loop", **SIM_KW), ls, None)
+    runs["open"] = Simulator(cfg, ls, None).run()
     _, _, fd_table = fd_baseline
-    runs["fd"] = run_closed_loop(cfg, ls, fd_table)
+    runs["fd"] = Simulator(cfg, ls, fd_table).run()
     for N, ny, key in ((6, None, (6, "full")), (20, None, (20, "full")),
                        (20, 2, (20, "ry")), (25, None, (25, "full")),
                        (25, 2, (25, "ry"))):
         sol = solve_cache.solution("example2", SolverConfig(N=N, N_y=ny))
         table = sample_gains(sol, 10, grid_xi=grid)
-        runs[key] = run_closed_loop(cfg, ls, table)
+        runs[key] = Simulator(cfg, ls, table).run()
     return runs
 
 

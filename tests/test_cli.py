@@ -236,6 +236,14 @@ class TestSimulate:
                     "--out-prefix", str(tmp_path / "f" / "sub" / "s")]) == 1
         assert "error:" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("flag", ["--amplitude", "--t-final"])
+    @pytest.mark.parametrize("value", ["nan", "inf"])
+    def test_non_finite_input_exits_1(self, tmp_path, capsys, flag, value):
+        assert run(["simulate", "--config", "example2", "--open-loop",
+                    flag, value, "--out-prefix", str(tmp_path / "s")]) == 1
+        assert flag[2:].replace("-", "_") in capsys.readouterr().err
+        assert not (tmp_path / "s_sim.csv").exists()
+
     def test_needs_a_control_source(self, tmp_path):
         assert run(["simulate", "--config", "example2",
                     "--out-prefix", str(tmp_path / "x")]) == 1

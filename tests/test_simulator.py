@@ -8,8 +8,9 @@ from continuum_kernels.params import (ContinuumParams, parse_problem_dict,
                                       sample_continuum)
 from continuum_kernels.series import (Cos, Exp, Polynomial, SeparableSum,
                                       SeparableTerm, Var)
-from continuum_kernels.simulate import (SimConfig, Simulator,
-                                        run_closed_loop)
+from continuum_kernels.simulate import (DIVERGE_LIMIT, INITIAL_PROFILES,
+                                        STABLE_NORM_FRACTION, SimConfig,
+                                        SimReport, Simulator)
 
 
 def transport_only(n=3):
@@ -30,29 +31,28 @@ class TestInvariants:
         rng = np.random.default_rng(0)
         ls = transport_only()
         cfg = SimConfig(n=3, m_x=32, t_final=0.5, initial_profile="zero")
-        rep = run_closed_loop(cfg, ls, random_gains(rng, 3, 32))
+        rep = Simulator(cfg, ls, random_gains(rng, 3, 32)).run()
         assert rep.initial_norm == 0.0
         assert rep.final_norm == 0.0
         np.testing.assert_array_equal(rep.U, 0.0)
 
     def test_transport_empties_domain(self):
         ls = transport_only()
-        cfg = SimConfig(n=3, m_x=64, t_final=2.5, control_mode="open_loop")
-        rep = run_closed_loop(cfg, ls, None)
+        cfg = SimConfig(n=3, m_x=64, t_final=2.5)
+        rep = Simulator(cfg, ls, None).run()
         assert not rep.diverged
         assert rep.final_norm < 1e-3 * rep.initial_norm
         assert rep.stable
 
     def test_sup_norm_nonincreasing_for_pure_transport(self):
         ls = transport_only()
-        cfg = SimConfig(n=3, m_x=48, t_final=1.0, cfl=0.5,
-                        control_mode="open_loop")
+        cfg = SimConfig(n=3, m_x=48, t_final=1.0, cfl=0.5)
         sim = Simulator(cfg, ls, None)
-        u, v = sim.initial_state()
-        sup = max(np.abs(u).max(), np.abs(v).max())
+        X = sim.initial_state()
+        sup = np.abs(X).max()
         for _ in range(60):
-            u, v = sim.step(u, v, sim.dt)
-            new = max(np.abs(u).max(), np.abs(v).max())
+            X = sim.step(X, sim.dt)
+            new = np.abs(X).max()
             assert new <= sup + 1e-13
             sup = new
 
@@ -61,8 +61,8 @@ class TestInvariants:
         kern_gains = sample_gains_for(ls)
         base = SimConfig(n=10, m_x=48, t_final=0.6, amplitude=1.0)
         scaled = SimConfig(n=10, m_x=48, t_final=0.6, amplitude=2.5)
-        r1 = run_closed_loop(base, ls, kern_gains)
-        r2 = run_closed_loop(scaled, ls, kern_gains)
+        r1 = Simulator(base, ls, kern_gains).run()
+        r2 = Simulator(scaled, ls, kern_gains).run()
         np.testing.assert_allclose(r2.U, 2.5 * r1.U, rtol=1e-10, atol=1e-12)
         np.testing.assert_allclose(r2.norm, 2.5 * r1.norm, rtol=1e-10,
                                    atol=1e-13)
@@ -71,11 +71,11 @@ class TestInvariants:
         ls = example2.large_scale()
         sim = Simulator(SimConfig(n=10, m_x=32, t_final=1.0), ls,
                         sample_gains_for(ls, m=32))
-        u, v = sim.initial_state()
+        X = sim.initial_state()
         for _ in range(5):
-            u, v = sim.step(u, v, sim.dt)
-            np.testing.assert_array_equal(u[:, 0], sim.q * v[0])
-            assert v[-1] == sim.control(u, v)
+            X = sim.step(X, sim.dt)
+            np.testing.assert_array_equal(X[:10, 0], sim.q * X[10, 0])
+            assert X[10, -1] == sim.control(X)
 
 
 def sample_gains_for(ls, m=48):
@@ -98,9 +98,8 @@ class TestControl:
         ls = example2.large_scale()
         sim = Simulator(SimConfig(n=10, m_x=32, t_final=1.0), ls,
                         sample_gains_for(ls, m=32))
-        u = np.zeros((10, 32))
-        v = np.zeros(32)
-        assert sim.control(u, v) == 0.0
+        X = np.zeros((11, 32))
+        assert sim.control(X) == 0.0
 
     def test_zero_gains_zero_control(self, example2):
         ls = example2.large_scale()
@@ -108,13 +107,13 @@ class TestControl:
                          grid_y=np.arange(1, 11) / 10,
                          k=np.zeros((10, 16)), kbar=np.zeros(16), sampled=True)
         sim = Simulator(SimConfig(n=10, m_x=32, t_final=0.2), ls, zero)
-        u, v = sim.initial_state()
-        assert sim.control(u, v) == 0.0
+        X = sim.initial_state()
+        assert sim.control(X) == 0.0
 
     def test_open_loop_instability_sets_in(self, example2):
         ls = example2.large_scale()
-        cfg = SimConfig(n=10, m_x=64, t_final=1.5, control_mode="open_loop")
-        rep = run_closed_loop(cfg, ls, None)
+        cfg = SimConfig(n=10, m_x=64, t_final=1.5)
+        rep = Simulator(cfg, ls, None).run()
         assert rep.final_norm > rep.initial_norm
 
     def test_endpoint_equation_solved_exactly(self, example2):
@@ -122,7 +121,8 @@ class TestControl:
         ls = example2.large_scale()
         sim = Simulator(SimConfig(n=10, m_x=40, t_final=0.1), ls,
                         sample_gains_for(ls, m=40))
-        u, v = sim.initial_state()
+        X = sim.initial_state()
+        u, v = X[:10], X[10]
         w = sim.weights
         manual = float((w * ((sim.kg * u).mean(axis=0) + sim.kbg * v)).sum())
         assert manual == pytest.approx(v[-1], rel=1e-12)
@@ -141,16 +141,242 @@ class TestConfigValidation:
         with pytest.raises(ValueError):
             SimConfig(n=2, m_x=32, t_final=1.0, initial_profile="sawtooth")
 
-    def test_gain_table_required(self):
-        ls = transport_only()
-        with pytest.raises(ValueError, match="gain table"):
-            Simulator(SimConfig(n=3, m_x=32, t_final=1.0), ls, None)
+    @pytest.mark.parametrize("field", ["t_final", "amplitude"])
+    @pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
+    def test_non_finite_rejected(self, field, value):
+        kw = {"n": 2, "m_x": 32, "t_final": 1.0, field: value}
+        with pytest.raises(ValueError, match=field):
+            SimConfig(**kw)
 
     def test_n_mismatch(self, example2):
         ls = example2.large_scale()
         with pytest.raises(ValueError, match="disagree"):
-            Simulator(SimConfig(n=4, m_x=32, t_final=1.0,
-                                control_mode="open_loop"), ls, None)
+            Simulator(SimConfig(n=4, m_x=32, t_final=1.0), ls, None)
+
+
+# -- the (n+1, m) state against the separate u/v pair ---------------------------
+
+
+class UVSimulator:
+    """The simulator as it was with a separate family u (n, m) and counter
+    component v (m,), copying both at every stage; kept as the oracle."""
+
+    def __init__(self, cfg: SimConfig, ls, gains=None):
+        if cfg.n != ls.n:
+            raise ValueError("config and parameters disagree on n")
+        ls.check_speeds()
+        self.cfg = cfg
+        n, m = ls.n, cfg.m_x
+        self.n, self.m = n, m
+        xs = np.linspace(0.0, 1.0, m)
+        self.xs = xs
+        self.h = xs[1] - xs[0]
+        self.params = g = ls.on_grid(xs)
+        self.lam, self.mu, self.q = g.lam, g.mu, g.q
+        self.theta, self.W = g.theta, g.W
+        speed = max(float(self.lam.max()), float(self.mu.max()))
+        self.dt = cfg.cfl * self.h / speed
+        self.weights = np.full(m, self.h)
+        self.weights[0] = self.weights[-1] = self.h / 2.0
+
+        if gains is not None:
+            if len(gains.grid_y) != n:
+                raise ValueError(
+                    f"gain table has {len(gains.grid_y)} family rows, need n={n}"
+                )
+            self.kg = np.array([
+                np.interp(xs, gains.grid_xi, gains.k[i]) for i in range(n)
+            ])
+            self.kbg = np.interp(xs, gains.grid_xi, gains.kbar)
+            denom = 1.0 - self.weights[-1] * self.kbg[-1]
+            if abs(denom) < 1e-8:
+                raise ValueError("feedback endpoint equation is singular")
+            self._denom = denom
+        else:
+            self.kg = None
+            self.kbg = None
+            self._denom = 1.0
+
+    def initial_state(self):
+        prof = INITIAL_PROFILES[self.cfg.initial_profile]
+        u = np.tile(self.cfg.amplitude * prof(self.xs), (self.n, 1))
+        v = np.zeros(self.m)
+        u[:, 0] = self.q * v[0]
+        v[-1] = self.control(u, v)
+        return u, v
+
+    def control(self, u, v):
+        if self.kg is None:
+            return 0.0
+        w = self.weights
+        su = float((w * (self.kg * u).mean(axis=0)).sum())
+        sv = float((w[:-1] * self.kbg[:-1] * v[:-1]).sum())
+        return (su + sv) / self._denom
+
+    def _apply_bc(self, u, v):
+        u[:, 0] = self.q * v[0]
+        U = self.control(u, v)
+        v[-1] = U
+        return U
+
+    def _rhs(self, u, v):
+        h = self.h
+        du = np.zeros_like(u)
+        dv = np.zeros_like(v)
+        adv_u = (u[:, 1:] - u[:, :-1]) / h
+        du[:, 1:] = -self.lam[:, 1:] * adv_u
+        du += self.params.couple(u) / self.n
+        du += self.W * v[None, :]
+        du[:, 0] = 0.0
+        dv[:-1] = self.mu[:-1] * (v[1:] - v[:-1]) / h
+        dv += (self.theta * u).mean(axis=0)
+        dv[-1] = 0.0
+        return du, dv
+
+    def step(self, u, v, dt):
+
+        def f(uu, vv):
+            uu = uu.copy()
+            vv = vv.copy()
+            self._apply_bc(uu, vv)
+            return self._rhs(uu, vv)
+
+        k1u, k1v = f(u, v)
+        k2u, k2v = f(u + 0.5 * dt * k1u, v + 0.5 * dt * k1v)
+        k3u, k3v = f(u + 0.5 * dt * k2u, v + 0.5 * dt * k2v)
+        k4u, k4v = f(u + dt * k3u, v + dt * k3v)
+        un = u + dt / 6.0 * (k1u + 2 * k2u + 2 * k3u + k4u)
+        vn = v + dt / 6.0 * (k1v + 2 * k2v + 2 * k3v + k4v)
+        self._apply_bc(un, vn)
+        return un, vn
+
+    def norm(self, u, v):
+        return float(np.sqrt(self.h * ((u ** 2).sum() / self.n + (v ** 2).sum())))
+
+    def run(self) -> SimReport:
+        u, v = self.initial_state()
+        nsteps = int(np.ceil(self.cfg.t_final / self.dt))
+        dt = self.cfg.t_final / nsteps
+        ts = [0.0]
+        Us = [self.control(u, v)]
+        norms = [self.norm(u, v)]
+        diverged = False
+        for k in range(nsteps):
+            u, v = self.step(u, v, dt)
+            t = (k + 1) * dt
+            if not (np.all(np.isfinite(u)) and np.all(np.isfinite(v))) or \
+                    max(np.abs(u).max(), np.abs(v).max()) > DIVERGE_LIMIT:
+                diverged = True
+                ts.append(t)
+                Us.append(np.nan)
+                norms.append(np.inf)
+                break
+            ts.append(t)
+            Us.append(self.control(u, v))
+            norms.append(self.norm(u, v))
+        t_arr = np.asarray(ts)
+        U_arr = np.asarray(Us)
+        n_arr = np.asarray(norms)
+        initial = n_arr[0]
+        final = n_arr[-1]
+        stable = (not diverged) and final < STABLE_NORM_FRACTION * initial
+        if initial == 0.0:
+            stable = not diverged and final == 0.0
+        return SimReport(t=t_arr, U=U_arr, norm=n_arr, stable=stable,
+                         diverged=diverged, dt=dt,
+                         initial_norm=float(initial), final_norm=float(final))
+
+
+def varying_plant(n=6):
+    """lambda(x, y) and mu(x) non-constant; sigma, theta, W and q nonzero."""
+    X, Y, ETA = Var.X, Var.Y, Var.ETA
+    p = ContinuumParams(
+        lam=SeparableSum([SeparableTerm(1.0, []), SeparableTerm(
+            0.5, [Polynomial(X, [0.0, 1.0]), Exp(Y, 0.3)])]),
+        mu=SeparableSum([SeparableTerm(1.2, [Exp(X, -0.3)])]),
+        sigma=SeparableSum([SeparableTerm(0.8, [
+            Cos(X, 2.0, 0.1), Exp(ETA, 0.5), Polynomial(Y, [1.0, -1.0])])]),
+        theta=SeparableSum([SeparableTerm(
+            -1.5, [Exp(X, 0.2), Polynomial(Y, [1.0, 0.5])])]),
+        W=SeparableSum([SeparableTerm(
+            0.7, [Polynomial(X, [0.0, 1.0]), Cos(Y, 1.0, 0.0)])]),
+        q=SeparableSum([SeparableTerm(0.6, [Polynomial(Y, [1.0, -0.5])])]),
+    )
+    return sample_continuum(p, n)
+
+
+def scaled(table, c):
+    return GainTable(grid_xi=table.grid_xi, grid_y=table.grid_y,
+                     k=c * table.k, kbar=c * table.kbar, sampled=True)
+
+
+def oracle_case(name, example2):
+    """(config, parameters, gain table) of one oracle comparison."""
+    if name == "example2-order8":
+        ls = example2.large_scale()
+        return SimConfig(n=10, m_x=48, t_final=1.0), ls, sample_gains_for(ls)
+    if name == "example2-open-loop":
+        return SimConfig(n=10, m_x=64, t_final=1.5), example2.large_scale(), None
+    if name == "transport-only":
+        return (SimConfig(n=3, m_x=40, t_final=1.2), transport_only(),
+                random_gains(np.random.default_rng(1), 3, 40))
+    if name == "divergent":
+        # order-8 gains scaled by -100 blow the loop up within 15 steps
+        ls = example2.large_scale()
+        return (SimConfig(n=10, m_x=48, t_final=1.0), ls,
+                scaled(sample_gains_for(ls), -100.0))
+    if name == "offset-1":
+        from continuum_kernels.power_series import SolverConfig, solve
+        ls = sample_continuum(example2.continuum, 10, -1.0)
+        sol = solve(example2.continuum, SolverConfig(N=8))
+        table = sample_gains(sol, 10, grid_xi=np.linspace(0, 1, 48),
+                             offset=-1.0)
+        return SimConfig(n=10, m_x=48, t_final=1.0), ls, table
+    if name == "varying":
+        return (SimConfig(n=6, m_x=40, t_final=1.0, initial_profile="bump"),
+                varying_plant(6), random_gains(np.random.default_rng(2), 6, 33))
+    raise KeyError(name)
+
+
+ORACLE_CASES = ("example2-order8", "example2-open-loop", "transport-only",
+                "divergent", "offset-1", "varying")
+
+
+def same_run_as_oracle(cfg, ls, table, steps=5) -> SimReport:
+    """Assert the (n+1, m) simulator reproduces the u/v oracle bit for bit,
+    step by step and over a whole run; return the run's report."""
+    new, old = Simulator(cfg, ls, table), UVSimulator(cfg, ls, table)
+    X = new.initial_state()
+    u, v = old.initial_state()
+    for _ in range(steps):
+        assert np.array_equal(X[:-1], u) and np.array_equal(X[-1], v)
+        assert new.control(X) == old.control(u, v)
+        assert new.norm(X) == old.norm(u, v)
+        X = new.step(X, new.dt)
+        u, v = old.step(u, v, old.dt)
+    a, b = new.run(), old.run()
+    for field in ("t", "U", "norm"):
+        assert np.array_equal(getattr(a, field), getattr(b, field),
+                              equal_nan=True), field
+    assert (a.dt, a.stable, a.diverged, a.initial_norm, a.final_norm) == \
+        (b.dt, b.stable, b.diverged, b.initial_norm, b.final_norm)
+    return a
+
+
+@pytest.mark.parametrize("name", ORACLE_CASES)
+def test_state_array_matches_uv_oracle(name, example2):
+    same_run_as_oracle(*oracle_case(name, example2))
+
+
+def test_divergence_is_flagged(example2):
+    cfg, ls, table = oracle_case("divergent", example2)
+    rep = same_run_as_oracle(cfg, ls, table)
+    nsteps = int(np.ceil(cfg.t_final / Simulator(cfg, ls, table).dt))
+    assert rep.diverged and not rep.stable
+    assert np.isnan(rep.U[-1]) and np.all(np.isfinite(rep.U[:-1]))
+    assert rep.norm[-1] == np.inf and rep.final_norm == np.inf
+    assert len(rep.t) < nsteps + 1
+    assert rep.t[-1] == (len(rep.t) - 1) * rep.dt < cfg.t_final
 
 
 # -- factored sigma coupling against a dense table ----------------------------
