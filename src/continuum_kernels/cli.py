@@ -366,6 +366,7 @@ def cmd_ls_kernels(args) -> int:
         "iterations": sol.iterations, "final_delta": sol.final_delta,
         "sweep_history": sol.history,
         "timing_s": elapsed,
+        "stages_s": sol.stages_s,
     })
     print(f"ls-kernels: converged in {sol.iterations} sweeps "
           f"(last change {sol.final_delta:.3e})")

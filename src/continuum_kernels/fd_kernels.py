@@ -2,21 +2,24 @@
 
 The kernel family k^1..k^n propagates from the diagonal xi = x toward the
 interior of the triangle, the counter kernel k^{n+1} from the edge xi = 0.
-Each fixed-point sweep integrates the transport equations along their
-characteristic curves with all coupling sources frozen at the previous
-iterate (successive approximation), which contracts like a Volterra
-iteration. Source integrals use the rectangle rule at the upstream point
-and off-grid values linear interpolation, so the scheme converges at first
-order in the mesh width.
+Both travel in +x, and every coupling source at x-level a-1 depends only on
+kernel values at that level. So one Gauss-Seidel march in x, level by
+level, each level's values traced back along the characteristic curves
+from the level below and its sources taken from the values just computed,
+solves the discrete equations; a second sweep certifies the answer by
+reproducing it (sup change 0). Source integrals use the rectangle rule at
+the upstream point and off-grid values linear interpolation, so the scheme
+converges at first order in the mesh width.
 """
 
 from __future__ import annotations
 
+import time
 from dataclasses import dataclass, field
 
 import numpy as np
 
-from .params import LargeScaleParams
+from .params import LargeScaleParams, _contract
 
 __all__ = ["TriGrid", "LsKernelSolution", "ConvergenceError",
            "solve_characteristics", "refine_study", "RefineReport"]
@@ -60,6 +63,7 @@ class LsKernelSolution:
     grid: TriGrid
     y_points: np.ndarray
     history: list[float]            # sup change of each sweep
+    stages_s: dict[str, float] = field(default_factory=dict)
 
     @property
     def iterations(self) -> int:
@@ -81,130 +85,172 @@ def _weights(t: np.ndarray, h: float, length):
 class _Stencils:
     """The iterate-independent part of a sweep on one grid.
 
-    Kernels and sources share the layout of one (n+1, m+1, m+1) array, so a
-    flat index ``lo`` addresses the lower interpolation node (``lo + 1`` the
-    upper one) at the foot of a characteristic in both. Nodes whose foot lies
-    on level a-1 are sorted by level: level a owns ``slice(starts[a],
-    starts[a+1])``. A family node ``d`` meets the diagonal and a counter node
-    ``z`` the edge xi = 0 between the two levels; their values come from
-    boundary data and sources alone.
+    Flat indices address one level of the level-major kernel array
+    K[a, i, b] (and the source row S[i, b] that shares its layout): node
+    (i, b) is ``i*(m+1) + b``. An interior node of level a reads the
+    interpolation nodes ``lo`` and ``lo + 1`` at the foot of its
+    characteristic on level a-1. A family node ``d`` meets the diagonal and
+    a counter node ``z`` the edge xi = 0 between the two levels; they read
+    boundary data and diagonal or edge sources instead. Each kind is in
+    level order: level a owns ``slice(starts[a], starts[a+1])`` of it.
     """
 
     def __init__(self, lam, mu, diag_bc, xs, h):
         n, m = lam.shape[0], len(xs) - 1
         mu_of = lambda t: np.interp(t, xs, mu)
-        rows = np.arange(n)[:, None]
-        plane = (m + 1) ** 2
+        # level a owns the a pairs (a, b < a) of A, B, so tables with one
+        # row per pair are in level order. Row t holds the family nodes
+        # (i, A, B) in columns i < n and the counter node (n, A, B+1) in
+        # column n.
+        A, B = np.tril_indices(m + 1, -1)
+        xa, level = xs[A][:, None], A[:, None]
+        cols = np.arange(n + 1)
+        node = cols * (m + 1) + B[:, None] + (cols == n)
+        feet = np.empty(node.shape)
+        inside = np.empty(node.shape, dtype=bool)
 
         # family kernels: trace back along dxi/dx = -lam_i/mu
-        A, B = np.tril_indices(m + 1, -1)
-        xi, xa = xs[B], xs[A]
-        slope0 = lam[:, B] / mu[A]
+        lam_t, i = lam.T, cols[:n]
+        xi = xs[B][:, None]
+        slope0 = lam_t[B] / mu[A][:, None]
         j, w = _weights(xi + slope0 * h, h, m + 1)
-        slope = 0.5 * (slope0 + (lam[rows, j] * (1.0 - w) + lam[rows, j + 1] * w)
-                       / mu[A - 1])
-        feet = xi + slope * h
-        inside = feet <= xs[A - 1] + 1e-14
-        level = np.broadcast_to(A, inside.shape)
-        node = rows * plane + A * (m + 1) + B
-        out = ~inside
+        slope = 0.5 * (slope0 + (lam_t[j, i] * (1.0 - w) + lam_t[j + 1, i] * w)
+                       / mu[A - 1][:, None])
+        feet[:, :n] = xi + slope * h
+        inside[:, :n] = feet[:, :n] <= xs[A - 1][:, None] + 1e-14
+        out = ~inside[:, :n]
         xd = ((xi + slope * xa) / (1.0 + slope))[out]
         j, w = _weights(xd, h, m + 1)
-        i = np.broadcast_to(rows, inside.shape)[out]
-        self.d_node = node[out]
-        self.d_lo = i * plane + j * (m + 2)     # S[i, j, j]
+        i = np.broadcast_to(i, out.shape)[out]
+        self.d_starts = _starts(np.broadcast_to(level, out.shape)[out], m)
+        self.d_node = node[:, :n][out]
+        self.d_lo = i * (m + 1) + j                     # S_diag[i, j]
         self.d_w1, self.d_w = 1.0 - w, w
         self.d_k = diag_bc[i, j] * (1.0 - w) + diag_bc[i, j + 1] * w
-        self.d_c = (xs[level[out]] - xd) / mu_of(xd)
-        fam = (level[inside], node[inside], feet[inside],
-               (rows * plane + (A - 1) * (m + 1))[inside])
+        self.d_c = (np.broadcast_to(xa, out.shape)[out] - xd) / mu_of(xd)
 
         # counter kernel: trace back along dxi/dx = +mu(xi)/mu(x)
-        A, B = np.tril_indices(m)
-        A, B = A + 1, B + 1
-        xi, xa = xs[B], xs[A]
+        xi = xs[B + 1]
         sl0 = np.interp(xi, xs, mu) / mu[A]
         sl = 0.5 * (sl0 + mu_of(np.clip(xi - sl0 * h, 0.0, 1.0)) / mu[A - 1])
-        feet = xi - sl * h
-        inside = feet >= -1e-14
-        node = n * plane + A * (m + 1) + B
-        out = ~inside
-        x0 = xa[out] - xi[out] / np.maximum(sl[out], 1e-300)
-        self.z_node = node[out]
+        t = xi - sl * h
+        inside[:, n] = t >= -1e-14
+        feet[:, n] = np.clip(t, 0.0, xs[A - 1])
+        out = ~inside[:, n]
+        x0 = xs[A][out] - xi[out] / np.maximum(sl[out], 1e-300)
+        self.z_starts = _starts(A[out], m)
+        self.z_node = node[out, n]
         self.z_x = x0
-        self.z_c = (xa[out] - x0) / mu_of(x0)
-        cnt = (A[inside], node[inside],
-               np.clip(feet, 0.0, xs[A - 1])[inside],
-               (n * plane + (A - 1) * (m + 1))[inside])
+        self.z_c = (xs[A][out] - x0) / mu_of(x0)
 
-        level, self.node, t, row = (np.concatenate(v) for v in zip(fam, cnt))
-        order = np.argsort(level, kind="stable")
-        level, self.node, t, row = level[order], self.node[order], t[order], row[order]
-        j, w = _weights(t, h, level)
-        self.lo = row + j
+        level = np.broadcast_to(level, inside.shape)[inside]
+        j, w = _weights(feet[inside], h, level)
+        self.starts = _starts(level, m)
+        self.node = node[inside]
+        self.lo = np.broadcast_to(cols * (m + 1), inside.shape)[inside] + j
         self.w1, self.w = 1.0 - w, w
-        self.c = h / mu[level - 1]
-        self.starts = np.searchsorted(level, np.arange(m + 2))
+
+
+def _starts(level, m):
+    """Offsets of levels 0..m+1 in an array sorted by level."""
+    return np.searchsorted(level, np.arange(m + 2))
 
 
 def solve_characteristics(ls: LargeScaleParams, grid: TriGrid | None = None,
                           tol: float = 1e-10, max_iter: int = 200
                           ) -> LsKernelSolution:
-    """Successive approximation along characteristics.
+    """March the discrete kernel equations level by level in x.
 
-    Each sweep maps the previous iterate K to a new one: the diagonal and
-    xi=0 boundary data are imposed from K, and every node value is the
-    boundary value at the characteristic's origin plus the accumulated
-    source integral, evaluated on K. The characteristics do not depend on K,
-    so their stencils are built once per solve. Stops when the sup change
+    A sweep updates the previous iterate in place, level a = 0..m in turn.
+    Every node value is the boundary value at its characteristic's origin
+    plus the source integral; the sources at level a-1 are evaluated from
+    the kernels this sweep has just computed there, and within level a the
+    nodes come in dependency order (interior nodes, diagonal sources,
+    diagonal-crossing nodes, the xi = 0 boundary value and source, edge-
+    crossing nodes, then the source row for level a+1). So the first sweep
+    solves the discrete equations, and the second reproduces it: its sup
+    change, which certifies the answer, is 0. A value read before this sweep
+    sets it is the previous iterate's, so a broken order would only cost more
+    sweeps, never a wrong fixed point. The characteristics do not depend on
+    K, so their stencils are built once per solve. Stops when the sup change
     drops below ``tol``; raises :class:`ConvergenceError` otherwise.
     """
     if grid is None:
         grid = TriGrid(256)
     ls.check_speeds()
+    t0 = time.perf_counter()
     n, m, h = ls.n, grid.m, grid.h
     xs = grid.nodes()
 
     g = ls.on_grid(xs)
     lam, dlam, mu, dmu, TH, WW, q = g.lam, g.dlam, g.mu, g.dmu, g.theta, g.W, g.q
-    lam0 = lam[:, 0]
     diag_bc = -TH / (lam + mu[None, :])                           # (n, m+1)
     st = _Stencils(lam, mu, diag_bc, xs, h)
-    diag = np.arange(m + 1)
+    c = h / mu[:-1]                     # rectangle rule from level a-1
+    q_left = q * lam[:, 0] / (n * mu[0])
+    # the diagonal sources S[:n, a, a] but for their TH * K[n, a, a] part
+    D = g.couple_kernel(diag_bc) / n + dlam * diag_bc
 
-    K = np.zeros((n + 1, m + 1, m + 1))
+    def sources(Ka):
+        """Sources S[:, a, :b] from the kernels Ka = K[a, :, :b] of level a:
+        S[:n] drives the family, S[n] the counter kernel."""
+        b = Ka.shape[1]
+        S = np.empty_like(Ka)
+        S[:n] = _contract(g.sigma_y, g.sigma_eta, g.sigma_x[:, :b], Ka[:n]) / n
+        S[:n] += dlam[:, :b] * Ka[:n] + TH[:, :b] * Ka[n]
+        S[n] = -dmu[:b] * Ka[n] + np.einsum("jb,jb->b", WW[:, :b], Ka[:n]) / n
+        return S
+
+    t1 = time.perf_counter()
+    K = np.zeros((m + 1, n + 1, m + 1))             # K[a, i, b], level-major
+    left = K[:, n, 0]                               # k^{n+1}(x_a, 0)
+    S = np.zeros((n + 1, m + 1))                    # source row of level a-1
+    S_diag = np.zeros((n, m + 1))                   # S[:n, a, a]
+    S_left = np.zeros(m + 1)                        # S[n, a, 0]
+    Sp, Sd = S.reshape(-1), S_diag.reshape(-1)
     history = []
     while len(history) < max_iter:
-        # sources from the previous iterate: S[:n] drives the family, S[n]
-        # the counter kernel
-        S = np.empty_like(K)
-        np.divide(g.couple_kernel(K[:n]), n, out=S[:n])
-        S[:n] += dlam[:, None, :] * K[:n] + TH[:, None, :] * K[n][None]
-        S[n] = -dmu[None, :] * K[n] + np.einsum("jb,jab->ab", WW, K[:n]) / n
-        Sf = S.reshape(-1)
-        src = st.c * (Sf[st.lo] * st.w1 + Sf[1:][st.lo] * st.w)
-
-        Kn = np.zeros_like(K)
-        Knf = Kn.reshape(-1)
-        Kn[:n, diag, diag] = diag_bc
-        bc_left = (q[:, None] * lam0[:, None] * K[:n, :, 0]).sum(axis=0) / (n * mu[0])
-        Kn[n, :, 0] = bc_left
-        # crossing nodes read no kernel value of this sweep, so they are set
-        # before the march, which then reads them from level a-1
-        Knf[st.d_node] = st.d_k + st.d_c * (Sf[st.d_lo] * st.d_w1
-                                            + Sf[m + 2:][st.d_lo] * st.d_w)
-        Knf[st.z_node] = (np.interp(st.z_x, xs, bc_left)
-                          + st.z_c * np.interp(st.z_x, xs, S[n, :, 0]))
+        # level 0 is the corner x = xi = 0, boundary data alone
+        old = K[0, :, 0].copy()
+        K[0, :n, 0] = diag_bc[:, 0]
+        K[0, n, 0] = q_left @ diag_bc[:, 0]
+        S[:, :1] = sources(K[0, :, :1])
+        S_diag[:, 0], S_left[0] = S[:n, 0], S[n, 0]
+        change = float(np.abs(K[0, :, 0] - old).max())
         for a in range(1, m + 1):
+            old = K[a, :, :a + 1].copy()
+            Kp, Ka = K[a - 1].reshape(-1), K[a].reshape(-1)
+            # 1. interior nodes and the diagonal data
             j = slice(st.starts[a], st.starts[a + 1])
-            lo = st.lo[j]
-            Knf[st.node[j]] = Knf[lo] * st.w1[j] + Knf[1:][lo] * st.w[j] + src[j]
-
-        history.append(float(np.abs(Kn - K).max()))
-        K = Kn
-        if history[-1] < tol:
-            return LsKernelSolution(k=K, grid=grid, y_points=ls.y_points(),
-                                    history=history)
+            lo, w1, w = st.lo[j], st.w1[j], st.w[j]
+            Ka[st.node[j]] = (Kp[lo] * w1 + Kp[1:][lo] * w
+                              + c[a - 1] * (Sp[lo] * w1 + Sp[1:][lo] * w))
+            K[a, :n, a] = diag_bc[:, a]
+            # 2. diagonal sources; 3. family nodes that cross the diagonal
+            S_diag[:, a] = D[:, a] + TH[:, a] * K[a, n, a]
+            j = slice(st.d_starts[a], st.d_starts[a + 1])
+            lo = st.d_lo[j]
+            Ka[st.d_node[j]] = st.d_k[j] + st.d_c[j] * (Sd[lo] * st.d_w1[j]
+                                                        + Sd[1:][lo] * st.d_w[j])
+            # 4. the xi = 0 boundary value; 5. its source
+            K[a, n, 0] = q_left @ K[a, :n, 0]
+            S_left[a] = -dmu[0] * K[a, n, 0] + WW[:, 0] @ K[a, :n, 0] / n
+            # 6. counter nodes that cross xi = 0
+            j = slice(st.z_starts[a], st.z_starts[a + 1])
+            if j.start < j.stop:
+                x0 = st.z_x[j]
+                Ka[st.z_node[j]] = (np.interp(x0, xs, left)
+                                    + st.z_c[j] * np.interp(x0, xs, S_left))
+            # 7. the source row the next level reads
+            S[:, :a + 1] = sources(K[a, :, :a + 1])
+            change = max(change, float(np.abs(K[a, :, :a + 1] - old).max()))
+        history.append(change)
+        if change < tol:
+            return LsKernelSolution(
+                k=np.ascontiguousarray(K.transpose(1, 0, 2)), grid=grid,
+                y_points=ls.y_points(), history=history,
+                stages_s={"stencils": t1 - t0,
+                          "sweeps": time.perf_counter() - t1})
     raise ConvergenceError(history, tol)
 
 

@@ -255,11 +255,20 @@ class TestLsKernels:
         assert run(["ls-kernels", "--config", "example2", "--m", "24",
                     "--out-prefix", prefix]) == 0
         rep = json.loads((tmp_path / "lk_report.json").read_text())
-        assert rep["iterations"] >= 2
+        # the march solves in one sweep and the second certifies it
+        assert rep["iterations"] == 2
+        assert rep["sweep_history"][-1] == 0.0
         assert len(rep["sweep_history"]) == rep["iterations"]
         assert rep["sweep_history"][-1] == rep["final_delta"]
+        assert set(rep["stages_s"]) == {"stencils", "sweeps"}
+        assert all(t >= 0.0 for t in rep["stages_s"].values())
         table = read_gain_csv(tmp_path / "lk_gains.csv")
         assert table.sampled and table.k.shape == (10, 25)
+        # timings stay out of the gain CSV: a rerun writes the same bytes
+        csv = (tmp_path / "lk_gains.csv").read_bytes()
+        assert run(["ls-kernels", "--config", "example2", "--m", "24",
+                    "--out-prefix", prefix]) == 0
+        assert (tmp_path / "lk_gains.csv").read_bytes() == csv
 
     def test_refine_mode(self, capsys):
         assert run(["ls-kernels", "--config", "example2",

@@ -46,7 +46,8 @@ def _interp_rows(values, t, h, length):
 
 
 def per_level_sweeps(ls, grid, tol=1e-10, max_iter=200):
-    """Reference for solve_characteristics: every sweep recomputes the
+    """Oracle for solve_characteristics: successive approximation with every
+    source frozen at the previous iterate, each sweep recomputing the
     characteristics level by level. Returns the last iterate and the sup
     change of each sweep."""
     n, m, h = ls.n, grid.m, grid.h
@@ -171,9 +172,10 @@ class TestSolveCharacteristics:
         np.testing.assert_allclose(mu0 * sol.k[ls.n, :, 0], rhs, atol=1e-8)
 
     def test_nonconvergence_raises(self, example2):
+        # one sweep cannot certify itself: its change is measured from zero
         ls = example2.large_scale()
         with pytest.raises(ConvergenceError) as exc:
-            solve_characteristics(ls, TriGrid(16), max_iter=2)
+            solve_characteristics(ls, TriGrid(16), max_iter=1)
         assert exc.value.final_delta > 0.0
 
     def test_negative_speed_rejected(self):
@@ -203,8 +205,9 @@ class TestSolveCharacteristics:
 
 
 class TestAgainstPerLevelSweeps:
-    """The prebuilt stencils keep the per-level loop's arithmetic, so the
-    kernels agree bit for bit."""
+    """The level-by-level march solves the discrete equations the per-level
+    successive approximation converges to: its first sweep lands on that
+    fixed point, and the second reproduces it bit for bit."""
 
     @pytest.mark.parametrize("name,n,m,offset", [
         ("example2", 10, 64, None),
@@ -216,21 +219,22 @@ class TestAgainstPerLevelSweeps:
         problem = (varying_speed_problem() if name == "varying-speeds"
                    else load_problem(name))
         ls = problem.large_scale(n, offset=offset)
-        K, deltas = per_level_sweeps(ls, TriGrid(m))
+        K, deltas = per_level_sweeps(ls, TriGrid(m), tol=1e-15, max_iter=500)
+        assert deltas[-1] < 1e-15
         sol = solve_characteristics(ls, TriGrid(m))
-        assert np.array_equal(sol.k, K)
-        assert sol.iterations == len(deltas)
-        assert sol.final_delta == deltas[-1]
-        assert sol.history == deltas
+        scale = np.abs(K).max()
+        assert np.abs(sol.k - K).max() <= 1e-13 * scale
+        assert len(sol.history) == 2
+        assert sol.history[-1] == 0.0
+        assert sol.history[0] == np.abs(sol.k).max()
 
     def test_nonconvergence_bit_identical(self, example2):
         ls = example2.large_scale()
-        _, deltas = per_level_sweeps(ls, TriGrid(16), max_iter=2)
+        sol = solve_characteristics(ls, TriGrid(16))
         with pytest.raises(ConvergenceError) as exc:
-            solve_characteristics(ls, TriGrid(16), max_iter=2)
-        assert exc.value.iterations == len(deltas) == 2
-        assert exc.value.final_delta == deltas[-1]
-        assert exc.value.history == deltas
+            solve_characteristics(ls, TriGrid(16), max_iter=1)
+        assert exc.value.iterations == 1
+        assert exc.value.history == sol.history[:1]
 
 
 class TestRefineStudy:
