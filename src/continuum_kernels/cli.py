@@ -73,15 +73,6 @@ def _manifest(prefix: str, command: str, args: dict, timing: float) -> str:
     return path
 
 
-def _solver_config(args) -> SolverConfig:
-    return SolverConfig(
-        N=args.order,
-        N_y=args.order_y,
-        use_exact_q=args.exact_q,
-        sigma_sign=args.sigma_sign,
-    )
-
-
 def _series_json(series) -> dict:
     return {",".join(map(str, e)): c for e, c in sorted(series.coeffs.items())}
 
@@ -113,16 +104,17 @@ def _timed(stages: dict, name: str, f, *args, **kwargs):
 
 
 def cmd_solve(args) -> int:
-    t0 = time.time()
+    t0 = time.perf_counter()
     grid = _gain_grid(args.grid)
     problem = load_problem(args.config)
     if args.fit_degree is not None:
         problem = problem.with_fit_degree(args.fit_degree)
-    cfg = _solver_config(args)
+    cfg = SolverConfig(N=args.order, N_y=args.order_y, use_exact_q=args.exact_q,
+                       sigma_sign=args.sigma_sign)
     stages = {}
     system = _timed(stages, "assemble", assemble, problem.continuum, cfg)
     sol = _timed(stages, "solve_ls", solve_ls, system)
-    elapsed = time.time() - t0
+    elapsed = time.perf_counter() - t0
     table = _timed(stages, "gains", gains, sol, grid_xi=grid, grid_y=grid)
     report = {
         "problem": problem.name,
@@ -134,6 +126,8 @@ def cmd_solve(args) -> int:
         "num_equations": sol.num_equations,
         "residual": sol.residual,
         "solve_path": sol.solve_path,
+        "ordering": sol.ordering,
+        "r_diag_ratio": sol.r_diag_ratio,
         "rank": sol.rank,
         "nnz": int(system.A.nnz),
         "certificate": optimality_certificate(system, sol.x),
@@ -164,12 +158,12 @@ def cmd_solve(args) -> int:
 
 
 def cmd_closed_form(args) -> int:
-    t0 = time.time()
+    t0 = time.perf_counter()
     grid = _gain_grid(args.grid)
     problem = load_problem(args.config)
     kern = solve_closed_form(problem.continuum)
     prefix = args.out_prefix
-    man = _manifest(prefix, "closed-form", vars(args), time.time() - t0)
+    man = _manifest(prefix, "closed-form", vars(args), time.perf_counter() - t0)
     if isinstance(kern, NotApplicable):
         _write_json(f"{prefix}_report.json", {
             "manifest": man,
@@ -217,12 +211,6 @@ def cmd_fit_q(args) -> int:
     return EXIT_OK
 
 
-def _bench_baseline(problem: Problem, m: int):
-    ls = problem.large_scale()
-    sol = solve_characteristics(ls, TriGrid(m))
-    return ls, gains(sol)
-
-
 def cmd_bench(args) -> int:
     preset = BENCH_PRESETS[args.example]
     problem_name, order_y, exact_q, sigma_sign = preset
@@ -235,16 +223,15 @@ def cmd_bench(args) -> int:
         raise ConfigError("a fit-degree sweep needs exactly one order")
     rows = []
     grid = np.linspace(0.0, 1.0, 101)
-    exact_table = None
-    baseline = None
-    ls = None
+    exact_table = baseline = None
     if orders and problem_name == "example1":
         exact = solve_closed_form(problem.continuum)
         if isinstance(exact, NotApplicable):  # pragma: no cover - guarded data
             raise RuntimeError(f"reference kernels unavailable: {exact.reason}")
         exact_table = gains(exact, grid_xi=grid, grid_y=grid)
     if orders and problem.n is not None and not args.skip_baseline:
-        ls, baseline = _bench_baseline(problem, args.baseline_m)
+        ls = problem.large_scale()
+        baseline = gains(solve_characteristics(ls, TriGrid(args.baseline_m)))
     prev_table = None
     sweep = [(N, M) for M in fit_degrees for N in orders]
     for N, M in sweep:
@@ -254,15 +241,14 @@ def cmd_bench(args) -> int:
             use_exact_q=exact_q,
             sigma_sign=sigma_sign if args.sigma_sign is None else args.sigma_sign,
         )
-        t0 = time.time()
+        t0 = time.perf_counter()
         system = assemble(prob.continuum, cfg)
         sol = solve_ls(system)
-        dt = time.time() - t0
+        dt = time.perf_counter() - t0
         row = {
             "N": N,
             "num_unknowns": sol.num_unknowns,
             "num_equations": sol.num_equations,
-            "time_s": round(dt, 3),
             "residual": sol.residual,
         }
         if M is not None:
@@ -278,10 +264,10 @@ def cmd_bench(args) -> int:
                          if prev_table is not None else float("nan"))
         prev_table = cur
         rows.append(row)
-        print("bench:", " ".join(f"{k}={v:.6g}" if isinstance(v, float)
-                                 else f"{k}={v}" for k, v in row.items()))
-    if args.out:
-        cols = ["N", "fit_degree", "num_unknowns", "num_equations", "time_s",
+        print("bench:", " ".join(f"{k}={v:.6g}" if isinstance(v, float) else f"{k}={v}"
+                                 for k, v in row.items()), f"time_s={dt:.3f}")
+    if args.out:    # no timings: the CSV is rerun-stable
+        cols = ["N", "fit_degree", "num_unknowns", "num_equations",
                 "residual", "max_error", "d_np1", "d_prev"]
         cols = [c for c in cols if any(c in r for r in rows)] or cols[:5]
         with open(args.out, "w", encoding="utf-8") as fh:
@@ -292,7 +278,7 @@ def cmd_bench(args) -> int:
 
 
 def cmd_simulate(args) -> int:
-    t0 = time.time()
+    t0 = time.perf_counter()
     problem = load_problem(args.config)
     n = args.n if args.n is not None else problem.n
     if n is None:
@@ -330,7 +316,7 @@ def cmd_simulate(args) -> int:
                               "--open-loop")
     report = Simulator(cfg, ls, table).run()
     prefix = args.out_prefix
-    man = _manifest(prefix, "simulate", vars(args), time.time() - t0)
+    man = _manifest(prefix, "simulate", vars(args), time.perf_counter() - t0)
     write_sim_csv(report, f"{prefix}_sim.csv", manifest=man)
     verdict = "stable" if report.stable else (
         "diverged" if report.diverged else "not stable")
@@ -340,7 +326,7 @@ def cmd_simulate(args) -> int:
 
 
 def cmd_ls_kernels(args) -> int:
-    t0 = time.time()
+    t0 = time.perf_counter()
     problem = load_problem(args.config)
     n = args.n if args.n is not None else problem.n
     if n is None:
@@ -355,7 +341,7 @@ def cmd_ls_kernels(args) -> int:
             print(f"ls-kernels: refinement ratio {r:.3f}")
         return EXIT_OK
     sol = solve_characteristics(ls, TriGrid(args.m))
-    elapsed = time.time() - t0
+    elapsed = time.perf_counter() - t0
     table = gains(sol)
     prefix = args.out_prefix
     man = _manifest(prefix, "ls-kernels", vars(args), elapsed)

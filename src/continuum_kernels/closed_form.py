@@ -27,7 +27,7 @@ stored sigma) and ``sigma_e`` the free ensemble variable.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from typing import Callable
 
 import numpy as np
@@ -98,9 +98,7 @@ def _integral01(*funcs: SeparableSum, weight: Callable | None = None) -> float:
     def integrand(t):
         out = 1.0
         for f in funcs:
-            vs = f.vars()
-            v = vs[0] if vs else Var.Y
-            out *= float(f.eval1(v, t))
+            out *= float(_eval1(f, t))
         if weight is not None:
             out *= weight(t)
         return out
@@ -118,10 +116,8 @@ def _eval1(f: SeparableSum, t) -> np.ndarray:
 
 def _retag(s: SeparableSum, var: Var) -> SeparableSum:
     """Re-home a univariate profile onto a canonical variable."""
-    from dataclasses import replace as _dc_replace
-
     return SeparableSum([
-        SeparableTerm(t.scale, [_dc_replace(f, var=var) for f in t.factors])
+        SeparableTerm(t.scale, [replace(f, var=var) for f in t.factors])
         for t in s.terms
     ])
 

@@ -62,21 +62,6 @@ class GainTable:
             raise ValueError("gain tables must be finite")
 
 
-def _eval_kernels_at(sol, x: float, grid_xi: np.ndarray, grid_y: np.ndarray):
-    """Evaluate k(x,.,.) (len_y, len_xi) and kbar(x,.) for either solution type."""
-    if isinstance(sol, PsKernelSolution):
-        k = sol.k.substitute_value(Var.X, x).eval_grid(
-            {Var.XI: grid_xi, Var.Y: grid_y}).T
-        kbar = sol.kbar.substitute_value(Var.X, x).eval_grid({Var.XI: grid_xi})
-        return k, kbar
-    if isinstance(sol, ClosedFormKernel):
-        XI, Y = np.meshgrid(grid_xi, grid_y, indexing="xy")
-        k = sol.k(np.full_like(XI, x), XI, Y)
-        kbar = sol.kbar(np.full_like(grid_xi, x), grid_xi)
-        return k, kbar
-    raise TypeError(f"unsupported kernel solution type {type(sol)!r}")
-
-
 def gains(sol, grid_xi: np.ndarray | None = None,
           grid_y: np.ndarray | None = None) -> GainTable:
     """Control gains k(1, xi, y) and kbar(1, xi) on a grid.
@@ -97,7 +82,16 @@ def gains(sol, grid_xi: np.ndarray | None = None,
         grid_y = np.linspace(0.0, 1.0, DEFAULT_GRID)
     grid_xi = np.asarray(grid_xi, dtype=float)
     grid_y = np.asarray(grid_y, dtype=float)
-    k, kbar = _eval_kernels_at(sol, 1.0, grid_xi, grid_y)
+    if isinstance(sol, PsKernelSolution):
+        k = sol.k.substitute_value(Var.X, 1.0).eval_grid(
+            {Var.XI: grid_xi, Var.Y: grid_y}).T
+        kbar = sol.kbar.substitute_value(Var.X, 1.0).eval_grid({Var.XI: grid_xi})
+    elif isinstance(sol, ClosedFormKernel):
+        XI, Y = np.meshgrid(grid_xi, grid_y, indexing="xy")
+        k = sol.k(np.full_like(XI, 1.0), XI, Y)
+        kbar = sol.kbar(np.full_like(grid_xi, 1.0), grid_xi)
+    else:
+        raise TypeError(f"unsupported kernel solution type {type(sol)!r}")
     return GainTable(grid_xi=grid_xi, grid_y=grid_y, k=k, kbar=kbar)
 
 

@@ -7,8 +7,10 @@ The kernel pair (k, kbar) is expanded as
 
 and substituted into the two kernel PDEs and two boundary conditions with
 every parameter replaced by its Taylor expansion. Matching the coefficient
-of each monomial yields an over-determined sparse linear system solved by
-least squares; the 2-norm of its residual is the accuracy metric.
+of each monomial yields an over-determined sparse linear system. It is
+block-staircase by degree level, and a Householder QR that follows the
+levels solves it by least squares; the 2-norm of its residual is the
+accuracy metric.
 
 Equations (everything moved to the left-hand side):
 
@@ -148,7 +150,9 @@ class PsKernelSolution:
     num_equations: int
     x: np.ndarray = field(repr=False)
     rank: int | None = None
-    solve_path: str | None = None       # "sparse_lu" or "dense_lstsq"
+    solve_path: str | None = None       # "staircase_qr" or "dense_lstsq"
+    ordering: str | None = None         # column grading: "x+xi" or "x"
+    r_diag_ratio: float | None = None   # min/max |R_jj| of the staircase QR
 
 
 def _param_series(p: ContinuumParams, cfg: SolverConfig):
@@ -183,17 +187,11 @@ def _q_moments(p: ContinuumParams, cfg: SolverConfig,
     lam0 = lam.substitute_value(Var.X, 0.0)
     if cfg.use_exact_q:
         lam0_coeffs = sorted(lam0.coeffs.items())
-
-        def lam0f(y):
-            out = 0.0
-            for (e,), c in lam0_coeffs:
-                out += c * y ** e
-            return out
-
         out = np.empty(cfg.N_y + 1)
         for c in range(cfg.N_y + 1):
             val, _ = scipy.integrate.quad(
-                lambda y, cc=c: float(p.q.eval1(Var.Y, y)) * lam0f(y) * y ** cc,
+                lambda y, cc=c: float(p.q.eval1(Var.Y, y))
+                * sum(v * y ** e for (e,), v in lam0_coeffs) * y ** cc,
                 0.0, 1.0, epsabs=1e-12, epsrel=1e-12, limit=200,
             )
             out[c] = val
@@ -309,69 +307,95 @@ def assemble(p: ContinuumParams, cfg: SolverConfig) -> LinearSystem:
     return LinearSystem(A=A, b=b_vec, cols=cols, rows=rows, config=cfg)
 
 
-# Diagonal weight of the augmented system. With 1.0, two refinement steps
-# lost accuracy where the residual sits at roundoff (example1, N = 30, exact
-# q: residual 2.9e-10 against 3.9e-12 from a dense solve); 1e-2 gave 4.8e-13.
-_AUG_ALPHA = 1e-2
-_REFINE_STEPS = 2
+# Column gradings of the staircase QR, from the keys ("K", (a, b, c)) and
+# ("KB", (a, b)). example2's system is banded in a + b, and example1's in a:
+# its lambda, theta, W and sigma do not depend on x, and mu is constant.
+_GRADINGS = {"x+xi": lambda e: e[0] + e[1], "x": lambda e: e[0]}
 
 
-def _solve_augmented(A: scipy.sparse.spmatrix, b: np.ndarray) -> np.ndarray | None:
-    """Least-squares solution by sparse LU of the augmented system.
+def _staircase(A: scipy.sparse.csr_matrix, grading: str, keys):
+    """A column grading's flop estimate, column levels (0, 1, ...), entry
+    level of each nonempty row (the lowest it touches), level bounds in
+    level order, top level of each level's window and rows in each panel."""
+    _, level = np.unique([_GRADINGS[grading](e) for _, e in keys], return_inverse=True)
+    lv, starts = level[A.indices], A.indptr[:-1][np.diff(A.indptr) > 0]
+    entry, size = np.minimum.reduceat(lv, starts), np.bincount(level)
+    top = np.full(len(size), -1)
+    np.maximum.at(top, entry, np.maximum.reduceat(lv, starts))
+    top = np.maximum.accumulate(top)
+    bounds = np.concatenate([[0], np.cumsum(size)])
+    rows = np.cumsum(np.bincount(entry, minlength=len(size))) - bounds[:-1]
+    flops = np.sum(4.0 * rows * size * (bounds[top + 1] - bounds[:-1]))
+    return flops, level, entry, bounds, top, rows
 
-    With the columns of A scaled to unit 2-norm (A_s = A D), the system
 
-        [[alpha I, A_s], [A_s^T, 0]] [s; y] = [b; 0]
-
-    gives A_s^T (b - A_s y) = 0, the normal equations, without forming
-    A^T A (Bjorck, Numerical Methods for Least Squares Problems, 1996,
-    sec. 2.5). Returns x = D y, or None when A is rank-deficient: a zero
-    column, a singular factor or a pivot at roundoff level.
-    """
+def _staircase_qr(A: scipy.sparse.csr_matrix, b: np.ndarray, keys):
+    """Least-squares solution by a Householder QR that follows the degree
+    levels (Bjorck, Numerical Methods for Least Squares Problems, 1996, ch.
+    6). The columns of A are scaled to unit 2-norm and ordered by level, in
+    the grading with the smaller flop estimate. Each row enters at the lowest
+    level it touches. Level L stacks the rows carried from L - 1 and the
+    entering rows densely over its window, with b as a last column, factors
+    its columns (LAPACK geqrf), applies Q^T to the rest (ormqr) and copies
+    out the top rows as its block of R and the others as the rows it carries.
+    Returns (x, grading, min/max |R_jj|), or None when A is rank-deficient:
+    a zero column, a level with fewer rows than columns or a diagonal of R
+    at roundoff level."""
     m, n = A.shape
     norms = scipy.sparse.linalg.norm(A, axis=0)
     if not np.all(norms > 0.0):
         return None
-    scale = 1.0 / norms
-    As = A @ scipy.sparse.diags(scale)
-    K = scipy.sparse.bmat([[_AUG_ALPHA * scipy.sparse.identity(m), As],
-                           [As.T, None]], format="csc")
-    try:
-        lu = scipy.sparse.linalg.splu(K)
-    except RuntimeError:    # SuperLU: "Factor is exactly singular"
+    A = (A @ scipy.sparse.diags(1.0 / norms)).tocsr()
+    plans = {g: _staircase(A, g, keys) for g in _GRADINGS}
+    grading = min(plans, key=lambda g: plans[g][0])
+    _, level, entry, bounds, top, rows = plans[grading]
+    if np.any(rows < np.diff(bounds)):
         return None
-    # An exactly repeated column does not always give an exact zero pivot:
-    # roundoff can leave one near 1e-20 of the largest. The smallest ratio
-    # among the built-in configs' systems is 6.6e-9 (example1, N = 30, N_y = 2).
-    pivots = np.abs(lu.U.diagonal())
-    if pivots.min() <= (m + n) * np.finfo(float).eps * pivots.max():
+    perm = np.argsort(level, kind="stable")
+    A, nonempty = A[:, perm], np.flatnonzero(np.diff(A.indptr) > 0)
+    carry, blocks = np.zeros((0, 1)), []
+    for L, (c0, c1) in enumerate(zip(bounds[:-1], bounds[1:])):
+        new, k, s, end = nonempty[entry == L], len(carry), c1 - c0, bounds[top[L] + 1]
+        M = np.zeros((k + len(new), end - c0 + 1), order="F")
+        M[:k, :carry.shape[1] - 1], M[:k, -1] = carry[:, :-1], carry[:, -1]
+        M[k:, :-1], M[k:, -1] = A[new, c0:end].toarray(), b[new]
+        # blocked workspaces for block size 64; ormqr adds its 65 x 64 T block
+        qr, tau, _, _ = scipy.linalg.lapack.dgeqrf(M[:, :s], lwork=64 * s, overwrite_a=True)
+        rest, _, _ = scipy.linalg.lapack.dormqr("L", "T", qr, tau, M[:, s:],
+                                                64 * M.shape[1] + 4160, overwrite_c=True)
+        blocks.append((np.triu(qr[:s]), rest[:s].copy()))
+        carry = rest[s:].copy()
+    diag = np.abs(np.concatenate([np.diagonal(R) for R, _ in blocks]))
+    if diag.min() <= (m + n) * np.finfo(float).eps * diag.max():
         return None
-    rhs = np.concatenate([b, np.zeros(n)])
-    z = lu.solve(rhs)
-    for _ in range(_REFINE_STEPS):
-        z += lu.solve(rhs - K @ z)
-    x = scale * z[m:]
-    return x if np.all(np.isfinite(x)) else None
+    y = np.empty(n)
+    for (R, rest), c0, c1 in reversed(list(zip(blocks, bounds[:-1], bounds[1:]))):
+        rhs = rest[:, -1] - rest[:, :-1] @ y[c1:c1 + rest.shape[1] - 1]
+        y[c0:c1] = scipy.linalg.solve_triangular(R, rhs, check_finite=False)
+    x = (y / norms[perm])[np.argsort(perm)]
+    return (x, grading, float(diag.min() / diag.max())) if np.all(np.isfinite(x)) else None
 
 
 def solve_ls(system: LinearSystem) -> PsKernelSolution:
     """Least-squares solve of the coefficient-matching system.
 
-    The normal path factors the column-scaled augmented system with sparse
-    LU and takes two steps of iterative refinement (``solve_path`` is
-    ``"sparse_lu"``); A is never densified. A full-rank factor implies full
+    The normal path is the staircase QR of :func:`_staircase_qr`
+    (``solve_path`` is ``"staircase_qr"``); A is never densified as a whole.
+    The solution records the column grading it followed (``ordering``) and
+    min/max |R_jj| (``r_diag_ratio``). A full-rank factor implies full
     column rank, so ``rank`` is the column count. When A is rank-deficient
     the minimum-norm solution comes from a dense rank-revealing QR
     (``"dense_lstsq"``, LAPACK gelsy), whose rank estimate is reported. The
     returned residual is ||Ax - b||_2 recomputed from the solution."""
-    x = _solve_augmented(system.A, system.b)
-    if x is not None:
-        solve_path, rank = "sparse_lu", system.A.shape[1]
+    out = _staircase_qr(system.A, system.b, system.cols)
+    if out is not None:
+        x, ordering, ratio = out
+        solve_path, rank = "staircase_qr", system.A.shape[1]
     else:
         A = system.A.toarray()
         x, _, rank, _ = scipy.linalg.lstsq(A, system.b, lapack_driver="gelsy",
                                            check_finite=False)
-        solve_path = "dense_lstsq"
+        solve_path, ordering, ratio = "dense_lstsq", None, None
         if not np.all(np.isfinite(x)):
             raise RuntimeError(
                 f"least-squares factorization produced non-finite values "
@@ -386,7 +410,8 @@ def solve_ls(system: LinearSystem) -> PsKernelSolution:
         kbar=TruncatedSeries((Var.X, Var.XI), coeffs["KB"]),
         residual=residual, config=cfg,
         num_unknowns=sum(count_unknowns(cfg.N, cfg.N_y)), num_equations=system.A.shape[0],
-        x=x, rank=int(rank), solve_path=solve_path,
+        x=x, rank=int(rank), solve_path=solve_path, ordering=ordering,
+        r_diag_ratio=ratio,
     )
 
 

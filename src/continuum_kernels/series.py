@@ -48,8 +48,7 @@ _VAR_RANK = {v: i for i, v in enumerate(VAR_ORDER)}
 
 
 def _canonical_vars(vars_: Iterable[Var]) -> tuple[Var, ...]:
-    vs = tuple(sorted(set(vars_), key=lambda v: _VAR_RANK[v]))
-    return vs
+    return tuple(sorted(set(vars_), key=lambda v: _VAR_RANK[v]))
 
 
 def grlex_key(exps: tuple[int, ...]) -> tuple:

@@ -31,7 +31,9 @@ class TestSolve:
         report = json.loads((tmp_path / "e1_report.json").read_text())
         assert "max_error_vs_exact" in report
         assert report["num_unknowns"] == 154  # 109 + 45
-        assert report["solve_path"] == "sparse_lu"
+        assert report["solve_path"] == "staircase_qr"
+        assert report["ordering"] in ("x+xi", "x")
+        assert 0.0 < report["r_diag_ratio"] <= 1.0
         assert report["rank"] == report["num_unknowns"]
         assert 0 < report["nnz"] < report["num_unknowns"] * report["num_equations"]
         assert 0.0 <= report["certificate"] < 1e-10
@@ -163,6 +165,14 @@ class TestBench:
         assert lines[0].startswith("N,")
         assert "max_error" in lines[0]
         assert len(lines) == 3
+
+    def test_reruns_write_identical_csv(self, tmp_path):
+        outs = [tmp_path / "a.csv", tmp_path / "b.csv"]
+        for out in outs:
+            assert run(["bench", "--example", "example1", "--orders", "4,6",
+                        "--skip-baseline", "--out", str(out)]) == 0
+        assert outs[0].read_bytes() == outs[1].read_bytes()
+        assert "time_s" not in outs[0].read_text().splitlines()[0]
 
     def test_example2_with_baseline(self, tmp_path):
         out = tmp_path / "b2.csv"

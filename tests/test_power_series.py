@@ -7,16 +7,19 @@ import scipy.sparse
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from conftest import FULL
 from continuum_kernels.gains import diff_solutions, gains
 from continuum_kernels.params import ContinuumParams, check_positivity
 from continuum_kernels.power_series import (SRC_BC_DIAG, SRC_BC_LEFT,
                                             SRC_PDE_K, SRC_PDE_KBAR,
                                             LinearSystem,
                                             OrderReductionWarning,
-                                            SolverConfig, _check_ny_bound,
+                                            SolverConfig, _GRADINGS,
+                                            _check_ny_bound,
                                             _k_columns, _kbar_columns,
                                             _param_series, _q_moments,
-                                            _SOURCES, assemble, coeff_vector,
+                                            _SOURCES, _staircase, assemble,
+                                            coeff_vector,
                                             count_unknowns, optimality_check,
                                             residual_series, solve, solve_ls)
 from continuum_kernels.series import (Cos, Exp, Polynomial, SeparableSum,
@@ -346,9 +349,9 @@ def _dense_oracle(system: LinearSystem) -> np.ndarray:
 
 
 class TestSparseAgainstDense:
-    """The sparse augmented-system solve against a dense least-squares
-    oracle. Measured gaps: coefficients 1.4e-10, residuals 8.3e-11
-    relative (example1, N = 20)."""
+    """The staircase QR solve against a dense least-squares oracle.
+    Measured gaps: coefficients 1.4e-10, residuals 8.3e-11 relative
+    (example1, N = 20)."""
 
     @pytest.mark.parametrize("sigma_sign", [1, -1])
     @pytest.mark.parametrize("exact_q", [False, True])
@@ -361,7 +364,7 @@ class TestSparseAgainstDense:
                            sigma_sign=sigma_sign)
         system = assemble(solve_cache.problem(name).continuum, cfg)
         sol = solve_ls(system)
-        assert sol.solve_path == "sparse_lu"
+        assert sol.solve_path == "staircase_qr"
         assert sol.rank == system.A.shape[1]
         x_ref = _dense_oracle(system)
         np.testing.assert_allclose(sol.x, x_ref, rtol=0.0, atol=1e-8)
@@ -388,10 +391,54 @@ class TestSparseAgainstDense:
         np.testing.assert_allclose(sol.x, expected, rtol=0.0, atol=1e-10)
         assert sol.residual == pytest.approx(full.residual, rel=1e-12)
 
+    @pytest.mark.parametrize("name, N_y, ordering", [
+        ("example2", None, "x+xi"), ("example1", 2, "x")])
+    def test_grading_choice(self, solve_cache, name, N_y, ordering):
+        sol = solve_cache.solution(name, SolverConfig(N=20, N_y=N_y))
+        assert sol.solve_path == "staircase_qr"
+        assert sol.ordering == ordering
+        assert 0.0 < sol.r_diag_ratio <= 1.0
+
+    @FULL
+    @pytest.mark.parametrize("name, cfg", [
+        ("example2", SolverConfig(N=25, sigma_sign=-1)),
+        ("example1", SolverConfig(N=30, N_y=2, use_exact_q=True))])
+    def test_matches_dense_oracle_largest(self, solve_cache, name, cfg):
+        # the benchmark's largest systems. example1's residual, 1.5e-12
+        # against 3.9e-12 from the oracle, is at roundoff: there a one-ulp
+        # change of x moves it by 120 %, hence the absolute floor
+        system = assemble(solve_cache.problem(name).continuum, cfg)
+        sol = solve_ls(system)
+        assert sol.solve_path == "staircase_qr"
+        x_ref = _dense_oracle(system)
+        np.testing.assert_allclose(sol.x, x_ref, rtol=0.0, atol=1e-8)
+        r_ref = np.linalg.norm(system.A @ x_ref - system.b)
+        assert sol.residual == pytest.approx(r_ref, rel=1e-9, abs=1e-10)
+
+    def test_fewer_rows_than_columns_falls_back(self):
+        # the two level-0 columns meet only row 0: no grading gives the
+        # level a full-rank panel
+        A = scipy.sparse.csr_matrix([[1.0, 2.0, 0.0], [0.0, 0.0, 1.0],
+                                     [0.0, 0.0, 3.0]])
+        system = LinearSystem(A=A, b=np.array([1.0, 2.0, 3.0]),
+                              cols=[("KB", (0, 0)), ("K", (0, 0, 1)), ("KB", (1, 0))],
+                              rows=[], config=SolverConfig(N=1))
+        for grading in _GRADINGS:
+            _, _, _, bounds, _, rows = _staircase(A, grading, system.cols)
+            assert rows[0] == 1 and bounds[1] == 2
+        sol = solve_ls(system)
+        assert sol.solve_path == "dense_lstsq"
+        assert sol.rank == 2 and sol.ordering is None
+        np.testing.assert_allclose(sol.x, _dense_oracle(system), rtol=0.0,
+                                   atol=1e-14)
+
     @settings(max_examples=30, deadline=None)
     @given(n=st.integers(1, 40), extra=st.integers(1, 40),
-           density=st.floats(0.02, 0.3), seed=st.integers(0, 2 ** 32 - 1))
-    def test_random_full_rank_systems(self, n, extra, density, seed):
+           density=st.floats(0.02, 0.3), seed=st.integers(0, 2 ** 32 - 1),
+           keys=st.lists(st.tuples(st.booleans(), st.integers(0, 4),
+                                   st.integers(0, 4), st.integers(0, 2)),
+                         min_size=40, max_size=40))
+    def test_random_full_rank_systems(self, n, extra, density, seed, keys):
         rng = np.random.default_rng(seed)
         # a nonsingular diagonal block on top keeps full column rank
         diag = scipy.sparse.diags(rng.uniform(0.5, 2.0, n) * rng.choice([-1, 1], n))
@@ -399,10 +446,13 @@ class TestSparseAgainstDense:
                                    data_rvs=rng.standard_normal)
         A = scipy.sparse.vstack([diag, rand]).tocsr()
         b = rng.standard_normal(n + extra)
-        system = LinearSystem(A=A, b=b, cols=[("KB", (i, 0)) for i in range(n)],
-                              rows=[], config=SolverConfig(N=n))
+        # repeated levels put several columns in a panel
+        cols = [("K", (a, bb, c)) if is_k else ("KB", (a, bb))
+                for is_k, a, bb, c in keys[:n]]
+        system = LinearSystem(A=A, b=b, cols=cols, rows=[], config=SolverConfig(N=n))
         sol = solve_ls(system)
-        assert sol.solve_path == "sparse_lu"
+        assert sol.solve_path == "staircase_qr"
+        assert sol.ordering in _GRADINGS
         np.testing.assert_allclose(sol.x, _dense_oracle(system), rtol=0.0,
                                    atol=1e-10 * max(1.0, np.abs(sol.x).max()))
 
