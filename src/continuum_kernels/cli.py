@@ -127,6 +127,7 @@ def cmd_solve(args) -> int:
         "residual": sol.residual,
         "solve_path": sol.solve_path,
         "ordering": sol.ordering,
+        "wide_rows": sol.wide_rows,
         "r_diag_ratio": sol.r_diag_ratio,
         "rank": sol.rank,
         "nnz": int(system.A.nnz),

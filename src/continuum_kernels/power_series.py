@@ -153,6 +153,7 @@ class PsKernelSolution:
     solve_path: str | None = None       # "staircase_qr" or "dense_lstsq"
     ordering: str | None = None         # column grading: "x+xi" or "x"
     r_diag_ratio: float | None = None   # min/max |R_jj| of the staircase QR
+    wide_rows: int | None = None        # rows the staircase QR merged by tpqrt
 
 
 def _param_series(p: ContinuumParams, cfg: SolverConfig):
@@ -311,60 +312,135 @@ def assemble(p: ContinuumParams, cfg: SolverConfig) -> LinearSystem:
 # ("KB", (a, b)). example2's system is banded in a + b, and example1's in a:
 # its lambda, theta, W and sigma do not depend on x, and mu is constant.
 _GRADINGS = {"x+xi": lambda e: e[0] + e[1], "x": lambda e: e[0]}
+# Weight of a flop of the wide-row merge (tpqrt, tpmqrt) against a flop of
+# the panel factorization (geqrf, ormqr). Alone, the merge kernels ran at
+# 60-100 % of the panel kernels' flop rate (one BLAS thread). With 2.5 each
+# benchmark system gets a plan within about 20 % of its fastest one, and the
+# closed-loop system (example2, N = 20, N_y = 2) keeps "x+xi" without wide
+# rows. Below about 2.1 it moves to an "x" plan that solves faster alone,
+# but the simulation after it ran slower: its pass took 0.32 s, not 0.28 s.
+_WIDE_COST = 2.5
 
 
 def _staircase(A: scipy.sparse.csr_matrix, grading: str, keys):
-    """A column grading's flop estimate, column levels (0, 1, ...), entry
-    level of each nonempty row (the lowest it touches), level bounds in
-    level order, top level of each level's window and rows in each panel."""
+    """The staircase QR's plans for one column grading, one per span cut.
+
+    Columns get levels 0, 1, ... from the grading. A nonempty row enters at
+    the lowest level it touches, and its span is its highest level minus
+    that. The plan with cut t factors the rows of span <= t (narrow) level by
+    level over their window and merges the others (wide) into each level's
+    triangle. Returns the estimated cost of each cut (inf where some level
+    gets fewer narrow plus wide rows than columns), the cuts, the column
+    levels, each row's entry level and span, the level bounds and, per cut,
+    the top level of each level's narrow window."""
     _, level = np.unique([_GRADINGS[grading](e) for _, e in keys], return_inverse=True)
     lv, starts = level[A.indices], A.indptr[:-1][np.diff(A.indptr) > 0]
-    entry, size = np.minimum.reduceat(lv, starts), np.bincount(level)
-    top = np.full(len(size), -1)
-    np.maximum.at(top, entry, np.maximum.reduceat(lv, starts))
-    top = np.maximum.accumulate(top)
-    bounds = np.concatenate([[0], np.cumsum(size)])
-    rows = np.cumsum(np.bincount(entry, minlength=len(size))) - bounds[:-1]
-    flops = np.sum(4.0 * rows * size * (bounds[top + 1] - bounds[:-1]))
-    return flops, level, entry, bounds, top, rows
+    entry = np.minimum.reduceat(lv, starts)
+    span = np.maximum.reduceat(lv, starts) - entry
+    size = np.bincount(level)
+    nl, bounds = len(size), np.concatenate([[0], np.cumsum(size)])
+    # rows by (span, entry level); a cut keeps the spans up to it narrow
+    by_span = np.bincount(span * nl + entry, minlength=nl * nl).reshape(nl, nl)
+    cuts = np.flatnonzero(by_span.any(axis=1))
+    narrow = np.cumsum(by_span, axis=0)[cuts]
+    wide = np.cumsum(by_span.sum(axis=0) - narrow, axis=1)
+    reach = np.maximum.accumulate(np.where(by_span > 0, np.arange(nl)[:, None], 0), axis=0)
+    top = np.maximum.accumulate(np.arange(nl) + reach[cuts], axis=1)
+    cols = bounds[top + 1] - bounds[:-1] + 1 - size     # after the level's own, b included
+    # narrow rows carried into each level, cut down to their R factor
+    carry = np.zeros((len(cuts), nl + 1))
+    for L, s in enumerate(size):
+        carry[:, L + 1] = np.clip(carry[:, L] + narrow[:, L] - s, 0, cols[:, L])
+    held = carry[:, :-1] + narrow
+    r = np.maximum(held, size)          # panels get zero rows up to their level's columns
+    k = r - size
+    # geqrf and ormqr, then the QR that cuts the carried rows down
+    flops = (2 * size * size * (r - size / 3) + (4 * r - 2 * size) * size * cols
+             + np.where(k > cols, 2 * k * cols * cols - 2 / 3 * cols ** 3, 0.0))
+    # dtpqrt against the level's triangle, dtpmqrt over all later columns
+    rest = A.shape[1] - bounds[1:] + 1
+    flops += _WIDE_COST * wide * size * (2 * size + 4 * rest)
+    ok = np.all(held + wide >= size, axis=1)
+    flops = flops.sum(axis=1)
+    return np.where(ok, flops, np.inf), cuts, level, entry, span, bounds, top
+
+
+def _panel(width: int, dense: np.ndarray, A, i0: int, i1: int, c0: int,
+           b: np.ndarray, rows: int = 0) -> np.ndarray:
+    """Fortran-ordered rows over the `width` columns from c0, with b last:
+    the dense rows (b last, zero beyond their own width), then rows i0:i1 of
+    the CSR matrix A (none outside those columns) and of b, then zero rows up
+    to `rows` in all."""
+    k, j = len(dense), len(dense) + i1 - i0
+    M = np.zeros((max(j, rows), width + 1), order="F")
+    M[:k, :dense.shape[1] - 1], M[:k, -1] = dense[:, :-1], dense[:, -1]
+    lo, hi = A.indptr[i0], A.indptr[i1]
+    at = k + np.repeat(np.arange(i1 - i0), np.diff(A.indptr[i0:i1 + 1]))
+    M[at, A.indices[lo:hi] - c0], M[k:j, -1] = A.data[lo:hi], b[i0:i1]
+    return M
 
 
 def _staircase_qr(A: scipy.sparse.csr_matrix, b: np.ndarray, keys):
     """Least-squares solution by a Householder QR that follows the degree
     levels (Bjorck, Numerical Methods for Least Squares Problems, 1996, ch.
-    6). The columns of A are scaled to unit 2-norm and ordered by level, in
-    the grading with the smaller flop estimate. Each row enters at the lowest
-    level it touches. Level L stacks the rows carried from L - 1 and the
-    entering rows densely over its window, with b as a last column, factors
-    its columns (LAPACK geqrf), applies Q^T to the rest (ormqr) and copies
-    out the top rows as its block of R and the others as the rows it carries.
-    Returns (x, grading, min/max |R_jj|), or None when A is rank-deficient:
-    a zero column, a level with fewer rows than columns or a diagonal of R
-    at roundoff level."""
+    6). The columns of A are scaled to unit 2-norm and ordered by level.
+    The plan, a grading and a span cut, is the one with the smallest cost
+    estimate of :func:`_staircase`. Level L stacks the narrow rows carried
+    from L - 1 and the narrow rows entering there densely over its window,
+    with b as a last column, factors its columns (LAPACK geqrf) and applies
+    Q^T to the rest (ormqr). The top rows are the level's block of R; the
+    others are carried on, cut down to their R factor when they outnumber
+    their columns. The wide rows, dense over all columns from the level on,
+    are then merged into the level's triangle (tpqrt) and the same
+    transform is applied to the block row of R and their remaining columns
+    (tpmqrt), so a level's diagonal of R is final only after the merge.
+    Returns (x, grading, min/max |R_jj|, wide row count), or None when A is
+    rank-deficient: a zero column, a level with fewer narrow plus wide rows
+    than columns, a diagonal of R at roundoff level or a non-finite x."""
     m, n = A.shape
     norms = scipy.sparse.linalg.norm(A, axis=0)
     if not np.all(norms > 0.0):
         return None
     A = (A @ scipy.sparse.diags(1.0 / norms)).tocsr()
     plans = {g: _staircase(A, g, keys) for g in _GRADINGS}
-    grading = min(plans, key=lambda g: plans[g][0])
-    _, level, entry, bounds, top, rows = plans[grading]
-    if np.any(rows < np.diff(bounds)):
+    grading = min(plans, key=lambda g: plans[g][0].min())
+    cost, cuts, level, entry, span, bounds, top = plans[grading]
+    if not np.isfinite(cost.min()):
         return None
+    i = np.argmin(cost)
+    top, narrow = top[i], span <= cuts[i]
+    # nonempty rows sorted as narrow rows by entry level, then wide rows by
+    # entry level; at[L]:at[L + 1] and at[nl + L]:at[nl + L + 1] enter at L
+    nl = len(bounds) - 1
+    key = np.where(narrow, entry, nl + entry)
+    order = np.argsort(key, kind="stable")
+    at = np.searchsorted(key[order], np.arange(2 * nl + 1))
+    rows = np.flatnonzero(np.diff(A.indptr) > 0)[order]
     perm = np.argsort(level, kind="stable")
-    A, nonempty = A[:, perm], np.flatnonzero(np.diff(A.indptr) > 0)
-    carry, blocks = np.zeros((0, 1)), []
+    A, b = A[rows][:, perm], b[rows]
+    lapack = scipy.linalg.lapack
+    carry, wide, blocks = np.zeros((0, 1)), np.zeros((0, 1)), []
     for L, (c0, c1) in enumerate(zip(bounds[:-1], bounds[1:])):
-        new, k, s, end = nonempty[entry == L], len(carry), c1 - c0, bounds[top[L] + 1]
-        M = np.zeros((k + len(new), end - c0 + 1), order="F")
-        M[:k, :carry.shape[1] - 1], M[:k, -1] = carry[:, :-1], carry[:, -1]
-        M[k:, :-1], M[k:, -1] = A[new, c0:end].toarray(), b[new]
+        s, end = c1 - c0, bounds[top[L] + 1]
+        M = _panel(end - c0, carry, A, at[L], at[L + 1], c0, b, s)
         # blocked workspaces for block size 64; ormqr adds its 65 x 64 T block
-        qr, tau, _, _ = scipy.linalg.lapack.dgeqrf(M[:, :s], lwork=64 * s, overwrite_a=True)
-        rest, _, _ = scipy.linalg.lapack.dormqr("L", "T", qr, tau, M[:, s:],
-                                                64 * M.shape[1] + 4160, overwrite_c=True)
-        blocks.append((np.triu(qr[:s]), rest[:s].copy()))
-        carry = rest[s:].copy()
+        qr, tau, _, _ = lapack.dgeqrf(M[:, :s], lwork=64 * s, overwrite_a=True)
+        rest, _, _ = lapack.dormqr("L", "T", qr, tau, M[:, s:], 64 * M.shape[1] + 4160,
+                                   overwrite_c=True)
+        R, carry, rest = np.triu(qr[:s]), rest[s:], rest[:s].copy()
+        c = carry.shape[1]
+        if len(carry) > c:
+            carry = np.triu(lapack.dgeqrf(carry, lwork=64 * c)[0][:c])
+        else:
+            carry = carry.copy()
+        i0, i1 = at[nl + L], at[nl + L + 1]
+        if len(wide) + i1 - i0:
+            W = _panel(n - c0, wide, A, i0, i1, c0, b)
+            R, V, T, _ = lapack.dtpqrt(0, min(s, 64), R, W[:, :s], overwrite_a=True)
+            rest, wide, _ = lapack.dtpmqrt(0, V, T, _panel(n - c1, rest, A, 0, 0, c1, b),
+                                           W[:, s:], trans="T", overwrite_a=True,
+                                           overwrite_b=True)
+        blocks.append((R, rest))
     diag = np.abs(np.concatenate([np.diagonal(R) for R, _ in blocks]))
     if diag.min() <= (m + n) * np.finfo(float).eps * diag.max():
         return None
@@ -373,7 +449,9 @@ def _staircase_qr(A: scipy.sparse.csr_matrix, b: np.ndarray, keys):
         rhs = rest[:, -1] - rest[:, :-1] @ y[c1:c1 + rest.shape[1] - 1]
         y[c0:c1] = scipy.linalg.solve_triangular(R, rhs, check_finite=False)
     x = (y / norms[perm])[np.argsort(perm)]
-    return (x, grading, float(diag.min() / diag.max())) if np.all(np.isfinite(x)) else None
+    if not np.all(np.isfinite(x)):
+        return None
+    return x, grading, float(diag.min() / diag.max()), int(np.count_nonzero(~narrow))
 
 
 def solve_ls(system: LinearSystem) -> PsKernelSolution:
@@ -381,21 +459,23 @@ def solve_ls(system: LinearSystem) -> PsKernelSolution:
 
     The normal path is the staircase QR of :func:`_staircase_qr`
     (``solve_path`` is ``"staircase_qr"``); A is never densified as a whole.
-    The solution records the column grading it followed (``ordering``) and
-    min/max |R_jj| (``r_diag_ratio``). A full-rank factor implies full
-    column rank, so ``rank`` is the column count. When A is rank-deficient
-    the minimum-norm solution comes from a dense rank-revealing QR
-    (``"dense_lstsq"``, LAPACK gelsy), whose rank estimate is reported. The
-    returned residual is ||Ax - b||_2 recomputed from the solution."""
+    The solution records the column grading it followed (``ordering``),
+    the number of wide rows it merged into the levels' triangles
+    (``wide_rows``) and min/max |R_jj| (``r_diag_ratio``). A full-rank
+    factor implies full column rank, so ``rank`` is the column count. When
+    A is rank-deficient the minimum-norm solution comes from a dense
+    rank-revealing QR (``"dense_lstsq"``, LAPACK gelsy), whose rank estimate
+    is reported. The returned residual is ||Ax - b||_2 recomputed from the
+    solution."""
     out = _staircase_qr(system.A, system.b, system.cols)
     if out is not None:
-        x, ordering, ratio = out
+        x, ordering, ratio, wide_rows = out
         solve_path, rank = "staircase_qr", system.A.shape[1]
     else:
         A = system.A.toarray()
         x, _, rank, _ = scipy.linalg.lstsq(A, system.b, lapack_driver="gelsy",
                                            check_finite=False)
-        solve_path, ordering, ratio = "dense_lstsq", None, None
+        solve_path, ordering, ratio, wide_rows = "dense_lstsq", None, None, None
         if not np.all(np.isfinite(x)):
             raise RuntimeError(
                 f"least-squares factorization produced non-finite values "
@@ -411,7 +491,7 @@ def solve_ls(system: LinearSystem) -> PsKernelSolution:
         residual=residual, config=cfg,
         num_unknowns=sum(count_unknowns(cfg.N, cfg.N_y)), num_equations=system.A.shape[0],
         x=x, rank=int(rank), solve_path=solve_path, ordering=ordering,
-        r_diag_ratio=ratio,
+        r_diag_ratio=ratio, wide_rows=wide_rows,
     )
 
 
@@ -457,16 +537,19 @@ def optimality_check(system: LinearSystem, candidate: np.ndarray,
 
 
 def optimality_certificate(system: LinearSystem, x: np.ndarray) -> float:
-    """||A^T r|| / (||A||_F ||r||) with r = A x - b.
+    """||A^T r|| / (||A||_F max(||r||, 1e-6 ||b||)) with r = A x - b.
 
     Zero at an exact least-squares minimizer and at roundoff level at a
-    computed one; 0.0 when the residual vanishes."""
+    computed one. The residual is floored at 1e-6 ||b||: once it is itself
+    roundoff, the unfloored quotient is noise (2e-2 at example1, N = 30,
+    N_y = 2) and cannot tell a good solve from a bad one. 0.0 when both r
+    and b vanish."""
     r = system.A @ x - system.b
-    rn = float(np.linalg.norm(r))
-    if rn == 0.0:
+    scale = max(float(np.linalg.norm(r)), 1e-6 * float(np.linalg.norm(system.b)))
+    if scale == 0.0:
         return 0.0
     return float(np.linalg.norm(system.A.T @ r)) / (
-        float(scipy.sparse.linalg.norm(system.A)) * rn)
+        float(scipy.sparse.linalg.norm(system.A)) * scale)
 
 
 def residual_by_source(system: LinearSystem, x: np.ndarray) -> dict[str, float]:

@@ -1,4 +1,5 @@
 import math
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -8,6 +9,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from conftest import FULL
+from continuum_kernels import power_series
 from continuum_kernels.gains import diff_solutions, gains
 from continuum_kernels.params import ContinuumParams, check_positivity
 from continuum_kernels.power_series import (SRC_BC_DIAG, SRC_BC_LEFT,
@@ -20,7 +22,9 @@ from continuum_kernels.power_series import (SRC_BC_DIAG, SRC_BC_LEFT,
                                             _param_series, _q_moments,
                                             _SOURCES, _staircase, assemble,
                                             coeff_vector,
-                                            count_unknowns, optimality_check,
+                                            count_unknowns,
+                                            optimality_certificate,
+                                            optimality_check,
                                             residual_series, solve, solve_ls)
 from continuum_kernels.series import (Cos, Exp, Polynomial, SeparableSum,
                                       SeparableTerm, TruncatedSeries, Var,
@@ -286,6 +290,20 @@ class TestExactQMoments:
 
 
 class TestOptimality:
+    def test_certificate_at_roundoff_residual(self, solve_cache):
+        # the residual, 1.4e-12, is roundoff; with the residual unfloored
+        # the certificate read 1.9e-2 here. Moving one coefficient by 1e-3
+        # of the largest gave 6.7e-5 to 4.5e-2
+        cfg = SolverConfig(N=30, N_y=2, use_exact_q=True)
+        system = assemble(solve_cache.problem("example1").continuum, cfg)
+        sol = solve_cache.solution("example1", cfg)
+        assert sol.residual < 1e-10
+        assert optimality_certificate(system, sol.x) <= 1e-10
+        for j in (0, np.argmax(np.abs(sol.x)), len(sol.x) - 1):
+            worse = sol.x.copy()
+            worse[j] += 1e-3 * np.abs(sol.x).max()
+            assert optimality_certificate(system, worse) >= 1e-5
+
     def test_candidate_equals_reference(self, solve_cache):
         cfg = SolverConfig(N=5)
         system = assemble(solve_cache.problem("example2").continuum, cfg)
@@ -366,6 +384,9 @@ class TestSparseAgainstDense:
         sol = solve_ls(system)
         assert sol.solve_path == "staircase_qr"
         assert sol.rank == system.A.shape[1]
+        # example1's diagonal-BC rows span every x-degree level: its configs,
+        # full order included, take the wide-row merge
+        assert sol.wide_rows > 0 or name == "example2"
         x_ref = _dense_oracle(system)
         np.testing.assert_allclose(sol.x, x_ref, rtol=0.0, atol=1e-8)
         r_ref = np.linalg.norm(system.A @ x_ref - system.b)
@@ -392,21 +413,28 @@ class TestSparseAgainstDense:
         assert sol.residual == pytest.approx(full.residual, rel=1e-12)
 
     @pytest.mark.parametrize("name, N_y, ordering", [
-        ("example2", None, "x+xi"), ("example1", 2, "x")])
+        ("example2", None, "x+xi"), ("example1", 2, "x"), ("example2", 2, "x+xi")])
     def test_grading_choice(self, solve_cache, name, N_y, ordering):
+        # example2 with N_y = 2 is the closed-loop benchmark's system. Its
+        # "x" plan with 48 wide rows solves faster alone, but the simulation
+        # that follows it ran slower (pass 0.28 -> 0.32 s), so the merge's
+        # cost weight keeps it on "x+xi" without wide rows
         sol = solve_cache.solution(name, SolverConfig(N=20, N_y=N_y))
         assert sol.solve_path == "staircase_qr"
         assert sol.ordering == ordering
+        assert (sol.wide_rows > 0) == (ordering == "x")
         assert 0.0 < sol.r_diag_ratio <= 1.0
 
     @FULL
     @pytest.mark.parametrize("name, cfg", [
         ("example2", SolverConfig(N=25, sigma_sign=-1)),
-        ("example1", SolverConfig(N=30, N_y=2, use_exact_q=True))])
+        ("example1", SolverConfig(N=30, N_y=2, use_exact_q=True)),
+        ("example1", SolverConfig(N=30))])
     def test_matches_dense_oracle_largest(self, solve_cache, name, cfg):
-        # the benchmark's largest systems. example1's residual, 1.5e-12
-        # against 3.9e-12 from the oracle, is at roundoff: there a one-ulp
-        # change of x moves it by 120 %, hence the absolute floor
+        # the benchmark's largest systems and example1 at full order. The
+        # example1 residuals, about 1e-12 against 3.9e-12 from the oracle at
+        # N_y = 2, are at roundoff: there a one-ulp change of x moves them by
+        # 120 %, hence the absolute floor
         system = assemble(solve_cache.problem(name).continuum, cfg)
         sol = solve_ls(system)
         assert sol.solve_path == "staircase_qr"
@@ -416,16 +444,16 @@ class TestSparseAgainstDense:
         assert sol.residual == pytest.approx(r_ref, rel=1e-9, abs=1e-10)
 
     def test_fewer_rows_than_columns_falls_back(self):
-        # the two level-0 columns meet only row 0: no grading gives the
-        # level a full-rank panel
+        # the two level-0 columns meet only row 0: no grading and no span
+        # cut gives the level as many rows as columns
         A = scipy.sparse.csr_matrix([[1.0, 2.0, 0.0], [0.0, 0.0, 1.0],
                                      [0.0, 0.0, 3.0]])
         system = LinearSystem(A=A, b=np.array([1.0, 2.0, 3.0]),
                               cols=[("KB", (0, 0)), ("K", (0, 0, 1)), ("KB", (1, 0))],
                               rows=[], config=SolverConfig(N=1))
         for grading in _GRADINGS:
-            _, _, _, bounds, _, rows = _staircase(A, grading, system.cols)
-            assert rows[0] == 1 and bounds[1] == 2
+            cost, _, _, _, _, bounds, _ = _staircase(A, grading, system.cols)
+            assert bounds[1] == 2 and np.all(np.isinf(cost))
         sol = solve_ls(system)
         assert sol.solve_path == "dense_lstsq"
         assert sol.rank == 2 and sol.ordering is None
@@ -437,24 +465,52 @@ class TestSparseAgainstDense:
            density=st.floats(0.02, 0.3), seed=st.integers(0, 2 ** 32 - 1),
            keys=st.lists(st.tuples(st.booleans(), st.integers(0, 4),
                                    st.integers(0, 4), st.integers(0, 2)),
-                         min_size=40, max_size=40))
-    def test_random_full_rank_systems(self, n, extra, density, seed, keys):
+                         min_size=40, max_size=40),
+           dense=st.integers(0, 3))
+    # level 0 holds columns 0 and 1, whose diagonal rows are dropped, and the
+    # random row is empty: with the dense rows wide, level 0 has no narrow
+    # row for its two columns, and the two wide rows make it full rank
+    @example(n=6, extra=1, density=0.02, seed=0, dense=2,
+             keys=[(False, 0, 0, 0), (False, 0, 0, 0)]
+             + [(False, a, 0, 0) for a in range(1, 39)])
+    def test_random_full_rank_systems(self, n, extra, density, seed, keys, dense):
         rng = np.random.default_rng(seed)
-        # a nonsingular diagonal block on top keeps full column rank
+        # a nonsingular diagonal block on top keeps full column rank; the
+        # dense rows span every level and stand in for the diagonal rows of
+        # the first `dense` columns
         diag = scipy.sparse.diags(rng.uniform(0.5, 2.0, n) * rng.choice([-1, 1], n))
         rand = scipy.sparse.random(extra, n, density=density, random_state=rng,
                                    data_rvs=rng.standard_normal)
-        A = scipy.sparse.vstack([diag, rand]).tocsr()
-        b = rng.standard_normal(n + extra)
+        full = scipy.sparse.csr_matrix(rng.standard_normal((dense, n)))
+        A = scipy.sparse.vstack([diag.tocsr()[min(dense, n):], rand, full]).tocsr()
+        b = rng.standard_normal(A.shape[0])
         # repeated levels put several columns in a panel
         cols = [("K", (a, bb, c)) if is_k else ("KB", (a, bb))
                 for is_k, a, bb, c in keys[:n]]
         system = LinearSystem(A=A, b=b, cols=cols, rows=[], config=SolverConfig(N=n))
+        x_ref = _dense_oracle(system)
         sol = solve_ls(system)
         assert sol.solve_path == "staircase_qr"
         assert sol.ordering in _GRADINGS
-        np.testing.assert_allclose(sol.x, _dense_oracle(system), rtol=0.0,
-                                   atol=1e-10 * max(1.0, np.abs(sol.x).max()))
+        # and every feasible plan, wide rows or not, gives the same solution
+        for grading in _GRADINGS:
+            cost = _staircase(A, grading, cols)[0]
+            for i in np.flatnonzero(np.isfinite(cost)):
+                with mock.patch.object(power_series, "_staircase", _only_plan(grading, i)):
+                    sol = solve_ls(system)
+                assert sol.solve_path == "staircase_qr"
+                assert sol.ordering == grading
+                np.testing.assert_allclose(sol.x, x_ref, rtol=0.0,
+                                           atol=1e-10 * max(1.0, np.abs(sol.x).max()))
+
+
+def _only_plan(grading: str, i: int):
+    """`_staircase` with every plan but the i-th cut of `grading` ruled out."""
+    def plans(A, g, keys):
+        cost, *rest = _staircase(A, g, keys)
+        keep = (np.arange(len(cost)) == i) & (g == grading)
+        return (np.where(keep, cost, np.inf), *rest)
+    return plans
 
 
 def _assert_same_system(got: LinearSystem, want: LinearSystem):
