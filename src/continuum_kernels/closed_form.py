@@ -32,10 +32,9 @@ from typing import Callable
 
 import numpy as np
 import numpy.polynomial.polynomial as P
-import scipy.integrate
 
 from .params import ContinuumParams, LargeScaleParams
-from .series import Polynomial, SeparableSum, SeparableTerm, Var
+from .series import Polynomial, SeparableSum, SeparableTerm, Var, integrate01
 
 __all__ = [
     "NotApplicable",
@@ -87,8 +86,8 @@ def _poly_coeffs(f: SeparableSum) -> np.ndarray:
 
 def _integral01(*funcs: SeparableSum, weight: Callable | None = None) -> float:
     """Integral over [0,1] of a product of univariate sums (times an optional
-    weight). Polynomial products integrate exactly, from the multiplied
-    coefficient arrays; otherwise adaptive quadrature at 1e-12."""
+    vectorized weight). Polynomial products integrate exactly, from the
+    multiplied coefficient arrays; otherwise by :func:`integrate01` at 1e-12."""
     if all(f.is_polynomial() for f in funcs) and weight is None:
         prod = np.ones(1)
         for f in funcs:
@@ -96,16 +95,12 @@ def _integral01(*funcs: SeparableSum, weight: Callable | None = None) -> float:
         return float(prod @ (1.0 / np.arange(1, len(prod) + 1)))
 
     def integrand(t):
-        out = 1.0
+        out = np.ones_like(t) if weight is None else weight(t)
         for f in funcs:
-            out *= float(_eval1(f, t))
-        if weight is not None:
-            out *= weight(t)
+            out = out * _eval1(f, t)
         return out
 
-    val, _ = scipy.integrate.quad(integrand, 0.0, 1.0,
-                                  epsabs=1e-12, epsrel=1e-12, limit=200)
-    return val
+    return integrate01(integrand, 1e-12)
 
 
 def _eval1(f: SeparableSum, t) -> np.ndarray:
@@ -204,10 +199,10 @@ class SeparableProblem:
     def weighted_integral(self, *funcs: SeparableSum) -> float:
         """Integral over [0,1] of the product of ``funcs`` divided by
         lam(y) + mu: exact for polynomials when lam is constant, adaptive
-        quadrature otherwise."""
+        Gauss-Legendre (:func:`integrate01`) otherwise."""
         if self.lam_const is not None:
             return _integral01(*funcs) / (self.lam_const + self.mu)
-        return _integral01(*funcs, weight=lambda t: 1.0 / float(self.lam_plus_mu(t)))
+        return _integral01(*funcs, weight=lambda t: 1.0 / self.lam_plus_mu(t))
 
 
 def _proportionality(num: SeparableSum, den: SeparableSum) -> tuple[float, float]:

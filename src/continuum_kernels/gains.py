@@ -13,13 +13,12 @@ import io
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.integrate
 
 from .closed_form import ClosedFormKernel
 from .fd_kernels import LsKernelSolution
 from .params import ContinuumParams, LargeScaleParams, sample_points
 from .power_series import PsKernelSolution, residual_series
-from .series import Var
+from .series import Var, integrate01
 
 __all__ = [
     "GainTable",
@@ -133,8 +132,8 @@ def continuum_residual(sol, p: ContinuumParams,
 
     Series solutions are checked against the same truncated-parameter
     equations the solver matched (exact monomial integration); closed-form
-    solutions against the analytic parameters with quadrature (1e-10) for
-    the integral couplings.
+    solutions against the analytic parameters, with the integral couplings
+    by adaptive Gauss-Legendre at 1e-10.
     """
     xs = np.linspace(0.0, 1.0, grid_m)
     if isinstance(sol, PsKernelSolution):
@@ -157,23 +156,19 @@ def _closed_form_residual(sol: ClosedFormKernel, p: ContinuumParams,
                           xs: np.ndarray) -> dict[str, float]:
     """Pointwise residuals for a separable solution; the y/eta integrals
     reduce to scalars (by separability of the kernel) computed once by
-    adaptive quadrature."""
+    adaptive Gauss-Legendre (:func:`integrate01`) at 1e-10."""
     sp = sol.problem
     mu_c = sol.mu
-    quad = scipy.integrate.quad
 
     def ky(t):
         # y-profile of k without the (x, xi) envelope
-        return -float(sp.theta_y.eval1(Var.Y, t)) / float(sp.lam_plus_mu(t))
+        return -sp.theta_y.eval1(Var.Y, t) / sp.lam_plus_mu(t)
 
     lam0 = p.lam.substitute(Var.X, 0.0)
-    J_sig, _ = quad(lambda t: float(sp.sigma_y.eval1(Var.Y, t)) * (-ky(t)),
-                    0.0, 1.0, epsabs=1e-10, epsrel=1e-10, limit=200)
-    J_w, _ = quad(lambda t: float(sp.W_y.eval1(Var.Y, t)) * (-ky(t)),
-                  0.0, 1.0, epsabs=1e-10, epsrel=1e-10, limit=200)
-    J_q, _ = quad(lambda t: float(p.q.eval1(Var.Y, t))
-                  * float(lam0.eval1(Var.Y, t)) * (-ky(t)),
-                  0.0, 1.0, epsabs=1e-10, epsrel=1e-10, limit=200)
+    J_sig = integrate01(lambda t: sp.sigma_y.eval1(Var.Y, t) * -ky(t), 1e-10)
+    J_w = integrate01(lambda t: sp.W_y.eval1(Var.Y, t) * -ky(t), 1e-10)
+    J_q = integrate01(lambda t: p.q.eval1(Var.Y, t) * lam0.eval1(Var.Y, t)
+                      * -ky(t), 1e-10)
 
     X3, XI3, Y3 = np.meshgrid(xs, xs, xs, indexing="ij")
     tri = XI3 <= X3 + 1e-12

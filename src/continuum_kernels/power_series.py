@@ -31,13 +31,12 @@ import warnings
 from dataclasses import dataclass, field
 
 import numpy as np
-import scipy.integrate
 import scipy.linalg
 import scipy.sparse
 import scipy.sparse.linalg
 
 from .params import ContinuumParams, check_positivity
-from .series import TruncatedSeries, Var, grlex_key
+from .series import TruncatedSeries, Var, grlex_key, integrate01
 
 __all__ = [
     "SolverConfig",
@@ -70,8 +69,9 @@ class SolverConfig:
         order in the ensemble variable y (defaults to N); lowering it cuts
         the unknown count from O(N^3) to O(N_y N^2).
     use_exact_q
-        evaluate the x=0 boundary integral with quadrature moments of the
-        exact q instead of expanding q as a series.
+        evaluate the x=0 boundary integral with moments of the exact q,
+        integrated by adaptive Gauss-Legendre to 1e-12, instead of
+        expanding q as a series.
     sigma_sign
         sign s applied to the sigma integral coupling in the first kernel
         equation. +1 is the convention consistent with the sampled n+1
@@ -184,19 +184,17 @@ def _check_ny_bound(cfg: SolverConfig, lam: TruncatedSeries, theta: TruncatedSer
 
 def _q_moments(p: ContinuumParams, cfg: SolverConfig,
                lam: TruncatedSeries, q_series: TruncatedSeries) -> np.ndarray:
-    """m_c = int_0^1 q(y) lam(0,y) y^c dy for c = 0..N_y."""
+    """m_c = int_0^1 q(y) lam(0,y) y^c dy for c = 0..N_y: with the exact q,
+    by :func:`integrate01` at 1e-12; with the series q, exactly."""
     lam0 = lam.substitute_value(Var.X, 0.0)
     if cfg.use_exact_q:
         lam0_coeffs = sorted(lam0.coeffs.items())
-        out = np.empty(cfg.N_y + 1)
-        for c in range(cfg.N_y + 1):
-            val, _ = scipy.integrate.quad(
-                lambda y, cc=c: float(p.q.eval1(Var.Y, y))
-                * sum(v * y ** e for (e,), v in lam0_coeffs) * y ** cc,
-                0.0, 1.0, epsabs=1e-12, epsrel=1e-12, limit=200,
-            )
-            out[c] = val
-        return out
+
+        def q_lam0(y):
+            return p.q.eval1(Var.Y, y) * sum(v * y ** e for (e,), v in lam0_coeffs)
+
+        return np.array([integrate01(lambda y, c=c: q_lam0(y) * y ** c, 1e-12)
+                         for c in range(cfg.N_y + 1)])
     G = q_series * lam0
     out = np.zeros(cfg.N_y + 1)
     for (e,), g in G.coeffs.items():

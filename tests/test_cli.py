@@ -1,9 +1,14 @@
 import json
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import continuum_kernels
 from continuum_kernels.cli import main
 from continuum_kernels.gains import read_gain_csv
 from continuum_kernels.params import load_problem
@@ -294,3 +299,16 @@ def test_usage_error_exits_1():
     with pytest.raises(SystemExit) as exc:
         run(["solve"])  # missing required arguments
     assert exc.value.code == 1
+
+
+def test_cold_start_imports():
+    # scipy's integrate, special and optimize subpackages were about 0.2 s
+    # of every command's start-up, for three quad calls
+    code = ("import sys, continuum_kernels.cli; print(sorted({'scipy.integrate', "
+            "'scipy.special', 'scipy.optimize'} & set(sys.modules)))")
+    src = str(Path(continuum_kernels.__file__).parents[1])
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+        [src] + ([os.environ["PYTHONPATH"]] if os.environ.get("PYTHONPATH") else []))}
+    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                         text=True, timeout=120, check=True)
+    assert out.stdout.strip() == "[]"

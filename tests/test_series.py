@@ -2,12 +2,13 @@ import math
 
 import numpy as np
 import pytest
+import scipy.integrate
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from continuum_kernels.series import (Constant, Cos, Exp, Polynomial,
-                                      SeparableSum, SeparableTerm, Sin,
-                                      TruncatedSeries, Var)
+from continuum_kernels.series import (MAX_PANELS, Constant, Cos, Exp,
+                                      Polynomial, SeparableSum, SeparableTerm,
+                                      Sin, TruncatedSeries, Var, integrate01)
 
 X, XI, Y, ETA = Var.X, Var.XI, Var.Y, Var.ETA
 
@@ -276,3 +277,51 @@ def test_separable_taylor_total_truncation_is_exact():
     # coefficient of x^1 y^2: 2 * 1 * 2^2/2!
     assert s.coeffs[(1, 2)] == pytest.approx(4.0)
     assert all(sum(e) <= 4 for e in s.coeffs)
+
+
+class TestIntegrate01:
+    @pytest.mark.parametrize("f, exact", [
+        (lambda y: y * y * np.cos(2 * math.pi * y), 1.0 / (2 * math.pi ** 2)),
+        (lambda y: y ** 5, 1.0 / 6.0),
+        (np.exp, math.e - 1.0)])
+    def test_exact_values(self, f, exact):
+        assert integrate01(f, 1e-12) == pytest.approx(exact, rel=0, abs=4e-16)
+
+    def test_divergent_integrand_raises(self):
+        # the rule gives 1/t the same value on every [0, h], and the two
+        # halves exceed it by log 2, so the panel at 0 never converges
+        with pytest.raises(RuntimeError, match=f"{MAX_PANELS} panels"):
+            integrate01(lambda t: 1.0 / t, 1e-12)
+
+    def test_non_finite_integrand_raises(self):
+        with pytest.raises(ValueError, match="not finite"):
+            integrate01(lambda t: np.where(t > 0.7, np.nan, t), 1e-12)
+
+
+# products of at most one factor of each kind, so |f| stays below about 50
+# and both rules' roundoff stays below the absolute part of the bound
+_FACTORS = st.tuples(
+    st.none() | st.lists(st.floats(-1, 1), min_size=1, max_size=4).map(
+        lambda c: Polynomial(Y, c)),
+    st.none() | st.floats(-2, 2).map(lambda r: Exp(Y, r)),
+    st.none() | st.builds(lambda w, ph: Cos(Y, w, ph),
+                          st.floats(0, 4 * math.pi), st.floats(-math.pi, math.pi)))
+# a positive 1/(lam(y) + mu) weight, as in the closed form's y-integrals
+_WEIGHT = st.none() | st.tuples(st.floats(0.5, 2), st.floats(0.1, 2), st.floats(0, 3))
+
+
+@settings(max_examples=80, deadline=None)
+@given(st.floats(-2, 2), _FACTORS, _WEIGHT)
+def test_integrate01_matches_quad(scale, factors, weight):
+    term = SeparableTerm(scale, [f for f in factors if f is not None])
+
+    def f(t):
+        out = term({Y: np.asarray(t, dtype=float)})
+        if weight is not None:
+            mu, lam0, lam2 = weight
+            out = out / (mu + lam0 + lam2 * t * t)
+        return out
+
+    ref, _ = scipy.integrate.quad(lambda t: float(f(t)), 0.0, 1.0,
+                                  epsabs=1e-12, epsrel=1e-12, limit=MAX_PANELS)
+    assert abs(integrate01(f, 1e-12) - ref) <= 1e-14 + 1e-13 * abs(ref)
