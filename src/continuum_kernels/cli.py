@@ -1,10 +1,11 @@
 """Command-line workflows: solve, closed-form, fit-q, bench, simulate,
 ls-kernels.
 
-Every run writes a manifest JSON next to its outputs recording the command,
-resolved settings, and wall-clock timing; numeric CSV outputs are
-deterministic across reruns of the same manifest (timing lives only in the
-manifest/report files).
+Every run that writes files writes one strict-JSON report next to them:
+the manifest (command, resolved arguments, wall clock), the problem, stage
+timings, the figures that grade the answer and the command's own fields.
+Numeric CSV outputs are deterministic across reruns; timings live only in
+the report.
 """
 
 from __future__ import annotations
@@ -48,29 +49,43 @@ class _Parser(argparse.ArgumentParser):
 
 
 def _write_json(path, obj) -> None:
-    with open(path, "w", encoding="utf-8") as fh:
-        json.dump(obj, fh, indent=2, default=_json_default)
-        fh.write("\n")
+    """Strict JSON: a NaN or inf raises ValueError and writes nothing."""
+    text = json.dumps(obj, indent=2, default=_json_default, allow_nan=False)
+    Path(path).write_text(text + "\n", encoding="utf-8")
 
 
 def _json_default(o):
-    if isinstance(o, (np.floating, np.integer)):
-        return o.item()
-    if isinstance(o, np.ndarray):
+    if isinstance(o, (np.generic, np.ndarray)):
         return o.tolist()
     raise TypeError(f"not JSON serializable: {type(o)}")
 
 
-def _manifest(prefix: str, command: str, args: dict, timing: float) -> str:
-    path = f"{prefix}_manifest.json"
+def _report_path(args) -> str | None:
+    """Where a run's report goes: ``<prefix>_report.json``, ``X_report.json``
+    for ``bench --out X.csv`` and the ``--out`` file itself for ``fit-q``;
+    None when the run writes no file."""
+    if args.command == "fit-q":
+        return args.out
+    if args.command == "bench":
+        return args.out and f"{Path(args.out).with_suffix('')}_report.json"
+    return f"{args.out_prefix}_report.json"
+
+
+def _write_report(path, args, t0: float, problem: str | None, stages_s: dict,
+                  quality: dict, **fields) -> None:
+    """The run's one report: the manifest (command, resolved arguments and
+    the wall clock of the whole command), the problem, the stage timings,
+    the figures that grade the answer, then the command's own fields."""
     _write_json(path, {
-        "command": command,
-        "arguments": {k: v for k, v in args.items() if k != "func"},
-        "tool_version": __version__,
-        "deterministic": "all numeric outputs are seed-free and rerun-stable",
-        "wall_clock_s": timing,
-    })
-    return path
+        "manifest": {
+            "command": args.command,
+            "arguments": {k: v for k, v in vars(args).items() if k != "func"},
+            "tool_version": __version__,
+            "deterministic": "all numeric outputs are seed-free and rerun-stable",
+            "wall_clock_s": time.perf_counter() - t0,
+        },
+        "problem": problem, "stages_s": stages_s, "quality": quality,
+    } | fields)
 
 
 def _series_json(series) -> dict:
@@ -103,128 +118,100 @@ def _timed(stages: dict, name: str, f, *args, **kwargs):
     return out
 
 
-def cmd_solve(args) -> int:
-    t0 = time.perf_counter()
+# Each command takes the parsed arguments and its report path, writes its
+# outputs and returns its exit code with the report's fields (None: no report).
+
+def cmd_solve(args, report_path) -> tuple:
     grid = _gain_grid(args.grid)
     problem = load_problem(args.config)
     if args.fit_degree is not None:
         problem = problem.with_fit_degree(args.fit_degree)
+    # a bad reference name fails before the solve
+    exact = args.compare_exact and _exact_reference(args.compare_exact, problem)
     cfg = SolverConfig(N=args.order, N_y=args.order_y, use_exact_q=args.exact_q,
                        sigma_sign=args.sigma_sign)
+    args.resolved_N_y = cfg.N_y
     stages = {}
     system = _timed(stages, "assemble", assemble, problem.continuum, cfg)
     sol = _timed(stages, "solve_ls", solve_ls, system)
-    elapsed = time.perf_counter() - t0
     table = _timed(stages, "gains", gains, sol, grid_xi=grid, grid_y=grid)
-    report = {
-        "problem": problem.name,
-        "order": cfg.N,
-        "order_y": cfg.N_y,
-        "exact_q": cfg.use_exact_q,
-        "sigma_sign": cfg.sigma_sign,
-        "num_unknowns": sol.num_unknowns,
-        "num_equations": sol.num_equations,
-        "residual": sol.residual,
-        "solve_path": sol.solve_path,
-        "ordering": sol.ordering,
-        "wide_rows": sol.wide_rows,
-        "r_diag_ratio": sol.r_diag_ratio,
-        "rank": sol.rank,
-        "nnz": int(system.A.nnz),
-        "certificate": optimality_certificate(system, sol.x),
-        "residual_by_source": residual_by_source(system, sol.x),
-        "timing_s": elapsed,
-        "stages_s": stages,
-    }
-    if args.compare_exact:
-        kern = _exact_reference(args.compare_exact, problem)
-        ref = gains(kern, grid_xi=grid, grid_y=grid)
-        report["max_error_vs_exact"] = diff_solutions(table, ref)
-    prefix = args.out_prefix
-    man = _manifest(prefix, "solve", vars(args) | {"resolved_N_y": cfg.N_y},
-                    elapsed)
-    write_gain_csv(table, f"{prefix}_gains.csv", manifest=man)
-    _write_json(f"{prefix}_coeffs.json", {
-        "manifest": man,
+    quality = {"residual": sol.residual,
+               "certificate": optimality_certificate(system, sol.x)}
+    if exact:
+        quality["max_error_vs_exact"] = diff_solutions(
+            table, gains(exact, grid_xi=grid, grid_y=grid))
+    write_gain_csv(table, f"{args.out_prefix}_gains.csv", report_path=report_path)
+    _write_json(f"{args.out_prefix}_coeffs.json", {
+        "report": report_path,
         "k": _series_json(sol.k), "kbar": _series_json(sol.kbar),
         "exponent_order": ["x", "xi", "y"],
     })
-    _write_json(f"{prefix}_report.json", report | {"manifest": man})
     print(f"solve: unknowns={sol.num_unknowns} equations={sol.num_equations} "
           f"residual={sol.residual:.6g}")
-    if "max_error_vs_exact" in report:
+    if exact:
         print(f"solve: max gain error vs exact reference "
-              f"{report['max_error_vs_exact']:.6g}")
-    return EXIT_OK
+              f"{quality['max_error_vs_exact']:.6g}")
+    return EXIT_OK, dict(
+        problem=problem.name, stages_s=stages, quality=quality, **quality,
+        order=cfg.N, order_y=cfg.N_y, exact_q=cfg.use_exact_q,
+        sigma_sign=cfg.sigma_sign, num_unknowns=sol.num_unknowns,
+        num_equations=sol.num_equations, solve_path=sol.solve_path,
+        ordering=sol.ordering, wide_rows=sol.wide_rows,
+        r_diag_ratio=sol.r_diag_ratio, rank=sol.rank, nnz=int(system.A.nnz),
+        residual_by_source=residual_by_source(system, sol.x),
+        timing_s=stages["assemble"] + stages["solve_ls"])
 
 
-def cmd_closed_form(args) -> int:
-    t0 = time.perf_counter()
+def cmd_closed_form(args, report_path) -> tuple:
     grid = _gain_grid(args.grid)
     problem = load_problem(args.config)
-    kern = solve_closed_form(problem.continuum)
-    prefix = args.out_prefix
-    man = _manifest(prefix, "closed-form", vars(args), time.perf_counter() - t0)
-    if isinstance(kern, NotApplicable):
-        _write_json(f"{prefix}_report.json", {
-            "manifest": man,
-            "problem": problem.name,
-            "applicable": False,
-            "reason": kern.reason,
-            "details": kern.details,
-        })
+    stages = {}
+    kern = _timed(stages, "closed_form", solve_closed_form, problem.continuum)
+    quality = {"applicable": not isinstance(kern, NotApplicable)}
+    if not quality["applicable"]:
         print(f"closed-form: not applicable: {kern.reason}")
-        return EXIT_NOT_APPLICABLE
-    table = gains(kern, grid_xi=grid, grid_y=grid)
-    write_gain_csv(table, f"{prefix}_gains.csv", manifest=man)
-    _write_json(f"{prefix}_report.json", {
-        "manifest": man,
-        "problem": problem.name,
-        "applicable": True,
-        "kernel": kern.describe(),
-    })
+        return EXIT_NOT_APPLICABLE, dict(
+            problem=problem.name, stages_s=stages, quality=quality, **quality,
+            reason=kern.reason, details=kern.details)
+    table = _timed(stages, "gains", gains, kern, grid_xi=grid, grid_y=grid)
+    write_gain_csv(table, f"{args.out_prefix}_gains.csv", report_path=report_path)
     print(f"closed-form: c_x={kern.c_x:.6g} "
           f"c_y={'n/a' if kern.c_y is None else format(kern.c_y, '.6g')}")
-    return EXIT_OK
+    return EXIT_OK, dict(problem=problem.name, stages_s=stages, quality=quality,
+                         **quality, kernel=kern.describe())
 
 
-def cmd_fit_q(args) -> int:
+def cmd_fit_q(args, report_path) -> tuple:
+    name, offset = None, 0.0
     if args.config:
         problem = load_problem(args.config)
         if problem.q_data is None:
             raise ConfigError(f"problem {problem.name!r} has an analytic q; "
                               f"nothing to fit")
-        data = problem.q_data
-        offset = problem.q_offset
+        data, name, offset = problem.q_data, problem.name, problem.q_offset
     else:
         data = np.asarray(json.loads(args.data), dtype=float)
-        offset = 0.0
-    fit = fit_q(data, args.degree, offset=offset)
+    stages = {}
+    fit = _timed(stages, "fit", fit_q, data, args.degree, offset=offset)
     print(f"fit-q: degree={fit.degree} rms_error={fit.rms_error:.6g}")
     print("fit-q: coefficients (ascending powers):",
           " ".join(f"{c:.12g}" for c in fit.coeffs))
-    if args.out:
-        _write_json(args.out, {
-            "degree": fit.degree,
-            "coefficients_ascending": fit.coeffs,
-            "rms_error": fit.rms_error,
-        })
-    return EXIT_OK
+    quality = {"rms_error": fit.rms_error}
+    return EXIT_OK, dict(problem=name, stages_s=stages, quality=quality, **quality,
+                         degree=fit.degree, coefficients_ascending=fit.coeffs)
 
 
-def cmd_bench(args) -> int:
-    preset = BENCH_PRESETS[args.example]
-    problem_name, order_y, exact_q, sigma_sign = preset
+def cmd_bench(args, report_path) -> tuple:
+    problem_name, order_y, exact_q, sigma_sign = BENCH_PRESETS[args.example]
     problem = load_problem(problem_name)
-    orders = [int(v) for v in args.orders.split(",") if v.strip()] \
-        if args.orders else []
-    fit_degrees = [int(v) for v in args.fit_degrees.split(",") if v.strip()] \
-        if args.fit_degrees else [None]
+    orders = [int(v) for v in args.orders.split(",") if v.strip()]
+    fit_degrees = [int(v) for v in args.fit_degrees.split(",") if v.strip()] or [None]
     if len(fit_degrees) > 1 and len(orders) != 1:
         raise ConfigError("a fit-degree sweep needs exactly one order")
     rows = []
     grid = np.linspace(0.0, 1.0, 101)
     exact_table = baseline = None
+    t = time.perf_counter()
     if orders and problem_name == "example1":
         exact = solve_closed_form(problem.continuum)
         if isinstance(exact, NotApplicable):  # pragma: no cover - guarded data
@@ -233,6 +220,7 @@ def cmd_bench(args) -> int:
     if orders and problem.n is not None and not args.skip_baseline:
         ls = problem.large_scale()
         baseline = gains(solve_characteristics(ls, TriGrid(args.baseline_m)))
+    stages = {"reference": time.perf_counter() - t}
     prev_table = None
     sweep = [(N, M) for M in fit_degrees for N in orders]
     for N, M in sweep:
@@ -242,10 +230,10 @@ def cmd_bench(args) -> int:
             use_exact_q=exact_q,
             sigma_sign=sigma_sign if args.sigma_sign is None else args.sigma_sign,
         )
-        t0 = time.perf_counter()
-        system = assemble(prob.continuum, cfg)
-        sol = solve_ls(system)
-        dt = time.perf_counter() - t0
+        row_stages = {}
+        system = _timed(row_stages, "assemble", assemble, prob.continuum, cfg)
+        sol = _timed(row_stages, "solve_ls", solve_ls, system)
+        cur = _timed(row_stages, "gains", gains, sol, grid_xi=grid, grid_y=grid)
         row = {
             "N": N,
             "num_unknowns": sol.num_unknowns,
@@ -254,32 +242,68 @@ def cmd_bench(args) -> int:
         }
         if M is not None:
             row["fit_degree"] = M
-        cur = gains(sol, grid_xi=grid, grid_y=grid)
         if exact_table is not None:
             row["max_error"] = diff_solutions(cur, exact_table)
         if baseline is not None:
-            t = sample_gains(sol, ls.n, grid_xi=baseline.grid_xi,
-                             offset=ls.sample_offset)
-            row["d_np1"] = diff_solutions(t, baseline)
-        row["d_prev"] = (diff_solutions(cur, prev_table)
-                         if prev_table is not None else float("nan"))
+            sampled = sample_gains(sol, ls.n, grid_xi=baseline.grid_xi,
+                                   offset=ls.sample_offset)
+            row["d_np1"] = diff_solutions(sampled, baseline)
+        if prev_table is not None:
+            row["d_prev"] = diff_solutions(cur, prev_table)
         prev_table = cur
-        rows.append(row)
+        time_s = row_stages["assemble"] + row_stages["solve_ls"]
         print("bench:", " ".join(f"{k}={v:.6g}" if isinstance(v, float) else f"{k}={v}"
-                                 for k, v in row.items()), f"time_s={dt:.3f}")
+                                 for k, v in row.items()), f"time_s={time_s:.3f}")
+        rows.append(row | {"time_s": time_s, "stages_s": row_stages,
+                           "residual_by_source": residual_by_source(system, sol.x)})
     if args.out:    # no timings: the CSV is rerun-stable
         cols = ["N", "fit_degree", "num_unknowns", "num_equations",
                 "residual", "max_error", "d_np1", "d_prev"]
-        cols = [c for c in cols if any(c in r for r in rows)] or cols[:5]
+        cols = [c for c in cols if c == "d_prev" or any(c in r for r in rows)] \
+            if rows else cols[:5]
         with open(args.out, "w", encoding="utf-8") as fh:
             fh.write(",".join(cols) + "\n")
             for r in rows:
                 fh.write(",".join(f"{r.get(c, float('nan'))}" for c in cols) + "\n")
-    return EXIT_OK
+    # the sweep's last row grades its final answer
+    quality = {k: rows[-1][k] for k in ("residual", "max_error", "d_np1", "d_prev")
+               if rows and k in rows[-1]}
+    return EXIT_OK, dict(problem=problem_name, stages_s=stages, quality=quality,
+                         example=args.example, rows=rows)
 
 
-def cmd_simulate(args) -> int:
-    t0 = time.perf_counter()
+def _sim_gains(args, problem: Problem, ls) -> GainTable | None:
+    """The feedback gains of ``simulate``: a gain CSV resampled at the
+    components, a fresh power-series solve, or None for the open loop."""
+    if args.open_loop:
+        return None
+    if args.gains:
+        table = read_gain_csv(args.gains)
+        ys = ls.y_points()
+        per_component = table.sampled and len(table.grid_y) == ls.n
+        if per_component and not np.allclose(table.grid_y, ys, rtol=0,
+                                             atol=1e-12):
+            raise ConfigError(
+                f"gain table {args.gains} is sampled at y = "
+                f"{np.array2string(table.grid_y)}, but the problem's "
+                f"components sit at y = {np.array2string(ys)}")
+        if per_component:
+            return table
+        # ensemble table: resample rows at the component points
+        k = np.array([np.interp(ys, table.grid_y, c) for c in table.k.T]).T
+        return GainTable(grid_xi=table.grid_xi, grid_y=ys, k=k,
+                         kbar=table.kbar, sampled=True)
+    if args.solve_order is not None:
+        solver = SolverConfig(N=args.solve_order, N_y=args.solve_order_y,
+                              sigma_sign=args.sigma_sign or 1)
+        sol = solve_ls(assemble(problem.continuum, solver))
+        return sample_gains(sol, ls.n, grid_xi=np.linspace(0, 1, args.mx),
+                            offset=ls.sample_offset)
+    raise ConfigError("simulate needs --gains, --solve-order, or --open-loop")
+
+
+def cmd_simulate(args, report_path) -> tuple:
+    t = time.perf_counter()
     problem = load_problem(args.config)
     n = args.n if args.n is not None else problem.n
     if n is None:
@@ -289,45 +313,24 @@ def cmd_simulate(args) -> int:
         args.t_final = 2.0 * sum(1.0 / s for s in ls.check_speeds())
     cfg = SimConfig(n=n, m_x=args.mx, t_final=args.t_final, cfl=args.cfl,
                     initial_profile=args.profile, amplitude=args.amplitude)
-    table = None
-    if not args.open_loop:
-        if args.gains:
-            table = read_gain_csv(args.gains)
-            ys = ls.y_points()
-            per_component = table.sampled and len(table.grid_y) == n
-            if per_component and not np.allclose(table.grid_y, ys, rtol=0,
-                                                 atol=1e-12):
-                raise ConfigError(
-                    f"gain table {args.gains} is sampled at y = "
-                    f"{np.array2string(table.grid_y)}, but the problem's "
-                    f"components sit at y = {np.array2string(ys)}")
-            if not per_component:
-                # ensemble table: resample rows at the component points
-                k = np.array([np.interp(ys, table.grid_y, c) for c in table.k.T]).T
-                table = GainTable(grid_xi=table.grid_xi, grid_y=ys, k=k,
-                                  kbar=table.kbar, sampled=True)
-        elif args.solve_order is not None:
-            solver = SolverConfig(N=args.solve_order, N_y=args.solve_order_y,
-                                  sigma_sign=args.sigma_sign or 1)
-            sol = solve_ls(assemble(problem.continuum, solver))
-            table = sample_gains(sol, n, grid_xi=np.linspace(0, 1, args.mx),
-                                 offset=ls.sample_offset)
-        else:
-            raise ConfigError("simulate needs --gains, --solve-order, or "
-                              "--open-loop")
-    report = Simulator(cfg, ls, table).run()
-    prefix = args.out_prefix
-    man = _manifest(prefix, "simulate", vars(args), time.perf_counter() - t0)
-    write_sim_csv(report, f"{prefix}_sim.csv", manifest=man)
-    verdict = "stable" if report.stable else (
-        "diverged" if report.diverged else "not stable")
-    print(f"simulate: {verdict}; initial norm {report.initial_norm:.6g}, "
-          f"final norm {report.final_norm:.6g}")
-    return EXIT_OK
+    stages = {"setup": time.perf_counter() - t}
+    table = _timed(stages, "gains", _sim_gains, args, problem, ls)
+    rep = _timed(stages, "run", lambda: Simulator(cfg, ls, table).run())
+    write_sim_csv(rep, f"{args.out_prefix}_sim.csv", report_path=report_path)
+    verdict = "stable" if rep.stable else (
+        "diverged" if rep.diverged else "not stable")
+    print(f"simulate: {verdict}; initial norm {rep.initial_norm:.6g}, "
+          f"final norm {rep.final_norm:.6g}")
+    quality = {"verdict": verdict, "initial_norm": rep.initial_norm}
+    if not rep.diverged:    # a diverged run's final norm is inf
+        quality["final_norm"] = rep.final_norm
+        quality["norm_ratio"] = (rep.final_norm / rep.initial_norm
+                                 if rep.initial_norm else 0.0)
+    return EXIT_OK, dict(problem=problem.name, stages_s=stages, quality=quality,
+                         steps=len(rep.t) - 1, dt=rep.dt)
 
 
-def cmd_ls_kernels(args) -> int:
-    t0 = time.perf_counter()
+def cmd_ls_kernels(args, report_path) -> tuple:
     problem = load_problem(args.config)
     n = args.n if args.n is not None else problem.n
     if n is None:
@@ -340,24 +343,16 @@ def cmd_ls_kernels(args) -> int:
             print(f"ls-kernels: refine {m1}->{m2} sup diff {d:.6g}")
         for r in rep.ratios:
             print(f"ls-kernels: refinement ratio {r:.3f}")
-        return EXIT_OK
+        return EXIT_OK, None
     sol = solve_characteristics(ls, TriGrid(args.m))
-    elapsed = time.perf_counter() - t0
-    table = gains(sol)
-    prefix = args.out_prefix
-    man = _manifest(prefix, "ls-kernels", vars(args), elapsed)
-    write_gain_csv(table, f"{prefix}_gains.csv", manifest=man)
-    _write_json(f"{prefix}_report.json", {
-        "manifest": man,
-        "problem": problem.name, "n": n, "m": args.m,
-        "iterations": sol.iterations, "final_delta": sol.final_delta,
-        "sweep_history": sol.history,
-        "timing_s": elapsed,
-        "stages_s": sol.stages_s,
-    })
+    write_gain_csv(gains(sol), f"{args.out_prefix}_gains.csv", report_path=report_path)
     print(f"ls-kernels: converged in {sol.iterations} sweeps "
           f"(last change {sol.final_delta:.3e})")
-    return EXIT_OK
+    quality = {"iterations": sol.iterations, "final_delta": sol.final_delta}
+    return EXIT_OK, dict(problem=problem.name, stages_s=sol.stages_s,
+                         quality=quality, **quality, n=n, m=args.m,
+                         sweep_history=sol.history,
+                         timing_s=sum(sol.stages_s.values()))
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -384,10 +379,11 @@ def build_parser() -> argparse.ArgumentParser:
     cp.set_defaults(func=cmd_closed_form)
 
     fp = sub.add_parser("fit-q", help="polynomial fit of reflection data")
-    fp.add_argument("--config", default=None)
-    fp.add_argument("--data", default=None, help="JSON array of samples")
+    source = fp.add_mutually_exclusive_group(required=True)
+    source.add_argument("--config")
+    source.add_argument("--data", help="JSON array of samples")
     fp.add_argument("--degree", "-M", type=int, required=True)
-    fp.add_argument("--out", default=None)
+    fp.add_argument("--out", default=None, help="report JSON")
     fp.set_defaults(func=cmd_fit_q)
 
     bp = sub.add_parser("bench", help="order sweeps with reference metrics")
@@ -431,16 +427,16 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
-    try:
-        if getattr(args, "out_prefix", None):
-            # outputs go last: a missing directory must not waste the run
-            Path(args.out_prefix).parent.mkdir(parents=True, exist_ok=True)
-        return args.func(args)
-    except ConfigError as e:
-        print(f"error: {e}", file=sys.stderr)
-        return EXIT_ERROR
+    args = build_parser().parse_args(argv)
+    t0 = time.perf_counter()
+    try:    # ConfigError is a ValueError
+        path = _report_path(args)
+        if path:    # outputs go last: a missing directory must not waste the run
+            Path(path).parent.mkdir(parents=True, exist_ok=True)
+        code, report = args.func(args, path)
+        if path and report is not None:
+            _write_report(path, args, t0, **report)
+        return code
     except (ValueError, RuntimeError, OSError) as e:
         print(f"error: {e}", file=sys.stderr)
         return EXIT_ERROR

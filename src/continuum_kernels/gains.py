@@ -286,12 +286,12 @@ def largescale_residual(sol, ls: LargeScaleParams,
 # ---------------------------------------------------------------------------
 
 
-def write_gain_csv(table: GainTable, path, manifest: str | None = None) -> None:
+def write_gain_csv(table: GainTable, path, report_path: str | None = None) -> None:
     """One row per xi: columns xi, kbar, then k at each y (header carries the
     y values). Lines starting with '#' are comments."""
     buf = io.StringIO()
-    if manifest:
-        buf.write(f"# manifest: {manifest}\n")
+    if report_path:
+        buf.write(f"# report: {report_path}\n")
     buf.write(f"# sampled: {int(table.sampled)}\n")
     cols = ",".join(f"k@y={float(v)!r}" for v in table.grid_y)
     buf.write(f"xi,kbar,{cols}\n")

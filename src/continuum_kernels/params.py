@@ -249,6 +249,10 @@ def fit_q(data: np.ndarray, degree: int, points: np.ndarray | None = None,
     ``sample_points(len(data), offset)``.
     """
     data = np.asarray(data, dtype=float)
+    if degree < 0:
+        raise ValueError(f"fit degree must be at least 0, got {degree}")
+    if data.ndim != 1 or not np.isfinite(data).all():
+        raise ValueError("reflection data must be a flat array of finite numbers")
     points = np.asarray(sample_points(len(data), offset) if points is None
                         else points, dtype=float)
     if degree >= len(points):

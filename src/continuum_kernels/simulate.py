@@ -219,10 +219,10 @@ class Simulator:
                          initial_norm=float(initial), final_norm=float(final))
 
 
-def write_sim_csv(report: SimReport, path, manifest: str | None = None) -> None:
+def write_sim_csv(report: SimReport, path, report_path: str | None = None) -> None:
     buf = io.StringIO()
-    if manifest:
-        buf.write(f"# manifest: {manifest}\n")
+    if report_path:
+        buf.write(f"# report: {report_path}\n")
     buf.write(f"# stable: {int(report.stable)} diverged: {int(report.diverged)}\n")
     buf.write("t,U,norm\n")
     for t, U, nv in zip(report.t, report.U, report.norm):

@@ -18,6 +18,54 @@ def run(argv):
     return main(argv)
 
 
+def _reject_constant(name):
+    raise ValueError(f"non-strict JSON constant {name}")
+
+
+def read_report(path):
+    """A run's report, parsed as strict JSON; it carries the shared keys, and
+    no run writes a separate manifest."""
+    path = Path(path)
+    report = json.loads(path.read_text(), parse_constant=_reject_constant)
+    assert {"manifest", "problem", "stages_s", "quality"} <= set(report)
+    assert set(report["manifest"]) == {"command", "arguments", "tool_version",
+                                       "deterministic", "wall_clock_s"}
+    assert not list(path.parent.rglob("*manifest*"))
+    return report
+
+
+@pytest.mark.parametrize("argv, code, stages, quality, own", [
+    (["solve", "--config", "example2", "--order", "5", "--grid", "11",
+      "--out-prefix", "{d}/r"], 0, {"assemble", "solve_ls", "gains"},
+     {"residual", "certificate"}, {"residual", "residual_by_source", "timing_s"}),
+    (["closed-form", "--config", "example1", "--grid", "11", "--out-prefix", "{d}/r"],
+     0, {"closed_form", "gains"}, {"applicable"}, {"applicable", "kernel"}),
+    (["closed-form", "--config", "example2", "--out-prefix", "{d}/r"],
+     2, {"closed_form"}, {"applicable"}, {"applicable", "reason", "details"}),
+    (["ls-kernels", "--config", "example2", "--m", "16", "--out-prefix", "{d}/r"],
+     0, {"stencils", "sweeps"}, {"iterations", "final_delta"},
+     {"iterations", "final_delta", "sweep_history", "timing_s"}),
+    (["simulate", "--config", "example2", "--mx", "32", "--t-final", "0.2",
+      "--solve-order", "4", "--out-prefix", "{d}/r"], 0, {"setup", "gains", "run"},
+     {"verdict", "initial_norm", "final_norm", "norm_ratio"}, {"steps", "dt"}),
+    (["bench", "--example", "example1", "--orders", "4,6", "--skip-baseline",
+      "--out", "{d}/r.csv"], 0, {"reference"}, {"residual", "max_error", "d_prev"},
+     {"example", "rows"}),
+    (["fit-q", "--config", "example2", "--degree", "2", "--out", "{d}/r_report.json"],
+     0, {"fit"}, {"rms_error"}, {"degree", "coefficients_ascending", "rms_error"}),
+])
+def test_one_report_per_run(tmp_path, argv, code, stages, quality, own):
+    assert run([a.format(d=tmp_path) for a in argv]) == code
+    assert list(tmp_path.glob("*report*")) == [tmp_path / "r_report.json"]
+    report = read_report(tmp_path / "r_report.json")
+    man = report["manifest"]
+    assert man["command"] == argv[0] and man["arguments"]["command"] == argv[0]
+    assert set(report["stages_s"]) == stages and set(report["quality"]) == quality
+    assert own <= set(report)
+    # the wall clock covers the whole command, every stage included
+    assert man["wall_clock_s"] >= sum(report["stages_s"].values()) > 0.0
+
+
 class TestSolve:
     def test_zero_config(self, tmp_path):
         prefix = str(tmp_path / "z")
@@ -55,7 +103,7 @@ class TestSolve:
                         "--out-prefix", prefix]) == 0
         ga = (tmp_path / "a_gains.csv").read_text().splitlines()
         gb = (tmp_path / "b_gains.csv").read_text().splitlines()
-        # identical numeric content; only the manifest path line differs
+        # identical numeric content; only the report path line differs
         assert ga[1:] == gb[1:]
 
     def test_non_finite_config_exits_1(self, tmp_path, capsys):
@@ -67,6 +115,17 @@ class TestSolve:
                     "--out-prefix", str(tmp_path / "x")]) == 1
         assert "non-finite" in capsys.readouterr().err
         assert not (tmp_path / "x_report.json").exists()
+
+    def test_unknown_reference_exits_1_before_the_solve(self, tmp_path, capsys,
+                                                        monkeypatch):
+        def no_work(*args, **kwargs):
+            raise AssertionError("assembled before the reference was resolved")
+        monkeypatch.setattr("continuum_kernels.cli.assemble", no_work)
+        assert run(["solve", "--config", "example2", "--order", "6",
+                    "--compare-exact", "example2_exact",
+                    "--out-prefix", str(tmp_path / "x")]) == 1
+        assert "no exact reference available" in capsys.readouterr().err
+        assert not list(tmp_path.iterdir())
 
     def test_bad_config_exits_1(self, tmp_path):
         assert run(["solve", "--config", "missing-config", "--order", "4",
@@ -156,6 +215,25 @@ class TestFitQ:
     def test_analytic_q_rejected(self):
         assert run(["fit-q", "--config", "example1", "--degree", "2"]) == 1
 
+    @pytest.mark.parametrize("data, degree", [
+        ("[1, NaN, 3, 4]", "2"), ("[1, Infinity, 3, 4]", "2"), ("[1, 2, 3, 4]", "-1"),
+        ("[[1, 2], [3, 4], [5, 6]]", "1"), ("5", "0")])
+    def test_bad_fit_exits_1(self, tmp_path, capsys, data, degree):
+        # these used to exit 0 with NaN coefficients or an empty fit, or die
+        # with a TypeError traceback on data that is not a flat array
+        out = tmp_path / "f.json"
+        assert run(["fit-q", "--data", data, "--degree", degree,
+                    "--out", str(out)]) == 1
+        assert "error:" in capsys.readouterr().err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("source", [[], ["--config", "example2", "--data", "[1, 2]"]])
+    def test_needs_exactly_one_data_source(self, capsys, source):
+        with pytest.raises(SystemExit) as exc:
+            run(["fit-q", "--degree", "2"] + source)
+        assert exc.value.code == 1
+        assert "usage:" in capsys.readouterr().err
+
 
 class TestBench:
     def test_empty_orders(self, tmp_path):
@@ -180,6 +258,21 @@ class TestBench:
                         "--skip-baseline", "--out", str(out)]) == 0
         assert outs[0].read_bytes() == outs[1].read_bytes()
         assert "time_s" not in outs[0].read_text().splitlines()[0]
+
+    def test_report_rows(self, tmp_path):
+        out = tmp_path / "b.csv"
+        assert run(["bench", "--example", "example1", "--orders", "4,6",
+                    "--skip-baseline", "--out", str(out)]) == 0
+        rows = read_report(tmp_path / "b_report.json")["rows"]
+        assert [r["N"] for r in rows] == [4, 6]
+        for r in rows:
+            assert set(r["stages_s"]) == {"assemble", "solve_ls", "gains"}
+            assert r["time_s"] == r["stages_s"]["assemble"] + r["stages_s"]["solve_ls"]
+            assert set(r["residual_by_source"]) == {"pde_k", "pde_kbar", "bc_diag",
+                                                    "bc_left"}
+        # the first row has no predecessor: the report leaves d_prev out
+        assert "d_prev" not in rows[0] and rows[1]["d_prev"] > 0.0
+        assert out.read_text().splitlines()[1].endswith(",nan")
 
     def test_example2_with_baseline(self, tmp_path):
         out = tmp_path / "b2.csv"
@@ -235,8 +328,11 @@ class TestSimulate:
         assert run(["simulate", "--config", "example2", "--solve-order", "20",
                     "--out-prefix", prefix]) == 0
         assert "simulate: stable" in capsys.readouterr().out
-        man = json.loads((tmp_path / "d_manifest.json").read_text())
-        assert man["arguments"]["t_final"] == 4.0
+        report = read_report(tmp_path / "d_report.json")
+        assert report["manifest"]["arguments"]["t_final"] == 4.0
+        assert report["quality"]["verdict"] == "stable"
+        assert report["quality"]["norm_ratio"] < 1e-3
+        assert report["steps"] * report["dt"] == pytest.approx(4.0)
 
     def test_missing_output_directory_is_created(self, tmp_path):
         prefix = tmp_path / "a" / "b" / "s"
@@ -244,7 +340,24 @@ class TestSimulate:
                     "--t-final", "0.5", "--open-loop",
                     "--out-prefix", str(prefix)]) == 0
         assert (tmp_path / "a" / "b" / "s_sim.csv").exists()
-        assert (tmp_path / "a" / "b" / "s_manifest.json").exists()
+        read_report(tmp_path / "a" / "b" / "s_report.json")
+
+    def test_diverged_run_writes_a_strict_report(self, tmp_path):
+        # an initial state past the divergence guard: the final norm is inf
+        assert run(["simulate", "--config", "zero", "--n", "2", "--mx", "32",
+                    "--t-final", "0.5", "--open-loop", "--amplitude", "1e13",
+                    "--out-prefix", str(tmp_path / "s")]) == 0
+        quality = read_report(tmp_path / "s_report.json")["quality"]
+        assert quality["verdict"] == "diverged"
+        assert "final_norm" not in quality and "norm_ratio" not in quality
+
+    def test_rerun_writes_identical_csv(self, tmp_path):
+        argv = ["simulate", "--config", "example2", "--mx", "32", "--t-final", "0.2",
+                "--solve-order", "4", "--out-prefix", str(tmp_path / "s")]
+        assert run(argv) == 0
+        csv = (tmp_path / "s_sim.csv").read_bytes()
+        assert run(argv) == 0
+        assert (tmp_path / "s_sim.csv").read_bytes() == csv
 
     def test_unwritable_output_directory_exits_1(self, tmp_path, capsys):
         (tmp_path / "f").write_text("a file, not a directory")

@@ -213,8 +213,8 @@ class TestCsvRoundTrip:
         t = sample_gains(kern, 7, grid_xi=np.linspace(0, 1, 33))
         p1 = tmp_path / "a.csv"
         p2 = tmp_path / "b.csv"
-        write_gain_csv(t, p1, manifest="m.json")
-        write_gain_csv(t, p2, manifest="m.json")
+        write_gain_csv(t, p1, report_path="r.json")
+        write_gain_csv(t, p2, report_path="r.json")
         assert p1.read_bytes() == p2.read_bytes()
         back = read_gain_csv(p1)
         np.testing.assert_array_equal(back.k, t.k)

@@ -171,6 +171,18 @@ class TestFitQ:
         with pytest.raises(ValueError, match="degree"):
             fit_q(np.ones(3), 3)
 
+    @pytest.mark.parametrize("data, degree, match", [
+        ([1.0, np.nan, 3.0, 4.0], 2, "finite"),
+        ([1.0, 2.0, np.inf, 4.0], 2, "finite"),
+        ([[1.0, 2.0], [3.0, 4.0], [5.0, 6.0]], 1, "flat"),
+        ([1.0, 2.0, 3.0, 4.0], -1, "at least 0"),
+    ])
+    def test_non_finite_data_and_negative_degree_rejected(self, data, degree, match):
+        # these used to return a fit with NaN coefficients, fit each column
+        # of a nested array, or return an empty fit
+        with pytest.raises(ValueError, match=match):
+            fit_q(np.asarray(data), degree)
+
 
 class TestPositivity:
     def test_unit_speeds_pass(self, example1):
