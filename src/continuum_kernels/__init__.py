@@ -21,9 +21,8 @@ from .gains import (GainTable, continuum_residual, diff_solutions, gains,
                     largescale_residual, read_gain_csv, sample_gains,
                     write_gain_csv)
 from .params import (ConfigError, ContinuumParams, FitResult, GridParams,
-                     LargeScaleParams, PositivityReport, Problem,
-                     check_positivity, fit_q, lift_separable, load_problem,
-                     parse_problem_dict, sample_continuum)
+                     LargeScaleParams, Problem, fit_q, lift_separable,
+                     load_problem, parse_problem_dict, sample_continuum)
 from .power_series import (LinearSystem, PsKernelSolution, SolverConfig,
                            assemble, coeff_vector, count_unknowns,
                            optimality_certificate, optimality_check,

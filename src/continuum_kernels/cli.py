@@ -190,7 +190,10 @@ def cmd_fit_q(args, report_path) -> tuple:
                               f"nothing to fit")
         data, name, offset = problem.q_data, problem.name, problem.q_offset
     else:
-        data = np.asarray(json.loads(args.data), dtype=float)
+        try:
+            data = np.asarray(json.loads(args.data), dtype=float)
+        except TypeError:   # an object, or an array holding one
+            raise ConfigError("--data: a JSON array of numbers is required") from None
     stages = {}
     fit = _timed(stages, "fit", fit_q, data, args.degree, offset=offset)
     print(f"fit-q: degree={fit.degree} rms_error={fit.rms_error:.6g}")

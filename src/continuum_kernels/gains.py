@@ -59,6 +59,24 @@ class GainTable:
             raise ValueError("kbar gain shape does not match grid_xi")
         if not (np.all(np.isfinite(self.k)) and np.all(np.isfinite(self.kbar))):
             raise ValueError("gain tables must be finite")
+        for name in ("grid_xi", "grid_y"):  # np.interp needs increasing points
+            if not np.all(np.diff(getattr(self, name)) > 0):
+                raise ValueError(f"{name} must be strictly increasing")
+
+
+def _ensemble_kernels(sol, xs, xis, ys, d: Var | None = None):
+    """k on the outer grid (x, xi, y) and kbar on (x, xi) of a series or
+    closed-form solution, or their derivatives in ``d`` (Var.X or Var.XI)."""
+    if isinstance(sol, PsKernelSolution):
+        k, kbar = (sol.k, sol.kbar) if d is None else (sol.k.diff(d), sol.kbar.diff(d))
+        at = {Var.X: xs, Var.XI: xis, Var.Y: ys}
+        return k.eval_grid(at), kbar.eval_grid(at)
+    if not isinstance(sol, ClosedFormKernel):
+        raise TypeError(f"unsupported kernel solution type {type(sol)!r}")
+    k, kbar = {None: (sol.k, sol.kbar), Var.X: (sol.dk_dx, sol.dkbar_dx),
+               Var.XI: (sol.dk_dxi, sol.dkbar_dxi)}[d]
+    X, XI, Y = np.ix_(xs, xis, ys)
+    return k(X, XI, Y), kbar(X[..., 0], XI[..., 0])
 
 
 def gains(sol, grid_xi: np.ndarray | None = None,
@@ -69,29 +87,13 @@ def gains(sol, grid_xi: np.ndarray | None = None,
     their own grid with grid_y at the component sample points.
     """
     if isinstance(sol, LsKernelSolution):
-        xs = sol.grid.nodes()
-        return GainTable(
-            grid_xi=xs, grid_y=sol.y_points,
-            k=sol.k[:-1, -1, :].copy(), kbar=sol.k[-1, -1, :].copy(),
-            sampled=True,
-        )
-    if grid_xi is None:
-        grid_xi = np.linspace(0.0, 1.0, DEFAULT_GRID)
-    if grid_y is None:
-        grid_y = np.linspace(0.0, 1.0, DEFAULT_GRID)
-    grid_xi = np.asarray(grid_xi, dtype=float)
-    grid_y = np.asarray(grid_y, dtype=float)
-    if isinstance(sol, PsKernelSolution):
-        k = sol.k.substitute_value(Var.X, 1.0).eval_grid(
-            {Var.XI: grid_xi, Var.Y: grid_y}).T
-        kbar = sol.kbar.substitute_value(Var.X, 1.0).eval_grid({Var.XI: grid_xi})
-    elif isinstance(sol, ClosedFormKernel):
-        XI, Y = np.meshgrid(grid_xi, grid_y, indexing="xy")
-        k = sol.k(np.full_like(XI, 1.0), XI, Y)
-        kbar = sol.kbar(np.full_like(grid_xi, 1.0), grid_xi)
-    else:
-        raise TypeError(f"unsupported kernel solution type {type(sol)!r}")
-    return GainTable(grid_xi=grid_xi, grid_y=grid_y, k=k, kbar=kbar)
+        return GainTable(grid_xi=sol.grid.nodes(), grid_y=sol.y_points, sampled=True,
+                         k=sol.k[:-1, -1, :].copy(), kbar=sol.k[-1, -1, :].copy())
+    default = np.linspace(0.0, 1.0, DEFAULT_GRID)
+    grid_xi = np.asarray(default if grid_xi is None else grid_xi, dtype=float)
+    grid_y = np.asarray(default if grid_y is None else grid_y, dtype=float)
+    k, kbar = _ensemble_kernels(sol, np.ones(1), grid_xi, grid_y)
+    return GainTable(grid_xi=grid_xi, grid_y=grid_y, k=k[0].T, kbar=kbar[0])
 
 
 def sample_gains(sol, n: int, grid_xi: np.ndarray | None = None,
@@ -121,11 +123,6 @@ def diff_solutions(a: GainTable, b: GainTable) -> float:
 # ---------------------------------------------------------------------------
 
 
-def _prism_mask(xs: np.ndarray) -> np.ndarray:
-    X, XI = np.meshgrid(xs, xs, indexing="ij")
-    return XI <= X + 1e-12
-
-
 def continuum_residual(sol, p: ContinuumParams,
                        grid_m: int = 21) -> dict[str, float]:
     """Sup-norm residual of each kernel equation for a candidate solution.
@@ -137,17 +134,12 @@ def continuum_residual(sol, p: ContinuumParams,
     """
     xs = np.linspace(0.0, 1.0, grid_m)
     if isinstance(sol, PsKernelSolution):
-        res = residual_series(p, sol.config, sol.k, sol.kbar)
-        mask2 = _prism_mask(xs)
+        at = {Var.X: xs, Var.XI: xs, Var.Y: xs}
+        tri = np.tri(grid_m, dtype=bool)    # xi <= x on the (x, xi) axes of pde_*
         out = {}
-        e1 = res["pde_k"].eval_grid({Var.X: xs, Var.XI: xs, Var.Y: xs})
-        out["pde_k"] = float(np.abs(e1[mask2, :]).max())
-        e2 = res["pde_kbar"].eval_grid({Var.X: xs, Var.XI: xs})
-        out["pde_kbar"] = float(np.abs(e2[mask2]).max())
-        e3 = res["bc_diag"].eval_grid({Var.X: xs, Var.Y: xs})
-        out["bc_diag"] = float(np.abs(e3).max())
-        e4 = res["bc_left"].eval_grid({Var.X: xs})
-        out["bc_left"] = float(np.abs(e4).max())
+        for src, r in residual_series(p, sol.config, sol.k, sol.kbar).items():
+            e = r.eval_grid(at)
+            out[src] = float(np.abs(e[tri] if src.startswith("pde") else e).max())
         return out
     return _closed_form_residual(sol, p, xs)
 
@@ -158,7 +150,6 @@ def _closed_form_residual(sol: ClosedFormKernel, p: ContinuumParams,
     reduce to scalars (by separability of the kernel) computed once by
     adaptive Gauss-Legendre (:func:`integrate01`) at 1e-10."""
     sp = sol.problem
-    mu_c = sol.mu
 
     def ky(t):
         # y-profile of k without the (x, xi) envelope
@@ -170,39 +161,32 @@ def _closed_form_residual(sol: ClosedFormKernel, p: ContinuumParams,
     J_q = integrate01(lambda t: p.q.eval1(Var.Y, t) * lam0.eval1(Var.Y, t)
                       * -ky(t), 1e-10)
 
-    X3, XI3, Y3 = np.meshgrid(xs, xs, xs, indexing="ij")
-    tri = XI3 <= X3 + 1e-12
-    lam_xi_y = p.lam({Var.X: XI3, Var.Y: Y3})
-    dlam_xi_y = p.lam.diff(Var.X)({Var.X: XI3, Var.Y: Y3})
-    mu_x = p.mu({Var.X: X3})
-    theta_xi_y = p.theta({Var.X: XI3, Var.Y: Y3})
-    env = np.exp(sol.c_x / mu_c * (X3 - XI3))
+    g = p.on_grid(xs, xs)                     # family fields are (y, x)
+    lam, dlam, theta = g.lam.T[None], g.dlam.T[None], g.theta.T[None]
+    k, kbar = _ensemble_kernels(sol, xs, xs, xs)
+    k_x, kbar_x = _ensemble_kernels(sol, xs, xs, xs, Var.X)
+    k_xi, kbar_xi = _ensemble_kernels(sol, xs, xs, xs, Var.XI)
+    X, XI, Y = np.ix_(xs, xs, xs)
+    tri = np.tri(len(xs), dtype=bool)         # xi <= x
+    env = np.exp(sol.c_x / sol.mu * (X - XI))
     # int sigma(xi,eta,y) k(x,xi,eta) deta = sigma_x(xi) sigma_e(y) J_sig * (-env theta_x(xi))
-    int_sigma_k = sp.sigma_x.eval1(Var.X, XI3) * sp.sigma_e.eval1(Var.Y, Y3) \
-        * (-env * sp.theta_x.eval1(Var.X, XI3)) * J_sig
-    e1 = mu_x * sol.dk_dx(X3, XI3, Y3) - lam_xi_y * sol.dk_dxi(X3, XI3, Y3) \
-        - theta_xi_y * sol.kbar(X3, XI3) - dlam_xi_y * sol.k(X3, XI3, Y3) \
-        - int_sigma_k
+    int_sigma_k = sp.sigma_x.eval1(Var.X, XI) * sp.sigma_e.eval1(Var.Y, Y) \
+        * (-env * sp.theta_x.eval1(Var.X, XI)) * J_sig
+    e1 = g.mu[:, None, None] * k_x - lam * k_xi - theta * kbar[..., None] \
+        - dlam * k - int_sigma_k
     r1 = float(np.abs(e1[tri]).max())
 
-    X2, XI2 = np.meshgrid(xs, xs, indexing="ij")
-    tri2 = XI2 <= X2 + 1e-12
-    env2 = np.exp(sol.c_x / mu_c * (X2 - XI2))
-    int_w_k = sp.W_x.eval1(Var.X, XI2) * (-env2 * sp.theta_x.eval1(Var.X, XI2)) * J_w
-    e2 = p.mu({Var.X: X2}) * sol.dkbar_dx(X2, XI2) \
-        + p.mu({Var.X: XI2}) * sol.dkbar_dxi(X2, XI2) \
-        + p.mu.diff(Var.X)({Var.X: XI2}) * sol.kbar(X2, XI2) - int_w_k
-    r2 = float(np.abs(e2[tri2]).max())
+    XI2 = XI[..., 0]
+    int_w_k = sp.W_x.eval1(Var.X, XI2) * (-env[..., 0] * sp.theta_x.eval1(Var.X, XI2)) * J_w
+    e2 = g.mu[:, None] * kbar_x + g.mu[None, :] * kbar_xi + g.dmu[None, :] * kbar - int_w_k
+    r2 = float(np.abs(e2[tri]).max())
 
-    XB, YB = np.meshgrid(xs, xs, indexing="ij")
-    e3 = (p.lam({Var.X: XB, Var.Y: YB}) + p.mu({Var.X: XB})) * sol.k(XB, XB, YB) \
-        + p.theta({Var.X: XB, Var.Y: YB})
+    diag = np.arange(len(xs))
+    e3 = (lam[0] + g.mu[:, None]) * k[diag, diag] + theta[0]
     r3 = float(np.abs(e3).max())
 
-    mu0 = float(p.mu.eval1(Var.X, 0.0))
     tx0 = float(sp.theta_x.eval1(Var.X, 0.0))
-    env0 = np.exp(sol.c_x / mu_c * xs)
-    e4 = mu0 * sol.kbar(xs, np.zeros_like(xs)) - env0 * (-tx0) * J_q
+    e4 = g.mu[0] * kbar[:, 0] - env[:, 0, 0] * (-tx0) * J_q
     r4 = float(np.abs(e4).max())
     return {"pde_k": r1, "pde_kbar": r2, "bc_diag": r3, "bc_left": r4}
 
@@ -215,19 +199,13 @@ def _closed_form_residual(sol: ClosedFormKernel, p: ContinuumParams,
 def _sampled_kernels(sol, ls: LargeScaleParams, xs: np.ndarray) -> list[np.ndarray]:
     """An ensemble solution as n+1 candidates on the grid ``xs``: k(x, xi, y_i)
     for i < n and kbar(x, xi) at i = n; then the same for d/dx and d/dxi."""
-    ys, shape = ls.y_points(), (ls.n, len(xs), len(xs))
-    if isinstance(sol, PsKernelSolution):
-        at = {Var.X: xs, Var.XI: xs, Var.Y: ys}
-        pairs = [(sol.k, sol.kbar)] + [(sol.k.diff(v), sol.kbar.diff(v))
-                                       for v in (Var.X, Var.XI)]
-        # eval_grid's axes follow the series' variables: (x, xi, y) -> (y, x, xi)
-        pairs = [(np.moveaxis(k.eval_grid(at), 2, 0), kbar.eval_grid(at))
-                 for k, kbar in pairs]
-    else:
-        Y, X, XI = np.ix_(ys, xs, xs)
-        pairs = [(k(X, XI, Y), kbar(X[0], XI[0])) for k, kbar in [
-            (sol.k, sol.kbar), (sol.dk_dx, sol.dkbar_dx), (sol.dk_dxi, sol.dkbar_dxi)]]
-    return [np.concatenate([np.broadcast_to(k, shape), kbar[None]]) for k, kbar in pairs]
+    shape = (ls.n, len(xs), len(xs))
+    out = []
+    for d in (None, Var.X, Var.XI):
+        k, kbar = _ensemble_kernels(sol, xs, xs, ls.y_points(), d)
+        out.append(np.concatenate([np.broadcast_to(np.moveaxis(k, 2, 0), shape),
+                                   kbar[None]]))
+    return out
 
 
 def largescale_residual(sol, ls: LargeScaleParams,
@@ -321,7 +299,10 @@ def read_gain_csv(path) -> GainTable:
             rows.append([float(v) for v in line.split(",")])
     if header is None or not rows:
         raise ValueError(f"no gain table found in {path}")
-    grid_y = np.array([float(h.split("=", 1)[1]) for h in header[2:]])
+    for h in header[2:]:
+        if not h.startswith("k@y="):
+            raise ValueError(f"{path}: gain column {h!r} is not of the form k@y=<value>")
+    grid_y = np.array([float(h[4:]) for h in header[2:]])
     data = np.asarray(rows)
     return GainTable(grid_xi=data[:, 0], grid_y=grid_y,
                      k=data[:, 2:].T, kbar=data[:, 1], sampled=sampled)

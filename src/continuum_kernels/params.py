@@ -36,20 +36,18 @@ __all__ = [
     "LargeScaleParams",
     "GridParams",
     "FitResult",
-    "PositivityReport",
     "Problem",
     "ConfigError",
     "sample_points",
     "sample_continuum",
     "lift_separable",
     "fit_q",
-    "check_positivity",
     "load_problem",
     "parse_problem_dict",
     "builtin_problem_names",
 ]
 
-GRID_POINTS = 101  # fixed audit grid for positivity checks
+GRID_POINTS = 101  # audit grid of x (and of y in assemble) for the speed check
 
 
 def sample_points(n: int, offset: float = 0.0) -> np.ndarray:
@@ -91,6 +89,44 @@ class ContinuumParams:
             got = set(getattr(self, name).vars())
             if not got <= vs:
                 raise ValueError(f"parameter {name} uses variables {got}, allowed {vs}")
+
+    def on_grid(self, xs, ys) -> GridParams:
+        """Evaluate every parameter on the grid ``xs`` of x, with row i of
+        each family field at y = ys[i]."""
+        xs, ys = np.asarray(xs, dtype=float), np.asarray(ys, dtype=float)
+        at = {Var.X: xs[None, :], Var.Y: ys[:, None]}
+
+        def rows(p: SeparableSum) -> np.ndarray:
+            return np.broadcast_to(p(at), (len(ys), len(xs))).copy()
+
+        terms = self.sigma.terms
+
+        def factor(v: Var, t: np.ndarray) -> np.ndarray:
+            """(r, len(t)): each sigma term's v factors, ones if it has none."""
+            return np.array([
+                SeparableTerm(1.0, [f for f in term.factors if f.var == v])({v: t})
+                for term in terms]).reshape(len(terms), len(t))
+
+        return GridParams(
+            lam=rows(self.lam), dlam=rows(self.lam.diff(Var.X)),
+            mu=self.mu.eval1(Var.X, xs), dmu=self.mu.diff(Var.X).eval1(Var.X, xs),
+            theta=rows(self.theta), W=rows(self.W), q=self.q.eval1(Var.Y, ys),
+            sigma_x=np.array([t.scale for t in terms])[:, None] * factor(Var.X, xs),
+            sigma_eta=factor(Var.ETA, ys), sigma_y=factor(Var.Y, ys),
+        )
+
+    def check_speeds(self, ys) -> tuple[float, float]:
+        """Minima of lambda on the audit grid of x times ``ys``, and of mu on
+        the audit grid; raises ValueError unless both are positive."""
+        xs = np.linspace(0.0, 1.0, GRID_POINTS)
+        lam = self.lam({Var.X: xs[None, :], Var.Y: np.asarray(ys, dtype=float)[:, None]})
+        lam_min, mu_min = float(lam.min()), float(self.mu.eval1(Var.X, xs).min())
+        if mu_min <= 0 or lam_min <= 0:
+            raise ValueError(
+                f"transport speeds must be positive on [0,1]: "
+                f"min lam={lam_min:.3g}, min mu={mu_min:.3g}"
+            )
+        return lam_min, mu_min
 
 
 @dataclass(frozen=True)
@@ -155,41 +191,12 @@ class LargeScaleParams:
         return sample_points(self.n, self.sample_offset)
 
     def on_grid(self, xs) -> GridParams:
-        """Evaluate every sampled parameter on the grid ``xs`` at once."""
-        c = self.template
-        xs = np.asarray(xs, dtype=float)
-        ys = self.y_points()
-        at = {Var.X: xs[None, :], Var.Y: ys[:, None]}
-
-        def rows(p: SeparableSum) -> np.ndarray:
-            return np.broadcast_to(p(at), (self.n, len(xs))).copy()
-
-        terms = c.sigma.terms
-
-        def factor(v: Var, t: np.ndarray) -> np.ndarray:
-            """(r, len(t)): each sigma term's v factors, ones if it has none."""
-            return np.array([
-                SeparableTerm(1.0, [f for f in term.factors if f.var == v])({v: t})
-                for term in terms]).reshape(len(terms), len(t))
-
-        return GridParams(
-            lam=rows(c.lam), dlam=rows(c.lam.diff(Var.X)),
-            mu=c.mu.eval1(Var.X, xs), dmu=c.mu.diff(Var.X).eval1(Var.X, xs),
-            theta=rows(c.theta), W=rows(c.W), q=self.q,
-            sigma_x=np.array([t.scale for t in terms])[:, None] * factor(Var.X, xs),
-            sigma_eta=factor(Var.ETA, ys), sigma_y=factor(Var.Y, ys),
-        )
+        """The template on ``xs`` at the component points, with the sampled q."""
+        return replace(self.template.on_grid(xs, self.y_points()), q=self.q)
 
     def check_speeds(self) -> tuple[float, float]:
-        """Minima of lambda and mu on the audit grid; raises unless positive."""
-        g = self.on_grid(np.linspace(0.0, 1.0, GRID_POINTS))
-        lam_min, mu_min = float(g.lam.min()), float(g.mu.min())
-        if mu_min <= 0 or lam_min <= 0:
-            raise ValueError(
-                f"transport speeds must be positive on [0,1]: "
-                f"min lam={lam_min:.3g}, min mu={mu_min:.3g}"
-            )
-        return lam_min, mu_min
+        """The template's speed minima at the component points."""
+        return self.template.check_speeds(self.y_points())
 
 
 @dataclass(frozen=True)
@@ -209,13 +216,6 @@ class FitResult:
         for c in self.coeffs[::-1]:
             out = out * y + c
         return out
-
-
-@dataclass(frozen=True)
-class PositivityReport:
-    min_lambda: float
-    min_mu: float
-    passed: bool
 
 
 def sample_continuum(c: ContinuumParams, n: int, offset: float = 0.0) -> LargeScaleParams:
@@ -266,17 +266,6 @@ def fit_q(data: np.ndarray, degree: int, points: np.ndarray | None = None,
     resid = V @ coeffs - data
     return FitResult(degree=degree, coeffs=coeffs,
                      rms_error=float(np.sqrt(np.mean(resid ** 2))))
-
-
-def check_positivity(p: ContinuumParams) -> PositivityReport:
-    """Audit lam > 0 and mu > 0 on a fixed grid; report-only."""
-    xs = np.linspace(0.0, 1.0, GRID_POINTS)
-    ys = np.linspace(0.0, 1.0, GRID_POINTS)
-    X, Y = np.meshgrid(xs, ys, indexing="ij")
-    lam_min = float(p.lam({Var.X: X, Var.Y: Y}).min())
-    mu_min = float(p.mu({Var.X: xs}).min())
-    return PositivityReport(min_lambda=lam_min, min_mu=mu_min,
-                            passed=lam_min > 0.0 and mu_min > 0.0)
 
 
 # ---------------------------------------------------------------------------
@@ -337,6 +326,13 @@ def _number(value, where: str) -> float:
     if not math.isfinite(v):
         raise ConfigError(f"{where}: non-finite value {value!r}")
     return v
+
+
+def _integer(value, where: str) -> int:
+    """``value`` as an int; int() would floor 2.7 and read true as 1."""
+    if isinstance(value, bool) or not isinstance(value, int):
+        raise ConfigError(f"{where}: expected an integer, got {value!r}")
+    return value
 
 
 def _parse_factor(d: Mapping, where: str):
@@ -409,8 +405,12 @@ def parse_problem_dict(cfg: Mapping, name: str = "<config>") -> Problem:
     if isinstance(qcfg, Mapping) and "data" in qcfg:
         q_data = np.asarray([_number(v, f"{name}.q.data[{k}]")
                              for k, v in enumerate(qcfg["data"])])
-        degree = int(qcfg.get("fit_degree", 2))
-        q_offset = -1.0 if qcfg.get("points") == "(i-1)/n" else 0.0
+        degree = _integer(qcfg.get("fit_degree", 2), f"{name}.q.fit_degree")
+        points = qcfg.get("points", "i/n")
+        if points not in ("i/n", "(i-1)/n"):
+            raise ConfigError(f"{name}.q.points: expected 'i/n' or '(i-1)/n', "
+                              f"got {points!r}")
+        q_offset = -1.0 if points == "(i-1)/n" else 0.0
         fit = fit_q(q_data, degree, offset=q_offset)
         q = fit.as_sum()
     elif isinstance(qcfg, Mapping) and "exact" in qcfg:
@@ -422,7 +422,7 @@ def parse_problem_dict(cfg: Mapping, name: str = "<config>") -> Problem:
         q = _parse_param(qcfg, f"{name}.q", {Var.Y})
 
     cont = ContinuumParams(lam=lam, mu=mu, sigma=sigma, theta=theta, W=W, q=q)
-    n = int(cfg["n"]) if "n" in cfg else None
+    n = _integer(cfg["n"], f"{name}.n") if "n" in cfg else None
     return Problem(
         name=str(cfg.get("name", name)), continuum=cont, n=n,
         q_data=q_data, q_offset=q_offset, fit=fit, source=dict(cfg),

@@ -35,7 +35,7 @@ import scipy.linalg
 import scipy.sparse
 import scipy.sparse.linalg
 
-from .params import ContinuumParams, check_positivity
+from .params import GRID_POINTS, ContinuumParams
 from .series import TruncatedSeries, Var, grlex_key, integrate01
 
 __all__ = [
@@ -219,12 +219,7 @@ def assemble(p: ContinuumParams, cfg: SolverConfig) -> LinearSystem:
 
     Each term family is scattered for all its columns at once. An entry sums
     its contributions in scatter order: per column, family, then term."""
-    pos = check_positivity(p)
-    if not pos.passed:
-        raise ValueError(
-            f"transport speeds must be positive: min lambda={pos.min_lambda:.3g}, "
-            f"min mu={pos.min_mu:.3g}"
-        )
+    p.check_speeds(np.linspace(0.0, 1.0, GRID_POINTS))
     lamS, muS, thetaS, WS, sigmaS, qS = _param_series(p, cfg)
     _check_ny_bound(cfg, lamS, thetaS)
     N, Ny, s_sig = cfg.N, cfg.N_y, float(cfg.sigma_sign)

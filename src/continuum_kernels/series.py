@@ -239,55 +239,23 @@ class TruncatedSeries:
 
     # -- evaluation --------------------------------------------------------
 
-    def eval(self, point: Mapping[Var, float]) -> float:
-        """Evaluate at a single point by nested Horner recursion."""
-        for v in self.vars:
-            if v not in point:
-                raise KeyError(f"no value supplied for variable {v.value}")
-        return self._horner(self.vars, self.coeffs, point)
-
-    @staticmethod
-    def _horner(vars_, coeffs, point) -> float:
-        if not vars_:
-            return coeffs.get((), 0.0)
-        groups: dict[int, dict] = {}
-        for e, c in coeffs.items():
-            groups.setdefault(e[0], {})[e[1:]] = c
-        t = point[vars_[0]]
-        acc = 0.0
-        prev = None
-        for p in sorted(groups, reverse=True):
-            inner = TruncatedSeries._horner(vars_[1:], groups[p], point)
-            if prev is None:
-                acc = inner
-            else:
-                acc = acc * t ** (prev - p) + inner
-            prev = p
-        if prev is None:
-            return 0.0
-        return acc * t ** prev
-
     def eval_grid(self, grids: Mapping[Var, np.ndarray]) -> np.ndarray:
         """Evaluate on an outer-product grid.
 
         ``grids`` assigns a 1-D array to every variable of the series; the
-        result has one axis per variable, in the series' variable order.
+        result has one axis per variable, in the series' variable order. The
+        dense coefficient array is contracted with one power table per
+        variable; each contraction moves that variable's grid axis last.
         """
-        axes = [np.asarray(grids[v], dtype=float) for v in self.vars]
-        shape = tuple(len(a) for a in axes)
+        if not self.vars:
+            return np.array(self.coeffs.get((), 0.0))
+        exps = np.array(list(self.coeffs), dtype=np.int64).reshape(-1, len(self.vars))
+        shape = exps.max(axis=0, initial=0) + 1
         out = np.zeros(shape)
-        if not self.coeffs:
-            return out
-        pows = [
-            {p: a ** p for p in sorted({e[i] for e in self.coeffs})}
-            for i, a in enumerate(axes)
-        ]
-        for e, c in self.coeffs.items():
-            term = np.asarray(c)
-            for i, p in enumerate(e):
-                vec = pows[i][p]
-                term = np.multiply.outer(term, vec)
-            out += term
+        out[tuple(exps.T)] = list(self.coeffs.values())
+        for v, d in zip(self.vars, shape):
+            a = np.asarray(grids[v], dtype=float)
+            out = np.tensordot(out, a[:, None] ** np.arange(d), axes=(0, 1))
         return out
 
 

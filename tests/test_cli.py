@@ -10,7 +10,7 @@ import pytest
 
 import continuum_kernels
 from continuum_kernels.cli import main
-from continuum_kernels.gains import read_gain_csv
+from continuum_kernels.gains import GainTable, read_gain_csv, write_gain_csv
 from continuum_kernels.params import load_problem
 
 
@@ -217,14 +217,16 @@ class TestFitQ:
 
     @pytest.mark.parametrize("data, degree", [
         ("[1, NaN, 3, 4]", "2"), ("[1, Infinity, 3, 4]", "2"), ("[1, 2, 3, 4]", "-1"),
-        ("[[1, 2], [3, 4], [5, 6]]", "1"), ("5", "0")])
+        ("[[1, 2], [3, 4], [5, 6]]", "1"), ("5", "0"), ('{"a": 1}', "1")])
     def test_bad_fit_exits_1(self, tmp_path, capsys, data, degree):
         # these used to exit 0 with NaN coefficients or an empty fit, or die
         # with a TypeError traceback on data that is not a flat array
         out = tmp_path / "f.json"
         assert run(["fit-q", "--data", data, "--degree", degree,
                     "--out", str(out)]) == 1
-        assert "error:" in capsys.readouterr().err
+        err = capsys.readouterr().err
+        assert "error:" in err
+        assert "JSON array" in err or not data.startswith("{")
         assert not out.exists()
 
     @pytest.mark.parametrize("source", [[], ["--config", "example2", "--data", "[1, 2]"]])
@@ -320,6 +322,35 @@ class TestSimulate:
                     "--out-prefix", str(tmp_path / "s")]) == 1
         err = capsys.readouterr().err
         assert "y = [0.  0.1" in err and "y = [0.1 0.2" in err
+        assert not (tmp_path / "s_sim.csv").exists()
+
+    def test_simulation_csv_as_gains_exits_1(self, tmp_path, capsys):
+        # used to die with an IndexError traceback in read_gain_csv
+        prefix = str(tmp_path / "s")
+        args = ["simulate", "--config", "zero", "--n", "2", "--mx", "16",
+                "--t-final", "0.1"]
+        assert run(args + ["--open-loop", "--out-prefix", prefix]) == 0
+        assert run(args + ["--gains", prefix + "_sim.csv",
+                           "--out-prefix", str(tmp_path / "t")]) == 1
+        assert "'norm'" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("flip", ["rows", "columns"])
+    def test_backward_gain_grid_exits_1(self, tmp_path, capsys, flip):
+        # reversed xi rows or y columns used to run to exit 0 with a
+        # plausible verdict, as np.interp needs increasing points
+        path = tmp_path / "g.csv"
+        write_gain_csv(GainTable(grid_xi=np.linspace(0, 1, 5), grid_y=[0.5, 1.0],
+                                 k=np.arange(10.0).reshape(2, 5), kbar=np.ones(5),
+                                 sampled=True), path)
+        comment, header, *rows = path.read_text().splitlines()
+        lines = [header] + rows[::-1] if flip == "rows" else [
+            ",".join(c[:2] + c[2:][::-1]) for c in
+            (line.split(",") for line in [header] + rows)]
+        path.write_text("\n".join([comment] + lines) + "\n")
+        assert run(["simulate", "--config", "zero", "--n", "2", "--mx", "16",
+                    "--t-final", "0.1", "--gains", str(path),
+                    "--out-prefix", str(tmp_path / "s")]) == 1
+        assert "strictly increasing" in capsys.readouterr().err
         assert not (tmp_path / "s_sim.csv").exists()
 
     def test_default_horizon_reports_stable(self, tmp_path, capsys):

@@ -249,6 +249,25 @@ class TestCsvRoundTrip:
         np.testing.assert_array_equal(back.grid_y, ys)
         np.testing.assert_array_equal(back.k, t.k)
 
+    def test_column_without_y_rejected(self, tmp_path):
+        # a simulation CSV used to die with an IndexError in the reader
+        p = tmp_path / "s_sim.csv"
+        p.write_text("# stable: 1 diverged: 0\nt,U,norm\n0,0,1\n0.1,0,0.5\n")
+        with pytest.raises(ValueError, match="'norm'"):
+            read_gain_csv(p)
+
+    @pytest.mark.parametrize("flip", ["grid_xi", "grid_y"])
+    def test_grids_must_increase(self, flip):
+        # np.interp needs increasing sample points: a backward grid gave
+        # plausible gains
+        grids = {"grid_xi": np.linspace(0, 1, 4), "grid_y": np.array([0.5, 1.0])}
+        grids[flip] = grids[flip][::-1]
+        with pytest.raises(ValueError, match=f"{flip} must be strictly increasing"):
+            GainTable(k=np.zeros((2, 4)), kbar=np.zeros(4), **grids)
+        grids[flip] = np.zeros(len(grids[flip]))
+        with pytest.raises(ValueError, match="strictly increasing"):
+            GainTable(k=np.zeros((2, 4)), kbar=np.zeros(4), **grids)
+
     def test_reader_requires_data(self, tmp_path):
         p = tmp_path / "empty.csv"
         p.write_text("# nothing\n")

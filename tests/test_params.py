@@ -1,4 +1,5 @@
 import copy
+import dataclasses
 import json
 
 import numpy as np
@@ -6,14 +7,14 @@ import pytest
 
 from continuum_kernels.closed_form import solve_closed_form
 from continuum_kernels.gains import sample_gains
-from continuum_kernels.params import (ConfigError, check_positivity, fit_q,
-                                      lift_separable, load_problem,
-                                      parse_problem_dict, sample_continuum,
-                                      sample_points)
+from continuum_kernels.params import (ConfigError, fit_q, lift_separable,
+                                      load_problem, parse_problem_dict,
+                                      sample_continuum, sample_points)
 from continuum_kernels.series import (Polynomial, SeparableSum,
                                       SeparableTerm, Var)
 
 X, Y, ETA = Var.X, Var.Y, Var.ETA
+AUDIT = np.linspace(0.0, 1.0, 101)  # the (x, y) points assemble audits
 
 
 def sigma_entry(g, i, j):
@@ -60,6 +61,18 @@ class TestSampleContinuum:
         np.testing.assert_array_equal(
             ls.on_grid(np.linspace(0, 1, 5)).q,
             np.asarray(example2.q_data, dtype=float))
+
+    @pytest.mark.parametrize("name, n, offset", [
+        ("example1", 7, 0.0), ("example2", 10, 0.0), ("example2", 10, -1.0)])
+    def test_sampled_grid_is_the_template_at_the_points(self, name, n, offset):
+        prob = load_problem(name)
+        ls = prob.large_scale(n, offset)
+        xs = np.linspace(0, 1, 9)
+        g, t = ls.on_grid(xs), ls.template.on_grid(xs, ls.y_points())
+        for f in dataclasses.fields(g):
+            if f.name != "q":
+                assert np.array_equal(getattr(g, f.name), getattr(t, f.name)), f.name
+        assert np.array_equal(g.q, ls.q)
 
     def test_left_offset_data_sampled_at_its_points(self, example2):
         # data at "(i-1)/n": the sampled system keeps that offset and the
@@ -186,19 +199,17 @@ class TestFitQ:
 
 class TestPositivity:
     def test_unit_speeds_pass(self, example1):
-        rep = check_positivity(example1.continuum)
-        assert rep.passed
-        assert rep.min_lambda == pytest.approx(1.0)
-        assert rep.min_mu == pytest.approx(1.0)
+        lam_min, mu_min = example1.continuum.check_speeds(AUDIT)
+        assert lam_min == pytest.approx(1.0)
+        assert mu_min == pytest.approx(1.0)
 
     def test_sign_change_fails(self):
         cfg = {"lambda": 1.0,
                "mu": {"terms": [{"scale": 1.0, "factors": [
                    {"var": "x", "kind": "poly", "coeffs": [-0.5, 1.0]}]}]},
                "sigma": 0.0, "theta": 0.0, "w": 0.0, "q": 0.0}
-        rep = check_positivity(parse_problem_dict(cfg).continuum)
-        assert not rep.passed
-        assert rep.min_mu == pytest.approx(-0.5)
+        with pytest.raises(ValueError, match=r"min mu=-0\.5\b"):
+            parse_problem_dict(cfg).continuum.check_speeds(AUDIT)
 
     def test_bilinear_passes(self):
         cfg = {"lambda": {"terms": [
@@ -207,9 +218,8 @@ class TestPositivity:
                        {"var": "x", "kind": "poly", "coeffs": [0, 1]},
                        {"var": "y", "kind": "poly", "coeffs": [0, 1]}]}]},
                "mu": 1.0, "sigma": 0.0, "theta": 0.0, "w": 0.0, "q": 0.0}
-        rep = check_positivity(parse_problem_dict(cfg).continuum)
-        assert rep.passed
-        assert rep.min_lambda == pytest.approx(1.0)
+        lam_min, _ = parse_problem_dict(cfg).continuum.check_speeds(AUDIT)
+        assert lam_min == pytest.approx(1.0)
 
 
 class TestConfigLoading:
@@ -251,6 +261,23 @@ class TestConfigLoading:
         cfg = {"lambda": 1, "mu": 1, "sigma": 0, "theta": 0, "w": 0, "q": 0,
                field: value}
         with pytest.raises(ConfigError, match="non-finite"):
+            parse_problem_dict(cfg)
+
+    @pytest.mark.parametrize("field, value, match", [
+        ("n", 2.7, r"\.n: expected an integer"),
+        ("n", True, r"\.n: expected an integer"),
+        ("n", None, r"\.n: expected an integer"),
+        ("q", {"data": [0.1, 0.2, 0.4, 0.8], "fit_degree": 2.9}, "fit_degree"),
+        ("q", {"data": [0.1, 0.2, 0.4, 0.8], "fit_degree": False}, "fit_degree"),
+        ("q", {"data": [0.1, 0.2, 0.4, 0.8], "points": "(i-1)/N"}, "points"),
+        ("q", {"data": [0.1, 0.2, 0.4, 0.8], "points": "i"}, "points"),
+    ])
+    def test_misread_values_rejected(self, field, value, match):
+        # int() floored 2.7 to 2 and read true as 1, and any points string
+        # but "(i-1)/n" was read as i/n
+        cfg = {"lambda": 1, "mu": 1, "sigma": 0, "theta": 0, "w": 0, "q": 0,
+               field: value}
+        with pytest.raises(ConfigError, match=match):
             parse_problem_dict(cfg)
 
     def test_json_syntax_diagnostics(self, tmp_path):

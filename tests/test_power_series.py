@@ -11,7 +11,7 @@ from hypothesis import strategies as st
 from conftest import FULL
 from continuum_kernels import power_series
 from continuum_kernels.gains import diff_solutions, gains
-from continuum_kernels.params import ContinuumParams, check_positivity
+from continuum_kernels.params import ContinuumParams
 from continuum_kernels.power_series import (SRC_BC_DIAG, SRC_BC_LEFT,
                                             SRC_PDE_K, SRC_PDE_KBAR,
                                             LinearSystem,
@@ -38,12 +38,7 @@ def scatter_assemble(p: ContinuumParams, cfg: SolverConfig) -> LinearSystem:
     """The per-entry scatter loop that ``assemble`` replaced, kept as its
     oracle: one dict update per contribution, summed column by column in
     family, then term order."""
-    pos = check_positivity(p)
-    if not pos.passed:
-        raise ValueError(
-            f"transport speeds must be positive: min lambda={pos.min_lambda:.3g}, "
-            f"min mu={pos.min_mu:.3g}"
-        )
+    p.check_speeds(np.linspace(0.0, 1.0, 101))
     lamS, muS, thetaS, WS, sigmaS, qS = _param_series(p, cfg)
     _check_ny_bound(cfg, lamS, thetaS)
     N, Ny, s_sig = cfg.N, cfg.N_y, float(cfg.sigma_sign)
@@ -227,7 +222,7 @@ class TestAssembly:
                                          for v, e in zip(vars_, mono))
                     for i, mono in rows
                 )
-                direct = sym[src].eval(point)
+                direct = sym[src].eval_grid({v: [point[v]] for v in vars_}).item()
                 assert recombined == pytest.approx(direct, rel=1e-9, abs=1e-9)
 
     def test_order_reduction_warning(self, example1):

@@ -13,6 +13,24 @@ from continuum_kernels.series import (MAX_PANELS, Constant, Cos, Exp,
 X, XI, Y, ETA = Var.X, Var.XI, Var.Y, Var.ETA
 
 
+def at(s: TruncatedSeries, point: dict) -> float:
+    """``s`` at one point, by a one-point eval_grid."""
+    return s.eval_grid({v: [point[v]] for v in s.vars}).item()
+
+
+def outer_product_eval(s: TruncatedSeries, grids: dict) -> np.ndarray:
+    """The per-coefficient outer-product loop that eval_grid's contraction
+    replaced, kept as its oracle."""
+    axes = [np.asarray(grids[v], dtype=float) for v in s.vars]
+    out = np.zeros(tuple(len(a) for a in axes))
+    for e, c in s.coeffs.items():
+        term = np.asarray(c)
+        for a, p in zip(axes, e):
+            term = np.multiply.outer(term, a ** p)
+        out += term
+    return out
+
+
 def series(var_exps: dict) -> TruncatedSeries:
     out = TruncatedSeries.zero()
     for exps, c in var_exps.items():
@@ -73,7 +91,7 @@ class TestRingOps:
         one_minus = TruncatedSeries.constant(1.0) - series({((X, 1),): 1.0})
         out = one_plus + one_minus
         assert out.coeffs == {(0,): 2.0}
-        assert out.eval({X: 0.7}) == pytest.approx(2.0)
+        assert at(out, {X: 0.7}) == pytest.approx(2.0)
 
     def test_add_identity(self):
         s = series({((X, 2), (Y, 1)): 3.0, ((X, 1),): -1.0})
@@ -156,24 +174,34 @@ class TestCalculus:
 class TestEval:
     def test_parabola_root(self):
         s = TruncatedSeries.constant(1.0) - series({((X, 2),): 1.0})
-        assert s.eval({X: 1.0}) == pytest.approx(0.0, abs=1e-15)
+        assert at(s, {X: 1.0}) == pytest.approx(0.0, abs=1e-15)
 
     def test_quadratic_midpoint(self):
         # 35 y (y-1) at y = 1/2 -> 35 * (1/2) * (-1/2)
         s = series({((Y, 2),): 35.0, ((Y, 1),): -35.0})
-        assert s.eval({Y: 0.5}) == pytest.approx(35.0 * 0.5 * (-0.5))
-        assert s.eval({Y: 0.5}) == pytest.approx(-8.75)
+        assert at(s, {Y: 0.5}) == pytest.approx(35.0 * 0.5 * (-0.5))
+        assert at(s, {Y: 0.5}) == pytest.approx(-8.75)
 
     def test_constant_everywhere(self):
         c = 35.0 / (2.0 * math.pi ** 2)
         s = TruncatedSeries.constant(c)
         for y in (0.0, 0.3, 1.0):
-            assert s.eval({Y: y}) == pytest.approx(1.7731207137, rel=1e-9)
+            assert at(s, {Y: y}) == pytest.approx(1.7731207137, rel=1e-9)
 
     def test_missing_assignment(self):
         s = series({((X, 1), (Y, 1)): 1.0})
         with pytest.raises(KeyError):
-            s.eval({X: 1.0})
+            s.eval_grid({X: [1.0]})
+
+    @pytest.mark.parametrize("s, vars_", [
+        (TruncatedSeries.zero(), ()), (TruncatedSeries.constant(2.5), ()),
+        (TruncatedSeries.zero((X, Y)), (X, Y)), (series({((XI, 2),): 3.0}), (XI,))])
+    def test_empty_and_constant_series(self, s, vars_):
+        grids = {X: np.array([0.3]), XI: np.array([0.5, 2.0]), Y: np.array([1.0])}
+        got = s.eval_grid(grids)
+        assert s.vars == vars_
+        assert got.shape == tuple(len(grids[v]) for v in vars_)
+        np.testing.assert_array_equal(got, outer_product_eval(s, grids))
 
     def test_eval_grid_matches_pointwise(self):
         s = series({((X, 2), (Y, 1)): 2.0, ((X, 1),): -1.0, ((Y, 3),): 0.5})
@@ -182,7 +210,7 @@ class TestEval:
         grid = s.eval_grid({X: xs, Y: ys})
         for i, xv in enumerate(xs):
             for j, yv in enumerate(ys):
-                assert grid[i, j] == pytest.approx(s.eval({X: xv, Y: yv}))
+                assert grid[i, j] == pytest.approx(2 * xv ** 2 * yv - xv + 0.5 * yv ** 3)
 
 
 # -- property tests ---------------------------------------------------------
@@ -206,6 +234,19 @@ def sparse_series(int_coeffs=True, max_degree=5, max_terms=6):
             out = out + TruncatedSeries.monomial(merged, float(c))
         return out
     return st.lists(term, max_size=max_terms).map(build)
+
+
+@settings(max_examples=150, deadline=None)
+@given(sparse_series(int_coeffs=False, max_degree=8), st.data())
+def test_eval_grid_matches_outer_product_oracle(s, data):
+    # 0-4 variables, the empty and the constant series, one-point grids
+    points = st.lists(st.floats(-1.5, 1.5, allow_nan=False), min_size=1, max_size=4)
+    grids = {v: np.array(data.draw(points)) for v in s.vars}
+    got, want = s.eval_grid(grids), outer_product_eval(s, grids)
+    assert got.shape == want.shape == tuple(len(grids[v]) for v in s.vars)
+    size = sum(abs(c) * math.prod(np.abs(grids[v]).max() ** p for v, p in zip(s.vars, e))
+               for e, c in s.coeffs.items())
+    np.testing.assert_allclose(got, want, rtol=0, atol=1e-14 * (1.0 + size))
 
 
 @settings(max_examples=80, deadline=None)
@@ -250,8 +291,8 @@ def test_exp_taylor_recurrence(rate, order):
        st.lists(st.floats(0, 1, allow_nan=False), min_size=4, max_size=4))
 def test_eval_of_product_is_product_of_evals(a, b, pts):
     point = dict(zip((X, XI, Y, ETA), pts))
-    lhs = (a * b).eval(point)
-    rhs = a.eval(point) * b.eval(point)
+    lhs = at(a * b, point)
+    rhs = at(a, point) * at(b, point)
     assert lhs == pytest.approx(rhs, rel=1e-12, abs=1e-9)
 
 
