@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import resource
 import sys
 import time
 from pathlib import Path
@@ -318,7 +319,10 @@ def cmd_simulate(args, report_path) -> tuple:
                     initial_profile=args.profile, amplitude=args.amplitude)
     stages = {"setup": time.perf_counter() - t}
     table = _timed(stages, "gains", _sim_gains, args, problem, ls)
+    faults = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
     rep = _timed(stages, "run", lambda: Simulator(cfg, ls, table).run())
+    faults = resource.getrusage(resource.RUSAGE_SELF).ru_minflt - faults
+    steps = len(rep.t) - 1
     write_sim_csv(rep, f"{args.out_prefix}_sim.csv", report_path=report_path)
     verdict = "stable" if rep.stable else (
         "diverged" if rep.diverged else "not stable")
@@ -330,7 +334,8 @@ def cmd_simulate(args, report_path) -> tuple:
         quality["norm_ratio"] = (rep.final_norm / rep.initial_norm
                                  if rep.initial_norm else 0.0)
     return EXIT_OK, dict(problem=problem.name, stages_s=stages, quality=quality,
-                         steps=len(rep.t) - 1, dt=rep.dt)
+                         steps=steps, dt=rep.dt,
+                         step_ms=1e3 * stages["run"] / steps, minor_faults=faults)
 
 
 def cmd_ls_kernels(args, report_path) -> tuple:

@@ -99,20 +99,21 @@ class ContinuumParams:
         def rows(p: SeparableSum) -> np.ndarray:
             return np.broadcast_to(p(at), (len(ys), len(xs))).copy()
 
-        terms = self.sigma.terms
-
-        def factor(v: Var, t: np.ndarray) -> np.ndarray:
-            """(r, len(t)): each sigma term's v factors, ones if it has none."""
+        def factor(p: SeparableSum, v: Var, t: np.ndarray) -> np.ndarray:
+            """(r, len(t)): each term's v factors, ones if it has none; the
+            x factors carry the term's scale."""
             return np.array([
-                SeparableTerm(1.0, [f for f in term.factors if f.var == v])({v: t})
-                for term in terms]).reshape(len(terms), len(t))
+                SeparableTerm(term.scale if v == Var.X else 1.0,
+                              [f for f in term.factors if f.var == v])({v: t})
+                for term in p.terms]).reshape(len(p.terms), len(t))
 
         return GridParams(
             lam=rows(self.lam), dlam=rows(self.lam.diff(Var.X)),
             mu=self.mu.eval1(Var.X, xs), dmu=self.mu.diff(Var.X).eval1(Var.X, xs),
-            theta=rows(self.theta), W=rows(self.W), q=self.q.eval1(Var.Y, ys),
-            sigma_x=np.array([t.scale for t in terms])[:, None] * factor(Var.X, xs),
-            sigma_eta=factor(Var.ETA, ys), sigma_y=factor(Var.Y, ys),
+            q=self.q.eval1(Var.Y, ys), sigma_x=factor(self.sigma, Var.X, xs),
+            sigma_eta=factor(self.sigma, Var.ETA, ys), sigma_y=factor(self.sigma, Var.Y, ys),
+            theta_x=factor(self.theta, Var.X, xs), theta_y=factor(self.theta, Var.Y, ys),
+            W_x=factor(self.W, Var.X, xs), W_y=factor(self.W, Var.Y, ys),
         )
 
     def check_speeds(self, ys) -> tuple[float, float]:
@@ -133,25 +134,46 @@ class ContinuumParams:
 class GridParams:
     """Sampled parameters of the n+1 system on an x grid of m points.
 
-    Sigma stays in factor form, one row per separable term t:
-    ``sigma_ij(x) = sum_t sigma_x[t](x) sigma_eta[t, i] sigma_y[t, j]``,
-    so each contraction costs O(r n m), not the O(n^2 m) of a dense table.
+    Sigma, theta and W stay in factor form, one row per separable term t:
+    ``sigma_ij(x) = sum_t sigma_x[t](x) sigma_eta[t, i] sigma_y[t, j]`` and
+    ``theta_i(x) = sum_t theta_x[t](x) theta_y[t, i]`` (W alike), so each
+    contraction costs O(r n m), not the O(n^2 m) of a dense sigma table.
     """
 
     lam: np.ndarray        # (n, m)
     dlam: np.ndarray       # (n, m), d/dx
     mu: np.ndarray         # (m,)
     dmu: np.ndarray        # (m,), d/dx
-    theta: np.ndarray      # (n, m)
-    W: np.ndarray          # (n, m)
     q: np.ndarray          # (n,)
     sigma_x: np.ndarray    # (r, m), term scale times its x factors
     sigma_eta: np.ndarray  # (r, n), eta factors at the sample points
     sigma_y: np.ndarray    # (r, n), y factors at the sample points
+    theta_x: np.ndarray    # (r, m), as sigma_x
+    theta_y: np.ndarray    # (r, n)
+    W_x: np.ndarray        # (r, m)
+    W_y: np.ndarray        # (r, n)
 
-    def couple(self, u: np.ndarray) -> np.ndarray:
-        """sum_j sigma_ij u_j, the plant's coupling; ``u`` is (n, ..., m)."""
-        return _contract(self.sigma_eta, self.sigma_y, self.sigma_x, u)
+    @property
+    def theta(self) -> np.ndarray:
+        """The dense (n, m) table of theta_i(x)."""
+        return self.theta_y.T @ self.theta_x
+
+    @property
+    def W(self) -> np.ndarray:
+        """The dense (n, m) table of W_i(x)."""
+        return self.W_y.T @ self.W_x
+
+    def couple_plant(self, u: np.ndarray, v: np.ndarray,
+                     out: np.ndarray) -> np.ndarray:
+        """The plant's couplings for a family ``u`` (n, m) and counter
+        component ``v`` (m,): writes sum_j sigma_ij u_j / n + W_i v into
+        ``out`` (n, m) and returns mean_i theta_i u_i (m,)."""
+        r = len(self.sigma_x)
+        s = np.concatenate((self.sigma_y, self.theta_y)) @ u
+        s /= len(u)
+        z = np.concatenate((self.sigma_x * s[:r], self.W_x * v))
+        np.matmul(np.concatenate((self.sigma_eta, self.W_y)).T, z, out=out)
+        return np.einsum("tx,tx->x", self.theta_x, s[r:])
 
     def couple_kernel(self, K: np.ndarray) -> np.ndarray:
         """sum_j sigma_ji K_j, the kernel equations' coupling; ``K`` is
@@ -335,6 +357,13 @@ def _integer(value, where: str) -> int:
     return value
 
 
+def _array(value, where: str) -> list:
+    """``value`` as a JSON array; iterating a number dies with a TypeError."""
+    if not isinstance(value, (list, tuple)):
+        raise ConfigError(f"{where}: expected an array, got {value!r}")
+    return value
+
+
 def _parse_factor(d: Mapping, where: str):
     if not isinstance(d, Mapping):
         raise ConfigError(f"{where}: factor must be an object")
@@ -345,7 +374,8 @@ def _parse_factor(d: Mapping, where: str):
     v = _VAR_NAMES[var]
     try:
         if kind == "poly":
-            return Polynomial(v, [_number(c, f"{where}.coeffs") for c in d["coeffs"]])
+            return Polynomial(v, [_number(c, f"{where}.coeffs")
+                                 for c in _array(d["coeffs"], f"{where}.coeffs")])
         if kind == "exp":
             return Exp(v, _number(d["rate"], f"{where}.rate"))
         if kind == "cos":
@@ -367,13 +397,14 @@ def _parse_param(d, where: str, allowed: set[Var]) -> SeparableSum:
     if not isinstance(d, Mapping) or "terms" not in d:
         raise ConfigError(f"{where}: expected a number or an object with 'terms'")
     terms = []
-    for i, t in enumerate(d["terms"]):
+    for i, t in enumerate(_array(d["terms"], f"{where}.terms")):
         if not isinstance(t, Mapping):
             raise ConfigError(f"{where}.terms[{i}]: must be an object")
         scale = _number(t.get("scale", 1.0), f"{where}.terms[{i}].scale")
         factors = [
             _parse_factor(f, f"{where}.terms[{i}].factors[{j}]")
-            for j, f in enumerate(t.get("factors", []))
+            for j, f in enumerate(_array(t.get("factors", []),
+                                         f"{where}.terms[{i}].factors"))
         ]
         for f in factors:
             if f.var not in allowed:
@@ -404,7 +435,8 @@ def parse_problem_dict(cfg: Mapping, name: str = "<config>") -> Problem:
     fit = None
     if isinstance(qcfg, Mapping) and "data" in qcfg:
         q_data = np.asarray([_number(v, f"{name}.q.data[{k}]")
-                             for k, v in enumerate(qcfg["data"])])
+                             for k, v in enumerate(_array(qcfg["data"],
+                                                          f"{name}.q.data"))])
         degree = _integer(qcfg.get("fit_degree", 2), f"{name}.q.fit_degree")
         points = qcfg.get("points", "i/n")
         if points not in ("i/n", "(i-1)/n"):

@@ -19,7 +19,7 @@ from __future__ import annotations
 
 import io
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -80,7 +80,8 @@ class Simulator:
 
     The state X is one (n+1, m) array: rows 0..n-1 are the family u^i and
     row n is v, the layout of the n+1 kernels in ``fd_kernels``. ``gains``
-    None runs the plant open loop (U = 0)."""
+    None runs the plant open loop (U = 0). The stage buffers are allocated
+    once here; a step writes every term into them in place."""
 
     def __init__(self, cfg: SimConfig, ls: LargeScaleParams,
                  gains: GainTable | None):
@@ -90,34 +91,36 @@ class Simulator:
         self.cfg = cfg
         n, m = ls.n, cfg.m_x
         self.n, self.m = n, m
-        xs = np.linspace(0.0, 1.0, m)
-        self.xs = xs
-        self.h = xs[1] - xs[0]
-        self.params = g = ls.on_grid(xs)
-        self.lam, self.mu, self.q = g.lam, g.mu, g.q
-        self.theta, self.W = g.theta, g.W
-        speed = max(float(self.lam.max()), float(self.mu.max()))
-        self.dt = cfg.cfl * self.h / speed
-        self.weights = np.full(m, self.h)
-        self.weights[0] = self.weights[-1] = self.h / 2.0
-
+        self.xs = xs = np.linspace(0.0, 1.0, m)
+        self.h = h = xs[1] - xs[0]
+        g = ls.on_grid(xs)
+        self.q = g.q
+        speed = max(float(g.lam.max()), float(g.mu.max()))
+        self.dt = cfg.cfl * h / speed
+        self._lam_h = g.lam[:, 1:] * (-1.0 / h)    # upwind u, evolved nodes
+        self._mu_h = g.mu[:-1] / h                 # upwind v, evolved nodes
+        self.params = replace(g, lam=None, dlam=None)  # steps read the factors
+        self.weights = np.full(m, h)
+        self.weights[0] = self.weights[-1] = h / 2.0
+        self._k = np.zeros((4, n + 1, m))          # RK4 stage derivatives
+        self._S = np.zeros((n + 1, m))             # stage state
+        self._C = np.zeros((n, m - 1))             # upwind differences
+        self.kgw = self.kbg = None
         if gains is not None:
             if len(gains.grid_y) != n:
                 raise ValueError(
                     f"gain table has {len(gains.grid_y)} family rows, need n={n}"
                 )
-            self.kg = np.array([
+            # trapezoid weights folded in; the v(1) = U entry is solved for
+            self.kgw = np.array([
                 np.interp(xs, gains.grid_xi, gains.k[i]) for i in range(n)
-            ])
+            ]) * (self.weights / n)
             self.kbg = np.interp(xs, gains.grid_xi, gains.kbar)
+            self._kbw = (self.weights * self.kbg)[:-1]
             denom = 1.0 - self.weights[-1] * self.kbg[-1]
             if abs(denom) < 1e-8:
                 raise ValueError("feedback endpoint equation is singular")
             self._denom = denom
-        else:
-            self.kg = None
-            self.kbg = None
-            self._denom = 1.0
 
     # -- u columns 1..m-1 and v columns 0..m-2 are evolved; the boundary
     #    columns u[:, 0] and v[-1] follow from them ---------------------------
@@ -134,59 +137,59 @@ class Simulator:
 
         The quadrature endpoint carries v(1) = U itself; the scalar equation
         is solved exactly, so the result never depends on the stale v[-1]."""
-        if self.kg is None:
+        if self.kgw is None:
             return 0.0
-        u, v = X[:self.n], X[self.n]
-        w = self.weights
-        su = float((w * (self.kg * u).mean(axis=0)).sum())
-        sv = float((w[:-1] * self.kbg[:-1] * v[:-1]).sum())
-        return (su + sv) / self._denom
+        su = float(np.vdot(self.kgw, X[:self.n]))
+        return (su + float(self._kbw @ X[self.n, :-1])) / self._denom
 
     def _apply_bc(self, X: np.ndarray) -> None:
-        X[:self.n, 0] = self.q * X[self.n, 0]
+        np.multiply(self.q, X[self.n, 0], out=X[:self.n, 0])
         X[self.n, -1] = self.control(X)
 
-    def _rhs(self, X: np.ndarray) -> np.ndarray:
-        """Upwind space derivatives plus coupling terms on evolved nodes.
-
-        The three couplings share one (n, m) temporary: at large n every
-        fresh state-sized array costs page faults."""
-        n, h = self.n, self.h
+    def _rhs(self, X: np.ndarray, D: np.ndarray) -> None:
+        """Write the upwind space derivatives plus the coupling terms on
+        evolved nodes into D."""
+        n = self.n
         u, v = X[:n], X[n]
-        D = np.zeros_like(X)
         du, dv = D[:n], D[n]
-        du[:, 1:] = -self.lam[:, 1:] * ((u[:, 1:] - u[:, :-1]) / h)
-        c = self.params.couple(u)
-        c /= n
-        du += c
-        du += np.multiply(self.W, v, out=c)
+        drive = self.params.couple_plant(u, v, out=du)
+        C = np.subtract(u[:, 1:], u[:, :-1], out=self._C)
+        C *= self._lam_h
+        du[:, 1:] += C
         du[:, 0] = 0.0
-        dv[:-1] = self.mu[:-1] * (v[1:] - v[:-1]) / h
-        dv += np.multiply(self.theta, u, out=c).mean(axis=0)
+        np.subtract(v[1:], v[:-1], out=dv[:-1])
+        dv[:-1] *= self._mu_h
+        dv[:-1] += drive[:-1]
         dv[-1] = 0.0
-        return D
 
     def step(self, X: np.ndarray, dt: float) -> np.ndarray:
-        """One classical four-stage explicit step. Boundary values are set on
-        every stage state before it is evaluated: in place on X, a no-op for
-        states from ``initial_state`` or ``step``, and on the arrays the
-        stage combinations allocate."""
-
-        def f(S):
+        """One classical four-stage explicit step, written into X, which is
+        returned. Boundary values are set on every stage state before it is
+        evaluated: in place on X, a no-op for states from ``initial_state``
+        or ``step``, and on the stage buffer."""
+        k1, k2, k3, k4 = self._k
+        S = self._S
+        self._apply_bc(X)
+        self._rhs(X, k1)
+        for k, kn, c in ((k1, k2, 0.5 * dt), (k2, k3, 0.5 * dt), (k3, k4, dt)):
+            np.multiply(k, c, out=S)
+            S += X
             self._apply_bc(S)
-            return self._rhs(S)
-
-        k1 = f(X)
-        k2 = f(X + 0.5 * dt * k1)
-        k3 = f(X + 0.5 * dt * k2)
-        k4 = f(X + dt * k3)
-        Xn = X + dt / 6.0 * (k1 + 2 * k2 + 2 * k3 + k4)
-        self._apply_bc(Xn)
-        return Xn
+            self._rhs(S, kn)
+        # k1 + 2 k2 + 2 k3 + k4, summed left to right
+        k2 *= 2
+        k3 *= 2
+        k1 += k2
+        k1 += k3
+        k1 += k4
+        k1 *= dt / 6.0
+        X += k1
+        self._apply_bc(X)
+        return X
 
     def norm(self, X: np.ndarray) -> float:
         u, v = X[:self.n], X[self.n]
-        return float(np.sqrt(self.h * ((u ** 2).sum() / self.n + (v ** 2).sum())))
+        return math.sqrt(self.h * (np.vdot(u, u) / self.n + np.vdot(v, v)))
 
     def run(self) -> SimReport:
         X = self.initial_state()
@@ -197,25 +200,21 @@ class Simulator:
         norms = [self.norm(X)]
         diverged = False
         for k in range(nsteps):
-            X = self.step(X, dt)
+            self.step(X, dt)
             ts.append((k + 1) * dt)
-            if not np.abs(X).max() <= DIVERGE_LIMIT:   # NaN fails it too
+            # NaN fails both comparisons
+            if not (X.max() <= DIVERGE_LIMIT and X.min() >= -DIVERGE_LIMIT):
                 diverged = True
                 Us.append(np.nan)
                 norms.append(np.inf)
                 break
             Us.append(self.control(X))
             norms.append(self.norm(X))
-        t_arr = np.asarray(ts)
-        U_arr = np.asarray(Us)
-        n_arr = np.asarray(norms)
-        initial = n_arr[0]
-        final = n_arr[-1]
-        stable = (not diverged) and final < STABLE_NORM_FRACTION * initial
-        if initial == 0.0:
-            stable = not diverged and final == 0.0
-        return SimReport(t=t_arr, U=U_arr, norm=n_arr, stable=stable,
-                         diverged=diverged, dt=dt,
+        initial, final = norms[0], norms[-1]
+        stable = not diverged and (final == 0.0 if initial == 0.0
+                                   else final < STABLE_NORM_FRACTION * initial)
+        return SimReport(t=np.asarray(ts), U=np.asarray(Us), norm=np.asarray(norms),
+                         stable=stable, diverged=diverged, dt=dt,
                          initial_norm=float(initial), final_norm=float(final))
 
 

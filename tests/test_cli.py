@@ -47,7 +47,8 @@ def read_report(path):
      {"iterations", "final_delta", "sweep_history", "timing_s"}),
     (["simulate", "--config", "example2", "--mx", "32", "--t-final", "0.2",
       "--solve-order", "4", "--out-prefix", "{d}/r"], 0, {"setup", "gains", "run"},
-     {"verdict", "initial_norm", "final_norm", "norm_ratio"}, {"steps", "dt"}),
+     {"verdict", "initial_norm", "final_norm", "norm_ratio"},
+     {"steps", "dt", "step_ms", "minor_faults"}),
     (["bench", "--example", "example1", "--orders", "4,6", "--skip-baseline",
       "--out", "{d}/r.csv"], 0, {"reference"}, {"residual", "max_error", "d_prev"},
      {"example", "rows"}),
@@ -130,6 +131,24 @@ class TestSolve:
     def test_bad_config_exits_1(self, tmp_path):
         assert run(["solve", "--config", "missing-config", "--order", "4",
                     "--out-prefix", str(tmp_path / "x")]) == 1
+
+    @pytest.mark.parametrize("field, value, where", [
+        ("q", {"data": 5}, "q.data"),
+        ("lambda", {"terms": 5}, "lambda.terms"),
+        ("lambda", {"terms": [{"scale": 1.0, "factors": 5}]},
+         "lambda.terms[0].factors"),
+    ])
+    def test_scalar_for_array_exits_1(self, tmp_path, capsys, field, value,
+                                      where):
+        # used to die with "TypeError: 'int' object is not iterable"
+        cfg = dict(load_problem("example2").source, **{field: value})
+        path = tmp_path / "bad.json"
+        path.write_text(json.dumps(cfg))
+        assert run(["solve", "--config", str(path), "--order", "4",
+                    "--out-prefix", str(tmp_path / "x")]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and f"{where}: expected an array" in err
+        assert not (tmp_path / "x_report.json").exists()
 
     def test_report_stages_and_residual_by_source(self, tmp_path):
         prefix = str(tmp_path / "r")
@@ -389,6 +408,18 @@ class TestSimulate:
         csv = (tmp_path / "s_sim.csv").read_bytes()
         assert run(argv) == 0
         assert (tmp_path / "s_sim.csv").read_bytes() == csv
+
+    def test_report_step_time_and_faults(self, tmp_path):
+        argv = ["simulate", "--config", "example2", "--mx", "32", "--t-final", "0.2",
+                "--solve-order", "4", "--out-prefix", str(tmp_path / "s")]
+        assert run(argv) == 0
+        report = read_report(tmp_path / "s_report.json")
+        assert report["steps"] == len((tmp_path / "s_sim.csv").read_text()
+                                      .splitlines()) - 4
+        assert report["step_ms"] == pytest.approx(
+            1e3 * report["stages_s"]["run"] / report["steps"], rel=1e-12)
+        assert isinstance(report["minor_faults"], int)
+        assert report["minor_faults"] >= 0
 
     def test_unwritable_output_directory_exits_1(self, tmp_path, capsys):
         (tmp_path / "f").write_text("a file, not a directory")

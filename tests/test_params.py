@@ -271,6 +271,15 @@ class TestConfigLoading:
         ("q", {"data": [0.1, 0.2, 0.4, 0.8], "fit_degree": False}, "fit_degree"),
         ("q", {"data": [0.1, 0.2, 0.4, 0.8], "points": "(i-1)/N"}, "points"),
         ("q", {"data": [0.1, 0.2, 0.4, 0.8], "points": "i"}, "points"),
+        # a scalar where an array belongs died with "'int' object is not
+        # iterable"
+        ("q", {"data": 5}, r"q\.data: expected an array"),
+        ("lambda", {"terms": 5}, r"lambda\.terms: expected an array"),
+        ("lambda", {"terms": [{"factors": 5}]},
+         r"lambda\.terms\[0\]\.factors: expected an array"),
+        ("mu", {"terms": [{"factors": [{"kind": "poly", "var": "x",
+                                        "coeffs": 5}]}]},
+         r"mu\.terms\[0\]\.factors\[0\]\.coeffs: expected an array"),
     ])
     def test_misread_values_rejected(self, field, value, match):
         # int() floored 2.7 to 2 and read true as 1, and any points string
