@@ -152,6 +152,7 @@ class PsKernelSolution:
     rank: int | None = None
     solve_path: str | None = None       # "staircase_qr" or "dense_lstsq"
     ordering: str | None = None         # column grading: "x+xi" or "x"
+    span_cut: int | None = None         # widest span the panels carry
     r_diag_ratio: float | None = None   # min/max |R_jj| of the staircase QR
     wide_rows: int | None = None        # rows the staircase QR merged by tpqrt
 
@@ -305,14 +306,6 @@ def assemble(p: ContinuumParams, cfg: SolverConfig) -> LinearSystem:
 # ("KB", (a, b)). example2's system is banded in a + b, and example1's in a:
 # its lambda, theta, W and sigma do not depend on x, and mu is constant.
 _GRADINGS = {"x+xi": lambda e: e[0] + e[1], "x": lambda e: e[0]}
-# Weight of a flop of the wide-row merge (tpqrt, tpmqrt) against a flop of
-# the panel factorization (geqrf, ormqr). Alone, the merge kernels ran at
-# 60-100 % of the panel kernels' flop rate (one BLAS thread). With 2.5 each
-# benchmark system gets a plan within about 20 % of its fastest one, and the
-# closed-loop system (example2, N = 20, N_y = 2) keeps "x+xi" without wide
-# rows. Below about 2.1 it moves to an "x" plan that solves faster alone,
-# but the simulation after it ran slower: its pass took 0.32 s, not 0.28 s.
-_WIDE_COST = 2.5
 
 
 def _staircase(A: scipy.sparse.csr_matrix, grading: str, keys):
@@ -350,9 +343,9 @@ def _staircase(A: scipy.sparse.csr_matrix, grading: str, keys):
     # geqrf and ormqr, then the QR that cuts the carried rows down
     flops = (2 * size * size * (r - size / 3) + (4 * r - 2 * size) * size * cols
              + np.where(k > cols, 2 * k * cols * cols - 2 / 3 * cols ** 3, 0.0))
-    # dtpqrt against the level's triangle, dtpmqrt over all later columns
-    rest = A.shape[1] - bounds[1:] + 1
-    flops += _WIDE_COST * wide * size * (2 * size + 4 * rest)
+    # dtpqrt against the level's triangle, dtpmqrt over the window and the
+    # wide rows' factor
+    flops += wide * size * (2 * size + 4 * (cols + wide))
     ok = np.all(held + wide >= size, axis=1)
     flops = flops.sum(axis=1)
     return np.where(ok, flops, np.inf), cuts, level, entry, span, bounds, top
@@ -383,13 +376,16 @@ def _staircase_qr(A: scipy.sparse.csr_matrix, b: np.ndarray, keys):
     with b as a last column, factors its columns (LAPACK geqrf) and applies
     Q^T to the rest (ormqr). The top rows are the level's block of R; the
     others are carried on, cut down to their R factor when they outnumber
-    their columns. The wide rows, dense over all columns from the level on,
-    are then merged into the level's triangle (tpqrt) and the same
-    transform is applied to the block row of R and their remaining columns
-    (tpmqrt), so a level's diagonal of R is final only after the merge.
-    Returns (x, grading, min/max |R_jj|, wide row count), or None when A is
-    rank-deficient: a zero column, a level with fewer narrow plus wide rows
-    than columns, a diagonal of R at roundoff level or a non-finite x."""
+    their columns. The wide rows are then merged into the level's triangle
+    (tpqrt) and the same transform is applied to the block row of R and
+    their remaining columns (tpmqrt), so a level's diagonal of R is final
+    only after the merge. The merges only mix the wide rows, so past the
+    window end they stay G @ Wo, with Wo the wide rows as they entered: the
+    merge carries the small factor G, not the columns, and the block row
+    of R past its window is F @ Wo. Returns (x, grading, span cut, min/max
+    |R_jj|, wide row count), or None when A is rank-deficient: a zero
+    column, a level with fewer narrow plus wide rows than columns, a
+    diagonal of R at roundoff level or a non-finite x."""
     m, n = A.shape
     norms = scipy.sparse.linalg.norm(A, axis=0)
     if not np.all(norms > 0.0):
@@ -411,8 +407,11 @@ def _staircase_qr(A: scipy.sparse.csr_matrix, b: np.ndarray, keys):
     rows = np.flatnonzero(np.diff(A.indptr) > 0)[order]
     perm = np.argsort(level, kind="stable")
     A, b = A[rows][:, perm], b[rows]
+    # past the furthest window end so far, `hi`, the first w wide rows carried
+    # are G @ Wo[:w]: Wo holds the wide rows as they entered
+    Wo, bo = A[at[nl]:].toarray(), b[at[nl]:]
     lapack = scipy.linalg.lapack
-    carry, wide, blocks = np.zeros((0, 1)), np.zeros((0, 1)), []
+    carry, wide, hi, blocks = np.zeros((0, 1)), np.zeros((0, 1)), 0, []
     for L, (c0, c1) in enumerate(zip(bounds[:-1], bounds[1:])):
         s, end = c1 - c0, bounds[top[L] + 1]
         M = _panel(end - c0, carry, A, at[L], at[L + 1], c0, b, s)
@@ -426,25 +425,35 @@ def _staircase_qr(A: scipy.sparse.csr_matrix, b: np.ndarray, keys):
             carry = np.triu(lapack.dgeqrf(carry, lwork=64 * c)[0][:c])
         else:
             carry = carry.copy()
-        i0, i1 = at[nl + L], at[nl + L + 1]
-        if len(wide) + i1 - i0:
-            W = _panel(n - c0, wide, A, i0, i1, c0, b)
+        w0, w = at[nl + L] - at[nl], at[nl + L + 1] - at[nl]
+        if w:
+            # [dense over c0:end | G | b]: the carried rows, made dense from
+            # hi to the window end, then the rows entering at L
+            k, d = hi - c0, end - c0
+            W, G = np.zeros((w, d + w + 1), order="F"), wide[:, k:-1]
+            W[:w0, :k], W[:w0, k:d] = wide[:, :k], G @ Wo[:w0, hi:end]
+            W[:w0, d:d + w0], W[:w0, -1] = G, wide[:, -1]
+            W[w0:, :d], W[w0:, -1] = Wo[w0:w, c0:end], bo[w0:w]
+            np.fill_diagonal(W[w0:, d + w0:], 1.0)
             R, V, T, _ = lapack.dtpqrt(0, min(s, 64), R, W[:, :s], overwrite_a=True)
-            rest, wide, _ = lapack.dtpmqrt(0, V, T, _panel(n - c1, rest, A, 0, 0, c1, b),
-                                           W[:, s:], trans="T", overwrite_a=True,
-                                           overwrite_b=True)
-        blocks.append((R, rest))
-    diag = np.abs(np.concatenate([np.diagonal(R) for R, _ in blocks]))
+            rest = _panel(end - c1 + w, rest, A, 0, 0, c1, b)
+            rest, wide, _ = lapack.dtpmqrt(0, V, T, rest, W[:, s:], trans="T",
+                                           overwrite_a=True, overwrite_b=True)
+        hi = end
+        blocks.append((R, rest, end, w))
+    diag = np.abs(np.concatenate([np.diagonal(R) for R, *_ in blocks]))
     if diag.min() <= (m + n) * np.finfo(float).eps * diag.max():
         return None
     y = np.empty(n)
-    for (R, rest), c0, c1 in reversed(list(zip(blocks, bounds[:-1], bounds[1:]))):
-        rhs = rest[:, -1] - rest[:, :-1] @ y[c1:c1 + rest.shape[1] - 1]
+    for (R, rest, end, w), c0, c1 in reversed(list(zip(blocks, bounds[:-1], bounds[1:]))):
+        past = Wo[:w, end:] @ y[end:]
+        rhs = rest[:, -1] - rest[:, :-1] @ np.concatenate([y[c1:end], past])
         y[c0:c1] = scipy.linalg.solve_triangular(R, rhs, check_finite=False)
     x = (y / norms[perm])[np.argsort(perm)]
     if not np.all(np.isfinite(x)):
         return None
-    return x, grading, float(diag.min() / diag.max()), int(np.count_nonzero(~narrow))
+    return (x, grading, int(cuts[i]), float(diag.min() / diag.max()),
+            int(np.count_nonzero(~narrow)))
 
 
 def solve_ls(system: LinearSystem) -> PsKernelSolution:
@@ -452,9 +461,10 @@ def solve_ls(system: LinearSystem) -> PsKernelSolution:
 
     The normal path is the staircase QR of :func:`_staircase_qr`
     (``solve_path`` is ``"staircase_qr"``); A is never densified as a whole.
-    The solution records the column grading it followed (``ordering``),
-    the number of wide rows it merged into the levels' triangles
-    (``wide_rows``) and min/max |R_jj| (``r_diag_ratio``). A full-rank
+    The solution records the plan it followed, a column grading
+    (``ordering``) and a span cut (``span_cut``), the number of wide rows
+    it merged into the levels' triangles (``wide_rows``) and min/max
+    |R_jj| (``r_diag_ratio``). A full-rank
     factor implies full column rank, so ``rank`` is the column count. When
     A is rank-deficient the minimum-norm solution comes from a dense
     rank-revealing QR (``"dense_lstsq"``, LAPACK gelsy), whose rank estimate
@@ -462,13 +472,14 @@ def solve_ls(system: LinearSystem) -> PsKernelSolution:
     solution."""
     out = _staircase_qr(system.A, system.b, system.cols)
     if out is not None:
-        x, ordering, ratio, wide_rows = out
+        x, ordering, span_cut, ratio, wide_rows = out
         solve_path, rank = "staircase_qr", system.A.shape[1]
     else:
         A = system.A.toarray()
         x, _, rank, _ = scipy.linalg.lstsq(A, system.b, lapack_driver="gelsy",
                                            check_finite=False)
-        solve_path, ordering, ratio, wide_rows = "dense_lstsq", None, None, None
+        solve_path, ordering = "dense_lstsq", None
+        span_cut = ratio = wide_rows = None
         if not np.all(np.isfinite(x)):
             raise RuntimeError(
                 f"least-squares factorization produced non-finite values "
@@ -484,7 +495,7 @@ def solve_ls(system: LinearSystem) -> PsKernelSolution:
         residual=residual, config=cfg,
         num_unknowns=sum(count_unknowns(cfg.N, cfg.N_y)), num_equations=system.A.shape[0],
         x=x, rank=int(rank), solve_path=solve_path, ordering=ordering,
-        r_diag_ratio=ratio, wide_rows=wide_rows,
+        span_cut=span_cut, r_diag_ratio=ratio, wide_rows=wide_rows,
     )
 
 

@@ -86,7 +86,7 @@ class TestSolve:
         assert "max_error_vs_exact" in report
         assert report["num_unknowns"] == 154  # 109 + 45
         assert report["solve_path"] == "staircase_qr"
-        assert report["ordering"] == "x"
+        assert report["ordering"] == "x" and report["span_cut"] == 1
         # example1's diagonal-BC rows span every x-degree level
         assert 0 < report["wide_rows"] < report["num_equations"]
         assert 0.0 < report["r_diag_ratio"] <= 1.0

@@ -361,6 +361,42 @@ def _dense_oracle(system: LinearSystem) -> np.ndarray:
     return x
 
 
+def _staircase_system(sizes, wide, rng) -> LinearSystem:
+    """Columns in levels of the given sizes, in shuffled order. Each column
+    has a row of its own, each level but the last a row into the next, and
+    each (entry, span) of `wide` a row from the entry level to the level
+    span above it. A row touches its two end levels and about half the
+    columns between them."""
+    bounds = np.concatenate([[0], np.cumsum(sizes)])
+    n = bounds[-1]
+
+    def row(lo, hi):
+        r, c0, c1 = np.zeros(n), bounds[lo], bounds[hi + 1]
+        on = rng.random(c1 - c0) < 0.5
+        on[[rng.integers(sizes[lo]), c1 - c0 - 1 - rng.integers(sizes[hi])]] = True
+        r[c0:c1][on] = rng.standard_normal(np.count_nonzero(on))
+        return r
+
+    rows = [np.diag(rng.uniform(0.5, 2.0, n) * rng.choice([-1, 1], n))]
+    rows += [[row(L, L + 1) for L in range(len(sizes) - 1)], [row(e, e + s) for e, s in wide]]
+    perm = rng.permutation(n)
+    A = scipy.sparse.csr_matrix(np.vstack(rows)[:, perm])
+    cols = [("K", (L, 0, j)) for j, L in enumerate(np.repeat(np.arange(len(sizes)), sizes)[perm])]
+    return LinearSystem(A=A, b=rng.standard_normal(A.shape[0]), cols=cols, rows=[],
+                        config=SolverConfig(N=1))
+
+
+@st.composite
+def _staircase_shapes(draw):
+    """Level sizes, and the (entry level, span) of rows spanning two levels
+    or more."""
+    sizes = draw(st.lists(st.integers(1, 3), min_size=3, max_size=8))
+    nl = len(sizes)
+    wide = st.integers(0, nl - 3).flatmap(
+        lambda e: st.tuples(st.just(e), st.integers(2, nl - 1 - e)))
+    return sizes, draw(st.lists(wide, min_size=1, max_size=8))
+
+
 class TestSparseAgainstDense:
     """The staircase QR solve against a dense least-squares oracle.
     Measured gaps: coefficients 1.4e-10, residuals 8.3e-11 relative
@@ -408,15 +444,16 @@ class TestSparseAgainstDense:
         assert sol.residual == pytest.approx(full.residual, rel=1e-12)
 
     @pytest.mark.parametrize("name, N_y, ordering", [
-        ("example2", None, "x+xi"), ("example1", 2, "x"), ("example2", 2, "x+xi")])
+        ("example2", None, "x+xi"), ("example1", 2, "x"), ("example2", 2, "x")])
     def test_grading_choice(self, solve_cache, name, N_y, ordering):
         # example2 with N_y = 2 is the closed-loop benchmark's system. Its
-        # "x" plan with 48 wide rows solves faster alone, but the simulation
-        # that follows it ran slower (pass 0.28 -> 0.32 s), so the merge's
-        # cost weight keeps it on "x+xi" without wide rows
+        # "x" plan merges 54 wide rows and solves faster than "x+xi" without
+        # them; the flop count of the merge is the estimate's only weight
         sol = solve_cache.solution(name, SolverConfig(N=20, N_y=N_y))
         assert sol.solve_path == "staircase_qr"
         assert sol.ordering == ordering
+        # the "x" plans merge the rows that span more than one level
+        assert sol.span_cut == {"x": 1, "x+xi": 5}[ordering]
         assert (sol.wide_rows > 0) == (ordering == "x")
         assert 0.0 < sol.r_diag_ratio <= 1.0
 
@@ -437,6 +474,36 @@ class TestSparseAgainstDense:
         np.testing.assert_allclose(sol.x, x_ref, rtol=0.0, atol=1e-8)
         r_ref = np.linalg.norm(system.A @ x_ref - system.b)
         assert sol.residual == pytest.approx(r_ref, rel=1e-9, abs=1e-10)
+
+    @pytest.mark.parametrize("size, levels, entries, per_entry", [
+        (3, 12, range(0, 10, 2), 2), pytest.param(10, 40, range(0, 16, 3), 50, marks=FULL)])
+    def test_late_wide_rows_match_dense_oracle(self, size, levels, entries, per_entry):
+        # rows reaching the last level enter at several levels, so the merge
+        # appends rows to the carried ones mid-march; the wide rows of the
+        # shipped configs' systems all enter at level 0
+        wide = [(e, levels - 1 - e) for e in entries for _ in range(per_entry)]
+        system = _staircase_system([size] * levels, wide, np.random.default_rng(0))
+        sol = solve_ls(system)
+        assert sol.solve_path == "staircase_qr" and sol.span_cut == 1
+        assert sol.wide_rows == len(wide)
+        x_ref = _dense_oracle(system)
+        np.testing.assert_allclose(sol.x, x_ref, rtol=0.0, atol=1e-8)
+        r_ref = np.linalg.norm(system.A @ x_ref - system.b)
+        assert sol.residual == pytest.approx(r_ref, rel=1e-9)
+
+    @settings(max_examples=50, deadline=None)
+    @given(shape=_staircase_shapes(), seed=st.integers(0, 2 ** 32 - 1))
+    def test_late_wide_rows_every_plan_dense_oracle(self, shape, seed):
+        system = _staircase_system(*shape, np.random.default_rng(seed))
+        x_ref = _dense_oracle(system)
+        # both gradings give a column its level; every cut is a plan
+        cost = _staircase(system.A, "x", system.cols)[0]
+        for i in np.flatnonzero(np.isfinite(cost)):
+            with mock.patch.object(power_series, "_staircase", _only_plan("x", i)):
+                sol = solve_ls(system)
+            assert sol.solve_path == "staircase_qr"
+            np.testing.assert_allclose(sol.x, x_ref, rtol=0.0,
+                                       atol=1e-10 * max(1.0, np.abs(x_ref).max()))
 
     def test_fewer_rows_than_columns_falls_back(self):
         # the two level-0 columns meet only row 0: no grading and no span
