@@ -36,7 +36,7 @@ import scipy.sparse
 import scipy.sparse.linalg
 
 from .params import GRID_POINTS, ContinuumParams
-from .series import TruncatedSeries, Var, grlex_key, integrate01
+from .series import TruncatedSeries, Var, integrate01
 
 __all__ = [
     "SolverConfig",
@@ -107,15 +107,12 @@ def count_unknowns(N: int, N_y: int | None = None) -> tuple[int, int]:
     return num_k, num_kbar
 
 
-def _k_columns(N: int, N_y: int) -> list[tuple[int, int, int]]:
-    cols = [(a, b, c) for c in range(N_y + 1) for a in range(N - c + 1)
-            for b in range(N - c - a + 1)]
-    return sorted(cols, key=grlex_key)
-
-
-def _kbar_columns(N: int) -> list[tuple[int, int]]:
-    cols = [(tot - b, b) for tot in range(N + 1) for b in range(tot + 1)]
-    return sorted(cols, key=grlex_key)
+def _monomials(N: int, *caps: int) -> np.ndarray:
+    """Exponent rows of total degree <= N, each at most its cap, in grlex
+    order: np.indices lists them lexicographically, then a stable sort."""
+    e = np.indices([cap + 1 for cap in caps]).reshape(len(caps), -1)
+    e = e[:, e.sum(axis=0) <= N]
+    return e[:, np.argsort(e.sum(axis=0), kind="stable")].T
 
 
 # Row sources, in fixed order for reproducible output.
@@ -225,14 +222,14 @@ def assemble(p: ContinuumParams, cfg: SolverConfig) -> LinearSystem:
     _check_ny_bound(cfg, lamS, thetaS)
     N, Ny, s_sig = cfg.N, cfg.N_y, float(cfg.sigma_sign)
 
-    k_cols = _k_columns(N, Ny)
-    kb_cols = _kbar_columns(N)
-    cols = [("K", e) for e in k_cols] + [("KB", e) for e in kb_cols]
+    k_exps, kb_exps = _monomials(N, N, N, Ny), _monomials(N, N, N)
+    cols = [*zip(itertools.repeat("K"), zip(*k_exps.T.tolist())),
+            *zip(itertools.repeat("KB"), zip(*kb_exps.T.tolist()))]
     # column exponents and indices as (n, 1) arrays
-    a, b, c = np.array(k_cols, dtype=np.int64).T[:, :, None]
-    j = np.arange(len(k_cols))[:, None]
-    ab, bb = np.array(kb_cols, dtype=np.int64).T[:, :, None]
-    jb = len(k_cols) + np.arange(len(kb_cols))[:, None]
+    a, b, c = k_exps.T[:, :, None]
+    j = np.arange(len(k_exps))[:, None]
+    ab, bb = kb_exps.T[:, :, None]
+    jb = len(k_exps) + np.arange(len(kb_exps))[:, None]
 
     md, mv = _terms(muS)
     lam_xi = lamS.rename(Var.X, Var.XI)
@@ -246,80 +243,91 @@ def assemble(p: ContinuumParams, cfg: SolverConfig) -> LinearSystem:
     mu0 = muS.coeffs.get((0,), 0.0)
 
     # An entry's key is (row code, column) with the row code in (source, grlex
-    # monomial) order; rows reach total degree 2N, so each digit is below radix.
+    # monomial) order; rows reach total degree 2N, so each digit is below
+    # radix. The key is linear in the monomial (e0, e1, e2), so it is the sum
+    # of a column part, (n, 1), and a parameter term part, (1, t).
     ncol, radix = len(cols), 2 * N + 1
+    weight = (ncol + 1) * (radix ** 3 + np.array([radix ** 2, radix, 1]))
     keys, vals = [], []     # nonzero contributions, in scatter order
 
-    def scat(src, col, val, *mono):
-        col, val, *mono = np.broadcast_arrays(col, val, *mono, *(0,) * (3 - len(mono)))
+    def scat(src, col, val, mono, shift=()):
+        """Column(s) `col` get `val` in the rows of monomial `mono` + `shift`."""
+        part = src * (ncol + 1) * radix ** 4 + col + sum(map(np.multiply, weight, mono))
+        key, val = np.broadcast_arrays(part + sum(map(np.multiply, weight, shift)), val)
         on = val != 0.0
-        e0, e1, e2 = (m[on] for m in mono)
-        code = (((src * radix + e0 + e1 + e2) * radix + e0) * radix + e1) * radix + e2
-        keys.append(code * (ncol + 1) + col[on])
+        keys.append(key[on])
         vals.append(val[on])
 
     # E1: mu(x) dk/dx - lam(xi,y) dk/dxi - (dlam/dxi) k - s * sigma moments
-    scat(0, j, mv * a, a - 1 + md, b, c)
-    scat(0, j, -lv * b, a, b - 1 + lp, c + lq)
-    scat(0, j, -dv, a, b + dp, c + dq)
+    scat(0, j, mv * a, (a - 1, b, c), (md,))
+    scat(0, j, -lv * b, (a, b - 1, c), (0, lp, lq))
+    scat(0, j, -dv, (a, b, c), (0, dp, dq))
     for cc in range(Ny + 1):    # M_c(xi, y) = int sigma(xi, eta, y) eta^c deta
         eta_c = TruncatedSeries.monomial({Var.ETA: cc})
         mp, mq, mom = _terms((sigma_xi * eta_c).integrate_unit(Var.ETA))
         on = c[:, 0] == cc
-        scat(0, j[on], -s_sig * mom, a[on], b[on] + mp, mq)
+        scat(0, j[on], -s_sig * mom, (a[on], b[on]), (0, mp, mq))
     # E2: -int W(xi,y) k dy;  E3: (lam+mu)(x,y) k(x,x,y);  E4: -m_c x^a
-    scat(1, j, -wv / (wq + c + 1), a, b + wp)
-    scat(2, j, sv, a + b + sp, c + sq)
-    scat(3, j, np.where(b == 0, -q_mom[c], 0.0), a)
+    scat(1, j, -wv / (wq + c + 1), (a, b), (0, wp))
+    scat(2, j, sv, (a + b, c), (sp, sq))
+    scat(3, j, np.where(b == 0, -q_mom[c], 0.0), (a,))
     # E1: -theta(xi,y) kbar;  E2: mu(x) dkbar/dx + mu(xi) dkbar/dxi + mu'(xi) kbar
-    scat(0, jb, -tv, ab, bb + tp, tq)
-    scat(1, jb, mv * ab, ab - 1 + md, bb)
-    scat(1, jb, mv * bb, ab, bb - 1 + md)
-    scat(1, jb, mv * md, ab, bb + md - 1)
+    scat(0, jb, -tv, (ab, bb), (0, tp, tq))
+    scat(1, jb, mv * ab, (ab - 1, bb), (md,))
+    scat(1, jb, mv * bb, (ab, bb - 1), (0, md))
+    scat(1, jb, mv * md, (ab, bb - 1), (0, md))
     # E4: mu(0) kbar(x,0)
-    scat(3, jb, np.where(bb == 0, mu0, 0.0), ab)
+    scat(3, jb, np.where(bb == 0, mu0, 0.0), (ab,))
     # constant side of E3: + theta(x,y), moved to b, scattered as column ncol
     bp, bq, bv = _terms(thetaS)
-    scat(2, ncol, -bv, bp, bq)
+    scat(2, ncol, -bv, (), (bp, bq))
 
-    # duplicates summed one after another in scatter order
-    keys, inv = np.unique(np.concatenate(keys), return_inverse=True)
-    sums = np.zeros(len(keys))
-    np.add.at(sums, inv, np.concatenate(vals))
+    # duplicates summed one after another in scatter order: a stable sort
+    # keeps each key's contributions in that order for bincount
+    keys, vals = np.concatenate(keys), np.concatenate(vals)
+    order = np.argsort(keys, kind="stable")
+    keys = keys[order]
+    first = np.diff(keys, prepend=-1) != 0
+    sums = np.bincount(np.cumsum(first) - 1, vals[order])
     # rows with a nonzero entry or a nonzero b; keys are sorted
-    code, col = np.divmod(keys[sums != 0.0], ncol + 1)
+    code, col = np.divmod(keys[first][sums != 0.0], ncol + 1)
     first = np.diff(code, prepend=-1) != 0
     codes, row, val = code[first], np.cumsum(first) - 1, sums[sums != 0.0]
     in_A = col < ncol
     b_vec = np.bincount(row[~in_A], val[~in_A], minlength=len(codes))
     indptr = np.searchsorted(row[in_A], np.arange(len(codes) + 1))
     A = scipy.sparse.csr_matrix((val[in_A], col[in_A], indptr), shape=(len(codes), ncol))
-    srcs = codes // radix ** 4
-    exps = codes[:, None] // radix ** np.arange(2, -1, -1) % radix
+    # the rows of each source are a run of codes, in grlex monomial order
+    exps = (codes[:, None] // radix ** np.arange(2, -1, -1) % radix).T.tolist()
+    at = np.searchsorted(codes // radix ** 4, np.arange(len(_SOURCES) + 1)).tolist()
     rows = []
     for k, name in enumerate(_SOURCES):
-        rows += zip(itertools.repeat(name), zip(*exps[srcs == k, :_ARITY[k]].T.tolist()))
+        mono = zip(*(e[at[k]:at[k + 1]] for e in exps[:_ARITY[k]]))
+        rows += zip(itertools.repeat(name), mono)
     return LinearSystem(A=A, b=b_vec, cols=cols, rows=rows, config=cfg)
 
 
-# Column gradings of the staircase QR, from the keys ("K", (a, b, c)) and
-# ("KB", (a, b)). example2's system is banded in a + b, and example1's in a:
-# its lambda, theta, W and sigma do not depend on x, and mu is constant.
-_GRADINGS = {"x+xi": lambda e: e[0] + e[1], "x": lambda e: e[0]}
+# Column gradings of the staircase QR: a column's level is the dot product
+# of these weights with its exponents (a, b) in ("K", (a, b, c)) or ("KB",
+# (a, b)). example2's system is banded in a + b, and example1's in a: its
+# lambda, theta, W and sigma do not depend on x, and mu is constant.
+_GRADINGS = {"x+xi": (1, 1), "x": (1, 0)}
 
 
-def _staircase(A: scipy.sparse.csr_matrix, grading: str, keys):
+def _staircase(A: scipy.sparse.csr_matrix, grading: str, exps: np.ndarray):
     """The staircase QR's plans for one column grading, one per span cut.
 
-    Columns get levels 0, 1, ... from the grading. A nonempty row enters at
-    the lowest level it touches, and its span is its highest level minus
-    that. The plan with cut t factors the rows of span <= t (narrow) level by
-    level over their window and merges the others (wide) into each level's
-    triangle. Returns the estimated cost of each cut (inf where some level
-    gets fewer narrow plus wide rows than columns), the cuts, the column
-    levels, each row's entry level and span, the level bounds and, per cut,
-    the top level of each level's narrow window."""
-    _, level = np.unique([_GRADINGS[grading](e) for _, e in keys], return_inverse=True)
+    Columns get levels 0, 1, ... from the grading of their exponents, one
+    row (a, b) of `exps` each. A nonempty row enters at the lowest level it
+    touches; its span is its highest level minus that. The plan with cut t
+    factors the rows of span <= t (narrow) level by level over their window
+    and merges the others (wide) into each level's triangle. Returns the
+    estimated cost of each cut (inf where some level gets fewer narrow plus
+    wide rows than columns), the cuts, the column levels, each row's entry
+    level and span, the level bounds and, per cut, the top level of each
+    level's narrow window."""
+    grade = exps @ _GRADINGS[grading]
+    level = (np.cumsum(np.bincount(grade) > 0) - 1)[grade]
     lv, starts = level[A.indices], A.indptr[:-1][np.diff(A.indptr) > 0]
     entry = np.minimum.reduceat(lv, starts)
     span = np.maximum.reduceat(lv, starts) - entry
@@ -334,10 +342,10 @@ def _staircase(A: scipy.sparse.csr_matrix, grading: str, keys):
     top = np.maximum.accumulate(np.arange(nl) + reach[cuts], axis=1)
     cols = bounds[top + 1] - bounds[:-1] + 1 - size     # after the level's own, b included
     # narrow rows carried into each level, cut down to their R factor
-    carry = np.zeros((len(cuts), nl + 1))
-    for L, s in enumerate(size):
-        carry[:, L + 1] = np.clip(carry[:, L] + narrow[:, L] - s, 0, cols[:, L])
-    held = carry[:, :-1] + narrow
+    carry = np.zeros((nl + 1, len(cuts)))
+    for L, (gain, c) in enumerate(zip((narrow - size).T, cols.T)):
+        carry[L + 1] = np.minimum(np.maximum(carry[L] + gain, 0), c)
+    held = carry[:-1].T + narrow
     r = np.maximum(held, size)          # panels get zero rows up to their level's columns
     k = r - size
     # geqrf and ormqr, then the QR that cuts the carried rows down
@@ -351,18 +359,19 @@ def _staircase(A: scipy.sparse.csr_matrix, grading: str, keys):
     return np.where(ok, flops, np.inf), cuts, level, entry, span, bounds, top
 
 
-def _panel(width: int, dense: np.ndarray, A, i0: int, i1: int, c0: int,
+def _panel(width: int, dense: np.ndarray, nz, i0: int, i1: int, c0: int,
            b: np.ndarray, rows: int = 0) -> np.ndarray:
     """Fortran-ordered rows over the `width` columns from c0, with b last:
     the dense rows (b last, zero beyond their own width), then rows i0:i1 of
-    the CSR matrix A (none outside those columns) and of b, then zero rows up
-    to `rows` in all."""
+    the sparse matrix `nz` (none outside those columns) and of b, then zero
+    rows up to `rows` in all. `nz` is (row pointers, row, column, value) of
+    each nonzero, in row order."""
+    ptr, row, col, val = nz
     k, j = len(dense), len(dense) + i1 - i0
     M = np.zeros((max(j, rows), width + 1), order="F")
     M[:k, :dense.shape[1] - 1], M[:k, -1] = dense[:, :-1], dense[:, -1]
-    lo, hi = A.indptr[i0], A.indptr[i1]
-    at = k + np.repeat(np.arange(i1 - i0), np.diff(A.indptr[i0:i1 + 1]))
-    M[at, A.indices[lo:hi] - c0], M[k:j, -1] = A.data[lo:hi], b[i0:i1]
+    lo, hi = ptr[i0], ptr[i1]
+    M[row[lo:hi] + (k - i0), col[lo:hi] - c0], M[k:j, -1] = val[lo:hi], b[i0:i1]
     return M
 
 
@@ -387,11 +396,11 @@ def _staircase_qr(A: scipy.sparse.csr_matrix, b: np.ndarray, keys):
     column, a level with fewer narrow plus wide rows than columns, a
     diagonal of R at roundoff level or a non-finite x."""
     m, n = A.shape
-    norms = scipy.sparse.linalg.norm(A, axis=0)
+    norms = np.sqrt(np.bincount(A.indices, A.data * A.data, minlength=n))
     if not np.all(norms > 0.0):
         return None
-    A = (A @ scipy.sparse.diags(1.0 / norms)).tocsr()
-    plans = {g: _staircase(A, g, keys) for g in _GRADINGS}
+    exps = np.array([[e[0] for _, e in keys], [e[1] for _, e in keys]]).T
+    plans = {g: _staircase(A, g, exps) for g in _GRADINGS}
     grading = min(plans, key=lambda g: plans[g][0].min())
     cost, cuts, level, entry, span, bounds, top = plans[grading]
     if not np.isfinite(cost.min()):
@@ -405,27 +414,40 @@ def _staircase_qr(A: scipy.sparse.csr_matrix, b: np.ndarray, keys):
     order = np.argsort(key, kind="stable")
     at = np.searchsorted(key[order], np.arange(2 * nl + 1))
     rows = np.flatnonzero(np.diff(A.indptr) > 0)[order]
+    # A's nonzeros in that row order, each with its row, the columns scaled
+    # to unit norm and ordered by level
     perm = np.argsort(level, kind="stable")
-    A, b = A[rows][:, perm], b[rows]
+    lens = np.diff(A.indptr)[rows]
+    ptr = np.concatenate([[0], np.cumsum(lens)])
+    src = np.repeat(A.indptr[rows] - ptr[:-1], lens) + np.arange(ptr[-1])
+    cols = A.indices[src]
+    nz = (ptr, np.repeat(np.arange(len(rows)), lens), np.argsort(perm)[cols],
+          A.data[src] * (1.0 / norms)[cols])
+    b = b[rows]
     # past the furthest window end so far, `hi`, the first w wide rows carried
     # are G @ Wo[:w]: Wo holds the wide rows as they entered
-    Wo, bo = A[at[nl]:].toarray(), b[at[nl]:]
+    Wo = _panel(n, np.zeros((0, 1)), nz, at[nl], len(rows), 0, b)
+    Wo, bo = Wo[:, :-1], Wo[:, -1]
     lapack = scipy.linalg.lapack
     carry, wide, hi, blocks = np.zeros((0, 1)), np.zeros((0, 1)), 0, []
+    bounds, top, at = bounds.tolist(), top.tolist(), at.tolist()
     for L, (c0, c1) in enumerate(zip(bounds[:-1], bounds[1:])):
         s, end = c1 - c0, bounds[top[L] + 1]
-        M = _panel(end - c0, carry, A, at[L], at[L + 1], c0, b, s)
+        w0, w = at[nl + L] - at[nl], at[nl + L + 1] - at[nl]
+        M = _panel(end - c0, carry, nz, at[L], at[L + 1], c0, b, s)
         # blocked workspaces for block size 64; ormqr adds its 65 x 64 T block
         qr, tau, _, _ = lapack.dgeqrf(M[:, :s], lwork=64 * s, overwrite_a=True)
         rest, _, _ = lapack.dormqr("L", "T", qr, tau, M[:, s:], 64 * M.shape[1] + 4160,
                                    overwrite_c=True)
-        R, carry, rest = np.triu(qr[:s]), rest[s:], rest[:s].copy()
+        # copies free the panel; R's reflectors below its diagonal are never
+        # read (tpqrt, trtrs); rest gets w zero columns before b for the merge
+        R, carry = qr[:s].copy(order="F"), rest[s:]
+        rest = _panel(end - c1 + w, rest[:s], nz, 0, 0, c1, b)
         c = carry.shape[1]
         if len(carry) > c:
             carry = np.triu(lapack.dgeqrf(carry, lwork=64 * c)[0][:c])
         else:
-            carry = carry.copy()
-        w0, w = at[nl + L] - at[nl], at[nl + L + 1] - at[nl]
+            carry = carry.copy(order="F")
         if w:
             # [dense over c0:end | G | b]: the carried rows, made dense from
             # hi to the window end, then the rows entering at L
@@ -436,7 +458,6 @@ def _staircase_qr(A: scipy.sparse.csr_matrix, b: np.ndarray, keys):
             W[w0:, :d], W[w0:, -1] = Wo[w0:w, c0:end], bo[w0:w]
             np.fill_diagonal(W[w0:, d + w0:], 1.0)
             R, V, T, _ = lapack.dtpqrt(0, min(s, 64), R, W[:, :s], overwrite_a=True)
-            rest = _panel(end - c1 + w, rest, A, 0, 0, c1, b)
             rest, wide, _ = lapack.dtpmqrt(0, V, T, rest, W[:, s:], trans="T",
                                            overwrite_a=True, overwrite_b=True)
         hi = end
@@ -448,7 +469,7 @@ def _staircase_qr(A: scipy.sparse.csr_matrix, b: np.ndarray, keys):
     for (R, rest, end, w), c0, c1 in reversed(list(zip(blocks, bounds[:-1], bounds[1:]))):
         past = Wo[:w, end:] @ y[end:]
         rhs = rest[:, -1] - rest[:, :-1] @ np.concatenate([y[c1:end], past])
-        y[c0:c1] = scipy.linalg.solve_triangular(R, rhs, check_finite=False)
+        y[c0:c1] = lapack.dtrtrs(R, rhs)[0]
     x = (y / norms[perm])[np.argsort(perm)]
     if not np.all(np.isfinite(x)):
         return None
@@ -487,7 +508,7 @@ def solve_ls(system: LinearSystem) -> PsKernelSolution:
     residual = float(np.linalg.norm(system.A @ x - system.b))
     cfg = system.config
     coeffs = {"K": {}, "KB": {}}
-    for (kind, e), v in zip(system.cols, x):
+    for (kind, e), v in zip(system.cols, x.tolist()):
         coeffs[kind][e] = v         # exact zeros are pruned by TruncatedSeries
     return PsKernelSolution(
         k=TruncatedSeries((Var.X, Var.XI, Var.Y), coeffs["K"]),
@@ -558,9 +579,8 @@ def optimality_certificate(system: LinearSystem, x: np.ndarray) -> float:
 
 def residual_by_source(system: LinearSystem, x: np.ndarray) -> dict[str, float]:
     """2-norm of A x - b over the rows of each equation source."""
-    r = system.A @ x - system.b
-    return {s: float(np.linalg.norm([v for (src, _), v in zip(system.rows, r)
-                                     if src == s])) for s in _SOURCES}
+    r, src = system.A @ x - system.b, np.array([s for s, _ in system.rows])
+    return {s: float(np.linalg.norm(r[src == s])) for s in _SOURCES}
 
 
 def residual_series(p: ContinuumParams, cfg: SolverConfig,

@@ -18,7 +18,6 @@ from continuum_kernels.power_series import (SRC_BC_DIAG, SRC_BC_LEFT,
                                             OrderReductionWarning,
                                             SolverConfig, _GRADINGS,
                                             _check_ny_bound,
-                                            _k_columns, _kbar_columns,
                                             _param_series, _q_moments,
                                             _SOURCES, _staircase, assemble,
                                             coeff_vector,
@@ -34,10 +33,21 @@ X, XI, Y = Var.X, Var.XI, Var.Y
 _SRC_RANK = {s: i for i, s in enumerate(_SOURCES)}
 
 
+def _k_columns(N: int, N_y: int) -> list[tuple[int, int, int]]:
+    cols = [(a, b, c) for c in range(N_y + 1) for a in range(N - c + 1)
+            for b in range(N - c - a + 1)]
+    return sorted(cols, key=grlex_key)
+
+
+def _kbar_columns(N: int) -> list[tuple[int, int]]:
+    cols = [(tot - b, b) for tot in range(N + 1) for b in range(tot + 1)]
+    return sorted(cols, key=grlex_key)
+
+
 def scatter_assemble(p: ContinuumParams, cfg: SolverConfig) -> LinearSystem:
     """The per-entry scatter loop that ``assemble`` replaced, kept as its
-    oracle: one dict update per contribution, summed column by column in
-    family, then term order."""
+    oracle: columns listed and sorted by grlex_key, one dict update per
+    contribution, summed column by column in family, then term order."""
     p.check_speeds(np.linspace(0.0, 1.0, 101))
     lamS, muS, thetaS, WS, sigmaS, qS = _param_series(p, cfg)
     _check_ny_bound(cfg, lamS, thetaS)
@@ -497,7 +507,7 @@ class TestSparseAgainstDense:
         system = _staircase_system(*shape, np.random.default_rng(seed))
         x_ref = _dense_oracle(system)
         # both gradings give a column its level; every cut is a plan
-        cost = _staircase(system.A, "x", system.cols)[0]
+        cost = _staircase(system.A, "x", _exponents(system.cols))[0]
         for i in np.flatnonzero(np.isfinite(cost)):
             with mock.patch.object(power_series, "_staircase", _only_plan("x", i)):
                 sol = solve_ls(system)
@@ -514,7 +524,7 @@ class TestSparseAgainstDense:
                               cols=[("KB", (0, 0)), ("K", (0, 0, 1)), ("KB", (1, 0))],
                               rows=[], config=SolverConfig(N=1))
         for grading in _GRADINGS:
-            cost, _, _, _, _, bounds, _ = _staircase(A, grading, system.cols)
+            cost, _, _, _, _, bounds, _ = _staircase(A, grading, _exponents(system.cols))
             assert bounds[1] == 2 and np.all(np.isinf(cost))
         sol = solve_ls(system)
         assert sol.solve_path == "dense_lstsq"
@@ -556,7 +566,7 @@ class TestSparseAgainstDense:
         assert sol.ordering in _GRADINGS
         # and every feasible plan, wide rows or not, gives the same solution
         for grading in _GRADINGS:
-            cost = _staircase(A, grading, cols)[0]
+            cost = _staircase(A, grading, _exponents(cols))[0]
             for i in np.flatnonzero(np.isfinite(cost)):
                 with mock.patch.object(power_series, "_staircase", _only_plan(grading, i)):
                     sol = solve_ls(system)
@@ -566,13 +576,94 @@ class TestSparseAgainstDense:
                                            atol=1e-10 * max(1.0, np.abs(sol.x).max()))
 
 
+def _exponents(cols) -> np.ndarray:
+    """The (a, b) exponents of each column key, as `_staircase` takes them."""
+    return np.array([e[:2] for _, e in cols])
+
+
 def _only_plan(grading: str, i: int):
     """`_staircase` with every plan but the i-th cut of `grading` ruled out."""
-    def plans(A, g, keys):
-        cost, *rest = _staircase(A, g, keys)
+    def plans(A, g, exps):
+        cost, *rest = _staircase(A, g, exps)
         keep = (np.arange(len(cost)) == i) & (g == grading)
         return (np.where(keep, cost, np.inf), *rest)
     return plans
+
+
+# The planner as it was, with one Python lambda per column key, kept as the
+# oracle of `_staircase`'s array levels
+_KEY_GRADINGS = {"x+xi": lambda e: e[0] + e[1], "x": lambda e: e[0]}
+
+
+def _key_staircase(A: scipy.sparse.csr_matrix, grading: str, keys):
+    _, level = np.unique([_KEY_GRADINGS[grading](e) for _, e in keys], return_inverse=True)
+    lv, starts = level[A.indices], A.indptr[:-1][np.diff(A.indptr) > 0]
+    entry = np.minimum.reduceat(lv, starts)
+    span = np.maximum.reduceat(lv, starts) - entry
+    size = np.bincount(level)
+    nl, bounds = len(size), np.concatenate([[0], np.cumsum(size)])
+    by_span = np.bincount(span * nl + entry, minlength=nl * nl).reshape(nl, nl)
+    cuts = np.flatnonzero(by_span.any(axis=1))
+    narrow = np.cumsum(by_span, axis=0)[cuts]
+    wide = np.cumsum(by_span.sum(axis=0) - narrow, axis=1)
+    reach = np.maximum.accumulate(np.where(by_span > 0, np.arange(nl)[:, None], 0), axis=0)
+    top = np.maximum.accumulate(np.arange(nl) + reach[cuts], axis=1)
+    cols = bounds[top + 1] - bounds[:-1] + 1 - size
+    carry = np.zeros((len(cuts), nl + 1))
+    for L, s in enumerate(size):
+        carry[:, L + 1] = np.clip(carry[:, L] + narrow[:, L] - s, 0, cols[:, L])
+    held = carry[:, :-1] + narrow
+    r = np.maximum(held, size)
+    k = r - size
+    flops = (2 * size * size * (r - size / 3) + (4 * r - 2 * size) * size * cols
+             + np.where(k > cols, 2 * k * cols * cols - 2 / 3 * cols ** 3, 0.0))
+    flops += wide * size * (2 * size + 4 * (cols + wide))
+    ok = np.all(held + wide >= size, axis=1)
+    flops = flops.sum(axis=1)
+    return np.where(ok, flops, np.inf), cuts, level, entry, span, bounds, top
+
+
+# the 23 systems the benchmark workloads solve: bench-example2, sweep-example1
+# and closed-loop-n400
+_BENCH_SYSTEMS = (
+    [("example2", SolverConfig(N=N, sigma_sign=-1)) for N in (20, 25)]
+    + [("example1", SolverConfig(N=N, N_y=2, use_exact_q=q))
+       for q in (False, True) for N in range(12, 31, 2)]
+    + [("example2", SolverConfig(N=20, N_y=2))])
+
+
+def _assert_same_plans(A, keys):
+    parts = ("cost", "cuts", "level", "entry", "span", "bounds", "top")
+    for grading in _GRADINGS:
+        got = _staircase(A, grading, _exponents(keys))
+        want = _key_staircase(A, grading, keys)
+        for part, g, w in zip(parts, got, want, strict=True):
+            assert np.array_equal(g, w), (grading, part)
+
+
+class TestPlanAgainstKeyOracle:
+    """`_staircase` takes its levels from an array of column exponents; the
+    costs, cuts, levels, entry levels, spans, level bounds and window tops
+    of both gradings match the per-key planner exactly."""
+
+    @pytest.mark.parametrize("name, cfg", _BENCH_SYSTEMS, ids=lambda v: (
+        v if isinstance(v, str) else f"N{v.N}-Ny{v.N_y}-q{int(v.use_exact_q)}-s{v.sigma_sign}"))
+    def test_benchmark_systems(self, solve_cache, name, cfg):
+        system = assemble(solve_cache.problem(name).continuum, cfg)
+        _assert_same_plans(system.A, system.cols)
+
+    @settings(max_examples=50, deadline=None)
+    @given(shape=_staircase_shapes(), seed=st.integers(0, 2 ** 32 - 1),
+           gap=st.integers(1, 3))
+    def test_staircases(self, shape, seed, gap):
+        rng = np.random.default_rng(seed)
+        system = _staircase_system(*shape, rng)
+        # grading values with gaps, and (x, xi)-degrees that differ from the
+        # x-degrees, in "K" and "KB" keys
+        keys = [("KB", (gap * e[0], int(rng.integers(3)))) if rng.random() < 0.3
+                else (kind, (gap * e[0], int(rng.integers(3)), e[2]))
+                for kind, e in system.cols]
+        _assert_same_plans(system.A, keys)
 
 
 def _assert_same_system(got: LinearSystem, want: LinearSystem):
