@@ -12,9 +12,8 @@ simulator.
 __version__ = "0.1.0"
 
 from .closed_form import (ClosedFormError, ClosedFormKernel, NotApplicable,
-                          SeparableProblem, build_f, build_kernels,
-                          check_largescale_conditions, compute_cx, sigma_coef,
-                          solve_closed_form)
+                          SeparableProblem, build_f, build_kernels, compute_cx,
+                          sigma_coef, solve_closed_form)
 from .fd_kernels import (ConvergenceError, LsKernelSolution, TriGrid,
                          refine_study, solve_characteristics)
 from .gains import (GainTable, continuum_residual, diff_solutions, gains,

@@ -156,9 +156,9 @@ def cmd_solve(args, report_path) -> tuple:
         problem=problem.name, stages_s=stages, quality=quality, **quality,
         order=cfg.N, order_y=cfg.N_y, exact_q=cfg.use_exact_q,
         sigma_sign=cfg.sigma_sign, num_unknowns=sol.num_unknowns,
-        num_equations=sol.num_equations, solve_path=sol.solve_path,
-        ordering=sol.ordering, span_cut=sol.span_cut, wide_rows=sol.wide_rows,
-        r_diag_ratio=sol.r_diag_ratio, rank=sol.rank, nnz=int(system.A.nnz),
+        num_equations=sol.num_equations, ordering=sol.ordering,
+        span_cut=sol.span_cut, wide_rows=sol.wide_rows,
+        r_diag_ratio=sol.r_diag_ratio, nnz=int(system.A.nnz),
         residual_by_source=residual_by_source(system, sol.x),
         timing_s=stages["assemble"] + stages["solve_ls"])
 

@@ -16,9 +16,7 @@ only through kappa = c * int sigma_y theta_y/(lam+mu), where sigma_e =
 c theta_y (see :func:`sigma_coef`). Constant lambda is the special case of
 one construction in which every y-weight is the constant 1/(lam+mu); only
 then is c_y = kappa (lam+mu) reported. This module checks the conditions
-(grid-based, with fixed tolerances), constructs the kernels, and mirrors
-the same checks on sampled n+1 parameter sets where the continuum
-integrals become finite Riemann sums.
+(grid-based, with fixed tolerances) and constructs the kernels.
 
 ``sigma_y`` weights the integrated family component (the eta slot of the
 stored sigma) and ``sigma_e`` the free ensemble variable.
@@ -26,14 +24,13 @@ stored sigma) and ``sigma_e`` the free ensemble variable.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass, field, replace
 from typing import Callable
 
 import numpy as np
 import numpy.polynomial.polynomial as P
 
-from .params import ContinuumParams, LargeScaleParams
+from .params import ContinuumParams
 from .series import Polynomial, SeparableSum, SeparableTerm, Var, integrate01
 
 __all__ = [
@@ -41,13 +38,11 @@ __all__ = [
     "ClosedFormError",
     "SeparableProblem",
     "ClosedFormKernel",
-    "LargeScaleConditionReport",
     "sigma_coef",
     "compute_cx",
     "build_f",
     "build_kernels",
     "solve_closed_form",
-    "check_largescale_conditions",
 ]
 
 GRID_Y = 101        # y-grid for constancy checks
@@ -186,10 +181,6 @@ class SeparableProblem:
 
     def theta_is_zero(self) -> bool:
         return self.theta_x.is_zero() or self.theta_y.is_zero()
-
-    def theta_x_min_abs(self) -> float:
-        xs = np.linspace(0.0, 1.0, GRID_XI)
-        return float(np.abs(_eval1(self.theta_x, xs)).min())
 
     def lam_plus_mu(self, y) -> np.ndarray:
         if self.lam_const is not None:
@@ -438,10 +429,6 @@ def solve_closed_form(p: ContinuumParams) -> ClosedFormKernel | NotApplicable:
     kappa = sigma_coef(sep)
     if isinstance(kappa, NotApplicable):
         return kappa
-    if sep.theta_x_min_abs() < TOL_ZERO:
-        return NotApplicable(
-            "theta_x vanishes somewhere on [0,1]; the construction divides by it"
-        )
     c_y = None if sep.lam_const is None else kappa * (sep.lam_const + sep.mu)
     try:
         c_x = compute_cx(sep, kappa)
@@ -449,63 +436,3 @@ def solve_closed_form(p: ContinuumParams) -> ClosedFormKernel | NotApplicable:
         return build_kernels(sep, c_x, f, fp, c_y)
     except ClosedFormError as e:
         return NotApplicable(str(e))
-
-
-@dataclass
-class LargeScaleConditionReport:
-    """Finite-n mirror of the applicability conditions."""
-
-    proportional: bool
-    ratio: float
-    ratio_deviation: float
-    riemann_sigma_theta: float      # (1/n) sum s1_i * v_i
-    riemann_w_theta: float          # (1/n) sum w_i * v_i
-    condition_residual: float       # sup over xi of the finite-n condition gap
-    lam_const: float
-    mu_const: float
-
-
-def check_largescale_conditions(ls: LargeScaleParams) -> LargeScaleConditionReport:
-    """Evaluate the factored-form conditions on a sampled n+1 parameter set.
-
-    The set must stem from a separable template (single product terms,
-    constant speeds). Continuum integrals are replaced by the (1/n) Riemann
-    sums over the sample points, so conditions that hold exactly in the
-    limit generally show small finite-n residuals here.
-    """
-    if ls.template is None:
-        raise ValueError("large-scale parameters carry no separable template")
-    sep = SeparableProblem.from_continuum(ls.template)
-    if isinstance(sep, NotApplicable):
-        raise ValueError(f"not in factored form: {sep.reason}")
-    if sep.lam_const is None:
-        raise ValueError("factored-form conditions need constant lambda")
-    ys = ls.y_points()
-    s1 = _eval1(sep.sigma_y, ys)
-    s2 = _eval1(sep.sigma_e, ys)
-    vth = _eval1(sep.theta_y, ys)
-    w = _eval1(sep.W_y, ys)
-    denom = float(s2 @ s2)
-    ratio = float(vth @ s2) / denom if denom > 0 else 0.0
-    dev = float(np.abs(vth - ratio * s2).max())
-    prop = dev <= 1e-8 * max(1.0, float(np.abs(vth).max()))
-    r_sig = float(np.mean(s1 * vth))
-    r_w = float(np.mean(w * vth))
-    # finite-n analogue of the derivative condition, with the Riemann sum in
-    # place of the integral and c_y from proportionality when it holds
-    c_y_fin = r_sig / ratio if (prop and ratio != 0.0) else 0.0
-    xs = np.linspace(0.0, 1.0, GRID_XI)
-    tx = _eval1(sep.theta_x, xs)
-    dtx = _eval1(sep.theta_x.diff(Var.X), xs)
-    ddtx = _eval1(sep.theta_x.diff(Var.X).diff(Var.X), xs)
-    with np.errstate(divide="ignore", invalid="ignore"):
-        lhs = c_y_fin * _eval1(sep.sigma_x.diff(Var.X), xs) + sep.lam_const * (
-            ddtx * tx - dtx ** 2) / tx ** 2
-    rhs = _eval1(sep.W_x, xs) * tx * r_w
-    ok = np.isfinite(lhs)
-    resid = float(np.abs(lhs[ok] - rhs[ok]).max()) if ok.any() else math.inf
-    return LargeScaleConditionReport(
-        proportional=bool(prop), ratio=ratio, ratio_deviation=dev,
-        riemann_sigma_theta=r_sig, riemann_w_theta=r_w,
-        condition_residual=resid, lam_const=sep.lam_const, mu_const=sep.mu,
-    )

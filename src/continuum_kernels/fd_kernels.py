@@ -270,12 +270,15 @@ def refine_study(ls: LargeScaleParams, m_list, tol: float = 1e-10,
     differences (restricted to the common coarse nodes) and, optionally,
     errors against a reference kernel family callable(ref(i, x, xi))."""
     m_list = list(m_list)
+    grids = [TriGrid(m) for m in m_list]    # the whole ladder is checked first
     if any(b <= a for a, b in zip(m_list, m_list[1:])):
         raise ValueError("mesh sizes must increase")
+    if any(b % a for a, b in zip(m_list, m_list[1:])):
+        raise ValueError("each refinement must be a multiple of the last")
     sols = []
     ref_errors = []
-    for m in m_list:
-        sol = solve_characteristics(ls, TriGrid(m), tol=tol, max_iter=max_iter)
+    for grid in grids:
+        sol = solve_characteristics(ls, grid, tol=tol, max_iter=max_iter)
         sols.append(sol)
         if reference is not None:
             xs = sol.grid.nodes()
@@ -288,10 +291,7 @@ def refine_study(ls: LargeScaleParams, m_list, tol: float = 1e-10,
             ref_errors.append(err)
     diffs = []
     for s1, s2 in zip(sols, sols[1:]):
-        m1, m2 = s1.grid.m, s2.grid.m
-        if m2 % m1 != 0:
-            raise ValueError("each refinement must be a multiple of the last")
-        r = m2 // m1
+        r = s2.grid.m // s1.grid.m
         sub = s2.k[:, ::r, ::r]
         xs = s1.grid.nodes()
         X, XI = np.meshgrid(xs, xs, indexing="ij")

@@ -146,12 +146,11 @@ class PsKernelSolution:
     num_unknowns: int
     num_equations: int
     x: np.ndarray = field(repr=False)
-    rank: int | None = None
-    solve_path: str | None = None       # "staircase_qr" or "dense_lstsq"
-    ordering: str | None = None         # column grading: "x+xi" or "x"
-    span_cut: int | None = None         # widest span the panels carry
-    r_diag_ratio: float | None = None   # min/max |R_jj| of the staircase QR
-    wide_rows: int | None = None        # rows the staircase QR merged by tpqrt
+    rank: int               # the column count: a solve that returns has full rank
+    ordering: str           # column grading: "x+xi" or "x"
+    span_cut: int           # widest span the panels carry
+    r_diag_ratio: float     # min/max |R_jj| of the staircase QR
+    wide_rows: int          # rows the staircase QR merged by tpqrt
 
 
 def _param_series(p: ContinuumParams, cfg: SolverConfig):
@@ -325,7 +324,8 @@ def _staircase(A: scipy.sparse.csr_matrix, grading: str, exps: np.ndarray):
     estimated cost of each cut (inf where some level gets fewer narrow plus
     wide rows than columns), the cuts, the column levels, each row's entry
     level and span, the level bounds and, per cut, the top level of each
-    level's narrow window."""
+    level's narrow window and whether each level gets as many rows as
+    columns."""
     grade = exps @ _GRADINGS[grading]
     level = (np.cumsum(np.bincount(grade) > 0) - 1)[grade]
     lv, starts = level[A.indices], A.indptr[:-1][np.diff(A.indptr) > 0]
@@ -354,9 +354,9 @@ def _staircase(A: scipy.sparse.csr_matrix, grading: str, exps: np.ndarray):
     # dtpqrt against the level's triangle, dtpmqrt over the window and the
     # wide rows' factor
     flops += wide * size * (2 * size + 4 * (cols + wide))
-    ok = np.all(held + wide >= size, axis=1)
-    flops = flops.sum(axis=1)
-    return np.where(ok, flops, np.inf), cuts, level, entry, span, bounds, top
+    enough = held + wide >= size
+    flops = np.where(enough.all(axis=1), flops.sum(axis=1), np.inf)
+    return flops, cuts, level, entry, span, bounds, top, enough
 
 
 def _panel(width: int, dense: np.ndarray, nz, i0: int, i1: int, c0: int,
@@ -392,19 +392,27 @@ def _staircase_qr(A: scipy.sparse.csr_matrix, b: np.ndarray, keys):
     window end they stay G @ Wo, with Wo the wide rows as they entered: the
     merge carries the small factor G, not the columns, and the block row
     of R past its window is F @ Wo. Returns (x, grading, span cut, min/max
-    |R_jj|, wide row count), or None when A is rank-deficient: a zero
-    column, a level with fewer narrow plus wide rows than columns, a
+    |R_jj|, wide row count). Raises np.linalg.LinAlgError, naming the rank
+    test that failed and where, when A is rank-deficient: a zero column, a
+    level with fewer narrow plus wide rows than columns in every plan, a
     diagonal of R at roundoff level or a non-finite x."""
     m, n = A.shape
     norms = np.sqrt(np.bincount(A.indices, A.data * A.data, minlength=n))
-    if not np.all(norms > 0.0):
-        return None
+    zero = norms == 0.0
+    if zero.any():
+        raise np.linalg.LinAlgError(
+            f"rank-deficient system: column {keys[np.argmax(zero)]} of A is zero")
     exps = np.array([[e[0] for _, e in keys], [e[1] for _, e in keys]]).T
     plans = {g: _staircase(A, g, exps) for g in _GRADINGS}
     grading = min(plans, key=lambda g: plans[g][0].min())
-    cost, cuts, level, entry, span, bounds, top = plans[grading]
+    cost, cuts, level, entry, span, bounds, top, enough = plans[grading]
     if not np.isfinite(cost.min()):
-        return None
+        # the last cut carries every row narrow
+        L = int(np.argmin(enough[-1]))
+        raise np.linalg.LinAlgError(
+            f"rank-deficient system: level {L} of the {grading!r} grading "
+            f"({bounds[L + 1] - bounds[L]} columns) gets fewer rows than "
+            f"columns in every plan of the staircase QR")
     i = np.argmin(cost)
     top, narrow = top[i], span <= cuts[i]
     # nonempty rows sorted as narrow rows by entry level, then wide rows by
@@ -462,9 +470,15 @@ def _staircase_qr(A: scipy.sparse.csr_matrix, b: np.ndarray, keys):
                                            overwrite_a=True, overwrite_b=True)
         hi = end
         blocks.append((R, rest, end, w))
-    diag = np.abs(np.concatenate([np.diagonal(R) for R, *_ in blocks]))
-    if diag.min() <= (m + n) * np.finfo(float).eps * diag.max():
-        return None
+    diags = [np.abs(np.diagonal(R)) for R, *_ in blocks]
+    diag = np.concatenate(diags)
+    tol = (m + n) * np.finfo(float).eps * diag.max()
+    if diag.min() <= tol:
+        L = next(L for L, d in enumerate(diags) if d.min() <= tol)
+        raise np.linalg.LinAlgError(
+            f"rank-deficient system: the block of R at level {L} of the "
+            f"{grading!r} grading holds a diagonal at roundoff, min/max "
+            f"|R_jj| = {diag.min() / diag.max():.3g}")
     y = np.empty(n)
     for (R, rest, end, w), c0, c1 in reversed(list(zip(blocks, bounds[:-1], bounds[1:]))):
         past = Wo[:w, end:] @ y[end:]
@@ -472,51 +486,36 @@ def _staircase_qr(A: scipy.sparse.csr_matrix, b: np.ndarray, keys):
         y[c0:c1] = lapack.dtrtrs(R, rhs)[0]
     x = (y / norms[perm])[np.argsort(perm)]
     if not np.all(np.isfinite(x)):
-        return None
+        raise np.linalg.LinAlgError(
+            f"the staircase QR gave a non-finite coefficient for column "
+            f"{keys[np.argmin(np.isfinite(x))]}")
     return (x, grading, int(cuts[i]), float(diag.min() / diag.max()),
             int(np.count_nonzero(~narrow)))
 
 
 def solve_ls(system: LinearSystem) -> PsKernelSolution:
-    """Least-squares solve of the coefficient-matching system.
-
-    The normal path is the staircase QR of :func:`_staircase_qr`
-    (``solve_path`` is ``"staircase_qr"``); A is never densified as a whole.
+    """Least-squares solve of the coefficient-matching system by the
+    staircase QR of :func:`_staircase_qr`; A is never densified as a whole.
     The solution records the plan it followed, a column grading
     (``ordering``) and a span cut (``span_cut``), the number of wide rows
     it merged into the levels' triangles (``wide_rows``) and min/max
-    |R_jj| (``r_diag_ratio``). A full-rank
-    factor implies full column rank, so ``rank`` is the column count. When
-    A is rank-deficient the minimum-norm solution comes from a dense
-    rank-revealing QR (``"dense_lstsq"``, LAPACK gelsy), whose rank estimate
-    is reported. The returned residual is ||Ax - b||_2 recomputed from the
-    solution."""
-    out = _staircase_qr(system.A, system.b, system.cols)
-    if out is not None:
-        x, ordering, span_cut, ratio, wide_rows = out
-        solve_path, rank = "staircase_qr", system.A.shape[1]
-    else:
-        A = system.A.toarray()
-        x, _, rank, _ = scipy.linalg.lstsq(A, system.b, lapack_driver="gelsy",
-                                           check_finite=False)
-        solve_path, ordering = "dense_lstsq", None
-        span_cut = ratio = wide_rows = None
-        if not np.all(np.isfinite(x)):
-            raise RuntimeError(
-                f"least-squares factorization produced non-finite values "
-                f"({A.shape[0]}x{A.shape[1]} system, rank estimate {rank})")
-    residual = float(np.linalg.norm(system.A @ x - system.b))
-    cfg = system.config
+    |R_jj| (``r_diag_ratio``). A full-rank factor implies full column rank,
+    so ``rank`` is the column count; a rank-deficient system raises
+    np.linalg.LinAlgError, naming the rank test that failed. The returned
+    residual is ||Ax - b||_2 recomputed from the solution."""
+    x, ordering, span_cut, ratio, wide_rows = _staircase_qr(system.A, system.b,
+                                                            system.cols)
+    m, n = system.A.shape
     coeffs = {"K": {}, "KB": {}}
     for (kind, e), v in zip(system.cols, x.tolist()):
         coeffs[kind][e] = v         # exact zeros are pruned by TruncatedSeries
     return PsKernelSolution(
         k=TruncatedSeries((Var.X, Var.XI, Var.Y), coeffs["K"]),
         kbar=TruncatedSeries((Var.X, Var.XI), coeffs["KB"]),
-        residual=residual, config=cfg,
-        num_unknowns=sum(count_unknowns(cfg.N, cfg.N_y)), num_equations=system.A.shape[0],
-        x=x, rank=int(rank), solve_path=solve_path, ordering=ordering,
-        span_cut=span_cut, r_diag_ratio=ratio, wide_rows=wide_rows,
+        residual=float(np.linalg.norm(system.A @ x - system.b)),
+        config=system.config, num_unknowns=n, num_equations=m, x=x, rank=n,
+        ordering=ordering, span_cut=span_cut, r_diag_ratio=ratio,
+        wide_rows=wide_rows,
     )
 
 

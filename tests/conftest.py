@@ -2,14 +2,23 @@ import os
 
 import numpy as np
 import pytest
+import scipy.sparse
 
-from continuum_kernels import (Problem, PsKernelSolution, SolverConfig,
-                               assemble, load_problem, solve_ls)
+from continuum_kernels import (LinearSystem, Problem, PsKernelSolution,
+                               SolverConfig, assemble, load_problem, solve_ls)
 
 FULL = pytest.mark.skipif(
     not os.environ.get("CK_ACCEPT_FULL"),
     reason="high-order tier; set CK_ACCEPT_FULL=1 to run",
 )
+
+
+def duplicated_column_system(system: LinearSystem, j: int) -> LinearSystem:
+    """`system` with column j appended again, under the same key: rank-deficient."""
+    j %= system.A.shape[1]
+    A = scipy.sparse.hstack([system.A, system.A[:, j]]).tocsr()
+    return LinearSystem(A=A, b=system.b, cols=system.cols + [system.cols[j]],
+                        rows=system.rows, config=system.config)
 
 
 @pytest.fixture(scope="session")

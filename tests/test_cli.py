@@ -9,9 +9,12 @@ import numpy as np
 import pytest
 
 import continuum_kernels
+from conftest import duplicated_column_system
+from continuum_kernels import cli
 from continuum_kernels.cli import main
 from continuum_kernels.gains import GainTable, read_gain_csv, write_gain_csv
 from continuum_kernels.params import load_problem
+from continuum_kernels.power_series import assemble
 
 
 def run(argv):
@@ -85,16 +88,25 @@ class TestSolve:
         report = json.loads((tmp_path / "e1_report.json").read_text())
         assert "max_error_vs_exact" in report
         assert report["num_unknowns"] == 154  # 109 + 45
-        assert report["solve_path"] == "staircase_qr"
         assert report["ordering"] == "x" and report["span_cut"] == 1
         # example1's diagonal-BC rows span every x-degree level
         assert 0 < report["wide_rows"] < report["num_equations"]
         assert 0.0 < report["r_diag_ratio"] <= 1.0
-        assert report["rank"] == report["num_unknowns"]
         assert 0 < report["nnz"] < report["num_unknowns"] * report["num_equations"]
         assert 0.0 <= report["certificate"] < 1e-10
         coeffs = json.loads((tmp_path / "e1_coeffs.json").read_text())
         assert "k" in coeffs and "kbar" in coeffs
+
+    def test_rank_deficient_system_exits_1(self, tmp_path, capsys, monkeypatch):
+        # a duplicated column: the solve names the failed rank test instead of
+        # returning a minimum-norm guess, and no gains are written
+        monkeypatch.setattr(cli, "assemble", lambda p, cfg: duplicated_column_system(
+            assemble(p, cfg), 0))
+        assert run(["solve", "--config", "example2", "--order", "8",
+                    "--out-prefix", str(tmp_path / "d")]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: rank-deficient system: the block of R at level 0")
+        assert not list(tmp_path.iterdir())
 
     def test_deterministic_reruns(self, tmp_path):
         a = str(tmp_path / "a")

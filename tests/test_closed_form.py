@@ -1,4 +1,5 @@
 import math
+import re
 from dataclasses import replace
 
 import numpy as np
@@ -10,12 +11,9 @@ from hypothesis import strategies as st
 
 from continuum_kernels.closed_form import (ClosedFormError, NotApplicable,
                                            SeparableProblem, _integral01,
-                                           build_f,
-                                           check_largescale_conditions,
-                                           compute_cx, sigma_coef,
+                                           build_f, compute_cx, sigma_coef,
                                            solve_closed_form)
 from continuum_kernels.gains import continuum_residual
-from continuum_kernels.params import sample_continuum
 from continuum_kernels.series import (Constant, Exp, Polynomial,
                                       SeparableSum, SeparableTerm, Var)
 
@@ -205,6 +203,18 @@ class TestPipeline:
         out = solve_closed_form(p)
         assert isinstance(out, NotApplicable)
         assert "separable" in out.reason
+
+    @pytest.mark.parametrize("theta_x, reason", [
+        # zero inside [0,1]: the xi-grid check of build_f
+        (Polynomial(X, [-0.5, 1]), r"theta_x vanishes on \[0,1\]"),
+        # zero at the origin: the rate c_x divides by theta_x(0) first
+        (Polynomial(X, [0, 1]), r"theta_x\(0\.0\) is \(numerically\) zero")],
+        ids=["interior", "origin"])
+    def test_vanishing_theta_x_not_applicable(self, theta_x, reason):
+        p = make_continuum(theta=product(1.0, theta_x, Polynomial(Y, [1, 1])), q=0.0)
+        out = solve_closed_form(p)
+        assert isinstance(out, NotApplicable)
+        assert re.search(reason, out.reason)
 
     def test_general_path_with_varying_lambda(self):
         # y-varying speeds, constant theta_x, no in-family coupling
@@ -415,36 +425,3 @@ class TestAgainstConstantLambdaOracle:
         np.testing.assert_allclose(kern.f(xs), old, rtol=1e-12,
                                    atol=1e-12 * max(1.0, np.abs(old).max()))
 
-
-class TestLargeScaleConditions:
-    def test_reference_benchmark_riemann_sums(self, example1):
-        ls = sample_continuum(example1.continuum, 50)
-        rep = check_largescale_conditions(ls)
-        # the limit vanishes; at n=50 the Riemann sum is small but nonzero
-        assert rep.riemann_sigma_theta != 0.0
-        assert abs(rep.riemann_sigma_theta) < 0.01
-        rep2 = check_largescale_conditions(
-            sample_continuum(example1.continuum, 200))
-        assert abs(rep2.riemann_sigma_theta) < abs(rep.riemann_sigma_theta)
-
-    def test_proportional_family_detected(self):
-        p = make_continuum(
-            sigma=product(1.0, Polynomial(X, [0, 1]), Polynomial(ETA, [0, 1]),
-                          Polynomial(Y, [0, 0.5])),
-            theta=product(1.0, Exp(X, 0.3), Polynomial(Y, [0, 1])),
-            q=0.0,
-        )
-        rep = check_largescale_conditions(sample_continuum(p, 20))
-        assert rep.proportional
-        assert rep.ratio == pytest.approx(2.0, rel=1e-12)
-
-    def test_second_benchmark_fails(self, example2):
-        rep = check_largescale_conditions(example2.large_scale())
-        assert not rep.proportional
-        assert abs(rep.riemann_sigma_theta) > 0.01
-
-    def test_needs_template(self, example2):
-        ls = example2.large_scale()
-        ls.template = None
-        with pytest.raises(ValueError, match="template"):
-            check_largescale_conditions(ls)

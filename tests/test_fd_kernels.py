@@ -1,6 +1,9 @@
+from unittest import mock
+
 import numpy as np
 import pytest
 
+from continuum_kernels import fd_kernels
 from continuum_kernels.closed_form import solve_closed_form
 from continuum_kernels.fd_kernels import (ConvergenceError, TriGrid,
                                           refine_study,
@@ -254,10 +257,15 @@ class TestRefineStudy:
         assert 1.4 < rep.ratios[0] < 2.6
 
     def test_requires_increasing_multiples(self, example2):
-        with pytest.raises(ValueError):
-            refine_study(example2.large_scale(), [32, 16])
-        with pytest.raises(ValueError):
-            refine_study(example2.large_scale(), [16, 24])
+        # the whole ladder is checked before the first solve
+        with mock.patch.object(fd_kernels, "solve_characteristics") as solve:
+            with pytest.raises(ValueError, match="must increase"):
+                refine_study(example2.large_scale(), [32, 16])
+            with pytest.raises(ValueError, match="multiple"):
+                refine_study(example2.large_scale(), [16, 24])
+            with pytest.raises(ValueError, match="two cells"):
+                refine_study(example2.large_scale(), [16, 1])
+        solve.assert_not_called()
 
     def test_reference_errors_recorded(self, example1):
         kern = solve_closed_form(example1.continuum)

@@ -8,7 +8,7 @@ import scipy.sparse
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from conftest import FULL
+from conftest import FULL, duplicated_column_system
 from continuum_kernels import power_series
 from continuum_kernels.gains import diff_solutions, gains
 from continuum_kernels.params import ContinuumParams
@@ -423,7 +423,6 @@ class TestSparseAgainstDense:
                            sigma_sign=sigma_sign)
         system = assemble(solve_cache.problem(name).continuum, cfg)
         sol = solve_ls(system)
-        assert sol.solve_path == "staircase_qr"
         assert sol.rank == system.A.shape[1]
         # example1's diagonal-BC rows span every x-degree level: its configs,
         # full order included, take the wide-row merge
@@ -433,25 +432,28 @@ class TestSparseAgainstDense:
         r_ref = np.linalg.norm(system.A @ x_ref - system.b)
         assert sol.residual == pytest.approx(r_ref, rel=1e-9)
 
-    @pytest.mark.parametrize("dup", [0, -1])
-    def test_duplicated_column_falls_back_to_minimum_norm(self, example2, dup):
-        # column 0 gives an exactly singular factor; the last column a pivot
-        # at roundoff level instead
+    @pytest.mark.parametrize("dup, level", [(0, 0), (-1, 8)], ids=["first", "last"])
+    def test_duplicated_column_raises(self, example2, dup, level):
+        # column 0, K (0, 0, 0), gives an exactly singular factor; the last,
+        # KB (8, 0), a pivot at roundoff level instead. Either way the block
+        # of R at the column's level holds the small diagonal
+        system = duplicated_column_system(assemble(example2.continuum,
+                                                   SolverConfig(N=8)), dup)
+        with pytest.raises(np.linalg.LinAlgError,
+                           match=rf"block of R at level {level} .*at roundoff"):
+            solve_ls(system)
+
+    def test_zero_column_raises(self, example2):
         system = assemble(example2.continuum, SolverConfig(N=8))
-        j = dup % system.A.shape[1]
-        full = solve_ls(system)
-        A = scipy.sparse.hstack([system.A, system.A[:, j]]).tocsr()
-        dup_system = LinearSystem(A=A, b=system.b,
-                                  cols=system.cols + [system.cols[j]],
-                                  rows=system.rows, config=system.config)
-        sol = solve_ls(dup_system)
-        assert sol.solve_path == "dense_lstsq"
-        assert sol.rank == system.A.shape[1]
-        # the minimum-norm solution splits the coefficient evenly
-        expected = np.append(full.x, 0.0)
-        expected[j] = expected[-1] = full.x[j] / 2.0
-        np.testing.assert_allclose(sol.x, expected, rtol=0.0, atol=1e-10)
-        assert sol.residual == pytest.approx(full.residual, rel=1e-12)
+        j = system.cols.index(("KB", (2, 3)))
+        keep = np.arange(system.A.shape[1]) != j
+        A = (system.A @ scipy.sparse.diags(keep.astype(float))).tocsr()
+        A.eliminate_zeros()
+        zero_system = LinearSystem(A=A, b=system.b, cols=system.cols,
+                                   rows=system.rows, config=system.config)
+        with pytest.raises(np.linalg.LinAlgError,
+                           match=r"column \('KB', \(2, 3\)\) of A is zero"):
+            solve_ls(zero_system)
 
     @pytest.mark.parametrize("name, N_y, ordering", [
         ("example2", None, "x+xi"), ("example1", 2, "x"), ("example2", 2, "x")])
@@ -460,7 +462,6 @@ class TestSparseAgainstDense:
         # "x" plan merges 54 wide rows and solves faster than "x+xi" without
         # them; the flop count of the merge is the estimate's only weight
         sol = solve_cache.solution(name, SolverConfig(N=20, N_y=N_y))
-        assert sol.solve_path == "staircase_qr"
         assert sol.ordering == ordering
         # the "x" plans merge the rows that span more than one level
         assert sol.span_cut == {"x": 1, "x+xi": 5}[ordering]
@@ -479,7 +480,6 @@ class TestSparseAgainstDense:
         # 120 %, hence the absolute floor
         system = assemble(solve_cache.problem(name).continuum, cfg)
         sol = solve_ls(system)
-        assert sol.solve_path == "staircase_qr"
         x_ref = _dense_oracle(system)
         np.testing.assert_allclose(sol.x, x_ref, rtol=0.0, atol=1e-8)
         r_ref = np.linalg.norm(system.A @ x_ref - system.b)
@@ -494,7 +494,7 @@ class TestSparseAgainstDense:
         wide = [(e, levels - 1 - e) for e in entries for _ in range(per_entry)]
         system = _staircase_system([size] * levels, wide, np.random.default_rng(0))
         sol = solve_ls(system)
-        assert sol.solve_path == "staircase_qr" and sol.span_cut == 1
+        assert sol.span_cut == 1
         assert sol.wide_rows == len(wide)
         x_ref = _dense_oracle(system)
         np.testing.assert_allclose(sol.x, x_ref, rtol=0.0, atol=1e-8)
@@ -511,11 +511,10 @@ class TestSparseAgainstDense:
         for i in np.flatnonzero(np.isfinite(cost)):
             with mock.patch.object(power_series, "_staircase", _only_plan("x", i)):
                 sol = solve_ls(system)
-            assert sol.solve_path == "staircase_qr"
             np.testing.assert_allclose(sol.x, x_ref, rtol=0.0,
                                        atol=1e-10 * max(1.0, np.abs(x_ref).max()))
 
-    def test_fewer_rows_than_columns_falls_back(self):
+    def test_fewer_rows_than_columns_raises(self):
         # the two level-0 columns meet only row 0: no grading and no span
         # cut gives the level as many rows as columns
         A = scipy.sparse.csr_matrix([[1.0, 2.0, 0.0], [0.0, 0.0, 1.0],
@@ -524,13 +523,19 @@ class TestSparseAgainstDense:
                               cols=[("KB", (0, 0)), ("K", (0, 0, 1)), ("KB", (1, 0))],
                               rows=[], config=SolverConfig(N=1))
         for grading in _GRADINGS:
-            cost, _, _, _, _, bounds, _ = _staircase(A, grading, _exponents(system.cols))
-            assert bounds[1] == 2 and np.all(np.isinf(cost))
+            cost, *_, bounds, _, enough = _staircase(A, grading, _exponents(system.cols))
+            assert bounds[1] == 2 and np.all(np.isinf(cost)) and not enough[:, 0].any()
+        with pytest.raises(np.linalg.LinAlgError,
+                           match=r"level 0 of the 'x\+xi' grading \(2 columns\) "
+                                 r"gets fewer rows than columns"):
+            solve_ls(system)
+
+    def test_unknowns_are_the_system_columns(self):
+        # the synthetic system's config, N = 1, would count 7 unknowns
+        system = _staircase_system([3] * 6, [(0, 3)], np.random.default_rng(0))
         sol = solve_ls(system)
-        assert sol.solve_path == "dense_lstsq"
-        assert sol.rank == 2 and sol.ordering is None
-        np.testing.assert_allclose(sol.x, _dense_oracle(system), rtol=0.0,
-                                   atol=1e-14)
+        assert sol.num_unknowns == sol.rank == system.A.shape[1] == 18
+        assert sol.num_equations == system.A.shape[0]
 
     @settings(max_examples=30, deadline=None)
     @given(n=st.integers(1, 40), extra=st.integers(1, 40),
@@ -562,7 +567,6 @@ class TestSparseAgainstDense:
         system = LinearSystem(A=A, b=b, cols=cols, rows=[], config=SolverConfig(N=n))
         x_ref = _dense_oracle(system)
         sol = solve_ls(system)
-        assert sol.solve_path == "staircase_qr"
         assert sol.ordering in _GRADINGS
         # and every feasible plan, wide rows or not, gives the same solution
         for grading in _GRADINGS:
@@ -570,7 +574,6 @@ class TestSparseAgainstDense:
             for i in np.flatnonzero(np.isfinite(cost)):
                 with mock.patch.object(power_series, "_staircase", _only_plan(grading, i)):
                     sol = solve_ls(system)
-                assert sol.solve_path == "staircase_qr"
                 assert sol.ordering == grading
                 np.testing.assert_allclose(sol.x, x_ref, rtol=0.0,
                                            atol=1e-10 * max(1.0, np.abs(sol.x).max()))
@@ -618,9 +621,9 @@ def _key_staircase(A: scipy.sparse.csr_matrix, grading: str, keys):
     flops = (2 * size * size * (r - size / 3) + (4 * r - 2 * size) * size * cols
              + np.where(k > cols, 2 * k * cols * cols - 2 / 3 * cols ** 3, 0.0))
     flops += wide * size * (2 * size + 4 * (cols + wide))
-    ok = np.all(held + wide >= size, axis=1)
-    flops = flops.sum(axis=1)
-    return np.where(ok, flops, np.inf), cuts, level, entry, span, bounds, top
+    enough = held + wide >= size
+    flops = np.where(enough.all(axis=1), flops.sum(axis=1), np.inf)
+    return flops, cuts, level, entry, span, bounds, top, enough
 
 
 # the 23 systems the benchmark workloads solve: bench-example2, sweep-example1
@@ -633,7 +636,7 @@ _BENCH_SYSTEMS = (
 
 
 def _assert_same_plans(A, keys):
-    parts = ("cost", "cuts", "level", "entry", "span", "bounds", "top")
+    parts = ("cost", "cuts", "level", "entry", "span", "bounds", "top", "enough")
     for grading in _GRADINGS:
         got = _staircase(A, grading, _exponents(keys))
         want = _key_staircase(A, grading, keys)
@@ -643,8 +646,8 @@ def _assert_same_plans(A, keys):
 
 class TestPlanAgainstKeyOracle:
     """`_staircase` takes its levels from an array of column exponents; the
-    costs, cuts, levels, entry levels, spans, level bounds and window tops
-    of both gradings match the per-key planner exactly."""
+    costs, cuts, levels, entry levels, spans, level bounds, window tops and
+    row sufficiency of both gradings match the per-key planner exactly."""
 
     @pytest.mark.parametrize("name, cfg", _BENCH_SYSTEMS, ids=lambda v: (
         v if isinstance(v, str) else f"N{v.N}-Ny{v.N_y}-q{int(v.use_exact_q)}-s{v.sigma_sign}"))
