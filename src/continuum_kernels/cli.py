@@ -319,8 +319,9 @@ def cmd_simulate(args, report_path) -> tuple:
                     initial_profile=args.profile, amplitude=args.amplitude)
     stages = {"setup": time.perf_counter() - t}
     table = _timed(stages, "gains", _sim_gains, args, problem, ls)
+    sim = _timed(stages, "init", Simulator, cfg, ls, table)
     faults = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
-    rep = _timed(stages, "run", lambda: Simulator(cfg, ls, table).run())
+    rep = _timed(stages, "run", sim.run)
     faults = resource.getrusage(resource.RUSAGE_SELF).ru_minflt - faults
     steps = len(rep.t) - 1
     write_sim_csv(rep, f"{args.out_prefix}_sim.csv", report_path=report_path)

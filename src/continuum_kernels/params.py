@@ -15,6 +15,7 @@ from __future__ import annotations
 import json
 import math
 from dataclasses import dataclass, field, replace
+from functools import cached_property
 from importlib import resources
 from typing import Mapping
 
@@ -163,16 +164,23 @@ class GridParams:
         """The dense (n, m) table of W_i(x)."""
         return self.W_y.T @ self.W_x
 
+    @cached_property
+    def _plant_factors(self) -> tuple[np.ndarray, np.ndarray]:
+        """couple_plant's stacked factors, built on first use."""
+        return (np.concatenate((self.sigma_y, self.theta_y)),
+                np.concatenate((self.sigma_eta, self.W_y)).T)
+
     def couple_plant(self, u: np.ndarray, v: np.ndarray,
                      out: np.ndarray) -> np.ndarray:
         """The plant's couplings for a family ``u`` (n, m) and counter
         component ``v`` (m,): writes sum_j sigma_ij u_j / n + W_i v into
         ``out`` (n, m) and returns mean_i theta_i u_i (m,)."""
         r = len(self.sigma_x)
-        s = np.concatenate((self.sigma_y, self.theta_y)) @ u
+        sums, spread = self._plant_factors
+        s = sums @ u
         s /= len(u)
         z = np.concatenate((self.sigma_x * s[:r], self.W_x * v))
-        np.matmul(np.concatenate((self.sigma_eta, self.W_y)).T, z, out=out)
+        np.matmul(spread, z, out=out)
         return np.einsum("tx,tx->x", self.theta_x, s[r:])
 
     def couple_kernel(self, K: np.ndarray) -> np.ndarray:

@@ -49,7 +49,8 @@ def read_report(path):
      0, {"stencils", "sweeps"}, {"iterations", "final_delta"},
      {"iterations", "final_delta", "sweep_history", "timing_s"}),
     (["simulate", "--config", "example2", "--mx", "32", "--t-final", "0.2",
-      "--solve-order", "4", "--out-prefix", "{d}/r"], 0, {"setup", "gains", "run"},
+      "--solve-order", "4", "--out-prefix", "{d}/r"], 0,
+     {"setup", "gains", "init", "run"},
      {"verdict", "initial_norm", "final_norm", "norm_ratio"},
      {"steps", "dt", "step_ms", "minor_faults"}),
     (["bench", "--example", "example1", "--orders", "4,6", "--skip-baseline",
@@ -428,6 +429,8 @@ class TestSimulate:
         report = read_report(tmp_path / "s_report.json")
         assert report["steps"] == len((tmp_path / "s_sim.csv").read_text()
                                       .splitlines()) - 4
+        # building the simulator is its own stage, outside the step time
+        assert report["stages_s"]["init"] > 0.0
         assert report["step_ms"] == pytest.approx(
             1e3 * report["stages_s"]["run"] / report["steps"], rel=1e-12)
         assert isinstance(report["minor_faults"], int)

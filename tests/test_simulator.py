@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
@@ -399,6 +401,51 @@ def same_run_as_oracle(cfg, ls, table, steps=5) -> SimReport:
 @pytest.mark.parametrize("name", ORACLE_CASES)
 def test_state_array_matches_uv_oracle(name, example2):
     same_run_as_oracle(*oracle_case(name, example2))
+
+
+@pytest.mark.parametrize("seed", [0, 1, 2])
+@pytest.mark.parametrize("name", ["example2-order8", "varying"])
+def test_rhs_matches_uv_oracle_on_rows_that_differ(name, seed, example2):
+    # the oracle runs start from identical sine rows, where u[i, m-1] ~ 0
+    # = u[i+1, 0] would hide a leak of the flat differences across rows
+    cfg, ls, table = oracle_case(name, example2)
+    new, old = Simulator(cfg, ls, table), UVSimulator(cfg, ls, table)
+    X = np.random.default_rng(seed).normal(size=(cfg.n + 1, cfg.m_x))
+    D = np.full_like(X, np.nan)
+    new._rhs(X, D)
+    assert_rel_close(D, np.vstack(old._rhs(X[:-1], X[-1])), "rhs")
+
+
+@pytest.mark.parametrize("grid_xi", [
+    np.linspace(0.0, 1.0, 40),                   # the simulation grid
+    np.sort(np.random.default_rng(3).uniform(size=17)),  # end values held
+    np.linspace(0.2, 0.7, 9),
+    np.array([0.4])], ids=["same", "random", "inner", "one-point"])
+def test_gain_rows_match_np_interp(grid_xi, example2):
+    ls = example2.large_scale()
+    rng = np.random.default_rng(4)
+    table = GainTable(grid_xi=grid_xi, grid_y=ls.y_points(),
+                      k=rng.normal(size=(10, len(grid_xi))),
+                      kbar=rng.normal(size=len(grid_xi)), sampled=True)
+    sim = Simulator(SimConfig(n=10, m_x=40), ls, table)
+    rows = np.array([np.interp(sim.xs, grid_xi, k) for k in table.k])
+    assert sim.kgw.flags.c_contiguous
+    assert_rel_close(sim.kgw, rows * (sim.weights / 10), "k")
+    assert_rel_close(sim.kbg, np.interp(sim.xs, grid_xi, table.kbar), "kbar")
+
+
+def test_step_allocates_nothing_state_sized(example2):
+    ls = example2.large_scale(400)
+    sim = Simulator(SimConfig(n=400, m_x=256), ls,
+                    random_gains(np.random.default_rng(5), 400, 256))
+    X = sim.initial_state()
+    tracemalloc.start()
+    try:
+        sim.step(X, sim.dt)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < X.nbytes / 4
 
 
 def test_reruns_are_identical(example2):
