@@ -20,11 +20,10 @@ from .gains import (GainTable, continuum_residual, diff_solutions, gains,
                     largescale_residual, read_gain_csv, sample_gains,
                     write_gain_csv)
 from .params import (ConfigError, ContinuumParams, FitResult, GridParams,
-                     LargeScaleParams, Problem, fit_q, lift_separable,
-                     load_problem, parse_problem_dict, sample_continuum)
+                     LargeScaleParams, Problem, fit_q, load_problem,
+                     parse_problem_dict, sample_continuum)
 from .power_series import (LinearSystem, PsKernelSolution, SolverConfig,
-                           assemble, coeff_vector, count_unknowns,
-                           optimality_certificate, optimality_check,
+                           assemble, count_unknowns, optimality_certificate,
                            residual_series, solve, solve_ls)
 from .series import (AnalyticFactor, Constant, Cos, Exp, Polynomial,
                      SeparableSum, SeparableTerm, Sin, TruncatedSeries, Var)

@@ -90,7 +90,7 @@ def _write_report(path, args, t0: float, problem: str | None, stages_s: dict,
 
 
 def _series_json(series) -> dict:
-    return {",".join(map(str, e)): c for e, c in sorted(series.coeffs.items())}
+    return {",".join(map(str, e)): c for e, c in series.coeffs.items()}
 
 
 def _exact_reference(name: str, problem: Problem):

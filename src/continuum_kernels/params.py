@@ -41,7 +41,6 @@ __all__ = [
     "ConfigError",
     "sample_points",
     "sample_continuum",
-    "lift_separable",
     "fit_q",
     "load_problem",
     "parse_problem_dict",
@@ -255,20 +254,6 @@ def sample_continuum(c: ContinuumParams, n: int, offset: float = 0.0) -> LargeSc
     offset 0 puts the family at i/n, offset -1 at (i-1)/n.
     """
     return LargeScaleParams(n=n, template=c, sample_offset=offset)
-
-
-def lift_separable(ls: LargeScaleParams) -> ContinuumParams:
-    """The ensemble parameters a sampled set was generated from.
-
-    A sampled set holds its generating template (the separable expressions
-    in i/n and j/n), so the lift is exact by construction.
-    """
-    if ls.template is None:
-        raise ValueError(
-            "large-scale parameters are not in template form; build an "
-            "ensemble approximation explicitly (e.g. with fit_q) instead"
-        )
-    return ls.template
 
 
 def fit_q(data: np.ndarray, degree: int, points: np.ndarray | None = None,

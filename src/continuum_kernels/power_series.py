@@ -26,7 +26,7 @@ Equations (everything moved to the left-hand side):
 
 from __future__ import annotations
 
-import itertools
+import functools
 import warnings
 from dataclasses import dataclass, field
 
@@ -36,7 +36,7 @@ import scipy.sparse
 import scipy.sparse.linalg
 
 from .params import GRID_POINTS, ContinuumParams
-from .series import TruncatedSeries, Var, integrate01
+from .series import PRUNE_TOL, TruncatedSeries, Var, integrate01
 
 __all__ = [
     "SolverConfig",
@@ -46,10 +46,8 @@ __all__ = [
     "assemble",
     "solve_ls",
     "solve",
-    "optimality_check",
     "optimality_certificate",
     "residual_by_source",
-    "coeff_vector",
     "residual_series",
     "OrderReductionWarning",
 ]
@@ -120,19 +118,29 @@ SRC_PDE_K = "pde_k"
 SRC_PDE_KBAR = "pde_kbar"
 SRC_BC_DIAG = "bc_diag"
 SRC_BC_LEFT = "bc_left"
+# monomial variables: (x, xi, y), (x, xi), (x, y) and (x,)
 _SOURCES = (SRC_PDE_K, SRC_PDE_KBAR, SRC_BC_DIAG, SRC_BC_LEFT)
-_ARITY = (3, 2, 2, 1)     # monomial variables: (x, xi, y), (x, xi), (x, y), (x,)
+# column kinds, in column order: K over (x, xi, y), KB over (x, xi)
+_KINDS = ("K", "KB")
 
 
 @dataclass
 class LinearSystem:
-    """The assembled coefficient-matching system A x = b."""
+    """The assembled coefficient-matching system A x = b, with integer
+    labels: a column's kind and exponents, a row's source and monomial.
+    Exponents past a label's variables are 0."""
 
     A: scipy.sparse.csr_matrix
     b: np.ndarray
-    cols: list[tuple[str, tuple[int, ...]]]      # ("K",(a,b,c)) / ("KB",(a,b))
-    rows: list[tuple[str, tuple[int, ...]]]      # (source, monomial)
+    cols: np.ndarray    # (n, 4): index into _KINDS, then (a, b, c)
+    rows: np.ndarray    # (m, 4): index into _SOURCES, then the monomial
     config: SolverConfig
+
+
+def _col_key(cols: np.ndarray, j: int) -> tuple:
+    """Column j as ("K", (a, b, c)) or ("KB", (a, b)), for messages."""
+    kind, *e = cols[j].tolist()
+    return _KINDS[kind], tuple(e[:3 - kind])
 
 
 @dataclass
@@ -153,17 +161,16 @@ class PsKernelSolution:
     wide_rows: int          # rows the staircase QR merged by tpqrt
 
 
+_PARAM_VARS = {"lam": (Var.X, Var.Y), "mu": (Var.X,), "theta": (Var.X, Var.Y),
+               "W": (Var.X, Var.Y), "sigma": (Var.X, Var.ETA, Var.Y), "q": (Var.Y,)}
+
+
 def _param_series(p: ContinuumParams, cfg: SolverConfig):
-    """Taylor-expand every parameter to total degree N and align each to its
-    full variable tuple so coefficient keys have a fixed arity."""
-    order = cfg.N
-    lam = p.lam.taylor(order).align_to((Var.X, Var.Y))
-    mu = p.mu.taylor(order).align_to((Var.X,))
-    theta = p.theta.taylor(order).align_to((Var.X, Var.Y))
-    W = p.W.taylor(order).align_to((Var.X, Var.Y))
-    sigma = p.sigma.taylor(order).align_to((Var.X, Var.ETA, Var.Y))
-    q = p.q.taylor(order).align_to((Var.Y,))
-    return lam, mu, theta, W, sigma, q
+    """(lam, mu, theta, W, sigma, q), each Taylor-expanded to total degree N
+    and aligned to its full variable tuple, so its array has an axis for
+    every variable."""
+    return tuple(getattr(p, name).taylor(cfg.N).align_to(vs)
+                 for name, vs in _PARAM_VARS.items())
 
 
 def _check_ny_bound(cfg: SolverConfig, lam: TruncatedSeries, theta: TruncatedSeries):
@@ -185,28 +192,29 @@ def _q_moments(p: ContinuumParams, cfg: SolverConfig,
     by :func:`integrate01` at 1e-12; with the series q, exactly."""
     lam0 = lam.substitute_value(Var.X, 0.0)
     if cfg.use_exact_q:
-        lam0_coeffs = sorted(lam0.coeffs.items())
-
         def q_lam0(y):
-            return p.q.eval1(Var.Y, y) * sum(v * y ** e for (e,), v in lam0_coeffs)
+            return p.q.eval1(Var.Y, y) * lam0.eval_grid({Var.Y: y})
 
         return np.array([integrate01(lambda y, c=c: q_lam0(y) * y ** c, 1e-12)
                          for c in range(cfg.N_y + 1)])
-    G = q_series * lam0
-    out = np.zeros(cfg.N_y + 1)
-    for (e,), g in G.coeffs.items():
-        for c in range(cfg.N_y + 1):
-            out[c] += g / (e + c + 1)
-    return out
+    return _moments((q_series * lam0).array[None], cfg.N_y)[0]
 
 
-def _terms(series: TruncatedSeries):
-    """A series' terms in sorted key order: one (1, n) exponent row per
-    variable, then the (1, n) coefficient row."""
-    items = sorted(series.coeffs.items())
-    exps = np.array([e for e, _ in items], dtype=np.int64)
-    exps = exps.reshape(len(items), len(series.vars)).T[:, None, :]
-    return (*exps, np.array([v for _, v in items], dtype=float)[None, :])
+def _moments(a: np.ndarray, N_y: int) -> np.ndarray:
+    """The moments int_0^1 f t^c dt, c = 0..N_y, of the series f whose
+    coefficient array is ``a`` and whose second variable is t: a's
+    coefficients divided by e + c + 1, summed over t's exponent e. The
+    moment index c takes t's axis. Sigma's moments over eta enter E1 and
+    W's over y enter E2, and q lam(0, .)'s over y enter E4."""
+    d = np.arange(a.shape[1])[:, None] + np.arange(N_y + 1) + 1.0
+    return (a[:, :, None] / d.reshape(d.shape + (1,) * (a.ndim - 2))).sum(axis=1)
+
+
+def _terms(a: np.ndarray):
+    """The nonzero terms of a coefficient array in C (sorted exponent)
+    order: one (1, t) exponent row per axis, then the (1, t) coefficients."""
+    on = np.abs(a) > PRUNE_TOL
+    return (*(e[None, :] for e in np.nonzero(on)), a[on][None, :])
 
 
 def assemble(p: ContinuumParams, cfg: SolverConfig) -> LinearSystem:
@@ -222,24 +230,24 @@ def assemble(p: ContinuumParams, cfg: SolverConfig) -> LinearSystem:
     N, Ny, s_sig = cfg.N, cfg.N_y, float(cfg.sigma_sign)
 
     k_exps, kb_exps = _monomials(N, N, N, Ny), _monomials(N, N, N)
-    cols = [*zip(itertools.repeat("K"), zip(*k_exps.T.tolist())),
-            *zip(itertools.repeat("KB"), zip(*kb_exps.T.tolist()))]
+    nk = len(k_exps)
+    cols = np.zeros((nk + len(kb_exps), 4), dtype=np.int64)
+    cols[:nk, 1:], cols[nk:, 0], cols[nk:, 1:3] = k_exps, 1, kb_exps
     # column exponents and indices as (n, 1) arrays
     a, b, c = k_exps.T[:, :, None]
-    j = np.arange(len(k_exps))[:, None]
+    j = np.arange(nk)[:, None]
     ab, bb = kb_exps.T[:, :, None]
-    jb = len(k_exps) + np.arange(len(kb_exps))[:, None]
+    jb = nk + np.arange(len(kb_exps))[:, None]
 
-    md, mv = _terms(muS)
-    lam_xi = lamS.rename(Var.X, Var.XI)
-    lp, lq, lv = _terms(lam_xi)
-    dp, dq, dv = _terms(lam_xi.diff(Var.XI))
-    tp, tq, tv = _terms(thetaS.rename(Var.X, Var.XI))
-    wp, wq, wv = _terms(WS.rename(Var.X, Var.XI))
-    sp, sq, sv = _terms(lamS + muS)
-    sigma_xi = sigmaS.rename(Var.X, Var.XI)
+    # lam, theta, W and sigma enter E1 and E2 at xi: the same coefficients
+    md, mv = _terms(muS.array)
+    lp, lq, lv = _terms(lamS.array)
+    dp, dq, dv = _terms(lamS.diff(Var.X).array)
+    tp, tq, tv = _terms(thetaS.array)
+    sp, sq, sv = _terms((lamS + muS).array)
+    sigma_mom, W_mom = _moments(sigmaS.array, Ny), _moments(WS.array, Ny)
     q_mom = _q_moments(p, cfg, lamS, qS)
-    mu0 = muS.coeffs.get((0,), 0.0)
+    mu0 = float(muS.array[0])
 
     # An entry's key is (row code, column) with the row code in (source, grlex
     # monomial) order; rows reach total degree 2N, so each digit is below
@@ -261,13 +269,14 @@ def assemble(p: ContinuumParams, cfg: SolverConfig) -> LinearSystem:
     scat(0, j, mv * a, (a - 1, b, c), (md,))
     scat(0, j, -lv * b, (a, b - 1, c), (0, lp, lq))
     scat(0, j, -dv, (a, b, c), (0, dp, dq))
-    for cc in range(Ny + 1):    # M_c(xi, y) = int sigma(xi, eta, y) eta^c deta
-        eta_c = TruncatedSeries.monomial({Var.ETA: cc})
-        mp, mq, mom = _terms((sigma_xi * eta_c).integrate_unit(Var.ETA))
+    # E1's sigma and E2's -int W(xi,y) k dy: moments against the column's y^c
+    for cc in range(Ny + 1):
         on = c[:, 0] == cc
+        mp, mq, mom = _terms(sigma_mom[:, cc])
         scat(0, j[on], -s_sig * mom, (a[on], b[on]), (0, mp, mq))
-    # E2: -int W(xi,y) k dy;  E3: (lam+mu)(x,y) k(x,x,y);  E4: -m_c x^a
-    scat(1, j, -wv / (wq + c + 1), (a, b), (0, wp))
+        wp, wm = _terms(W_mom[:, cc])
+        scat(1, j[on], -wm, (a[on], b[on]), (0, wp))
+    # E3: (lam+mu)(x,y) k(x,x,y);  E4: -m_c x^a
     scat(2, j, sv, (a + b, c), (sp, sq))
     scat(3, j, np.where(b == 0, -q_mom[c], 0.0), (a,))
     # E1: -theta(xi,y) kbar;  E2: mu(x) dkbar/dx + mu(xi) dkbar/dxi + mu'(xi) kbar
@@ -278,7 +287,7 @@ def assemble(p: ContinuumParams, cfg: SolverConfig) -> LinearSystem:
     # E4: mu(0) kbar(x,0)
     scat(3, jb, np.where(bb == 0, mu0, 0.0), (ab,))
     # constant side of E3: + theta(x,y), moved to b, scattered as column ncol
-    bp, bq, bv = _terms(thetaS)
+    bp, bq, bv = _terms(thetaS.array)
     scat(2, ncol, -bv, (), (bp, bq))
 
     # duplicates summed one after another in scatter order: a stable sort
@@ -296,13 +305,9 @@ def assemble(p: ContinuumParams, cfg: SolverConfig) -> LinearSystem:
     b_vec = np.bincount(row[~in_A], val[~in_A], minlength=len(codes))
     indptr = np.searchsorted(row[in_A], np.arange(len(codes) + 1))
     A = scipy.sparse.csr_matrix((val[in_A], col[in_A], indptr), shape=(len(codes), ncol))
-    # the rows of each source are a run of codes, in grlex monomial order
-    exps = (codes[:, None] // radix ** np.arange(2, -1, -1) % radix).T.tolist()
-    at = np.searchsorted(codes // radix ** 4, np.arange(len(_SOURCES) + 1)).tolist()
-    rows = []
-    for k, name in enumerate(_SOURCES):
-        mono = zip(*(e[at[k]:at[k + 1]] for e in exps[:_ARITY[k]]))
-        rows += zip(itertools.repeat(name), mono)
+    # a code's digits: source, total degree, then the monomial's exponents
+    rows = np.column_stack([codes // radix ** 4,
+                            codes[:, None] // radix ** np.arange(2, -1, -1) % radix])
     return LinearSystem(A=A, b=b_vec, cols=cols, rows=rows, config=cfg)
 
 
@@ -375,7 +380,15 @@ def _panel(width: int, dense: np.ndarray, nz, i0: int, i1: int, c0: int,
     return M
 
 
-def _staircase_qr(A: scipy.sparse.csr_matrix, b: np.ndarray, keys):
+@functools.lru_cache(maxsize=64)
+def _below_diagonal(c: int) -> np.ndarray:
+    """The read-only mask of a c x c block's strict lower triangle."""
+    mask = np.tri(c, c, -1, dtype=bool)
+    mask.setflags(write=False)
+    return mask
+
+
+def _staircase_qr(A: scipy.sparse.csr_matrix, b: np.ndarray, cols: np.ndarray):
     """Least-squares solution by a Householder QR that follows the degree
     levels (Bjorck, Numerical Methods for Least Squares Problems, 1996, ch.
     6). The columns of A are scaled to unit 2-norm and ordered by level.
@@ -401,9 +414,8 @@ def _staircase_qr(A: scipy.sparse.csr_matrix, b: np.ndarray, keys):
     zero = norms == 0.0
     if zero.any():
         raise np.linalg.LinAlgError(
-            f"rank-deficient system: column {keys[np.argmax(zero)]} of A is zero")
-    exps = np.array([[e[0] for _, e in keys], [e[1] for _, e in keys]]).T
-    plans = {g: _staircase(A, g, exps) for g in _GRADINGS}
+            f"rank-deficient system: column {_col_key(cols, np.argmax(zero))} of A is zero")
+    plans = {g: _staircase(A, g, cols[:, 1:3]) for g in _GRADINGS}
     grading = min(plans, key=lambda g: plans[g][0].min())
     cost, cuts, level, entry, span, bounds, top, enough = plans[grading]
     if not np.isfinite(cost.min()):
@@ -453,7 +465,8 @@ def _staircase_qr(A: scipy.sparse.csr_matrix, b: np.ndarray, keys):
         rest = _panel(end - c1 + w, rest[:s], nz, 0, 0, c1, b)
         c = carry.shape[1]
         if len(carry) > c:
-            carry = np.triu(lapack.dgeqrf(carry, lwork=64 * c)[0][:c])
+            carry = lapack.dgeqrf(carry, lwork=64 * c)[0][:c]
+            np.copyto(carry, 0.0, where=_below_diagonal(c))
         else:
             carry = carry.copy(order="F")
         if w:
@@ -488,7 +501,7 @@ def _staircase_qr(A: scipy.sparse.csr_matrix, b: np.ndarray, keys):
     if not np.all(np.isfinite(x)):
         raise np.linalg.LinAlgError(
             f"the staircase QR gave a non-finite coefficient for column "
-            f"{keys[np.argmin(np.isfinite(x))]}")
+            f"{_col_key(cols, np.argmin(np.isfinite(x)))}")
     return (x, grading, int(cuts[i]), float(diag.min() / diag.max()),
             int(np.count_nonzero(~narrow)))
 
@@ -506,12 +519,17 @@ def solve_ls(system: LinearSystem) -> PsKernelSolution:
     x, ordering, span_cut, ratio, wide_rows = _staircase_qr(system.A, system.b,
                                                             system.cols)
     m, n = system.A.shape
-    coeffs = {"K": {}, "KB": {}}
-    for (kind, e), v in zip(system.cols, x.tolist()):
-        coeffs[kind][e] = v         # exact zeros are pruned by TruncatedSeries
+
+    def dense(kind: int, nvars: int) -> np.ndarray:
+        on = system.cols[:, 0] == kind
+        exps = system.cols[on, 1:1 + nvars]
+        out = np.zeros(exps.max(axis=0, initial=0) + 1)
+        out[tuple(exps.T)] = x[on]
+        return out
+
     return PsKernelSolution(
-        k=TruncatedSeries((Var.X, Var.XI, Var.Y), coeffs["K"]),
-        kbar=TruncatedSeries((Var.X, Var.XI), coeffs["KB"]),
+        k=TruncatedSeries((Var.X, Var.XI, Var.Y), dense(0, 3)),
+        kbar=TruncatedSeries((Var.X, Var.XI), dense(1, 2)),
         residual=float(np.linalg.norm(system.A @ x - system.b)),
         config=system.config, num_unknowns=n, num_equations=m, x=x, rank=n,
         ordering=ordering, span_cut=span_cut, r_diag_ratio=ratio,
@@ -522,42 +540,6 @@ def solve_ls(system: LinearSystem) -> PsKernelSolution:
 def solve(p: ContinuumParams, cfg: SolverConfig) -> PsKernelSolution:
     """Assemble and solve in one call."""
     return solve_ls(assemble(p, cfg))
-
-
-def coeff_vector(system: LinearSystem, k: TruncatedSeries,
-                 kbar: TruncatedSeries) -> np.ndarray:
-    """Pack a kernel series pair into the system's column layout.
-
-    Coefficients outside the column set are rejected: the vector must be
-    conformal with the unknowns."""
-    x = np.zeros(len(system.cols))
-    index = {c: i for i, c in enumerate(system.cols)}
-    for kind, name, series in (("K", "k", k), ("KB", "kbar", kbar)):
-        for e, v in series.coeffs.items():
-            if (kind, e) not in index:
-                raise ValueError(f"{name} coefficient {e} outside the "
-                                 f"truncation pattern")
-            x[index[kind, e]] = v
-    return x
-
-
-def optimality_check(system: LinearSystem, candidate: np.ndarray,
-                     reference: np.ndarray, slack: float = 1e-10) -> bool:
-    """True iff the candidate's residual does not exceed the reference's.
-
-    A least-squares minimizer must pass against any conformal reference
-    vector, in particular against truncated expansions of an exact kernel."""
-    candidate = np.asarray(candidate, dtype=float)
-    reference = np.asarray(reference, dtype=float)
-    ncols = system.A.shape[1]
-    if candidate.shape != (ncols,) or reference.shape != (ncols,):
-        raise ValueError(
-            f"coefficient vectors must have length {ncols}; got "
-            f"{candidate.shape} and {reference.shape}"
-        )
-    rc = np.linalg.norm(system.A @ candidate - system.b)
-    rr = np.linalg.norm(system.A @ reference - system.b)
-    return bool(rc <= rr + slack)
 
 
 def optimality_certificate(system: LinearSystem, x: np.ndarray) -> float:
@@ -578,8 +560,8 @@ def optimality_certificate(system: LinearSystem, x: np.ndarray) -> float:
 
 def residual_by_source(system: LinearSystem, x: np.ndarray) -> dict[str, float]:
     """2-norm of A x - b over the rows of each equation source."""
-    r, src = system.A @ x - system.b, np.array([s for s, _ in system.rows])
-    return {s: float(np.linalg.norm(r[src == s])) for s in _SOURCES}
+    r, src = system.A @ x - system.b, system.rows[:, 0]
+    return {s: float(np.linalg.norm(r[src == k])) for k, s in enumerate(_SOURCES)}
 
 
 def residual_series(p: ContinuumParams, cfg: SolverConfig,
@@ -608,13 +590,11 @@ def residual_series(p: ContinuumParams, cfg: SolverConfig,
     e3 = (lamS + muS) * k.rename(Var.XI, Var.X) + thetaS
     k0 = k.substitute_value(Var.XI, 0.0)
     kbar0 = kbar.substitute_value(Var.XI, 0.0)
+    e4 = kbar0.scale(float(muS.array[0]))
     if cfg.use_exact_q:
         q_mom = _q_moments(p, cfg, lamS, qS)
-        e4 = kbar0.scale(muS.coeffs.get((0,), 0.0))
-        for (a, c), v in k0.coeffs.items():
-            e4 = e4 - TruncatedSeries.monomial({Var.X: a}, v * q_mom[c])
+        e4 = e4 - TruncatedSeries((Var.X,), k0.array @ q_mom[:k0.array.shape[1]])
     else:
         lam0 = lamS.substitute_value(Var.X, 0.0)
-        e4 = kbar0.scale(muS.coeffs.get((0,), 0.0)) \
-            - (qS * lam0 * k0).integrate_unit(Var.Y)
+        e4 = e4 - (qS * lam0 * k0).integrate_unit(Var.Y)
     return {SRC_PDE_K: e1, SRC_PDE_KBAR: e2, SRC_BC_DIAG: e3, SRC_BC_LEFT: e4}

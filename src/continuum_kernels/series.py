@@ -1,10 +1,10 @@
-"""Exact sparse algebra for truncated multivariate power series.
+"""Exact dense algebra for truncated multivariate power series.
 
 Series live in up to four variables: the spatial pair (x, xi), the ensemble
-variable y, and the integration variable eta. Coefficients are stored in a
-dict keyed by exponent tuples; absent keys are zero. All operations return
-new objects, so series values are immutable in practice and safe to share
-across threads.
+variable y, and the integration variable eta. Coefficients are stored in one
+dense array with an axis per variable: entry e is the coefficient of the
+monomial with exponents e. All operations return new objects, so series
+values are immutable in practice and safe to share across threads.
 """
 
 from __future__ import annotations
@@ -30,8 +30,9 @@ __all__ = [
     "integrate01",
 ]
 
-# Coefficients below this magnitude are dropped from storage. Deliberately at
-# the underflow edge: pruning must never change assembled systems.
+# Coefficients at or below this magnitude count as absent in the sparse
+# views (`coeffs`, `is_zero`, `degree_in` and the assembled terms).
+# Deliberately at the underflow edge: it must never change assembled systems.
 PRUNE_TOL = 1e-300
 
 
@@ -52,110 +53,117 @@ def _canonical_vars(vars_: Iterable[Var]) -> tuple[Var, ...]:
     return tuple(sorted(set(vars_), key=lambda v: _VAR_RANK[v]))
 
 
-def grlex_key(exps: tuple[int, ...]) -> tuple:
-    """Graded-lexicographic sort key: total degree first, then exponents."""
-    return (sum(exps), exps)
+def _along(i: int, ndim: int, values: np.ndarray) -> np.ndarray:
+    """``values`` shaped to broadcast along axis i of an ndim-array."""
+    return values.reshape([-1 if k == i else 1 for k in range(ndim)])
 
 
-@dataclass(frozen=True)
 class TruncatedSeries:
-    """Sparse polynomial over an ordered subset of the canonical variables.
+    """Polynomial over an ordered subset of the canonical variables.
 
-    ``coeffs`` maps exponent tuples (aligned with ``vars``) to floats.
+    ``array`` holds the coefficients densely, one axis per variable of
+    ``vars``. The constructor also takes a dict from exponent tuples to
+    coefficients. It rejects a non-finite coefficient, naming its exponent.
     """
 
-    vars: tuple[Var, ...]
-    coeffs: dict[tuple[int, ...], float]
+    __slots__ = ("vars", "array")
 
-    def __post_init__(self):
-        object.__setattr__(self, "vars", tuple(self.vars))
-        # checked before pruning, which would drop a NaN (abs(nan) > tol is False)
-        if not all(map(math.isfinite, self.coeffs.values())):
-            e, c = next((e, c) for e, c in self.coeffs.items() if not math.isfinite(c))
-            raise ValueError(f"non-finite coefficient {c} at exponent {tuple(e)}")
-        cleaned = {
-            tuple(e): float(c)
-            for e, c in self.coeffs.items()
-            if abs(c) > PRUNE_TOL
-        }
-        object.__setattr__(self, "coeffs", cleaned)
-        for e in cleaned:
-            if len(e) != len(self.vars):
-                raise ValueError(f"exponent tuple {e} does not match vars {self.vars}")
+    def __init__(self, vars_: Iterable[Var], coeffs):
+        vars_ = tuple(vars_)
+        if isinstance(coeffs, dict):
+            for e in coeffs:
+                if len(e) != len(vars_):
+                    raise ValueError(f"exponent tuple {e} does not match vars {vars_}")
+            a = np.zeros([max((e[i] for e in coeffs), default=0) + 1
+                          for i in range(len(vars_))])
+            for e, c in coeffs.items():
+                a[tuple(e)] = c
+        else:
+            a = np.asarray(coeffs, dtype=float)
+            if a.ndim != len(vars_):
+                raise ValueError(f"coefficient array of shape {a.shape} does not "
+                                 f"match vars {vars_}")
+        if not np.isfinite(a).all():
+            e = tuple(np.argwhere(~np.isfinite(a))[0].tolist())
+            raise ValueError(f"non-finite coefficient {a[e]} at exponent {e}")
+        self.vars, self.array = vars_, a
 
     # -- constructors ------------------------------------------------------
 
     @staticmethod
     def zero(vars_: Iterable[Var] = ()) -> TruncatedSeries:
-        return TruncatedSeries(_canonical_vars(vars_), {})
+        vs = _canonical_vars(vars_)
+        return TruncatedSeries(vs, np.zeros((1,) * len(vs)))
 
     @staticmethod
     def constant(c: float) -> TruncatedSeries:
-        return TruncatedSeries((), {(): float(c)} if c else {})
+        return TruncatedSeries((), np.array(float(c)))
 
     @staticmethod
     def monomial(exps: Mapping[Var, int], coeff: float = 1.0) -> TruncatedSeries:
         vs = _canonical_vars(exps.keys())
-        key = tuple(exps[v] for v in vs)
-        return TruncatedSeries(vs, {key: float(coeff)})
+        a = np.zeros([exps[v] + 1 for v in vs])
+        a[tuple(exps[v] for v in vs)] = coeff
+        return TruncatedSeries(vs, a)
 
     # -- structure ---------------------------------------------------------
 
+    @property
+    def coeffs(self) -> dict[tuple[int, ...], float]:
+        """The coefficients above PRUNE_TOL in magnitude, keyed by exponent
+        tuple, in sorted key order."""
+        on = np.abs(self.array) > PRUNE_TOL
+        return dict(zip(map(tuple, np.argwhere(on).tolist()), self.array[on].tolist()))
+
     def is_zero(self) -> bool:
-        return not self.coeffs
+        return not (np.abs(self.array) > PRUNE_TOL).any()
 
     def degree_in(self, v: Var) -> int:
         if v not in self.vars:
             return 0
-        i = self.vars.index(v)
-        return max((e[i] for e in self.coeffs), default=0)
+        others = tuple(k for k, w in enumerate(self.vars) if w != v)
+        on = (np.abs(self.array) > PRUNE_TOL).any(axis=others)
+        return int(np.flatnonzero(on).max(initial=0))
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, TruncatedSeries):
             return NotImplemented
         return self.vars == other.vars and self.coeffs == other.coeffs
 
-    def __str__(self) -> str:
-        if not self.coeffs:
-            return "0"
-        parts = []
-        for e, c in sorted(self.coeffs.items(), key=lambda kv: grlex_key(kv[0])):
-            mono = "*".join(f"{v.value}^{p}" if p > 1 else v.value
-                            for v, p in zip(self.vars, e) if p)
-            parts.append(f"{c:g}*{mono}" if mono else f"{c:g}")
-        return " + ".join(parts)
-
     def __hash__(self):
-        return hash((self.vars, tuple(sorted(self.coeffs.items()))))
+        return hash((self.vars, tuple(self.coeffs.items())))
 
-    def align_to(self, vars_: tuple[Var, ...]) -> TruncatedSeries:
-        """Re-express over a superset of variables (new exponents are 0)."""
+    def __repr__(self) -> str:
+        return f"TruncatedSeries({self.vars!r}, {self.coeffs!r})"
+
+    def _over(self, vars_: tuple[Var, ...]) -> np.ndarray:
+        """The coefficients over a superset of variables: a length-1 axis,
+        exponent 0, for each new one."""
         if vars_ == self.vars:
-            return self
+            return self.array
         if not set(self.vars) <= set(vars_):
             raise ValueError(f"cannot align {self.vars} to {vars_}")
         pos = [vars_.index(v) for v in self.vars]
-        out: dict[tuple[int, ...], float] = {}
-        for e, c in self.coeffs.items():
-            key = [0] * len(vars_)
-            for p, ei in zip(pos, e):
-                key[p] = ei
-            out[tuple(key)] = c
-        return TruncatedSeries(vars_, out)
+        a = self.array if pos == sorted(pos) else np.transpose(self.array, np.argsort(pos))
+        return a.reshape([self.array.shape[self.vars.index(v)] if v in self.vars else 1
+                          for v in vars_])
+
+    def align_to(self, vars_: tuple[Var, ...]) -> TruncatedSeries:
+        """Re-express over a superset of variables (new exponents are 0)."""
+        return TruncatedSeries(vars_, self._over(vars_))
 
     # -- ring operations ---------------------------------------------------
 
     def __add__(self, other: TruncatedSeries) -> TruncatedSeries:
         vs = _canonical_vars(self.vars + other.vars)
-        a = self.align_to(vs)
-        b = other.align_to(vs)
-        out = dict(a.coeffs)
-        for e, c in b.coeffs.items():
-            out[e] = out.get(e, 0.0) + c
+        a, b = self._over(vs), other._over(vs)
+        out = np.zeros(np.maximum(a.shape, b.shape))
+        out[tuple(map(slice, a.shape))] = a
+        out[tuple(map(slice, b.shape))] += b
         return TruncatedSeries(vs, out)
 
     def __neg__(self) -> TruncatedSeries:
-        return TruncatedSeries(self.vars, {e: -c for e, c in self.coeffs.items()})
+        return TruncatedSeries(self.vars, -self.array)
 
     def __sub__(self, other: TruncatedSeries) -> TruncatedSeries:
         return self + (-other)
@@ -163,79 +171,86 @@ class TruncatedSeries:
     def scale(self, s: float) -> TruncatedSeries:
         if s == 0.0:
             return TruncatedSeries.zero(self.vars)
-        return TruncatedSeries(self.vars, {e: s * c for e, c in self.coeffs.items()})
+        return TruncatedSeries(self.vars, s * self.array)
 
     def __mul__(self, other: TruncatedSeries) -> TruncatedSeries:
         """Exact polynomial product. Never re-truncates: products of order-N
-        operands legitimately carry terms up to order 2N."""
+        operands legitimately carry terms up to order 2N.
+
+        Over variables only one factor has, it is an outer product (a
+        broadcast). Over shared ones, the factor with fewer nonzero
+        positions on the shared axes is walked: each position adds the other
+        factor, shifted there and scaled."""
         vs = _canonical_vars(self.vars + other.vars)
-        a = self.align_to(vs)
-        b = other.align_to(vs)
-        out: dict[tuple[int, ...], float] = {}
-        for ea, ca in a.coeffs.items():
-            for eb, cb in b.coeffs.items():
-                key = tuple(i + j for i, j in zip(ea, eb))
-                out[key] = out.get(key, 0.0) + ca * cb
+        a, b = self._over(vs), other._over(vs)
+        shared = [i for i, (m, n) in enumerate(zip(a.shape, b.shape)) if m > 1 and n > 1]
+        if not shared:
+            return TruncatedSeries(vs, a * b)
+        rest = tuple(i for i in range(len(vs)) if i not in shared)
+        at_a, at_b = (np.argwhere(f.any(axis=rest)) for f in (a, b))
+        if len(at_a) < len(at_b):
+            a, b, at_b = b, a, at_a
+        out = np.zeros(np.add(a.shape, b.shape) - 1)
+        into, part = [slice(None)] * len(vs), [slice(None)] * len(vs)
+        for pos in at_b.tolist():
+            for i, k in zip(shared, pos):
+                into[i], part[i] = slice(k, k + a.shape[i]), slice(k, k + 1)
+            out[tuple(into)] += a * b[tuple(part)]
         return TruncatedSeries(vs, out)
 
     # -- calculus ----------------------------------------------------------
 
     def diff(self, v: Var) -> TruncatedSeries:
         """Formal partial derivative with respect to ``v``."""
-        if v not in self.vars:
+        i = self.vars.index(v) if v in self.vars else -1
+        if i < 0 or self.array.shape[i] == 1:
             return TruncatedSeries.zero(self.vars)
-        i = self.vars.index(v)
-        out: dict[tuple[int, ...], float] = {}
-        for e, c in self.coeffs.items():
-            if e[i] == 0:
-                continue
-            key = e[:i] + (e[i] - 1,) + e[i + 1:]
-            out[key] = out.get(key, 0.0) + c * e[i]
-        return TruncatedSeries(self.vars, out)
+        a = self.array[(slice(None),) * i + (slice(1, None),)]
+        w = _along(i, a.ndim, np.arange(1.0, a.shape[i] + 1))
+        return TruncatedSeries(self.vars, a * w)
 
     def integrate_unit(self, v: Var) -> TruncatedSeries:
         """Definite integral over v in [0, 1]; v is removed from the series."""
         if v not in self.vars:
             return self
-        i = self.vars.index(v)
-        new_vars = self.vars[:i] + self.vars[i + 1:]
-        out: dict[tuple[int, ...], float] = {}
-        for e, c in self.coeffs.items():
-            key = e[:i] + e[i + 1:]
-            out[key] = out.get(key, 0.0) + c / (e[i] + 1)
-        return TruncatedSeries(new_vars, out)
+        i, a = self.vars.index(v), self.array
+        w = _along(i, a.ndim, np.arange(1.0, a.shape[i] + 1))
+        return TruncatedSeries(self.vars[:i] + self.vars[i + 1:], (a / w).sum(axis=i))
 
     def rename(self, src: Var, dst: Var) -> TruncatedSeries:
-        """Substitute variable ``src`` by ``dst`` (exponents merge if present)."""
+        """Substitute variable ``src`` by ``dst`` (exponents merge if present:
+        the coefficients on each anti-diagonal of the two axes add up)."""
         if src not in self.vars or src == dst:
             return self
-        new_vars = _canonical_vars(set(self.vars) - {src} | {dst})
         si = self.vars.index(src)
-        out: dict[tuple[int, ...], float] = {}
-        for e, c in self.coeffs.items():
-            exps = {v: e[j] for j, v in enumerate(self.vars) if j != si}
-            exps[dst] = exps.get(dst, 0) + e[si]
-            key = tuple(exps.get(v, 0) for v in new_vars)
-            out[key] = out.get(key, 0.0) + c
-        return TruncatedSeries(new_vars, out)
+        if dst in self.vars:
+            a = np.moveaxis(self.array, (self.vars.index(dst), si), (-2, -1))
+            out = np.zeros(a.shape[:-2] + (sum(a.shape[-2:]) - 1,))
+            for k in range(a.shape[-1]):
+                out[..., k:k + a.shape[-2]] += a[..., k]
+            labels = tuple(v for v in self.vars if v not in (src, dst)) + (dst,)
+        else:
+            out, labels = self.array, self.vars[:si] + (dst,) + self.vars[si + 1:]
+        order = np.argsort([_VAR_RANK[v] for v in labels])
+        return TruncatedSeries(tuple(labels[k] for k in order), np.transpose(out, order))
 
     def substitute_value(self, v: Var, value: float) -> TruncatedSeries:
         """Fix variable ``v`` at a numeric value."""
         if v not in self.vars:
             return self
         i = self.vars.index(v)
-        new_vars = self.vars[:i] + self.vars[i + 1:]
-        out: dict[tuple[int, ...], float] = {}
-        for e, c in self.coeffs.items():
-            w = c * (value ** e[i] if e[i] else 1.0)
-            key = e[:i] + e[i + 1:]
-            out[key] = out.get(key, 0.0) + w
-        return TruncatedSeries(new_vars, out)
+        powers = float(value) ** np.arange(self.array.shape[i])
+        return TruncatedSeries(self.vars[:i] + self.vars[i + 1:],
+                               np.tensordot(self.array, powers, axes=(i, 0)))
 
     def truncate_total(self, order: int) -> TruncatedSeries:
-        """Drop every monomial of total degree above ``order``."""
-        return TruncatedSeries(self.vars, {e: c for e, c in self.coeffs.items()
-                                           if sum(e) <= order})
+        """Drop every monomial of total degree above ``order``; no axis
+        keeps an exponent above it."""
+        a = self.array[tuple(slice(order + 1) for _ in self.vars)]
+        if sum(a.shape) - a.ndim <= order:
+            return TruncatedSeries(self.vars, a)
+        degree = sum(np.ix_(*map(np.arange, a.shape)))
+        return TruncatedSeries(self.vars, np.where(degree <= order, a, 0.0))
 
     # -- evaluation --------------------------------------------------------
 
@@ -244,19 +259,14 @@ class TruncatedSeries:
 
         ``grids`` assigns a 1-D array to every variable of the series; the
         result has one axis per variable, in the series' variable order. The
-        dense coefficient array is contracted with one power table per
-        variable; each contraction moves that variable's grid axis last.
+        coefficient array is contracted with one power table per variable;
+        each contraction moves that variable's grid axis last.
         """
-        if not self.vars:
-            return np.array(self.coeffs.get((), 0.0))
-        exps = np.array(list(self.coeffs), dtype=np.int64).reshape(-1, len(self.vars))
-        shape = exps.max(axis=0, initial=0) + 1
-        out = np.zeros(shape)
-        out[tuple(exps.T)] = list(self.coeffs.values())
-        for v, d in zip(self.vars, shape):
+        out = self.array
+        for v in self.vars:
             a = np.asarray(grids[v], dtype=float)
-            out = np.tensordot(out, a[:, None] ** np.arange(d), axes=(0, 1))
-        return out
+            out = np.tensordot(out, a[:, None] ** np.arange(out.shape[0]), axes=(0, 1))
+        return out if self.vars else out.copy()
 
 
 # ---------------------------------------------------------------------------
@@ -284,8 +294,7 @@ class AnalyticFactor:
         """Maclaurin expansion up to ``order``."""
         if order < 0:
             raise ValueError("order must be non-negative")
-        cs = self.taylor_coeffs(order)
-        return TruncatedSeries((self.var,), {(k,): float(c) for k, c in enumerate(cs)})
+        return TruncatedSeries((self.var,), self.taylor_coeffs(order))
 
 
 @dataclass(frozen=True)
@@ -297,10 +306,8 @@ class Polynomial(AnalyticFactor):
         object.__setattr__(self, "coeffs", tuple(float(c) for c in coeffs))
 
     def taylor_coeffs(self, order: int) -> np.ndarray:
-        out = np.zeros(order + 1)
-        upto = min(order + 1, len(self.coeffs))
-        out[:upto] = self.coeffs[:upto]
-        return out
+        # no zeros past the degree: they would only widen the series' arrays
+        return np.array(self.coeffs[:order + 1] or (0.0,))
 
     def __call__(self, t):
         t = np.asarray(t, dtype=float)
@@ -379,9 +386,7 @@ class Constant(AnalyticFactor):
     value: float = 1.0
 
     def taylor_coeffs(self, order: int) -> np.ndarray:
-        out = np.zeros(order + 1)
-        out[0] = self.value
-        return out
+        return np.array([self.value])
 
     def __call__(self, t):
         return np.full_like(np.asarray(t, dtype=float), self.value)
@@ -416,10 +421,17 @@ class SeparableTerm:
         return _canonical_vars(f.var for f in self.factors)
 
     def taylor(self, order: int) -> TruncatedSeries:
-        out = TruncatedSeries.constant(self.scale)
-        for f in self.factors:
-            out = out * f.taylor(order)
-        return out
+        """The factors' expansions to ``order`` multiplied out, never
+        re-truncated: factors in one variable convolve, and the variables
+        make an outer product. The scale enters the first variable's."""
+        vs, a = self.vars(), np.array(self.scale)
+        for i, v in enumerate(vs):
+            c = np.array([self.scale]) if i == 0 else np.ones(1)
+            for f in self.factors:
+                if f.var == v:
+                    c = np.convolve(c, f.taylor(order).array)
+            a = c if i == 0 else np.multiply.outer(a, c)
+        return TruncatedSeries(vs, a)
 
     def __call__(self, point: Mapping[Var, np.ndarray]) -> np.ndarray:
         out = None

@@ -187,7 +187,7 @@ class Simulator:
         nsteps = int(np.ceil(self.cfg.t_final / self.dt))
         dt = self.cfg.t_final / nsteps
         ts = [0.0]
-        Us = [self.control(X)]
+        Us = [float(X[self.n, -1])]
         norms = [self.norm(X)]
         diverged = False
         for k in range(nsteps):
@@ -199,7 +199,7 @@ class Simulator:
                 Us.append(np.nan)
                 norms.append(np.inf)
                 break
-            Us.append(self.control(X))
+            Us.append(float(X[self.n, -1]))
             norms.append(self.norm(X))
         initial, final = norms[0], norms[-1]
         stable = not diverged and (final == 0.0 if initial == 0.0

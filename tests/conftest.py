@@ -5,20 +5,77 @@ import pytest
 import scipy.sparse
 
 from continuum_kernels import (LinearSystem, Problem, PsKernelSolution,
-                               SolverConfig, assemble, load_problem, solve_ls)
+                               SolverConfig, TruncatedSeries, assemble,
+                               load_problem, solve_ls)
+from continuum_kernels.power_series import _KINDS, _SOURCES
 
 FULL = pytest.mark.skipif(
     not os.environ.get("CK_ACCEPT_FULL"),
     reason="high-order tier; set CK_ACCEPT_FULL=1 to run",
 )
 
+# monomial variables of each row source: (x, xi, y), (x, xi), (x, y), (x,)
+ARITY = (3, 2, 2, 1)
+
+
+def col_keys(cols: np.ndarray) -> list[tuple[str, tuple[int, ...]]]:
+    """A system's column labels as ("K", (a, b, c)) and ("KB", (a, b))."""
+    return [(_KINDS[k], tuple(e[:3 - k])) for k, *e in cols.tolist()]
+
+
+def row_keys(rows: np.ndarray) -> list[tuple[str, tuple[int, ...]]]:
+    """A system's row labels as (source, monomial)."""
+    return [(_SOURCES[s], tuple(e[:ARITY[s]])) for s, *e in rows.tolist()]
+
+
+def col_array(keys) -> np.ndarray:
+    """Column labels ("K", (a, b, c)) / ("KB", (a, b)) as a system's array."""
+    return np.array([[_KINDS.index(kind), *e, *[0] * (3 - len(e))] for kind, e in keys],
+                    dtype=np.int64).reshape(-1, 4)
+
 
 def duplicated_column_system(system: LinearSystem, j: int) -> LinearSystem:
     """`system` with column j appended again, under the same key: rank-deficient."""
     j %= system.A.shape[1]
     A = scipy.sparse.hstack([system.A, system.A[:, j]]).tocsr()
-    return LinearSystem(A=A, b=system.b, cols=system.cols + [system.cols[j]],
+    return LinearSystem(A=A, b=system.b, cols=np.vstack([system.cols, system.cols[j]]),
                         rows=system.rows, config=system.config)
+
+
+def coeff_vector(system: LinearSystem, k: TruncatedSeries,
+                 kbar: TruncatedSeries) -> np.ndarray:
+    """Pack a kernel series pair into the system's column layout.
+
+    Coefficients outside the column set are rejected: the vector must be
+    conformal with the unknowns."""
+    x = np.zeros(len(system.cols))
+    index = {c: i for i, c in enumerate(col_keys(system.cols))}
+    for kind, name, series in (("K", "k", k), ("KB", "kbar", kbar)):
+        for e, v in series.coeffs.items():
+            if (kind, e) not in index:
+                raise ValueError(f"{name} coefficient {e} outside the "
+                                 f"truncation pattern")
+            x[index[kind, e]] = v
+    return x
+
+
+def optimality_check(system: LinearSystem, candidate: np.ndarray,
+                     reference: np.ndarray, slack: float = 1e-10) -> bool:
+    """True iff the candidate's residual does not exceed the reference's.
+
+    A least-squares minimizer must pass against any conformal reference
+    vector, in particular against truncated expansions of an exact kernel."""
+    candidate = np.asarray(candidate, dtype=float)
+    reference = np.asarray(reference, dtype=float)
+    ncols = system.A.shape[1]
+    if candidate.shape != (ncols,) or reference.shape != (ncols,):
+        raise ValueError(
+            f"coefficient vectors must have length {ncols}; got "
+            f"{candidate.shape} and {reference.shape}"
+        )
+    rc = np.linalg.norm(system.A @ candidate - system.b)
+    rr = np.linalg.norm(system.A @ reference - system.b)
+    return bool(rc <= rr + slack)
 
 
 @pytest.fixture(scope="session")

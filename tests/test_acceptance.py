@@ -12,16 +12,15 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from conftest import FULL
+from conftest import FULL, coeff_vector, optimality_check
 from continuum_kernels.closed_form import NotApplicable, solve_closed_form
 from continuum_kernels.fd_kernels import TriGrid, refine_study, \
     solve_characteristics
 from continuum_kernels.gains import (continuum_residual, diff_solutions,
                                      gains, sample_gains)
-from continuum_kernels.params import lift_separable, sample_continuum
+from continuum_kernels.params import sample_continuum
 from continuum_kernels.power_series import (SolverConfig, assemble,
-                                            coeff_vector, count_unknowns,
-                                            optimality_check, solve_ls)
+                                            count_unknowns, solve_ls)
 from continuum_kernels.series import TruncatedSeries, Var
 from continuum_kernels.simulate import SimConfig, Simulator
 
@@ -183,7 +182,7 @@ def test_c4_least_squares_optimality(solve_cache, example1):
 
 def test_c5_lift_reproduces_ensemble_form(example2):
     ls = sample_continuum(example2.continuum, 10)
-    cont = lift_separable(ls)
+    cont = ls.template
     xs = np.linspace(0.0, 1.0, 17)
     Xg, Yg = np.meshgrid(xs, xs, indexing="ij")
     checks = {

@@ -7,9 +7,9 @@ import pytest
 
 from continuum_kernels.closed_form import solve_closed_form
 from continuum_kernels.gains import sample_gains
-from continuum_kernels.params import (ConfigError, fit_q, lift_separable,
-                                      load_problem, parse_problem_dict,
-                                      sample_continuum, sample_points)
+from continuum_kernels.params import (ConfigError, fit_q, load_problem,
+                                      parse_problem_dict, sample_continuum,
+                                      sample_points)
 from continuum_kernels.series import (Polynomial, SeparableSum,
                                       SeparableTerm, Var)
 
@@ -90,7 +90,7 @@ class TestSampleContinuum:
 class TestLiftSeparable:
     def test_example2_roundtrip(self, example2):
         ls = sample_continuum(example2.continuum, 10)
-        cont = lift_separable(ls)
+        cont = ls.template
         xs = np.linspace(0, 1, 13)
         ys = np.linspace(0, 1, 7)
         Xg, Yg = np.meshgrid(xs, ys, indexing="ij")
@@ -114,16 +114,10 @@ class TestLiftSeparable:
         for i in (0, 4, 9):
             np.testing.assert_allclose(
                 g.W[i], 2 * xs * (xs + 1) * (i + 1) / 10, rtol=1e-14)
-        lifted = lift_separable(ls)
+        lifted = ls.template
         Xg, Yg = np.meshgrid(xs, xs, indexing="ij")
         np.testing.assert_allclose(lifted.W({X: Xg, Y: Yg}),
                                    2 * Xg * (Xg + 1) * Yg, rtol=1e-14)
-
-    def test_rejects_untemplated_input(self, example2):
-        ls = sample_continuum(example2.continuum, 4)
-        ls.template = None
-        with pytest.raises(ValueError, match="fit_q"):
-            lift_separable(ls)
 
 
 @pytest.mark.parametrize("offset", [0.0, -1.0])

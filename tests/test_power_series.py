@@ -8,7 +8,8 @@ import scipy.sparse
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from conftest import FULL, duplicated_column_system
+from conftest import (ARITY, FULL, coeff_vector, col_array, col_keys,
+                      duplicated_column_system, optimality_check, row_keys)
 from continuum_kernels import power_series
 from continuum_kernels.gains import diff_solutions, gains
 from continuum_kernels.params import ContinuumParams
@@ -19,18 +20,21 @@ from continuum_kernels.power_series import (SRC_BC_DIAG, SRC_BC_LEFT,
                                             SolverConfig, _GRADINGS,
                                             _check_ny_bound,
                                             _param_series, _q_moments,
-                                            _SOURCES, _staircase, assemble,
-                                            coeff_vector,
+                                            _moments, _SOURCES,
+                                            _staircase, assemble,
                                             count_unknowns,
                                             optimality_certificate,
-                                            optimality_check,
                                             residual_series, solve, solve_ls)
 from continuum_kernels.series import (Cos, Exp, Polynomial, SeparableSum,
-                                      SeparableTerm, TruncatedSeries, Var,
-                                      grlex_key)
+                                      SeparableTerm, TruncatedSeries, Var)
 
 X, XI, Y = Var.X, Var.XI, Var.Y
 _SRC_RANK = {s: i for i, s in enumerate(_SOURCES)}
+
+
+def grlex_key(exps: tuple[int, ...]) -> tuple:
+    """Graded-lexicographic sort key: total degree first, then exponents."""
+    return (sum(exps), exps)
 
 
 def _k_columns(N: int, N_y: int) -> list[tuple[int, int, int]]:
@@ -47,7 +51,9 @@ def _kbar_columns(N: int) -> list[tuple[int, int]]:
 def scatter_assemble(p: ContinuumParams, cfg: SolverConfig) -> LinearSystem:
     """The per-entry scatter loop that ``assemble`` replaced, kept as its
     oracle: columns listed and sorted by grlex_key, one dict update per
-    contribution, summed column by column in family, then term order."""
+    contribution, summed column by column in family, then term order. Its
+    labels are tuple lists: ("K", (a, b, c)) or ("KB", (a, b)) per column,
+    (source, monomial) per row."""
     p.check_speeds(np.linspace(0.0, 1.0, 101))
     lamS, muS, thetaS, WS, sigmaS, qS = _param_series(p, cfg)
     _check_ny_bound(cfg, lamS, thetaS)
@@ -63,14 +69,14 @@ def scatter_assemble(p: ContinuumParams, cfg: SolverConfig) -> LinearSystem:
     lam_xi_terms = sorted(lam_xi.coeffs.items())                # [(p,qy), v]
     dlam_terms = sorted(lam_xi.diff(Var.XI).coeffs.items())
     theta_xi_terms = sorted(thetaS.rename(Var.X, Var.XI).coeffs.items())
-    W_terms = sorted(WS.rename(Var.X, Var.XI).coeffs.items())
     lam_plus_mu = sorted((lamS + muS).coeffs.items())           # over (X,Y) & (X,)
-    # eta-moments of sigma: M_c(xi, y) = int sigma(xi, eta, y) eta^c deta
-    sigma_xi = sigmaS.rename(Var.X, Var.XI)
-    moments = []
-    for c in range(Ny + 1):
-        eta_c = TruncatedSeries.monomial({Var.ETA: c})
-        moments.append(sorted((sigma_xi * eta_c).integrate_unit(Var.ETA).coeffs.items()))
+    # eta-moments of sigma, M_c(xi, y) = int sigma(xi, eta, y) eta^c deta, and
+    # y-moments of W, int W(xi, y) y^c dy, as assemble sums them (checked
+    # against the series algebra below)
+    moments = [sorted(TruncatedSeries((XI, Y), m).coeffs.items())
+               for m in np.moveaxis(_moments(sigmaS.array, Ny), 1, 0)]
+    W_moments = [sorted(TruncatedSeries((XI,), m).coeffs.items())
+                 for m in _moments(WS.array, Ny).T]
     q_mom = _q_moments(p, cfg, lamS, qS)
     mu0 = muS.coeffs.get((0,), 0.0)
 
@@ -100,9 +106,9 @@ def scatter_assemble(p: ContinuumParams, cfg: SolverConfig) -> LinearSystem:
         # E1: -s * eta-moment of sigma against this column's y power
         for (pp, qy), v in moments[c]:
             scat(SRC_PDE_K, (a, b + pp, qy), j, -s_sig * v)
-        # E2: -int W(xi,y) k dy
-        for (pp, qy), v in W_terms:
-            scat(SRC_PDE_KBAR, (a, b + pp), j, -v / (qy + c + 1))
+        # E2: -int W(xi,y) k dy, the y-moment of W against this column's y power
+        for (pp,), v in W_moments[c]:
+            scat(SRC_PDE_KBAR, (a, b + pp), j, -v)
         # E3: (lam+mu)(x,y) k(x,x,y)
         for (pp, qy), v in lpm:
             scat(SRC_BC_DIAG, (a + b + pp, c + qy), j, v)
@@ -181,8 +187,8 @@ class TestCountUnknowns:
     def test_matches_columns_created(self, example2, N, Ny):
         system = assemble(example2.continuum, SolverConfig(N=N, N_y=Ny))
         nK, nKB = count_unknowns(N, Ny)
-        assert len([c for c in system.cols if c[0] == "K"]) == nK
-        assert len([c for c in system.cols if c[0] == "KB"]) == nKB
+        assert len([c for c in col_keys(system.cols) if c[0] == "K"]) == nK
+        assert len([c for c in col_keys(system.cols) if c[0] == "KB"]) == nKB
 
 
 class TestAssembly:
@@ -211,7 +217,7 @@ class TestAssembly:
         xvec = rng.normal(size=len(system.cols))
         k_coeffs = {}
         kb_coeffs = {}
-        for (kind, e), v in zip(system.cols, xvec):
+        for (kind, e), v in zip(col_keys(system.cols), xvec):
             (k_coeffs if kind == "K" else kb_coeffs)[e] = v
         k = TruncatedSeries((X, XI, Y), k_coeffs)
         kbar = TruncatedSeries((X, XI), kb_coeffs)
@@ -223,7 +229,7 @@ class TestAssembly:
             "bc_diag": (X, Y), "bc_left": (X,),
         }
         for src, vars_ in var_lists.items():
-            rows = [(i, mono) for i, (s, mono) in enumerate(system.rows)
+            rows = [(i, mono) for i, (s, mono) in enumerate(row_keys(system.rows))
                     if s == src]
             for p in pts:
                 point = dict(zip(vars_, p))
@@ -266,8 +272,8 @@ class TestAssembly:
         cfg = SolverConfig(N=5)
         s1 = assemble(example2.continuum, cfg)
         s2 = assemble(example2.continuum, cfg)
-        assert s1.rows == s2.rows
-        assert s1.cols == s2.cols
+        assert np.array_equal(s1.rows, s2.rows)
+        assert np.array_equal(s1.cols, s2.cols)
         assert (s1.A != s2.A).nnz == 0
         np.testing.assert_array_equal(s1.b, s2.b)
 
@@ -392,8 +398,8 @@ def _staircase_system(sizes, wide, rng) -> LinearSystem:
     perm = rng.permutation(n)
     A = scipy.sparse.csr_matrix(np.vstack(rows)[:, perm])
     cols = [("K", (L, 0, j)) for j, L in enumerate(np.repeat(np.arange(len(sizes)), sizes)[perm])]
-    return LinearSystem(A=A, b=rng.standard_normal(A.shape[0]), cols=cols, rows=[],
-                        config=SolverConfig(N=1))
+    return LinearSystem(A=A, b=rng.standard_normal(A.shape[0]), cols=col_array(cols),
+                        rows=np.zeros((0, 4), dtype=np.int64), config=SolverConfig(N=1))
 
 
 @st.composite
@@ -445,7 +451,7 @@ class TestSparseAgainstDense:
 
     def test_zero_column_raises(self, example2):
         system = assemble(example2.continuum, SolverConfig(N=8))
-        j = system.cols.index(("KB", (2, 3)))
+        j = col_keys(system.cols).index(("KB", (2, 3)))
         keep = np.arange(system.A.shape[1]) != j
         A = (system.A @ scipy.sparse.diags(keep.astype(float))).tocsr()
         A.eliminate_zeros()
@@ -507,7 +513,7 @@ class TestSparseAgainstDense:
         system = _staircase_system(*shape, np.random.default_rng(seed))
         x_ref = _dense_oracle(system)
         # both gradings give a column its level; every cut is a plan
-        cost = _staircase(system.A, "x", _exponents(system.cols))[0]
+        cost = _staircase(system.A, "x", system.cols[:, 1:3])[0]
         for i in np.flatnonzero(np.isfinite(cost)):
             with mock.patch.object(power_series, "_staircase", _only_plan("x", i)):
                 sol = solve_ls(system)
@@ -520,10 +526,10 @@ class TestSparseAgainstDense:
         A = scipy.sparse.csr_matrix([[1.0, 2.0, 0.0], [0.0, 0.0, 1.0],
                                      [0.0, 0.0, 3.0]])
         system = LinearSystem(A=A, b=np.array([1.0, 2.0, 3.0]),
-                              cols=[("KB", (0, 0)), ("K", (0, 0, 1)), ("KB", (1, 0))],
-                              rows=[], config=SolverConfig(N=1))
+                              cols=col_array([("KB", (0, 0)), ("K", (0, 0, 1)), ("KB", (1, 0))]),
+                              rows=np.zeros((0, 4), dtype=np.int64), config=SolverConfig(N=1))
         for grading in _GRADINGS:
-            cost, *_, bounds, _, enough = _staircase(A, grading, _exponents(system.cols))
+            cost, *_, bounds, _, enough = _staircase(A, grading, system.cols[:, 1:3])
             assert bounds[1] == 2 and np.all(np.isinf(cost)) and not enough[:, 0].any()
         with pytest.raises(np.linalg.LinAlgError,
                            match=r"level 0 of the 'x\+xi' grading \(2 columns\) "
@@ -564,7 +570,8 @@ class TestSparseAgainstDense:
         # repeated levels put several columns in a panel
         cols = [("K", (a, bb, c)) if is_k else ("KB", (a, bb))
                 for is_k, a, bb, c in keys[:n]]
-        system = LinearSystem(A=A, b=b, cols=cols, rows=[], config=SolverConfig(N=n))
+        system = LinearSystem(A=A, b=b, cols=col_array(cols), rows=np.zeros((0, 4), dtype=np.int64),
+                              config=SolverConfig(N=n))
         x_ref = _dense_oracle(system)
         sol = solve_ls(system)
         assert sol.ordering in _GRADINGS
@@ -653,7 +660,7 @@ class TestPlanAgainstKeyOracle:
         v if isinstance(v, str) else f"N{v.N}-Ny{v.N_y}-q{int(v.use_exact_q)}-s{v.sigma_sign}"))
     def test_benchmark_systems(self, solve_cache, name, cfg):
         system = assemble(solve_cache.problem(name).continuum, cfg)
-        _assert_same_plans(system.A, system.cols)
+        _assert_same_plans(system.A, col_keys(system.cols))
 
     @settings(max_examples=50, deadline=None)
     @given(shape=_staircase_shapes(), seed=st.integers(0, 2 ** 32 - 1),
@@ -665,13 +672,13 @@ class TestPlanAgainstKeyOracle:
         # x-degrees, in "K" and "KB" keys
         keys = [("KB", (gap * e[0], int(rng.integers(3)))) if rng.random() < 0.3
                 else (kind, (gap * e[0], int(rng.integers(3)), e[2]))
-                for kind, e in system.cols]
+                for kind, e in col_keys(system.cols)]
         _assert_same_plans(system.A, keys)
 
 
 def _assert_same_system(got: LinearSystem, want: LinearSystem):
-    assert got.rows == want.rows
-    assert got.cols == want.cols
+    assert row_keys(got.rows) == want.rows
+    assert col_keys(got.cols) == want.cols
     assert got.A.shape == want.A.shape
     assert np.array_equal(got.b, want.b)
     for part in ("indptr", "indices", "data"):
@@ -752,6 +759,26 @@ def _problems(draw):
     return p, cfg
 
 
+@settings(max_examples=40, deadline=None)
+@given(sigma=_coupling((X, Var.ETA, Y)), W=_coupling((X, Y)), N=st.integers(0, 12),
+       N_y=st.integers(0, 4))
+def test_moments_match_series_algebra(sigma, W, N, N_y):
+    # the scatter oracle takes its sigma and W moments from _moments too
+    for f, t, vars_, moment_vars in ((sigma, Var.ETA, (X, Var.ETA, Y), (XI, Y)),
+                                     (W, Y, (X, Y), (XI,))):
+        series = f.taylor(N).align_to(vars_)
+        moments = _moments(series.array, N_y)
+        at_xi = series.rename(X, XI)
+        for c in range(N_y + 1):
+            want = (at_xi * TruncatedSeries.monomial({t: c})).integrate_unit(t)
+            got = TruncatedSeries(moment_vars, moments[:, c]).coeffs
+            # sums of up to N + 1 terms below max |f|, in another order
+            tol = (N + 1) ** 2 * 1.2e-16 * np.abs(series.array).max()
+            for e in got.keys() | want.coeffs.keys():
+                assert got.get(e, 0.0) == pytest.approx(want.coeffs.get(e, 0.0), rel=0.0,
+                                                        abs=tol)
+
+
 @pytest.mark.filterwarnings("ignore::continuum_kernels.power_series.OrderReductionWarning")
 class TestAgainstScatterOracle:
     """The array assembly is bit-identical to the per-entry scatter loop:
@@ -773,10 +800,28 @@ class TestAgainstScatterOracle:
         cfg = SolverConfig(N=10)
         row = (SRC_PDE_K, (5, 4, 1))
         cancelled = assemble(_cancelling_problem(1.0), cfg)
-        assert row not in cancelled.rows
-        assert row in assemble(_cancelling_problem(0.5), cfg).rows
+        assert row not in row_keys(cancelled.rows)
+        assert row in row_keys(assemble(_cancelling_problem(0.5), cfg).rows)
         _assert_same_system(cancelled,
                             scatter_assemble(_cancelling_problem(1.0), cfg))
+
+    @pytest.mark.parametrize("name, cfg", [
+        ("example1", SolverConfig(N=30, N_y=2, use_exact_q=True)),
+        ("example2", SolverConfig(N=20, N_y=2))])
+    def test_label_arrays(self, solve_cache, name, cfg):
+        # integer labels: kind or source first, exponents past the label's
+        # variables 0, and the same row and column lists as the tuple labels
+        got = assemble(solve_cache.problem(name).continuum, cfg)
+        want = scatter_assemble(solve_cache.problem(name).continuum, cfg)
+        assert got.cols.shape == (got.A.shape[1], 4) and got.cols.dtype.kind == "i"
+        assert got.rows.shape == (got.A.shape[0], 4) and got.rows.dtype.kind == "i"
+        assert not got.cols[got.cols[:, 0] == 1, 3].any()
+        for src, arity in enumerate(ARITY):
+            assert not got.rows[got.rows[:, 0] == src, 1 + arity:].any()
+        assert col_keys(got.cols) == want.cols
+        assert row_keys(got.rows) == want.rows
+        assert set(col_keys(got.cols)) == set(want.cols)
+        assert set(row_keys(got.rows)) == set(want.rows)
 
     @settings(max_examples=40, deadline=None)
     @example((_cancelling_problem(1.0), SolverConfig(N=10)))
