@@ -12,8 +12,8 @@ simulator.
 __version__ = "0.1.0"
 
 from .closed_form import (ClosedFormError, ClosedFormKernel, NotApplicable,
-                          SeparableProblem, build_f, build_kernels, compute_cx,
-                          sigma_coef, solve_closed_form)
+                          SeparableProblem, build_f, compute_cx, sigma_coef,
+                          solve_closed_form)
 from .fd_kernels import (ConvergenceError, LsKernelSolution, TriGrid,
                          refine_study, solve_characteristics)
 from .gains import (GainTable, continuum_residual, diff_solutions, gains,
@@ -24,7 +24,7 @@ from .params import (ConfigError, ContinuumParams, FitResult, GridParams,
                      parse_problem_dict, sample_continuum)
 from .power_series import (LinearSystem, PsKernelSolution, SolverConfig,
                            assemble, count_unknowns, optimality_certificate,
-                           residual_series, solve, solve_ls)
+                           residual_series, solve_ls)
 from .series import (AnalyticFactor, Constant, Cos, Exp, Polynomial,
                      SeparableSum, SeparableTerm, Sin, TruncatedSeries, Var)
 from .simulate import SimConfig, SimReport, Simulator

@@ -24,7 +24,7 @@ from .closed_form import NotApplicable, solve_closed_form
 from .fd_kernels import TriGrid, refine_study, solve_characteristics
 from .gains import (GainTable, diff_solutions, gains, read_gain_csv,
                     sample_gains, write_gain_csv)
-from .params import ConfigError, Problem, fit_q, load_problem
+from .params import ConfigError, Problem, fit_q, load_problem, number_array
 from .power_series import (SolverConfig, assemble, optimality_certificate,
                            residual_by_source, solve_ls)
 from .simulate import SimConfig, Simulator, write_sim_csv
@@ -191,10 +191,7 @@ def cmd_fit_q(args, report_path) -> tuple:
                               f"nothing to fit")
         data, name, offset = problem.q_data, problem.name, problem.q_offset
     else:
-        try:
-            data = np.asarray(json.loads(args.data), dtype=float)
-        except TypeError:   # an object, or an array holding one
-            raise ConfigError("--data: a JSON array of numbers is required") from None
+        data = number_array(json.loads(args.data), "--data JSON array")
     stages = {}
     fit = _timed(stages, "fit", fit_q, data, args.degree, offset=offset)
     print(f"fit-q: degree={fit.degree} rms_error={fit.rms_error:.6g}")

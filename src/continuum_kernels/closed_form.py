@@ -15,7 +15,9 @@ provided three compatibility conditions hold. The sigma coupling enters
 only through kappa = c * int sigma_y theta_y/(lam+mu), where sigma_e =
 c theta_y (see :func:`sigma_coef`). Constant lambda is the special case of
 one construction in which every y-weight is the constant 1/(lam+mu); only
-then is c_y = kappa (lam+mu) reported. This module checks the conditions
+then is c_y = kappa (lam+mu) reported. Every y-integral, weighted by
+1/(lam+mu) where it applies, is one adaptive Gauss-Legendre call
+(:func:`integrate01` at 1e-12). This module checks the conditions
 (grid-based, with fixed tolerances) and constructs the kernels.
 
 ``sigma_y`` weights the integrated family component (the eta slot of the
@@ -28,10 +30,9 @@ from dataclasses import dataclass, field, replace
 from typing import Callable
 
 import numpy as np
-import numpy.polynomial.polynomial as P
 
 from .params import ContinuumParams
-from .series import Polynomial, SeparableSum, SeparableTerm, Var, integrate01
+from .series import SeparableSum, SeparableTerm, Var, integrate01
 
 __all__ = [
     "NotApplicable",
@@ -41,7 +42,6 @@ __all__ = [
     "sigma_coef",
     "compute_cx",
     "build_f",
-    "build_kernels",
     "solve_closed_form",
 ]
 
@@ -67,27 +67,9 @@ class ClosedFormError(RuntimeError):
     """A compatibility condition failed beyond tolerance."""
 
 
-def _poly_coeffs(f: SeparableSum) -> np.ndarray:
-    """Ascending coefficients of a univariate polynomial sum."""
-    out = np.zeros(1)
-    for t in f.terms:
-        c = np.array([t.scale])
-        for fac in t.factors:
-            fc = fac.coeffs if isinstance(fac, Polynomial) else (fac.value,)
-            c = P.polymul(c, fc or (0.0,))
-        out = P.polyadd(out, c)
-    return out
-
-
 def _integral01(*funcs: SeparableSum, weight: Callable | None = None) -> float:
     """Integral over [0,1] of a product of univariate sums (times an optional
-    vectorized weight). Polynomial products integrate exactly, from the
-    multiplied coefficient arrays; otherwise by :func:`integrate01` at 1e-12."""
-    if all(f.is_polynomial() for f in funcs) and weight is None:
-        prod = np.ones(1)
-        for f in funcs:
-            prod = P.polymul(prod, _poly_coeffs(f))
-        return float(prod @ (1.0 / np.arange(1, len(prod) + 1)))
+    vectorized weight), by :func:`integrate01` at 1e-12."""
 
     def integrand(t):
         out = np.ones_like(t) if weight is None else weight(t)
@@ -183,16 +165,11 @@ class SeparableProblem:
         return self.theta_x.is_zero() or self.theta_y.is_zero()
 
     def lam_plus_mu(self, y) -> np.ndarray:
-        if self.lam_const is not None:
-            return np.full_like(np.asarray(y, dtype=float), self.lam_const + self.mu)
         return _eval1(self.lam_y, y) + self.mu
 
     def weighted_integral(self, *funcs: SeparableSum) -> float:
         """Integral over [0,1] of the product of ``funcs`` divided by
-        lam(y) + mu: exact for polynomials when lam is constant, adaptive
-        Gauss-Legendre (:func:`integrate01`) otherwise."""
-        if self.lam_const is not None:
-            return _integral01(*funcs) / (self.lam_const + self.mu)
+        lam(y) + mu."""
         return _integral01(*funcs, weight=lambda t: 1.0 / self.lam_plus_mu(t))
 
 
@@ -398,22 +375,6 @@ def _zero_kernel(p: SeparableProblem) -> ClosedFormKernel:
     return ClosedFormKernel(c_x=0.0, c_y=0.0, mu=p.mu, problem=p, f=zf, fprime=zf)
 
 
-def build_kernels(p: SeparableProblem, c_x: float, f: Callable,
-                  fprime: Callable, c_y: float | None = None) -> ClosedFormKernel:
-    """Assemble the kernel pair and audit the diagonal boundary identity."""
-    kern = ClosedFormKernel(c_x=c_x, c_y=c_y, mu=p.mu, problem=p, f=f, fprime=fprime)
-    xs = np.linspace(0.0, 1.0, 21)
-    ys = np.linspace(0.0, 1.0, 21)
-    X, Y = np.meshgrid(xs, ys, indexing="ij")
-    lhs = kern.k(X, X, Y)
-    theta = _eval1(p.theta_x, X) * _eval1(p.theta_y, Y)
-    rhs = -theta / p.lam_plus_mu(Y)
-    err = float(np.abs(lhs - rhs).max())
-    if err > 1e-10 * max(1.0, float(np.abs(rhs).max())):
-        raise ClosedFormError(f"diagonal boundary identity violated: {err:.3g}")
-    return kern
-
-
 def solve_closed_form(p: ContinuumParams) -> ClosedFormKernel | NotApplicable:
     """Run all applicability checks and construct the kernels.
 
@@ -433,6 +394,7 @@ def solve_closed_form(p: ContinuumParams) -> ClosedFormKernel | NotApplicable:
     try:
         c_x = compute_cx(sep, kappa)
         f, fp = build_f(sep, c_x, kappa)
-        return build_kernels(sep, c_x, f, fp, c_y)
+        return ClosedFormKernel(c_x=c_x, c_y=c_y, mu=sep.mu, problem=sep, f=f,
+                                fprime=fp)
     except ClosedFormError as e:
         return NotApplicable(str(e))

@@ -223,13 +223,15 @@ def largescale_residual(sol, ls: LargeScaleParams,
     if isinstance(sol, LsKernelSolution):
         xs = sol.grid.nodes()
         m = sol.grid.m
+        if m < 5:
+            raise ValueError(f"a reference solution needs m >= 5 for an interior "
+                             f"of centered differences; got m = {m}")
         K = sol.k
         h = sol.grid.h
         dKdx = np.gradient(K, h, axis=1)
         dKdxi = np.gradient(K, h, axis=2)
-        interior = np.zeros((m + 1, m + 1), dtype=bool)
-        for a in range(2, m - 1):
-            interior[a, 1:a - 1] = True
+        a, b = np.ogrid[:m + 1, :m + 1]
+        interior = (a <= m - 2) & (b >= 1) & (b <= a - 2)   # x rows 2..m-2, xi 1..a-2
     else:
         m = grid_m
         xs = np.linspace(0.0, 1.0, m + 1)

@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import json
 import math
+import numbers
 from dataclasses import dataclass, field, replace
 from functools import cached_property
 from importlib import resources
@@ -42,6 +43,7 @@ __all__ = [
     "sample_points",
     "sample_continuum",
     "fit_q",
+    "number_array",
     "load_problem",
     "parse_problem_dict",
     "builtin_problem_names",
@@ -239,13 +241,6 @@ class FitResult:
     def as_sum(self) -> SeparableSum:
         return SeparableSum.poly(Var.Y, self.coeffs)
 
-    def __call__(self, y):
-        y = np.asarray(y, dtype=float)
-        out = np.zeros_like(y)
-        for c in self.coeffs[::-1]:
-            out = out * y + c
-        return out
-
 
 def sample_continuum(c: ContinuumParams, n: int, offset: float = 0.0) -> LargeScaleParams:
     """Sample the ensemble parameters into an n+1 parameter set.
@@ -333,11 +328,11 @@ class Problem:
 
 def _number(value, where: str) -> float:
     """``value`` as a finite float; NaN and inf would otherwise be pruned
-    from the series as zeros and solve to a plausible-looking kernel."""
-    try:
-        v = float(value)
-    except (TypeError, ValueError):
-        raise ConfigError(f"{where}: expected a number, got {value!r}") from None
+    from the series as zeros and solve to a plausible-looking kernel, and
+    float() would read true as 1.0 and the string "2" as 2.0."""
+    if isinstance(value, bool) or not isinstance(value, numbers.Real):
+        raise ConfigError(f"{where}: expected a number, got {value!r}")
+    v = float(value)
     if not math.isfinite(v):
         raise ConfigError(f"{where}: non-finite value {value!r}")
     return v
@@ -357,6 +352,12 @@ def _array(value, where: str) -> list:
     return value
 
 
+def number_array(value, where: str) -> np.ndarray:
+    """``value``, a JSON array, as a float array of checked numbers."""
+    return np.asarray([_number(v, f"{where}[{k}]")
+                       for k, v in enumerate(_array(value, where))], dtype=float)
+
+
 def _parse_factor(d: Mapping, where: str):
     if not isinstance(d, Mapping):
         raise ConfigError(f"{where}: factor must be an object")
@@ -367,8 +368,7 @@ def _parse_factor(d: Mapping, where: str):
     v = _VAR_NAMES[var]
     try:
         if kind == "poly":
-            return Polynomial(v, [_number(c, f"{where}.coeffs")
-                                 for c in _array(d["coeffs"], f"{where}.coeffs")])
+            return Polynomial(v, number_array(d["coeffs"], f"{where}.coeffs"))
         if kind == "exp":
             return Exp(v, _number(d["rate"], f"{where}.rate"))
         if kind == "cos":
@@ -427,9 +427,7 @@ def parse_problem_dict(cfg: Mapping, name: str = "<config>") -> Problem:
     q_offset = 0.0
     fit = None
     if isinstance(qcfg, Mapping) and "data" in qcfg:
-        q_data = np.asarray([_number(v, f"{name}.q.data[{k}]")
-                             for k, v in enumerate(_array(qcfg["data"],
-                                                          f"{name}.q.data"))])
+        q_data = number_array(qcfg["data"], f"{name}.q.data")
         degree = _integer(qcfg.get("fit_degree", 2), f"{name}.q.fit_degree")
         points = qcfg.get("points", "i/n")
         if points not in ("i/n", "(i-1)/n"):

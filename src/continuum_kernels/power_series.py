@@ -45,7 +45,6 @@ __all__ = [
     "count_unknowns",
     "assemble",
     "solve_ls",
-    "solve",
     "optimality_certificate",
     "residual_by_source",
     "residual_series",
@@ -535,11 +534,6 @@ def solve_ls(system: LinearSystem) -> PsKernelSolution:
         ordering=ordering, span_cut=span_cut, r_diag_ratio=ratio,
         wide_rows=wide_rows,
     )
-
-
-def solve(p: ContinuumParams, cfg: SolverConfig) -> PsKernelSolution:
-    """Assemble and solve in one call."""
-    return solve_ls(assemble(p, cfg))
 
 
 def optimality_certificate(system: LinearSystem, x: np.ndarray) -> float:

@@ -62,27 +62,19 @@ class TruncatedSeries:
     """Polynomial over an ordered subset of the canonical variables.
 
     ``array`` holds the coefficients densely, one axis per variable of
-    ``vars``. The constructor also takes a dict from exponent tuples to
-    coefficients. It rejects a non-finite coefficient, naming its exponent.
+    ``vars``: entry e is the coefficient of the monomial with exponents e.
+    The constructor takes that array only, and rejects a non-finite
+    coefficient, naming its exponent.
     """
 
     __slots__ = ("vars", "array")
 
     def __init__(self, vars_: Iterable[Var], coeffs):
         vars_ = tuple(vars_)
-        if isinstance(coeffs, dict):
-            for e in coeffs:
-                if len(e) != len(vars_):
-                    raise ValueError(f"exponent tuple {e} does not match vars {vars_}")
-            a = np.zeros([max((e[i] for e in coeffs), default=0) + 1
-                          for i in range(len(vars_))])
-            for e, c in coeffs.items():
-                a[tuple(e)] = c
-        else:
-            a = np.asarray(coeffs, dtype=float)
-            if a.ndim != len(vars_):
-                raise ValueError(f"coefficient array of shape {a.shape} does not "
-                                 f"match vars {vars_}")
+        a = np.asarray(coeffs, dtype=float)
+        if a.ndim != len(vars_):
+            raise ValueError(f"coefficient array of shape {a.shape} does not "
+                             f"match vars {vars_}")
         if not np.isfinite(a).all():
             e = tuple(np.argwhere(~np.isfinite(a))[0].tolist())
             raise ValueError(f"non-finite coefficient {a[e]} at exponent {e}")
@@ -94,17 +86,6 @@ class TruncatedSeries:
     def zero(vars_: Iterable[Var] = ()) -> TruncatedSeries:
         vs = _canonical_vars(vars_)
         return TruncatedSeries(vs, np.zeros((1,) * len(vs)))
-
-    @staticmethod
-    def constant(c: float) -> TruncatedSeries:
-        return TruncatedSeries((), np.array(float(c)))
-
-    @staticmethod
-    def monomial(exps: Mapping[Var, int], coeff: float = 1.0) -> TruncatedSeries:
-        vs = _canonical_vars(exps.keys())
-        a = np.zeros([exps[v] + 1 for v in vs])
-        a[tuple(exps[v] for v in vs)] = coeff
-        return TruncatedSeries(vs, a)
 
     # -- structure ---------------------------------------------------------
 
@@ -494,13 +475,6 @@ class SeparableSum:
 
     def is_zero(self) -> bool:
         return all(t.scale == 0.0 for t in self.terms)
-
-    def is_polynomial(self) -> bool:
-        return all(
-            isinstance(f, (Polynomial, Constant))
-            for t in self.terms
-            for f in t.factors
-        )
 
     # -- algebra -----------------------------------------------------------
 

@@ -34,6 +34,15 @@ def col_array(keys) -> np.ndarray:
                     dtype=np.int64).reshape(-1, 4)
 
 
+def series_from(vars_, coeffs: dict) -> TruncatedSeries:
+    """The series over ``vars_`` with the {exponent tuple: coefficient}
+    entries of ``coeffs`` and zeros elsewhere; () keys a constant."""
+    a = np.zeros([max((e[i] for e in coeffs), default=0) + 1 for i in range(len(vars_))])
+    for e, c in coeffs.items():
+        a[tuple(e)] = c
+    return TruncatedSeries(tuple(vars_), a)
+
+
 def duplicated_column_system(system: LinearSystem, j: int) -> LinearSystem:
     """`system` with column j appended again, under the same key: rank-deficient."""
     j %= system.A.shape[1]

@@ -12,7 +12,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from conftest import FULL, coeff_vector, optimality_check
+from conftest import FULL, coeff_vector, optimality_check, series_from
 from continuum_kernels.closed_form import NotApplicable, solve_closed_form
 from continuum_kernels.fd_kernels import TriGrid, refine_study, \
     solve_characteristics
@@ -21,7 +21,7 @@ from continuum_kernels.gains import (continuum_residual, diff_solutions,
 from continuum_kernels.params import sample_continuum
 from continuum_kernels.power_series import (SolverConfig, assemble,
                                             count_unknowns, solve_ls)
-from continuum_kernels.series import TruncatedSeries, Var
+from continuum_kernels.series import Var
 from continuum_kernels.simulate import SimConfig, Simulator
 
 X, XI, Y = Var.X, Var.XI, Var.Y
@@ -167,9 +167,8 @@ def test_c4_least_squares_optimality(solve_cache, example1):
                 k_coeffs[(0, b, 1)] = -cb
             if b + 2 <= N:
                 k_coeffs[(0, b, 2)] = cb
-        k_ref = TruncatedSeries((X, XI, Y), k_coeffs)
-        kb_ref = TruncatedSeries.constant(
-            35.0 / (2.0 * math.pi ** 2)).align_to((X, XI))
+        k_ref = series_from((X, XI, Y), k_coeffs)
+        kb_ref = series_from((X, XI), {(0, 0): 35.0 / (2.0 * math.pi ** 2)})
         ref = coeff_vector(system, k_ref, kb_ref)
         ok = optimality_check(system, sol.x, ref, slack=1e-10)
         r_ref = float(np.linalg.norm(system.A @ ref - system.b))

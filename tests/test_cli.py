@@ -249,10 +249,12 @@ class TestFitQ:
 
     @pytest.mark.parametrize("data, degree", [
         ("[1, NaN, 3, 4]", "2"), ("[1, Infinity, 3, 4]", "2"), ("[1, 2, 3, 4]", "-1"),
-        ("[[1, 2], [3, 4], [5, 6]]", "1"), ("5", "0"), ('{"a": 1}', "1")])
+        ("[[1, 2], [3, 4], [5, 6]]", "1"), ("5", "0"), ('{"a": 1}', "1"),
+        ("[true, 1, 2]", "1"), ('[1, "2", 3]', "1")])
     def test_bad_fit_exits_1(self, tmp_path, capsys, data, degree):
-        # these used to exit 0 with NaN coefficients or an empty fit, or die
-        # with a TypeError traceback on data that is not a flat array
+        # these used to exit 0 with NaN coefficients or an empty fit, die
+        # with a TypeError traceback on data that is not a flat array, or
+        # fit [true, 1, 2] as [1, 1, 2]
         out = tmp_path / "f.json"
         assert run(["fit-q", "--data", data, "--degree", degree,
                     "--out", str(out)]) == 1

@@ -235,7 +235,8 @@ class TestPipeline:
         # independent route: the least-squares series solution of the same
         # problem must converge to the explicit kernels
         from continuum_kernels.gains import diff_solutions, gains
-        from continuum_kernels.power_series import SolverConfig, solve
+        from continuum_kernels.power_series import (SolverConfig, assemble,
+                                                    solve_ls)
 
         lam = SeparableSum([SeparableTerm(1.0, []),
                             SeparableTerm(0.5, [Polynomial(Y, [0, 1])])])
@@ -246,7 +247,7 @@ class TestPipeline:
         )
         kern = solve_closed_form(p)
         assert not isinstance(kern, NotApplicable)
-        sol = solve(p, SolverConfig(N=16))
+        sol = solve_ls(assemble(p, SolverConfig(N=16)))
         grid = np.linspace(0, 1, 41)
         d = diff_solutions(gains(sol, grid, grid), gains(kern, grid, grid))
         assert d < 1e-4, d

@@ -16,7 +16,7 @@ from continuum_kernels.gains import (GainTable, _sampled_kernels,
                                      sample_gains, write_gain_csv)
 from continuum_kernels.params import load_problem
 from continuum_kernels.power_series import (PsKernelSolution, SolverConfig,
-                                            solve)
+                                            assemble, solve_ls)
 from continuum_kernels.series import SeparableSum, SeparableTerm, Var
 
 X, XI, Y, ETA = Var.X, Var.XI, Var.Y, Var.ETA
@@ -37,7 +37,7 @@ class TestGains:
         assert t.kbar[0] == pytest.approx(35.0 / (2 * math.pi ** 2))
 
     def test_zero_solution_zero_table(self, zero_problem):
-        sol = solve(zero_problem.continuum, SolverConfig(N=3))
+        sol = solve_ls(assemble(zero_problem.continuum, SolverConfig(N=3)))
         t = gains(sol)
         assert np.all(t.k == 0.0) and np.all(t.kbar == 0.0)
 
@@ -103,7 +103,7 @@ class TestDiffSolutions:
 
 class TestContinuumResidual:
     def test_zero_kernel_violates_diag_bc(self, example1, zero_problem):
-        zero_sol = solve(zero_problem.continuum, SolverConfig(N=6))
+        zero_sol = solve_ls(assemble(zero_problem.continuum, SolverConfig(N=6)))
         res = continuum_residual(zero_sol, example1.continuum)
         # both PDEs hold trivially at zero; the diagonal data does not
         assert res["bc_diag"] > 1e-2
@@ -196,6 +196,15 @@ class TestLargescaleResidual:
         assert r128["pde_k"] < r32["pde_k"]
         assert r128["pde_kbar"] < r32["pde_kbar"]
         assert r128["bc_diag"] == 0.0
+
+    def test_coarse_reference_grid(self, example2):
+        # below m = 5 the centered-difference interior is empty; numpy's
+        # "zero-size array" error used to be all a caller got
+        ls = example2.large_scale()
+        with pytest.raises(ValueError, match="m >= 5"):
+            largescale_residual(solve_characteristics(ls, TriGrid(4)), ls)
+        r = largescale_residual(solve_characteristics(ls, TriGrid(5)), ls)
+        assert np.isfinite(list(r.values())).all()
 
     def test_sampled_series_plateau(self, example2, solve_cache):
         # sampled ensemble kernels approximate the n+1 equations up to the

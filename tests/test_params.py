@@ -155,7 +155,7 @@ class TestFitQ:
         fit = fit_q(data, 2, points=ys)
         np.testing.assert_allclose(fit.coeffs, oracle, atol=1e-10)
         # fitted curve stays within the data band
-        curve = fit(ys)
+        curve = fit.as_sum().eval1(Y, ys)
         assert np.abs(curve - data).max() < 0.1
 
     def test_interpolation_at_full_degree(self):
@@ -274,6 +274,18 @@ class TestConfigLoading:
         ("mu", {"terms": [{"factors": [{"kind": "poly", "var": "x",
                                         "coeffs": 5}]}]},
          r"mu\.terms\[0\]\.factors\[0\]\.coeffs: expected an array"),
+        # float() read true as 1.0 and false as 0.0: a false scale silently
+        # zeroed its coupling
+        ("lambda", True, r"\.lambda: expected a number, got True"),
+        ("sigma", {"terms": [{"scale": False, "factors": []}]},
+         r"sigma\.terms\[0\]\.scale: expected a number, got False"),
+        ("mu", {"terms": [{"factors": [{"kind": "poly", "var": "x",
+                                        "coeffs": [1.0, True]}]}]},
+         r"mu\.terms\[0\]\.factors\[0\]\.coeffs\[1\]: expected a number"),
+        ("theta", {"terms": [{"factors": [{"kind": "exp", "var": "x",
+                                           "rate": False}]}]},
+         r"theta\.terms\[0\]\.factors\[0\]\.rate: expected a number"),
+        ("q", {"data": [0.1, True, 0.4, 0.8]}, r"q\.data\[1\]: expected a number"),
     ])
     def test_misread_values_rejected(self, field, value, match):
         # int() floored 2.7 to 2 and read true as 1, and any points string

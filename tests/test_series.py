@@ -6,6 +6,7 @@ import scipy.integrate
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from conftest import series_from
 from continuum_kernels.series import (MAX_PANELS, Constant, Cos, Exp,
                                       Polynomial, SeparableSum, SeparableTerm,
                                       Sin, TruncatedSeries, Var, integrate01)
@@ -32,10 +33,15 @@ def outer_product_eval(s: TruncatedSeries, grids: dict) -> np.ndarray:
 
 
 def series(var_exps: dict) -> TruncatedSeries:
+    """A sum of monomials, each keyed by its (variable, exponent) pairs."""
     out = TruncatedSeries.zero()
     for exps, c in var_exps.items():
-        out = out + TruncatedSeries.monomial(dict(exps), c)
+        out = out + series_from([v for v, _ in exps], {tuple(e for _, e in exps): c})
     return out
+
+
+def constant(c: float) -> TruncatedSeries:
+    return series_from((), {(): c})
 
 
 class TestTaylor:
@@ -82,13 +88,13 @@ class TestConstruction:
     @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
     def test_non_finite_coefficient_rejected(self, bad):
         with pytest.raises(ValueError, match="non-finite"):
-            TruncatedSeries((X, Y), {(0, 0): 1.0, (1, 2): bad})
+            series_from((X, Y), {(0, 0): 1.0, (1, 2): bad})
 
 
 class TestRingOps:
     def test_add_cancels(self):
-        one_plus = series({((X, 1),): 1.0}) + TruncatedSeries.constant(1.0)
-        one_minus = TruncatedSeries.constant(1.0) - series({((X, 1),): 1.0})
+        one_plus = series({((X, 1),): 1.0}) + constant(1.0)
+        one_minus = constant(1.0) - series({((X, 1),): 1.0})
         out = one_plus + one_minus
         assert out.coeffs == {(0,): 2.0}
         assert at(out, {X: 0.7}) == pytest.approx(2.0)
@@ -103,13 +109,13 @@ class TestRingOps:
         assert s.coeffs == {(1, 0): 1.0, (0, 1): 1.0}
 
     def test_mul_difference_of_squares(self):
-        a = TruncatedSeries.constant(1.0) + series({((X, 1),): 1.0})
-        b = TruncatedSeries.constant(1.0) - series({((X, 1),): 1.0})
+        a = constant(1.0) + series({((X, 1),): 1.0})
+        b = constant(1.0) - series({((X, 1),): 1.0})
         assert (a * b).coeffs == {(0,): 1.0, (2,): -1.0}
 
     def test_mul_identity(self):
         s = series({((X, 2), (XI, 1)): 2.5, ((Y, 3),): -1.0})
-        assert (TruncatedSeries.constant(1.0) * s) == s
+        assert (constant(1.0) * s) == s
 
     def test_mul_xy(self):
         a = series({((X, 1),): 1.0}) + series({((Y, 1),): 1.0})
@@ -157,7 +163,7 @@ class TestCalculus:
         assert s.rename(XI, X).coeffs == {(2, 1): 1.0, (2, 0): 1.0}
 
     def test_substitute_diag_constant(self):
-        s = TruncatedSeries.constant(4.0)
+        s = constant(4.0)
         assert s.rename(XI, X).coeffs == {(): 4.0}
 
     def test_substitute_value(self):
@@ -173,7 +179,7 @@ class TestCalculus:
 
 class TestEval:
     def test_parabola_root(self):
-        s = TruncatedSeries.constant(1.0) - series({((X, 2),): 1.0})
+        s = constant(1.0) - series({((X, 2),): 1.0})
         assert at(s, {X: 1.0}) == pytest.approx(0.0, abs=1e-15)
 
     def test_quadratic_midpoint(self):
@@ -184,7 +190,7 @@ class TestEval:
 
     def test_constant_everywhere(self):
         c = 35.0 / (2.0 * math.pi ** 2)
-        s = TruncatedSeries.constant(c)
+        s = constant(c)
         for y in (0.0, 0.3, 1.0):
             assert at(s, {Y: y}) == pytest.approx(1.7731207137, rel=1e-9)
 
@@ -194,7 +200,7 @@ class TestEval:
             s.eval_grid({X: [1.0]})
 
     @pytest.mark.parametrize("s, vars_", [
-        (TruncatedSeries.zero(), ()), (TruncatedSeries.constant(2.5), ()),
+        (TruncatedSeries.zero(), ()), (constant(2.5), ()),
         (TruncatedSeries.zero((X, Y)), (X, Y)), (series({((XI, 2),): 3.0}), (XI,))])
     def test_empty_and_constant_series(self, s, vars_):
         grids = {X: np.array([0.3]), XI: np.array([0.5, 2.0]), Y: np.array([1.0])}
@@ -231,7 +237,7 @@ def sparse_series(int_coeffs=True, max_degree=5, max_terms=6):
             merged: dict = {}
             for v, e in exps:
                 merged[v] = merged.get(v, 0) + e
-            out = out + TruncatedSeries.monomial(merged, float(c))
+            out = out + series_from(list(merged), {tuple(merged.values()): float(c)})
         return out
     return st.lists(term, max_size=max_terms).map(build)
 
@@ -327,6 +333,12 @@ class TestIntegrate01:
         (np.exp, math.e - 1.0)])
     def test_exact_values(self, f, exact):
         assert integrate01(f, 1e-12) == pytest.approx(exact, rel=0, abs=4e-16)
+
+    def test_monomials_to_degree_100(self):
+        # the closed form's polynomial y-integrals rest on this alone
+        for d in range(101):
+            assert integrate01(lambda t: t ** d, 1e-12) == pytest.approx(
+                1.0 / (d + 1), rel=1e-14, abs=0)
 
     def test_divergent_integrand_raises(self):
         # the rule gives 1/t the same value on every [0, h], and the two

@@ -82,13 +82,13 @@ class TestInvariants:
 
 def sample_gains_for(ls, m=48):
     # cheap stabilizing-ish table from a low-order ensemble solve
-    from continuum_kernels.power_series import SolverConfig, solve
+    from continuum_kernels.power_series import SolverConfig, assemble, solve_ls
 
     prob_gains = getattr(sample_gains_for, "_cache", {})
     key = (ls.n, m)
     if key not in prob_gains:
         from continuum_kernels.params import load_problem
-        sol = solve(load_problem("example2").continuum, SolverConfig(N=8))
+        sol = solve_ls(assemble(load_problem("example2").continuum, SolverConfig(N=8)))
         prob_gains[key] = sample_gains(sol, ls.n,
                                        grid_xi=np.linspace(0, 1, m))
         sample_gains_for._cache = prob_gains
@@ -340,9 +340,9 @@ def oracle_case(name, example2):
         return (SimConfig(n=10, m_x=48, t_final=1.0), ls,
                 scaled(sample_gains_for(ls), -100.0))
     if name == "offset-1":
-        from continuum_kernels.power_series import SolverConfig, solve
+        from continuum_kernels.power_series import SolverConfig, assemble, solve_ls
         ls = sample_continuum(example2.continuum, 10, -1.0)
-        sol = solve(example2.continuum, SolverConfig(N=8))
+        sol = solve_ls(assemble(example2.continuum, SolverConfig(N=8)))
         table = sample_gains(sol, 10, grid_xi=np.linspace(0, 1, 48),
                              offset=-1.0)
         return SimConfig(n=10, m_x=48, t_final=1.0), ls, table
