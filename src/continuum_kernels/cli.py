@@ -281,15 +281,14 @@ def _sim_gains(args, problem: Problem, ls) -> GainTable | None:
     if args.gains:
         table = read_gain_csv(args.gains)
         ys = ls.y_points()
-        per_component = table.sampled and len(table.grid_y) == ls.n
-        if per_component and not np.allclose(table.grid_y, ys, rtol=0,
-                                             atol=1e-12):
+        if table.sampled:   # a per-component table must sit at the components
+            if len(table.grid_y) == ls.n and np.allclose(table.grid_y, ys,
+                                                         rtol=0, atol=1e-12):
+                return table
             raise ConfigError(
-                f"gain table {args.gains} is sampled at y = "
-                f"{np.array2string(table.grid_y)}, but the problem's "
-                f"components sit at y = {np.array2string(ys)}")
-        if per_component:
-            return table
+                f"gain table {args.gains} is sampled at {len(table.grid_y)} "
+                f"points y = {np.array2string(table.grid_y)}, but the problem's "
+                f"{ls.n} components sit at y = {np.array2string(ys)}")
         # ensemble table: resample rows at the component points
         k = np.array([np.interp(ys, table.grid_y, c) for c in table.k.T]).T
         return GainTable(grid_xi=table.grid_xi, grid_y=ys, k=k,

@@ -122,10 +122,7 @@ class SeparableProblem:
             return NotApplicable("lambda depends on x; constant-in-x lambda required")
         lam_y = p.lam
         lam_const = float(p.lam({})) if not p.lam.vars() else None
-        if lam_const is not None:
-            if lam_const <= 0:
-                return NotApplicable("lambda must be positive")
-        elif float(lam_y.eval1(Var.Y, np.linspace(0, 1, GRID_Y)).min()) <= 0:
+        if float(_eval1(lam_y, np.linspace(0, 1, GRID_Y)).min()) <= 0:
             return NotApplicable("lambda must be positive on [0,1]")
 
         def split(param: SeparableSum, name: str, slots: tuple[Var, ...]):
@@ -284,18 +281,6 @@ def build_f(p: SeparableProblem, c_x: float, kappa: float
     _require_y_constant(fgrid, "f")
     log_coef = float(ratio.mean())
 
-    Jw = p.weighted_integral(p.W_y, p.theta_y)
-    lhs = kappa * _eval1(p.sigma_x.diff(Var.X), xs) + log_coef * (
-        _eval1(ddtheta, xs) * tx - _eval1(dtheta, xs) ** 2) / tx ** 2
-    rhs = _eval1(p.W_x, xs) * tx * Jw
-    resid = float(np.abs(lhs - rhs).max())
-    scale = max(1.0, float(np.abs(lhs).max()), float(np.abs(rhs).max()))
-    if resid > TOL_CONST * scale:
-        raise ClosedFormError(
-            f"closed form not applicable: derivative compatibility condition "
-            f"fails with residual {resid:.3g}"
-        )
-
     def f(xi):
         xi = np.asarray(xi, dtype=float)
         txv = _eval1(p.theta_x, xi)
@@ -309,6 +294,15 @@ def build_f(p: SeparableProblem, c_x: float, kappa: float
                 + log_coef * (_eval1(ddtheta, xi) * txv
                               - _eval1(dtheta, xi) ** 2) / txv ** 2)
 
+    lhs = fprime(xs)
+    rhs = _eval1(p.W_x, xs) * tx * p.weighted_integral(p.W_y, p.theta_y)
+    resid = float(np.abs(lhs - rhs).max())
+    scale = max(1.0, float(np.abs(lhs).max()), float(np.abs(rhs).max()))
+    if resid > TOL_CONST * scale:
+        raise ClosedFormError(
+            f"closed form not applicable: derivative compatibility condition "
+            f"fails with residual {resid:.3g}"
+        )
     return f, fprime
 
 

@@ -9,7 +9,9 @@ from the level below and its sources taken from the values just computed,
 solves the discrete equations; a second sweep certifies the answer by
 reproducing it (sup change 0). Source integrals use the rectangle rule at
 the upstream point and off-grid values linear interpolation, so the scheme
-converges at first order in the mesh width.
+converges at first order in the mesh width. The equations and their 1/n
+weight come from ``GridParams.sources``, ``diag_bc`` and ``left_bc``, shared
+with the n+1 residual of ``gains``.
 """
 
 from __future__ import annotations
@@ -19,7 +21,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .params import LargeScaleParams, _contract
+from .params import LargeScaleParams
 
 __all__ = ["TriGrid", "LsKernelSolution", "ConvergenceError",
            "solve_characteristics", "refine_study", "RefineReport"]
@@ -183,23 +185,11 @@ def solve_characteristics(ls: LargeScaleParams, grid: TriGrid | None = None,
     xs = grid.nodes()
 
     g = ls.on_grid(xs)
-    lam, dlam, mu, dmu, TH, WW, q = g.lam, g.dlam, g.mu, g.dmu, g.theta, g.W, g.q
-    diag_bc = -TH / (lam + mu[None, :])                           # (n, m+1)
-    st = _Stencils(lam, mu, diag_bc, xs, h)
+    mu, dmu, TH, WW, diag_bc = g.mu, g.dmu, g.theta, g.W, g.diag_bc
+    st = _Stencils(g.lam, mu, diag_bc, xs, h)
     c = h / mu[:-1]                     # rectangle rule from level a-1
-    q_left = q * lam[:, 0] / (n * mu[0])
     # the diagonal sources S[:n, a, a] but for their TH * K[n, a, a] part
-    D = g.couple_kernel(diag_bc) / n + dlam * diag_bc
-
-    def sources(Ka):
-        """Sources S[:, a, :b] from the kernels Ka = K[a, :, :b] of level a:
-        S[:n] drives the family, S[n] the counter kernel."""
-        b = Ka.shape[1]
-        S = np.empty_like(Ka)
-        S[:n] = _contract(g.sigma_y, g.sigma_eta, g.sigma_x[:, :b], Ka[:n]) / n
-        S[:n] += dlam[:, :b] * Ka[:n] + TH[:, :b] * Ka[n]
-        S[n] = -dmu[:b] * Ka[n] + np.einsum("jb,jb->b", WW[:, :b], Ka[:n]) / n
-        return S
+    D = g.sources(np.vstack((diag_bc, np.zeros(m + 1))))[:n]
 
     t1 = time.perf_counter()
     K = np.zeros((m + 1, n + 1, m + 1))             # K[a, i, b], level-major
@@ -213,8 +203,8 @@ def solve_characteristics(ls: LargeScaleParams, grid: TriGrid | None = None,
         # level 0 is the corner x = xi = 0, boundary data alone
         old = K[0, :, 0].copy()
         K[0, :n, 0] = diag_bc[:, 0]
-        K[0, n, 0] = q_left @ diag_bc[:, 0]
-        S[:, :1] = sources(K[0, :, :1])
+        K[0, n, 0] = g.left_bc(diag_bc[:, 0])
+        S[:, :1] = g.sources(K[0, :, :1])
         S_diag[:, 0], S_left[0] = S[:n, 0], S[n, 0]
         change = float(np.abs(K[0, :, 0] - old).max())
         for a in range(1, m + 1):
@@ -233,7 +223,8 @@ def solve_characteristics(ls: LargeScaleParams, grid: TriGrid | None = None,
             Ka[st.d_node[j]] = st.d_k[j] + st.d_c[j] * (Sd[lo] * st.d_w1[j]
                                                         + Sd[1:][lo] * st.d_w[j])
             # 4. the xi = 0 boundary value; 5. its source
-            K[a, n, 0] = q_left @ K[a, :n, 0]
+            K[a, n, 0] = g.left_bc(K[a, :n, 0])
+            # written out: a g.sources call here made the march 10-20 % slower
             S_left[a] = -dmu[0] * K[a, n, 0] + WW[:, 0] @ K[a, :n, 0] / n
             # 6. counter nodes that cross xi = 0
             j = slice(st.z_starts[a], st.z_starts[a + 1])
@@ -242,7 +233,7 @@ def solve_characteristics(ls: LargeScaleParams, grid: TriGrid | None = None,
                 Ka[st.z_node[j]] = (np.interp(x0, xs, left)
                                     + st.z_c[j] * np.interp(x0, xs, S_left))
             # 7. the source row the next level reads
-            S[:, :a + 1] = sources(K[a, :, :a + 1])
+            S[:, :a + 1] = g.sources(K[a, :, :a + 1])
             change = max(change, float(np.abs(K[a, :, :a + 1] - old).max()))
         history.append(change)
         if change < tol:

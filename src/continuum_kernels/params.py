@@ -155,12 +155,12 @@ class GridParams:
     W_x: np.ndarray        # (r, m)
     W_y: np.ndarray        # (r, n)
 
-    @property
+    @cached_property
     def theta(self) -> np.ndarray:
         """The dense (n, m) table of theta_i(x)."""
         return self.theta_y.T @ self.theta_x
 
-    @property
+    @cached_property
     def W(self) -> np.ndarray:
         """The dense (n, m) table of W_i(x)."""
         return self.W_y.T @ self.W_x
@@ -184,10 +184,35 @@ class GridParams:
         np.matmul(spread, z, out=out)
         return np.einsum("tx,tx->x", self.theta_x, s[r:])
 
-    def couple_kernel(self, K: np.ndarray) -> np.ndarray:
-        """sum_j sigma_ji K_j, the kernel equations' coupling; ``K`` is
-        (n, ..., m) with sigma evaluated on its last axis."""
-        return _contract(self.sigma_y, self.sigma_eta, self.sigma_x, K)
+    # The n+1 kernel equations, the 1/n weight of their sums included:
+    # mu(x) K_i,x - lam_i(xi) K_i,xi = sources(K)_i, K_i(x, x) = diag_bc_i(x) for
+    # i < n; mu(x) K_n,x + mu(xi) K_n,xi = sources(K)_n, K_n(x, 0) = left_bc(K_:n(x, 0)).
+    def sources(self, K: np.ndarray) -> np.ndarray:
+        """Row i < n is sum_j sigma_ji K_j / n + dlam_i K_i + theta_i K_n, row
+        n is -dmu K_n + sum_j W_j K_j / n, for K (n+1, ..., b) with the
+        parameters at the first b grid nodes along its last axis."""
+        n, b = len(self.lam), K.shape[-1]
+        shape = (n,) + (1,) * (K.ndim - 2) + (b,)
+        S = np.empty_like(K)
+        S[:n] = _contract(self.sigma_y, self.sigma_eta, self.sigma_x[:, :b], K[:n]) / n
+        S[:n] += (self.dlam[:, :b].reshape(shape) * K[:n]
+                  + self.theta[:, :b].reshape(shape) * K[n])
+        S[n] = -self.dmu[:b] * K[n] + np.einsum(
+            "j...b,j...b->...b", self.W[:, :b].reshape(shape), K[:n]) / n
+        return S
+
+    @cached_property
+    def diag_bc(self) -> np.ndarray:
+        """K_i(x, x) = -theta_i(x) / (lam_i(x) + mu(x)), (n, m)."""
+        return -self.theta / (self.lam + self.mu[None, :])
+
+    @cached_property
+    def _left_weights(self) -> np.ndarray:
+        return self.q * self.lam[:, 0] / (len(self.q) * self.mu[0])
+
+    def left_bc(self, K_fam: np.ndarray) -> np.ndarray:
+        """sum_i q_i lam_i(0) K_fam[i] / (n mu(0)) for K_fam (n,) or (n, k)."""
+        return self._left_weights @ K_fam
 
 
 def _contract(out_f: np.ndarray, sum_f: np.ndarray, a: np.ndarray,

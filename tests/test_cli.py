@@ -208,6 +208,17 @@ class TestClosedForm:
         assert not report["applicable"]
         assert "c_y" in report["reason"]
 
+    def test_non_positive_lambda_exit_2(self, tmp_path):
+        cfg = {"lambda": {"terms": [{"scale": 1.0, "factors": [
+                   {"var": "y", "kind": "poly", "coeffs": [0.5, -1.0]}]}]},
+               "mu": 1.0, "sigma": 0.0, "theta": 1.0, "w": 0.0, "q": 0.0}
+        path = tmp_path / "slow.json"
+        path.write_text(json.dumps(cfg))
+        assert run(["closed-form", "--config", str(path),
+                    "--out-prefix", str(tmp_path / "r")]) == 2
+        report = json.loads((tmp_path / "r_report.json").read_text())
+        assert "lambda must be positive" in report["reason"]
+
     def test_proportional_toy_succeeds(self, tmp_path):
         cfg = {
             "name": "toy", "lambda": 1.0, "mu": 1.0,
@@ -357,6 +368,24 @@ class TestSimulate:
         err = capsys.readouterr().err
         assert "y = [0.  0.1" in err and "y = [0.1 0.2" in err
         assert not (tmp_path / "s_sim.csv").exists()
+
+    def test_gains_sampled_for_another_n_rejected(self, tmp_path, capsys):
+        # an n = 10 table used to be interpolated onto the n = 20 components,
+        # holding its y = 0.1 row down to y = 0.05, and exit 0
+        assert run(["ls-kernels", "--config", "example2", "--m", "16",
+                    "--out-prefix", str(tmp_path / "g")]) == 0
+        args = ["simulate", "--config", "example2", "--n", "20", "--mx", "32",
+                "--t-final", "0.1", "--out-prefix", str(tmp_path / "s")]
+        assert run(args + ["--gains", str(tmp_path / "g_gains.csv")]) == 1
+        err = capsys.readouterr().err
+        assert "10 points y = [0.1 0.2" in err
+        assert "20 components sit at y = [0.05 0.1" in err
+        assert not (tmp_path / "s_sim.csv").exists()
+        # an ensemble table is still resampled at the components
+        assert run(["solve", "--config", "example2", "--order", "4",
+                    "--out-prefix", str(tmp_path / "e")]) == 0
+        assert not read_gain_csv(tmp_path / "e_gains.csv").sampled
+        assert run(args + ["--gains", str(tmp_path / "e_gains.csv")]) == 0
 
     def test_simulation_csv_as_gains_exits_1(self, tmp_path, capsys):
         # used to die with an IndexError traceback in read_gain_csv

@@ -216,6 +216,22 @@ class TestPipeline:
         assert isinstance(out, NotApplicable)
         assert re.search(reason, out.reason)
 
+    @pytest.mark.parametrize("lam, mu, reason", [
+        (0.0, 1.0, "lambda must be positive"),
+        (-1.0, 1.0, "lambda must be positive"),
+        # positive at y = 0, zero at y = 1 and negative past y = 0.5
+        (SeparableSum.poly(Y, [1.0, -1.0]), 1.0, "lambda must be positive"),
+        (SeparableSum.poly(Y, [0.5, -1.0]), 1.0, "lambda must be positive"),
+        (1.0, 0.0, "mu must be positive"),
+        (1.0, -2.0, "mu must be positive")],
+        ids=["lam0", "lam-neg", "lam-y-zero", "lam-y-neg", "mu0", "mu-neg"])
+    def test_non_positive_speed_not_applicable(self, lam, mu, reason):
+        p = make_continuum(lam=lam, mu=mu,
+                           theta=product(1.0, Polynomial(X, [1, 1]), Polynomial(Y, [1, 1])))
+        out = solve_closed_form(p)
+        assert isinstance(out, NotApplicable)
+        assert reason in out.reason
+
     def test_general_path_with_varying_lambda(self):
         # y-varying speeds, constant theta_x, no in-family coupling
         lam = SeparableSum([SeparableTerm(1.0, []),

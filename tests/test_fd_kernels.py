@@ -10,6 +10,7 @@ from continuum_kernels.fd_kernels import (ConvergenceError, TriGrid,
                                           solve_characteristics)
 from continuum_kernels.params import (load_problem, parse_problem_dict,
                                       sample_continuum)
+from continuum_kernels.series import Var
 
 
 def decoupled_problem(theta_scale=0.0):
@@ -59,12 +60,18 @@ def per_level_sweeps(ls, grid, tol=1e-10, max_iter=200):
     lam, dlam, mu, dmu, TH, WW, q = g.lam, g.dlam, g.mu, g.dmu, g.theta, g.W, g.q
     lam0 = lam[:, 0]
     diag_bc = -TH / (lam + mu[None, :])
+    # sig[j, i, b] = sigma(x_b, eta=y_j, y=y_i), so row i of the coupling
+    # is sum_j sig[j, i] K_j / n
+    ys = ls.y_points()
+    sig = np.broadcast_to(ls.template.sigma(
+        {Var.X: xs, Var.ETA: ys[:, None, None], Var.Y: ys[None, :, None]}),
+        (n, n, m + 1))
     mu_of = lambda t: np.interp(t, xs, mu)
 
     K = np.zeros((n + 1, m + 1, m + 1))
     deltas = []
     while len(deltas) < max_iter:
-        S = g.couple_kernel(K[:n]) / n
+        S = np.einsum("jib,jab->iab", sig, K[:n]) / n
         S += dlam[:, None, :] * K[:n] + TH[:, None, :] * K[n][None]
         Sb = -dmu[None, :] * K[n] + np.einsum("jb,jab->ab", WW, K[:n]) / n
 

@@ -508,23 +508,32 @@ def assert_close_to(got, want, scale):
     assert np.abs(got - want).max() <= 1e-12 * max(scale.max(), 1e-300)
 
 
-@given(sigma=separable_sum(), n=st.integers(1, 6), m=st.integers(2, 9),
+# lam = (1 + x)(1 + y) and mu = 2 - x: every term of the kernel equations'
+# sources and boundary data is then nonzero
+_LAM = SeparableSum([SeparableTerm(1.0, [Polynomial(Var.X, [1.0, 1.0]),
+                                         Polynomial(Var.Y, [1.0, 1.0])])])
+_MU = SeparableSum([SeparableTerm(1.0, [Polynomial(Var.X, [2.0, -1.0])])])
+
+
+@given(sigma=separable_sum(), theta=separable_sum((Var.X, Var.Y)),
+       W=separable_sum((Var.X, Var.Y)), q=separable_sum((Var.Y,)),
+       n=st.integers(1, 6), m=st.integers(2, 9), data=st.data(),
        offset=st.sampled_from((0.0, -1.0)), seed=st.integers(0, 2 ** 32 - 1))
 @example(sigma=SeparableSum([SeparableTerm(0.99999, []),
                              SeparableTerm(-1.0, [])]),
-         n=1, m=2, offset=0.0, seed=0)
+         theta=SeparableSum.zero(), W=SeparableSum.zero(),
+         q=SeparableSum.zero(), n=1, m=2, data=None, offset=0.0, seed=0)
 @settings(max_examples=60, deadline=None)
-def test_factored_coupling_matches_dense(sigma, n, m, offset, seed):
-    one, zero = SeparableSum.constant(1.0), SeparableSum.zero()
-    p = ContinuumParams(lam=one, mu=one, sigma=sigma, theta=zero, W=zero,
-                        q=zero)
+def test_factored_coupling_matches_dense(sigma, theta, W, q, n, m, data,
+                                         offset, seed):
+    p = ContinuumParams(lam=_LAM, mu=_MU, sigma=sigma, theta=theta, W=W, q=q)
     ls = sample_continuum(p, n, offset)
-    xs = np.linspace(0.0, 1.0, m)
+    xs, ys = np.linspace(0.0, 1.0, m), ls.y_points()
     g = ls.on_grid(xs)
-    sig = dense_sigma(sigma, ls.y_points(), xs)                 # [i, j, x]
+    sig = dense_sigma(sigma, ys, xs)                            # [i, j, x]
     # the factored sums add the terms one by one, so their roundoff scales
     # with sum_t |sigma_t|, which cancelling terms keep above |sigma|
-    mag = sum(np.abs(dense_sigma(SeparableSum([t]), ls.y_points(), xs))
+    mag = sum(np.abs(dense_sigma(SeparableSum([t]), ys, xs))
               for t in sigma.terms)
     rng = np.random.default_rng(seed)
     u = rng.normal(size=(n, m))
@@ -532,9 +541,32 @@ def test_factored_coupling_matches_dense(sigma, n, m, offset, seed):
     g.couple_plant(u, np.zeros(m), out)
     assert_close_to(n * out, np.einsum("ijx,jx->ix", sig, u),
                     np.einsum("ijx,jx->ix", mag, np.abs(u)))
-    K = rng.normal(size=(n, 3, m))
-    assert_close_to(g.couple_kernel(K), np.einsum("jib,jab->iab", sig, K),
-                    np.einsum("jib,jab->iab", mag, np.abs(K)))
+
+    # the kernel equations' terms, on the first b nodes, with and without a
+    # middle axis
+    lam, mu = dense_rows(_LAM, ys, xs), _MU.eval1(Var.X, xs)
+    dlam, dmu = dense_rows(_LAM.diff(Var.X), ys, xs), -np.ones(m)
+    th, th_mag = dense_rows(theta, ys, xs), term_magnitude(theta, ys, xs)
+    w, w_mag = dense_rows(W, ys, xs), term_magnitude(W, ys, xs)
+    b = m if data is None else data.draw(st.integers(1, m), label="b")
+    for K in (rng.normal(size=(n + 1, 3, b)), rng.normal(size=(n + 1, b))):
+        def at(F):      # F on K's last axis, broadcast over its middle axes
+            return F[..., None, :b] if K.ndim == 3 else F[..., :b]
+        A = np.abs(K)
+        want = np.concatenate((
+            np.einsum("ji...,j...->i...", at(sig), K[:n]) / n
+            + at(dlam) * K[:n] + at(th) * K[n],
+            (-at(dmu) * K[n] + np.einsum("j...,j...->...", at(w), K[:n]) / n)[None]))
+        scale = np.concatenate((
+            np.einsum("ji...,j...->i...", at(mag), A[:n]) / n
+            + np.abs(at(dlam)) * A[:n] + at(th_mag) * A[n],
+            (A[n] + np.einsum("j...,j...->...", at(w_mag), A[:n]) / n)[None]))
+        assert_close_to(g.sources(K), want, scale)
+    assert_close_to(g.diag_bc, -th / (lam + mu), th_mag / (lam + mu))
+    ql = q.eval1(Var.Y, ys) * lam[:, 0] / (n * mu[0])
+    for K_fam in (rng.normal(size=n), rng.normal(size=(n, 4))):
+        assert_close_to(g.left_bc(K_fam), np.einsum("i,i...->...", ql, K_fam),
+                        np.einsum("i,i...->...", np.abs(ql), np.abs(K_fam)))
 
 
 def dense_rows(p, ys, xs):
