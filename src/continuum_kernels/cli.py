@@ -157,7 +157,7 @@ def cmd_solve(args, report_path) -> tuple:
         order=cfg.N, order_y=cfg.N_y, exact_q=cfg.use_exact_q,
         sigma_sign=cfg.sigma_sign, num_unknowns=sol.num_unknowns,
         num_equations=sol.num_equations, ordering=sol.ordering,
-        span_cut=sol.span_cut, wide_rows=sol.wide_rows,
+        span_cut=sol.span_cut, wide_rows=sol.wide_rows, panel_cols=sol.panel_cols,
         r_diag_ratio=sol.r_diag_ratio, nnz=int(system.A.nnz),
         residual_by_source=residual_by_source(system, sol.x),
         timing_s=stages["assemble"] + stages["solve_ls"])

@@ -158,6 +158,7 @@ class PsKernelSolution:
     span_cut: int           # widest span the panels carry
     r_diag_ratio: float     # min/max |R_jj| of the staircase QR
     wide_rows: int          # rows the staircase QR merged by tpqrt
+    panel_cols: int         # columns past their level's own, summed over the panels
 
 
 _PARAM_VARS = {"lam": (Var.X, Var.Y), "mu": (Var.X,), "theta": (Var.X, Var.Y),
@@ -363,19 +364,20 @@ def _staircase(A: scipy.sparse.csr_matrix, grading: str, exps: np.ndarray):
     return flops, cuts, level, entry, span, bounds, top, enough
 
 
-def _panel(width: int, dense: np.ndarray, nz, i0: int, i1: int, c0: int,
+def _panel(pos: np.ndarray, width: int, dense, nz, i0: int, i1: int,
            b: np.ndarray, rows: int = 0) -> np.ndarray:
-    """Fortran-ordered rows over the `width` columns from c0, with b last:
-    the dense rows (b last, zero beyond their own width), then rows i0:i1 of
-    the sparse matrix `nz` (none outside those columns) and of b, then zero
-    rows up to `rows` in all. `nz` is (row pointers, row, column, value) of
-    each nonzero, in row order."""
+    """Fortran-ordered rows over `width` columns, with b last, column j of
+    A at position pos[j]: the dense rows, `dense` = (their columns, the rows
+    with b last), then rows i0:i1 of the sparse matrix `nz` and of b, then
+    zero rows up to `rows` in all. `nz` is (row pointers, row, column,
+    value) of each nonzero, in row order."""
     ptr, row, col, val = nz
+    dcols, dense = dense
     k, j = len(dense), len(dense) + i1 - i0
     M = np.zeros((max(j, rows), width + 1), order="F")
-    M[:k, :dense.shape[1] - 1], M[:k, -1] = dense[:, :-1], dense[:, -1]
+    M[:k, pos[dcols]], M[:k, -1] = dense[:, :-1], dense[:, -1]
     lo, hi = ptr[i0], ptr[i1]
-    M[row[lo:hi] + (k - i0), col[lo:hi] - c0], M[k:j, -1] = val[lo:hi], b[i0:i1]
+    M[row[lo:hi] + (k - i0), pos[col[lo:hi]]], M[k:j, -1] = val[lo:hi], b[i0:i1]
     return M
 
 
@@ -393,18 +395,22 @@ def _staircase_qr(A: scipy.sparse.csr_matrix, b: np.ndarray, cols: np.ndarray):
     6). The columns of A are scaled to unit 2-norm and ordered by level.
     The plan, a grading and a span cut, is the one with the smallest cost
     estimate of :func:`_staircase`. Level L stacks the narrow rows carried
-    from L - 1 and the narrow rows entering there densely over its window,
-    with b as a last column, factors its columns (LAPACK geqrf) and applies
-    Q^T to the rest (ormqr). The top rows are the level's block of R; the
-    others are carried on, cut down to their R factor when they outnumber
-    their columns. The wide rows are then merged into the level's triangle
-    (tpqrt) and the same transform is applied to the block row of R and
-    their remaining columns (tpmqrt), so a level's diagonal of R is final
-    only after the merge. The merges only mix the wide rows, so past the
-    window end they stay G @ Wo, with Wo the wide rows as they entered: the
-    merge carries the small factor G, not the columns, and the block row
-    of R past its window is F @ Wo. Returns (x, grading, span cut, min/max
-    |R_jj|, wide row count). Raises np.linalg.LinAlgError, naming the rank
+    from L - 1 and the narrow rows entering there densely over its support,
+    with b as a last column: its own columns and the later ones a narrow row
+    entering at L or below touches. The rest of its window, up to the
+    furthest level those rows reach, is zero there and stays zero under
+    Q^T. It factors its columns (LAPACK geqrf) and applies Q^T to the rest
+    (ormqr). The top rows are the level's block of R; the others are carried
+    on, cut down to their R factor when they outnumber their columns. The
+    wide rows are then merged into the level's triangle (tpqrt) and the
+    same transform is applied to the block row of R, put onto the window,
+    and their remaining columns (tpmqrt), so a level's diagonal of R is
+    final only after the merge. The merges only mix the wide rows, so past
+    the window end they stay G @ Wo, with Wo the wide rows as they entered:
+    the merge carries the small factor G, not the columns, and the block
+    row of R past its window is F @ Wo. Returns (x, grading, span cut,
+    min/max |R_jj|, wide row count, support columns past their level's own
+    summed over the panels). Raises np.linalg.LinAlgError, naming the rank
     test that failed and where, when A is rank-deficient: a zero column, a
     level with fewer narrow plus wide rows than columns in every plan, a
     diagonal of R at roundoff level or a non-finite x."""
@@ -439,29 +445,41 @@ def _staircase_qr(A: scipy.sparse.csr_matrix, b: np.ndarray, cols: np.ndarray):
     lens = np.diff(A.indptr)[rows]
     ptr = np.concatenate([[0], np.cumsum(lens)])
     src = np.repeat(A.indptr[rows] - ptr[:-1], lens) + np.arange(ptr[-1])
-    cols = A.indices[src]
-    nz = (ptr, np.repeat(np.arange(len(rows)), lens), np.argsort(perm)[cols],
-          A.data[src] * (1.0 / norms)[cols])
+    acol = A.indices[src]
+    nz = (ptr, np.repeat(np.arange(len(rows)), lens), np.argsort(perm)[acol],
+          A.data[src] * (1.0 / norms)[acol])
     b = b[rows]
+    # each column's first-touch level: the lowest entry level of the narrow
+    # rows that touch it, and never above its own, so a panel has its own
+    first = np.repeat(np.arange(nl), np.diff(bounds))
+    np.minimum.at(first, nz[2][:ptr[at[nl]]], np.repeat(np.arange(nl), np.diff(ptr[at])[:nl]))
+    carry = wide = np.zeros((0, 1))
+    sup, hi, blocks, panel_cols, pos = np.arange(0), 0, [], 0, np.arange(n)
     # past the furthest window end so far, `hi`, the first w wide rows carried
     # are G @ Wo[:w]: Wo holds the wide rows as they entered
-    Wo = _panel(n, np.zeros((0, 1)), nz, at[nl], len(rows), 0, b)
+    Wo = _panel(pos, n, (sup, carry), nz, at[nl], len(rows), b)
     Wo, bo = Wo[:, :-1], Wo[:, -1]
     lapack = scipy.linalg.lapack
-    carry, wide, hi, blocks = np.zeros((0, 1)), np.zeros((0, 1)), 0, []
     bounds, top, at = bounds.tolist(), top.tolist(), at.tolist()
     for L, (c0, c1) in enumerate(zip(bounds[:-1], bounds[1:])):
         s, end = c1 - c0, bounds[top[L] + 1]
         w0, w = at[nl + L] - at[nl], at[nl + L + 1] - at[nl]
-        M = _panel(end - c0, carry, nz, at[L], at[L + 1], c0, b, s)
+        # the panel's support; column j goes to its position pos[j]
+        idx = np.arange(c0, end)[first[c0:end] <= L]
+        panel_cols += len(idx) - s
+        pos[idx] = np.arange(len(idx))
+        M = _panel(pos, len(idx), (sup, carry), nz, at[L], at[L + 1], b, s)
         # blocked workspaces for block size 64; ormqr adds its 65 x 64 T block
         qr, tau, _, _ = lapack.dgeqrf(M[:, :s], lwork=64 * s, overwrite_a=True)
         rest, _, _ = lapack.dormqr("L", "T", qr, tau, M[:, s:], 64 * M.shape[1] + 4160,
                                    overwrite_c=True)
         # copies free the panel; R's reflectors below its diagonal are never
-        # read (tpqrt, trtrs); rest gets w zero columns before b for the merge
-        R, carry = qr[:s].copy(order="F"), rest[s:]
-        rest = _panel(end - c1 + w, rest[:s], nz, 0, 0, c1, b)
+        # read (tpqrt, trtrs). The merge fills the block row over the window,
+        # so there rest goes onto it, with w zero columns before b
+        R, carry, sup = qr[:s].copy(order="F"), rest[s:], idx[s:]
+        blk = np.arange(c1, end) if w else sup
+        pos[blk] = np.arange(len(blk))
+        rest = _panel(pos, len(blk) + w, (sup, rest[:s]), nz, 0, 0, b)
         c = carry.shape[1]
         if len(carry) > c:
             carry = lapack.dgeqrf(carry, lwork=64 * c)[0][:c]
@@ -481,7 +499,7 @@ def _staircase_qr(A: scipy.sparse.csr_matrix, b: np.ndarray, cols: np.ndarray):
             rest, wide, _ = lapack.dtpmqrt(0, V, T, rest, W[:, s:], trans="T",
                                            overwrite_a=True, overwrite_b=True)
         hi = end
-        blocks.append((R, rest, end, w))
+        blocks.append((R, rest, blk, end, w))
     diags = [np.abs(np.diagonal(R)) for R, *_ in blocks]
     diag = np.concatenate(diags)
     tol = (m + n) * np.finfo(float).eps * diag.max()
@@ -492,9 +510,9 @@ def _staircase_qr(A: scipy.sparse.csr_matrix, b: np.ndarray, cols: np.ndarray):
             f"{grading!r} grading holds a diagonal at roundoff, min/max "
             f"|R_jj| = {diag.min() / diag.max():.3g}")
     y = np.empty(n)
-    for (R, rest, end, w), c0, c1 in reversed(list(zip(blocks, bounds[:-1], bounds[1:]))):
+    for (R, rest, blk, end, w), c0, c1 in reversed(list(zip(blocks, bounds[:-1], bounds[1:]))):
         past = Wo[:w, end:] @ y[end:]
-        rhs = rest[:, -1] - rest[:, :-1] @ np.concatenate([y[c1:end], past])
+        rhs = rest[:, -1] - rest[:, :-1] @ np.concatenate([y[blk], past])
         y[c0:c1] = lapack.dtrtrs(R, rhs)[0]
     x = (y / norms[perm])[np.argsort(perm)]
     if not np.all(np.isfinite(x)):
@@ -502,7 +520,7 @@ def _staircase_qr(A: scipy.sparse.csr_matrix, b: np.ndarray, cols: np.ndarray):
             f"the staircase QR gave a non-finite coefficient for column "
             f"{_col_key(cols, np.argmin(np.isfinite(x)))}")
     return (x, grading, int(cuts[i]), float(diag.min() / diag.max()),
-            int(np.count_nonzero(~narrow)))
+            int(np.count_nonzero(~narrow)), panel_cols)
 
 
 def solve_ls(system: LinearSystem) -> PsKernelSolution:
@@ -510,13 +528,14 @@ def solve_ls(system: LinearSystem) -> PsKernelSolution:
     staircase QR of :func:`_staircase_qr`; A is never densified as a whole.
     The solution records the plan it followed, a column grading
     (``ordering``) and a span cut (``span_cut``), the number of wide rows
-    it merged into the levels' triangles (``wide_rows``) and min/max
+    it merged into the levels' triangles (``wide_rows``), the columns its
+    panels carried past their level's own (``panel_cols``) and min/max
     |R_jj| (``r_diag_ratio``). A full-rank factor implies full column rank,
     so ``rank`` is the column count; a rank-deficient system raises
     np.linalg.LinAlgError, naming the rank test that failed. The returned
     residual is ||Ax - b||_2 recomputed from the solution."""
-    x, ordering, span_cut, ratio, wide_rows = _staircase_qr(system.A, system.b,
-                                                            system.cols)
+    x, ordering, span_cut, ratio, wide_rows, panel_cols = _staircase_qr(
+        system.A, system.b, system.cols)
     m, n = system.A.shape
 
     def dense(kind: int, nvars: int) -> np.ndarray:
@@ -532,7 +551,7 @@ def solve_ls(system: LinearSystem) -> PsKernelSolution:
         residual=float(np.linalg.norm(system.A @ x - system.b)),
         config=system.config, num_unknowns=n, num_equations=m, x=x, rank=n,
         ordering=ordering, span_cut=span_cut, r_diag_ratio=ratio,
-        wide_rows=wide_rows,
+        wide_rows=wide_rows, panel_cols=panel_cols,
     )
 
 

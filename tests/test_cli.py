@@ -92,6 +92,7 @@ class TestSolve:
         assert report["ordering"] == "x" and report["span_cut"] == 1
         # example1's diagonal-BC rows span every x-degree level
         assert 0 < report["wide_rows"] < report["num_equations"]
+        assert report["panel_cols"] > 0
         assert 0.0 < report["r_diag_ratio"] <= 1.0
         assert 0 < report["nnz"] < report["num_unknowns"] * report["num_equations"]
         assert 0.0 <= report["certificate"] < 1e-10

@@ -35,6 +35,18 @@ def varying_speed_problem():
     return parse_problem_dict(cfg)
 
 
+def asymmetric_sigma_problem():
+    # example2 with sigma = x^3 (1+x) (eta - 1/2)(1 + y^2), not symmetric
+    # in (eta, y) as the built-in configs' are, so a transposed coupling
+    # shows
+    cfg = dict(load_problem("example2").source)
+    cfg["sigma"] = {"terms": [{"scale": 1.0, "factors": [
+        {"var": "x", "kind": "poly", "coeffs": [0, 0, 0, 1, 1]},
+        {"var": "eta", "kind": "poly", "coeffs": [-0.5, 1.0]},
+        {"var": "y", "kind": "poly", "coeffs": [1.0, 0.0, 1.0]}]}]}
+    return parse_problem_dict(cfg)
+
+
 def _interp_rows(values, t, h, length):
     """Row-wise linear interpolation of values[r, 0:length] on the uniform
     grid {0, h, ..., (length-1)h} at query points t[r, q]."""
@@ -224,10 +236,12 @@ class TestAgainstPerLevelSweeps:
         ("example1", 8, 32, None),
         ("example2", 10, 32, -1.0),
         ("varying-speeds", 6, 32, None),
+        ("asymmetric-sigma", 6, 32, None),
     ])
     def test_bit_identical(self, name, n, m, offset):
-        problem = (varying_speed_problem() if name == "varying-speeds"
-                   else load_problem(name))
+        made = {"varying-speeds": varying_speed_problem,
+                "asymmetric-sigma": asymmetric_sigma_problem}
+        problem = made[name]() if name in made else load_problem(name)
         ls = problem.large_scale(n, offset=offset)
         K, deltas = per_level_sweeps(ls, TriGrid(m), tol=1e-15, max_iter=500)
         assert deltas[-1] < 1e-15

@@ -378,18 +378,18 @@ def _dense_oracle(system: LinearSystem) -> np.ndarray:
     return x
 
 
-def _staircase_system(sizes, wide, rng) -> LinearSystem:
+def _staircase_system(sizes, wide, rng, touch=0.5) -> LinearSystem:
     """Columns in levels of the given sizes, in shuffled order. Each column
     has a row of its own, each level but the last a row into the next, and
     each (entry, span) of `wide` a row from the entry level to the level
-    span above it. A row touches its two end levels and about half the
-    columns between them."""
+    span above it. A row touches its two end levels and about a `touch`
+    share of the columns between them."""
     bounds = np.concatenate([[0], np.cumsum(sizes)])
     n = bounds[-1]
 
     def row(lo, hi):
         r, c0, c1 = np.zeros(n), bounds[lo], bounds[hi + 1]
-        on = rng.random(c1 - c0) < 0.5
+        on = rng.random(c1 - c0) < touch
         on[[rng.integers(sizes[lo]), c1 - c0 - 1 - rng.integers(sizes[hi])]] = True
         r[c0:c1][on] = rng.standard_normal(np.count_nonzero(on))
         return r
@@ -448,6 +448,15 @@ class TestSparseAgainstDense:
                                                    SolverConfig(N=8)), dup)
         with pytest.raises(np.linalg.LinAlgError,
                            match=rf"block of R at level {level} .*at roundoff"):
+            solve_ls(system)
+
+    def test_non_finite_coefficient_raises(self):
+        system = LinearSystem(A=scipy.sparse.csr_matrix(np.eye(3)),
+                              b=np.array([1.0, np.inf, 2.0]),
+                              cols=col_array([("K", (a, 0, 0)) for a in range(3)]),
+                              rows=np.zeros((0, 4), dtype=np.int64), config=SolverConfig(N=2))
+        with pytest.raises(np.linalg.LinAlgError,
+                           match=r"non-finite coefficient for column \('K', \(1, 0, 0\)\)"):
             solve_ls(system)
 
     def test_zero_column_raises(self, example2):
@@ -521,6 +530,38 @@ class TestSparseAgainstDense:
             np.testing.assert_allclose(sol.x, x_ref, rtol=0.0,
                                        atol=1e-10 * max(1.0, np.abs(x_ref).max()))
 
+    @settings(max_examples=50, deadline=None)
+    @given(shape=_staircase_shapes(), seed=st.integers(0, 2 ** 32 - 1),
+           touch=st.sampled_from([0.0, 0.1, 0.25]))
+    def test_sparse_rows_every_plan_dense_oracle(self, shape, seed, touch):
+        # rows that touch few of the columns between their end levels leave
+        # most of a level's window out of its panel; the widest cut carries
+        # every row narrow, so one plan has no wide rows
+        system = _staircase_system(*shape, np.random.default_rng(seed), touch)
+        x_ref = _dense_oracle(system)
+        cost, cuts = _staircase(system.A, "x+xi", system.cols[:, 1:3])[:2]
+        assert np.isfinite(cost[-1])
+        for i in np.flatnonzero(np.isfinite(cost)):
+            with mock.patch.object(power_series, "_staircase", _only_plan("x+xi", i)):
+                sol = solve_ls(system)
+            assert sol.ordering == "x+xi" and sol.span_cut == cuts[i]
+            assert (sol.wide_rows == 0) == (i == len(cuts) - 1)
+            np.testing.assert_allclose(sol.x, x_ref, rtol=0.0,
+                                       atol=1e-10 * max(1.0, np.abs(sol.x).max()))
+
+    @pytest.mark.parametrize("name, cfg, compacted", [
+        ("example2", SolverConfig(N=20), True),
+        ("example1", SolverConfig(N=20, N_y=2), False)])
+    def test_panel_cols_count_touched_columns(self, solve_cache, name, cfg, compacted):
+        # example2 at full order takes "x+xi" with span cut 5: its windows
+        # hold columns no narrow row has reached yet. example1's "x" plan
+        # with cut 1 reaches every column of its windows
+        system = assemble(solve_cache.problem(name).continuum, cfg)
+        sol = solve_ls(system)
+        support, window = _panel_columns(system, sol.ordering, sol.span_cut)
+        assert sol.panel_cols == support
+        assert (support < window) if compacted else (support == window)
+
     def test_fewer_rows_than_columns_raises(self):
         # the two level-0 columns meet only row 0: no grading and no span
         # cut gives the level as many rows as columns
@@ -585,6 +626,32 @@ class TestSparseAgainstDense:
                 assert sol.ordering == grading
                 np.testing.assert_allclose(sol.x, x_ref, rtol=0.0,
                                            atol=1e-10 * max(1.0, np.abs(sol.x).max()))
+
+
+def _panel_columns(system: LinearSystem, grading: str, cut: int) -> tuple[int, int]:
+    """Summed over the levels of `grading`: the columns past a level that
+    the rows of span <= cut entering at or below it touch, and the columns
+    past the level in its window, up to the highest level those rows reach.
+    Counted with sets from A's pattern."""
+    grades = [_KEY_GRADINGS[grading](e) for _, e in col_keys(system.cols)]
+    rank = {g: L for L, g in enumerate(sorted(set(grades)))}
+    lev = [rank[g] for g in grades]
+    size = np.bincount(lev)
+    entering = [[] for _ in size]
+    A = system.A
+    for r in range(A.shape[0]):
+        touched = A.indices[A.indptr[r]:A.indptr[r + 1]].tolist()
+        levels = [lev[j] for j in touched]
+        if touched and max(levels) - min(levels) <= cut:
+            entering[min(levels)].append((touched, max(levels)))
+    seen, top, support, window = set(), 0, 0, 0
+    for L, rows in enumerate(entering):
+        for touched, hi in rows:
+            seen.update(touched)
+            top = max(top, hi)
+        support += sum(lev[j] > L for j in seen)
+        window += int(size[L + 1:top + 1].sum())
+    return support, window
 
 
 def _exponents(cols) -> np.ndarray:
