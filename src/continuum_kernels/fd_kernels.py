@@ -9,9 +9,10 @@ from the level below and its sources taken from the values just computed,
 solves the discrete equations; a second sweep certifies the answer by
 reproducing it (sup change 0). Source integrals use the rectangle rule at
 the upstream point and off-grid values linear interpolation, so the scheme
-converges at first order in the mesh width. The equations and their 1/n
-weight come from ``GridParams.sources``, ``diag_bc`` and ``left_bc``, shared
-with the n+1 residual of ``gains``.
+converges at first order in the mesh width. The equations, their sums over
+the family weighted by ``GridParams.weights`` (1/n for the n+1 system), come
+from ``GridParams.sources``, ``diag_bc`` and ``left_bc``, shared with the
+residuals of ``gains``.
 """
 
 from __future__ import annotations
@@ -185,7 +186,7 @@ def solve_characteristics(ls: LargeScaleParams, grid: TriGrid | None = None,
     xs = grid.nodes()
 
     g = ls.on_grid(xs)
-    mu, dmu, TH, WW, diag_bc = g.mu, g.dmu, g.theta, g.W, g.diag_bc
+    mu, dmu, TH, WW, diag_bc = g.mu, g.dmu, g.theta, g.weighted_W, g.diag_bc
     st = _Stencils(g.lam, mu, diag_bc, xs, h)
     c = h / mu[:-1]                     # rectangle rule from level a-1
     # the diagonal sources S[:n, a, a] but for their TH * K[n, a, a] part
@@ -225,7 +226,7 @@ def solve_characteristics(ls: LargeScaleParams, grid: TriGrid | None = None,
             # 4. the xi = 0 boundary value; 5. its source
             K[a, n, 0] = g.left_bc(K[a, :n, 0])
             # written out: a g.sources call here made the march 10-20 % slower
-            S_left[a] = -dmu[0] * K[a, n, 0] + WW[:, 0] @ K[a, :n, 0] / n
+            S_left[a] = -dmu[0] * K[a, n, 0] + WW[:, 0] @ K[a, :n, 0]
             # 6. counter nodes that cross xi = 0
             j = slice(st.z_starts[a], st.z_starts[a + 1])
             if j.start < j.stop:

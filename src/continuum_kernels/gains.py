@@ -16,9 +16,9 @@ import numpy as np
 
 from .closed_form import ClosedFormKernel
 from .fd_kernels import LsKernelSolution
-from .params import ContinuumParams, LargeScaleParams, sample_points
+from .params import ContinuumParams, GridParams, LargeScaleParams, sample_points
 from .power_series import PsKernelSolution, residual_series
-from .series import Var, integrate01
+from .series import GL_NODES, GL_WEIGHTS, Var
 
 __all__ = [
     "GainTable",
@@ -128,9 +128,11 @@ def continuum_residual(sol, p: ContinuumParams,
     """Sup-norm residual of each kernel equation for a candidate solution.
 
     Series solutions are checked against the same truncated-parameter
-    equations the solver matched (exact monomial integration); closed-form
-    solutions against the analytic parameters, with the integral couplings
-    by adaptive Gauss-Legendre at 1e-10.
+    equations the solver matched (exact monomial integration). Closed-form
+    solutions are checked in the equations of :func:`largescale_residual`,
+    with the analytic parameters at the family points y = xs, each of
+    weight 0, and at the nodes of the 15-point Gauss-Legendre rule, whose
+    weights carry the integrals over y.
     """
     xs = np.linspace(0.0, 1.0, grid_m)
     if isinstance(sol, PsKernelSolution):
@@ -141,71 +143,45 @@ def continuum_residual(sol, p: ContinuumParams,
             e = r.eval_grid(at)
             out[src] = float(np.abs(e[tri] if src.startswith("pde") else e).max())
         return out
-    return _closed_form_residual(sol, p, xs)
+    ys = np.concatenate((xs, GL_NODES))
+    g = p.on_grid(xs, ys, np.concatenate((np.zeros(grid_m), GL_WEIGHTS)))
+    return _residual(g, *_sampled_kernels(sol, ys, xs), np.tri(grid_m, dtype=bool))
 
 
-def _closed_form_residual(sol: ClosedFormKernel, p: ContinuumParams,
-                          xs: np.ndarray) -> dict[str, float]:
-    """Pointwise residuals for a separable solution; the y/eta integrals
-    reduce to scalars (by separability of the kernel) computed once by
-    adaptive Gauss-Legendre (:func:`integrate01`) at 1e-10."""
-    sp = sol.problem
+def _sampled_kernels(sol, ys: np.ndarray, xs: np.ndarray) -> list[np.ndarray]:
+    """An ensemble solution as candidates at the family points ``ys`` on the
+    grid ``xs``: k(x, xi, y_i) for i < n and kbar(x, xi) at i = n; then the
+    same for d/dx and d/dxi."""
+    shape = (len(ys), len(xs), len(xs))
+    out = []
+    for d in (None, Var.X, Var.XI):
+        k, kbar = _ensemble_kernels(sol, xs, xs, ys, d)
+        out.append(np.concatenate([np.broadcast_to(np.moveaxis(k, 2, 0), shape),
+                                   kbar[None]]))
+    return out
 
-    def ky(t):
-        # y-profile of k without the (x, xi) envelope
-        return -sp.theta_y.eval1(Var.Y, t) / sp.lam_plus_mu(t)
 
-    lam0 = p.lam.substitute(Var.X, 0.0)
-    J_sig = integrate01(lambda t: sp.sigma_y.eval1(Var.Y, t) * -ky(t), 1e-10)
-    J_w = integrate01(lambda t: sp.W_y.eval1(Var.Y, t) * -ky(t), 1e-10)
-    J_q = integrate01(lambda t: p.q.eval1(Var.Y, t) * lam0.eval1(Var.Y, t)
-                      * -ky(t), 1e-10)
-
-    g = p.on_grid(xs, xs)                     # family fields are (y, x)
-    lam, dlam, theta = g.lam.T[None], g.dlam.T[None], g.theta.T[None]
-    k, kbar = _ensemble_kernels(sol, xs, xs, xs)
-    k_x, kbar_x = _ensemble_kernels(sol, xs, xs, xs, Var.X)
-    k_xi, kbar_xi = _ensemble_kernels(sol, xs, xs, xs, Var.XI)
-    X, XI, Y = np.ix_(xs, xs, xs)
-    tri = np.tri(len(xs), dtype=bool)         # xi <= x
-    env = np.exp(sol.c_x / sol.mu * (X - XI))
-    # int sigma(xi,eta,y) k(x,xi,eta) deta = sigma_x(xi) sigma_e(y) J_sig * (-env theta_x(xi))
-    int_sigma_k = sp.sigma_x.eval1(Var.X, XI) * sp.sigma_e.eval1(Var.Y, Y) \
-        * (-env * sp.theta_x.eval1(Var.X, XI)) * J_sig
-    e1 = g.mu[:, None, None] * k_x - lam * k_xi - theta * kbar[..., None] \
-        - dlam * k - int_sigma_k
-    r1 = float(np.abs(e1[tri]).max())
-
-    XI2 = XI[..., 0]
-    int_w_k = sp.W_x.eval1(Var.X, XI2) * (-env[..., 0] * sp.theta_x.eval1(Var.X, XI2)) * J_w
-    e2 = g.mu[:, None] * kbar_x + g.mu[None, :] * kbar_xi + g.dmu[None, :] * kbar - int_w_k
-    r2 = float(np.abs(e2[tri]).max())
-
-    diag = np.arange(len(xs))
-    e3 = (lam[0] + g.mu[:, None]) * k[diag, diag] + theta[0]
-    r3 = float(np.abs(e3).max())
-
-    tx0 = float(sp.theta_x.eval1(Var.X, 0.0))
-    e4 = g.mu[0] * kbar[:, 0] - env[:, 0, 0] * (-tx0) * J_q
-    r4 = float(np.abs(e4).max())
-    return {"pde_k": r1, "pde_kbar": r2, "bc_diag": r3, "bc_left": r4}
+def _residual(g: GridParams, K: np.ndarray, dKdx: np.ndarray, dKdxi: np.ndarray,
+              interior: np.ndarray) -> dict[str, float]:
+    """Sup norms of the kernel equations at g's family points for candidates
+    K (n+1, x, xi) on g's x grid and their derivatives, the transport
+    equations over the ``interior`` of the (x, xi) triangle. The diagonal
+    data is (lam_i + mu) K_i(x, x) + theta_i, as ``assemble`` writes it."""
+    n, mu, S = len(g.lam), g.mu, g.sources(K)
+    e_k = mu[:, None] * dKdx[:n] - g.lam[:, None, :] * dKdxi[:n] - S[:n]
+    e_kb = mu[:, None] * dKdx[n] + mu[None, :] * dKdxi[n] - S[n]
+    diag = np.arange(len(mu))
+    e_diag = (g.lam + mu) * K[:n, diag, diag] + g.theta
+    e_left = mu[0] * (K[n, :, 0] - g.left_bc(K[:n, :, 0]))
+    return {"pde_k": float(np.abs(e_k[:, interior]).max()),
+            "pde_kbar": float(np.abs(e_kb[interior]).max()),
+            "bc_diag": float(np.abs(e_diag).max()),
+            "bc_left": float(np.abs(e_left).max())}
 
 
 # ---------------------------------------------------------------------------
 # Residuals in the sampled n+1 kernel equations
 # ---------------------------------------------------------------------------
-
-
-def _sampled_kernels(sol, ls: LargeScaleParams, xs: np.ndarray) -> list[np.ndarray]:
-    """An ensemble solution as n+1 candidates on the grid ``xs``: k(x, xi, y_i)
-    for i < n and kbar(x, xi) at i = n; then the same for d/dx and d/dxi."""
-    shape = (ls.n, len(xs), len(xs))
-    out = []
-    for d in (None, Var.X, Var.XI):
-        k, kbar = _ensemble_kernels(sol, xs, xs, ls.y_points(), d)
-        out.append(np.concatenate([np.broadcast_to(np.moveaxis(k, 2, 0), shape),
-                                   kbar[None]]))
-    return out
 
 
 def largescale_residual(sol, ls: LargeScaleParams,
@@ -219,7 +195,6 @@ def largescale_residual(sol, ls: LargeScaleParams,
     triangle; for an ensemble solution they quantify how well the sampled
     continuum kernels approximate the n+1 kernels.
     """
-    n = ls.n
     if isinstance(sol, LsKernelSolution):
         xs = sol.grid.nodes()
         m = sol.grid.m
@@ -228,28 +203,14 @@ def largescale_residual(sol, ls: LargeScaleParams,
                              f"of centered differences; got m = {m}")
         K = sol.k
         h = sol.grid.h
-        dKdx = np.gradient(K, h, axis=1)
-        dKdxi = np.gradient(K, h, axis=2)
+        derivs = np.gradient(K, h, axis=1), np.gradient(K, h, axis=2)
         a, b = np.ogrid[:m + 1, :m + 1]
         interior = (a <= m - 2) & (b >= 1) & (b <= a - 2)   # x rows 2..m-2, xi 1..a-2
     else:
-        m = grid_m
-        xs = np.linspace(0.0, 1.0, m + 1)
-        K, dKdx, dKdxi = _sampled_kernels(sol, ls, xs)
-        interior = np.tri(m + 1, dtype=bool)                      # xi <= x
-
-    g = ls.on_grid(xs)
-    mu, S = g.mu, g.sources(K)
-    e_k = mu[:, None] * dKdx[:n] - g.lam[:, None, :] * dKdxi[:n] - S[:n]
-    e_kb = mu[:, None] * dKdx[n] + mu[None, :] * dKdxi[n] - S[n]
-    r_pde_k = float(np.abs(e_k[:, interior]).max())
-    r_pde_kb = float(np.abs(e_kb[interior]).max())
-
-    diag = np.arange(len(xs))
-    r_diag = float(np.abs(K[:n, diag, diag] - g.diag_bc).max())
-    r_left = float(np.abs(mu[0] * (K[n, :, 0] - g.left_bc(K[:n, :, 0]))).max())
-    return {"pde_k": r_pde_k, "pde_kbar": r_pde_kb,
-            "bc_diag": r_diag, "bc_left": r_left}
+        xs = np.linspace(0.0, 1.0, grid_m + 1)
+        K, *derivs = _sampled_kernels(sol, ls.y_points(), xs)
+        interior = np.tri(grid_m + 1, dtype=bool)                 # xi <= x
+    return _residual(ls.on_grid(xs), K, *derivs, interior)
 
 
 # ---------------------------------------------------------------------------

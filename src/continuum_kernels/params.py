@@ -5,9 +5,11 @@ Conventions
 -----------
 The ensemble coupling kernel ``sigma`` is stored over the variables
 (x, eta, y). In the kernel equations it is integrated against the eta slot:
-``integral_0^1 sigma(xi, eta, y) k(x, xi, eta) deta``. Sampling maps
-``sigma_{i,j}(x) = sigma(x, eta=i/n, y=j/n)``, which makes the sampled sums
-``(1/n) sum_j sigma_{j,i} k^j`` the Riemann discretisation of that integral.
+``integral_0^1 sigma(xi, eta, y) k(x, xi, eta) deta``. A grid of family
+points y_j with quadrature weights w_j maps
+``sigma_{i,j}(x) = sigma(x, eta=y_i, y=y_j)`` and turns that integral into
+``sum_j w_j sigma_{j,i} k^j``. The n+1 system is the right-endpoint Riemann
+rule: y_j = j/n (or (j-1)/n) with w_j = 1/n.
 """
 
 from __future__ import annotations
@@ -92,9 +94,10 @@ class ContinuumParams:
             if not got <= vs:
                 raise ValueError(f"parameter {name} uses variables {got}, allowed {vs}")
 
-    def on_grid(self, xs, ys) -> GridParams:
+    def on_grid(self, xs, ys, weights) -> GridParams:
         """Evaluate every parameter on the grid ``xs`` of x, with row i of
-        each family field at y = ys[i]."""
+        each family field at y = ys[i], whose quadrature weight in the sums
+        over the family is weights[i]."""
         xs, ys = np.asarray(xs, dtype=float), np.asarray(ys, dtype=float)
         at = {Var.X: xs[None, :], Var.Y: ys[:, None]}
 
@@ -116,6 +119,7 @@ class ContinuumParams:
             sigma_eta=factor(self.sigma, Var.ETA, ys), sigma_y=factor(self.sigma, Var.Y, ys),
             theta_x=factor(self.theta, Var.X, xs), theta_y=factor(self.theta, Var.Y, ys),
             W_x=factor(self.W, Var.X, xs), W_y=factor(self.W, Var.Y, ys),
+            weights=np.asarray(weights, dtype=float),
         )
 
     def check_speeds(self, ys) -> tuple[float, float]:
@@ -134,12 +138,14 @@ class ContinuumParams:
 
 @dataclass(frozen=True)
 class GridParams:
-    """Sampled parameters of the n+1 system on an x grid of m points.
+    """Parameters at n family points on an x grid of m points.
 
     Sigma, theta and W stay in factor form, one row per separable term t:
     ``sigma_ij(x) = sum_t sigma_x[t](x) sigma_eta[t, i] sigma_y[t, j]`` and
     ``theta_i(x) = sum_t theta_x[t](x) theta_y[t, i]`` (W alike), so each
     contraction costs O(r n m), not the O(n^2 m) of a dense sigma table.
+    Every sum over the family is the quadrature rule sum_j weights[j] f_j;
+    the weights are folded once into the factors each sum runs over.
     """
 
     lam: np.ndarray        # (n, m)
@@ -154,6 +160,7 @@ class GridParams:
     theta_y: np.ndarray    # (r, n)
     W_x: np.ndarray        # (r, m)
     W_y: np.ndarray        # (r, n)
+    weights: np.ndarray    # (n,), quadrature weights of the family points
 
     @cached_property
     def theta(self) -> np.ndarray:
@@ -166,39 +173,51 @@ class GridParams:
         return self.W_y.T @ self.W_x
 
     @cached_property
+    def weighted_W(self) -> np.ndarray:
+        """The (n, m) table of weights_i W_i(x), which row n of sources sums."""
+        return self.weights[:, None] * self.W
+
+    @cached_property
+    def _sigma_sums(self) -> np.ndarray:
+        """sigma's eta factors times the weights, which sources sums."""
+        return self.sigma_eta * self.weights
+
+    @cached_property
     def _plant_factors(self) -> tuple[np.ndarray, np.ndarray]:
-        """couple_plant's stacked factors, built on first use."""
-        return (np.concatenate((self.sigma_y, self.theta_y)),
+        """couple_plant's stacked factors, the summed ones weighted, built on
+        first use."""
+        return (np.concatenate((self.sigma_y, self.theta_y)) * self.weights,
                 np.concatenate((self.sigma_eta, self.W_y)).T)
 
     def couple_plant(self, u: np.ndarray, v: np.ndarray,
                      out: np.ndarray) -> np.ndarray:
         """The plant's couplings for a family ``u`` (n, m) and counter
-        component ``v`` (m,): writes sum_j sigma_ij u_j / n + W_i v into
-        ``out`` (n, m) and returns mean_i theta_i u_i (m,)."""
+        component ``v`` (m,): writes sum_j w_j sigma_ij u_j + W_i v into
+        ``out`` (n, m) and returns sum_i w_i theta_i u_i (m,), w the
+        weights."""
         r = len(self.sigma_x)
         sums, spread = self._plant_factors
         s = sums @ u
-        s /= len(u)
         z = np.concatenate((self.sigma_x * s[:r], self.W_x * v))
         np.matmul(spread, z, out=out)
         return np.einsum("tx,tx->x", self.theta_x, s[r:])
 
-    # The n+1 kernel equations, the 1/n weight of their sums included:
+    # The kernel equations at the family points, their sums over the family
+    # weighted by the quadrature (1/n in the n+1 system):
     # mu(x) K_i,x - lam_i(xi) K_i,xi = sources(K)_i, K_i(x, x) = diag_bc_i(x) for
     # i < n; mu(x) K_n,x + mu(xi) K_n,xi = sources(K)_n, K_n(x, 0) = left_bc(K_:n(x, 0)).
     def sources(self, K: np.ndarray) -> np.ndarray:
-        """Row i < n is sum_j sigma_ji K_j / n + dlam_i K_i + theta_i K_n, row
-        n is -dmu K_n + sum_j W_j K_j / n, for K (n+1, ..., b) with the
-        parameters at the first b grid nodes along its last axis."""
+        """Row i < n is sum_j w_j sigma_ji K_j + dlam_i K_i + theta_i K_n, row
+        n is -dmu K_n + sum_j w_j W_j K_j, w the weights, for K (n+1, ..., b)
+        with the parameters at the first b grid nodes along its last axis."""
         n, b = len(self.lam), K.shape[-1]
         shape = (n,) + (1,) * (K.ndim - 2) + (b,)
         S = np.empty_like(K)
-        S[:n] = _contract(self.sigma_y, self.sigma_eta, self.sigma_x[:, :b], K[:n]) / n
+        S[:n] = _contract(self.sigma_y, self._sigma_sums, self.sigma_x[:, :b], K[:n])
         S[:n] += (self.dlam[:, :b].reshape(shape) * K[:n]
                   + self.theta[:, :b].reshape(shape) * K[n])
         S[n] = -self.dmu[:b] * K[n] + np.einsum(
-            "j...b,j...b->...b", self.W[:, :b].reshape(shape), K[:n]) / n
+            "j...b,j...b->...b", self.weighted_W[:, :b].reshape(shape), K[:n])
         return S
 
     @cached_property
@@ -208,10 +227,11 @@ class GridParams:
 
     @cached_property
     def _left_weights(self) -> np.ndarray:
-        return self.q * self.lam[:, 0] / (len(self.q) * self.mu[0])
+        return self.q * self.lam[:, 0] * self.weights / self.mu[0]
 
     def left_bc(self, K_fam: np.ndarray) -> np.ndarray:
-        """sum_i q_i lam_i(0) K_fam[i] / (n mu(0)) for K_fam (n,) or (n, k)."""
+        """sum_i w_i q_i lam_i(0) K_fam[i] / mu(0) for K_fam (n,) or (n, k),
+        w the weights."""
         return self._left_weights @ K_fam
 
 
@@ -247,8 +267,10 @@ class LargeScaleParams:
         return sample_points(self.n, self.sample_offset)
 
     def on_grid(self, xs) -> GridParams:
-        """The template on ``xs`` at the component points, with the sampled q."""
-        return replace(self.template.on_grid(xs, self.y_points()), q=self.q)
+        """The template on ``xs`` at the component points, each of weight
+        1/n, with the sampled q."""
+        w = np.full(self.n, 1.0 / self.n)
+        return replace(self.template.on_grid(xs, self.y_points(), w), q=self.q)
 
     def check_speeds(self) -> tuple[float, float]:
         """The template's speed minima at the component points."""

@@ -110,8 +110,9 @@ class Simulator:
                 raise ValueError(
                     f"gain table has {len(gains.grid_y)} family rows, need n={n}"
                 )
-            # trapezoid weights folded in; the v(1) = U entry is solved for
-            self.kgw = _interp_rows(xs, gains.grid_xi, gains.k) * (self.weights / n)
+            # y and trapezoid weights folded in; the v(1) = U entry is solved for
+            self.kgw = _interp_rows(xs, gains.grid_xi, gains.k) * self.weights
+            self.kgw *= g.weights[:, None]
             self.kbg = _interp_rows(xs, gains.grid_xi, gains.kbar)
             self._kbw = (self.weights * self.kbg)[:-1]
             denom = 1.0 - self.weights[-1] * self.kbg[-1]
@@ -180,7 +181,8 @@ class Simulator:
 
     def norm(self, X: np.ndarray) -> float:
         u, v = X[:self.n], X[self.n]
-        return math.sqrt(self.h * (np.vdot(u, u) / self.n + np.vdot(v, v)))
+        uu = self.params.weights @ np.einsum("ix,ix->i", u, u)
+        return math.sqrt(self.h * (uu + np.vdot(v, v)))
 
     def run(self) -> SimReport:
         X = self.initial_state()

@@ -269,24 +269,36 @@ class TestPipeline:
         assert d < 1e-4, d
         assert sol.residual < 1e-4
 
-    def test_general_path_with_sigma_coupling(self):
+    @staticmethod
+    def sigma_coupled_problem():
         # y-varying speeds with sigma_e = theta_y/4: kappa is nonzero
         lam = SeparableSum([SeparableTerm(1.0, []),
                             SeparableTerm(0.5, [Polynomial(Y, [0, 1])])])
-        p = make_continuum(
+        return make_continuum(
             lam=lam,
             sigma=product(0.4, Constant(X, 1.0), Polynomial(ETA, [1, 1]),
                           Polynomial(Y, [1, 0, 1])),
             theta=product(4.0, Constant(X, 1.0), Polynomial(Y, [1, 0, 1])),
             q=SeparableSum.poly(Y, [0.3, 0.2]),
         )
+
+    def test_general_path_with_sigma_coupling(self):
+        p = self.sigma_coupled_problem()
         sep = SeparableProblem.from_continuum(p)
         assert sigma_coef(sep) != 0.0
         kern = solve_closed_form(p)
         assert not isinstance(kern, NotApplicable)
         assert kern.c_y is None
         res = continuum_residual(kern, p, grid_m=15)
-        assert max(res.values()) < 1e-8
+        assert max(res.values()) < 1e-12
+
+    def test_residual_detects_a_wrong_rate(self):
+        # the residual is not vacuous: c_x off by one part in a million
+        # leaves the PDE for k unsatisfied by far more than roundoff
+        p = self.sigma_coupled_problem()
+        kern = solve_closed_form(p)
+        wrong = replace(kern, c_x=kern.c_x * (1.0 + 1e-6))
+        assert continuum_residual(wrong, p, grid_m=15)["pde_k"] > 1e-5
 
     def test_general_path_violation_detected(self):
         # theta_x exponential makes the rate combination y-dependent

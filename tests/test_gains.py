@@ -114,6 +114,12 @@ class TestContinuumResidual:
         res = continuum_residual(sol, solve_cache.problem("example1").continuum)
         assert max(res.values()) < 10.0 * max(sol.residual, 1e-16) + 1e-12
 
+    def test_reference_solution_rejected(self, example2):
+        # a grid solution of the n+1 system is not an ensemble kernel
+        sol = solve_characteristics(example2.large_scale(), TriGrid(8))
+        with pytest.raises(TypeError, match="unsupported kernel solution type"):
+            continuum_residual(sol, example2.continuum)
+
 
 def loop_sampled_kernels(sol, ls, xs):
     """Oracle: the per-component loop the grid evaluation replaced."""
@@ -153,14 +159,15 @@ class TestSampledKernelsAgainstLoop:
     def test_closed_form_bit_identical(self, example1, offset):
         ls = example1.large_scale(10, offset)
         xs = np.linspace(0.0, 1.0, 65)
-        np.testing.assert_array_equal(np.stack(_sampled_kernels(example1_kernel(), ls, xs)),
+        got = _sampled_kernels(example1_kernel(), ls.y_points(), xs)
+        np.testing.assert_array_equal(np.stack(got),
                                       loop_sampled_kernels(example1_kernel(), ls, xs))
 
     def test_series(self, example2, solve_cache):
         sol = solve_cache.solution("example2", SolverConfig(N=12))
         ls = example2.large_scale()
         xs = np.linspace(0.0, 1.0, 25)
-        got = _sampled_kernels(sol, ls, xs)
+        got = _sampled_kernels(sol, ls.y_points(), xs)
         want = loop_sampled_kernels(sol, ls, xs)
         for g, w in zip(got, want):         # k, d/dx, d/dxi
             assert np.abs(g - w).max() <= 1e-13 * np.abs(w).max()

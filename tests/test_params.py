@@ -68,11 +68,22 @@ class TestSampleContinuum:
         prob = load_problem(name)
         ls = prob.large_scale(n, offset)
         xs = np.linspace(0, 1, 9)
-        g, t = ls.on_grid(xs), ls.template.on_grid(xs, ls.y_points())
+        g = ls.on_grid(xs)
+        t = ls.template.on_grid(xs, ls.y_points(), np.full(n, 1.0 / n))
         for f in dataclasses.fields(g):
             if f.name != "q":
                 assert np.array_equal(getattr(g, f.name), getattr(t, f.name)), f.name
         assert np.array_equal(g.q, ls.q)
+
+    @pytest.mark.parametrize("name", ["example1", "example2"])
+    def test_one_node_rule_is_the_one_component_system(self, name):
+        # the midpoint rule with one node (1/2, weight 1) is the n = 1
+        # system sampled with offset -1/2, field by field and bit for bit
+        p = load_problem(name).continuum
+        xs = np.linspace(0, 1, 9)
+        g, ls = p.on_grid(xs, [0.5], [1.0]), sample_continuum(p, 1, -0.5).on_grid(xs)
+        for f in dataclasses.fields(g):
+            assert np.array_equal(getattr(g, f.name), getattr(ls, f.name)), f.name
 
     def test_left_offset_data_sampled_at_its_points(self, example2):
         # data at "(i-1)/n": the sampled system keeps that offset and the

@@ -2,7 +2,7 @@ import tracemalloc
 
 import numpy as np
 import pytest
-from hypothesis import example, given, settings
+from hypothesis import Phase, example, given, settings
 from hypothesis import strategies as st
 
 from continuum_kernels.gains import GainTable, sample_gains
@@ -472,6 +472,10 @@ def test_divergence_is_flagged(example2):
 # -- factored sigma coupling against a dense table ----------------------------
 
 _coef = st.floats(-2.0, 2.0, allow_nan=False)
+# Shrinking a failure of the two dense-oracle properties below took 1-2 min
+# (a minute or more for each of four broken copies), so they report the
+# failing example as drawn.
+NO_SHRINK = tuple(ph for ph in Phase if ph is not Phase.shrink)
 
 
 @st.composite
@@ -515,32 +519,43 @@ _LAM = SeparableSum([SeparableTerm(1.0, [Polynomial(Var.X, [1.0, 1.0]),
 _MU = SeparableSum([SeparableTerm(1.0, [Polynomial(Var.X, [2.0, -1.0])])])
 
 
+def grid_and_weights(p, ls, xs, uniform, rng):
+    """The n+1 system's grid record (weights 1/n), or the template's at the
+    same points with random positive weights, and the weights."""
+    if uniform:
+        return ls.on_grid(xs), np.full(ls.n, 1.0 / ls.n)
+    w = rng.uniform(0.1, 1.0, ls.n)
+    return p.on_grid(xs, ls.y_points(), w), w
+
+
 @given(sigma=separable_sum(), theta=separable_sum((Var.X, Var.Y)),
        W=separable_sum((Var.X, Var.Y)), q=separable_sum((Var.Y,)),
        n=st.integers(1, 6), m=st.integers(2, 9), data=st.data(),
-       offset=st.sampled_from((0.0, -1.0)), seed=st.integers(0, 2 ** 32 - 1))
+       offset=st.sampled_from((0.0, -1.0)), uniform=st.booleans(),
+       seed=st.integers(0, 2 ** 32 - 1))
 @example(sigma=SeparableSum([SeparableTerm(0.99999, []),
                              SeparableTerm(-1.0, [])]),
          theta=SeparableSum.zero(), W=SeparableSum.zero(),
-         q=SeparableSum.zero(), n=1, m=2, data=None, offset=0.0, seed=0)
-@settings(max_examples=60, deadline=None)
+         q=SeparableSum.zero(), n=1, m=2, data=None, offset=0.0, uniform=True,
+         seed=0)
+@settings(max_examples=60, deadline=None, phases=NO_SHRINK)
 def test_factored_coupling_matches_dense(sigma, theta, W, q, n, m, data,
-                                         offset, seed):
+                                         offset, uniform, seed):
     p = ContinuumParams(lam=_LAM, mu=_MU, sigma=sigma, theta=theta, W=W, q=q)
     ls = sample_continuum(p, n, offset)
     xs, ys = np.linspace(0.0, 1.0, m), ls.y_points()
-    g = ls.on_grid(xs)
+    rng = np.random.default_rng(seed)
+    g, wt = grid_and_weights(p, ls, xs, uniform, rng)
     sig = dense_sigma(sigma, ys, xs)                            # [i, j, x]
     # the factored sums add the terms one by one, so their roundoff scales
     # with sum_t |sigma_t|, which cancelling terms keep above |sigma|
     mag = sum(np.abs(dense_sigma(SeparableSum([t]), ys, xs))
               for t in sigma.terms)
-    rng = np.random.default_rng(seed)
     u = rng.normal(size=(n, m))
     out = np.empty((n, m))
     g.couple_plant(u, np.zeros(m), out)
-    assert_close_to(n * out, np.einsum("ijx,jx->ix", sig, u),
-                    np.einsum("ijx,jx->ix", mag, np.abs(u)))
+    assert_close_to(out, np.einsum("ijx,j,jx->ix", sig, wt, u),
+                    np.einsum("ijx,j,jx->ix", mag, wt, np.abs(u)))
 
     # the kernel equations' terms, on the first b nodes, with and without a
     # middle axis
@@ -554,16 +569,16 @@ def test_factored_coupling_matches_dense(sigma, theta, W, q, n, m, data,
             return F[..., None, :b] if K.ndim == 3 else F[..., :b]
         A = np.abs(K)
         want = np.concatenate((
-            np.einsum("ji...,j...->i...", at(sig), K[:n]) / n
+            np.einsum("ji...,j,j...->i...", at(sig), wt, K[:n])
             + at(dlam) * K[:n] + at(th) * K[n],
-            (-at(dmu) * K[n] + np.einsum("j...,j...->...", at(w), K[:n]) / n)[None]))
+            (-at(dmu) * K[n] + np.einsum("j...,j,j...->...", at(w), wt, K[:n]))[None]))
         scale = np.concatenate((
-            np.einsum("ji...,j...->i...", at(mag), A[:n]) / n
+            np.einsum("ji...,j,j...->i...", at(mag), wt, A[:n])
             + np.abs(at(dlam)) * A[:n] + at(th_mag) * A[n],
-            (A[n] + np.einsum("j...,j...->...", at(w_mag), A[:n]) / n)[None]))
+            (A[n] + np.einsum("j...,j,j...->...", at(w_mag), wt, A[:n]))[None]))
         assert_close_to(g.sources(K), want, scale)
     assert_close_to(g.diag_bc, -th / (lam + mu), th_mag / (lam + mu))
-    ql = q.eval1(Var.Y, ys) * lam[:, 0] / (n * mu[0])
+    ql = q.eval1(Var.Y, ys) * lam[:, 0] * wt / mu[0]
     for K_fam in (rng.normal(size=n), rng.normal(size=(n, 4))):
         assert_close_to(g.left_bc(K_fam), np.einsum("i,i...->...", ql, K_fam),
                         np.einsum("i,i...->...", np.abs(ql), np.abs(K_fam)))
@@ -583,28 +598,28 @@ def term_magnitude(p, ys, xs):
 @given(sigma=separable_sum(), theta=separable_sum((Var.X, Var.Y)),
        W=separable_sum((Var.X, Var.Y)), n=st.integers(1, 6),
        m=st.integers(2, 9), offset=st.sampled_from((0.0, -1.0)),
-       seed=st.integers(0, 2 ** 32 - 1))
-@settings(max_examples=60, deadline=None)
-def test_factored_plant_matches_dense(sigma, theta, W, n, m, offset, seed):
+       uniform=st.booleans(), seed=st.integers(0, 2 ** 32 - 1))
+@settings(max_examples=60, deadline=None, phases=NO_SHRINK)
+def test_factored_plant_matches_dense(sigma, theta, W, n, m, offset, uniform,
+                                      seed):
     one = SeparableSum.constant(1.0)
     p = ContinuumParams(lam=one, mu=one, sigma=sigma, theta=theta, W=W,
                         q=SeparableSum.zero())
     ls = sample_continuum(p, n, offset)
     xs, ys = np.linspace(0.0, 1.0, m), ls.y_points()
-    g = ls.on_grid(xs)
+    rng = np.random.default_rng(seed)
+    g, wt = grid_and_weights(p, ls, xs, uniform, rng)
     sig = dense_sigma(sigma, ys, xs)
     sig_mag = sum(np.abs(dense_sigma(SeparableSum([t]), ys, xs))
                   for t in sigma.terms)
     th, th_mag = dense_rows(theta, ys, xs), term_magnitude(theta, ys, xs)
     w, w_mag = dense_rows(W, ys, xs), term_magnitude(W, ys, xs)
-    rng = np.random.default_rng(seed)
     u, v = rng.normal(size=(n, m)), rng.normal(size=m)
     out = np.full((n, m), np.nan)
     drive = g.couple_plant(u, v, out)
-    assert_close_to(out, np.einsum("ijx,jx->ix", sig, u) / n + w * v,
-                    np.einsum("ijx,jx->ix", sig_mag, np.abs(u)) / n
+    assert_close_to(out, np.einsum("ijx,j,jx->ix", sig, wt, u) + w * v,
+                    np.einsum("ijx,j,jx->ix", sig_mag, wt, np.abs(u))
                     + w_mag * np.abs(v))
-    assert_close_to(drive, (th * u).mean(axis=0),
-                    (th_mag * np.abs(u)).mean(axis=0))
+    assert_close_to(drive, wt @ (th * u), wt @ (th_mag * np.abs(u)))
     assert_close_to(g.theta, th, th_mag)
     assert_close_to(g.W, w, w_mag)
