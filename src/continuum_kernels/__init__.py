@@ -21,7 +21,7 @@ from .gains import (GainTable, continuum_residual, diff_solutions, gains,
                     write_gain_csv)
 from .params import (ConfigError, ContinuumParams, FitResult, GridParams,
                      LargeScaleParams, Problem, fit_q, load_problem,
-                     parse_problem_dict, sample_continuum)
+                     parse_problem_dict)
 from .power_series import (LinearSystem, PsKernelSolution, SolverConfig,
                            assemble, count_unknowns, optimality_certificate,
                            residual_series, solve_ls)

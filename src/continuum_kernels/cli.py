@@ -23,7 +23,7 @@ from . import __version__
 from .closed_form import NotApplicable, solve_closed_form
 from .fd_kernels import TriGrid, refine_study, solve_characteristics
 from .gains import (GainTable, diff_solutions, gains, read_gain_csv,
-                    sample_gains, write_gain_csv)
+                    write_gain_csv)
 from .params import ConfigError, Problem, fit_q, load_problem, number_array
 from .power_series import (SolverConfig, assemble, optimality_certificate,
                            residual_by_source, solve_ls)
@@ -183,17 +183,17 @@ def cmd_closed_form(args, report_path) -> tuple:
 
 
 def cmd_fit_q(args, report_path) -> tuple:
-    name, offset = None, 0.0
+    stages = {}
     if args.config:
         problem = load_problem(args.config)
         if problem.q_data is None:
             raise ConfigError(f"problem {problem.name!r} has an analytic q; "
                               f"nothing to fit")
-        data, name, offset = problem.q_data, problem.name, problem.q_offset
+        name = problem.name
+        fit = _timed(stages, "fit", problem.with_fit_degree, args.degree).fit
     else:
-        data = number_array(json.loads(args.data), "--data JSON array")
-    stages = {}
-    fit = _timed(stages, "fit", fit_q, data, args.degree, offset=offset)
+        name, data = None, number_array(json.loads(args.data), "--data JSON array")
+        fit = _timed(stages, "fit", fit_q, data, args.degree)
     print(f"fit-q: degree={fit.degree} rms_error={fit.rms_error:.6g}")
     print("fit-q: coefficients (ascending powers):",
           " ".join(f"{c:.12g}" for c in fit.coeffs))
@@ -246,8 +246,7 @@ def cmd_bench(args, report_path) -> tuple:
         if exact_table is not None:
             row["max_error"] = diff_solutions(cur, exact_table)
         if baseline is not None:
-            sampled = sample_gains(sol, ls.n, grid_xi=baseline.grid_xi,
-                                   offset=ls.sample_offset)
+            sampled = gains(sol, grid_xi=baseline.grid_xi, grid_y=baseline.grid_y)
             row["d_np1"] = diff_solutions(sampled, baseline)
         if prev_table is not None:
             row["d_prev"] = diff_solutions(cur, prev_table)
@@ -280,7 +279,7 @@ def _sim_gains(args, problem: Problem, ls) -> GainTable | None:
         return None
     if args.gains:
         table = read_gain_csv(args.gains)
-        ys = ls.y_points()
+        ys = ls.points
         if table.sampled:   # a per-component table must sit at the components
             if len(table.grid_y) == ls.n and np.allclose(table.grid_y, ys,
                                                          rtol=0, atol=1e-12):
@@ -297,8 +296,7 @@ def _sim_gains(args, problem: Problem, ls) -> GainTable | None:
         solver = SolverConfig(N=args.solve_order, N_y=args.solve_order_y,
                               sigma_sign=args.sigma_sign or 1)
         sol = solve_ls(assemble(problem.continuum, solver))
-        return sample_gains(sol, ls.n, grid_xi=np.linspace(0, 1, args.mx),
-                            offset=ls.sample_offset)
+        return gains(sol, grid_xi=np.linspace(0, 1, args.mx), grid_y=ls.points)
     raise ConfigError("simulate needs --gains, --solve-order, or --open-loop")
 
 

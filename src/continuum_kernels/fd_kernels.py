@@ -240,7 +240,7 @@ def solve_characteristics(ls: LargeScaleParams, grid: TriGrid | None = None,
         if change < tol:
             return LsKernelSolution(
                 k=np.ascontiguousarray(K.transpose(1, 0, 2)), grid=grid,
-                y_points=ls.y_points(), history=history,
+                y_points=ls.points, history=history,
                 stages_s={"stencils": t1 - t0,
                           "sweeps": time.perf_counter() - t1})
     raise ConvergenceError(history, tol)

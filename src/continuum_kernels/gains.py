@@ -16,7 +16,7 @@ import numpy as np
 
 from .closed_form import ClosedFormKernel
 from .fd_kernels import LsKernelSolution
-from .params import ContinuumParams, GridParams, LargeScaleParams, sample_points
+from .params import ContinuumParams, LargeScaleParams, sample_points
 from .power_series import PsKernelSolution, residual_series
 from .series import GL_NODES, GL_WEIGHTS, Var
 
@@ -96,13 +96,13 @@ def gains(sol, grid_xi: np.ndarray | None = None,
     return GainTable(grid_xi=grid_xi, grid_y=grid_y, k=k[0].T, kbar=kbar[0])
 
 
-def sample_gains(sol, n: int, grid_xi: np.ndarray | None = None,
-                 offset: float = 0.0) -> GainTable:
-    """Per-component gains for an n+1 system: row i is k(1, xi, y_i) with
-    y_i = (i+offset)/n for i = 1..n; the counter-convecting gain is kbar."""
+def sample_gains(sol, n: int, grid_xi: np.ndarray | None = None) -> GainTable:
+    """Per-component gains for an n+1 system: row i is k(1, xi, i/n) for
+    i = 1..n; the counter-convecting gain is kbar. A family at other points
+    samples its gains with ``gains(sol, grid_xi, grid_y=family.points)``."""
     if n < 1:
         raise ValueError("n must be positive")
-    t = gains(sol, grid_xi=grid_xi, grid_y=sample_points(n, offset))
+    t = gains(sol, grid_xi=grid_xi, grid_y=sample_points(n))
     t.sampled = True
     return t
 
@@ -129,10 +129,10 @@ def continuum_residual(sol, p: ContinuumParams,
 
     Series solutions are checked against the same truncated-parameter
     equations the solver matched (exact monomial integration). Closed-form
-    solutions are checked in the equations of :func:`largescale_residual`,
-    with the analytic parameters at the family points y = xs, each of
-    weight 0, and at the nodes of the 15-point Gauss-Legendre rule, whose
-    weights carry the integrals over y.
+    solutions are checked in the equations of :func:`largescale_residual`
+    on the family of the points y = xs, each of weight 0, followed by the
+    nodes of the 15-point Gauss-Legendre rule, whose weights carry the
+    integrals over y.
     """
     xs = np.linspace(0.0, 1.0, grid_m)
     if isinstance(sol, PsKernelSolution):
@@ -143,9 +143,11 @@ def continuum_residual(sol, p: ContinuumParams,
             e = r.eval_grid(at)
             out[src] = float(np.abs(e[tri] if src.startswith("pde") else e).max())
         return out
-    ys = np.concatenate((xs, GL_NODES))
-    g = p.on_grid(xs, ys, np.concatenate((np.zeros(grid_m), GL_WEIGHTS)))
-    return _residual(g, *_sampled_kernels(sol, ys, xs), np.tri(grid_m, dtype=bool))
+    if not isinstance(sol, ClosedFormKernel):   # a grid solution has no y
+        raise TypeError(f"unsupported kernel solution type {type(sol)!r}")
+    family = LargeScaleParams(p, np.concatenate((xs, GL_NODES)),
+                              np.concatenate((np.zeros(grid_m), GL_WEIGHTS)))
+    return largescale_residual(sol, family, grid_m - 1)
 
 
 def _sampled_kernels(sol, ys: np.ndarray, xs: np.ndarray) -> list[np.ndarray]:
@@ -161,24 +163,6 @@ def _sampled_kernels(sol, ys: np.ndarray, xs: np.ndarray) -> list[np.ndarray]:
     return out
 
 
-def _residual(g: GridParams, K: np.ndarray, dKdx: np.ndarray, dKdxi: np.ndarray,
-              interior: np.ndarray) -> dict[str, float]:
-    """Sup norms of the kernel equations at g's family points for candidates
-    K (n+1, x, xi) on g's x grid and their derivatives, the transport
-    equations over the ``interior`` of the (x, xi) triangle. The diagonal
-    data is (lam_i + mu) K_i(x, x) + theta_i, as ``assemble`` writes it."""
-    n, mu, S = len(g.lam), g.mu, g.sources(K)
-    e_k = mu[:, None] * dKdx[:n] - g.lam[:, None, :] * dKdxi[:n] - S[:n]
-    e_kb = mu[:, None] * dKdx[n] + mu[None, :] * dKdxi[n] - S[n]
-    diag = np.arange(len(mu))
-    e_diag = (g.lam + mu) * K[:n, diag, diag] + g.theta
-    e_left = mu[0] * (K[n, :, 0] - g.left_bc(K[:n, :, 0]))
-    return {"pde_k": float(np.abs(e_k[:, interior]).max()),
-            "pde_kbar": float(np.abs(e_kb[interior]).max()),
-            "bc_diag": float(np.abs(e_diag).max()),
-            "bc_left": float(np.abs(e_left).max())}
-
-
 # ---------------------------------------------------------------------------
 # Residuals in the sampled n+1 kernel equations
 # ---------------------------------------------------------------------------
@@ -186,14 +170,17 @@ def _residual(g: GridParams, K: np.ndarray, dKdx: np.ndarray, dKdxi: np.ndarray,
 
 def largescale_residual(sol, ls: LargeScaleParams,
                         grid_m: int = 64) -> dict[str, float]:
-    """Plug a candidate kernel family into the n+1 kernel equations.
+    """Plug a candidate kernel family into the kernel equations of the
+    family ``ls`` (the n+1 equations for ``Problem.large_scale``).
 
     ``sol`` is either an ensemble solution (series or closed form), whose
     sampling k_i(x, xi) = k(x, xi, y_i) supplies smooth candidates, or a
     grid solution from the n+1 reference solver (derivatives then fall back
     to centered differences). Reported values are sup norms over the
-    triangle; for an ensemble solution they quantify how well the sampled
-    continuum kernels approximate the n+1 kernels.
+    triangle, the transport equations over its interior; for an ensemble
+    solution they quantify how well the sampled continuum kernels
+    approximate the n+1 kernels. The diagonal data is reported as
+    (lam_i + mu) K_i(x, x) + theta_i, as ``assemble`` writes it.
     """
     if isinstance(sol, LsKernelSolution):
         xs = sol.grid.nodes()
@@ -203,14 +190,24 @@ def largescale_residual(sol, ls: LargeScaleParams,
                              f"of centered differences; got m = {m}")
         K = sol.k
         h = sol.grid.h
-        derivs = np.gradient(K, h, axis=1), np.gradient(K, h, axis=2)
+        dKdx, dKdxi = np.gradient(K, h, axis=1), np.gradient(K, h, axis=2)
         a, b = np.ogrid[:m + 1, :m + 1]
         interior = (a <= m - 2) & (b >= 1) & (b <= a - 2)   # x rows 2..m-2, xi 1..a-2
     else:
         xs = np.linspace(0.0, 1.0, grid_m + 1)
-        K, *derivs = _sampled_kernels(sol, ls.y_points(), xs)
+        K, dKdx, dKdxi = _sampled_kernels(sol, ls.points, xs)
         interior = np.tri(grid_m + 1, dtype=bool)                 # xi <= x
-    return _residual(ls.on_grid(xs), K, *derivs, interior)
+    g = ls.on_grid(xs)
+    n, mu, S = ls.n, g.mu, g.sources(K)
+    e_k = mu[:, None] * dKdx[:n] - g.lam[:, None, :] * dKdxi[:n] - S[:n]
+    e_kb = mu[:, None] * dKdx[n] + mu[None, :] * dKdxi[n] - S[n]
+    diag = np.arange(len(mu))
+    e_diag = (g.lam + mu) * K[:n, diag, diag] + g.theta
+    e_left = mu[0] * (K[n, :, 0] - g.left_bc(K[:n, :, 0]))
+    return {"pde_k": float(np.abs(e_k[:, interior]).max()),
+            "pde_kbar": float(np.abs(e_kb[interior]).max()),
+            "bc_diag": float(np.abs(e_diag).max()),
+            "bc_left": float(np.abs(e_left).max())}
 
 
 # ---------------------------------------------------------------------------

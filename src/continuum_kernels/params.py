@@ -1,5 +1,6 @@
-"""Problem data: ensemble (continuum) parameter sets, sampled large-scale
-parameter sets, polynomial fitting of ensemble data, and JSON config I/O.
+"""Problem data: ensemble (continuum) parameter sets, their families at
+quadrature points (the n+1 system among them), polynomial fitting of
+ensemble data, and JSON config I/O.
 
 Conventions
 -----------
@@ -43,7 +44,6 @@ __all__ = [
     "Problem",
     "ConfigError",
     "sample_points",
-    "sample_continuum",
     "fit_q",
     "number_array",
     "load_problem",
@@ -244,37 +244,49 @@ def _contract(out_f: np.ndarray, sum_f: np.ndarray, a: np.ndarray,
     return (out_f.T @ s.reshape(r, cols)).reshape(u.shape)
 
 
-@dataclass
+@dataclass(frozen=True)
 class LargeScaleParams:
-    """Sampled parameters of the n+1 kernel equations: the ensemble template
-    at the component points, evaluated on demand by :meth:`on_grid`."""
+    """A family of the kernel equations: the ensemble template at the family
+    ``points`` in [0, 1], each with its quadrature weight, and q_i at the
+    points (None: the template's q there). The n+1 system is the family of
+    points (i + offset)/n, each of weight 1/n, that
+    :meth:`Problem.large_scale` builds."""
 
-    n: int
     template: ContinuumParams
-    q: np.ndarray | None = None             # q_i; None samples template.q
-    sample_offset: float = 0.0              # component i sits at y=(i+1+offset)/n
+    points: np.ndarray
+    weights: np.ndarray
+    q: np.ndarray | None = None
 
     def __post_init__(self):
-        if self.n < 1:
-            raise ValueError("n must be positive")
-        if self.q is None:
-            self.q = self.template.q.eval1(Var.Y, self.y_points())
-        self.q = np.asarray(self.q, dtype=float)
-        if self.q.shape != (self.n,):
-            raise ValueError("q must have n entries")
+        pts = np.asarray(self.points, dtype=float)
+        if pts.ndim != 1 or not len(pts):
+            raise ValueError("points must be a flat array of at least one point")
+        q = self.template.q.eval1(Var.Y, pts) if self.q is None else self.q
+        for name, v in (("points", pts), ("weights", self.weights), ("q", q)):
+            v = np.asarray(v, dtype=float)
+            if v.shape != pts.shape:
+                raise ValueError(f"{name} has shape {v.shape}, but the family "
+                                 f"has {len(pts)} points")
+            if not np.isfinite(v).all():
+                raise ValueError(f"{name} must be finite")
+            object.__setattr__(self, name, v)
+        if (self.weights < 0).any():
+            raise ValueError("quadrature weights must be non-negative")
+        if ((pts < 0) | (pts > 1)).any():
+            raise ValueError("family points must lie in [0, 1]")
 
-    def y_points(self) -> np.ndarray:
-        return sample_points(self.n, self.sample_offset)
+    @property
+    def n(self) -> int:
+        return len(self.points)
 
     def on_grid(self, xs) -> GridParams:
-        """The template on ``xs`` at the component points, each of weight
-        1/n, with the sampled q."""
-        w = np.full(self.n, 1.0 / self.n)
-        return replace(self.template.on_grid(xs, self.y_points(), w), q=self.q)
+        """The template on ``xs`` at the family points and weights, with the
+        family's q."""
+        return replace(self.template.on_grid(xs, self.points, self.weights), q=self.q)
 
     def check_speeds(self) -> tuple[float, float]:
-        """The template's speed minima at the component points."""
-        return self.template.check_speeds(self.y_points())
+        """The template's speed minima at the family points."""
+        return self.template.check_speeds(self.points)
 
 
 @dataclass(frozen=True)
@@ -289,29 +301,17 @@ class FitResult:
         return SeparableSum.poly(Var.Y, self.coeffs)
 
 
-def sample_continuum(c: ContinuumParams, n: int, offset: float = 0.0) -> LargeScaleParams:
-    """Sample the ensemble parameters into an n+1 parameter set.
-
-    Component i (1-based) is placed at y = (i + offset)/n; the default
-    offset 0 puts the family at i/n, offset -1 at (i-1)/n.
-    """
-    return LargeScaleParams(n=n, template=c, sample_offset=offset)
-
-
-def fit_q(data: np.ndarray, degree: int, points: np.ndarray | None = None,
-          offset: float = 0.0) -> FitResult:
-    """Least-squares polynomial fit to ensemble reflection data.
-
-    ``points`` gives the abscissae explicitly; otherwise the data sit at
-    ``sample_points(len(data), offset)``.
-    """
+def fit_q(data: np.ndarray, degree: int,
+          points: np.ndarray | None = None) -> FitResult:
+    """Least-squares polynomial fit to ensemble reflection data at the
+    abscissae ``points``, by default ``sample_points(len(data))``."""
     data = np.asarray(data, dtype=float)
     if degree < 0:
         raise ValueError(f"fit degree must be at least 0, got {degree}")
     if data.ndim != 1 or not np.isfinite(data).all():
         raise ValueError("reflection data must be a flat array of finite numbers")
-    points = np.asarray(sample_points(len(data), offset) if points is None
-                        else points, dtype=float)
+    points = np.asarray(sample_points(len(data)) if points is None else points,
+                        dtype=float)
     if degree >= len(points):
         raise ValueError("fit degree must be below the number of data points")
     if len(np.unique(points)) != len(points):
@@ -349,26 +349,25 @@ class Problem:
     fit: FitResult | None = None
     source: dict = field(default_factory=dict)
 
-    def large_scale(self, n: int | None = None,
-                    offset: float | None = None) -> LargeScaleParams:
-        """Sample the n+1 parameter set, by default at the data's sample
-        offset; raw q data is used verbatim when the requested size and
-        offset match the data."""
+    def large_scale(self, n: int | None = None) -> LargeScaleParams:
+        """The n+1 family: points (i + q_offset)/n, each of weight 1/n, with
+        the raw q data when it has n entries."""
         if n is None:
             n = self.n
         if n is None:
             raise ValueError("problem does not fix n; pass it explicitly")
-        offset = self.q_offset if offset is None else offset
-        ls = sample_continuum(self.continuum, n, offset)
-        if self.q_data is not None and len(self.q_data) == n and offset == self.q_offset:
-            ls.q = np.asarray(self.q_data, dtype=float)
-        return ls
+        if n < 1:
+            raise ValueError("n must be positive")
+        fits = self.q_data is not None and len(self.q_data) == n
+        return LargeScaleParams(self.continuum, sample_points(n, self.q_offset),
+                                np.full(n, 1.0 / n), self.q_data if fits else None)
 
     def with_fit_degree(self, degree: int) -> "Problem":
         """Refit the reflection data at another degree."""
         if self.q_data is None:
             raise ValueError("problem has an analytic q; nothing to refit")
-        fit = fit_q(self.q_data, degree, offset=self.q_offset)
+        fit = fit_q(self.q_data, degree,
+                    sample_points(len(self.q_data), self.q_offset))
         cont = replace(self.continuum, q=fit.as_sum())
         return replace(self, continuum=cont, fit=fit)
 
@@ -481,7 +480,7 @@ def parse_problem_dict(cfg: Mapping, name: str = "<config>") -> Problem:
             raise ConfigError(f"{name}.q.points: expected 'i/n' or '(i-1)/n', "
                               f"got {points!r}")
         q_offset = -1.0 if points == "(i-1)/n" else 0.0
-        fit = fit_q(q_data, degree, offset=q_offset)
+        fit = fit_q(q_data, degree, sample_points(len(q_data), q_offset))
         q = fit.as_sum()
     elif isinstance(qcfg, Mapping) and "exact" in qcfg:
         key = qcfg["exact"]

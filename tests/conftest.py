@@ -4,9 +4,10 @@ import numpy as np
 import pytest
 import scipy.sparse
 
-from continuum_kernels import (LinearSystem, Problem, PsKernelSolution,
+from continuum_kernels import (ContinuumParams, LargeScaleParams,
+                               LinearSystem, Problem, PsKernelSolution,
                                SolverConfig, TruncatedSeries, assemble,
-                               load_problem, solve_ls)
+                               load_problem, parse_problem_dict, solve_ls)
 from continuum_kernels.power_series import _KINDS, _SOURCES
 
 FULL = pytest.mark.skipif(
@@ -32,6 +33,24 @@ def col_array(keys) -> np.ndarray:
     """Column labels ("K", (a, b, c)) / ("KB", (a, b)) as a system's array."""
     return np.array([[_KINDS.index(kind), *e, *[0] * (3 - len(e))] for kind, e in keys],
                     dtype=np.int64).reshape(-1, 4)
+
+
+def n_plus_one(p: ContinuumParams, n: int, offset: float = 0.0) -> LargeScaleParams:
+    """The n+1 family of the template ``p``: points (i + offset)/n, weights
+    1/n and p's q at the points."""
+    return Problem("n+1", p, q_offset=offset).large_scale(n)
+
+
+def asymmetric_sigma_problem():
+    # example2 with sigma = x^3 (1+x) (eta - 1/2)(1 + y^2), not symmetric
+    # in (eta, y) as the built-in configs' are, so a transposed coupling
+    # shows
+    cfg = dict(load_problem("example2").source)
+    cfg["sigma"] = {"terms": [{"scale": 1.0, "factors": [
+        {"var": "x", "kind": "poly", "coeffs": [0, 0, 0, 1, 1]},
+        {"var": "eta", "kind": "poly", "coeffs": [-0.5, 1.0]},
+        {"var": "y", "kind": "poly", "coeffs": [1.0, 0.0, 1.0]}]}]}
+    return parse_problem_dict(cfg)
 
 
 def series_from(vars_, coeffs: dict) -> TruncatedSeries:

@@ -12,13 +12,13 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from conftest import FULL, coeff_vector, optimality_check, series_from
+from conftest import (FULL, coeff_vector, n_plus_one, optimality_check,
+                      series_from)
 from continuum_kernels.closed_form import NotApplicable, solve_closed_form
 from continuum_kernels.fd_kernels import TriGrid, refine_study, \
     solve_characteristics
 from continuum_kernels.gains import (continuum_residual, diff_solutions,
                                      gains, sample_gains)
-from continuum_kernels.params import sample_continuum
 from continuum_kernels.power_series import (SolverConfig, assemble,
                                             count_unknowns, solve_ls)
 from continuum_kernels.series import Var
@@ -180,7 +180,7 @@ def test_c4_least_squares_optimality(solve_cache, example1):
 
 
 def test_c5_lift_reproduces_ensemble_form(example2):
-    ls = sample_continuum(example2.continuum, 10)
+    ls = n_plus_one(example2.continuum, 10)
     cont = ls.template
     xs = np.linspace(0.0, 1.0, 17)
     Xg, Yg = np.meshgrid(xs, xs, indexing="ij")
@@ -362,7 +362,7 @@ def test_c7_reference_solver_self_convergence(example2):
 
 def test_c7_reference_solver_vs_closed_form(example1):
     kern = solve_closed_form(example1.continuum)
-    ls = sample_continuum(example1.continuum, 10)
+    ls = n_plus_one(example1.continuum, 10)
 
     def ref(i, x, xi):
         if i == 10:

@@ -12,9 +12,11 @@ import continuum_kernels
 from conftest import duplicated_column_system
 from continuum_kernels import cli
 from continuum_kernels.cli import main
-from continuum_kernels.gains import GainTable, read_gain_csv, write_gain_csv
+from continuum_kernels.gains import (GainTable, gains, read_gain_csv,
+                                     write_gain_csv)
 from continuum_kernels.params import load_problem
-from continuum_kernels.power_series import assemble
+from continuum_kernels.power_series import SolverConfig, assemble, solve_ls
+from continuum_kernels.simulate import SimConfig, Simulator
 
 
 def run(argv):
@@ -369,6 +371,25 @@ class TestSimulate:
         err = capsys.readouterr().err
         assert "y = [0.  0.1" in err and "y = [0.1 0.2" in err
         assert not (tmp_path / "s_sim.csv").exists()
+
+    def test_left_offset_components_get_their_own_gains(self, tmp_path):
+        # components at (i-1)/n = 0, 0.05, ...: the series gains are sampled
+        # there, the U(t) an in-process run at those points writes
+        cfg = dict(load_problem("example2").source)
+        cfg["q"] = dict(cfg["q"], points="(i-1)/n")
+        path = tmp_path / "left.json"
+        path.write_text(json.dumps(cfg))
+        assert run(["simulate", "--config", str(path), "--solve-order", "8",
+                    "--n", "20", "--mx", "32", "--t-final", "0.3",
+                    "--out-prefix", str(tmp_path / "s")]) == 0
+        ls = load_problem(str(path)).large_scale(20)
+        np.testing.assert_array_equal(ls.points, np.arange(20) / 20)
+        sol = solve_ls(assemble(ls.template, SolverConfig(N=8)))
+        table = gains(sol, grid_xi=np.linspace(0, 1, 32), grid_y=ls.points)
+        rep = Simulator(SimConfig(n=20, m_x=32, t_final=0.3), ls, table).run()
+        U = np.loadtxt(tmp_path / "s_sim.csv", delimiter=",", skiprows=3,
+                       usecols=1)
+        np.testing.assert_array_equal(U, rep.U)
 
     def test_gains_sampled_for_another_n_rejected(self, tmp_path, capsys):
         # an n = 10 table used to be interpolated onto the n = 20 components,

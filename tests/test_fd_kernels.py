@@ -3,13 +3,16 @@ from unittest import mock
 import numpy as np
 import pytest
 
+from conftest import asymmetric_sigma_problem, n_plus_one
+
 from continuum_kernels import fd_kernels
 from continuum_kernels.closed_form import solve_closed_form
+from continuum_kernels.gains import diff_solutions, gains
 from continuum_kernels.fd_kernels import (ConvergenceError, TriGrid,
                                           refine_study,
                                           solve_characteristics)
-from continuum_kernels.params import (load_problem, parse_problem_dict,
-                                      sample_continuum)
+from continuum_kernels.params import (LargeScaleParams, load_problem,
+                                      parse_problem_dict)
 from continuum_kernels.series import Var
 
 
@@ -32,18 +35,6 @@ def varying_speed_problem():
         {"var": "y", "kind": "poly", "coeffs": [1.0, 1.0]}]}]}
     cfg["mu"] = {"terms": [{"scale": 1.0, "factors": [
         {"var": "x", "kind": "poly", "coeffs": [2.0, -1.0]}]}]}
-    return parse_problem_dict(cfg)
-
-
-def asymmetric_sigma_problem():
-    # example2 with sigma = x^3 (1+x) (eta - 1/2)(1 + y^2), not symmetric
-    # in (eta, y) as the built-in configs' are, so a transposed coupling
-    # shows
-    cfg = dict(load_problem("example2").source)
-    cfg["sigma"] = {"terms": [{"scale": 1.0, "factors": [
-        {"var": "x", "kind": "poly", "coeffs": [0, 0, 0, 1, 1]},
-        {"var": "eta", "kind": "poly", "coeffs": [-0.5, 1.0]},
-        {"var": "y", "kind": "poly", "coeffs": [1.0, 0.0, 1.0]}]}]}
     return parse_problem_dict(cfg)
 
 
@@ -74,7 +65,7 @@ def per_level_sweeps(ls, grid, tol=1e-10, max_iter=200):
     diag_bc = -TH / (lam + mu[None, :])
     # sig[j, i, b] = sigma(x_b, eta=y_j, y=y_i), so row i of the coupling
     # is sum_j sig[j, i] K_j / n
-    ys = ls.y_points()
+    ys = ls.points
     sig = np.broadcast_to(ls.template.sigma(
         {Var.X: xs, Var.ETA: ys[:, None, None], Var.Y: ys[None, :, None]}),
         (n, n, m + 1))
@@ -144,7 +135,7 @@ def per_level_sweeps(ls, grid, tol=1e-10, max_iter=200):
 
 class TestSolveCharacteristics:
     def test_homogeneous_single_sweep(self, zero_problem):
-        ls = sample_continuum(zero_problem.continuum, 3)
+        ls = n_plus_one(zero_problem.continuum, 3)
         sol = solve_characteristics(ls, TriGrid(16))
         assert sol.iterations == 1
         assert sol.final_delta == 0.0
@@ -156,7 +147,7 @@ class TestSolveCharacteristics:
         # k_i(x, xi) = -theta_i((x+xi)/2) / 2, exact for linear theta_i
         prob = decoupled_problem(theta_scale=3.0)
         n = 4
-        ls = sample_continuum(prob.continuum, n)
+        ls = n_plus_one(prob.continuum, n)
         sol = solve_characteristics(ls, TriGrid(32))
         assert sol.iterations <= 3
         xs = sol.grid.nodes()
@@ -203,7 +194,7 @@ class TestSolveCharacteristics:
     def test_negative_speed_rejected(self):
         cfg = {"lambda": -1.0, "mu": 1.0, "sigma": 0.0, "theta": 0.0,
                "w": 0.0, "q": 0.0}
-        ls = sample_continuum(parse_problem_dict(cfg).continuum, 2)
+        ls = n_plus_one(parse_problem_dict(cfg).continuum, 2)
         with pytest.raises(ValueError, match="positive"):
             solve_characteristics(ls, TriGrid(8))
 
@@ -211,7 +202,7 @@ class TestSolveCharacteristics:
         # continuum-limit reference: error has a finite-n floor plus an O(h)
         # part that shrinks under refinement
         kern = solve_closed_form(example1.continuum)
-        ls = sample_continuum(example1.continuum, 10)
+        ls = n_plus_one(example1.continuum, 10)
         errs = []
         for m in (32, 64):
             sol = solve_characteristics(ls, TriGrid(m))
@@ -224,6 +215,19 @@ class TestSolveCharacteristics:
                 err = max(err, np.abs(sol.k[i] - ref)[tri].max())
             errs.append(err)
         assert errs[1] < errs[0]
+
+    def test_gauss_family_converges_to_closed_form(self, example1):
+        # on the 8-node Gauss-Legendre family the march solves a quadrature
+        # of the continuum equations; its gains reach the closed form's at
+        # first order in the mesh width (errors 3.17, 1.54, 0.76)
+        kern = solve_closed_form(example1.continuum)
+        nodes, weights = np.polynomial.legendre.leggauss(8)
+        family = LargeScaleParams(example1.continuum, (nodes + 1) / 2, weights / 2)
+        errs = []
+        for m in (32, 64, 128):
+            t = gains(solve_characteristics(family, TriGrid(m)))
+            errs.append(diff_solutions(t, gains(kern, t.grid_xi, t.grid_y)))
+        assert all(1.5 <= a / b <= 2.5 for a, b in zip(errs, errs[1:])), errs
 
 
 class TestAgainstPerLevelSweeps:
@@ -242,7 +246,8 @@ class TestAgainstPerLevelSweeps:
         made = {"varying-speeds": varying_speed_problem,
                 "asymmetric-sigma": asymmetric_sigma_problem}
         problem = made[name]() if name in made else load_problem(name)
-        ls = problem.large_scale(n, offset=offset)
+        ls = (problem.large_scale(n) if offset is None
+              else n_plus_one(problem.continuum, n, offset))
         K, deltas = per_level_sweeps(ls, TriGrid(m), tol=1e-15, max_iter=500)
         assert deltas[-1] < 1e-15
         sol = solve_characteristics(ls, TriGrid(m))
@@ -263,7 +268,7 @@ class TestAgainstPerLevelSweeps:
 
 class TestRefineStudy:
     def test_homogeneous_all_zero(self, zero_problem):
-        ls = sample_continuum(zero_problem.continuum, 2)
+        ls = n_plus_one(zero_problem.continuum, 2)
         rep = refine_study(ls, [8, 16, 32])
         assert rep.diffs == [0.0, 0.0]
 
@@ -290,7 +295,7 @@ class TestRefineStudy:
 
     def test_reference_errors_recorded(self, example1):
         kern = solve_closed_form(example1.continuum)
-        ls = sample_continuum(example1.continuum, 5)
+        ls = n_plus_one(example1.continuum, 5)
 
         def ref(i, x, xi):
             if i == 5:

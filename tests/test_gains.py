@@ -8,13 +8,14 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from conftest import n_plus_one
 from continuum_kernels.closed_form import solve_closed_form
 from continuum_kernels.fd_kernels import TriGrid, solve_characteristics
 from continuum_kernels.gains import (GainTable, _sampled_kernels,
                                      continuum_residual, diff_solutions, gains,
                                      largescale_residual, read_gain_csv,
                                      sample_gains, write_gain_csv)
-from continuum_kernels.params import load_problem
+from continuum_kernels.params import load_problem, sample_points
 from continuum_kernels.power_series import (PsKernelSolution, SolverConfig,
                                             assemble, solve_ls)
 from continuum_kernels.series import SeparableSum, SeparableTerm, Var
@@ -124,7 +125,7 @@ class TestContinuumResidual:
 def loop_sampled_kernels(sol, ls, xs):
     """Oracle: the per-component loop the grid evaluation replaced."""
     n, m = ls.n, len(xs) - 1
-    ys = ls.y_points()
+    ys = ls.points
     X, XI = np.meshgrid(xs, xs, indexing="ij")
     K = np.empty((n + 1, m + 1, m + 1))
     dKdx = np.empty_like(K)
@@ -157,9 +158,9 @@ def loop_sampled_kernels(sol, ls, xs):
 class TestSampledKernelsAgainstLoop:
     @pytest.mark.parametrize("offset", [0.0, -1.0])
     def test_closed_form_bit_identical(self, example1, offset):
-        ls = example1.large_scale(10, offset)
+        ls = n_plus_one(example1.continuum, 10, offset)
         xs = np.linspace(0.0, 1.0, 65)
-        got = _sampled_kernels(example1_kernel(), ls.y_points(), xs)
+        got = _sampled_kernels(example1_kernel(), ls.points, xs)
         np.testing.assert_array_equal(np.stack(got),
                                       loop_sampled_kernels(example1_kernel(), ls, xs))
 
@@ -167,7 +168,7 @@ class TestSampledKernelsAgainstLoop:
         sol = solve_cache.solution("example2", SolverConfig(N=12))
         ls = example2.large_scale()
         xs = np.linspace(0.0, 1.0, 25)
-        got = _sampled_kernels(sol, ls.y_points(), xs)
+        got = _sampled_kernels(sol, ls.points, xs)
         want = loop_sampled_kernels(sol, ls, xs)
         for g, w in zip(got, want):         # k, d/dx, d/dxi
             assert np.abs(g - w).max() <= 1e-13 * np.abs(w).max()
@@ -176,7 +177,7 @@ class TestSampledKernelsAgainstLoop:
 class TestLargescaleResidual:
     def test_single_member_constant_ensemble(self):
         # y-independent problem: the n=1 sums coincide with the integrals
-        from continuum_kernels.params import ContinuumParams, sample_continuum
+        from continuum_kernels.params import ContinuumParams
 
         from continuum_kernels.series import Exp
 
@@ -191,7 +192,7 @@ class TestLargescaleResidual:
         from continuum_kernels.closed_form import NotApplicable
         assert not isinstance(kern, NotApplicable), getattr(kern, "reason", "")
         res_c = continuum_residual(kern, p, grid_m=17)
-        ls = sample_continuum(p, 1)
+        ls = n_plus_one(p, 1)
         res_l = largescale_residual(kern, ls, grid_m=16)
         for key in res_c:
             assert res_l[key] == pytest.approx(res_c[key], abs=5e-9)
@@ -241,8 +242,9 @@ class TestCsvRoundTrip:
     @given(n=st.integers(1, 40), m=st.integers(2, 40))
     @settings(max_examples=25, deadline=None)
     def test_left_offset_roundtrip(self, n, m):
-        t = sample_gains(example1_kernel(), n, grid_xi=np.linspace(0, 1, m),
-                         offset=-1.0)
+        t = gains(example1_kernel(), grid_xi=np.linspace(0, 1, m),
+                  grid_y=sample_points(n, -1.0))
+        t.sampled = True
         assert t.grid_y[0] == 0.0
         with tempfile.TemporaryDirectory() as d:
             path = Path(d) / "g.csv"

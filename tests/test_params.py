@@ -5,10 +5,11 @@ import json
 import numpy as np
 import pytest
 
+from conftest import n_plus_one
 from continuum_kernels.closed_form import solve_closed_form
 from continuum_kernels.gains import sample_gains
-from continuum_kernels.params import (ConfigError, fit_q, load_problem,
-                                      parse_problem_dict, sample_continuum,
+from continuum_kernels.params import (ConfigError, LargeScaleParams, fit_q,
+                                      load_problem, parse_problem_dict,
                                       sample_points)
 from continuum_kernels.series import (Polynomial, SeparableSum,
                                       SeparableTerm, Var)
@@ -25,7 +26,7 @@ def sigma_entry(g, i, j):
 
 class TestSampleContinuum:
     def test_example2_sigma_vanishes_at_last_component(self, example2):
-        ls = sample_continuum(example2.continuum, 10)
+        ls = n_plus_one(example2.continuum, 10)
         xs = np.linspace(0, 1, 11)
         g = ls.on_grid(xs)
         np.testing.assert_allclose(sigma_entry(g, 9, 9), 0.0, atol=1e-15)
@@ -36,7 +37,7 @@ class TestSampleContinuum:
 
     def test_theta_mid_component(self, example2):
         # theta(x, 1/2) = -70 x (1/2)(-1/2) = 17.5 x
-        ls = sample_continuum(example2.continuum, 10)
+        ls = n_plus_one(example2.continuum, 10)
         xs = np.linspace(0, 1, 11)
         np.testing.assert_allclose(ls.on_grid(xs).theta[4], 17.5 * xs,
                                    rtol=1e-14)
@@ -45,14 +46,14 @@ class TestSampleContinuum:
         cfg = {"lambda": 1.0, "mu": 1.0, "sigma": 0.0, "theta": 0.0,
                "w": 0.0, "q": 0.0}
         prob = parse_problem_dict(cfg)
-        ls = sample_continuum(prob.continuum, 5)
+        ls = n_plus_one(prob.continuum, 5)
         xs = np.linspace(0, 1, 5)
         for lam in ls.on_grid(xs).lam:
             np.testing.assert_allclose(lam, 1.0)
 
     def test_left_offset_sampling(self, example2):
-        ls = sample_continuum(example2.continuum, 10, offset=-1.0)
-        np.testing.assert_allclose(ls.y_points(), np.arange(0, 10) / 10)
+        ls = n_plus_one(example2.continuum, 10, offset=-1.0)
+        np.testing.assert_allclose(ls.points, np.arange(0, 10) / 10)
         xs = np.linspace(0, 1, 5)
         np.testing.assert_allclose(ls.on_grid(xs).theta[0], 0.0, atol=1e-15)
 
@@ -66,10 +67,10 @@ class TestSampleContinuum:
         ("example1", 7, 0.0), ("example2", 10, 0.0), ("example2", 10, -1.0)])
     def test_sampled_grid_is_the_template_at_the_points(self, name, n, offset):
         prob = load_problem(name)
-        ls = prob.large_scale(n, offset)
+        ls = prob.large_scale(n) if offset == 0.0 else n_plus_one(prob.continuum, n, offset)
         xs = np.linspace(0, 1, 9)
         g = ls.on_grid(xs)
-        t = ls.template.on_grid(xs, ls.y_points(), np.full(n, 1.0 / n))
+        t = ls.template.on_grid(xs, ls.points, np.full(n, 1.0 / n))
         for f in dataclasses.fields(g):
             if f.name != "q":
                 assert np.array_equal(getattr(g, f.name), getattr(t, f.name)), f.name
@@ -81,7 +82,7 @@ class TestSampleContinuum:
         # system sampled with offset -1/2, field by field and bit for bit
         p = load_problem(name).continuum
         xs = np.linspace(0, 1, 9)
-        g, ls = p.on_grid(xs, [0.5], [1.0]), sample_continuum(p, 1, -0.5).on_grid(xs)
+        g, ls = p.on_grid(xs, [0.5], [1.0]), n_plus_one(p, 1, -0.5).on_grid(xs)
         for f in dataclasses.fields(g):
             assert np.array_equal(getattr(g, f.name), getattr(ls, f.name)), f.name
 
@@ -92,15 +93,56 @@ class TestSampleContinuum:
         cfg["q"]["points"] = "(i-1)/n"
         prob = parse_problem_dict(cfg)
         ls = prob.large_scale()
-        assert ls.y_points()[0] == 0.0
+        assert ls.points[0] == 0.0
         np.testing.assert_array_equal(
             ls.on_grid(np.linspace(0, 1, 5)).q,
             np.asarray(prob.q_data, dtype=float))
 
 
+class TestFamilyInput:
+    """A bad family fails at construction: a NaN q used to run the
+    reference march through all of its sweeps before it failed to
+    converge, and a NaN offset gave NaN points that passed the speed
+    check."""
+
+    @pytest.mark.parametrize("kw, match", [
+        ({"points": [0.1, np.nan]}, "points must be finite"),
+        ({"weights": [0.5, np.inf]}, "weights must be finite"),
+        ({"q": [np.nan, 0.1]}, "q must be finite"),
+        ({"weights": [0.5]}, "weights has shape"),
+        ({"q": [0.1, 0.2, 0.3]}, "q has shape"),
+        ({"points": [[0.5, 1.0]]}, "flat"),
+        ({"points": [], "weights": []}, "at least one"),
+        ({"weights": [0.6, -0.1]}, "non-negative"),
+        ({"points": [0.5, 1.5]}, r"in \[0, 1\]"),
+        ({"points": [-0.5, 0.5]}, r"in \[0, 1\]"),
+    ])
+    def test_rejected(self, example2, kw, match):
+        args = {"points": [0.5, 1.0], "weights": [0.5, 0.5], "q": None} | kw
+        with pytest.raises(ValueError, match=match):
+            LargeScaleParams(example2.continuum, **args)
+
+    def test_nan_q_data_and_offset(self, example2):
+        with pytest.raises(ValueError, match="q must be finite"):
+            LargeScaleParams(example2.continuum, sample_points(10),
+                             np.full(10, 0.1), [np.nan] + [0.1] * 9)
+        with pytest.raises(ValueError, match="points must be finite"):
+            dataclasses.replace(example2, q_offset=np.nan).large_scale()
+
+    def test_n_plus_one_family(self, example2):
+        ls = example2.large_scale()
+        assert ls.n == 10
+        np.testing.assert_array_equal(ls.points, np.arange(1, 11) / 10)
+        np.testing.assert_array_equal(ls.weights, np.full(10, 0.1))
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            ls.q = None
+        with pytest.raises(ValueError, match="positive"):
+            example2.large_scale(0)
+
+
 class TestLiftSeparable:
     def test_example2_roundtrip(self, example2):
-        ls = sample_continuum(example2.continuum, 10)
+        ls = n_plus_one(example2.continuum, 10)
         cont = ls.template
         xs = np.linspace(0, 1, 13)
         ys = np.linspace(0, 1, 7)
@@ -119,7 +161,7 @@ class TestLiftSeparable:
         prob = parse_problem_dict(cfg)
         from dataclasses import replace
         cont = replace(prob.continuum, W=w)
-        ls = sample_continuum(cont, 10)
+        ls = n_plus_one(cont, 10)
         xs = np.linspace(0, 1, 9)
         g = ls.on_grid(xs)
         for i in (0, 4, 9):
@@ -132,21 +174,28 @@ class TestLiftSeparable:
 
 
 @pytest.mark.parametrize("offset", [0.0, -1.0])
-def test_one_sample_point_rule(example1, offset):
-    # sampled parameters, sampled gains and the q fit share y_i = (i + offset)/n
+def test_one_sample_point_rule(example1, example2, offset):
+    # q data at y_i = (i + offset)/n: the n+1 family and the q fit sit
+    # there, and sample_gains at i/n
     kern = solve_closed_form(example1.continuum)
     rng = np.random.default_rng(5)
+    cfg = copy.deepcopy(example2.source)
+    cfg["q"]["points"] = "i/n" if offset == 0.0 else "(i-1)/n"
     for n in range(1, 41):
         ys = sample_points(n, offset)
         np.testing.assert_array_equal(ys, (np.arange(1, n + 1) + offset) / n)
-        np.testing.assert_array_equal(
-            sample_continuum(example1.continuum, n, offset).y_points(), ys)
-        np.testing.assert_array_equal(
-            sample_gains(kern, n, grid_xi=np.linspace(0, 1, 3), offset=offset).grid_y, ys)
         data = rng.normal(size=n)
         deg = min(2, n - 1)
-        np.testing.assert_array_equal(fit_q(data, deg, offset=offset).coeffs,
+        cfg["q"].update(data=data.tolist(), fit_degree=deg)
+        prob = parse_problem_dict(cfg)
+        np.testing.assert_array_equal(prob.large_scale(n).points, ys)
+        np.testing.assert_array_equal(prob.fit.coeffs,
                                       fit_q(data, deg, points=ys).coeffs)
+        np.testing.assert_array_equal(prob.with_fit_degree(deg).fit.coeffs,
+                                      prob.fit.coeffs)
+        np.testing.assert_array_equal(
+            sample_gains(kern, n, grid_xi=np.linspace(0, 1, 3)).grid_y,
+            sample_points(n))
 
 
 class TestFitQ:

@@ -1,13 +1,16 @@
 import tracemalloc
+from dataclasses import replace
 
 import numpy as np
 import pytest
 from hypothesis import Phase, example, given, settings
 from hypothesis import strategies as st
 
-from continuum_kernels.gains import GainTable, sample_gains
-from continuum_kernels.params import (ContinuumParams, parse_problem_dict,
-                                      sample_continuum)
+from conftest import asymmetric_sigma_problem, n_plus_one
+from continuum_kernels.fd_kernels import TriGrid, solve_characteristics
+from continuum_kernels.gains import GainTable, gains, sample_gains
+from continuum_kernels.params import (ContinuumParams, LargeScaleParams,
+                                      parse_problem_dict)
 from continuum_kernels.series import (Cos, Exp, Polynomial, SeparableSum,
                                       SeparableTerm, Var)
 from continuum_kernels.simulate import (DIVERGE_LIMIT, INITIAL_PROFILES,
@@ -18,7 +21,7 @@ from continuum_kernels.simulate import (DIVERGE_LIMIT, INITIAL_PROFILES,
 def transport_only(n=3):
     cfg = {"lambda": 1.0, "mu": 1.0, "sigma": 0.0, "theta": 0.0,
            "w": 0.0, "q": 0.0}
-    return sample_continuum(parse_problem_dict(cfg).continuum, n)
+    return n_plus_one(parse_problem_dict(cfg).continuum, n)
 
 
 def random_gains(rng, n, m):
@@ -178,7 +181,7 @@ class UVSimulator:
         self.h = xs[1] - xs[0]
         g = ls.on_grid(xs)
         self.lam, self.mu, self.q = g.lam, g.mu, g.q
-        ys = ls.y_points()
+        ys = ls.points
         p, at = ls.template, {Var.X: xs[None, :], Var.Y: ys[:, None]}
         self.theta = np.broadcast_to(p.theta(at), (n, m))
         self.W = np.broadcast_to(p.W(at), (n, m))
@@ -316,7 +319,7 @@ def varying_plant(n=6):
             0.7, [Polynomial(X, [0.0, 1.0]), Cos(Y, 1.0, 0.0)])]),
         q=SeparableSum([SeparableTerm(0.6, [Polynomial(Y, [1.0, -0.5])])]),
     )
-    return sample_continuum(p, n)
+    return n_plus_one(p, n)
 
 
 def scaled(table, c):
@@ -341,10 +344,9 @@ def oracle_case(name, example2):
                 scaled(sample_gains_for(ls), -100.0))
     if name == "offset-1":
         from continuum_kernels.power_series import SolverConfig, assemble, solve_ls
-        ls = sample_continuum(example2.continuum, 10, -1.0)
+        ls = n_plus_one(example2.continuum, 10, -1.0)
         sol = solve_ls(assemble(example2.continuum, SolverConfig(N=8)))
-        table = sample_gains(sol, 10, grid_xi=np.linspace(0, 1, 48),
-                             offset=-1.0)
+        table = gains(sol, grid_xi=np.linspace(0, 1, 48), grid_y=ls.points)
         return SimConfig(n=10, m_x=48, t_final=1.0), ls, table
     if name == "varying":
         return (SimConfig(n=6, m_x=40, t_final=1.0, initial_profile="bump"),
@@ -424,7 +426,7 @@ def test_rhs_matches_uv_oracle_on_rows_that_differ(name, seed, example2):
 def test_gain_rows_match_np_interp(grid_xi, example2):
     ls = example2.large_scale()
     rng = np.random.default_rng(4)
-    table = GainTable(grid_xi=grid_xi, grid_y=ls.y_points(),
+    table = GainTable(grid_xi=grid_xi, grid_y=ls.points,
                       k=rng.normal(size=(10, len(grid_xi))),
                       kbar=rng.normal(size=len(grid_xi)), sampled=True)
     sim = Simulator(SimConfig(n=10, m_x=40), ls, table)
@@ -432,6 +434,32 @@ def test_gain_rows_match_np_interp(grid_xi, example2):
     assert sim.kgw.flags.c_contiguous
     assert_rel_close(sim.kgw, rows * (sim.weights / 10), "k")
     assert_rel_close(sim.kbg, np.interp(sim.xs, grid_xi, table.kbar), "kbar")
+
+
+def test_closed_loop_pairs_plant_with_its_kernel_equations():
+    # with reference kernels of a plant whose sigma is not symmetric in
+    # (eta, y), the norm left at 1.25 t_F falls with the kernels' mesh
+    # error (6.5e-3, 4.1e-3, 2.3e-3); with the plant's sigma transposed it
+    # stalls at the mismatch (1.84e-2, 1.78e-2, 1.73e-2)
+    ls = asymmetric_sigma_problem().large_scale(10)
+    t_final = 1.25 * sum(1.0 / s for s in ls.check_speeds())
+    ratios = {False: [], True: []}
+    for m in (64, 128, 256):
+        table = gains(solve_characteristics(ls, TriGrid(m)))
+        for swap, got in ratios.items():
+            sim = Simulator(SimConfig(n=10, m_x=m + 1, t_final=t_final,
+                                      initial_profile="sine"), ls, table)
+            if swap:
+                p = sim.params
+                sim.params = replace(p, sigma_eta=p.sigma_y, sigma_y=p.sigma_eta)
+            rep = sim.run()
+            got.append(rep.final_norm / rep.initial_norm)
+
+    def falls(r):
+        return all(a >= 1.3 * b for a, b in zip(r, r[1:]))
+
+    assert falls(ratios[False]), ratios
+    assert not falls(ratios[True]), ratios
 
 
 def test_step_allocates_nothing_state_sized(example2):
@@ -520,12 +548,12 @@ _MU = SeparableSum([SeparableTerm(1.0, [Polynomial(Var.X, [2.0, -1.0])])])
 
 
 def grid_and_weights(p, ls, xs, uniform, rng):
-    """The n+1 system's grid record (weights 1/n), or the template's at the
-    same points with random positive weights, and the weights."""
+    """The n+1 system's grid record (weights 1/n), or that of the family at
+    the same points with random positive weights, and the weights."""
     if uniform:
         return ls.on_grid(xs), np.full(ls.n, 1.0 / ls.n)
     w = rng.uniform(0.1, 1.0, ls.n)
-    return p.on_grid(xs, ls.y_points(), w), w
+    return LargeScaleParams(p, ls.points, w).on_grid(xs), w
 
 
 @given(sigma=separable_sum(), theta=separable_sum((Var.X, Var.Y)),
@@ -542,8 +570,8 @@ def grid_and_weights(p, ls, xs, uniform, rng):
 def test_factored_coupling_matches_dense(sigma, theta, W, q, n, m, data,
                                          offset, uniform, seed):
     p = ContinuumParams(lam=_LAM, mu=_MU, sigma=sigma, theta=theta, W=W, q=q)
-    ls = sample_continuum(p, n, offset)
-    xs, ys = np.linspace(0.0, 1.0, m), ls.y_points()
+    ls = n_plus_one(p, n, offset)
+    xs, ys = np.linspace(0.0, 1.0, m), ls.points
     rng = np.random.default_rng(seed)
     g, wt = grid_and_weights(p, ls, xs, uniform, rng)
     sig = dense_sigma(sigma, ys, xs)                            # [i, j, x]
@@ -605,8 +633,8 @@ def test_factored_plant_matches_dense(sigma, theta, W, n, m, offset, uniform,
     one = SeparableSum.constant(1.0)
     p = ContinuumParams(lam=one, mu=one, sigma=sigma, theta=theta, W=W,
                         q=SeparableSum.zero())
-    ls = sample_continuum(p, n, offset)
-    xs, ys = np.linspace(0.0, 1.0, m), ls.y_points()
+    ls = n_plus_one(p, n, offset)
+    xs, ys = np.linspace(0.0, 1.0, m), ls.points
     rng = np.random.default_rng(seed)
     g, wt = grid_and_weights(p, ls, xs, uniform, rng)
     sig = dense_sigma(sigma, ys, xs)
