@@ -24,7 +24,7 @@ from .params import (ConfigError, ContinuumParams, FitResult, GridParams,
                      parse_problem_dict)
 from .power_series import (LinearSystem, PsKernelSolution, SolverConfig,
                            assemble, count_unknowns, optimality_certificate,
-                           residual_series, solve_ls)
+                           solve_ls)
 from .series import (AnalyticFactor, Constant, Cos, Exp, Polynomial,
                      SeparableSum, SeparableTerm, Sin, TruncatedSeries, Var)
 from .simulate import SimConfig, SimReport, Simulator

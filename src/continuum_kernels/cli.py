@@ -303,13 +303,10 @@ def _sim_gains(args, problem: Problem, ls) -> GainTable | None:
 def cmd_simulate(args, report_path) -> tuple:
     t = time.perf_counter()
     problem = load_problem(args.config)
-    n = args.n if args.n is not None else problem.n
-    if n is None:
-        raise ConfigError("the problem does not fix n; pass --n")
-    ls = problem.large_scale(n)
+    ls = problem.large_scale(args.n)
     if args.t_final is None:  # twice the settling time 1/min mu + 1/min lambda
         args.t_final = 2.0 * sum(1.0 / s for s in ls.check_speeds())
-    cfg = SimConfig(n=n, m_x=args.mx, t_final=args.t_final, cfl=args.cfl,
+    cfg = SimConfig(n=ls.n, m_x=args.mx, t_final=args.t_final, cfl=args.cfl,
                     initial_profile=args.profile, amplitude=args.amplitude)
     stages = {"setup": time.perf_counter() - t}
     table = _timed(stages, "gains", _sim_gains, args, problem, ls)
@@ -329,16 +326,13 @@ def cmd_simulate(args, report_path) -> tuple:
         quality["norm_ratio"] = (rep.final_norm / rep.initial_norm
                                  if rep.initial_norm else 0.0)
     return EXIT_OK, dict(problem=problem.name, stages_s=stages, quality=quality,
-                         steps=steps, dt=rep.dt,
+                         n=ls.n, steps=steps, dt=rep.dt,
                          step_ms=1e3 * stages["run"] / steps, minor_faults=faults)
 
 
 def cmd_ls_kernels(args, report_path) -> tuple:
     problem = load_problem(args.config)
-    n = args.n if args.n is not None else problem.n
-    if n is None:
-        raise ConfigError("the problem does not fix n; pass --n")
-    ls = problem.large_scale(n)
+    ls = problem.large_scale(args.n)
     if args.refine:
         ms = [int(v) for v in args.refine.split(",")]
         rep = refine_study(ls, ms)
@@ -353,7 +347,7 @@ def cmd_ls_kernels(args, report_path) -> tuple:
           f"(last change {sol.final_delta:.3e})")
     quality = {"iterations": sol.iterations, "final_delta": sol.final_delta}
     return EXIT_OK, dict(problem=problem.name, stages_s=sol.stages_s,
-                         quality=quality, **quality, n=n, m=args.m,
+                         quality=quality, **quality, n=ls.n, m=args.m,
                          sweep_history=sol.history,
                          timing_s=sum(sol.stages_s.values()))
 

@@ -11,14 +11,18 @@ the kernel equations admit a separable solution
     k(x, xi, y) = -exp(c_x (x - xi)/mu) theta_x(xi) theta_y(y)/(lam(y)+mu),
     kbar(x, xi) =  exp(c_x (x - xi)/mu) f(xi),
 
-provided three compatibility conditions hold. The sigma coupling enters
-only through kappa = c * int sigma_y theta_y/(lam+mu), where sigma_e =
-c theta_y (see :func:`sigma_coef`). Constant lambda is the special case of
-one construction in which every y-weight is the constant 1/(lam+mu); only
-then is c_y = kappa (lam+mu) reported. Every y-integral, weighted by
-1/(lam+mu) where it applies, is one adaptive Gauss-Legendre call
-(:func:`integrate01` at 1e-12). This module checks the conditions
-(grid-based, with fixed tolerances) and constructs the kernels.
+provided three compatibility conditions hold: sigma_e = c theta_y unless
+kappa below vanishes (:func:`sigma_coef`), c_x does not depend on y
+(:func:`compute_cx`), and f does not depend on y and meets the kbar
+equation, mu f'(xi) = -W_x(xi) theta_x(xi) J_W with
+J_W = int W_y theta_y/(lam+mu) (:func:`build_f`). The sigma coupling enters
+only through kappa = c * int sigma_y theta_y/(lam+mu). Constant lambda is
+the special case of one construction in which every y-weight is the
+constant 1/(lam+mu); only then is c_y = kappa (lam+mu) reported. Every
+y-integral, weighted by 1/(lam+mu) where it applies, is one adaptive
+Gauss-Legendre call (:func:`integrate01` at 1e-12). This module checks
+the conditions (grid-based, with fixed tolerances) and constructs the
+kernels.
 
 ``sigma_y`` weights the integrated family component (the eta slot of the
 stored sigma) and ``sigma_e`` the free ensemble variable.
@@ -258,9 +262,10 @@ def build_f(p: SeparableProblem, c_x: float, kappa: float
         f(xi) = kappa sigma_x(xi) - c_x/mu + r theta_x'(xi)/theta_x(xi),
         r = lam(y)/(lam(y)+mu),
 
-    where f must not depend on y, and the condition
-        kappa sigma_x'(xi) + r (theta_x'' theta_x - theta_x'^2)/theta_x^2
-            = W_x(xi) theta_x(xi) * int W_y theta_y/(lam+mu)
+    where f must not depend on y, and the kbar equation's condition
+        mu f'(xi) = mu (kappa sigma_x'(xi)
+                        + r (theta_x'' theta_x - theta_x'^2)/theta_x^2)
+                  = -W_x(xi) theta_x(xi) * int W_y theta_y/(lam+mu)
     must hold for all xi.
     """
     mu = p.mu
@@ -295,7 +300,7 @@ def build_f(p: SeparableProblem, c_x: float, kappa: float
                               - _eval1(dtheta, xi) ** 2) / txv ** 2)
 
     lhs = fprime(xs)
-    rhs = _eval1(p.W_x, xs) * tx * p.weighted_integral(p.W_y, p.theta_y)
+    rhs = -_eval1(p.W_x, xs) * tx * p.weighted_integral(p.W_y, p.theta_y) / mu
     resid = float(np.abs(lhs - rhs).max())
     scale = max(1.0, float(np.abs(lhs).max()), float(np.abs(rhs).max()))
     if resid > TOL_CONST * scale:

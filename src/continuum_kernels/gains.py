@@ -10,14 +10,14 @@ compares solutions.
 from __future__ import annotations
 
 import io
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
 from .closed_form import ClosedFormKernel
 from .fd_kernels import LsKernelSolution
 from .params import ContinuumParams, LargeScaleParams, sample_points
-from .power_series import PsKernelSolution, residual_series
+from .power_series import PsKernelSolution
 from .series import GL_NODES, GL_WEIGHTS, Var
 
 __all__ = [
@@ -125,26 +125,18 @@ def diff_solutions(a: GainTable, b: GainTable) -> float:
 
 def continuum_residual(sol, p: ContinuumParams,
                        grid_m: int = 21) -> dict[str, float]:
-    """Sup-norm residual of each kernel equation for a candidate solution.
-
-    Series solutions are checked against the same truncated-parameter
-    equations the solver matched (exact monomial integration). Closed-form
-    solutions are checked in the equations of :func:`largescale_residual`
+    """Sup-norm residual of each kernel equation for an ensemble solution,
+    series or closed form, in the equations of :func:`largescale_residual`
     on the family of the points y = xs, each of weight 0, followed by the
     nodes of the 15-point Gauss-Legendre rule, whose weights carry the
-    integrals over y.
+    integrals over y. A series solution is checked against the exact
+    parameters, with sigma scaled by its own ``sigma_sign``.
     """
-    xs = np.linspace(0.0, 1.0, grid_m)
     if isinstance(sol, PsKernelSolution):
-        at = {Var.X: xs, Var.XI: xs, Var.Y: xs}
-        tri = np.tri(grid_m, dtype=bool)    # xi <= x on the (x, xi) axes of pde_*
-        out = {}
-        for src, r in residual_series(p, sol.config, sol.k, sol.kbar).items():
-            e = r.eval_grid(at)
-            out[src] = float(np.abs(e[tri] if src.startswith("pde") else e).max())
-        return out
-    if not isinstance(sol, ClosedFormKernel):   # a grid solution has no y
+        p = replace(p, sigma=p.sigma.scale(sol.config.sigma_sign))
+    elif not isinstance(sol, ClosedFormKernel):     # a grid solution has no y
         raise TypeError(f"unsupported kernel solution type {type(sol)!r}")
+    xs = np.linspace(0.0, 1.0, grid_m)
     family = LargeScaleParams(p, np.concatenate((xs, GL_NODES)),
                               np.concatenate((np.zeros(grid_m), GL_WEIGHTS)))
     return largescale_residual(sol, family, grid_m - 1)

@@ -355,7 +355,7 @@ class Problem:
         if n is None:
             n = self.n
         if n is None:
-            raise ValueError("problem does not fix n; pass it explicitly")
+            raise ValueError("the problem does not fix n; pass --n")
         if n < 1:
             raise ValueError("n must be positive")
         fits = self.q_data is not None and len(self.q_data) == n

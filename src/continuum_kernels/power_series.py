@@ -47,7 +47,6 @@ __all__ = [
     "solve_ls",
     "optimality_certificate",
     "residual_by_source",
-    "residual_series",
     "OrderReductionWarning",
 ]
 
@@ -575,39 +574,3 @@ def residual_by_source(system: LinearSystem, x: np.ndarray) -> dict[str, float]:
     """2-norm of A x - b over the rows of each equation source."""
     r, src = system.A @ x - system.b, system.rows[:, 0]
     return {s: float(np.linalg.norm(r[src == k])) for k, s in enumerate(_SOURCES)}
-
-
-def residual_series(p: ContinuumParams, cfg: SolverConfig,
-                    k: TruncatedSeries, kbar: TruncatedSeries
-                    ) -> dict[str, TruncatedSeries]:
-    """Symbolic residuals of the four kernel equations for a concrete kernel
-    pair, computed purely with series algebra.
-
-    This is an independent reconstruction of what :func:`assemble` encodes
-    row by row; evaluating these residual polynomials must agree with
-    A x - b recombined against the monomial basis."""
-    lamS, muS, thetaS, WS, sigmaS, qS = _param_series(p, cfg)
-    s_sig = float(cfg.sigma_sign)
-    lam_xi = lamS.rename(Var.X, Var.XI)
-    theta_xi = thetaS.rename(Var.X, Var.XI)
-    W_xi = WS.rename(Var.X, Var.XI)
-    mu_xi = muS.rename(Var.X, Var.XI)
-    sigma_xi = sigmaS.rename(Var.X, Var.XI)
-
-    e1 = muS * k.diff(Var.X) - lam_xi * k.diff(Var.XI) - theta_xi * kbar \
-        - lam_xi.diff(Var.XI) * k \
-        - (sigma_xi * k.rename(Var.Y, Var.ETA)).integrate_unit(Var.ETA).scale(s_sig)
-    e2 = muS * kbar.diff(Var.X) + mu_xi * kbar.diff(Var.XI) \
-        + mu_xi.diff(Var.XI) * kbar \
-        - (W_xi * k).integrate_unit(Var.Y)
-    e3 = (lamS + muS) * k.rename(Var.XI, Var.X) + thetaS
-    k0 = k.substitute_value(Var.XI, 0.0)
-    kbar0 = kbar.substitute_value(Var.XI, 0.0)
-    e4 = kbar0.scale(float(muS.array[0]))
-    if cfg.use_exact_q:
-        q_mom = _q_moments(p, cfg, lamS, qS)
-        e4 = e4 - TruncatedSeries((Var.X,), k0.array @ q_mom[:k0.array.shape[1]])
-    else:
-        lam0 = lamS.substitute_value(Var.X, 0.0)
-        e4 = e4 - (qS * lam0 * k0).integrate_unit(Var.Y)
-    return {SRC_PDE_K: e1, SRC_PDE_KBAR: e2, SRC_BC_DIAG: e3, SRC_BC_LEFT: e4}

@@ -151,11 +151,6 @@ class TruncatedSeries:
     def __sub__(self, other: TruncatedSeries) -> TruncatedSeries:
         return self + (-other)
 
-    def scale(self, s: float) -> TruncatedSeries:
-        if s == 0.0:
-            return TruncatedSeries.zero(self.vars)
-        return TruncatedSeries(self.vars, s * self.array)
-
     def __mul__(self, other: TruncatedSeries) -> TruncatedSeries:
         """Exact polynomial product. Never re-truncates: products of order-N
         operands legitimately carry terms up to order 2N.
@@ -191,31 +186,6 @@ class TruncatedSeries:
         a = self.array[(slice(None),) * i + (slice(1, None),)]
         w = _along(i, a.ndim, np.arange(1.0, a.shape[i] + 1))
         return TruncatedSeries(self.vars, a * w)
-
-    def integrate_unit(self, v: Var) -> TruncatedSeries:
-        """Definite integral over v in [0, 1]; v is removed from the series."""
-        if v not in self.vars:
-            return self
-        i, a = self.vars.index(v), self.array
-        w = _along(i, a.ndim, np.arange(1.0, a.shape[i] + 1))
-        return TruncatedSeries(self.vars[:i] + self.vars[i + 1:], (a / w).sum(axis=i))
-
-    def rename(self, src: Var, dst: Var) -> TruncatedSeries:
-        """Substitute variable ``src`` by ``dst`` (exponents merge if present:
-        the coefficients on each anti-diagonal of the two axes add up)."""
-        if src not in self.vars or src == dst:
-            return self
-        si = self.vars.index(src)
-        if dst in self.vars:
-            a = np.moveaxis(self.array, (self.vars.index(dst), si), (-2, -1))
-            out = np.zeros(a.shape[:-2] + (sum(a.shape[-2:]) - 1,))
-            for k in range(a.shape[-1]):
-                out[..., k:k + a.shape[-2]] += a[..., k]
-            labels = tuple(v for v in self.vars if v not in (src, dst)) + (dst,)
-        else:
-            out, labels = self.array, self.vars[:si] + (dst,) + self.vars[si + 1:]
-        order = np.argsort([_VAR_RANK[v] for v in labels])
-        return TruncatedSeries(tuple(labels[k] for k in order), np.transpose(out, order))
 
     def substitute_value(self, v: Var, value: float) -> TruncatedSeries:
         """Fix variable ``v`` at a numeric value."""
@@ -436,16 +406,6 @@ class SeparableTerm:
                 out.append(SeparableTerm(self.scale * s, rest))
         return out
 
-    def substitute(self, v: Var, value: float) -> "SeparableTerm":
-        scale = self.scale
-        rest = []
-        for f in self.factors:
-            if f.var == v:
-                scale *= float(f(value))
-            else:
-                rest.append(f)
-        return SeparableTerm(scale, rest)
-
 
 @dataclass(frozen=True)
 class SeparableSum:
@@ -488,9 +448,6 @@ class SeparableSum:
 
     def diff(self, v: Var) -> "SeparableSum":
         return SeparableSum([d for t in self.terms for d in t.diff(v)])
-
-    def substitute(self, v: Var, value: float) -> "SeparableSum":
-        return SeparableSum([t.substitute(v, value) for t in self.terms])
 
     def taylor(self, order: int) -> TruncatedSeries:
         """Expand every term to ``order``, then drop total degrees above it."""

@@ -54,7 +54,7 @@ def read_report(path):
       "--solve-order", "4", "--out-prefix", "{d}/r"], 0,
      {"setup", "gains", "init", "run"},
      {"verdict", "initial_norm", "final_norm", "norm_ratio"},
-     {"steps", "dt", "step_ms", "minor_faults"}),
+     {"n", "steps", "dt", "step_ms", "minor_faults"}),
     (["bench", "--example", "example1", "--orders", "4,6", "--skip-baseline",
       "--out", "{d}/r.csv"], 0, {"reference"}, {"residual", "max_error", "d_prev"},
      {"example", "rows"}),
@@ -347,6 +347,12 @@ class TestSimulate:
                     "--t-final", "0.5", "--solve-order", "8",
                     "--out-prefix", prefix]) == 0
 
+    def test_problem_without_n_needs_the_option(self, tmp_path, capsys):
+        assert run(["simulate", "--config", "example1", "--mx", "32", "--open-loop",
+                    "--out-prefix", str(tmp_path / "s")]) == 1
+        assert "error: the problem does not fix n; pass --n" in capsys.readouterr().err
+        assert not list(tmp_path.iterdir())
+
     def test_gain_file_pipeline(self, tmp_path):
         gains_prefix = str(tmp_path / "g")
         assert run(["ls-kernels", "--config", "example2", "--m", "32",
@@ -446,6 +452,8 @@ class TestSimulate:
         assert "simulate: stable" in capsys.readouterr().out
         report = read_report(tmp_path / "d_report.json")
         assert report["manifest"]["arguments"]["t_final"] == 4.0
+        # the config fixes n: the argument is null, the report says which ran
+        assert report["manifest"]["arguments"]["n"] is None and report["n"] == 10
         assert report["quality"]["verdict"] == "stable"
         assert report["quality"]["norm_ratio"] < 1e-3
         assert report["steps"] * report["dt"] == pytest.approx(4.0)
@@ -529,6 +537,12 @@ class TestLsKernels:
         assert run(["ls-kernels", "--config", "example2", "--m", "24",
                     "--out-prefix", prefix]) == 0
         assert (tmp_path / "lk_gains.csv").read_bytes() == csv
+
+    def test_problem_without_n_needs_the_option(self, tmp_path, capsys):
+        assert run(["ls-kernels", "--config", "example1", "--m", "16",
+                    "--out-prefix", str(tmp_path / "lk")]) == 1
+        assert "error: the problem does not fix n; pass --n" in capsys.readouterr().err
+        assert not list(tmp_path.iterdir())
 
     def test_refine_mode(self, capsys):
         assert run(["ls-kernels", "--config", "example2",

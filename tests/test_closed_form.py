@@ -300,6 +300,42 @@ class TestPipeline:
         wrong = replace(kern, c_x=kern.c_x * (1.0 + 1e-6))
         assert continuum_residual(wrong, p, grid_m=15)["pde_k"] > 1e-5
 
+    @staticmethod
+    def kbar_coupled_problem(sign_mu: bool):
+        # lam = 1 + y/2, mu = 1.5, theta_x = 2, sigma_x = 0.6 (1 + 0.8 x), so
+        # f' = 0.48 kappa; W = W_x (0.2 + y) with J_W = int W_y theta_y/(lam+mu)
+        # nonzero. The kbar equation asks mu f' = -W_x theta_x J_W.
+        mu = 1.5
+        kappa, _ = scipy.integrate.quad(
+            lambda y: (1 - 0.3 * y) * (1 + y / 2) / (2.5 + y / 2), 0, 1, epsabs=1e-14)
+        J_W, _ = scipy.integrate.quad(
+            lambda y: (0.2 + y) * (1 + y / 2) / (2.5 + y / 2), 0, 1, epsabs=1e-14)
+        assert (round(kappa, 4), round(J_W, 4)) == (0.3826, 0.3254)
+        W_x = (-mu if sign_mu else 1.0) * kappa * 0.48 / (2 * J_W)
+        half_y = Polynomial(Y, [1, 0.5])
+        return make_continuum(
+            lam=SeparableSum.poly(Y, [1, 0.5]), mu=mu,
+            sigma=product(0.6, Polynomial(X, [1, 0.8]), Polynomial(ETA, [1, -0.3]),
+                          half_y),
+            theta=product(2.0, half_y), W=product(W_x, Polynomial(Y, [0.2, 1])),
+            q=0.3)
+
+    def test_kbar_condition_with_nonzero_J_W(self):
+        # the kernel that meets the kbar equation is accepted and satisfies
+        # every equation to roundoff
+        p = self.kbar_coupled_problem(sign_mu=True)
+        kern = solve_closed_form(p)
+        assert not isinstance(kern, NotApplicable), kern.reason
+        res = continuum_residual(kern, p, grid_m=15)
+        assert max(res.values()) <= 1e-12, res
+
+    def test_kbar_condition_without_mu_rejected(self):
+        # W_x from f' = W_x theta_x J_W, the condition without -mu: the kbar
+        # equation fails, so no closed form exists
+        out = solve_closed_form(self.kbar_coupled_problem(sign_mu=False))
+        assert isinstance(out, NotApplicable)
+        assert "derivative compatibility condition" in out.reason
+
     def test_general_path_violation_detected(self):
         # theta_x exponential makes the rate combination y-dependent
         lam = SeparableSum([SeparableTerm(1.0, []),
@@ -319,8 +355,9 @@ class TestPipeline:
 # c_x = mu/(lam+mu) (c_y sigma_x(0) + lam theta_x'(0)/theta_x(0)
 #       + (lam/mu) theta_x(0) int q theta_y);
 # f = c_y sigma_x/(lam+mu) - c_x/mu + lam/(lam+mu) theta_x'/theta_x, under
+# the kbar equation's mu f' = -W_x theta_x int W_y theta_y/(lam+mu), that is
 # c_y sigma_x' + lam (theta_x'' theta_x - theta_x'^2)/theta_x^2
-#     = W_x theta_x int W_y theta_y.
+#     = -W_x theta_x int W_y theta_y / mu.
 # Integrals use 48-point Gauss-Legendre, independent of the module.
 
 _GL_T, _GL_W = np.polynomial.legendre.leggauss(48)
@@ -371,7 +408,7 @@ def oracle_build_f(p, c_x, c_y):
     xs = np.linspace(0.0, 1.0, 201)
     tx, dtx, ddtx = _ev(p.theta_x, xs), _ev(dth, xs), _ev(dth.diff(X), xs)
     lhs = c_y * _ev(p.sigma_x.diff(X), xs) + lam * (ddtx * tx - dtx ** 2) / tx ** 2
-    rhs = _ev(p.W_x, xs) * tx * _int01(p.W_y, p.theta_y)
+    rhs = -_ev(p.W_x, xs) * tx * _int01(p.W_y, p.theta_y) / mu
     scale = max(1.0, np.abs(lhs).max(), np.abs(rhs).max())
     if np.abs(lhs - rhs).max() > 1e-8 * scale:
         return None
@@ -453,4 +490,9 @@ class TestAgainstConstantLambdaOracle:
         old = f(xs)
         np.testing.assert_allclose(kern.f(xs), old, rtol=1e-12,
                                    atol=1e-12 * max(1.0, np.abs(old).max()))
+        # the accepted kernel solves the kernel equations to roundoff of its size
+        res = continuum_residual(kern, p, grid_m=15)
+        x, xi, y = np.ix_(*[np.linspace(0.0, 1.0, 15)] * 3)
+        size = max(np.abs(kern.k(x, xi, y)).max(), np.abs(kern.kbar(x[..., 0], xi[..., 0])).max())
+        assert max(res.values()) <= 1e-12 * max(1.0, size), res
 

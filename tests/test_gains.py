@@ -1,6 +1,7 @@
 import functools
 import math
 import tempfile
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -8,7 +9,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import n_plus_one
+from conftest import n_plus_one, residual_series
 from continuum_kernels.closed_form import solve_closed_form
 from continuum_kernels.fd_kernels import TriGrid, solve_characteristics
 from continuum_kernels.gains import (GainTable, _sampled_kernels,
@@ -18,7 +19,7 @@ from continuum_kernels.gains import (GainTable, _sampled_kernels,
 from continuum_kernels.params import load_problem, sample_points
 from continuum_kernels.power_series import (PsKernelSolution, SolverConfig,
                                             assemble, solve_ls)
-from continuum_kernels.series import SeparableSum, SeparableTerm, Var
+from continuum_kernels.series import GL_NODES, SeparableSum, SeparableTerm, Var
 
 X, XI, Y, ETA = Var.X, Var.XI, Var.Y, Var.ETA
 
@@ -114,6 +115,44 @@ class TestContinuumResidual:
         sol = solve_cache.solution("example1", SolverConfig(N=14))
         res = continuum_residual(sol, solve_cache.problem("example1").continuum)
         assert max(res.values()) < 10.0 * max(sol.residual, 1e-16) + 1e-12
+
+    @pytest.mark.parametrize("cfg", [
+        SolverConfig(N=12), SolverConfig(N=12, sigma_sign=-1),
+        SolverConfig(N=16, N_y=2), SolverConfig(N=12, use_exact_q=True)])
+    def test_series_matches_series_oracle(self, solve_cache, cfg):
+        # example2's parameters are polynomials of degree below N, so the
+        # truncated equations of the series oracle are the exact ones, and
+        # the 15-node rule integrates every product over y exactly
+        p = solve_cache.problem("example2").continuum
+        sol = solve_cache.solution("example2", cfg)
+        xs = np.linspace(0.0, 1.0, 21)
+        ys = np.concatenate((xs, GL_NODES))
+        tri = np.tri(len(xs), dtype=bool)      # xi <= x
+        sym = residual_series(p, cfg, sol.k, sol.kbar)
+        want = {"pde_k": sym["pde_k"].at({X: xs[:, None, None], XI: xs[:, None], Y: ys})[tri],
+                "pde_kbar": sym["pde_kbar"].at({X: xs[:, None], XI: xs})[tri],
+                "bc_diag": sym["bc_diag"].at({X: xs[:, None], Y: ys}),
+                "bc_left": sym["bc_left"].at({X: xs})}
+        got = continuum_residual(sol, p, grid_m=21)
+        for src, vals in want.items():
+            assert got[src] == pytest.approx(np.abs(vals).max(), rel=1e-12)
+
+    def test_series_measured_with_its_own_sigma_sign(self, solve_cache):
+        # a -1 solution read in the +1 equations misses them further
+        p = solve_cache.problem("example2").continuum
+        sol = solve_cache.solution("example2", SolverConfig(N=12, sigma_sign=-1))
+        as_plus = replace(sol, config=SolverConfig(N=12))
+        own = continuum_residual(sol, p)["pde_k"]
+        assert continuum_residual(as_plus, p)["pde_k"] > 2.0 * own
+
+    def test_series_residual_falls_with_order_on_the_true_equations(self, solve_cache):
+        # example1's theta and W carry exponentials and q is cos(2 pi y): the
+        # residual of the true equations falls 2.2, 9.9e-3, 1.8e-5, 5.8e-8
+        p = solve_cache.problem("example1").continuum
+        worst = [max(continuum_residual(
+            solve_cache.solution("example1", SolverConfig(N=N, N_y=2)), p).values())
+            for N in (12, 16, 20, 24)]
+        assert all(b < a / 10.0 for a, b in zip(worst, worst[1:]))
 
     def test_reference_solution_rejected(self, example2):
         # a grid solution of the n+1 system is not an ensemble kernel

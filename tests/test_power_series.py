@@ -8,9 +8,9 @@ import scipy.sparse
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from conftest import (ARITY, FULL, coeff_vector, col_array, col_keys,
-                      duplicated_column_system, optimality_check, row_keys,
-                      series_from)
+from conftest import (ARITY, FULL, DictSeries, coeff_vector, col_array,
+                      col_keys, duplicated_column_system, optimality_check,
+                      residual_series, row_keys, series_from)
 from continuum_kernels import power_series
 from continuum_kernels.gains import diff_solutions, gains
 from continuum_kernels.params import ContinuumParams
@@ -25,7 +25,7 @@ from continuum_kernels.power_series import (SRC_BC_DIAG, SRC_BC_LEFT,
                                             _staircase, assemble,
                                             count_unknowns,
                                             optimality_certificate,
-                                            residual_series, solve_ls)
+                                            solve_ls)
 from continuum_kernels.series import (Cos, Exp, Polynomial, SeparableSum,
                                       SeparableTerm, TruncatedSeries, Var)
 
@@ -64,12 +64,12 @@ def scatter_assemble(p: ContinuumParams, cfg: SolverConfig) -> LinearSystem:
     kb_cols = _kbar_columns(N)
     cols = [("K", e) for e in k_cols] + [("KB", e) for e in kb_cols]
 
-    # parameter data in scatter-friendly form
+    # parameter data in scatter-friendly form; lam and theta enter E1 at xi,
+    # so their (x, y) coefficients serve as (xi, y) ones
     mu_terms = sorted(muS.coeffs.items())                       # [(d,), v]
-    lam_xi = lamS.rename(Var.X, Var.XI)
-    lam_xi_terms = sorted(lam_xi.coeffs.items())                # [(p,qy), v]
-    dlam_terms = sorted(lam_xi.diff(Var.XI).coeffs.items())
-    theta_xi_terms = sorted(thetaS.rename(Var.X, Var.XI).coeffs.items())
+    lam_xi_terms = sorted(lamS.coeffs.items())                  # [(p,qy), v]
+    dlam_terms = sorted(lamS.diff(Var.X).coeffs.items())
+    theta_xi_terms = sorted(thetaS.coeffs.items())
     lam_plus_mu = sorted((lamS + muS).coeffs.items())           # over (X,Y) & (X,)
     # eta-moments of sigma, M_c(xi, y) = int sigma(xi, eta, y) eta^c deta, and
     # y-moments of W, int W(xi, y) y^c dy, as assemble sums them (checked
@@ -239,7 +239,7 @@ class TestAssembly:
                                          for v, e in zip(vars_, mono))
                     for i, mono in rows
                 )
-                direct = sym[src].eval_grid({v: [point[v]] for v in vars_}).item()
+                direct = sym[src].at(point)
                 assert recombined == pytest.approx(direct, rel=1e-9, abs=1e-9)
 
     def test_order_reduction_warning(self, example1):
@@ -836,9 +836,9 @@ def test_moments_match_series_algebra(sigma, W, N, N_y):
                                      (W, Y, (X, Y), (XI,))):
         series = f.taylor(N).align_to(vars_)
         moments = _moments(series.array, N_y)
-        at_xi = series.rename(X, XI)
+        at_xi = DictSeries.of(series).rename(X, XI)
         for c in range(N_y + 1):
-            want = (at_xi * series_from((t,), {(c,): 1.0})).integrate_unit(t)
+            want = (at_xi * DictSeries((t,), {(c,): 1.0})).integrate_unit(t)
             got = TruncatedSeries(moment_vars, moments[:, c]).coeffs
             # sums of up to N + 1 terms below max |f|, in another order
             tol = (N + 1) ** 2 * 1.2e-16 * np.abs(series.array).max()

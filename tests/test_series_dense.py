@@ -1,5 +1,6 @@
-"""The dense-array TruncatedSeries against a dict-of-exponents oracle: the
-representation it replaced, kept here in its smallest form."""
+"""The dense-array TruncatedSeries against a dict-of-exponents oracle,
+``conftest.DictSeries``: the representation it replaced, kept in its
+smallest form."""
 
 import math
 import re
@@ -9,90 +10,8 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from continuum_kernels.series import PRUNE_TOL, TruncatedSeries, Var
-
-X, XI, Y, ETA = Var.X, Var.XI, Var.Y, Var.ETA
-ORDER = (X, XI, Y, ETA)
-
-
-class DictSeries:
-    """Coefficients in a dict keyed by exponent tuples; every operation is
-    a loop over them."""
-
-    def __init__(self, vars_, coeffs):
-        self.vars = tuple(vars_)
-        self.coeffs = {tuple(e): float(c) for e, c in coeffs.items() if abs(c) > PRUNE_TOL}
-
-    @staticmethod
-    def of(s: TruncatedSeries) -> "DictSeries":
-        return DictSeries(s.vars, s.coeffs)
-
-    def _over(self, vars_):
-        pos = [vars_.index(v) for v in self.vars]
-        out = {}
-        for e, c in self.coeffs.items():
-            key = [0] * len(vars_)
-            for p, ei in zip(pos, e):
-                key[p] = ei
-            out[tuple(key)] = c
-        return out
-
-    def __add__(self, other):
-        vs = tuple(v for v in ORDER if v in self.vars + other.vars)
-        out = self._over(vs)
-        for e, c in other._over(vs).items():
-            out[e] = out.get(e, 0.0) + c
-        return DictSeries(vs, out)
-
-    def __mul__(self, other):
-        vs = tuple(v for v in ORDER if v in self.vars + other.vars)
-        out = {}
-        for ea, ca in self._over(vs).items():
-            for eb, cb in other._over(vs).items():
-                key = tuple(i + j for i, j in zip(ea, eb))
-                out[key] = out.get(key, 0.0) + ca * cb
-        return DictSeries(vs, out)
-
-    def _fold(self, fn, new_vars):
-        out = {}
-        for e, c in self.coeffs.items():
-            hit = fn(e, c)
-            if hit is not None:
-                key, w = hit
-                out[key] = out.get(key, 0.0) + w
-        return DictSeries(new_vars, out)
-
-    def diff(self, v):
-        i = self.vars.index(v)
-        return self._fold(lambda e, c: None if e[i] == 0 else
-                          (e[:i] + (e[i] - 1,) + e[i + 1:], c * e[i]), self.vars)
-
-    def integrate_unit(self, v):
-        i = self.vars.index(v)
-        return self._fold(lambda e, c: (e[:i] + e[i + 1:], c / (e[i] + 1)),
-                          self.vars[:i] + self.vars[i + 1:])
-
-    def substitute_value(self, v, value):
-        i = self.vars.index(v)
-        return self._fold(lambda e, c: (e[:i] + e[i + 1:], c * value ** e[i]),
-                          self.vars[:i] + self.vars[i + 1:])
-
-    def rename(self, src, dst):
-        new_vars = tuple(v for v in ORDER if v in set(self.vars) - {src} | {dst})
-        si = self.vars.index(src)
-
-        def move(e, c):
-            exps = {v: e[j] for j, v in enumerate(self.vars) if j != si}
-            exps[dst] = exps.get(dst, 0) + e[si]
-            return tuple(exps.get(v, 0) for v in new_vars), c
-        return self._fold(move, new_vars)
-
-    def truncate_total(self, order):
-        return self._fold(lambda e, c: (e, c) if sum(e) <= order else None, self.vars)
-
-    def at(self, point):
-        return sum(c * math.prod(point[v] ** p for v, p in zip(self.vars, e))
-                   for e, c in self.coeffs.items())
+from conftest import ETA, ORDER, XI, DictSeries, X, Y
+from continuum_kernels.series import GL_NODES, GL_WEIGHTS, TruncatedSeries
 
 
 def assert_same(got: TruncatedSeries, want: DictSeries, tol=0.0):
@@ -131,7 +50,7 @@ def test_product_and_sum(a, b):
     assert_same(a * b, DictSeries.of(a) * DictSeries.of(b))
     assert (a * b) == (b * a)
     assert_same(a + b, DictSeries.of(a) + DictSeries.of(b))
-    assert_same(a - b, DictSeries.of(a) + DictSeries.of(b.scale(-1.0)))
+    assert_same(a - b, DictSeries.of(a) - DictSeries.of(b))
 
 
 @settings(max_examples=100, deadline=None)
@@ -146,22 +65,31 @@ def test_product_over_disjoint_variables(a, b):
     assert_same(a * b, DictSeries.of(a) * DictSeries.of(b))
 
 
+# The oracle's rename, which conftest.residual_series builds on, has no
+# dense counterpart; eval_grid checks it: the renamed series at a point is
+# the series with src at dst's value.
+POINT = dict(zip(ORDER, (0.7, -0.4, 1.3, 0.5)))
+
+
+def assert_renamed(s: TruncatedSeries, src, dst):
+    moved = {**POINT, src: POINT[dst]}
+    want = s.eval_grid({v: [moved[v]] for v in s.vars}).item()
+    assert DictSeries.of(s).rename(src, dst).at(POINT) == pytest.approx(want, rel=1e-12,
+                                                                        abs=1e-12)
+
+
 @settings(max_examples=150, deadline=None)
 @given(dense_series(), st.sampled_from(ORDER), st.sampled_from(ORDER))
 def test_rename_into_new_and_present_variables(s, src, dst):
-    got = s.rename(src, dst)
-    if src not in s.vars or src == dst:
-        assert got is s
-        return
-    assert_same(got, DictSeries.of(s).rename(src, dst))
+    assert_renamed(s, src, dst)
 
 
 @pytest.mark.parametrize("src, dst", [(XI, X), (X, ETA), (ETA, X)])
 def test_rename_examples(src, dst):
     # into a present variable (anti-diagonal sums) and into a new one that
     # moves the axis
-    s = TruncatedSeries((X, XI, ETA), np.arange(1.0, 25.0).reshape(2, 3, 4))
-    assert_same(s.rename(src, dst), DictSeries.of(s).rename(src, dst))
+    assert_renamed(TruncatedSeries((X, XI, ETA), np.arange(1.0, 25.0).reshape(2, 3, 4)),
+                   src, dst)
 
 
 @settings(max_examples=150, deadline=None)
@@ -171,10 +99,14 @@ def test_calculus(s, v, value, order):
     d = DictSeries.of(s)
     if v in s.vars:
         assert_same(s.diff(v), d.diff(v))
-        assert_same(s.integrate_unit(v), d.integrate_unit(v), tol=1e-15)
         assert_same(s.substitute_value(v, value), d.substitute_value(v, value), tol=1e-12)
+        # the oracle's integral over v in [0, 1] against the 15-node rule on
+        # eval_grid, exact at these degrees
+        on_v = s.eval_grid({u: GL_NODES if u == v else [POINT[u]] for u in s.vars})
+        assert d.integrate_unit(v).at(POINT) == pytest.approx(on_v.ravel() @ GL_WEIGHTS,
+                                                              rel=1e-12, abs=1e-12)
     else:
-        assert s.diff(v).is_zero() and s.integrate_unit(v) is s
+        assert s.diff(v).is_zero()
     assert_same(s.truncate_total(order), d.truncate_total(order))
 
 

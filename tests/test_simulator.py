@@ -530,8 +530,8 @@ def separable_sum(draw, vars_=(Var.X, Var.ETA, Var.Y)):
 
 def dense_sigma(sigma, ys, xs):
     """sig[i, j] = sigma(x, eta=y_i, y=y_j) on xs, entry by entry."""
-    return np.array([[sigma.substitute(Var.ETA, float(yi))
-                      .substitute(Var.Y, float(yj)).eval1(Var.X, xs)
+    xs = np.asarray(xs, dtype=float)
+    return np.array([[np.broadcast_to(sigma({Var.X: xs, Var.ETA: yi, Var.Y: yj}), xs.shape)
                       for yj in ys] for yi in ys])
 
 
