@@ -46,7 +46,7 @@ BENCH_PRESETS = {
 class _Parser(argparse.ArgumentParser):
     def error(self, message):  # exit 1 on usage errors, 2 is reserved
         self.print_usage(sys.stderr)
-        raise SystemExit(EXIT_ERROR)
+        self.exit(EXIT_ERROR, f"{self.prog}: error: {message}\n")
 
 
 def _write_json(path, obj) -> None:
@@ -119,6 +119,32 @@ def _timed(stages: dict, name: str, f, *args, **kwargs):
     return out
 
 
+def _series_solve(problem: Problem, cfg: SolverConfig, grid_xi, grid_y) -> tuple:
+    """One timed power-series solve: the solution, its gain table on
+    ``grid_xi`` x ``grid_y`` and the solve's report block (settings, shape,
+    plan, quality figures and stage times)."""
+    stages = {}
+    system = _timed(stages, "assemble", assemble, problem.continuum, cfg)
+    sol = _timed(stages, "solve_ls", solve_ls, system)
+    table = _timed(stages, "gains", gains, sol, grid_xi=grid_xi, grid_y=grid_y)
+    return sol, table, dict(
+        order=cfg.N, order_y=cfg.N_y, exact_q=cfg.use_exact_q,
+        sigma_sign=cfg.sigma_sign, num_unknowns=sol.num_unknowns,
+        num_equations=sol.num_equations, nnz=int(system.A.nnz),
+        ordering=sol.ordering, span_cut=sol.span_cut, wide_rows=sol.wide_rows,
+        panel_cols=sol.panel_cols, r_diag_ratio=sol.r_diag_ratio,
+        residual=sol.residual, certificate=optimality_certificate(system, sol.x),
+        residual_by_source=residual_by_source(system, sol.x),
+        stages_s=stages, timing_s=stages["assemble"] + stages["solve_ls"])
+
+
+def _march_block(sol) -> dict:
+    """The report block of an n+1 reference march: its sweeps and times."""
+    return dict(iterations=sol.iterations, final_delta=sol.final_delta,
+                sweep_history=sol.history, stages_s=sol.stages_s,
+                timing_s=sum(sol.stages_s.values()))
+
+
 # Each command takes the parsed arguments and its report path, writes its
 # outputs and returns its exit code with the report's fields (None: no report).
 
@@ -131,13 +157,8 @@ def cmd_solve(args, report_path) -> tuple:
     exact = args.compare_exact and _exact_reference(args.compare_exact, problem)
     cfg = SolverConfig(N=args.order, N_y=args.order_y, use_exact_q=args.exact_q,
                        sigma_sign=args.sigma_sign)
-    args.resolved_N_y = cfg.N_y
-    stages = {}
-    system = _timed(stages, "assemble", assemble, problem.continuum, cfg)
-    sol = _timed(stages, "solve_ls", solve_ls, system)
-    table = _timed(stages, "gains", gains, sol, grid_xi=grid, grid_y=grid)
-    quality = {"residual": sol.residual,
-               "certificate": optimality_certificate(system, sol.x)}
+    sol, table, block = _series_solve(problem, cfg, grid, grid)
+    quality = {"residual": sol.residual, "certificate": block["certificate"]}
     if exact:
         quality["max_error_vs_exact"] = diff_solutions(
             table, gains(exact, grid_xi=grid, grid_y=grid))
@@ -152,15 +173,7 @@ def cmd_solve(args, report_path) -> tuple:
     if exact:
         print(f"solve: max gain error vs exact reference "
               f"{quality['max_error_vs_exact']:.6g}")
-    return EXIT_OK, dict(
-        problem=problem.name, stages_s=stages, quality=quality, **quality,
-        order=cfg.N, order_y=cfg.N_y, exact_q=cfg.use_exact_q,
-        sigma_sign=cfg.sigma_sign, num_unknowns=sol.num_unknowns,
-        num_equations=sol.num_equations, ordering=sol.ordering,
-        span_cut=sol.span_cut, wide_rows=sol.wide_rows, panel_cols=sol.panel_cols,
-        r_diag_ratio=sol.r_diag_ratio, nnz=int(system.A.nnz),
-        residual_by_source=residual_by_source(system, sol.x),
-        timing_s=stages["assemble"] + stages["solve_ls"])
+    return EXIT_OK, block | quality | {"problem": problem.name, "quality": quality}
 
 
 def cmd_closed_form(args, report_path) -> tuple:
@@ -211,16 +224,13 @@ def cmd_bench(args, report_path) -> tuple:
         raise ConfigError("a fit-degree sweep needs exactly one order")
     rows = []
     grid = np.linspace(0.0, 1.0, 101)
-    exact_table = baseline = None
+    exact_table = reference = baseline = None
     t = time.perf_counter()
     if orders and problem_name == "example1":
-        exact = solve_closed_form(problem.continuum)
-        if isinstance(exact, NotApplicable):  # pragma: no cover - guarded data
-            raise RuntimeError(f"reference kernels unavailable: {exact.reason}")
-        exact_table = gains(exact, grid_xi=grid, grid_y=grid)
+        exact_table = gains(_exact_reference("self", problem), grid_xi=grid, grid_y=grid)
     if orders and problem.n is not None and not args.skip_baseline:
-        ls = problem.large_scale()
-        baseline = gains(solve_characteristics(ls, TriGrid(args.baseline_m)))
+        march = solve_characteristics(problem.large_scale(), TriGrid(args.baseline_m))
+        reference, baseline = _march_block(march), gains(march)
     stages = {"reference": time.perf_counter() - t}
     prev_table = None
     sweep = [(N, M) for M in fit_degrees for N in orders]
@@ -231,10 +241,7 @@ def cmd_bench(args, report_path) -> tuple:
             use_exact_q=exact_q,
             sigma_sign=sigma_sign if args.sigma_sign is None else args.sigma_sign,
         )
-        row_stages = {}
-        system = _timed(row_stages, "assemble", assemble, prob.continuum, cfg)
-        sol = _timed(row_stages, "solve_ls", solve_ls, system)
-        cur = _timed(row_stages, "gains", gains, sol, grid_xi=grid, grid_y=grid)
+        sol, cur, block = _series_solve(prob, cfg, grid, grid)
         row = {
             "N": N,
             "num_unknowns": sol.num_unknowns,
@@ -251,11 +258,9 @@ def cmd_bench(args, report_path) -> tuple:
         if prev_table is not None:
             row["d_prev"] = diff_solutions(cur, prev_table)
         prev_table = cur
-        time_s = row_stages["assemble"] + row_stages["solve_ls"]
         print("bench:", " ".join(f"{k}={v:.6g}" if isinstance(v, float) else f"{k}={v}"
-                                 for k, v in row.items()), f"time_s={time_s:.3f}")
-        rows.append(row | {"time_s": time_s, "stages_s": row_stages,
-                           "residual_by_source": residual_by_source(system, sol.x)})
+                                 for k, v in row.items()), f"time_s={block['timing_s']:.3f}")
+        rows.append(row | block)
     if args.out:    # no timings: the CSV is rerun-stable
         cols = ["N", "fit_degree", "num_unknowns", "num_equations",
                 "residual", "max_error", "d_np1", "d_prev"]
@@ -269,35 +274,42 @@ def cmd_bench(args, report_path) -> tuple:
     quality = {k: rows[-1][k] for k in ("residual", "max_error", "d_np1", "d_prev")
                if rows and k in rows[-1]}
     return EXIT_OK, dict(problem=problem_name, stages_s=stages, quality=quality,
-                         example=args.example, rows=rows)
+                         example=args.example, reference=reference, rows=rows)
 
 
-def _sim_gains(args, problem: Problem, ls) -> GainTable | None:
-    """The feedback gains of ``simulate``: a gain CSV resampled at the
-    components, a fresh power-series solve, or None for the open loop."""
-    if args.open_loop:
-        return None
-    if args.gains:
-        table = read_gain_csv(args.gains)
-        ys = ls.points
-        if table.sampled:   # a per-component table must sit at the components
-            if len(table.grid_y) == ls.n and np.allclose(table.grid_y, ys,
-                                                         rtol=0, atol=1e-12):
-                return table
-            raise ConfigError(
-                f"gain table {args.gains} is sampled at {len(table.grid_y)} "
-                f"points y = {np.array2string(table.grid_y)}, but the problem's "
-                f"{ls.n} components sit at y = {np.array2string(ys)}")
-        # ensemble table: resample rows at the component points
-        k = np.array([np.interp(ys, table.grid_y, c) for c in table.k.T]).T
-        return GainTable(grid_xi=table.grid_xi, grid_y=ys, k=k,
-                         kbar=table.kbar, sampled=True)
+def _sim_gains(args, problem: Problem, ls) -> tuple:
+    """The feedback gains of ``simulate`` and the report block of their
+    solve: a fresh power-series solve and its block, or no block with None
+    for the open loop or a gain CSV resampled at the components."""
     if args.solve_order is not None:
-        solver = SolverConfig(N=args.solve_order, N_y=args.solve_order_y,
-                              sigma_sign=args.sigma_sign or 1)
-        sol = solve_ls(assemble(problem.continuum, solver))
-        return gains(sol, grid_xi=np.linspace(0, 1, args.mx), grid_y=ls.points)
-    raise ConfigError("simulate needs --gains, --solve-order, or --open-loop")
+        cfg = SolverConfig(N=args.solve_order, N_y=args.solve_order_y,
+                           sigma_sign=args.sigma_sign or 1)
+        _, table, block = _series_solve(problem, cfg, np.linspace(0, 1, args.mx),
+                                        ls.points)
+        return table, block
+    if args.open_loop:
+        return None, None
+    table, ys, tol = read_gain_csv(args.gains), ls.points, 1e-12
+    if table.sampled and not (len(table.grid_y) == ls.n and np.allclose(
+            table.grid_y, ys, rtol=0, atol=tol)):  # it must sit at the components
+        raise ConfigError(
+            f"gain table {args.gains} is sampled at {len(table.grid_y)} "
+            f"points y = {np.array2string(table.grid_y)}, but the problem's "
+            f"{ls.n} components sit at y = {np.array2string(ys)}")
+    # np.interp would hold a short table's end values
+    for name, g, lo, hi, what in (("xi", table.grid_xi, 0.0, 1.0, ""),
+                                  ("y", table.grid_y, ys.min(), ys.max(),
+                                   "the components' span ")):
+        if g[0] > lo + tol or g[-1] < hi - tol:
+            raise ConfigError(f"gain table {args.gains} has a {name} grid on "
+                              f"[{g[0]:g}, {g[-1]:g}], which does not cover "
+                              f"{what}[{lo:g}, {hi:g}]")
+    if table.sampled:
+        return table, None
+    # ensemble table: resample rows at the component points
+    k = np.array([np.interp(ys, table.grid_y, c) for c in table.k.T]).T
+    return GainTable(grid_xi=table.grid_xi, grid_y=ys, k=k,
+                     kbar=table.kbar, sampled=True), None
 
 
 def cmd_simulate(args, report_path) -> tuple:
@@ -309,7 +321,7 @@ def cmd_simulate(args, report_path) -> tuple:
     cfg = SimConfig(n=ls.n, m_x=args.mx, t_final=args.t_final, cfl=args.cfl,
                     initial_profile=args.profile, amplitude=args.amplitude)
     stages = {"setup": time.perf_counter() - t}
-    table = _timed(stages, "gains", _sim_gains, args, problem, ls)
+    table, solve = _timed(stages, "gains", _sim_gains, args, problem, ls)
     sim = _timed(stages, "init", Simulator, cfg, ls, table)
     faults = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
     rep = _timed(stages, "run", sim.run)
@@ -326,7 +338,7 @@ def cmd_simulate(args, report_path) -> tuple:
         quality["norm_ratio"] = (rep.final_norm / rep.initial_norm
                                  if rep.initial_norm else 0.0)
     return EXIT_OK, dict(problem=problem.name, stages_s=stages, quality=quality,
-                         n=ls.n, steps=steps, dt=rep.dt,
+                         n=ls.n, steps=steps, dt=rep.dt, solve=solve,
                          step_ms=1e3 * stages["run"] / steps, minor_faults=faults)
 
 
@@ -346,10 +358,8 @@ def cmd_ls_kernels(args, report_path) -> tuple:
     print(f"ls-kernels: converged in {sol.iterations} sweeps "
           f"(last change {sol.final_delta:.3e})")
     quality = {"iterations": sol.iterations, "final_delta": sol.final_delta}
-    return EXIT_OK, dict(problem=problem.name, stages_s=sol.stages_s,
-                         quality=quality, **quality, n=ls.n, m=args.m,
-                         sweep_history=sol.history,
-                         timing_s=sum(sol.stages_s.values()))
+    return EXIT_OK, dict(problem=problem.name, quality=quality,
+                         **_march_block(sol), n=ls.n, m=args.m)
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -404,11 +414,12 @@ def build_parser() -> argparse.ArgumentParser:
     mp.add_argument("--cfl", type=float, default=0.4)
     mp.add_argument("--profile", default="sine")
     mp.add_argument("--amplitude", type=float, default=1.0)
-    mp.add_argument("--gains", default=None, help="gain CSV (sampled rows)")
-    mp.add_argument("--solve-order", type=int, default=None)
+    control = mp.add_mutually_exclusive_group(required=True)
+    control.add_argument("--gains", default=None, help="gain CSV (sampled rows)")
+    control.add_argument("--solve-order", type=int, default=None)
+    control.add_argument("--open-loop", action="store_true")
     mp.add_argument("--solve-order-y", type=int, default=None)
     mp.add_argument("--sigma-sign", type=int, choices=(1, -1), default=None)
-    mp.add_argument("--open-loop", action="store_true")
     mp.add_argument("--out-prefix", default="sim")
     mp.set_defaults(func=cmd_simulate)
 

@@ -196,7 +196,7 @@ def _q_moments(p: ContinuumParams, cfg: SolverConfig,
 
         return np.array([integrate01(lambda y, c=c: q_lam0(y) * y ** c, 1e-12)
                          for c in range(cfg.N_y + 1)])
-    return _moments((q_series * lam0).array[None], cfg.N_y)[0]
+    return _moments(np.convolve(q_series.array, lam0.array)[None], cfg.N_y)[0]
 
 
 def _moments(a: np.ndarray, N_y: int) -> np.ndarray:

@@ -135,7 +135,7 @@ class TruncatedSeries:
         """Re-express over a superset of variables (new exponents are 0)."""
         return TruncatedSeries(vars_, self._over(vars_))
 
-    # -- ring operations ---------------------------------------------------
+    # -- sum ---------------------------------------------------------------
 
     def __add__(self, other: TruncatedSeries) -> TruncatedSeries:
         vs = _canonical_vars(self.vars + other.vars)
@@ -143,37 +143,6 @@ class TruncatedSeries:
         out = np.zeros(np.maximum(a.shape, b.shape))
         out[tuple(map(slice, a.shape))] = a
         out[tuple(map(slice, b.shape))] += b
-        return TruncatedSeries(vs, out)
-
-    def __neg__(self) -> TruncatedSeries:
-        return TruncatedSeries(self.vars, -self.array)
-
-    def __sub__(self, other: TruncatedSeries) -> TruncatedSeries:
-        return self + (-other)
-
-    def __mul__(self, other: TruncatedSeries) -> TruncatedSeries:
-        """Exact polynomial product. Never re-truncates: products of order-N
-        operands legitimately carry terms up to order 2N.
-
-        Over variables only one factor has, it is an outer product (a
-        broadcast). Over shared ones, the factor with fewer nonzero
-        positions on the shared axes is walked: each position adds the other
-        factor, shifted there and scaled."""
-        vs = _canonical_vars(self.vars + other.vars)
-        a, b = self._over(vs), other._over(vs)
-        shared = [i for i, (m, n) in enumerate(zip(a.shape, b.shape)) if m > 1 and n > 1]
-        if not shared:
-            return TruncatedSeries(vs, a * b)
-        rest = tuple(i for i in range(len(vs)) if i not in shared)
-        at_a, at_b = (np.argwhere(f.any(axis=rest)) for f in (a, b))
-        if len(at_a) < len(at_b):
-            a, b, at_b = b, a, at_a
-        out = np.zeros(np.add(a.shape, b.shape) - 1)
-        into, part = [slice(None)] * len(vs), [slice(None)] * len(vs)
-        for pos in at_b.tolist():
-            for i, k in zip(shared, pos):
-                into[i], part[i] = slice(k, k + a.shape[i]), slice(k, k + 1)
-            out[tuple(into)] += a * b[tuple(part)]
         return TruncatedSeries(vs, out)
 
     # -- calculus ----------------------------------------------------------

@@ -39,27 +39,51 @@ def read_report(path):
     return report
 
 
+# the report block of a series solve (the solve report itself, each bench
+# row, simulate's `solve`) and of an n+1 reference march (the ls-kernels
+# report itself, bench's `reference`)
+SOLVE_BLOCK = {"order", "order_y", "exact_q", "sigma_sign", "num_unknowns",
+               "num_equations", "nnz", "ordering", "span_cut", "wide_rows",
+               "panel_cols", "r_diag_ratio", "residual", "certificate",
+               "residual_by_source", "stages_s", "timing_s"}
+MARCH_BLOCK = {"iterations", "final_delta", "sweep_history", "stages_s", "timing_s"}
+SIM_OWN = {"n", "steps", "dt", "step_ms", "minor_faults"}
+
+
+def keys(*names, **blocks):
+    """A command's own report keys: each name must be present; a block key
+    maps to None (it must be null) or to the keys its block holds (each
+    block's, for a list of them)."""
+    return dict.fromkeys(names, True) | blocks
+
+
 @pytest.mark.parametrize("argv, code, stages, quality, own", [
     (["solve", "--config", "example2", "--order", "5", "--grid", "11",
       "--out-prefix", "{d}/r"], 0, {"assemble", "solve_ls", "gains"},
-     {"residual", "certificate"}, {"residual", "residual_by_source", "timing_s"}),
+     {"residual", "certificate"}, keys(*SOLVE_BLOCK)),
     (["closed-form", "--config", "example1", "--grid", "11", "--out-prefix", "{d}/r"],
-     0, {"closed_form", "gains"}, {"applicable"}, {"applicable", "kernel"}),
+     0, {"closed_form", "gains"}, {"applicable"}, keys("applicable", "kernel")),
     (["closed-form", "--config", "example2", "--out-prefix", "{d}/r"],
-     2, {"closed_form"}, {"applicable"}, {"applicable", "reason", "details"}),
+     2, {"closed_form"}, {"applicable"}, keys("applicable", "reason", "details")),
     (["ls-kernels", "--config", "example2", "--m", "16", "--out-prefix", "{d}/r"],
      0, {"stencils", "sweeps"}, {"iterations", "final_delta"},
-     {"iterations", "final_delta", "sweep_history", "timing_s"}),
+     keys(*MARCH_BLOCK, "n", "m")),
     (["simulate", "--config", "example2", "--mx", "32", "--t-final", "0.2",
       "--solve-order", "4", "--out-prefix", "{d}/r"], 0,
      {"setup", "gains", "init", "run"},
      {"verdict", "initial_norm", "final_norm", "norm_ratio"},
-     {"n", "steps", "dt", "step_ms", "minor_faults"}),
+     keys(*SIM_OWN, solve=SOLVE_BLOCK)),
     (["bench", "--example", "example1", "--orders", "4,6", "--skip-baseline",
       "--out", "{d}/r.csv"], 0, {"reference"}, {"residual", "max_error", "d_prev"},
-     {"example", "rows"}),
+     keys("example", reference=None, rows=SOLVE_BLOCK | {"N", "max_error"})),
     (["fit-q", "--config", "example2", "--degree", "2", "--out", "{d}/r_report.json"],
-     0, {"fit"}, {"rms_error"}, {"degree", "coefficients_ascending", "rms_error"}),
+     0, {"fit"}, {"rms_error"}, keys("degree", "coefficients_ascending", "rms_error")),
+    (["simulate", "--config", "zero", "--n", "2", "--mx", "16", "--t-final", "0.1",
+      "--open-loop", "--out-prefix", "{d}/r"], 0, {"setup", "gains", "init", "run"},
+     {"verdict", "initial_norm", "final_norm", "norm_ratio"}, keys(*SIM_OWN, solve=None)),
+    (["bench", "--example", "example2", "--orders", "4,5", "--baseline-m", "16",
+      "--out", "{d}/r.csv"], 0, {"reference"}, {"residual", "d_np1", "d_prev"},
+     keys("example", reference=MARCH_BLOCK, rows=SOLVE_BLOCK | {"N", "d_np1"})),
 ])
 def test_one_report_per_run(tmp_path, argv, code, stages, quality, own):
     assert run([a.format(d=tmp_path) for a in argv]) == code
@@ -68,7 +92,14 @@ def test_one_report_per_run(tmp_path, argv, code, stages, quality, own):
     man = report["manifest"]
     assert man["command"] == argv[0] and man["arguments"]["command"] == argv[0]
     assert set(report["stages_s"]) == stages and set(report["quality"]) == quality
-    assert own <= set(report)
+    assert set(own) <= set(report)
+    for key, block in own.items():
+        if block is None:
+            assert report[key] is None, key
+        elif block is not True:
+            value = report[key]
+            for b in value if isinstance(value, list) else [value]:
+                assert block <= set(b), key
     # the wall clock covers the whole command, every stage included
     assert man["wall_clock_s"] >= sum(report["stages_s"].values()) > 0.0
 
@@ -317,7 +348,8 @@ class TestBench:
         assert [r["N"] for r in rows] == [4, 6]
         for r in rows:
             assert set(r["stages_s"]) == {"assemble", "solve_ls", "gains"}
-            assert r["time_s"] == r["stages_s"]["assemble"] + r["stages_s"]["solve_ls"]
+            assert r["timing_s"] == r["stages_s"]["assemble"] + r["stages_s"]["solve_ls"]
+            assert r["order"] == r["order_y"] == r["N"]  # example1: the full N_y
             assert set(r["residual_by_source"]) == {"pde_k", "pde_kbar", "bc_diag",
                                                     "bc_left"}
         # the first row has no predecessor: the report leaves d_prev out
@@ -330,6 +362,14 @@ class TestBench:
                     "--baseline-m", "32", "--out", str(out)]) == 0
         header = out.read_text().splitlines()[0]
         assert "d_np1" in header
+        # the baseline is the ls-kernels march at the same m, reported alike
+        assert run(["ls-kernels", "--config", "example2", "--m", "32",
+                    "--out-prefix", str(tmp_path / "lk")]) == 0
+        reference = read_report(tmp_path / "b2_report.json")["reference"]
+        march = read_report(tmp_path / "lk_report.json")
+        assert set(reference) == MARCH_BLOCK
+        for key in ("iterations", "final_delta", "sweep_history"):
+            assert reference[key] == march[key], key
 
 
 class TestSimulate:
@@ -512,9 +552,61 @@ class TestSimulate:
         assert flag[2:].replace("-", "_") in capsys.readouterr().err
         assert not (tmp_path / "s_sim.csv").exists()
 
-    def test_needs_a_control_source(self, tmp_path):
-        assert run(["simulate", "--config", "example2",
-                    "--out-prefix", str(tmp_path / "x")]) == 1
+    def test_needs_a_control_source(self, tmp_path, capsys):
+        with pytest.raises(SystemExit) as exc:
+            run(["simulate", "--config", "example2",
+                 "--out-prefix", str(tmp_path / "x")])
+        assert exc.value.code == 1
+        assert ("ckpde simulate: error: one of the arguments --gains "
+                "--solve-order --open-loop is required") in capsys.readouterr().err
+        assert not list(tmp_path.iterdir())
+
+    @pytest.mark.parametrize("other, conflict", [
+        (["--open-loop"], "--solve-order: not allowed with argument --open-loop"),
+        (["--gains", "g.csv"], "--solve-order: not allowed with argument --gains")],
+        ids=["open-loop", "gains"])
+    def test_control_sources_exclude_each_other(self, tmp_path, capsys, other,
+                                                conflict):
+        # both used to exit 0: the open loop, or the gain file, won silently
+        with pytest.raises(SystemExit) as exc:
+            run(["simulate", "--config", "example2", *other, "--solve-order", "20",
+                 "--out-prefix", str(tmp_path / "x")])
+        assert exc.value.code == 1
+        assert f"ckpde simulate: error: argument {conflict}" in capsys.readouterr().err
+        assert not list(tmp_path.iterdir())
+
+    @pytest.mark.parametrize("grid_xi, grid_y, named", [
+        (np.linspace(0.0, 0.5, 5), [0.0, 1.0],
+         "xi grid on [0, 0.5], which does not cover [0, 1]"),
+        (np.linspace(0.0, 1.0, 5), [0.4, 0.6],
+         "y grid on [0.4, 0.6], which does not cover the components' span [0.1, 1]")],
+        ids=["xi", "y"])
+    def test_gain_table_short_of_the_run_exits_1(self, tmp_path, capsys, grid_xi,
+                                                 grid_y, named):
+        # np.interp holds a table's end values: both used to exit 0 and
+        # simulate with gains the table never held
+        path = tmp_path / "g.csv"
+        write_gain_csv(GainTable(grid_xi=grid_xi, grid_y=grid_y,
+                                 k=np.ones((len(grid_y), len(grid_xi))),
+                                 kbar=np.ones(len(grid_xi)), sampled=False), path)
+        assert run(["simulate", "--config", "example2", "--mx", "16",
+                    "--t-final", "0.1", "--gains", str(path),
+                    "--out-prefix", str(tmp_path / "s")]) == 1
+        assert f"gain table {path} has a {named}" in capsys.readouterr().err
+        assert not (tmp_path / "s_sim.csv").exists()
+
+    def test_solve_block_matches_solve(self, tmp_path):
+        # the same series solve behind both commands reports the same block
+        assert run(["simulate", "--config", "example2", "--solve-order", "8",
+                    "--mx", "32", "--t-final", "0.1",
+                    "--out-prefix", str(tmp_path / "s")]) == 0
+        assert run(["solve", "--config", "example2", "--order", "8",
+                    "--out-prefix", str(tmp_path / "e")]) == 0
+        block = read_report(tmp_path / "s_report.json")["solve"]
+        solve = read_report(tmp_path / "e_report.json")
+        assert set(block) == SOLVE_BLOCK
+        for key in SOLVE_BLOCK - {"stages_s", "timing_s"}:
+            assert block[key] == solve[key], key
 
 
 class TestLsKernels:
@@ -551,11 +643,16 @@ class TestLsKernels:
         assert "refinement ratio" in out
 
 
-def test_usage_error_exits_1():
+def test_usage_error_exits_1(capsys):
     assert main.__module__ == "continuum_kernels.cli"
     with pytest.raises(SystemExit) as exc:
-        run(["solve"])  # missing required arguments
+        run(["solve", "--config", "example1"])  # a missing required argument
     assert exc.value.code == 1
+    # the usage line, then what is wrong
+    err = capsys.readouterr().err
+    assert err.startswith("usage: ckpde solve")
+    assert err.endswith("ckpde solve: error: the following arguments are "
+                        "required: --order/-N\n")
 
 
 def test_cold_start_imports():

@@ -27,7 +27,8 @@ from continuum_kernels.power_series import (SRC_BC_DIAG, SRC_BC_LEFT,
                                             optimality_certificate,
                                             solve_ls)
 from continuum_kernels.series import (Cos, Exp, Polynomial, SeparableSum,
-                                      SeparableTerm, TruncatedSeries, Var)
+                                      SeparableTerm, TruncatedSeries, Var,
+                                      integrate01)
 
 X, XI, Y = Var.X, Var.XI, Var.Y
 _SRC_RANK = {s: i for i, s in enumerate(_SOURCES)}
@@ -299,6 +300,21 @@ class TestExactQMoments:
         me = _q_moments(example1.continuum, exact, lam, q)
         ms = _q_moments(example1.continuum, srs, lam, q)
         np.testing.assert_allclose(ms, me, atol=1e-10)
+
+    def test_series_moments_weight_by_a_varying_lambda(self):
+        # lam(0, y) = 1 + y/2 + y^2: the shipped configs have lam(0, y) = 1,
+        # so only here does the series q meet a nonconstant factor
+        lam = SeparableSum.poly(Y, [1.0, 0.5, 1.0])
+        p = ContinuumParams(lam=lam, mu=SeparableSum.constant(1.0),
+                            sigma=SeparableSum.zero(), theta=SeparableSum.zero(),
+                            W=SeparableSum.zero(),
+                            q=SeparableSum([SeparableTerm(0.8, [Cos(Y, 3.0)])]))
+        cfg = SolverConfig(N=8, N_y=4)
+        lamS, _, _, _, _, qS = _param_series(p, cfg)
+        m = _q_moments(p, cfg, lamS, qS)
+        want = [integrate01(lambda y, c=c: qS.eval_grid({Y: y}) * lam.eval1(Y, y)
+                            * y ** c, 1e-14) for c in range(cfg.N_y + 1)]
+        np.testing.assert_allclose(m, want, rtol=0, atol=1e-13)
 
 
 class TestOptimality:
