@@ -52,7 +52,7 @@ def expected_exit(argv: list[str]) -> int:
 def report_path(argv: list[str]) -> str | None:
     """The report a command writes, or None when it names no output file."""
     opts = dict(zip(argv, argv[1:]))
-    if "--out-prefix" in opts and "--refine" not in opts:
+    if "--out-prefix" in opts:
         return f"{opts['--out-prefix']}_report.json"
     if "--out" in opts:
         out = opts["--out"]

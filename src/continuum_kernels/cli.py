@@ -187,6 +187,7 @@ def cmd_closed_form(args, report_path) -> tuple:
         return EXIT_NOT_APPLICABLE, dict(
             problem=problem.name, stages_s=stages, quality=quality, **quality,
             reason=kern.reason, details=kern.details)
+    quality["residual"] = kern.residual
     table = _timed(stages, "gains", gains, kern, grid_xi=grid, grid_y=grid)
     write_gain_csv(table, f"{args.out_prefix}_gains.csv", report_path=report_path)
     print(f"closed-form: c_x={kern.c_x:.6g} "
@@ -281,6 +282,10 @@ def _sim_gains(args, problem: Problem, ls) -> tuple:
     """The feedback gains of ``simulate`` and the report block of their
     solve: a fresh power-series solve and its block, or no block with None
     for the open loop or a gain CSV resampled at the components."""
+    for flag, value in (("--solve-order-y", args.solve_order_y),
+                        ("--sigma-sign", args.sigma_sign)):
+        if value is not None and args.solve_order is None:
+            raise ConfigError(f"{flag} applies only to --solve-order")
     if args.solve_order is not None:
         cfg = SolverConfig(N=args.solve_order, N_y=args.solve_order_y,
                            sigma_sign=args.sigma_sign or 1)
@@ -352,7 +357,12 @@ def cmd_ls_kernels(args, report_path) -> tuple:
             print(f"ls-kernels: refine {m1}->{m2} sup diff {d:.6g}")
         for r in rep.ratios:
             print(f"ls-kernels: refinement ratio {r:.3f}")
-        return EXIT_OK, None
+        meshes = [_march_block(sol) for sol in rep.solutions]
+        stages = {s: sum(b["stages_s"][s] for b in meshes) for s in ("stencils", "sweeps")}
+        quality = {k: v[-1] for k, v in (("diff", rep.diffs), ("ratio", rep.ratios)) if v}
+        return EXIT_OK, dict(problem=problem.name, stages_s=stages, quality=quality,
+                             n=ls.n, m_list=rep.m_list, diffs=rep.diffs,
+                             ratios=rep.ratios, meshes=meshes)
     sol = solve_characteristics(ls, TriGrid(args.m))
     write_gain_csv(gains(sol), f"{args.out_prefix}_gains.csv", report_path=report_path)
     print(f"ls-kernels: converged in {sol.iterations} sweeps "

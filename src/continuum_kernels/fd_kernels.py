@@ -254,6 +254,7 @@ class RefineReport:
     diffs: list[float]              # sup difference between successive solutions
     ratios: list[float]             # diffs[k] / diffs[k+1]
     reference_errors: list[float] = field(default_factory=list)
+    solutions: list[LsKernelSolution] = field(default_factory=list, repr=False)
 
 
 def refine_study(ls: LargeScaleParams, m_list, tol: float = 1e-10,
@@ -291,4 +292,4 @@ def refine_study(ls: LargeScaleParams, m_list, tol: float = 1e-10,
         diffs.append(float(np.abs(s1.k - sub)[:, tri].max()))
     ratios = [d1 / d2 for d1, d2 in zip(diffs, diffs[1:]) if d2 > 0]
     return RefineReport(m_list=m_list, diffs=diffs, ratios=ratios,
-                        reference_errors=ref_errors)
+                        reference_errors=ref_errors, solutions=sols)

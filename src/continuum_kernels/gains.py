@@ -14,7 +14,6 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .closed_form import ClosedFormKernel
 from .fd_kernels import LsKernelSolution
 from .params import ContinuumParams, LargeScaleParams, sample_points
 from .power_series import PsKernelSolution
@@ -65,14 +64,14 @@ class GainTable:
 
 
 def _ensemble_kernels(sol, xs, xis, ys, d: Var | None = None):
-    """k on the outer grid (x, xi, y) and kbar on (x, xi) of a series or
-    closed-form solution, or their derivatives in ``d`` (Var.X or Var.XI)."""
+    """k on the outer grid (x, xi, y) and kbar on (x, xi) of a series
+    solution, or of any other ensemble solution as a closed-form kernel
+    (its k, kbar and analytic partials), or their derivatives in ``d``
+    (Var.X or Var.XI)."""
     if isinstance(sol, PsKernelSolution):
         k, kbar = (sol.k, sol.kbar) if d is None else (sol.k.diff(d), sol.kbar.diff(d))
         at = {Var.X: xs, Var.XI: xis, Var.Y: ys}
         return k.eval_grid(at), kbar.eval_grid(at)
-    if not isinstance(sol, ClosedFormKernel):
-        raise TypeError(f"unsupported kernel solution type {type(sol)!r}")
     k, kbar = {None: (sol.k, sol.kbar), Var.X: (sol.dk_dx, sol.dkbar_dx),
                Var.XI: (sol.dk_dxi, sol.dkbar_dxi)}[d]
     X, XI, Y = np.ix_(xs, xis, ys)
@@ -132,10 +131,10 @@ def continuum_residual(sol, p: ContinuumParams,
     integrals over y. A series solution is checked against the exact
     parameters, with sigma scaled by its own ``sigma_sign``.
     """
+    if isinstance(sol, LsKernelSolution):     # a grid solution has no y
+        raise TypeError(f"unsupported kernel solution type {type(sol)!r}")
     if isinstance(sol, PsKernelSolution):
         p = replace(p, sigma=p.sigma.scale(sol.config.sigma_sign))
-    elif not isinstance(sol, ClosedFormKernel):     # a grid solution has no y
-        raise TypeError(f"unsupported kernel solution type {type(sol)!r}")
     xs = np.linspace(0.0, 1.0, grid_m)
     family = LargeScaleParams(p, np.concatenate((xs, GL_NODES)),
                               np.concatenate((np.zeros(grid_m), GL_WEIGHTS)))

@@ -62,7 +62,8 @@ def keys(*names, **blocks):
       "--out-prefix", "{d}/r"], 0, {"assemble", "solve_ls", "gains"},
      {"residual", "certificate"}, keys(*SOLVE_BLOCK)),
     (["closed-form", "--config", "example1", "--grid", "11", "--out-prefix", "{d}/r"],
-     0, {"closed_form", "gains"}, {"applicable"}, keys("applicable", "kernel")),
+     0, {"closed_form", "gains"}, {"applicable", "residual"},
+     keys("applicable", "kernel")),
     (["closed-form", "--config", "example2", "--out-prefix", "{d}/r"],
      2, {"closed_form"}, {"applicable"}, keys("applicable", "reason", "details")),
     (["ls-kernels", "--config", "example2", "--m", "16", "--out-prefix", "{d}/r"],
@@ -84,6 +85,9 @@ def keys(*names, **blocks):
     (["bench", "--example", "example2", "--orders", "4,5", "--baseline-m", "16",
       "--out", "{d}/r.csv"], 0, {"reference"}, {"residual", "d_np1", "d_prev"},
      keys("example", reference=MARCH_BLOCK, rows=SOLVE_BLOCK | {"N", "d_np1"})),
+    (["ls-kernels", "--config", "example2", "--refine", "8,16,32", "--out-prefix",
+      "{d}/r"], 0, {"stencils", "sweeps"}, {"diff", "ratio"},
+     keys("n", "m_list", "diffs", "ratios", meshes=MARCH_BLOCK)),
 ])
 def test_one_report_per_run(tmp_path, argv, code, stages, quality, own):
     assert run([a.format(d=tmp_path) for a in argv]) == code
@@ -240,7 +244,8 @@ class TestClosedForm:
                     "--out-prefix", prefix]) == 2
         report = json.loads((tmp_path / "cf2_report.json").read_text())
         assert not report["applicable"]
-        assert "c_y" in report["reason"]
+        assert report["reason"] == ("theta_x(0.0) is (numerically) zero; "
+                                    "the construction divides by it")
 
     def test_non_positive_lambda_exit_2(self, tmp_path):
         cfg = {"lambda": {"terms": [{"scale": 1.0, "factors": [
@@ -575,6 +580,22 @@ class TestSimulate:
         assert f"ckpde simulate: error: argument {conflict}" in capsys.readouterr().err
         assert not list(tmp_path.iterdir())
 
+    @pytest.mark.parametrize("flag", [["--solve-order-y", "3"], ["--sigma-sign", "-1"]],
+                             ids=["solve-order-y", "sigma-sign"])
+    @pytest.mark.parametrize("control", ["open-loop", "gains"])
+    def test_solve_options_need_solve_order(self, tmp_path, capsys, flag, control):
+        # both used to be ignored: the run went on without them, exit 0
+        path = tmp_path / "g.csv"
+        write_gain_csv(GainTable(grid_xi=np.linspace(0, 1, 5), grid_y=[0.0, 1.0],
+                                 k=np.zeros((2, 5)), kbar=np.zeros(5)), path)
+        source = ["--open-loop"] if control == "open-loop" else ["--gains", str(path)]
+        assert run(["simulate", "--config", "zero", "--n", "2", "--mx", "16",
+                    "--t-final", "0.1", *source, *flag,
+                    "--out-prefix", str(tmp_path / "s")]) == 1
+        assert f"error: {flag[0]} applies only to --solve-order" in \
+            capsys.readouterr().err
+        assert not (tmp_path / "s_sim.csv").exists()
+
     @pytest.mark.parametrize("grid_xi, grid_y, named", [
         (np.linspace(0.0, 0.5, 5), [0.0, 1.0],
          "xi grid on [0, 0.5], which does not cover [0, 1]"),
@@ -636,11 +657,19 @@ class TestLsKernels:
         assert "error: the problem does not fix n; pass --n" in capsys.readouterr().err
         assert not list(tmp_path.iterdir())
 
-    def test_refine_mode(self, capsys):
-        assert run(["ls-kernels", "--config", "example2",
-                    "--refine", "8,16,32"]) == 0
+    def test_refine_mode(self, tmp_path, capsys):
+        assert run(["ls-kernels", "--config", "example2", "--refine", "8,16,32",
+                    "--out-prefix", str(tmp_path / "rf")]) == 0
         out = capsys.readouterr().out
         assert "refinement ratio" in out
+        # the report holds the ladder and one march block per mesh
+        rep = read_report(tmp_path / "rf_report.json")
+        assert rep["m_list"] == [8, 16, 32] and len(rep["diffs"]) == 2
+        assert rep["ratios"] == [rep["diffs"][0] / rep["diffs"][1]]
+        assert rep["quality"] == {"diff": rep["diffs"][-1], "ratio": rep["ratios"][-1]}
+        assert [len(b["sweep_history"]) for b in rep["meshes"]] == [2, 2, 2]
+        assert rep["stages_s"]["sweeps"] == pytest.approx(
+            sum(b["stages_s"]["sweeps"] for b in rep["meshes"]))
 
 
 def test_usage_error_exits_1(capsys):
