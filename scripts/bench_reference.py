@@ -8,11 +8,14 @@ Usage, from the root of the repository:
 Each `--tree label=path` names a source directory to import the package
 from; with two trees the runs alternate, so both see the same machine
 state. Every (case, tree, repetition) runs in a fresh interpreter with one
-BLAS thread and reports the solve's wall time, its sweep count and the
-process's peak RSS. The cases are example2 at n = 10 with m = 128, 256 and
-512; example2 at m = 256 with n = 20, 80 and 160; and example1 at n = 10,
-m = 256. The JSON written has the median and quartiles of each case per
-tree, and the environment.
+BLAS thread and reports the solve's wall time, the part of it that builds
+the stencils, its sweep count, and the process's peak RSS before the solve
+(the imports and the problem) and after it. The cases are
+example2 at n = 10 with m = 128, 256 and 512; example2 at m = 256 with
+n = 20, 80 and 160; example1 at n = 10, m = 256; and, at m = 256 with n = 10
+and 160, `varying`: example2's couplings with lambda = (1+x)(1+y) and
+mu = 2-x, so every family row of lambda differs. The JSON written has the
+median and quartiles of each case per tree, and the environment.
 """
 
 from __future__ import annotations
@@ -29,18 +32,33 @@ import time
 
 CASES = [("example2", 10, 128), ("example2", 10, 256), ("example2", 10, 512),
          ("example2", 20, 256), ("example2", 80, 256), ("example2", 160, 256),
-         ("example1", 10, 256)]
+         ("example1", 10, 256), ("varying", 10, 256), ("varying", 160, 256)]
+
+
+def problem(name: str):
+    from continuum_kernels.params import load_problem, parse_problem_dict
+
+    if name != "varying":
+        return load_problem(name)
+    cfg = dict(load_problem("example2").source)
+    cfg["lambda"] = {"terms": [{"scale": 1.0, "factors": [
+        {"var": "x", "kind": "poly", "coeffs": [1.0, 1.0]},
+        {"var": "y", "kind": "poly", "coeffs": [1.0, 1.0]}]}]}
+    cfg["mu"] = {"terms": [{"scale": 1.0, "factors": [
+        {"var": "x", "kind": "poly", "coeffs": [2.0, -1.0]}]}]}
+    return parse_problem_dict(cfg)
 
 
 def one_run(name: str, n: int, m: int) -> dict:
     from continuum_kernels.fd_kernels import TriGrid, solve_characteristics
-    from continuum_kernels.params import load_problem
 
-    ls = load_problem(name).large_scale(n)
+    ls = problem(name).large_scale(n)
+    base = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024
     t = time.perf_counter()
     sol = solve_characteristics(ls, TriGrid(m))
     t = time.perf_counter() - t
-    return {"time_s": t, "sweeps": sol.iterations,
+    return {"time_s": t, "stencils_s": sol.stages_s["stencils"], "sweeps": sol.iterations,
+            "base_rss_mb": base,
             "peak_rss_mb": resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024}
 
 
@@ -96,7 +114,9 @@ def main() -> int:
                     for label in trees}, file=sys.stderr)
     result = {"environment": environment(), "reps": args.reps, "cases": {
         label: {key: {"time_s": summary([r["time_s"] for r in rs]),
+                      "stencils_s": summary([r["stencils_s"] for r in rs]),
                       "sweeps": rs[0]["sweeps"],
+                      "base_rss_mb": summary([r["base_rss_mb"] for r in rs]),
                       "peak_rss_mb": summary([r["peak_rss_mb"] for r in rs])}
                 for key, rs in cases.items()}
         for label, cases in runs.items()}}

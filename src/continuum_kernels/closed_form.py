@@ -1,10 +1,10 @@
 """Closed-form kernels for separable ensemble problems.
 
-When mu is constant, lambda depends on y only, and the couplings factor as
+When mu is constant, lambda depends on y only, and the couplings sigma
+and theta factor as
 
     sigma(x, eta, y) = sigma_x(x) sigma_y(eta) sigma_e(y),
     theta(x, y)      = theta_x(x) theta_y(y),
-    W(x, y)          = W_x(x) W_y(y),
 
 this module builds the separable candidate
 
@@ -14,11 +14,15 @@ this module builds the separable candidate
 The sigma coupling enters only through kappa = c * int sigma_y theta_y/(lam+mu),
 with c the least-squares ratio sigma_e/theta_y (:func:`sigma_coef`); the
 rate c_x (:func:`compute_cx`) and the profile f (:func:`build_f`) are
-averaged over y. The candidate solves the kernel equations when sigma_e =
-c theta_y or kappa vanishes, when c_x and f do not depend on y, and when
-mu f'(xi) = -W_x(xi) theta_x(xi) J_W with J_W = int W_y theta_y/(lam+mu).
-No condition is checked by hand: :func:`solve_closed_form` accepts the
-candidate only when its residual in every kernel equation,
+averaged over y. The candidate never reads W. It solves the kernel
+equations when sigma_e = c theta_y or kappa vanishes, when c_x and f do
+not depend on y, and when
+
+    mu f'(xi) = -theta_x(xi) int_0^1 W(xi, y) theta_y(y)/(lam(y)+mu) dy,
+
+which W may meet as a sum of separable terms. No condition is checked by
+hand: :func:`solve_closed_form` accepts the candidate only when its
+residual in every kernel equation,
 :func:`~continuum_kernels.gains.continuum_residual`, is at roundoff of its
 size. Constant lambda is the special case in which every y-weight is the
 constant 1/(lam+mu); only then is c_y = kappa (lam+mu) reported. Every
@@ -112,8 +116,6 @@ class SeparableProblem:
     sigma_e: SeparableSum               # factor on the free ensemble slot
     theta_x: SeparableSum
     theta_y: SeparableSum
-    W_x: SeparableSum
-    W_y: SeparableSum
     q: SeparableSum
 
     @staticmethod
@@ -148,16 +150,15 @@ class SeparableProblem:
                 parts.append(SeparableSum([SeparableTerm(scale, groups[v])]))
             return tuple(parts)
 
-        sg, th, ww = parts = (split(p.sigma, "sigma", (Var.X, Var.ETA, Var.Y)),
-                              split(p.theta, "theta", (Var.X, Var.Y)),
-                              split(p.W, "W", (Var.X, Var.Y)))
+        sg, th = parts = (split(p.sigma, "sigma", (Var.X, Var.ETA, Var.Y)),
+                          split(p.theta, "theta", (Var.X, Var.Y)))
         for part in parts:
             if isinstance(part, NotApplicable):
                 return part
         return SeparableProblem(
             mu=mu, lam_y=lam_y, lam_const=lam_const,
             sigma_x=sg[0], sigma_y=_retag(sg[1], Var.Y), sigma_e=sg[2],
-            theta_x=th[0], theta_y=th[1], W_x=ww[0], W_y=ww[1], q=p.q,
+            theta_x=th[0], theta_y=th[1], q=p.q,
         )
 
     def theta_is_zero(self) -> bool:
@@ -226,9 +227,9 @@ def build_f(p: SeparableProblem, c_x: float, kappa: float
         f(xi) = kappa sigma_x(xi) - c_x/mu + r theta_x'(xi)/theta_x(xi),
 
     with r = lam(y)/(lam(y)+mu) averaged over a y-grid. The kbar equation
-    holds when mu f'(xi) = -W_x(xi) theta_x(xi) J_W, J_W = int W_y
-    theta_y/(lam+mu); that, and whether f depends on y, is for the residual
-    of :func:`solve_closed_form` to decide. Raises :class:`ClosedFormError`
+    holds when mu f'(xi) = -theta_x(xi) int_0^1 W(xi, y) theta_y(y)/(lam(y)
+    + mu) dy; that, and whether f depends on y, is for the residual of
+    :func:`solve_closed_form` to decide. Raises :class:`ClosedFormError`
     when theta_x vanishes on a xi-grid, as f divides by it.
     """
     mu = p.mu
@@ -324,8 +325,8 @@ def solve_closed_form(p: ContinuumParams) -> ClosedFormKernel | NotApplicable:
     kernel equations.
 
     Returns :class:`NotApplicable` (never raises) when a structural
-    prerequisite fails (constant mu, lambda in y only, single-product sigma,
-    theta and W, theta_x nonzero), or when an entry of
+    prerequisite fails (constant mu, lambda in y only, single-product sigma
+    and theta, theta_x nonzero), or when an entry of
     ``continuum_residual(kern, p)`` exceeds TOL_RESIDUAL * max(1, the
     kernel's sup on the prism xi <= x of the 21^3 grid); that reason names
     each equation's residual, and ``details`` holds them. An accepted kernel

@@ -8,10 +8,16 @@ level, each level's values traced back along the characteristic curves
 from the level below and its sources taken from the values just computed,
 solves the discrete equations; a second sweep certifies the answer by
 reproducing it (sup change 0). Source integrals use the rectangle rule at
-the upstream point and off-grid values linear interpolation, so the scheme
-converges at first order in the mesh width. The equations, their sums over
-the family weighted by ``GridParams.weights`` (1/n for the n+1 system), come
-from ``GridParams.sources``, ``diag_bc`` and ``left_bc``, shared with the
+the upstream point and off-grid values linear interpolation, so the error
+is in general first order in the mesh width, but not always. With an
+integer lam/mu every foot lands on a node and the interpolation is exact:
+on closed-form problems the error then fell 3.9-4.0x per halving of h.
+With q != 0 the first-order rectangle-rule and interpolation terms can
+cancel, as they did on some closed-form draws. Richardson extrapolation,
+2 K_2m - K_m, assumes first order and would add error there instead of
+removing it. The equations, their sums over the family weighted by
+``GridParams.weights`` (1/n for the n+1 system), come from
+``GridParams.sources``, ``diag_bc`` and ``left_bc``, shared with the
 residuals of ``gains``.
 """
 
@@ -60,7 +66,9 @@ class TriGrid:
 @dataclass
 class LsKernelSolution:
     """Grid kernels: k[i, a, b] = k^{i+1}(x_a, xi_b) for i < n, k[n] the
-    counter kernel; entries with b > a are unused and left at zero."""
+    counter kernel; entries with b > a are unused and left at zero. ``k`` is
+    a transposed view of the march's level-major array K[a, i, b], not a
+    copy."""
 
     k: np.ndarray
     grid: TriGrid
@@ -80,13 +88,17 @@ class LsKernelSolution:
 def _weights(t: np.ndarray, h: float, length):
     """Cell index and weight of linear interpolation at t on the uniform grid
     {0, h, ..., (length-1)h}; a one-point grid gives index 0 and weight 0."""
-    s = np.clip(t / h, 0.0, length - 1.0)
-    idx = np.minimum(s.astype(int), np.maximum(length - 2, 0))
-    return idx, s - idx
+    s = t / h
+    np.clip(s, 0.0, length - 1.0, out=s)
+    idx = s.astype(int)
+    np.minimum(idx, np.maximum(length - 2, 0), out=idx)
+    s -= idx
+    return idx, s
 
 
 class _Stencils:
-    """The iterate-independent part of a sweep on one grid.
+    """The iterate-independent part of a sweep on one grid: the speeds'
+    characteristics, so no boundary data.
 
     Flat indices address one level of the level-major kernel array
     K[a, i, b] (and the source row S[i, b] that shares its layout): node
@@ -96,67 +108,84 @@ class _Stencils:
     a counter node ``z`` the edge xi = 0 between the two levels; they read
     boundary data and diagonal or edge sources instead. Each kind is in
     level order: level a owns ``slice(starts[a], starts[a+1])`` of it.
+
+    A family characteristic depends only on its row of lam, so each
+    distinct row is traced once, and the rows that share it read its
+    column of the traced tables.
     """
 
-    def __init__(self, lam, mu, diag_bc, xs, h):
+    def __init__(self, lam, mu, xs, h):
         n, m = lam.shape[0], len(xs) - 1
         mu_of = lambda t: np.interp(t, xs, mu)
-        # level a owns the a pairs (a, b < a) of A, B, so tables with one
-        # row per pair are in level order. Row t holds the family nodes
-        # (i, A, B) in columns i < n and the counter node (n, A, B+1) in
-        # column n.
+        rows, inv = np.unique(lam, axis=0, return_inverse=True)
+        r = len(rows)
+        # Tables have one row per pair (a, b < a) of A, B, so they are in
+        # level order. Traced tables hold the family characteristics of
+        # lam's distinct rows in columns g < r and the counter one in
+        # column r; node tables hold the family nodes (i, A, B) in columns
+        # i < n and the counter node (n, A, B+1) in column n. Node column i
+        # reads traced column col[i].
         A, B = np.tril_indices(m + 1, -1)
-        xa, level = xs[A][:, None], A[:, None]
-        cols = np.arange(n + 1)
-        node = cols * (m + 1) + B[:, None] + (cols == n)
-        feet = np.empty(node.shape)
-        inside = np.empty(node.shape, dtype=bool)
+        col = np.append(inv.reshape(-1), r)
+        feet = np.empty((len(A), r + 1))
 
-        # family kernels: trace back along dxi/dx = -lam_i/mu
-        lam_t, i = lam.T, cols[:n]
+        # family kernels: trace back along dxi/dx = -lam_g/mu
         xi = xs[B][:, None]
-        slope0 = lam_t[B] / mu[A][:, None]
-        j, w = _weights(xi + slope0 * h, h, m + 1)
-        slope = 0.5 * (slope0 + (lam_t[j, i] * (1.0 - w) + lam_t[j + 1, i] * w)
+        slope = rows.T[B] / mu[A][:, None]              # predictor, then corrector
+        j, w = _weights(xi + slope * h, h, m + 1)
+        j += np.arange(r) * (m + 1)                     # rows[g, j], flat
+        at = rows.reshape(-1)
+        slope = 0.5 * (slope + (at[j] * (1.0 - w) + at[1:][j] * w)
                        / mu[A - 1][:, None])
-        feet[:, :n] = xi + slope * h
-        inside[:, :n] = feet[:, :n] <= xs[A - 1][:, None] + 1e-14
-        out = ~inside[:, :n]
-        xd = ((xi + slope * xa) / (1.0 + slope))[out]
-        j, w = _weights(xd, h, m + 1)
-        i = np.broadcast_to(i, out.shape)[out]
-        self.d_starts = _starts(np.broadcast_to(level, out.shape)[out], m)
-        self.d_node = node[:, :n][out]
-        self.d_lo = i * (m + 1) + j                     # S_diag[i, j]
-        self.d_w1, self.d_w = 1.0 - w, w
-        self.d_k = diag_bc[i, j] * (1.0 - w) + diag_bc[i, j + 1] * w
-        self.d_c = (np.broadcast_to(xa, out.shape)[out] - xd) / mu_of(xd)
+        feet[:, :r] = xi + slope * h
+        inside = feet <= xs[A - 1][:, None] + 1e-14
 
         # counter kernel: trace back along dxi/dx = +mu(xi)/mu(x)
         xi = xs[B + 1]
         sl0 = np.interp(xi, xs, mu) / mu[A]
         sl = 0.5 * (sl0 + mu_of(np.clip(xi - sl0 * h, 0.0, 1.0)) / mu[A - 1])
         t = xi - sl * h
-        inside[:, n] = t >= -1e-14
-        feet[:, n] = np.clip(t, 0.0, xs[A - 1])
-        out = ~inside[:, n]
+        inside[:, r] = t >= -1e-14
+        feet[:, r] = np.clip(t, 0.0, xs[A - 1])
+        out = ~inside[:, r]
         x0 = xs[A][out] - xi[out] / np.maximum(sl[out], 1e-300)
-        self.z_starts = _starts(A[out], m)
-        self.z_node = node[out, n]
+        self.z_starts = _starts(out, m)
+        self.z_node = n * (m + 1) + B[out] + 1
         self.z_x = x0
         self.z_c = (xs[A][out] - x0) / mu_of(x0)
 
-        level = np.broadcast_to(level, inside.shape)[inside]
-        j, w = _weights(feet[inside], h, level)
-        self.starts = _starts(level, m)
-        self.node = node[inside]
-        self.lo = np.broadcast_to(cols * (m + 1), inside.shape)[inside] + j
-        self.w1, self.w = 1.0 - w, w
+        # family nodes that cross the diagonal: few, so their crossing
+        # points are computed per node
+        mask = np.take(inside, col, axis=1)
+        p, i = np.nonzero(~mask[:, :n])
+        s, xa = slope[p, col[i]], xs[A[p]]
+        xd = (xs[B[p]] + s * xa) / (1.0 + s)
+        j, w = _weights(xd, h, m + 1)
+        self.d_starts = _starts(np.bincount(p, minlength=len(A)), m)
+        self.d_node = i * (m + 1) + B[p]
+        self.d_lo = i * (m + 1) + j                     # S_diag[i, j]
+        self.d_w1, self.d_w = 1.0 - w, w
+        self.d_c = (xa - xd) / mu_of(xd)
+
+        # interior nodes; the weights of crossing entries are computed and
+        # dropped. With distinct rows each table is half the size of K, so
+        # each is freed once used
+        j, w = _weights(feet, h, A[:, None])
+        del feet, slope
+        base = np.arange(n + 1) * (m + 1)
+        self.starts = _starts(mask.sum(axis=1), m)
+        self.node = (B[:, None] + (base + (col == r)))[mask]
+        self.lo = (np.take(j, col, axis=1) + base)[mask]
+        self.w = np.take(w, col, axis=1)[mask]
+        self.w1 = 1.0 - self.w
 
 
-def _starts(level, m):
-    """Offsets of levels 0..m+1 in an array sorted by level."""
-    return np.searchsorted(level, np.arange(m + 2))
+def _starts(count, m):
+    """Offsets of levels 0..m+1 in a level-ordered array with ``count[t]``
+    entries for pair t of ``np.tril_indices(m + 1, -1)``: level a owns
+    pairs a(a-1)/2 .. a(a+1)/2 - 1."""
+    a = np.arange(m + 2)
+    return np.concatenate(([0], np.cumsum(count)))[a * (a - 1) // 2]
 
 
 def solve_characteristics(ls: LargeScaleParams, grid: TriGrid | None = None,
@@ -187,7 +216,10 @@ def solve_characteristics(ls: LargeScaleParams, grid: TriGrid | None = None,
 
     g = ls.on_grid(xs)
     mu, dmu, TH, WW, diag_bc = g.mu, g.dmu, g.theta, g.weighted_W, g.diag_bc
-    st = _Stencils(g.lam, mu, diag_bc, xs, h)
+    st = _Stencils(g.lam, mu, xs, h)
+    # the diagonal data where family characteristics cross the diagonal
+    bc = diag_bc.reshape(-1)
+    d_k = bc[st.d_lo] * st.d_w1 + bc[1:][st.d_lo] * st.d_w
     c = h / mu[:-1]                     # rectangle rule from level a-1
     # the diagonal sources S[:n, a, a] but for their TH * K[n, a, a] part
     D = g.sources(np.vstack((diag_bc, np.zeros(m + 1))))[:n]
@@ -221,8 +253,8 @@ def solve_characteristics(ls: LargeScaleParams, grid: TriGrid | None = None,
             S_diag[:, a] = D[:, a] + TH[:, a] * K[a, n, a]
             j = slice(st.d_starts[a], st.d_starts[a + 1])
             lo = st.d_lo[j]
-            Ka[st.d_node[j]] = st.d_k[j] + st.d_c[j] * (Sd[lo] * st.d_w1[j]
-                                                        + Sd[1:][lo] * st.d_w[j])
+            Ka[st.d_node[j]] = d_k[j] + st.d_c[j] * (Sd[lo] * st.d_w1[j]
+                                                     + Sd[1:][lo] * st.d_w[j])
             # 4. the xi = 0 boundary value; 5. its source
             K[a, n, 0] = g.left_bc(K[a, :n, 0])
             # written out: a g.sources call here made the march 10-20 % slower
@@ -239,7 +271,7 @@ def solve_characteristics(ls: LargeScaleParams, grid: TriGrid | None = None,
         history.append(change)
         if change < tol:
             return LsKernelSolution(
-                k=np.ascontiguousarray(K.transpose(1, 0, 2)), grid=grid,
+                k=K.transpose(1, 0, 2), grid=grid,
                 y_points=ls.points, history=history,
                 stages_s={"stencils": t1 - t0,
                           "sweeps": time.perf_counter() - t1})

@@ -29,14 +29,15 @@ from __future__ import annotations
 import functools
 import warnings
 from dataclasses import dataclass, field
+from typing import TYPE_CHECKING
 
 import numpy as np
-import scipy.linalg
-import scipy.sparse
-import scipy.sparse.linalg
 
 from .params import GRID_POINTS, ContinuumParams
 from .series import PRUNE_TOL, TruncatedSeries, Var, integrate01
+
+if TYPE_CHECKING:
+    import scipy.sparse
 
 __all__ = [
     "SolverConfig",
@@ -223,6 +224,10 @@ def assemble(p: ContinuumParams, cfg: SolverConfig) -> LinearSystem:
 
     Each term family is scattered for all its columns at once. An entry sums
     its contributions in scatter order: per column, family, then term."""
+    # scipy is imported where it is used: commands that never assemble a
+    # system start without it
+    import scipy.sparse
+
     p.check_speeds(np.linspace(0.0, 1.0, GRID_POINTS))
     lamS, muS, thetaS, WS, sigmaS, qS = _param_series(p, cfg)
     _check_ny_bound(cfg, lamS, thetaS)
@@ -458,7 +463,7 @@ def _staircase_qr(A: scipy.sparse.csr_matrix, b: np.ndarray, cols: np.ndarray):
     # are G @ Wo[:w]: Wo holds the wide rows as they entered
     Wo = _panel(pos, n, (sup, carry), nz, at[nl], len(rows), b)
     Wo, bo = Wo[:, :-1], Wo[:, -1]
-    lapack = scipy.linalg.lapack
+    from scipy.linalg import lapack
     bounds, top, at = bounds.tolist(), top.tolist(), at.tolist()
     for L, (c0, c1) in enumerate(zip(bounds[:-1], bounds[1:])):
         s, end = c1 - c0, bounds[top[L] + 1]
@@ -562,6 +567,8 @@ def optimality_certificate(system: LinearSystem, x: np.ndarray) -> float:
     roundoff, the unfloored quotient is noise (2e-2 at example1, N = 30,
     N_y = 2) and cannot tell a good solve from a bad one. 0.0 when both r
     and b vanish."""
+    import scipy.sparse.linalg
+
     r = system.A @ x - system.b
     scale = max(float(np.linalg.norm(r)), 1e-6 * float(np.linalg.norm(system.b)))
     if scale == 0.0:

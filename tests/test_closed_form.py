@@ -346,6 +346,37 @@ class TestPipeline:
         assert all(out.details[e] <= 1e-12 for e in ("pde_k", "bc_diag", "bc_left"))
         assert "pde_kbar 0.726" in out.reason
 
+    @staticmethod
+    def two_term_w_problem(scale: float = 1.0):
+        # kbar_coupled_problem's data with W = A (1 + x)(0.2 + y) + B x (1 - y),
+        # no single product. With A J_1 + B J_2 = 0, J_t = int W_y,t
+        # theta_y/(lam+mu), the x-linear part of int W theta_y/(lam+mu)
+        # cancels and the kbar condition holds as it does for the one-term W;
+        # ``scale`` multiplies the second term
+        p = TestPipeline.kbar_coupled_problem(sign_mu=True)
+        A = p.W.terms[0].scale
+        J1, _ = scipy.integrate.quad(
+            lambda y: (0.2 + y) * (1 + y / 2) / (2.5 + y / 2), 0, 1, epsabs=1e-14)
+        J2, _ = scipy.integrate.quad(
+            lambda y: (1 - y) * (1 + y / 2) / (2.5 + y / 2), 0, 1, epsabs=1e-14)
+        W = (product(A, Polynomial(X, [1, 1]), Polynomial(Y, [0.2, 1]))
+             + product(-scale * A * J1 / J2, Polynomial(X, [0, 1]), Polynomial(Y, [1, -1])))
+        return replace(p, W=W)
+
+    def test_two_term_w_accepted(self):
+        p = self.two_term_w_problem()
+        assert len(p.W.terms) == 2
+        kern = solve_closed_form(p)
+        assert not isinstance(kern, NotApplicable), kern.reason
+        assert max(kern.residual.values()) <= 1e-12, kern.residual
+
+    def test_two_term_w_perturbation_rejected(self):
+        # the second term 0.1 % off: the kbar equation alone fails
+        out = solve_closed_form(self.two_term_w_problem(scale=1.001))
+        assert isinstance(out, NotApplicable)
+        assert out.details["pde_kbar"] > 1e-8
+        assert all(out.details[e] <= 1e-12 for e in ("pde_k", "bc_diag", "bc_left"))
+
     def test_general_path_violation_detected(self):
         # theta_x exponential makes the rate combination y-dependent
         lam = SeparableSum([SeparableTerm(1.0, []),
@@ -365,9 +396,9 @@ class TestPipeline:
 # c_x = mu/(lam+mu) (c_y sigma_x(0) + lam theta_x'(0)/theta_x(0)
 #       + (lam/mu) theta_x(0) int q theta_y);
 # f = c_y sigma_x/(lam+mu) - c_x/mu + lam/(lam+mu) theta_x'/theta_x, under
-# the kbar equation's mu f' = -W_x theta_x int W_y theta_y/(lam+mu), that is
+# the kbar equation's mu f' = -theta_x int W theta_y/(lam+mu), that is
 # c_y sigma_x' + lam (theta_x'' theta_x - theta_x'^2)/theta_x^2
-#     = -W_x theta_x int W_y theta_y / mu.
+#     = -theta_x int W theta_y / mu.
 # Integrals use 48-point Gauss-Legendre, independent of the module.
 
 _GL_T, _GL_W = np.polynomial.legendre.leggauss(48)
@@ -411,14 +442,17 @@ def oracle_compute_cx(p, c_y):
                               + (lam / mu) * tx0 * Jq)
 
 
-def oracle_build_f(p, c_x, c_y):
-    """f, or None when the derivative compatibility condition fails."""
+def oracle_build_f(p, W, c_x, c_y):
+    """f, or None when the derivative compatibility condition on the
+    coupling ``W`` fails."""
     lam, mu = p.lam_const, p.mu
     dth = p.theta_x.diff(X)
     xs = np.linspace(0.0, 1.0, 201)
     tx, dtx, ddtx = _ev(p.theta_x, xs), _ev(dth, xs), _ev(dth.diff(X), xs)
     lhs = c_y * _ev(p.sigma_x.diff(X), xs) + lam * (ddtx * tx - dtx ** 2) / tx ** 2
-    rhs = -_ev(p.W_x, xs) * tx * _int01(p.W_y, p.theta_y) / mu
+    Wg = np.broadcast_to(W({X: xs[:, None], Y: _GL_T}), (len(xs), len(_GL_T)))
+    JW = Wg @ (_GL_W * _ev(p.theta_y, _GL_T))
+    rhs = -tx * JW / mu
     scale = max(1.0, np.abs(lhs).max(), np.abs(rhs).max())
     if np.abs(lhs - rhs).max() > 1e-8 * scale:
         return None
@@ -490,7 +524,7 @@ class TestAgainstConstantLambdaOracle:
         c_x = f = None
         if c_y is not None:
             c_x = oracle_compute_cx(sep, c_y)
-            f = oracle_build_f(sep, c_x, c_y)
+            f = oracle_build_f(sep, p.W, c_x, c_y)
         assert isinstance(kern, NotApplicable) == (f is None)
         if f is None:
             return

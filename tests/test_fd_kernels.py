@@ -248,14 +248,24 @@ class TestAgainstPerLevelSweeps:
         problem = made[name]() if name in made else load_problem(name)
         ls = (problem.large_scale(n) if offset is None
               else n_plus_one(problem.continuum, n, offset))
+        self.check_against_oracle(ls, m)
+
+    def test_mixed_family(self):
+        # repeated points in non-contiguous rows: the march traces lam's
+        # three distinct rows once each and spreads them to rows (0, 2),
+        # (3) and (1, 4)
+        ls = LargeScaleParams(varying_speed_problem().continuum,
+                              np.array([0.25, 0.75, 0.25, 0.5, 0.75]), np.full(5, 0.2))
+        self.check_against_oracle(ls, 32)
+
+    @staticmethod
+    def check_against_oracle(ls, m):
         K, deltas = per_level_sweeps(ls, TriGrid(m), tol=1e-15, max_iter=500)
         assert deltas[-1] < 1e-15
         sol = solve_characteristics(ls, TriGrid(m))
         scale = np.abs(K).max()
         assert np.abs(sol.k - K).max() <= 1e-13 * scale
-        assert len(sol.history) == 2
-        assert sol.history[-1] == 0.0
-        assert sol.history[0] == np.abs(sol.k).max()
+        assert sol.history == [np.abs(sol.k).max(), 0.0]
 
     def test_nonconvergence_bit_identical(self, example2):
         ls = example2.large_scale()
