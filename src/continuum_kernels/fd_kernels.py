@@ -164,7 +164,7 @@ class _Stencils:
         self.d_starts = _starts(np.bincount(p, minlength=len(A)), m)
         self.d_node = i * (m + 1) + B[p]
         self.d_lo = i * (m + 1) + j                     # S_diag[i, j]
-        self.d_w1, self.d_w = 1.0 - w, w
+        self.d_w = w
         self.d_c = (xa - xd) / mu_of(xd)
 
         # interior nodes; the weights of crossing entries are computed and
@@ -177,7 +177,6 @@ class _Stencils:
         self.node = (B[:, None] + (base + (col == r)))[mask]
         self.lo = (np.take(j, col, axis=1) + base)[mask]
         self.w = np.take(w, col, axis=1)[mask]
-        self.w1 = 1.0 - self.w
 
 
 def _starts(count, m):
@@ -219,7 +218,7 @@ def solve_characteristics(ls: LargeScaleParams, grid: TriGrid | None = None,
     st = _Stencils(g.lam, mu, xs, h)
     # the diagonal data where family characteristics cross the diagonal
     bc = diag_bc.reshape(-1)
-    d_k = bc[st.d_lo] * st.d_w1 + bc[1:][st.d_lo] * st.d_w
+    d_k = bc[st.d_lo] * (1.0 - st.d_w) + bc[1:][st.d_lo] * st.d_w
     c = h / mu[:-1]                     # rectangle rule from level a-1
     # the diagonal sources S[:n, a, a] but for their TH * K[n, a, a] part
     D = g.sources(np.vstack((diag_bc, np.zeros(m + 1))))[:n]
@@ -245,16 +244,18 @@ def solve_characteristics(ls: LargeScaleParams, grid: TriGrid | None = None,
             Kp, Ka = K[a - 1].reshape(-1), K[a].reshape(-1)
             # 1. interior nodes and the diagonal data
             j = slice(st.starts[a], st.starts[a + 1])
-            lo, w1, w = st.lo[j], st.w1[j], st.w[j]
+            # 1 - w is formed per level, not stored: the same bits, and no
+            # second weight table as large as the first
+            lo, w = st.lo[j], st.w[j]
+            w1 = 1.0 - w
             Ka[st.node[j]] = (Kp[lo] * w1 + Kp[1:][lo] * w
                               + c[a - 1] * (Sp[lo] * w1 + Sp[1:][lo] * w))
             K[a, :n, a] = diag_bc[:, a]
             # 2. diagonal sources; 3. family nodes that cross the diagonal
             S_diag[:, a] = D[:, a] + TH[:, a] * K[a, n, a]
             j = slice(st.d_starts[a], st.d_starts[a + 1])
-            lo = st.d_lo[j]
-            Ka[st.d_node[j]] = d_k[j] + st.d_c[j] * (Sd[lo] * st.d_w1[j]
-                                                     + Sd[1:][lo] * st.d_w[j])
+            lo, w = st.d_lo[j], st.d_w[j]
+            Ka[st.d_node[j]] = d_k[j] + st.d_c[j] * (Sd[lo] * (1.0 - w) + Sd[1:][lo] * w)
             # 4. the xi = 0 boundary value; 5. its source
             K[a, n, 0] = g.left_bc(K[a, :n, 0])
             # written out: a g.sources call here made the march 10-20 % slower

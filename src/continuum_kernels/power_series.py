@@ -357,7 +357,7 @@ def _staircase(A: scipy.sparse.csr_matrix, grading: str, exps: np.ndarray):
     held = carry[:-1].T + narrow
     r = np.maximum(held, size)          # panels get zero rows up to their level's columns
     k = r - size
-    # geqrf and ormqr, then the QR that cuts the carried rows down
+    # geqrt and gemqrt, then the geqrf that cuts the carried rows down
     flops = (2 * size * size * (r - size / 3) + (4 * r - 2 * size) * size * cols
              + np.where(k > cols, 2 * k * cols * cols - 2 / 3 * cols ** 3, 0.0))
     # dtpqrt against the level's triangle, dtpmqrt over the window and the
@@ -403,9 +403,11 @@ def _staircase_qr(A: scipy.sparse.csr_matrix, b: np.ndarray, cols: np.ndarray):
     with b as a last column: its own columns and the later ones a narrow row
     entering at L or below touches. The rest of its window, up to the
     furthest level those rows reach, is zero there and stays zero under
-    Q^T. It factors its columns (LAPACK geqrf) and applies Q^T to the rest
-    (ormqr). The top rows are the level's block of R; the others are carried
-    on, cut down to their R factor when they outnumber their columns. The
+    Q^T. It factors its columns (LAPACK geqrt, compact WY with blocks of 32
+    columns) and applies Q^T to the rest with the T factor it returns
+    (gemqrt; Schreiber and Van Loan, SIAM J. Sci. Stat. Comput. 10, 1989).
+    The top rows are the level's block of R; the others are carried on, cut
+    down to their R factor (geqrf) when they outnumber their columns. The
     wide rows are then merged into the level's triangle (tpqrt) and the
     same transform is applied to the block row of R, put onto the window,
     and their remaining columns (tpmqrt), so a level's diagonal of R is
@@ -473,10 +475,9 @@ def _staircase_qr(A: scipy.sparse.csr_matrix, b: np.ndarray, cols: np.ndarray):
         panel_cols += len(idx) - s
         pos[idx] = np.arange(len(idx))
         M = _panel(pos, len(idx), (sup, carry), nz, at[L], at[L + 1], b, s)
-        # blocked workspaces for block size 64; ormqr adds its 65 x 64 T block
-        qr, tau, _, _ = lapack.dgeqrf(M[:, :s], lwork=64 * s, overwrite_a=True)
-        rest, _, _ = lapack.dormqr("L", "T", qr, tau, M[:, s:], 64 * M.shape[1] + 4160,
-                                   overwrite_c=True)
+        # compact WY: one T factor for the panel, both calls in place
+        qr, T, _ = lapack.dgeqrt(min(32, s), M[:, :s], overwrite_a=True)
+        rest, _ = lapack.dgemqrt(qr, T, M[:, s:], side="L", trans="T", overwrite_c=True)
         # copies free the panel; R's reflectors below its diagonal are never
         # read (tpqrt, trtrs). The merge fills the block row over the window,
         # so there rest goes onto it, with w zero columns before b
@@ -486,6 +487,9 @@ def _staircase_qr(A: scipy.sparse.csr_matrix, b: np.ndarray, cols: np.ndarray):
         rest = _panel(pos, len(blk) + w, (sup, rest[:s]), nz, 0, 0, b)
         c = carry.shape[1]
         if len(carry) > c:
+            # no T is wanted here, and geqrf is 1.5-3x faster than geqrt
+            # below about 64 columns with one OpenBLAS thread (dgeqrf takes
+            # its unblocked path there)
             carry = lapack.dgeqrf(carry, lwork=64 * c)[0][:c]
             np.copyto(carry, 0.0, where=_below_diagonal(c))
         else:

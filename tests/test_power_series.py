@@ -565,6 +565,26 @@ class TestSparseAgainstDense:
             np.testing.assert_allclose(sol.x, x_ref, rtol=0.0,
                                        atol=1e-10 * max(1.0, np.abs(sol.x).max()))
 
+    def test_wide_panels_every_plan_dense_oracle(self):
+        # level sizes around the compact-WY block size of 32, so a level's
+        # panel holds one, two or three T blocks
+        system = _staircase_system([31, 32, 33, 65], [(0, 2), (0, 3), (1, 2)],
+                                   np.random.default_rng(0))
+        x_ref = _dense_oracle(system)
+        r_ref = np.linalg.norm(system.A @ x_ref - system.b)
+        lapack = scipy.linalg.lapack
+        for grading in _GRADINGS:
+            cost, cuts = _staircase(system.A, grading, system.cols[:, 1:3])[:2]
+            assert np.isfinite(cost).all() and len(cuts) == 4
+            for i in range(len(cuts)):
+                with mock.patch.object(power_series, "_staircase", _only_plan(grading, i)), \
+                        mock.patch.object(lapack, "dgeqrt", wraps=lapack.dgeqrt) as spy:
+                    sol = solve_ls(system)
+                assert sol.ordering == grading and sol.span_cut == cuts[i]
+                assert max(min(call.args[1].shape) for call in spy.call_args_list) > 32
+                np.testing.assert_allclose(sol.x, x_ref, rtol=0.0, atol=1e-8)
+                assert sol.residual == pytest.approx(r_ref, rel=1e-9)
+
     @pytest.mark.parametrize("name, cfg, compacted", [
         ("example2", SolverConfig(N=20), True),
         ("example1", SolverConfig(N=20, N_y=2), False)])
