@@ -22,8 +22,7 @@ import numpy as np
 from . import __version__
 from .closed_form import NotApplicable, solve_closed_form
 from .fd_kernels import TriGrid, refine_study, solve_characteristics
-from .gains import (GainTable, diff_solutions, gains, read_gain_csv,
-                    write_gain_csv)
+from .gains import diff_solutions, gains, read_gain_csv, write_gain_csv
 from .params import ConfigError, Problem, fit_q, load_problem, number_array
 from .power_series import (SolverConfig, assemble, optimality_certificate,
                            residual_by_source, solve_ls)
@@ -281,7 +280,8 @@ def cmd_bench(args, report_path) -> tuple:
 def _sim_gains(args, problem: Problem, ls) -> tuple:
     """The feedback gains of ``simulate`` and the report block of their
     solve: a fresh power-series solve and its block, or no block with None
-    for the open loop or a gain CSV resampled at the components."""
+    for the open loop or a gain CSV, which the Simulator places at the
+    components."""
     for flag, value in (("--solve-order-y", args.solve_order_y),
                         ("--sigma-sign", args.sigma_sign)):
         if value is not None and args.solve_order is None:
@@ -294,27 +294,12 @@ def _sim_gains(args, problem: Problem, ls) -> tuple:
         return table, block
     if args.open_loop:
         return None, None
-    table, ys, tol = read_gain_csv(args.gains), ls.points, 1e-12
-    if table.sampled and not (len(table.grid_y) == ls.n and np.allclose(
-            table.grid_y, ys, rtol=0, atol=tol)):  # it must sit at the components
-        raise ConfigError(
-            f"gain table {args.gains} is sampled at {len(table.grid_y)} "
-            f"points y = {np.array2string(table.grid_y)}, but the problem's "
-            f"{ls.n} components sit at y = {np.array2string(ys)}")
-    # np.interp would hold a short table's end values
-    for name, g, lo, hi, what in (("xi", table.grid_xi, 0.0, 1.0, ""),
-                                  ("y", table.grid_y, ys.min(), ys.max(),
-                                   "the components' span ")):
-        if g[0] > lo + tol or g[-1] < hi - tol:
-            raise ConfigError(f"gain table {args.gains} has a {name} grid on "
-                              f"[{g[0]:g}, {g[-1]:g}], which does not cover "
-                              f"{what}[{lo:g}, {hi:g}]")
-    if table.sampled:
-        return table, None
-    # ensemble table: resample rows at the component points
-    k = np.array([np.interp(ys, table.grid_y, c) for c in table.k.T]).T
-    return GainTable(grid_xi=table.grid_xi, grid_y=ys, k=k,
-                     kbar=table.kbar, sampled=True), None
+    table = read_gain_csv(args.gains)
+    g = table.grid_xi   # interpolation would hold a short table's end values
+    if g[0] > 1e-12 or g[-1] < 1.0 - 1e-12:
+        raise ConfigError(f"gain table {args.gains} has a xi grid on "
+                          f"[{g[0]:g}, {g[-1]:g}], which does not cover [0, 1]")
+    return table, None
 
 
 def cmd_simulate(args, report_path) -> tuple:
@@ -327,7 +312,13 @@ def cmd_simulate(args, report_path) -> tuple:
                     initial_profile=args.profile, amplitude=args.amplitude)
     stages = {"setup": time.perf_counter() - t}
     table, solve = _timed(stages, "gains", _sim_gains, args, problem, ls)
-    sim = _timed(stages, "init", Simulator, cfg, ls, table)
+    try:
+        sim = _timed(stages, "init", Simulator, cfg, ls, table)
+    except ValueError as e:     # the Simulator places the rows: name the file
+        if args.gains:
+            msg = str(e).replace("gain table", f"gain table {args.gains}", 1)
+            raise ConfigError(msg) from None
+        raise
     faults = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
     rep = _timed(stages, "run", sim.run)
     faults = resource.getrusage(resource.RUSAGE_SELF).ru_minflt - faults

@@ -290,8 +290,7 @@ class RefineReport:
     solutions: list[LsKernelSolution] = field(default_factory=list, repr=False)
 
 
-def refine_study(ls: LargeScaleParams, m_list, tol: float = 1e-10,
-                 max_iter: int = 200, reference=None) -> RefineReport:
+def refine_study(ls: LargeScaleParams, m_list, reference=None) -> RefineReport:
     """Solve on increasingly fine grids and report successive sup-norm
     differences (restricted to the common coarse nodes) and, optionally,
     errors against a reference kernel family callable(ref(i, x, xi))."""
@@ -304,7 +303,7 @@ def refine_study(ls: LargeScaleParams, m_list, tol: float = 1e-10,
     sols = []
     ref_errors = []
     for grid in grids:
-        sol = solve_characteristics(ls, grid, tol=tol, max_iter=max_iter)
+        sol = solve_characteristics(ls, grid)
         sols.append(sol)
         if reference is not None:
             xs = sol.grid.nodes()

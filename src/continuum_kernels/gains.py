@@ -9,7 +9,6 @@ compares solutions.
 
 from __future__ import annotations
 
-import io
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -209,42 +208,33 @@ def largescale_residual(sol, ls: LargeScaleParams,
 def write_gain_csv(table: GainTable, path, report_path: str | None = None) -> None:
     """One row per xi: columns xi, kbar, then k at each y (header carries the
     y values). Lines starting with '#' are comments."""
-    buf = io.StringIO()
-    if report_path:
-        buf.write(f"# report: {report_path}\n")
-    buf.write(f"# sampled: {int(table.sampled)}\n")
+    report_line = f"# report: {report_path}\n" if report_path else ""
     cols = ",".join(f"k@y={float(v)!r}" for v in table.grid_y)
-    buf.write(f"xi,kbar,{cols}\n")
-    for j, xi in enumerate(table.grid_xi):
-        vals = ",".join(f"{table.k[i, j]:.17g}" for i in range(len(table.grid_y)))
-        buf.write(f"{xi:.17g},{table.kbar[j]:.17g},{vals}\n")
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write(buf.getvalue())
+    with open(path, "w", encoding="utf-8") as fh:   # savetxt's default is latin1
+        np.savetxt(fh, np.column_stack([table.grid_xi, table.kbar, table.k.T]),
+                   fmt="%.17g", delimiter=",", comments="",
+                   header=f"{report_line}# sampled: {int(table.sampled)}\nxi,kbar,{cols}")
 
 
 def read_gain_csv(path) -> GainTable:
-    sampled = False
-    header = None
-    rows = []
     with open(path, "r", encoding="utf-8") as fh:
-        for line in fh:
-            line = line.strip()
-            if not line:
-                continue
-            if line.startswith("#"):
-                if line.startswith("# sampled:"):
-                    sampled = bool(int(line.split(":")[1]))
-                continue
-            if header is None:
-                header = line.split(",")
-                continue
-            rows.append([float(v) for v in line.split(",")])
-    if header is None or not rows:
+        lines = [(i, line.strip()) for i, line in enumerate(fh, 1)]
+    sampled = any(line.startswith("# sampled:") and bool(int(line.split(":")[1]))
+                  for _, line in lines)
+    lines = [(i, line) for i, line in lines if line and not line.startswith("#")]
+    if len(lines) < 2:
         raise ValueError(f"no gain table found in {path}")
+    header = lines[0][1].split(",")
+    if len(header) < 3:
+        raise ValueError(f"{path}: a gain table needs xi, kbar and k@y=<value> "
+                         f"columns; the header names {len(header)}")
     for h in header[2:]:
         if not h.startswith("k@y="):
             raise ValueError(f"{path}: gain column {h!r} is not of the form k@y=<value>")
-    grid_y = np.array([float(h[4:]) for h in header[2:]])
-    data = np.asarray(rows)
-    return GainTable(grid_xi=data[:, 0], grid_y=grid_y,
+    for i, line in lines[1:]:
+        if line.count(",") + 1 != len(header):
+            raise ValueError(f"{path}: line {i} has {line.count(',') + 1} fields, "
+                             f"but the header names {len(header)}")
+    data = np.loadtxt([line for _, line in lines[1:]], delimiter=",", ndmin=2)
+    return GainTable(grid_xi=data[:, 0], grid_y=[float(h[4:]) for h in header[2:]],
                      k=data[:, 2:].T, kbar=data[:, 1], sampled=sampled)

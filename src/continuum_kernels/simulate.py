@@ -17,7 +17,6 @@ a settling tail just past t_F, so the verdict means "stable" only when
 
 from __future__ import annotations
 
-import io
 import math
 from dataclasses import dataclass, replace
 
@@ -81,7 +80,14 @@ class Simulator:
     The state X is one (n+1, m) array: rows 0..n-1 are the family u^i and
     row n is v, the layout of the n+1 kernels in ``fd_kernels``. ``gains``
     None runs the plant open loop (U = 0). The stage buffers are allocated
-    once here; a step writes every term into them in place."""
+    once here; a step writes every term into them in place.
+
+    The Simulator places the table's rows, for API callers and the CLI
+    alike: rows at ``ls.points`` (within 1e-12) are used as they are, an
+    ensemble table (``sampled=False``) whose y grid spans the points is
+    resampled there, and any other table is a ValueError naming both grids.
+    In xi the rows are interpolated onto the simulation grid, holding their
+    end values outside the table's xi grid."""
 
     def __init__(self, cfg: SimConfig, ls: LargeScaleParams,
                  gains: GainTable | None):
@@ -106,12 +112,9 @@ class Simulator:
         self._C = np.zeros(n * m - 1)              # flat upwind differences
         self.kgw = self.kbg = None
         if gains is not None:
-            if len(gains.grid_y) != n:
-                raise ValueError(
-                    f"gain table has {len(gains.grid_y)} family rows, need n={n}"
-                )
             # y and trapezoid weights folded in; the v(1) = U entry is solved for
-            self.kgw = _interp_rows(xs, gains.grid_xi, gains.k) * self.weights
+            k = _rows_at(gains, ls.points)
+            self.kgw = _interp_rows(xs, gains.grid_xi, k) * self.weights
             self.kgw *= g.weights[:, None]
             self.kbg = _interp_rows(xs, gains.grid_xi, gains.kbar)
             self._kbw = (self.weights * self.kbg)[:-1]
@@ -211,6 +214,25 @@ class Simulator:
                          initial_norm=float(initial), final_norm=float(final))
 
 
+def _rows_at(table: GainTable, ys: np.ndarray) -> np.ndarray:
+    """The table's k rows at the component points ``ys``: its own rows when
+    they sit there (within 1e-12), else an ensemble table's rows resampled
+    there. A sampled table elsewhere, or an ensemble table whose y grid
+    does not span ``ys``, is a ValueError naming both grids."""
+    gy, tol = table.grid_y, 1e-12
+    if len(gy) == len(ys) and np.allclose(gy, ys, rtol=0, atol=tol):
+        return table.k
+    if table.sampled:
+        raise ValueError(f"gain table is sampled at {len(gy)} points y = "
+                         f"{np.array2string(gy)}, but the {len(ys)} components "
+                         f"sit at y = {np.array2string(ys)}")
+    if gy[0] > ys.min() + tol or gy[-1] < ys.max() - tol:
+        raise ValueError(f"gain table has a y grid on [{gy[0]:g}, {gy[-1]:g}], "
+                         f"which does not cover the components' span "
+                         f"[{ys.min():g}, {ys.max():g}]")
+    return _interp_rows(ys, gy, table.k.T).T
+
+
 def _interp_rows(xs: np.ndarray, xp: np.ndarray, fp: np.ndarray) -> np.ndarray:
     """np.interp(xs, xp, row) of every row of ``fp`` in one gather; ``take``,
     unlike fp[..., lo], keeps the rows in C order. End values hold outside."""
@@ -222,12 +244,9 @@ def _interp_rows(xs: np.ndarray, xp: np.ndarray, fp: np.ndarray) -> np.ndarray:
 
 
 def write_sim_csv(report: SimReport, path, report_path: str | None = None) -> None:
-    buf = io.StringIO()
-    if report_path:
-        buf.write(f"# report: {report_path}\n")
-    buf.write(f"# stable: {int(report.stable)} diverged: {int(report.diverged)}\n")
-    buf.write("t,U,norm\n")
-    for t, U, nv in zip(report.t, report.U, report.norm):
-        buf.write(f"{t:.17g},{U:.17g},{nv:.17g}\n")
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write(buf.getvalue())
+    report_line = f"# report: {report_path}\n" if report_path else ""
+    with open(path, "w", encoding="utf-8") as fh:   # savetxt's default is latin1
+        np.savetxt(fh, np.column_stack([report.t, report.U, report.norm]),
+                   fmt="%.17g", delimiter=",", comments="",
+                   header=f"{report_line}# stable: {int(report.stable)} "
+                          f"diverged: {int(report.diverged)}\nt,U,norm")

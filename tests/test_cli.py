@@ -361,6 +361,21 @@ class TestBench:
         assert "d_prev" not in rows[0] and rows[1]["d_prev"] > 0.0
         assert out.read_text().splitlines()[1].endswith(",nan")
 
+    @pytest.mark.parametrize("example", ["example1-ry", "example1-exactq",
+                                         "example2-ry"])
+    def test_presets_set_each_row(self, tmp_path, example):
+        # the benchmark replays these presets; each row reports its settings
+        _, order_y, exact_q, sigma_sign = cli.BENCH_PRESETS[example]
+        out = tmp_path / "b.csv"
+        assert run(["bench", "--example", example, "--orders", "4,6",
+                    "--skip-baseline", "--out", str(out)]) == 0
+        rows = read_report(tmp_path / "b_report.json")["rows"]
+        assert [r["N"] for r in rows] == [4, 6]
+        for r in rows:
+            assert (r["order_y"], r["exact_q"], r["sigma_sign"]) == (
+                order_y, exact_q, sigma_sign)
+            assert ("max_error" in r) == example.startswith("example1")
+
     def test_example2_with_baseline(self, tmp_path):
         out = tmp_path / "b2.csv"
         assert run(["bench", "--example", "example2", "--orders", "5",

@@ -20,6 +20,7 @@ from continuum_kernels.params import load_problem, sample_points
 from continuum_kernels.power_series import (PsKernelSolution, SolverConfig,
                                             assemble, solve_ls)
 from continuum_kernels.series import GL_NODES, SeparableSum, SeparableTerm, Var
+from continuum_kernels.simulate import SimReport, write_sim_csv
 
 X, XI, Y, ETA = Var.X, Var.XI, Var.Y, Var.ETA
 
@@ -312,6 +313,10 @@ class TestCsvRoundTrip:
         p.write_text("# stable: 1 diverged: 0\nt,U,norm\n0,0,1\n0.1,0,0.5\n")
         with pytest.raises(ValueError, match="'norm'"):
             read_gain_csv(p)
+        # a single column used to end in an IndexError
+        p.write_text("xi\n0\n1\n")
+        with pytest.raises(ValueError, match="s_sim.csv: a gain table needs xi, kbar"):
+            read_gain_csv(p)
 
     @pytest.mark.parametrize("flip", ["grid_xi", "grid_y"])
     def test_grids_must_increase(self, flip):
@@ -324,6 +329,53 @@ class TestCsvRoundTrip:
         grids[flip] = np.zeros(len(grids[flip]))
         with pytest.raises(ValueError, match="strictly increasing"):
             GainTable(k=np.zeros((2, 4)), kbar=np.zeros(4), **grids)
+
+    def test_writers_golden_bytes(self, tmp_path):
+        # literal expected text: a change of output format between commits
+        # shows here, where two runs of one commit always agree; the report
+        # path is not ASCII, so the files must be UTF-8
+        table = GainTable(grid_xi=[0.0, 0.5, 1.0], grid_y=[1 / 3, 1.0],
+                          k=[[0.1 + 0.2, -0.0, 1e-300], [2 / 3, 1.5, -7.0]],
+                          kbar=[1.0, -0.0, 123456789.125], sampled=True)
+        write_gain_csv(table, tmp_path / "g.csv", report_path="out/\u00e9_report.json")
+        assert (tmp_path / "g.csv").read_bytes() == (
+            "# report: out/\u00e9_report.json\n"
+            "# sampled: 1\n"
+            "xi,kbar,k@y=0.3333333333333333,k@y=1.0\n"
+            "0,1,0.30000000000000004,0.66666666666666663\n"
+            "0.5,-0,-0,1.5\n"
+            "1,123456789.125,1e-300,-7\n").encode("utf-8")
+        report = SimReport(t=np.array([0.0, 0.1, 0.2]), U=np.array([1.0, -0.0, np.nan]),
+                           norm=np.array([2.0, 1e300, np.inf]), stable=False,
+                           diverged=True, dt=0.1, initial_norm=2.0, final_norm=np.inf)
+        write_sim_csv(report, tmp_path / "s.csv", report_path="out/\u00e9_report.json")
+        assert (tmp_path / "s.csv").read_bytes() == (
+            "# report: out/\u00e9_report.json\n"
+            "# stable: 0 diverged: 1\n"
+            "t,U,norm\n"
+            "0,1,2\n"
+            "0.10000000000000001,-0,1.0000000000000001e+300\n"
+            "0.20000000000000001,nan,inf\n").encode("utf-8")
+
+    @pytest.mark.parametrize("cut", ["last-row", "header"])
+    def test_short_rows_name_the_file_and_line(self, tmp_path, cut):
+        # a ragged row used to fail with numpy's "inhomogeneous shape", and a
+        # header naming more columns than the rows hold with GainTable's
+        # "shape does not match grids", neither naming the file
+        path = tmp_path / "g.csv"
+        write_gain_csv(GainTable(grid_xi=np.linspace(0, 1, 3), grid_y=[0.5, 1.0],
+                                 k=np.ones((2, 3)), kbar=np.ones(3), sampled=True),
+                       path)
+        lines = path.read_text().splitlines()   # comment, header, 3 rows
+        if cut == "last-row":
+            lines[-1] = lines[-1].rsplit(",", 1)[0]
+        else:
+            lines[1] += ",k@y=2.0"
+        path.write_text("\n".join(lines) + "\n")
+        bad = {"last-row": "line 5 has 3 fields, but the header names 4",
+               "header": "line 3 has 4 fields, but the header names 5"}[cut]
+        with pytest.raises(ValueError, match=f"g.csv: {bad}"):
+            read_gain_csv(path)
 
     def test_reader_requires_data(self, tmp_path):
         p = tmp_path / "empty.csv"

@@ -436,6 +436,42 @@ def test_gain_rows_match_np_interp(grid_xi, example2):
     assert_rel_close(sim.kbg, np.interp(sim.xs, grid_xi, table.kbar), "kbar")
 
 
+@pytest.mark.parametrize("grid_y, sampled, named", [
+    (np.arange(10) / 10, True, "sampled at 10 points y = [0.  0.1"),
+    (np.arange(1, 21) / 20, True, "sampled at 20 points y = [0.05 0.1"),
+    (np.linspace(0.4, 0.6, 3), False, "y grid on [0.4, 0.6], which does not "
+                                      "cover the components' span [0.1, 1]")],
+    ids=["sampled-elsewhere", "sampled-for-another-n", "ensemble-short"])
+def test_misplaced_gain_table_names_both_grids(grid_y, sampled, named, example2):
+    # the Simulator owns the y placement: a table whose rows sit at other
+    # points used to run to a plausible verdict
+    ls = example2.large_scale()
+    table = GainTable(grid_xi=np.linspace(0, 1, 5), grid_y=grid_y, sampled=sampled,
+                      k=np.ones((len(grid_y), 5)), kbar=np.ones(5))
+    with pytest.raises(ValueError, match="gain table") as exc:
+        Simulator(SimConfig(n=10, m_x=32), ls, table)
+    assert named in str(exc.value)
+    if sampled:
+        assert "10 components sit at y = [0.1 0.2" in str(exc.value)
+
+
+def test_ensemble_table_is_resampled_at_the_points(example2):
+    # an ensemble table is resampled at ls.points in y, as np.interp of
+    # each column would, to roundoff
+    ls = example2.large_scale()
+    rng = np.random.default_rng(6)
+    ys = np.linspace(0.0, 1.0, 7)
+    table = GainTable(grid_xi=np.linspace(0, 1, 40), grid_y=ys,
+                      k=rng.normal(size=(7, 40)), kbar=rng.normal(size=40))
+    at_points = GainTable(grid_xi=table.grid_xi, grid_y=ls.points,
+                          k=np.array([np.interp(ls.points, ys, c) for c in table.k.T]).T,
+                          kbar=table.kbar)
+    cfg = SimConfig(n=10, m_x=40)
+    sim, want = Simulator(cfg, ls, table), Simulator(cfg, ls, at_points)
+    assert_rel_close(sim.kgw, want.kgw, "k")
+    np.testing.assert_array_equal(sim.kbg, want.kbg)
+
+
 def test_closed_loop_pairs_plant_with_its_kernel_equations():
     # with reference kernels of a plant whose sigma is not symmetric in
     # (eta, y), the norm left at 1.25 t_F falls with the kernels' mesh
