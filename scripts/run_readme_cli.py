@@ -3,6 +3,7 @@ order, in a scratch directory, and fail on any unexpected exit code or on a
 missing or malformed run report.
 
     python scripts/run_readme_cli.py [--keep DIR]
+    python scripts/run_readme_cli.py --compare DIR1 DIR2
 
 Commands run as ``python -m continuum_kernels.cli`` with this checkout's
 ``src`` first on ``PYTHONPATH``. The only nonzero exit the README documents
@@ -13,6 +14,13 @@ Each command that names its outputs (``--out-prefix P``, ``bench --out X.csv``,
 ``manifest``, ``problem``, ``stages_s`` and ``quality``; no run may write a
 ``_manifest.json``. ``--keep DIR`` runs in DIR, which should start empty,
 and leaves the outputs there.
+
+``--compare DIR1 DIR2`` runs nothing: it checks that two kept runs, say of
+two checkouts or of one checkout twice, wrote the same numbers. Both must
+hold the same set of CSV files, with the same bytes but for their
+``# report:`` lines, the same ``out/e1_coeffs.json``, and the same reports,
+each equal to its twin once the timing fields (``TIMING``) are dropped at
+any depth.
 """
 
 from __future__ import annotations
@@ -32,6 +40,8 @@ ROOT = Path(__file__).resolve().parent.parent
 README = ROOT / "README.md"
 EXPECTED_EXIT = {"closed-form --config example2": 2}
 SHARED_KEYS = {"manifest", "problem", "stages_s", "quality"}
+TIMING = {"wall_clock_s", "stages_s", "timing_s", "step_ms", "minor_faults"}
+COEFFS = "out/e1_coeffs.json"
 
 
 def readme_commands(text: str) -> list[list[str]]:
@@ -100,10 +110,48 @@ def run(workdir: Path) -> int:
     return 1 if failures else 0
 
 
+def _untimed(path: Path):
+    """A report without its timing fields, at any depth."""
+    def drop(o):
+        if isinstance(o, dict):
+            return {k: drop(v) for k, v in o.items() if k not in TIMING}
+        return [drop(v) for v in o] if isinstance(o, list) else o
+
+    return drop(json.loads(path.read_text(encoding="utf-8")))
+
+
+def _without_report_lines(path: Path) -> list[bytes]:
+    return [line for line in path.read_bytes().splitlines(keepends=True)
+            if not line.startswith(b"# report:")]
+
+
+def compare(one: Path, two: Path) -> int:
+    """Fail unless the kept runs ``one`` and ``two`` hold the same outputs."""
+    checks = {"*.csv": _without_report_lines, "*_report.json": _untimed,
+              COEFFS: Path.read_bytes}
+    bad = []
+    for pattern, content in checks.items():
+        files = [sorted(p.relative_to(d) for p in d.glob("**/" + pattern))
+                 for d in (one, two)]
+        if files[0] != files[1] or not files[0]:
+            bad.append(f"{pattern}: the runs hold {[str(p) for p in files[0]]} "
+                       f"and {[str(p) for p in files[1]]}")
+        common = sorted(set(files[0]) & set(files[1]))
+        bad += [f"{p} differs" for p in common if content(one / p) != content(two / p)]
+        print(f"{len(common)} {pattern} compared")
+    for line in bad:
+        print(f"FAIL {line}", file=sys.stderr)
+    return 1 if bad else 0
+
+
 def main() -> int:
     ap = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     ap.add_argument("--keep", type=Path, help="run in this directory and keep the outputs")
+    ap.add_argument("--compare", type=Path, nargs=2, metavar=("DIR1", "DIR2"),
+                    help="compare the outputs of two kept runs; run nothing")
     args = ap.parse_args()
+    if args.compare:
+        return compare(*args.compare)
     if args.keep:
         args.keep.mkdir(parents=True, exist_ok=True)
         return run(args.keep)

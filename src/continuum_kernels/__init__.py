@@ -25,6 +25,6 @@ from .params import (ConfigError, ContinuumParams, FitResult, GridParams,
 from .power_series import (LinearSystem, PsKernelSolution, SolverConfig,
                            assemble, count_unknowns, optimality_certificate,
                            solve_ls)
-from .series import (AnalyticFactor, Constant, Cos, Exp, Polynomial,
-                     SeparableSum, SeparableTerm, Sin, TruncatedSeries, Var)
+from .series import (AnalyticFactor, Cos, Exp, Polynomial, SeparableSum,
+                     SeparableTerm, Sin, TruncatedSeries, Var)
 from .simulate import SimConfig, SimReport, Simulator

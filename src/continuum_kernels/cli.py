@@ -150,8 +150,6 @@ def _march_block(sol) -> dict:
 def cmd_solve(args, report_path) -> tuple:
     grid = _gain_grid(args.grid)
     problem = load_problem(args.config)
-    if args.fit_degree is not None:
-        problem = problem.with_fit_degree(args.fit_degree)
     # a bad reference name fails before the solve
     exact = args.compare_exact and _exact_reference(args.compare_exact, problem)
     cfg = SolverConfig(N=args.order, N_y=args.order_y, use_exact_q=args.exact_q,
@@ -373,7 +371,6 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--order-y", type=int, default=None)
     sp.add_argument("--exact-q", action="store_true")
     sp.add_argument("--sigma-sign", type=int, choices=(1, -1), default=1)
-    sp.add_argument("--fit-degree", type=int, default=None)
     sp.add_argument("--grid", type=int, default=101)
     sp.add_argument("--compare-exact", default=None,
                     help="closed-form reference, e.g. 'example1_exact'")

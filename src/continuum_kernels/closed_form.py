@@ -35,14 +35,14 @@ stored sigma) and ``sigma_e`` the free ensemble variable.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from typing import Callable
 
 import numpy as np
 
 from .gains import continuum_residual
-from .params import ContinuumParams
-from .series import SeparableSum, SeparableTerm, Var, integrate01
+from .params import PARAMS, ContinuumParams
+from .series import SeparableSum, Var, integrate01
 
 __all__ = [
     "NotApplicable",
@@ -96,14 +96,6 @@ def _eval1(f: SeparableSum, t) -> np.ndarray:
     return f.eval1(v, t)
 
 
-def _retag(s: SeparableSum, var: Var) -> SeparableSum:
-    """Re-home a univariate profile onto a canonical variable."""
-    return SeparableSum([
-        SeparableTerm(t.scale, [replace(f, var=var) for f in t.factors])
-        for t in s.terms
-    ])
-
-
 @dataclass
 class SeparableProblem:
     """Factored problem data for the closed-form construction."""
@@ -112,7 +104,7 @@ class SeparableProblem:
     lam_y: SeparableSum                 # lam as a function of y only
     lam_const: float | None             # set when lam is constant
     sigma_x: SeparableSum
-    sigma_y: SeparableSum               # factor on the integrated slot
+    sigma_y: SeparableSum               # factor on the integrated (eta) slot
     sigma_e: SeparableSum               # factor on the free ensemble slot
     theta_x: SeparableSum
     theta_y: SeparableSum
@@ -127,42 +119,21 @@ class SeparableProblem:
             return NotApplicable("mu must be positive")
         if Var.X in p.lam.vars():
             return NotApplicable("lambda depends on x; constant-in-x lambda required")
-        lam_y = p.lam
         lam_const = float(p.lam({})) if not p.lam.vars() else None
-        if float(_eval1(lam_y, np.linspace(0, 1, GRID_Y)).min()) <= 0:
+        if float(_eval1(p.lam, np.linspace(0, 1, GRID_Y)).min()) <= 0:
             return NotApplicable("lambda must be positive on [0,1]")
 
-        def split(param: SeparableSum, name: str, slots: tuple[Var, ...]):
-            terms = [t for t in param.terms if t.scale != 0.0]
-            if not terms:
-                zero = SeparableSum.zero()
-                return tuple([zero] * len(slots))
-            if len(terms) > 1:
-                return NotApplicable(f"{name} is a sum of {len(terms)} separable "
-                                     f"terms; a single product is required")
-            t = terms[0]
-            groups = {v: [] for v in slots}
-            for fobj in t.factors:
-                groups[fobj.var].append(fobj)
-            parts = []
-            for i, v in enumerate(slots):
-                scale = t.scale if i == 0 else 1.0
-                parts.append(SeparableSum([SeparableTerm(scale, groups[v])]))
-            return tuple(parts)
-
-        sg, th = parts = (split(p.sigma, "sigma", (Var.X, Var.ETA, Var.Y)),
-                          split(p.theta, "theta", (Var.X, Var.Y)))
-        for part in parts:
-            if isinstance(part, NotApplicable):
-                return part
-        return SeparableProblem(
-            mu=mu, lam_y=lam_y, lam_const=lam_const,
-            sigma_x=sg[0], sigma_y=_retag(sg[1], Var.Y), sigma_e=sg[2],
-            theta_x=th[0], theta_y=th[1], q=p.q,
-        )
-
-    def theta_is_zero(self) -> bool:
-        return self.theta_x.is_zero() or self.theta_y.is_zero()
+        parts = {}
+        for name in ("sigma", "theta"):
+            nonzero = SeparableSum(t for t in getattr(p, name).terms if t.scale != 0.0)
+            if len(nonzero.terms) > 1:
+                return NotApplicable(f"{name} is a sum of {len(nonzero.terms)} "
+                                     f"separable terms; a single product is required")
+            parts[name] = [nonzero.part(v) for v in PARAMS[name][1]]
+        (sx, sy, se), (tx, ty) = parts["sigma"], parts["theta"]
+        return SeparableProblem(mu=mu, lam_y=p.lam, lam_const=lam_const,
+                                sigma_x=sx, sigma_y=sy, sigma_e=se,
+                                theta_x=tx, theta_y=ty, q=p.q)
 
     def lam_plus_mu(self, y) -> np.ndarray:
         return _eval1(self.lam_y, y) + self.mu
@@ -315,11 +286,6 @@ class ClosedFormKernel:
         }
 
 
-def _zero_kernel(p: SeparableProblem) -> ClosedFormKernel:
-    zf = lambda xi: np.zeros_like(np.asarray(xi, dtype=float))
-    return ClosedFormKernel(c_x=0.0, c_y=0.0, mu=p.mu, problem=p, f=zf, fprime=zf)
-
-
 def solve_closed_form(p: ContinuumParams) -> ClosedFormKernel | NotApplicable:
     """Build the separable candidate and accept it when it solves the
     kernel equations.
@@ -335,8 +301,9 @@ def solve_closed_form(p: ContinuumParams) -> ClosedFormKernel | NotApplicable:
     sep = SeparableProblem.from_continuum(p)
     if isinstance(sep, NotApplicable):
         return sep
-    if sep.theta_is_zero():
-        kern = _zero_kernel(sep)
+    if sep.theta_x.is_zero() or sep.theta_y.is_zero():
+        zf = lambda xi: np.zeros_like(np.asarray(xi, dtype=float))
+        kern = ClosedFormKernel(c_x=0.0, c_y=0.0, mu=sep.mu, problem=sep, f=zf, fprime=zf)
     else:
         kappa = sigma_coef(sep)
         try:

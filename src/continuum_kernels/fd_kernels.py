@@ -34,13 +34,16 @@ __all__ = ["TriGrid", "LsKernelSolution", "ConvergenceError",
            "solve_characteristics", "refine_study", "RefineReport"]
 
 
+TOL = 1e-10  # a solve stops once a sweep's sup change drops below this
+
+
 class ConvergenceError(RuntimeError):
-    def __init__(self, history: list[float], tol: float):
+    def __init__(self, history: list[float]):
         self.history = history
         self.iterations = len(history)
         self.final_delta = history[-1] if history else np.inf
         super().__init__(
-            f"fixed point did not reach tol={tol:.1e} in {self.iterations} "
+            f"fixed point did not reach tol={TOL:.1e} in {self.iterations} "
             f"sweeps (last change {self.final_delta:.3e})"
         )
 
@@ -188,8 +191,7 @@ def _starts(count, m):
 
 
 def solve_characteristics(ls: LargeScaleParams, grid: TriGrid | None = None,
-                          tol: float = 1e-10, max_iter: int = 200
-                          ) -> LsKernelSolution:
+                          max_iter: int = 200) -> LsKernelSolution:
     """March the discrete kernel equations level by level in x.
 
     A sweep updates the previous iterate in place, level a = 0..m in turn.
@@ -204,7 +206,7 @@ def solve_characteristics(ls: LargeScaleParams, grid: TriGrid | None = None,
     sets it is the previous iterate's, so a broken order would only cost more
     sweeps, never a wrong fixed point. The characteristics do not depend on
     K, so their stencils are built once per solve. Stops when the sup change
-    drops below ``tol``; raises :class:`ConvergenceError` otherwise.
+    drops below ``TOL``; raises :class:`ConvergenceError` otherwise.
     """
     if grid is None:
         grid = TriGrid(256)
@@ -270,13 +272,13 @@ def solve_characteristics(ls: LargeScaleParams, grid: TriGrid | None = None,
             S[:, :a + 1] = g.sources(K[a, :, :a + 1])
             change = max(change, float(np.abs(K[a, :, :a + 1] - old).max()))
         history.append(change)
-        if change < tol:
+        if change < TOL:
             return LsKernelSolution(
                 k=K.transpose(1, 0, 2), grid=grid,
                 y_points=ls.points, history=history,
                 stages_s={"stencils": t1 - t0,
                           "sweeps": time.perf_counter() - t1})
-    raise ConvergenceError(history, tol)
+    raise ConvergenceError(history)
 
 
 @dataclass

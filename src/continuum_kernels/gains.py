@@ -216,6 +216,14 @@ def write_gain_csv(table: GainTable, path, report_path: str | None = None) -> No
                    header=f"{report_line}# sampled: {int(table.sampled)}\nxi,kbar,{cols}")
 
 
+def _is_number(field: str) -> bool:
+    try:
+        float(field)
+    except ValueError:
+        return False
+    return True
+
+
 def read_gain_csv(path) -> GainTable:
     with open(path, "r", encoding="utf-8") as fh:
         lines = [(i, line.strip()) for i, line in enumerate(fh, 1)]
@@ -231,10 +239,24 @@ def read_gain_csv(path) -> GainTable:
     for h in header[2:]:
         if not h.startswith("k@y="):
             raise ValueError(f"{path}: gain column {h!r} is not of the form k@y=<value>")
-    for i, line in lines[1:]:
+    rows = lines[1:]
+    for i, line in rows:
         if line.count(",") + 1 != len(header):
             raise ValueError(f"{path}: line {i} has {line.count(',') + 1} fields, "
                              f"but the header names {len(header)}")
-    data = np.loadtxt([line for _, line in lines[1:]], delimiter=",", ndmin=2)
+    try:
+        data = np.loadtxt([line for _, line in rows], delimiter=",", ndmin=2)
+    except ValueError as e:
+        # numpy counts data rows from 0; name the file's line and field instead
+        for i, line in rows:
+            for j, v in enumerate(line.split(","), 1):
+                if not _is_number(v):
+                    raise ValueError(f"{path}: line {i} field {j} is not a "
+                                     f"number: {v!r}") from None
+        raise ValueError(f"{path}: {e}") from None
+    finite = np.isfinite(data).all(axis=1)
+    if not finite.all():
+        raise ValueError(f"{path}: line {rows[int(np.argmin(finite))][0]} "
+                         f"holds a non-finite value")
     return GainTable(grid_xi=data[:, 0], grid_y=[float(h[4:]) for h in header[2:]],
                      k=data[:, 2:].T, kbar=data[:, 1], sampled=sampled)

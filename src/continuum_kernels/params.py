@@ -25,18 +25,10 @@ from typing import Mapping
 
 import numpy as np
 
-from .series import (
-    Constant,
-    Cos,
-    Exp,
-    Polynomial,
-    SeparableSum,
-    SeparableTerm,
-    Sin,
-    Var,
-)
+from .series import Cos, Exp, Polynomial, SeparableSum, SeparableTerm, Sin, Var
 
 __all__ = [
+    "PARAMS",
     "ContinuumParams",
     "LargeScaleParams",
     "GridParams",
@@ -63,6 +55,18 @@ class ConfigError(ValueError):
     """Raised on malformed problem configuration files."""
 
 
+# Each ContinuumParams field: its config key and the variables it may use,
+# sigma's in its stored (x, eta, y) order.
+PARAMS: dict[str, tuple[str, tuple[Var, ...]]] = {
+    "lam": ("lambda", (Var.X, Var.Y)),
+    "mu": ("mu", (Var.X,)),
+    "sigma": ("sigma", (Var.X, Var.ETA, Var.Y)),
+    "theta": ("theta", (Var.X, Var.Y)),
+    "W": ("w", (Var.X, Var.Y)),
+    "q": ("q", (Var.Y,)),
+}
+
+
 @dataclass(frozen=True)
 class ContinuumParams:
     """Parameters of the ensemble kernel equations.
@@ -81,18 +85,11 @@ class ContinuumParams:
     q: SeparableSum
 
     def __post_init__(self):
-        allowed = {
-            "lam": {Var.X, Var.Y},
-            "mu": {Var.X},
-            "sigma": {Var.X, Var.ETA, Var.Y},
-            "theta": {Var.X, Var.Y},
-            "W": {Var.X, Var.Y},
-            "q": {Var.Y},
-        }
-        for name, vs in allowed.items():
+        for name, (_, vs) in PARAMS.items():
             got = set(getattr(self, name).vars())
-            if not got <= vs:
-                raise ValueError(f"parameter {name} uses variables {got}, allowed {vs}")
+            if not got <= set(vs):
+                raise ValueError(f"parameter {name} uses variables {got}, "
+                                 f"allowed {set(vs)}")
 
     def on_grid(self, xs, ys, weights) -> GridParams:
         """Evaluate every parameter on the grid ``xs`` of x, with row i of
@@ -100,27 +97,22 @@ class ContinuumParams:
         over the family is weights[i]."""
         xs, ys = np.asarray(xs, dtype=float), np.asarray(ys, dtype=float)
         at = {Var.X: xs[None, :], Var.Y: ys[:, None]}
+        pts = {Var.X: xs, Var.ETA: ys, Var.Y: ys}
 
         def rows(p: SeparableSum) -> np.ndarray:
             return np.broadcast_to(p(at), (len(ys), len(xs))).copy()
 
-        def factor(p: SeparableSum, v: Var, t: np.ndarray) -> np.ndarray:
-            """(r, len(t)): each term's v factors, ones if it has none; the
-            x factors carry the term's scale."""
-            return np.array([
-                SeparableTerm(term.scale if v == Var.X else 1.0,
-                              [f for f in term.factors if f.var == v])({v: t})
-                for term in p.terms]).reshape(len(p.terms), len(t))
-
+        factors = {}    # sigma_x, sigma_eta, ..., W_y: row t is term t's part
+        for name in ("sigma", "theta", "W"):
+            for v in PARAMS[name][1]:
+                factors[f"{name}_{v.value}"] = np.array(
+                    [t({v: pts[v]}) for t in getattr(self, name).part(v).terms]
+                ).reshape(-1, len(pts[v]))
         return GridParams(
             lam=rows(self.lam), dlam=rows(self.lam.diff(Var.X)),
             mu=self.mu.eval1(Var.X, xs), dmu=self.mu.diff(Var.X).eval1(Var.X, xs),
-            q=self.q.eval1(Var.Y, ys), sigma_x=factor(self.sigma, Var.X, xs),
-            sigma_eta=factor(self.sigma, Var.ETA, ys), sigma_y=factor(self.sigma, Var.Y, ys),
-            theta_x=factor(self.theta, Var.X, xs), theta_y=factor(self.theta, Var.Y, ys),
-            W_x=factor(self.W, Var.X, xs), W_y=factor(self.W, Var.Y, ys),
-            weights=np.asarray(weights, dtype=float),
-        )
+            q=self.q.eval1(Var.Y, ys), weights=np.asarray(weights, dtype=float),
+            **factors)
 
     def check_speeds(self, ys) -> tuple[float, float]:
         """Minima of lambda on the audit grid of x times ``ys``, and of mu on
@@ -329,13 +321,6 @@ def fit_q(data: np.ndarray, degree: int,
 # JSON problem configurations
 # ---------------------------------------------------------------------------
 
-_VAR_NAMES = {"x": Var.X, "xi": Var.XI, "y": Var.Y, "eta": Var.ETA}
-
-_EXACT_Q = {
-    "cos2pi": lambda: SeparableSum([SeparableTerm(1.0, [Cos(Var.Y, 2.0 * np.pi, 0.0)])]),
-}
-
-
 @dataclass
 class Problem:
     """A loaded problem configuration: the ensemble parameters plus, when the
@@ -404,14 +389,15 @@ def number_array(value, where: str) -> np.ndarray:
                        for k, v in enumerate(_array(value, where))], dtype=float)
 
 
-def _parse_factor(d: Mapping, where: str):
+def _parse_factor(d: Mapping, where: str, allowed: tuple[Var, ...]):
     if not isinstance(d, Mapping):
         raise ConfigError(f"{where}: factor must be an object")
     kind = d.get("kind")
-    var = d.get("var")
-    if var not in _VAR_NAMES:
-        raise ConfigError(f"{where}: unknown or missing 'var' {var!r}")
-    v = _VAR_NAMES[var]
+    names = [v.value for v in allowed]
+    if d.get("var") not in names:
+        raise ConfigError(f"{where}: variable {d.get('var')!r} not allowed here "
+                          f"(allowed: {', '.join(names)})")
+    v = Var(d["var"])
     try:
         if kind == "poly":
             return Polynomial(v, number_array(d["coeffs"], f"{where}.coeffs"))
@@ -424,13 +410,13 @@ def _parse_factor(d: Mapping, where: str):
             return Sin(v, _number(d["angular"], f"{where}.angular"),
                        _number(d.get("phase", 0.0), f"{where}.phase"))
         if kind == "const":
-            return Constant(v, _number(d["value"], f"{where}.value"))
+            return Polynomial(v, [_number(d["value"], f"{where}.value")])
     except KeyError as e:
         raise ConfigError(f"{where}: missing field {e} for kind {kind!r}") from None
     raise ConfigError(f"{where}: unknown factor kind {kind!r}")
 
 
-def _parse_param(d, where: str, allowed: set[Var]) -> SeparableSum:
+def _parse_param(d, where: str, allowed: tuple[Var, ...]) -> SeparableSum:
     if isinstance(d, (int, float)):
         return SeparableSum.constant(_number(d, where))
     if not isinstance(d, Mapping) or "terms" not in d:
@@ -441,15 +427,10 @@ def _parse_param(d, where: str, allowed: set[Var]) -> SeparableSum:
             raise ConfigError(f"{where}.terms[{i}]: must be an object")
         scale = _number(t.get("scale", 1.0), f"{where}.terms[{i}].scale")
         factors = [
-            _parse_factor(f, f"{where}.terms[{i}].factors[{j}]")
+            _parse_factor(f, f"{where}.terms[{i}].factors[{j}]", allowed)
             for j, f in enumerate(_array(t.get("factors", []),
                                          f"{where}.terms[{i}].factors"))
         ]
-        for f in factors:
-            if f.var not in allowed:
-                raise ConfigError(
-                    f"{where}.terms[{i}]: variable '{f.var.value}' not allowed here"
-                )
         terms.append(SeparableTerm(scale, factors))
     return SeparableSum(terms)
 
@@ -458,21 +439,16 @@ def parse_problem_dict(cfg: Mapping, name: str = "<config>") -> Problem:
     """Build a Problem from a decoded JSON object, validating field by field."""
     if not isinstance(cfg, Mapping):
         raise ConfigError(f"{name}: top level must be an object")
-    required = ["lambda", "mu", "sigma", "theta", "w", "q"]
-    for key in required:
+    for key, _ in PARAMS.values():
         if key not in cfg:
             raise ConfigError(f"{name}: missing required field '{key}'")
-    lam = _parse_param(cfg["lambda"], f"{name}.lambda", {Var.X, Var.Y})
-    mu = _parse_param(cfg["mu"], f"{name}.mu", {Var.X})
-    sigma = _parse_param(cfg["sigma"], f"{name}.sigma", {Var.X, Var.ETA, Var.Y})
-    theta = _parse_param(cfg["theta"], f"{name}.theta", {Var.X, Var.Y})
-    W = _parse_param(cfg["w"], f"{name}.w", {Var.X, Var.Y})
-
     qcfg = cfg["q"]
-    q_data = None
-    q_offset = 0.0
-    fit = None
-    if isinstance(qcfg, Mapping) and "data" in qcfg:
+    q_is_data = isinstance(qcfg, Mapping) and "data" in qcfg
+    fields = {attr: _parse_param(cfg[key], f"{name}.{key}", vs)
+              for attr, (key, vs) in PARAMS.items() if not (attr == "q" and q_is_data)}
+
+    q_data, q_offset, fit = None, 0.0, None
+    if q_is_data:
         q_data = number_array(qcfg["data"], f"{name}.q.data")
         degree = _integer(qcfg.get("fit_degree", 2), f"{name}.q.fit_degree")
         points = qcfg.get("points", "i/n")
@@ -481,16 +457,9 @@ def parse_problem_dict(cfg: Mapping, name: str = "<config>") -> Problem:
                               f"got {points!r}")
         q_offset = -1.0 if points == "(i-1)/n" else 0.0
         fit = fit_q(q_data, degree, sample_points(len(q_data), q_offset))
-        q = fit.as_sum()
-    elif isinstance(qcfg, Mapping) and "exact" in qcfg:
-        key = qcfg["exact"]
-        if key not in _EXACT_Q:
-            raise ConfigError(f"{name}.q: unknown exact profile {key!r}")
-        q = _EXACT_Q[key]()
-    else:
-        q = _parse_param(qcfg, f"{name}.q", {Var.Y})
+        fields["q"] = fit.as_sum()
 
-    cont = ContinuumParams(lam=lam, mu=mu, sigma=sigma, theta=theta, W=W, q=q)
+    cont = ContinuumParams(**fields)
     n = _integer(cfg["n"], f"{name}.n") if "n" in cfg else None
     return Problem(
         name=str(cfg.get("name", name)), continuum=cont, n=n,

@@ -33,7 +33,7 @@ from typing import TYPE_CHECKING
 
 import numpy as np
 
-from .params import GRID_POINTS, ContinuumParams
+from .params import GRID_POINTS, PARAMS, ContinuumParams
 from .series import PRUNE_TOL, TruncatedSeries, Var, integrate01
 
 if TYPE_CHECKING:
@@ -161,16 +161,12 @@ class PsKernelSolution:
     panel_cols: int         # columns past their level's own, summed over the panels
 
 
-_PARAM_VARS = {"lam": (Var.X, Var.Y), "mu": (Var.X,), "theta": (Var.X, Var.Y),
-               "W": (Var.X, Var.Y), "sigma": (Var.X, Var.ETA, Var.Y), "q": (Var.Y,)}
-
-
 def _param_series(p: ContinuumParams, cfg: SolverConfig):
     """(lam, mu, theta, W, sigma, q), each Taylor-expanded to total degree N
-    and aligned to its full variable tuple, so its array has an axis for
+    and aligned to its variables in ``PARAMS``, so its array has an axis for
     every variable."""
-    return tuple(getattr(p, name).taylor(cfg.N).align_to(vs)
-                 for name, vs in _PARAM_VARS.items())
+    return tuple(getattr(p, name).taylor(cfg.N).align_to(PARAMS[name][1])
+                 for name in ("lam", "mu", "theta", "W", "sigma", "q"))
 
 
 def _check_ny_bound(cfg: SolverConfig, lam: TruncatedSeries, theta: TruncatedSeries):

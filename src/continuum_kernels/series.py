@@ -24,7 +24,6 @@ __all__ = [
     "Exp",
     "Cos",
     "Sin",
-    "Constant",
     "SeparableTerm",
     "SeparableSum",
     "integrate01",
@@ -303,20 +302,6 @@ class Sin(AnalyticFactor):
         return [(self.angular, Cos(self.var, self.angular, self.phase))]
 
 
-@dataclass(frozen=True)
-class Constant(AnalyticFactor):
-    value: float = 1.0
-
-    def taylor_coeffs(self, order: int) -> np.ndarray:
-        return np.array([self.value])
-
-    def __call__(self, t):
-        return np.full_like(np.asarray(t, dtype=float), self.value)
-
-    def derivative(self):
-        return []
-
-
 # ---------------------------------------------------------------------------
 # Separable terms and sums of them: the parameter representation.
 # ---------------------------------------------------------------------------
@@ -406,6 +391,14 @@ class SeparableSum:
 
     def is_zero(self) -> bool:
         return all(t.scale == 0.0 for t in self.terms)
+
+    def part(self, v: Var) -> "SeparableSum":
+        """Term t of the result is term t's factors in ``v`` (none when it has
+        no factor in v), scaled by term t's scale if v is x and by 1 if not:
+        the parts of a term in its variables multiply back to the term."""
+        return SeparableSum([SeparableTerm(t.scale if v == Var.X else 1.0,
+                                           [f for f in t.factors if f.var == v])
+                             for t in self.terms])
 
     # -- algebra -----------------------------------------------------------
 

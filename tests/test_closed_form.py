@@ -17,8 +17,8 @@ from continuum_kernels.fd_kernels import TriGrid, solve_characteristics
 from continuum_kernels.gains import continuum_residual, diff_solutions, gains
 from continuum_kernels.params import LargeScaleParams
 from continuum_kernels.power_series import SolverConfig, assemble, solve_ls
-from continuum_kernels.series import (Constant, Exp, Polynomial,
-                                      SeparableSum, SeparableTerm, Var)
+from continuum_kernels.series import (Exp, Polynomial, SeparableSum,
+                                      SeparableTerm, Var)
 
 X, Y, ETA = Var.X, Var.Y, Var.ETA
 
@@ -55,9 +55,9 @@ class TestCheckCy:
     def test_proportional_profile(self):
         # sigma_e = 3 * theta_y with unit weight integral: c_y = 3
         p = make_continuum(
-            sigma=product(1.0, Polynomial(X, [0, 1]), Constant(ETA, 1.0),
-                          Constant(Y, 3.0)),
-            theta=product(1.0, Exp(X, 0.5), Constant(Y, 1.0)),
+            sigma=product(1.0, Polynomial(X, [0, 1]), Polynomial(ETA, [1.0]),
+                          Polynomial(Y, [3.0])),
+            theta=product(1.0, Exp(X, 0.5), Polynomial(Y, [1.0])),
             q=0.0,
         )
         sep = SeparableProblem.from_continuum(p)
@@ -69,7 +69,7 @@ class TestCheckCy:
         # int sigma_y theta_y/(lam+mu) != 0 and theta_x(0) != 0: sigma_coef
         # still gives the least-squares kappa, and the k equation rejects it
         p = make_continuum(
-            sigma=product(1.0, Constant(X, 1.0), Polynomial(ETA, [1, 1]),
+            sigma=product(1.0, Polynomial(X, [1.0]), Polynomial(ETA, [1, 1]),
                           Polynomial(Y, [0, 1])),
             theta=product(1.0, Exp(X, 0.5), Polynomial(Y, [1, 0.5])), q=0.0)
         sep = SeparableProblem.from_continuum(p)
@@ -105,7 +105,7 @@ class TestComputeCx:
         assert c_x == pytest.approx(0.0, abs=1e-10)
 
     def test_all_terms_vanish(self):
-        p = make_continuum(theta=product(2.0, Constant(X, 1.0),
+        p = make_continuum(theta=product(2.0, Polynomial(X, [1.0]),
                                          Polynomial(Y, [1, 1])), q=0.0)
         sep = SeparableProblem.from_continuum(p)
         assert compute_cx(sep, 0.0) == pytest.approx(0.0, abs=1e-14)
@@ -178,7 +178,7 @@ class TestBuildKernels:
 
     def test_zero_theta_gives_zero_kernels(self):
         p = make_continuum(W=product(1.0, Polynomial(X, [0, 1]),
-                                     Constant(Y, 1.0)), q=0.0)
+                                     Polynomial(Y, [1.0])), q=0.0)
         kern = solve_closed_form(p)
         assert not isinstance(kern, NotApplicable)
         xs = np.linspace(0, 1, 5)
@@ -250,7 +250,7 @@ class TestPipeline:
                             SeparableTerm(0.5, [Polynomial(Y, [0, 1])])])
         p = make_continuum(
             lam=lam,
-            theta=product(4.0, Constant(X, 1.0), Polynomial(Y, [1, 0, 1])),
+            theta=product(4.0, Polynomial(X, [1.0]), Polynomial(Y, [1, 0, 1])),
             q=SeparableSum.poly(Y, [0.3, 0.2]),
         )
         kern = solve_closed_form(p)
@@ -266,7 +266,7 @@ class TestPipeline:
                             SeparableTerm(0.5, [Polynomial(Y, [0, 1])])])
         p = make_continuum(
             lam=lam,
-            theta=product(4.0, Constant(X, 1.0), Polynomial(Y, [1, 0, 1])),
+            theta=product(4.0, Polynomial(X, [1.0]), Polynomial(Y, [1, 0, 1])),
             q=SeparableSum.poly(Y, [0.3, 0.2]),
         )
         kern = solve_closed_form(p)
@@ -284,9 +284,9 @@ class TestPipeline:
                             SeparableTerm(0.5, [Polynomial(Y, [0, 1])])])
         return make_continuum(
             lam=lam,
-            sigma=product(0.4, Constant(X, 1.0), Polynomial(ETA, [1, 1]),
+            sigma=product(0.4, Polynomial(X, [1.0]), Polynomial(ETA, [1, 1]),
                           Polynomial(Y, [1, 0, 1])),
-            theta=product(4.0, Constant(X, 1.0), Polynomial(Y, [1, 0, 1])),
+            theta=product(4.0, Polynomial(X, [1.0]), Polynomial(Y, [1, 0, 1])),
             q=SeparableSum.poly(Y, [0.3, 0.2]),
         )
 
@@ -499,8 +499,8 @@ def constant_lambda_configs(draw):
                                  draw(st.sampled_from([-0.25, 0.0, 0.25]))])
     theta = product(draw(st.sampled_from([-3.0, -1.0, 0.5, 2.0])), theta_x,
                     Polynomial(Y, th_y))
-    sigma_x = Constant(X, 0.75) if easy else draw(st.sampled_from(
-        [Constant(X, 0.75), Polynomial(X, [0.5, -1.0]), Exp(X, -0.5)]))
+    sigma_x = Polynomial(X, [0.75]) if easy else draw(st.sampled_from(
+        [Polynomial(X, [0.75]), Polynomial(X, [0.5, -1.0]), Exp(X, -0.5)]))
     c = draw(st.sampled_from([-2.0, 0.5, 1.5]))
     sigma_e = Polynomial(Y, _plus([c * t for t in th_y], [0, 0, 0, 1.0],
                                   draw(st.sampled_from([0.0, 0.75]))))
@@ -595,7 +595,7 @@ def closed_form_class(draw):
         lam=SeparableSum.poly(Y, lam) if varying else lam[0], mu=mu,
         sigma=product(s_sigma, Polynomial(X, sx), replace(sigma_y, var=ETA),
                       Polynomial(Y, [c * t for t in theta_y.coeffs])),
-        theta=product(s_theta, Exp(X, alpha) if alpha else Constant(X, 1.0), theta_y),
+        theta=product(s_theta, Exp(X, alpha) if alpha else Polynomial(X, [1.0]), theta_y),
         W=product(-mu * kappa * s_sigma / (s_theta * J_W), *W_x, W_y), q=q)
 
 

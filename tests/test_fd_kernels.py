@@ -176,7 +176,7 @@ class TestSolveCharacteristics:
 
     def test_left_boundary_holds_at_convergence(self, example2):
         ls = example2.large_scale()
-        sol = solve_characteristics(ls, TriGrid(32), tol=1e-11)
+        sol = solve_characteristics(ls, TriGrid(32))
         xs = sol.grid.nodes()
         g = ls.on_grid(np.array([0.0]))
         mu0 = float(g.mu[0])

@@ -357,11 +357,13 @@ class TestCsvRoundTrip:
             "0.10000000000000001,-0,1.0000000000000001e+300\n"
             "0.20000000000000001,nan,inf\n").encode("utf-8")
 
-    @pytest.mark.parametrize("cut", ["last-row", "header"])
+    @pytest.mark.parametrize("cut", ["last-row", "header", "abc", "nan"])
     def test_short_rows_name_the_file_and_line(self, tmp_path, cut):
         # a ragged row used to fail with numpy's "inhomogeneous shape", and a
         # header naming more columns than the rows hold with GainTable's
-        # "shape does not match grids", neither naming the file
+        # "shape does not match grids", neither naming the file; a bad value
+        # in the first row failed with numpy's "at row 0, column 4" or with
+        # GainTable's "gain tables must be finite"
         path = tmp_path / "g.csv"
         write_gain_csv(GainTable(grid_xi=np.linspace(0, 1, 3), grid_y=[0.5, 1.0],
                                  k=np.ones((2, 3)), kbar=np.ones(3), sampled=True),
@@ -369,11 +371,15 @@ class TestCsvRoundTrip:
         lines = path.read_text().splitlines()   # comment, header, 3 rows
         if cut == "last-row":
             lines[-1] = lines[-1].rsplit(",", 1)[0]
-        else:
+        elif cut == "header":
             lines[1] += ",k@y=2.0"
+        else:
+            lines[2] = lines[2].rsplit(",", 1)[0] + "," + cut
         path.write_text("\n".join(lines) + "\n")
         bad = {"last-row": "line 5 has 3 fields, but the header names 4",
-               "header": "line 3 has 4 fields, but the header names 5"}[cut]
+               "header": "line 3 has 4 fields, but the header names 5",
+               "abc": "line 3 field 4 is not a number: 'abc'",
+               "nan": "line 3 holds a non-finite value"}[cut]
         with pytest.raises(ValueError, match=f"g.csv: {bad}"):
             read_gain_csv(path)
 

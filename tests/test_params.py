@@ -1,6 +1,8 @@
 import copy
 import dataclasses
 import json
+import re
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -8,10 +10,10 @@ import pytest
 from conftest import n_plus_one
 from continuum_kernels.closed_form import solve_closed_form
 from continuum_kernels.gains import sample_gains
-from continuum_kernels.params import (ConfigError, LargeScaleParams, fit_q,
-                                      load_problem, parse_problem_dict,
+from continuum_kernels.params import (PARAMS, ConfigError, LargeScaleParams,
+                                      fit_q, load_problem, parse_problem_dict,
                                       sample_points)
-from continuum_kernels.series import (Polynomial, SeparableSum,
+from continuum_kernels.series import (Cos, Polynomial, SeparableSum,
                                       SeparableTerm, Var)
 
 X, Y, ETA = Var.X, Var.Y, Var.ETA
@@ -346,6 +348,8 @@ class TestConfigLoading:
                                            "rate": False}]}]},
          r"theta\.terms\[0\]\.factors\[0\]\.rate: expected a number"),
         ("q", {"data": [0.1, True, 0.4, 0.8]}, r"q\.data\[1\]: expected a number"),
+        # a named exact profile: q is written in factors like every parameter
+        ("q", {"exact": "cos2pi"}, r"\.q: expected a number or an object"),
     ])
     def test_misread_values_rejected(self, field, value, match):
         # int() floored 2.7 to 2 and read true as 1, and any points string
@@ -354,6 +358,29 @@ class TestConfigLoading:
                field: value}
         with pytest.raises(ConfigError, match=match):
             parse_problem_dict(cfg)
+
+    def test_example1_q_is_the_cosine(self):
+        assert load_problem("example1").continuum.q == SeparableSum(
+            [SeparableTerm(1.0, [Cos(Y, 2.0 * np.pi, 0.0)])])
+
+    def test_const_factor_is_a_constant_polynomial(self):
+        cfg = {"lambda": 1, "mu": 1, "sigma": 0, "theta": 0, "w": 0,
+               "q": {"terms": [{"factors": [
+                   {"var": "y", "kind": "const", "value": 0.25}]}]}}
+        assert parse_problem_dict(cfg).continuum.q == SeparableSum(
+            [SeparableTerm(1.0, [Polynomial(Y, [0.25])])])
+
+    def test_readme_names_the_variables_of_every_slot(self):
+        readme = (Path(__file__).resolve().parent.parent / "README.md").read_text(
+            encoding="utf-8")
+        sentence = re.search(r"Allowed variables per slot: (.*?)\.\s",
+                             readme, re.S).group(1)
+        named = {}
+        for keys, vs in re.findall(r"((?:`\w+`(?:, )?)+): ([\w, ]+?)(?:;|$)",
+                                   " ".join(sentence.split())):
+            for key in re.findall(r"`(\w+)`", keys):
+                named[key] = set(vs.split(", "))
+        assert named == {key: {v.value for v in vs} for key, vs in PARAMS.values()}
 
     def test_json_syntax_diagnostics(self, tmp_path):
         path = tmp_path / "broken.json"

@@ -7,9 +7,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import DictSeries, series_from
-from continuum_kernels.series import (MAX_PANELS, Constant, Cos, Exp,
-                                      Polynomial, SeparableSum, SeparableTerm,
-                                      Sin, TruncatedSeries, Var, integrate01)
+from continuum_kernels.series import (MAX_PANELS, Cos, Exp, Polynomial,
+                                      SeparableSum, SeparableTerm, Sin,
+                                      TruncatedSeries, Var, integrate01)
 
 X, XI, Y, ETA = Var.X, Var.XI, Var.Y, Var.ETA
 
@@ -76,7 +76,7 @@ class TestTaylor:
         assert s.coeffs[(2,)] == pytest.approx(-0.5)
 
     def test_constant(self):
-        s = Constant(X, 4.5).taylor(3)
+        s = Polynomial(X, [4.5]).taylor(3)
         assert s.coeffs == {(0,): 4.5}
 
     def test_negative_order_rejected(self):
@@ -279,6 +279,25 @@ def test_separable_term_products_and_derivatives():
     dvals = df({X: xs, Y: np.full_like(xs, 0.25)})
     dexp = ((2 * xs + 1) + xs * (xs + 1)) * np.exp(xs) * (0.25 - 0.5)
     np.testing.assert_allclose(dvals, dexp, rtol=1e-13)
+
+
+def test_parts_multiply_back_to_each_term():
+    # sigma-like sum over (x, eta, y): one term without an eta factor
+    f = SeparableSum([
+        SeparableTerm(-2.0, [Polynomial(X, [0, 1]), Exp(X, 0.5),
+                             Cos(ETA, 1.5, 0.0), Polynomial(Y, [1, 1])]),
+        SeparableTerm(3.0, [Sin(Y, 2.0, 0.25)]),
+    ])
+    t = np.linspace(0, 1, 7)
+    parts = [f.part(v) for v in (X, ETA, Y)]
+    assert [p.terms[1] for p in parts] == [
+        SeparableTerm(3.0, []), SeparableTerm(1.0, []),
+        SeparableTerm(1.0, [Sin(Y, 2.0, 0.25)])]
+    grid = dict(zip((X, ETA, Y), np.ix_(t, t, t)))
+    for i, term in enumerate(f.terms):
+        x, eta, y = (p.terms[i]({v: grid[v]}) for p, v in zip(parts, grid))
+        np.testing.assert_allclose(x * eta * y, np.broadcast_to(term(grid), (7,) * 3),
+                                   rtol=1e-15)
 
 
 def test_separable_taylor_total_truncation_is_exact():
