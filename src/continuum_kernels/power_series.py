@@ -108,8 +108,9 @@ def _monomials(N: int, *caps: int) -> np.ndarray:
     """Exponent rows of total degree <= N, each at most its cap, in grlex
     order: np.indices lists them lexicographically, then a stable sort."""
     e = np.indices([cap + 1 for cap in caps]).reshape(len(caps), -1)
-    e = e[:, e.sum(axis=0) <= N]
-    return e[:, np.argsort(e.sum(axis=0), kind="stable")].T
+    degree = e.sum(axis=0)
+    keep = np.flatnonzero(degree <= N)
+    return e[:, keep[np.argsort(degree[keep], kind="stable")]].T
 
 
 # Row sources, in fixed order for reproducible output.
@@ -260,7 +261,10 @@ def assemble(p: ContinuumParams, cfg: SolverConfig) -> LinearSystem:
     def scat(src, col, val, mono, shift=()):
         """Column(s) `col` get `val` in the rows of monomial `mono` + `shift`."""
         part = src * (ncol + 1) * radix ** 4 + col + sum(map(np.multiply, weight, mono))
-        key, val = np.broadcast_arrays(part + sum(map(np.multiply, weight, shift)), val)
+        # term by term, (t, n): a term's keys mostly rise with the column, so
+        # they come in sorted runs; an entry's still come by family, then term
+        key = np.transpose(part) + np.transpose(sum(map(np.multiply, weight, shift)))
+        val = np.broadcast_to(np.transpose(val), key.shape)
         on = val != 0.0
         keys.append(key[on])
         vals.append(val[on])
@@ -290,24 +294,30 @@ def assemble(p: ContinuumParams, cfg: SolverConfig) -> LinearSystem:
     bp, bq, bv = _terms(thetaS.array)
     scat(2, ncol, -bv, (), (bp, bq))
 
-    # duplicates summed one after another in scatter order: a stable sort
-    # keeps each key's contributions in that order for bincount
+    # duplicates summed one after another in scatter order: a stable sort,
+    # cheap on the runs, keeps a key's contributions in that order, and the
+    # repeats are added onto the first; only a cancelling key sums to 0
     keys, vals = np.concatenate(keys), np.concatenate(vals)
     order = np.argsort(keys, kind="stable")
-    keys = keys[order]
-    first = np.diff(keys, prepend=-1) != 0
-    sums = np.bincount(np.cumsum(first) - 1, vals[order])
-    # rows with a nonzero entry or a nonzero b; keys are sorted
-    code, col = np.divmod(keys[first][sums != 0.0], ncol + 1)
-    first = np.diff(code, prepend=-1) != 0
-    codes, row, val = code[first], np.cumsum(first) - 1, sums[sums != 0.0]
+    keys, vals = keys[order], vals[order]
+    dup = np.flatnonzero(keys[1:] == keys[:-1]) + 1
+    np.add.at(vals, np.searchsorted(keys, keys[dup]), vals[dup])
+    on = vals != 0.0
+    on[dup] = False
+    keys, val = keys[on], vals[on]
+    # rows with a nonzero entry or a nonzero b; keys are sorted, so a row's
+    # entries are adjacent and b, column ncol, comes last
+    code = keys // (ncol + 1)
+    col = keys - code * (ncol + 1)
+    ends = np.flatnonzero(np.append(code[1:] != code[:-1], True))
+    codes, has_b = code[ends], col[ends] == ncol
+    b_vec = np.where(has_b, val[ends], 0.0)
+    indptr = np.concatenate([[0], ends + 1 - np.cumsum(has_b)])
     in_A = col < ncol
-    b_vec = np.bincount(row[~in_A], val[~in_A], minlength=len(codes))
-    indptr = np.searchsorted(row[in_A], np.arange(len(codes) + 1))
     A = scipy.sparse.csr_matrix((val[in_A], col[in_A], indptr), shape=(len(codes), ncol))
     # a code's digits: source, total degree, then the monomial's exponents
-    rows = np.column_stack([codes // radix ** 4,
-                            codes[:, None] // radix ** np.arange(2, -1, -1) % radix])
+    rows = np.column_stack([codes // radix ** 4, codes // radix ** 2 % radix,
+                            codes // radix % radix, codes % radix])
     return LinearSystem(A=A, b=b_vec, cols=cols, rows=rows, config=cfg)
 
 
@@ -318,67 +328,53 @@ def assemble(p: ContinuumParams, cfg: SolverConfig) -> LinearSystem:
 _GRADINGS = {"x+xi": (1, 1), "x": (1, 0)}
 
 
-def _staircase(A: scipy.sparse.csr_matrix, grading: str, exps: np.ndarray):
-    """The staircase QR's plans for one column grading, one per span cut.
+def _staircase(A: scipy.sparse.csr_matrix, exps: np.ndarray) -> dict:
+    """The staircase QR's plans for each column grading, one per span cut.
 
-    Columns get levels 0, 1, ... from the grading of their exponents, one
-    row (a, b) of `exps` each. A nonempty row enters at the lowest level it
-    touches; its span is its highest level minus that. The plan with cut t
-    factors the rows of span <= t (narrow) level by level over their window
-    and merges the others (wide) into each level's triangle. Returns the
-    estimated cost of each cut (inf where some level gets fewer narrow plus
-    wide rows than columns), the cuts, the column levels, each row's entry
-    level and span, the level bounds and, per cut, the top level of each
-    level's narrow window and whether each level gets as many rows as
-    columns."""
-    grade = exps @ _GRADINGS[grading]
-    level = (np.cumsum(np.bincount(grade) > 0) - 1)[grade]
-    lv, starts = level[A.indices], A.indptr[:-1][np.diff(A.indptr) > 0]
-    entry = np.minimum.reduceat(lv, starts)
-    span = np.maximum.reduceat(lv, starts) - entry
-    size = np.bincount(level)
-    nl, bounds = len(size), np.concatenate([[0], np.cumsum(size)])
-    # rows by (span, entry level); a cut keeps the spans up to it narrow
-    by_span = np.bincount(span * nl + entry, minlength=nl * nl).reshape(nl, nl)
-    cuts = np.flatnonzero(by_span.any(axis=1))
-    narrow = np.cumsum(by_span, axis=0)[cuts]
-    wide = np.cumsum(by_span.sum(axis=0) - narrow, axis=1)
-    reach = np.maximum.accumulate(np.where(by_span > 0, np.arange(nl)[:, None], 0), axis=0)
-    top = np.maximum.accumulate(np.arange(nl) + reach[cuts], axis=1)
-    cols = bounds[top + 1] - bounds[:-1] + 1 - size     # after the level's own, b included
-    # narrow rows carried into each level, cut down to their R factor
-    carry = np.zeros((nl + 1, len(cuts)))
-    for L, (gain, c) in enumerate(zip((narrow - size).T, cols.T)):
-        carry[L + 1] = np.minimum(np.maximum(carry[L] + gain, 0), c)
-    held = carry[:-1].T + narrow
-    r = np.maximum(held, size)          # panels get zero rows up to their level's columns
-    k = r - size
-    # geqrt and gemqrt, then the geqrf that cuts the carried rows down
-    flops = (2 * size * size * (r - size / 3) + (4 * r - 2 * size) * size * cols
-             + np.where(k > cols, 2 * k * cols * cols - 2 / 3 * cols ** 3, 0.0))
-    # dtpqrt against the level's triangle, dtpmqrt over the window and the
-    # wide rows' factor
-    flops += wide * size * (2 * size + 4 * (cols + wide))
-    enough = held + wide >= size
-    flops = np.where(enough.all(axis=1), flops.sum(axis=1), np.inf)
-    return flops, cuts, level, entry, span, bounds, top, enough
-
-
-def _panel(pos: np.ndarray, width: int, dense, nz, i0: int, i1: int,
-           b: np.ndarray, rows: int = 0) -> np.ndarray:
-    """Fortran-ordered rows over `width` columns, with b last, column j of
-    A at position pos[j]: the dense rows, `dense` = (their columns, the rows
-    with b last), then rows i0:i1 of the sparse matrix `nz` and of b, then
-    zero rows up to `rows` in all. `nz` is (row pointers, row, column,
-    value) of each nonzero, in row order."""
-    ptr, row, col, val = nz
-    dcols, dense = dense
-    k, j = len(dense), len(dense) + i1 - i0
-    M = np.zeros((max(j, rows), width + 1), order="F")
-    M[:k, pos[dcols]], M[:k, -1] = dense[:, :-1], dense[:, -1]
-    lo, hi = ptr[i0], ptr[i1]
-    M[row[lo:hi] + (k - i0), pos[col[lo:hi]]], M[k:j, -1] = val[lo:hi], b[i0:i1]
-    return M
+    Columns get levels 0, 1, ... from a grading of their exponents, one row
+    (a, b) of `exps` each. A nonempty row enters at the lowest level it
+    touches; its span is its highest level minus that (one pass over A for
+    every grading). The plan with cut t factors the rows of span <= t
+    (narrow) level by level over their window and merges the others (wide)
+    into each level's triangle. Returns, per grading: the estimated cost of
+    each cut (inf where some level gets fewer narrow plus wide rows than
+    columns), the cuts, the column levels, each row's entry level and span,
+    the level bounds and, per cut, the top level of each level's narrow
+    window and whether each level gets as many rows as columns."""
+    grades = exps @ np.array(list(_GRADINGS.values())).T
+    levels = np.array([(np.cumsum(np.bincount(g) > 0) - 1)[g] for g in grades.T])
+    lv, starts = levels.take(A.indices, axis=1), A.indptr[:-1][np.diff(A.indptr) > 0]
+    entries = np.minimum.reduceat(lv, starts, axis=1)
+    spans = np.maximum.reduceat(lv, starts, axis=1) - entries
+    plans = {}
+    for g, level, entry, span in zip(_GRADINGS, levels, entries, spans):
+        size = np.bincount(level)
+        nl, bounds = len(size), np.concatenate([[0], np.cumsum(size)])
+        # rows by (span, entry level); a cut keeps the spans up to it narrow
+        by_span = np.bincount(span * nl + entry, minlength=nl * nl).reshape(nl, nl)
+        cuts = np.flatnonzero(by_span.any(axis=1))
+        narrow = np.cumsum(by_span, axis=0)[cuts]
+        wide = np.cumsum(by_span.sum(axis=0) - narrow, axis=1)
+        reach = np.maximum.accumulate(np.where(by_span > 0, np.arange(nl)[:, None], 0), axis=0)
+        top = np.maximum.accumulate(np.arange(nl) + reach[cuts], axis=1)
+        cols = bounds[top + 1] - bounds[:-1] + 1 - size     # after the level's own, b included
+        # narrow rows carried into each level, cut down to their R factor
+        carry = np.zeros((nl + 1, len(cuts)))
+        for L, (gain, c) in enumerate(zip((narrow - size).T, cols.T)):
+            carry[L + 1] = np.minimum(np.maximum(carry[L] + gain, 0), c)
+        held = carry[:-1].T + narrow
+        r = np.maximum(held, size)          # panels get zero rows up to their level's columns
+        k = r - size
+        # geqrt and gemqrt, then the geqrf that cuts the carried rows down
+        flops = (2 * size * size * (r - size / 3) + (4 * r - 2 * size) * size * cols
+                 + np.where(k > cols, 2 * k * cols * cols - 2 / 3 * cols ** 3, 0.0))
+        # dtpqrt against the level's triangle, dtpmqrt over the window and the
+        # wide rows' factor
+        flops += wide * size * (2 * size + 4 * (cols + wide))
+        enough = held + wide >= size
+        flops = np.where(enough.all(axis=1), flops.sum(axis=1), np.inf)
+        plans[g] = flops, cuts, level, entry, span, bounds, top, enough
+    return plans
 
 
 @functools.lru_cache(maxsize=64)
@@ -399,7 +395,9 @@ def _staircase_qr(A: scipy.sparse.csr_matrix, b: np.ndarray, cols: np.ndarray):
     with b as a last column: its own columns and the later ones a narrow row
     entering at L or below touches. The rest of its window, up to the
     furthest level those rows reach, is zero there and stays zero under
-    Q^T. It factors its columns (LAPACK geqrt, compact WY with blocks of 32
+    Q^T. Each level's layout (support, carried columns' places, row count,
+    a flat Fortran offset per window column) is computed before the loop.
+    It factors its columns (LAPACK geqrt, compact WY with blocks of 32
     columns) and applies Q^T to the rest with the T factor it returns
     (gemqrt; Schreiber and Van Loan, SIAM J. Sci. Stat. Comput. 10, 1989).
     The top rows are the level's block of R; the others are carried on, cut
@@ -422,7 +420,7 @@ def _staircase_qr(A: scipy.sparse.csr_matrix, b: np.ndarray, cols: np.ndarray):
     if zero.any():
         raise np.linalg.LinAlgError(
             f"rank-deficient system: column {_col_key(cols, np.argmax(zero))} of A is zero")
-    plans = {g: _staircase(A, g, cols[:, 1:3]) for g in _GRADINGS}
+    plans = _staircase(A, cols[:, 1:3])
     grading = min(plans, key=lambda g: plans[g][0].min())
     cost, cuts, level, entry, span, bounds, top, enough = plans[grading]
     if not np.isfinite(cost.min()):
@@ -436,51 +434,78 @@ def _staircase_qr(A: scipy.sparse.csr_matrix, b: np.ndarray, cols: np.ndarray):
     top, narrow = top[i], span <= cuts[i]
     # nonempty rows sorted as narrow rows by entry level, then wide rows by
     # entry level; at[L]:at[L + 1] and at[nl + L]:at[nl + L + 1] enter at L
-    nl = len(bounds) - 1
+    nl, size = len(bounds) - 1, np.diff(bounds)
     key = np.where(narrow, entry, nl + entry)
-    order = np.argsort(key, kind="stable")
-    at = np.searchsorted(key[order], np.arange(2 * nl + 1))
-    rows = np.flatnonzero(np.diff(A.indptr) > 0)[order]
+    at = np.concatenate([[0], np.cumsum(np.bincount(key, minlength=2 * nl))])
+    rows = np.flatnonzero(np.diff(A.indptr) > 0)[np.argsort(key, kind="stable")]
     # A's nonzeros in that row order, each with its row, the columns scaled
     # to unit norm and ordered by level
     perm = np.argsort(level, kind="stable")
-    lens = np.diff(A.indptr)[rows]
-    ptr = np.concatenate([[0], np.cumsum(lens)])
-    src = np.repeat(A.indptr[rows] - ptr[:-1], lens) + np.arange(ptr[-1])
-    acol = A.indices[src]
-    nz = (ptr, np.repeat(np.arange(len(rows)), lens), np.argsort(perm)[acol],
-          A.data[src] * (1.0 / norms)[acol])
-    b = b[rows]
+    where, A = np.argsort(perm), A[rows]
+    ptr, acol = A.indptr, A.indices.astype(np.intp)
+    row, col, val = (np.repeat(np.arange(len(rows)), np.diff(ptr)), where[acol],
+                     A.data * (1.0 / norms)[acol])
+    b, nw, q = b[rows], len(rows) - at[nl], ptr[at[nl]]
     # each column's first-touch level: the lowest entry level of the narrow
     # rows that touch it, and never above its own, so a panel has its own
-    first = np.repeat(np.arange(nl), np.diff(bounds))
-    np.minimum.at(first, nz[2][:ptr[at[nl]]], np.repeat(np.arange(nl), np.diff(ptr[at])[:nl]))
-    carry = wide = np.zeros((0, 1))
-    sup, hi, blocks, panel_cols, pos = np.arange(0), 0, [], 0, np.arange(n)
-    # past the furthest window end so far, `hi`, the first w wide rows carried
-    # are G @ Wo[:w]: Wo holds the wide rows as they entered
-    Wo = _panel(pos, n, (sup, carry), nz, at[nl], len(rows), b)
-    Wo, bo = Wo[:, :-1], Wo[:, -1]
+    first = np.repeat(np.arange(nl), size)
+    np.minimum.at(first, col[:q], np.repeat(np.arange(nl), np.diff(ptr[at[:nl + 1]])))
+    # every level's layout: its window columns c0:e level after level, with
+    # their level lv and pos, each one's place in its level's panel, which
+    # holds those first touched at or below L (its support)
+    end = bounds[top + 1]
+    wptr = np.concatenate([[0], np.cumsum(end - bounds[:-1])])
+    lv = np.repeat(np.arange(nl), np.diff(wptr))
+    wcol = np.arange(wptr[-1]) - wptr[lv] + bounds[lv]
+    on = first[wcol] <= lv
+    cnt = np.concatenate([[0], np.cumsum(on)])
+    pos, width = cnt[1:] - 1 - cnt[wptr[lv]], np.diff(cnt[wptr])
+    # the support past level L's own columns, gone[L + 1]:gone[L + 2], goes on
+    # with the carry and onto the window of a merged block row, b last in both
+    past = on & (wcol >= bounds[lv + 1])
+    sup, nxt = wcol[past], lv[past] + 1
+    gone = np.concatenate([[0, 0], np.cumsum(width - size)])
+    carried = np.insert(pos[wptr[nxt] + sup - bounds[nxt]], gone[1:-1], width)
+    onto = np.insert(sup - bounds[nxt], gone[2:], end - bounds[1:] + at[nl + 1:] - at[nl])
+    # carry and panel row counts: zero rows pad a panel to s, a carry taller than wide is cut
+    ks, lds = [0], []
+    for s, c, new in zip(size.tolist(), (width - size + 1).tolist(),
+                         np.diff(at[:nl + 1]).tolist()):
+        lds.append(max(ks[-1] + new, s))
+        ks.append(min(lds[-1] - s, c))
+    # flat Fortran panel offsets: sorted row r, column j at L: r + off[wptr[L] - c0 + j]
+    off = pos * np.array(lds)[lv] + (np.array(ks[:-1]) - at[:nl])[lv]
+    # Wo: the wide rows as they entered; past hi, the first w carried are G @ Wo[:w]
+    Wo, bo = np.zeros((nw, n), order="F"), b[at[nl]:]
+    Wo[row[q:] - at[nl], col[q:]] = val[q:]
+    del A, acol, wcol, on, cnt, lv, pos, past, nxt     # room for the panels
     from scipy.linalg import lapack
-    bounds, top, at = bounds.tolist(), top.tolist(), at.tolist()
+    hi, blocks, carry, wide = 0, [], np.zeros((0, 1)), np.zeros((0, 1))
+    bounds, end, width = bounds.tolist(), end.tolist(), width.tolist()
+    at, nz, wptr, gone = at.tolist(), ptr[at].tolist(), wptr.tolist(), gone.tolist()
     for L, (c0, c1) in enumerate(zip(bounds[:-1], bounds[1:])):
-        s, end = c1 - c0, bounds[top[L] + 1]
+        s, wd, k, ld, e = c1 - c0, width[L], ks[L], lds[L], end[L]
         w0, w = at[nl + L] - at[nl], at[nl + L + 1] - at[nl]
-        # the panel's support; column j goes to its position pos[j]
-        idx = np.arange(c0, end)[first[c0:end] <= L]
-        panel_cols += len(idx) - s
-        pos[idx] = np.arange(len(idx))
-        M = _panel(pos, len(idx), (sup, carry), nz, at[L], at[L + 1], b, s)
+        # the panel: the carried rows, then the rows entering at L
+        i0, i1 = nz[L], nz[L + 1]
+        M = np.zeros(ld * (wd + 1))
+        M[off[wptr[L] - c0:][col[i0:i1]] + row[i0:i1]] = val[i0:i1]
+        M = M.reshape((ld, wd + 1), order="F")
+        M[:k, carried[gone[L] + L:gone[L + 1] + L + 1]] = carry
+        M[k:k + at[L + 1] - at[L], -1] = b[at[L]:at[L + 1]]
         # compact WY: one T factor for the panel, both calls in place
         qr, T, _ = lapack.dgeqrt(min(32, s), M[:, :s], overwrite_a=True)
         rest, _ = lapack.dgemqrt(qr, T, M[:, s:], side="L", trans="T", overwrite_c=True)
         # copies free the panel; R's reflectors below its diagonal are never
         # read (tpqrt, trtrs). The merge fills the block row over the window,
         # so there rest goes onto it, with w zero columns before b
-        R, carry, sup = qr[:s].copy(order="F"), rest[s:], idx[s:]
-        blk = np.arange(c1, end) if w else sup
-        pos[blk] = np.arange(len(blk))
-        rest = _panel(pos, len(blk) + w, (sup, rest[:s]), nz, 0, 0, b)
+        R, carry, blk = qr[:s].copy(order="F"), rest[s:], sup[gone[L + 1]:gone[L + 2]]
+        if w:
+            top_row = np.zeros((s, e - c1 + w + 1), order="F")
+            top_row[:, onto[gone[L + 1] + L:gone[L + 2] + L + 1]] = rest[:s]
+            rest, blk = top_row, slice(c1, e)
+        else:
+            rest = rest[:s].copy(order="F")
         c = carry.shape[1]
         if len(carry) > c:
             # no T is wanted here, and geqrf is 1.5-3x faster than geqrt
@@ -491,19 +516,19 @@ def _staircase_qr(A: scipy.sparse.csr_matrix, b: np.ndarray, cols: np.ndarray):
         else:
             carry = carry.copy(order="F")
         if w:
-            # [dense over c0:end | G | b]: the carried rows, made dense from
+            # [dense over c0:e | G | b]: the carried rows, made dense from
             # hi to the window end, then the rows entering at L
-            k, d = hi - c0, end - c0
+            k, d = hi - c0, e - c0
             W, G = np.zeros((w, d + w + 1), order="F"), wide[:, k:-1]
-            W[:w0, :k], W[:w0, k:d] = wide[:, :k], G @ Wo[:w0, hi:end]
-            W[:w0, d:d + w0], W[:w0, -1] = G, wide[:, -1]
-            W[w0:, :d], W[w0:, -1] = Wo[w0:w, c0:end], bo[w0:w]
+            W[:w0, :k], W[:w0, d:d + w0], W[:w0, -1] = wide[:, :k], G, wide[:, -1]
+            np.matmul(G, Wo[:w0, hi:e], out=W[:w0, k:d])
+            W[w0:, :d], W[w0:, -1] = Wo[w0:w, c0:e], bo[w0:w]
             np.fill_diagonal(W[w0:, d + w0:], 1.0)
             R, V, T, _ = lapack.dtpqrt(0, min(s, 64), R, W[:, :s], overwrite_a=True)
             rest, wide, _ = lapack.dtpmqrt(0, V, T, rest, W[:, s:], trans="T",
                                            overwrite_a=True, overwrite_b=True)
-        hi = end
-        blocks.append((R, rest, blk, end, w))
+        hi = e
+        blocks.append((R, rest, blk, e, w))
     diags = [np.abs(np.diagonal(R)) for R, *_ in blocks]
     diag = np.concatenate(diags)
     tol = (m + n) * np.finfo(float).eps * diag.max()
@@ -514,17 +539,17 @@ def _staircase_qr(A: scipy.sparse.csr_matrix, b: np.ndarray, cols: np.ndarray):
             f"{grading!r} grading holds a diagonal at roundoff, min/max "
             f"|R_jj| = {diag.min() / diag.max():.3g}")
     y = np.empty(n)
-    for (R, rest, blk, end, w), c0, c1 in reversed(list(zip(blocks, bounds[:-1], bounds[1:]))):
-        past = Wo[:w, end:] @ y[end:]
+    for (R, rest, blk, e, w), c0, c1 in reversed(list(zip(blocks, bounds[:-1], bounds[1:]))):
+        past = Wo[:w, e:] @ y[e:]
         rhs = rest[:, -1] - rest[:, :-1] @ np.concatenate([y[blk], past])
         y[c0:c1] = lapack.dtrtrs(R, rhs)[0]
-    x = (y / norms[perm])[np.argsort(perm)]
+    x = (y / norms[perm])[where]
     if not np.all(np.isfinite(x)):
         raise np.linalg.LinAlgError(
             f"the staircase QR gave a non-finite coefficient for column "
             f"{_col_key(cols, np.argmin(np.isfinite(x)))}")
     return (x, grading, int(cuts[i]), float(diag.min() / diag.max()),
-            int(np.count_nonzero(~narrow)), panel_cols)
+            int(np.count_nonzero(~narrow)), gone[-1])
 
 
 def solve_ls(system: LinearSystem) -> PsKernelSolution:
@@ -566,15 +591,13 @@ def optimality_certificate(system: LinearSystem, x: np.ndarray) -> float:
     computed one. The residual is floored at 1e-6 ||b||: once it is itself
     roundoff, the unfloored quotient is noise (2e-2 at example1, N = 30,
     N_y = 2) and cannot tell a good solve from a bad one. 0.0 when both r
-    and b vanish."""
-    import scipy.sparse.linalg
-
+    and b vanish. ||A||_F is the norm of A's values: its CSR has no repeats."""
     r = system.A @ x - system.b
     scale = max(float(np.linalg.norm(r)), 1e-6 * float(np.linalg.norm(system.b)))
     if scale == 0.0:
         return 0.0
     return float(np.linalg.norm(system.A.T @ r)) / (
-        float(scipy.sparse.linalg.norm(system.A)) * scale)
+        float(np.linalg.norm(system.A.data)) * scale)
 
 
 def residual_by_source(system: LinearSystem, x: np.ndarray) -> dict[str, float]:

@@ -412,11 +412,13 @@ class SeparableSum:
         return SeparableSum([d for t in self.terms for d in t.diff(v)])
 
     def taylor(self, order: int) -> TruncatedSeries:
-        """Expand every term to ``order``, then drop total degrees above it."""
-        out = TruncatedSeries.zero(self.vars())
-        for t in self.terms:
-            out = out + t.taylor(order)
-        return out.truncate_total(order)
+        """Expand every term to ``order``, sum them in order, then drop total degrees above it."""
+        vs = self.vars()
+        parts = [t.taylor(order)._over(vs) for t in self.terms]
+        out = np.zeros(np.max([a.shape for a in parts], axis=0) if parts else (1,) * len(vs))
+        for a in parts:
+            out[tuple(map(slice, a.shape))] += a
+        return TruncatedSeries(vs, out).truncate_total(order)
 
     def __call__(self, point: Mapping[Var, np.ndarray]) -> np.ndarray:
         out = None

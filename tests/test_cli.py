@@ -710,3 +710,18 @@ def test_cold_start_imports():
     out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
                          text=True, timeout=120, check=True)
     assert out.stdout.strip() == "[]"
+
+
+def test_solve_skips_sparse_linalg(tmp_path):
+    # the certificate's ||A||_F is numpy's norm of A's stored values, so a
+    # solve loads scipy.sparse and LAPACK but not scipy.sparse.linalg, about
+    # 10 ms of import
+    code = ("import sys; from continuum_kernels import cli; "
+            "assert cli.main(['solve', '--config', 'example2', '--order', '8']) == 0; "
+            "print(sorted(m for m in sys.modules if m.startswith('scipy.sparse.linalg')))")
+    src = str(Path(continuum_kernels.__file__).parents[1])
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+        [src] + ([os.environ["PYTHONPATH"]] if os.environ.get("PYTHONPATH") else []))}
+    out = subprocess.run([sys.executable, "-c", code], env=env, cwd=tmp_path,
+                         capture_output=True, text=True, timeout=120, check=True)
+    assert out.stdout.strip().splitlines()[-1] == "[]"

@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 import scipy.linalg
 import scipy.sparse
+import scipy.sparse.linalg
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
@@ -539,7 +540,7 @@ class TestSparseAgainstDense:
         system = _staircase_system(*shape, np.random.default_rng(seed))
         x_ref = _dense_oracle(system)
         # both gradings give a column its level; every cut is a plan
-        cost = _staircase(system.A, "x", system.cols[:, 1:3])[0]
+        cost = _staircase(system.A, system.cols[:, 1:3])["x"][0]
         for i in np.flatnonzero(np.isfinite(cost)):
             with mock.patch.object(power_series, "_staircase", _only_plan("x", i)):
                 sol = solve_ls(system)
@@ -555,7 +556,7 @@ class TestSparseAgainstDense:
         # every row narrow, so one plan has no wide rows
         system = _staircase_system(*shape, np.random.default_rng(seed), touch)
         x_ref = _dense_oracle(system)
-        cost, cuts = _staircase(system.A, "x+xi", system.cols[:, 1:3])[:2]
+        cost, cuts = _staircase(system.A, system.cols[:, 1:3])["x+xi"][:2]
         assert np.isfinite(cost[-1])
         for i in np.flatnonzero(np.isfinite(cost)):
             with mock.patch.object(power_series, "_staircase", _only_plan("x+xi", i)):
@@ -574,7 +575,7 @@ class TestSparseAgainstDense:
         r_ref = np.linalg.norm(system.A @ x_ref - system.b)
         lapack = scipy.linalg.lapack
         for grading in _GRADINGS:
-            cost, cuts = _staircase(system.A, grading, system.cols[:, 1:3])[:2]
+            cost, cuts = _staircase(system.A, system.cols[:, 1:3])[grading][:2]
             assert np.isfinite(cost).all() and len(cuts) == 4
             for i in range(len(cuts)):
                 with mock.patch.object(power_series, "_staircase", _only_plan(grading, i)), \
@@ -607,7 +608,7 @@ class TestSparseAgainstDense:
                               cols=col_array([("KB", (0, 0)), ("K", (0, 0, 1)), ("KB", (1, 0))]),
                               rows=np.zeros((0, 4), dtype=np.int64), config=SolverConfig(N=1))
         for grading in _GRADINGS:
-            cost, *_, bounds, _, enough = _staircase(A, grading, system.cols[:, 1:3])
+            cost, *_, bounds, _, enough = _staircase(A, system.cols[:, 1:3])[grading]
             assert bounds[1] == 2 and np.all(np.isinf(cost)) and not enough[:, 0].any()
         with pytest.raises(np.linalg.LinAlgError,
                            match=r"level 0 of the 'x\+xi' grading \(2 columns\) "
@@ -655,7 +656,7 @@ class TestSparseAgainstDense:
         assert sol.ordering in _GRADINGS
         # and every feasible plan, wide rows or not, gives the same solution
         for grading in _GRADINGS:
-            cost = _staircase(A, grading, _exponents(cols))[0]
+            cost = _staircase(A, _exponents(cols))[grading][0]
             for i in np.flatnonzero(np.isfinite(cost)):
                 with mock.patch.object(power_series, "_staircase", _only_plan(grading, i)):
                     sol = solve_ls(system)
@@ -697,10 +698,12 @@ def _exponents(cols) -> np.ndarray:
 
 def _only_plan(grading: str, i: int):
     """`_staircase` with every plan but the i-th cut of `grading` ruled out."""
-    def plans(A, g, exps):
-        cost, *rest = _staircase(A, g, exps)
-        keep = (np.arange(len(cost)) == i) & (g == grading)
-        return (np.where(keep, cost, np.inf), *rest)
+    def plans(A, exps):
+        got = _staircase(A, exps)
+        for g, (cost, *rest) in got.items():
+            keep = (np.arange(len(cost)) == i) & (g == grading)
+            got[g] = (np.where(keep, cost, np.inf), *rest)
+        return got
     return plans
 
 
@@ -749,7 +752,7 @@ _BENCH_SYSTEMS = (
 def _assert_same_plans(A, keys):
     parts = ("cost", "cuts", "level", "entry", "span", "bounds", "top", "enough")
     for grading in _GRADINGS:
-        got = _staircase(A, grading, _exponents(keys))
+        got = _staircase(A, _exponents(keys))[grading]
         want = _key_staircase(A, grading, keys)
         for part, g, w in zip(parts, got, want, strict=True):
             assert np.array_equal(g, w), (grading, part)
@@ -778,6 +781,21 @@ class TestPlanAgainstKeyOracle:
                 else (kind, (gap * e[0], int(rng.integers(3)), e[2]))
                 for kind, e in col_keys(system.cols)]
         _assert_same_plans(system.A, keys)
+
+
+@pytest.mark.parametrize("name, cfg", _BENCH_SYSTEMS, ids=lambda v: (
+    v if isinstance(v, str) else f"N{v.N}-Ny{v.N_y}-q{int(v.use_exact_q)}-s{v.sigma_sign}"))
+def test_certificate_norm_is_sparse_frobenius(solve_cache, name, cfg):
+    # the certificate takes ||A||_F as the norm of A's stored values; on
+    # assemble's canonical CSR that is scipy's sparse Frobenius norm, bit for bit
+    system = assemble(solve_cache.problem(name).continuum, cfg)
+    x = solve_cache.solution(name, cfg).x
+    r = system.A @ x - system.b
+    scale = max(float(np.linalg.norm(r)), 1e-6 * float(np.linalg.norm(system.b)))
+    want = float(np.linalg.norm(system.A.T @ r)) / (
+        float(scipy.sparse.linalg.norm(system.A)) * scale)
+    assert system.A.has_canonical_format
+    assert optimality_certificate(system, x) == want
 
 
 def _assert_same_system(got: LinearSystem, want: LinearSystem):
@@ -908,6 +926,21 @@ class TestAgainstScatterOracle:
         assert row in row_keys(assemble(_cancelling_problem(0.5), cfg).rows)
         _assert_same_system(cancelled,
                             scatter_assemble(_cancelling_problem(1.0), cfg))
+
+    def test_duplicate_entries_sum_in_scatter_order(self):
+        # lam = mu = 1 + 1e16 x and sigma = -1: entry (k equation at x,
+        # column K x) gets mu' = 1e16, then -dlam/dxi = -1e16, then the sigma
+        # moment +1. In that order they sum to 1; 1e16 + 1 - 1e16 is 0
+        lam, mu = _speeds(1e16, 1e16)
+        p = ContinuumParams(lam=lam, mu=mu, sigma=SeparableSum([SeparableTerm(-1.0, [])]),
+                            theta=SeparableSum.zero(), W=SeparableSum.zero(),
+                            q=SeparableSum.poly(Y, [0.5, -1.0]))
+        cfg = SolverConfig(N=3)
+        got = assemble(p, cfg)
+        _assert_same_system(got, scatter_assemble(p, cfg))
+        i = row_keys(got.rows).index((SRC_PDE_K, (1, 0, 0)))
+        j = col_keys(got.cols).index(("K", (1, 0, 0)))
+        assert got.A[i, j] == 1.0 and (1e16 + 1.0) - 1e16 == 0.0
 
     @pytest.mark.parametrize("name, cfg", [
         ("example1", SolverConfig(N=30, N_y=2, use_exact_q=True)),
