@@ -11,9 +11,8 @@ simulator.
 
 __version__ = "0.1.0"
 
-from .closed_form import (ClosedFormError, ClosedFormKernel, NotApplicable,
-                          SeparableProblem, build_f, compute_cx, sigma_coef,
-                          solve_closed_form)
+from .closed_form import (ClosedFormKernel, NotApplicable, SeparableProblem,
+                          build_f, compute_cx, sigma_coef, solve_closed_form)
 from .fd_kernels import (ConvergenceError, LsKernelSolution, TriGrid,
                          refine_study, solve_characteristics)
 from .gains import (GainTable, continuum_residual, diff_solutions, gains,

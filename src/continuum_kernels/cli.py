@@ -96,12 +96,24 @@ def _exact_reference(name: str, problem: Problem):
     """Resolve a --compare-exact spec: '<config>_exact' or a config path whose
     closed form supplies the reference gains."""
     ref = name[:-6] if name.endswith("_exact") else name
-    prob = problem if ref in (problem.name, "self") else load_problem(ref)
+    prob = problem if ref == problem.name else load_problem(ref)
     kern = solve_closed_form(prob.continuum)
     if isinstance(kern, NotApplicable):
         raise ConfigError(
             f"no exact reference available for {ref!r}: {kern.reason}")
     return kern
+
+
+def _int_list(flag: str, text: str) -> list[int]:
+    """The entries of a comma-list flag as integers; blank entries are
+    skipped."""
+    out = []
+    for v in filter(str.strip, text.split(",")):
+        try:
+            out.append(int(v))
+        except ValueError:
+            raise ConfigError(f"{flag}: {v.strip()!r} is not an integer") from None
+    return out
 
 
 def _gain_grid(points: int) -> np.ndarray:
@@ -216,16 +228,18 @@ def cmd_fit_q(args, report_path) -> tuple:
 def cmd_bench(args, report_path) -> tuple:
     problem_name, order_y, exact_q, sigma_sign = BENCH_PRESETS[args.example]
     problem = load_problem(problem_name)
-    orders = [int(v) for v in args.orders.split(",") if v.strip()]
-    fit_degrees = [int(v) for v in args.fit_degrees.split(",") if v.strip()] or [None]
+    orders = _int_list("--orders", args.orders)
+    fit_degrees = _int_list("--fit-degrees", args.fit_degrees) or [None]
     if len(fit_degrees) > 1 and len(orders) != 1:
         raise ConfigError("a fit-degree sweep needs exactly one order")
     rows = []
     grid = np.linspace(0.0, 1.0, 101)
     exact_table = reference = baseline = None
     t = time.perf_counter()
-    if orders and problem_name == "example1":
-        exact_table = gains(_exact_reference("self", problem), grid_xi=grid, grid_y=grid)
+    if orders:  # the closed form is the exact reference wherever it applies
+        exact = solve_closed_form(problem.continuum)
+        if not isinstance(exact, NotApplicable):
+            exact_table = gains(exact, grid_xi=grid, grid_y=grid)
     if orders and problem.n is not None and not args.skip_baseline:
         march = solve_characteristics(problem.large_scale(), TriGrid(args.baseline_m))
         reference, baseline = _march_block(march), gains(march)
@@ -340,7 +354,7 @@ def cmd_ls_kernels(args, report_path) -> tuple:
     problem = load_problem(args.config)
     ls = problem.large_scale(args.n)
     if args.refine:
-        ms = [int(v) for v in args.refine.split(",")]
+        ms = _int_list("--refine", args.refine)
         rep = refine_study(ls, ms)
         for (m1, m2), d in zip(zip(rep.m_list, rep.m_list[1:]), rep.diffs):
             print(f"ls-kernels: refine {m1}->{m2} sup diff {d:.6g}")

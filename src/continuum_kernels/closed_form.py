@@ -24,10 +24,12 @@ which W may meet as a sum of separable terms. No condition is checked by
 hand: :func:`solve_closed_form` accepts the candidate only when its
 residual in every kernel equation,
 :func:`~continuum_kernels.gains.continuum_residual`, is at roundoff of its
-size. Constant lambda is the special case in which every y-weight is the
-constant 1/(lam+mu); only then is c_y = kappa (lam+mu) reported. Every
-y-integral, weighted by 1/(lam+mu) where it applies, is one adaptive
-Gauss-Legendre call (:func:`integrate01` at 1e-12).
+size. Before that, :meth:`SeparableProblem.from_continuum` checks only the
+structure, theta_x nonzero included, as c_x and f divide by it. Constant
+lambda is the special case in which every y-weight is the constant
+1/(lam+mu); only then is c_y = kappa (lam+mu) reported. Every y-integral,
+weighted by 1/(lam+mu) where it applies, is one adaptive Gauss-Legendre
+call (:func:`integrate01` at 1e-12).
 
 ``sigma_y`` weights the integrated family component (the eta slot of the
 stored sigma) and ``sigma_e`` the free ensemble variable.
@@ -46,7 +48,6 @@ from .series import SeparableSum, Var, integrate01
 
 __all__ = [
     "NotApplicable",
-    "ClosedFormError",
     "SeparableProblem",
     "ClosedFormKernel",
     "sigma_coef",
@@ -71,23 +72,6 @@ class NotApplicable:
 
     def __bool__(self):
         return False
-
-
-class ClosedFormError(RuntimeError):
-    """The candidate cannot be built: theta_x vanishes where it divides."""
-
-
-def _integral01(*funcs: SeparableSum, weight: Callable | None = None) -> float:
-    """Integral over [0,1] of a product of univariate sums (times an optional
-    vectorized weight), by :func:`integrate01` at 1e-12."""
-
-    def integrand(t):
-        out = np.ones_like(t) if weight is None else weight(t)
-        for f in funcs:
-            out = out * _eval1(f, t)
-        return out
-
-    return integrate01(integrand, 1e-12)
 
 
 def _eval1(f: SeparableSum, t) -> np.ndarray:
@@ -131,6 +115,11 @@ class SeparableProblem:
                                      f"separable terms; a single product is required")
             parts[name] = [nonzero.part(v) for v in PARAMS[name][1]]
         (sx, sy, se), (tx, ty) = parts["sigma"], parts["theta"]
+        if not (tx.is_zero() or ty.is_zero()):     # c_x and f divide by theta_x
+            zero = np.abs(_eval1(tx, np.linspace(0.0, 1.0, GRID_XI))) < TOL_ZERO
+            if zero.any():
+                where = "(0.0) is (numerically) zero" if zero[0] else " vanishes on [0,1]"
+                return NotApplicable(f"theta_x{where}; the construction divides by it")
         return SeparableProblem(mu=mu, lam_y=p.lam, lam_const=lam_const,
                                 sigma_x=sx, sigma_y=sy, sigma_e=se,
                                 theta_x=tx, theta_y=ty, q=p.q)
@@ -140,12 +129,15 @@ class SeparableProblem:
 
     def weighted_integral(self, *funcs: SeparableSum) -> float:
         """Integral over [0,1] of the product of ``funcs`` divided by
-        lam(y) + mu."""
-        return _integral01(*funcs, weight=lambda t: 1.0 / self.lam_plus_mu(t))
+        lam(y) + mu, by :func:`integrate01` at 1e-12."""
 
+        def integrand(t):
+            out = 1.0 / self.lam_plus_mu(t)
+            for f in funcs:
+                out = out * _eval1(f, t)
+            return out
 
-def _sup(f: SeparableSum) -> float:
-    return float(np.abs(_eval1(f, np.linspace(0.0, 1.0, GRID_Y))).max())
+        return integrate01(integrand, 1e-12)
 
 
 def sigma_coef(p: SeparableProblem) -> float:
@@ -161,10 +153,10 @@ def sigma_coef(p: SeparableProblem) -> float:
     if p.sigma_x.is_zero() or p.sigma_y.is_zero() or p.sigma_e.is_zero():
         return 0.0
     J = p.weighted_integral(p.sigma_y, p.theta_y)
-    if abs(J) <= TOL_ZERO * max(1.0, _sup(p.sigma_y), _sup(p.theta_y)):
+    a, b, s = (_eval1(f, np.linspace(0.0, 1.0, GRID_Y))
+               for f in (p.sigma_e, p.theta_y, p.sigma_y))
+    if abs(J) <= TOL_ZERO * max(1.0, np.abs(s).max(), np.abs(b).max()):
         return 0.0
-    ys = np.linspace(0.0, 1.0, GRID_Y)
-    a, b = _eval1(p.sigma_e, ys), _eval1(p.theta_y, ys)
     return float(a @ b) / float(b @ b) * J
 
 
@@ -176,15 +168,13 @@ def compute_cx(p: SeparableProblem, kappa: float) -> float:
 
     with kappa from :func:`sigma_coef`, averaged over a y-grid. It does not
     depend on y when lambda is constant or theta_x'(0) = 0; a rate that does
-    leaves a residual that :func:`solve_closed_form` rejects.
+    leaves a residual that :func:`solve_closed_form` rejects. Like
+    :func:`build_f`, it needs a nonzero theta.
     """
     mu = p.mu
     lam = _eval1(p.lam_y, np.linspace(0.0, 1.0, GRID_Y))
     sx0 = float(_eval1(p.sigma_x, 0.0))
     tx0 = float(_eval1(p.theta_x, 0.0))
-    if abs(tx0) < TOL_ZERO:
-        raise ClosedFormError(
-            "theta_x(0.0) is (numerically) zero; the construction divides by it")
     logd0 = float(_eval1(p.theta_x.diff(Var.X), 0.0)) / tx0
     Jq = p.weighted_integral(p.lam_y, p.q, p.theta_y)
     cx_y = mu * sx0 * kappa + mu * lam / (lam + mu) * logd0 + tx0 * Jq
@@ -200,25 +190,21 @@ def build_f(p: SeparableProblem, c_x: float, kappa: float
     with r = lam(y)/(lam(y)+mu) averaged over a y-grid. The kbar equation
     holds when mu f'(xi) = -theta_x(xi) int_0^1 W(xi, y) theta_y(y)/(lam(y)
     + mu) dy; that, and whether f depends on y, is for the residual of
-    :func:`solve_closed_form` to decide. Raises :class:`ClosedFormError`
-    when theta_x vanishes on a xi-grid, as f divides by it.
+    :func:`solve_closed_form` to decide. f divides by theta_x: for a nonzero
+    theta, :meth:`SeparableProblem.from_continuum` has checked it.
     """
     mu = p.mu
-    if np.abs(_eval1(p.theta_x, np.linspace(0.0, 1.0, GRID_XI))).min() < TOL_ZERO:
-        raise ClosedFormError("theta_x vanishes on [0,1]; the construction divides by it")
     dtheta = p.theta_x.diff(Var.X)
     ddtheta = dtheta.diff(Var.X)
     lam = _eval1(p.lam_y, np.linspace(0.0, 1.0, GRID_Y))
     log_coef = float((lam / (lam + mu)).mean())
 
     def f(xi):
-        xi = np.asarray(xi, dtype=float)
         txv = _eval1(p.theta_x, xi)
         return (kappa * _eval1(p.sigma_x, xi) - c_x / mu
                 + log_coef * _eval1(dtheta, xi) / txv)
 
     def fprime(xi):
-        xi = np.asarray(xi, dtype=float)
         txv = _eval1(p.theta_x, xi)
         return (kappa * _eval1(p.sigma_x.diff(Var.X), xi)
                 + log_coef * (_eval1(ddtheta, xi) * txv
@@ -229,54 +215,40 @@ def build_f(p: SeparableProblem, c_x: float, kappa: float
 
 @dataclass
 class ClosedFormKernel:
-    """Separable kernel pair with analytic partial derivatives."""
+    """Separable kernel pair. ``k`` and ``kbar`` give the kernels or, with
+    ``d`` (Var.X or Var.XI), their partial derivatives in closed form."""
 
     c_x: float
     c_y: float | None
-    mu: float
     problem: SeparableProblem
     f: Callable = field(repr=False)
     fprime: Callable = field(repr=False)
     residual: dict = field(default_factory=dict)    # continuum_residual at acceptance
 
-    def _envelope(self, x, xi):
-        return np.exp(self.c_x / self.mu * (np.asarray(x, dtype=float)
-                                            - np.asarray(xi, dtype=float)))
-
-    def _ypart(self, y):
-        p = self.problem
-        return _eval1(p.theta_y, y) / p.lam_plus_mu(y)
-
-    def k(self, x, xi, y):
-        p = self.problem
-        return -self._envelope(x, xi) * _eval1(p.theta_x, xi) * self._ypart(y)
-
-    def kbar(self, x, xi):
-        return self._envelope(x, xi) * self.f(xi)
-
-    def dk_dx(self, x, xi, y):
-        return self.c_x / self.mu * self.k(x, xi, y)
-
-    def dk_dxi(self, x, xi, y):
-        p = self.problem
-        env = self._envelope(x, xi)
+    def k(self, x, xi, y, d: Var | None = None):
+        p, r = self.problem, self.c_x / self.problem.mu
+        if d is Var.X:
+            return r * self.k(x, xi, y)
         tx = _eval1(p.theta_x, xi)
-        dtx = _eval1(p.theta_x.diff(Var.X), xi)
-        return -env * (dtx - self.c_x / self.mu * tx) * self._ypart(y)
+        if d is Var.XI:
+            tx = _eval1(p.theta_x.diff(Var.X), xi) - r * tx
+        return -np.exp(r * (x - xi)) * tx * (_eval1(p.theta_y, y) / p.lam_plus_mu(y))
 
-    def dkbar_dx(self, x, xi):
-        return self.c_x / self.mu * self.kbar(x, xi)
-
-    def dkbar_dxi(self, x, xi):
-        env = self._envelope(x, xi)
-        return env * (self.fprime(xi) - self.c_x / self.mu * self.f(xi))
+    def kbar(self, x, xi, d: Var | None = None):
+        r = self.c_x / self.problem.mu
+        if d is Var.X:
+            return r * self.kbar(x, xi)
+        f = self.f(xi)
+        if d is Var.XI:
+            f = self.fprime(xi) - r * f
+        return np.exp(r * (x - xi)) * f
 
     def describe(self) -> dict:
         p = self.problem
         return {
             "c_x": self.c_x,
             "c_y": self.c_y,
-            "mu": self.mu,
+            "mu": p.mu,
             "lambda_const": p.lam_const,
             "f_at": {str(t): float(self.f(t)) for t in (0.0, 0.5, 1.0)},
             "form": {
@@ -291,8 +263,9 @@ def solve_closed_form(p: ContinuumParams) -> ClosedFormKernel | NotApplicable:
     kernel equations.
 
     Returns :class:`NotApplicable` (never raises) when a structural
-    prerequisite fails (constant mu, lambda in y only, single-product sigma
-    and theta, theta_x nonzero), or when an entry of
+    prerequisite of :meth:`SeparableProblem.from_continuum` fails (constant
+    mu, lambda in y only and positive, single-product sigma and theta,
+    theta_x nonzero on [0,1] unless theta is zero), or when an entry of
     ``continuum_residual(kern, p)`` exceeds TOL_RESIDUAL * max(1, the
     kernel's sup on the prism xi <= x of the 21^3 grid); that reason names
     each equation's residual, and ``details`` holds them. An accepted kernel
@@ -303,17 +276,13 @@ def solve_closed_form(p: ContinuumParams) -> ClosedFormKernel | NotApplicable:
         return sep
     if sep.theta_x.is_zero() or sep.theta_y.is_zero():
         zf = lambda xi: np.zeros_like(np.asarray(xi, dtype=float))
-        kern = ClosedFormKernel(c_x=0.0, c_y=0.0, mu=sep.mu, problem=sep, f=zf, fprime=zf)
+        kern = ClosedFormKernel(c_x=0.0, c_y=0.0, problem=sep, f=zf, fprime=zf)
     else:
         kappa = sigma_coef(sep)
-        try:
-            c_x = compute_cx(sep, kappa)
-            f, fp = build_f(sep, c_x, kappa)
-        except ClosedFormError as e:
-            return NotApplicable(str(e))
+        c_x = compute_cx(sep, kappa)
+        f, fp = build_f(sep, c_x, kappa)
         c_y = None if sep.lam_const is None else kappa * (sep.lam_const + sep.mu)
-        kern = ClosedFormKernel(c_x=c_x, c_y=c_y, mu=sep.mu, problem=sep, f=f,
-                                fprime=fp)
+        kern = ClosedFormKernel(c_x=c_x, c_y=c_y, problem=sep, f=f, fprime=fp)
     x, xi, y = np.ix_(*[np.linspace(0.0, 1.0, GRID_RESIDUAL)] * 3)
     tri = np.tri(GRID_RESIDUAL, dtype=bool)     # xi <= x, where the kernels live
     size = max(np.abs(kern.k(x, xi, y))[tri].max(),

@@ -297,6 +297,8 @@ def refine_study(ls: LargeScaleParams, m_list, reference=None) -> RefineReport:
     differences (restricted to the common coarse nodes) and, optionally,
     errors against a reference kernel family callable(ref(i, x, xi))."""
     m_list = list(m_list)
+    if not m_list:
+        raise ValueError("a refinement study needs at least one mesh size")
     grids = [TriGrid(m) for m in m_list]    # the whole ladder is checked first
     if any(b <= a for a, b in zip(m_list, m_list[1:])):
         raise ValueError("mesh sizes must increase")

@@ -65,16 +65,14 @@ class GainTable:
 def _ensemble_kernels(sol, xs, xis, ys, d: Var | None = None):
     """k on the outer grid (x, xi, y) and kbar on (x, xi) of a series
     solution, or of any other ensemble solution as a closed-form kernel
-    (its k, kbar and analytic partials), or their derivatives in ``d``
-    (Var.X or Var.XI)."""
+    (its ``k(x, xi, y, d)`` and ``kbar(x, xi, d)``), or their derivatives
+    in ``d`` (Var.X or Var.XI)."""
     if isinstance(sol, PsKernelSolution):
         k, kbar = (sol.k, sol.kbar) if d is None else (sol.k.diff(d), sol.kbar.diff(d))
         at = {Var.X: xs, Var.XI: xis, Var.Y: ys}
         return k.eval_grid(at), kbar.eval_grid(at)
-    k, kbar = {None: (sol.k, sol.kbar), Var.X: (sol.dk_dx, sol.dkbar_dx),
-               Var.XI: (sol.dk_dxi, sol.dkbar_dxi)}[d]
     X, XI, Y = np.ix_(xs, xis, ys)
-    return k(X, XI, Y), kbar(X[..., 0], XI[..., 0])
+    return sol.k(X, XI, Y, d), sol.kbar(X[..., 0], XI[..., 0], d)
 
 
 def gains(sol, grid_xi: np.ndarray | None = None,
@@ -216,9 +214,9 @@ def write_gain_csv(table: GainTable, path, report_path: str | None = None) -> No
                    header=f"{report_line}# sampled: {int(table.sampled)}\nxi,kbar,{cols}")
 
 
-def _is_number(field: str) -> bool:
+def _is_number(field: str, kind=float) -> bool:
     try:
-        float(field)
+        kind(field)
     except ValueError:
         return False
     return True
@@ -227,8 +225,12 @@ def _is_number(field: str) -> bool:
 def read_gain_csv(path) -> GainTable:
     with open(path, "r", encoding="utf-8") as fh:
         lines = [(i, line.strip()) for i, line in enumerate(fh, 1)]
-    sampled = any(line.startswith("# sampled:") and bool(int(line.split(":")[1]))
-                  for _, line in lines)
+    flags = [(i, line.split(":", 1)[1]) for i, line in lines
+             if line.startswith("# sampled:")]
+    for i, v in flags:
+        if not _is_number(v, int):
+            raise ValueError(f"{path}: line {i} has a sampled flag that is not "
+                             f"an integer: {v.strip()!r}")
     lines = [(i, line) for i, line in lines if line and not line.startswith("#")]
     if len(lines) < 2:
         raise ValueError(f"no gain table found in {path}")
@@ -258,5 +260,9 @@ def read_gain_csv(path) -> GainTable:
     if not finite.all():
         raise ValueError(f"{path}: line {rows[int(np.argmin(finite))][0]} "
                          f"holds a non-finite value")
-    return GainTable(grid_xi=data[:, 0], grid_y=[float(h[4:]) for h in header[2:]],
-                     k=data[:, 2:].T, kbar=data[:, 1], sampled=sampled)
+    try:    # GainTable checks that the grids increase: name the file
+        return GainTable(grid_xi=data[:, 0], grid_y=[float(h[4:]) for h in header[2:]],
+                         k=data[:, 2:].T, kbar=data[:, 1],
+                         sampled=any(int(v) for _, v in flags))
+    except ValueError as e:
+        raise ValueError(f"{path}: {e}") from None

@@ -376,6 +376,18 @@ class TestBench:
                 order_y, exact_q, sigma_sign)
             assert ("max_error" in r) == example.startswith("example1")
 
+    def test_exact_reference_wherever_the_closed_form_applies(self, tmp_path,
+                                                              monkeypatch):
+        # not only example1: the zero problem's closed form, the zero
+        # kernel, is its exact reference
+        monkeypatch.setitem(cli.BENCH_PRESETS, "zero", ("zero", None, False, 1))
+        out = tmp_path / "z.csv"
+        assert run(["bench", "--example", "zero", "--orders", "4,6",
+                    "--skip-baseline", "--out", str(out)]) == 0
+        assert out.read_text().splitlines()[0].split(",")[4] == "max_error"
+        rows = read_report(tmp_path / "z_report.json")["rows"]
+        assert [r["max_error"] for r in rows] == [0.0, 0.0]
+
     def test_example2_with_baseline(self, tmp_path):
         out = tmp_path / "b2.csv"
         assert run(["bench", "--example", "example2", "--orders", "5",
@@ -697,6 +709,20 @@ def test_usage_error_exits_1(capsys):
     assert err.startswith("usage: ckpde solve")
     assert err.endswith("ckpde solve: error: the following arguments are "
                         "required: --order/-N\n")
+
+
+@pytest.mark.parametrize("argv, error", [
+    (["bench", "--example", "example1", "--orders", "4,x"], "--orders: 'x'"),
+    (["bench", "--example", "example1", "--orders", "4", "--fit-degrees", "2, y"],
+     "--fit-degrees: 'y'"),
+    (["ls-kernels", "--config", "example2", "--refine", "8,z"], "--refine: 'z'")],
+    ids=["orders", "fit-degrees", "refine"])
+def test_comma_lists_name_the_flag_and_entry(tmp_path, capsys, argv, error):
+    # each used to fail with int()'s "invalid literal for int() with base 10"
+    assert run(argv + ["--out-prefix" if argv[0] == "ls-kernels" else "--out",
+                       str(tmp_path / "o")]) == 1
+    assert capsys.readouterr().err == f"error: {error} is not an integer\n"
+    assert not list(tmp_path.iterdir())
 
 
 def test_cold_start_imports():

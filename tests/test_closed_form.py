@@ -9,8 +9,7 @@ import scipy.integrate
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from continuum_kernels.closed_form import (ClosedFormError, NotApplicable,
-                                           SeparableProblem, _integral01,
+from continuum_kernels.closed_form import (NotApplicable, SeparableProblem,
                                            build_f, compute_cx, sigma_coef,
                                            solve_closed_form)
 from continuum_kernels.fd_kernels import TriGrid, solve_characteristics
@@ -18,9 +17,9 @@ from continuum_kernels.gains import continuum_residual, diff_solutions, gains
 from continuum_kernels.params import LargeScaleParams
 from continuum_kernels.power_series import SolverConfig, assemble, solve_ls
 from continuum_kernels.series import (Exp, Polynomial, SeparableSum,
-                                      SeparableTerm, Var)
+                                      SeparableTerm, Var, integrate01)
 
-X, Y, ETA = Var.X, Var.Y, Var.ETA
+X, XI, Y, ETA = Var.X, Var.XI, Var.Y, Var.ETA
 
 
 def make_continuum(lam=1.0, mu=1.0, sigma=None, theta=None, W=None, q=None):
@@ -87,7 +86,8 @@ class TestCheckCy:
 
 
     def test_polynomial_integral_above_degree_64(self):
-        assert _integral01(SeparableSum.poly(Y, [0] * 70 + [1])) == \
+        t70 = SeparableSum.poly(Y, [0] * 70 + [1])
+        assert integrate01(lambda t: t70.eval1(Y, t), 1e-12) == \
             pytest.approx(1.0 / 71.0, rel=1e-14)
 
 
@@ -121,8 +121,9 @@ class TestComputeCx:
         p = make_continuum(theta=product(1.0, Polynomial(X, [0, 1]),
                                          Polynomial(Y, [1, 1])), q=0.0)
         sep = SeparableProblem.from_continuum(p)
-        with pytest.raises(ClosedFormError, match="zero"):
-            compute_cx(sep, 0.0)
+        assert isinstance(sep, NotApplicable)
+        assert sep.reason == ("theta_x(0.0) is (numerically) zero; "
+                              "the construction divides by it")
 
 
 class TestBuildF:
@@ -185,6 +186,16 @@ class TestBuildKernels:
         Xg, XIg, Yg = np.meshgrid(xs, xs, xs, indexing="ij")
         np.testing.assert_array_equal(kern.k(Xg, XIg, Yg), 0.0)
         np.testing.assert_array_equal(kern.kbar(Xg[..., 0], XIg[..., 0]), 0.0)
+
+    def test_zero_theta_skips_the_theta_x_check(self):
+        # theta_x = x vanishes at 0, but a zero scale makes theta zero: the
+        # zero kernel needs no division by theta_x
+        p = make_continuum(theta=product(0.0, Polynomial(X, [0, 1]),
+                                         Polynomial(Y, [1, 1])), q=0.0)
+        assert not isinstance(SeparableProblem.from_continuum(p), NotApplicable)
+        kern = solve_closed_form(p)
+        assert not isinstance(kern, NotApplicable)
+        assert kern.c_x == 0.0 and kern.k(1.0, 0.0, 0.5) == 0.0
 
     def test_diagonal_identity(self, example1):
         kern = solve_closed_form(example1.continuum)
@@ -638,3 +649,31 @@ class TestClosedFormClass:
             t = gains(solve_characteristics(family, TriGrid(m)))
             errs.append(diff_solutions(t, gains(kern, t.grid_xi, t.grid_y)))
         assert 1.5 <= errs[0] / errs[1] <= 2.5, errs
+
+
+def assert_partials_match_differences(kern):
+    """k(..., d) and kbar(..., d) for d = x, xi against central differences
+    of k and kbar at interior points, with a relative step of 1e-6."""
+    Xg, XIg, Yg = np.meshgrid([0.35, 0.7, 0.9], [0.2, 0.5, 0.85], [0.25, 0.6],
+                              indexing="ij")
+    at = {X: Xg, XI: XIg}
+    kernels = {"k": lambda a, d=None: kern.k(a[X], a[XI], Yg, d),
+               "kbar": lambda a, d=None: kern.kbar(a[X], a[XI], d)}
+    for d in (X, XI):
+        up, down = at | {d: at[d] * (1 + 1e-6)}, at | {d: at[d] * (1 - 1e-6)}
+        for name, f in kernels.items():
+            diffs = (f(up) - f(down)) / (up[d] - down[d])
+            exact = f(at, d)
+            scale = max(np.abs(f(at)).max(), np.abs(exact).max())
+            np.testing.assert_allclose(exact, diffs, rtol=1e-6, atol=1e-6 * scale,
+                                       err_msg=f"d{name}/d{d.value}")
+
+
+class TestPartials:
+    def test_example1(self, example1):
+        assert_partials_match_differences(solve_closed_form(example1.continuum))
+
+    @settings(max_examples=20, deadline=None)
+    @given(closed_form_class())
+    def test_closed_form_class(self, p):
+        assert_partials_match_differences(solve_closed_form(p))

@@ -187,11 +187,11 @@ def loop_sampled_kernels(sol, ls, xs):
         for i, y in enumerate(ys):
             Yg = np.full_like(X, y)
             K[i] = sol.k(X, XI, Yg)
-            dKdx[i] = sol.dk_dx(X, XI, Yg)
-            dKdxi[i] = sol.dk_dxi(X, XI, Yg)
+            dKdx[i] = sol.k(X, XI, Yg, Var.X)
+            dKdxi[i] = sol.k(X, XI, Yg, Var.XI)
         K[n] = sol.kbar(X, XI)
-        dKdx[n] = sol.dkbar_dx(X, XI)
-        dKdxi[n] = sol.dkbar_dxi(X, XI)
+        dKdx[n] = sol.kbar(X, XI, Var.X)
+        dKdxi[n] = sol.kbar(X, XI, Var.XI)
     return np.stack([K, dKdx, dKdxi])
 
 
@@ -357,13 +357,17 @@ class TestCsvRoundTrip:
             "0.10000000000000001,-0,1.0000000000000001e+300\n"
             "0.20000000000000001,nan,inf\n").encode("utf-8")
 
-    @pytest.mark.parametrize("cut", ["last-row", "header", "abc", "nan"])
+    @pytest.mark.parametrize("cut", ["last-row", "header", "abc", "nan", "sampled-yes",
+                                     "sampled-empty", "xi-order"])
     def test_short_rows_name_the_file_and_line(self, tmp_path, cut):
         # a ragged row used to fail with numpy's "inhomogeneous shape", and a
         # header naming more columns than the rows hold with GainTable's
         # "shape does not match grids", neither naming the file; a bad value
         # in the first row failed with numpy's "at row 0, column 4" or with
-        # GainTable's "gain tables must be finite"
+        # GainTable's "gain tables must be finite"; a sampled flag that is
+        # not an integer failed with int()'s "invalid literal", and xi rows
+        # out of order with GainTable's bare "grid_xi must be strictly
+        # increasing"
         path = tmp_path / "g.csv"
         write_gain_csv(GainTable(grid_xi=np.linspace(0, 1, 3), grid_y=[0.5, 1.0],
                                  k=np.ones((2, 3)), kbar=np.ones(3), sampled=True),
@@ -373,13 +377,20 @@ class TestCsvRoundTrip:
             lines[-1] = lines[-1].rsplit(",", 1)[0]
         elif cut == "header":
             lines[1] += ",k@y=2.0"
+        elif cut.startswith("sampled"):
+            lines[0] = "# sampled:" + (" yes" if cut == "sampled-yes" else "")
+        elif cut == "xi-order":
+            lines[2:4] = lines[3], lines[2]
         else:
             lines[2] = lines[2].rsplit(",", 1)[0] + "," + cut
         path.write_text("\n".join(lines) + "\n")
         bad = {"last-row": "line 5 has 3 fields, but the header names 4",
                "header": "line 3 has 4 fields, but the header names 5",
                "abc": "line 3 field 4 is not a number: 'abc'",
-               "nan": "line 3 holds a non-finite value"}[cut]
+               "nan": "line 3 holds a non-finite value",
+               "sampled-yes": "line 1 has a sampled flag that is not an integer: 'yes'",
+               "sampled-empty": "line 1 has a sampled flag that is not an integer: ''",
+               "xi-order": "grid_xi must be strictly increasing"}[cut]
         with pytest.raises(ValueError, match=f"g.csv: {bad}"):
             read_gain_csv(path)
 
