@@ -8,8 +8,11 @@ Usage, from the root of the repository:
 Each `--tree label=path` names a source directory to import the package
 from; with two trees the runs alternate, so both see the same machine
 state. Every (case, tree, repetition) runs in a fresh interpreter with one
-BLAS thread and reports the solve's wall time, the part of it that builds
-the stencils, its sweep count, and the process's peak RSS before the solve
+BLAS thread and reports the solve's wall time, each of its stages as
+`<stage>_s` (`stencils_s`, `pass_s` and `check_s`: the stencils, the
+march's one pass and its spot check; a tree from before the one-pass
+march reports `stencils_s` and `sweeps_s`), its sweep count (the spot
+check counts as the second), and the process's peak RSS before the solve
 (the imports and the problem) and after it. The cases are
 example2 at n = 10 with m = 128, 256 and 512; example2 at m = 256 with
 n = 20, 80 and 160; example1 at n = 10, m = 256; and, at m = 256 with n = 10
@@ -57,8 +60,8 @@ def one_run(name: str, n: int, m: int) -> dict:
     t = time.perf_counter()
     sol = solve_characteristics(ls, TriGrid(m))
     t = time.perf_counter() - t
-    return {"time_s": t, "stencils_s": sol.stages_s["stencils"], "sweeps": sol.iterations,
-            "base_rss_mb": base,
+    return {"time_s": t, **{f"{s}_s": v for s, v in sol.stages_s.items()},
+            "sweeps": sol.iterations, "base_rss_mb": base,
             "peak_rss_mb": resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024}
 
 
@@ -113,11 +116,8 @@ def main() -> int:
         print(key, {label: round(statistics.median(r["time_s"] for r in runs[label][key]), 3)
                     for label in trees}, file=sys.stderr)
     result = {"environment": environment(), "reps": args.reps, "cases": {
-        label: {key: {"time_s": summary([r["time_s"] for r in rs]),
-                      "stencils_s": summary([r["stencils_s"] for r in rs]),
-                      "sweeps": rs[0]["sweeps"],
-                      "base_rss_mb": summary([r["base_rss_mb"] for r in rs]),
-                      "peak_rss_mb": summary([r["peak_rss_mb"] for r in rs])}
+        label: {key: {k: rs[0][k] if k == "sweeps" else summary([r[k] for r in rs])
+                      for k in rs[0]}
                 for key, rs in cases.items()}
         for label, cases in runs.items()}}
     text = json.dumps(result, indent=1)

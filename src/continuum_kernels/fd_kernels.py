@@ -3,15 +3,15 @@
 The kernel family k^1..k^n propagates from the diagonal xi = x toward the
 interior of the triangle, the counter kernel k^{n+1} from the edge xi = 0.
 Both travel in +x, and every coupling source at x-level a-1 depends only on
-kernel values at that level. So one Gauss-Seidel march in x, level by
-level, each level's values traced back along the characteristic curves
-from the level below and its sources taken from the values just computed,
-solves the discrete equations; a second sweep certifies the answer by
-reproducing it (sup change 0). Source integrals use the rectangle rule at
-the upstream point and off-grid values linear interpolation, so the error
-is in general first order in the mesh width, but not always. With an
-integer lam/mu every foot lands on a node and the interpolation is exact:
-on closed-form problems the error then fell 3.9-4.0x per halving of h.
+kernel values at that level. So one pass in x, level by level, each
+level's values traced back along the characteristic curves from the level
+below and its sources taken from the values just computed, solves the
+discrete equations; a spot check that reruns a few levels certifies it.
+Source integrals use the rectangle rule at the upstream point and off-grid
+values linear interpolation, so the error is in general first order in the
+mesh width, but not always. With an integer lam/mu every foot lands on a
+node and the interpolation is exact: on closed-form problems the error
+then fell 3.9-4.0x per halving of h.
 With q != 0 the first-order rectangle-rule and interpolation terms can
 cancel, as they did on some closed-form draws. Richardson extrapolation,
 2 K_2m - K_m, assumes first order and would add error there instead of
@@ -34,18 +34,19 @@ __all__ = ["TriGrid", "LsKernelSolution", "ConvergenceError",
            "solve_characteristics", "refine_study", "RefineReport"]
 
 
-TOL = 1e-10  # a solve stops once a sweep's sup change drops below this
+TOL = 1e-10    # a level the spot check reruns must move by less than this
+CHECK_EVERY = 16    # the spot check reruns every 16th level and the last
 
 
 class ConvergenceError(RuntimeError):
-    def __init__(self, history: list[float]):
-        self.history = history
+    def __init__(self, history: list[float], level: int | None = None):
+        self.history, self.level = history, level     # level None: no check ran
         self.iterations = len(history)
         self.final_delta = history[-1] if history else np.inf
         super().__init__(
-            f"fixed point did not reach tol={TOL:.1e} in {self.iterations} "
-            f"sweeps (last change {self.final_delta:.3e})"
-        )
+            f"spot check: level {level} moved by {self.final_delta:.3e} when rerun"
+            f" (tol {TOL:.1e})" if level is not None else f"one pass (change "
+            f"{self.final_delta:.3e}) and max_iter={self.iterations}: no spot check")
 
 
 @dataclass(frozen=True)
@@ -76,8 +77,9 @@ class LsKernelSolution:
     k: np.ndarray
     grid: TriGrid
     y_points: np.ndarray
-    history: list[float]            # sup change of each sweep
+    history: list[float]    # [the pass's sup change from zero, the check's largest]
     stages_s: dict[str, float] = field(default_factory=dict)
+    checked_levels: list[int] = field(default_factory=list)
 
     @property
     def iterations(self) -> int:
@@ -100,7 +102,7 @@ def _weights(t: np.ndarray, h: float, length):
 
 
 class _Stencils:
-    """The iterate-independent part of a sweep on one grid: the speeds'
+    """The K-independent part of a level step on one grid: the speeds'
     characteristics, so no boundary data.
 
     Flat indices address one level of the level-major kernel array
@@ -192,21 +194,20 @@ def _starts(count, m):
 
 def solve_characteristics(ls: LargeScaleParams, grid: TriGrid | None = None,
                           max_iter: int = 200) -> LsKernelSolution:
-    """March the discrete kernel equations level by level in x.
+    """March the discrete kernel equations level by level in x, in one pass.
 
-    A sweep updates the previous iterate in place, level a = 0..m in turn.
-    Every node value is the boundary value at its characteristic's origin
-    plus the source integral; the sources at level a-1 are evaluated from
-    the kernels this sweep has just computed there, and within level a the
-    nodes come in dependency order (interior nodes, diagonal sources,
-    diagonal-crossing nodes, the xi = 0 boundary value and source, edge-
-    crossing nodes, then the source row for level a+1). So the first sweep
-    solves the discrete equations, and the second reproduces it: its sup
-    change, which certifies the answer, is 0. A value read before this sweep
-    sets it is the previous iterate's, so a broken order would only cost more
-    sweeps, never a wrong fixed point. The characteristics do not depend on
-    K, so their stencils are built once per solve. Stops when the sup change
-    drops below ``TOL``; raises :class:`ConvergenceError` otherwise.
+    ``level(a)`` sets level a from level a-1 and its source row S. Every
+    node value is the boundary value at its characteristic's origin plus
+    the source integral, and within a level the nodes come in dependency
+    order (interior nodes, diagonal sources, diagonal-crossing nodes, the
+    xi = 0 boundary value and source, edge-crossing nodes, then the source
+    row for level a+1), so the pass solves the discrete equations. A spot
+    check reruns ``level(a)`` at every ``CHECK_EVERY``-th level and the
+    last, from the stored level below: a value read before the pass set it
+    would read zero there, so a broken order moves a rerun level, and a
+    move of ``TOL`` or more raises :class:`ConvergenceError`. The check
+    counts as a second sweep (``max_iter``); a pass that leaves K at zero
+    certifies itself. The stencils do not depend on K: built once per solve.
     """
     if grid is None:
         grid = TriGrid(256)
@@ -232,53 +233,62 @@ def solve_characteristics(ls: LargeScaleParams, grid: TriGrid | None = None,
     S_diag = np.zeros((n, m + 1))                   # S[:n, a, a]
     S_left = np.zeros(m + 1)                        # S[n, a, 0]
     Sp, Sd = S.reshape(-1), S_diag.reshape(-1)
-    history = []
-    while len(history) < max_iter:
-        # level 0 is the corner x = xi = 0, boundary data alone
-        old = K[0, :, 0].copy()
-        K[0, :n, 0] = diag_bc[:, 0]
-        K[0, n, 0] = g.left_bc(diag_bc[:, 0])
-        S[:, :1] = g.sources(K[0, :, :1])
-        S_diag[:, 0], S_left[0] = S[:n, 0], S[n, 0]
-        change = float(np.abs(K[0, :, 0] - old).max())
-        for a in range(1, m + 1):
-            old = K[a, :, :a + 1].copy()
-            Kp, Ka = K[a - 1].reshape(-1), K[a].reshape(-1)
-            # 1. interior nodes and the diagonal data
-            j = slice(st.starts[a], st.starts[a + 1])
-            # 1 - w is formed per level, not stored: the same bits, and no
-            # second weight table as large as the first
-            lo, w = st.lo[j], st.w[j]
-            w1 = 1.0 - w
-            Ka[st.node[j]] = (Kp[lo] * w1 + Kp[1:][lo] * w
-                              + c[a - 1] * (Sp[lo] * w1 + Sp[1:][lo] * w))
-            K[a, :n, a] = diag_bc[:, a]
-            # 2. diagonal sources; 3. family nodes that cross the diagonal
-            S_diag[:, a] = D[:, a] + TH[:, a] * K[a, n, a]
-            j = slice(st.d_starts[a], st.d_starts[a + 1])
-            lo, w = st.d_lo[j], st.d_w[j]
-            Ka[st.d_node[j]] = d_k[j] + st.d_c[j] * (Sd[lo] * (1.0 - w) + Sd[1:][lo] * w)
-            # 4. the xi = 0 boundary value; 5. its source
-            K[a, n, 0] = g.left_bc(K[a, :n, 0])
-            # written out: a g.sources call here made the march 10-20 % slower
-            S_left[a] = -dmu[0] * K[a, n, 0] + WW[:, 0] @ K[a, :n, 0]
-            # 6. counter nodes that cross xi = 0
-            j = slice(st.z_starts[a], st.z_starts[a + 1])
-            if j.start < j.stop:
-                x0 = st.z_x[j]
-                Ka[st.z_node[j]] = (np.interp(x0, xs, left)
-                                    + st.z_c[j] * np.interp(x0, xs, S_left))
-            # 7. the source row the next level reads
-            S[:, :a + 1] = g.sources(K[a, :, :a + 1])
-            change = max(change, float(np.abs(K[a, :, :a + 1] - old).max()))
-        history.append(change)
-        if change < TOL:
-            return LsKernelSolution(
-                k=K.transpose(1, 0, 2), grid=grid,
-                y_points=ls.points, history=history,
-                stages_s={"stencils": t1 - t0,
-                          "sweeps": time.perf_counter() - t1})
-    raise ConvergenceError(history)
+
+    def level(a):
+        Kp, Ka = K[a - 1].reshape(-1), K[a].reshape(-1)
+        # 1. interior nodes and the diagonal data
+        j = slice(st.starts[a], st.starts[a + 1])
+        # 1 - w is formed per level, not stored: the same bits, and no
+        # second weight table as large as the first
+        lo, w = st.lo[j], st.w[j]
+        w1 = 1.0 - w
+        Ka[st.node[j]] = (Kp[lo] * w1 + Kp[1:][lo] * w
+                          + c[a - 1] * (Sp[lo] * w1 + Sp[1:][lo] * w))
+        K[a, :n, a] = diag_bc[:, a]
+        # 2. diagonal sources; 3. family nodes that cross the diagonal
+        S_diag[:, a] = D[:, a] + TH[:, a] * K[a, n, a]
+        j = slice(st.d_starts[a], st.d_starts[a + 1])
+        lo, w = st.d_lo[j], st.d_w[j]
+        Ka[st.d_node[j]] = d_k[j] + st.d_c[j] * (Sd[lo] * (1.0 - w) + Sd[1:][lo] * w)
+        # 4. the xi = 0 boundary value; 5. its source
+        K[a, n, 0] = g.left_bc(K[a, :n, 0])
+        # written out: a g.sources call here made the march 10-20 % slower
+        S_left[a] = -dmu[0] * K[a, n, 0] + WW[:, 0] @ K[a, :n, 0]
+        # 6. counter nodes that cross xi = 0
+        j = slice(st.z_starts[a], st.z_starts[a + 1])
+        if j.start < j.stop:
+            x0 = st.z_x[j]
+            Ka[st.z_node[j]] = (np.interp(x0, xs, left)
+                                + st.z_c[j] * np.interp(x0, xs, S_left))
+        # 7. the source row the next level reads
+        S[:, :a + 1] = g.sources(K[a, :, :a + 1])
+
+    # level 0 is the corner x = xi = 0, boundary data alone
+    K[0, :n, 0] = diag_bc[:, 0]
+    K[0, n, 0] = g.left_bc(diag_bc[:, 0])
+    S[:, :1] = g.sources(K[0, :, :1])
+    S_diag[:, 0], S_left[0] = S[:n, 0], S[n, 0]
+    for a in range(1, m + 1):
+        level(a)
+    t2 = time.perf_counter()
+    sup = float(max(K.max(), -K.min()))     # the pass's change from the zero start
+    checked = [*range(CHECK_EVERY, m, CHECK_EVERY), m] if sup != 0.0 else []
+    history = [sup, 0.0] if checked else [sup]
+    if checked and max_iter < 2:
+        raise ConvergenceError([sup])
+    for a in checked:
+        S[:, :a] = g.sources(K[a - 1, :, :a])
+        old = K[a].copy()
+        level(a)
+        change = float(np.abs(K[a] - old).max())
+        if not change < TOL:
+            raise ConvergenceError([sup, change], a)
+        history[1] = max(history[1], change)
+    return LsKernelSolution(
+        k=K.transpose(1, 0, 2), grid=grid, y_points=ls.points, history=history,
+        stages_s={"stencils": t1 - t0, "pass": t2 - t1,
+                  "check": time.perf_counter() - t2},
+        checked_levels=checked)
 
 
 @dataclass
@@ -304,28 +314,18 @@ def refine_study(ls: LargeScaleParams, m_list, reference=None) -> RefineReport:
         raise ValueError("mesh sizes must increase")
     if any(b % a for a, b in zip(m_list, m_list[1:])):
         raise ValueError("each refinement must be a multiple of the last")
-    sols = []
+    sols = [solve_characteristics(ls, grid) for grid in grids]
     ref_errors = []
-    for grid in grids:
-        sol = solve_characteristics(ls, grid)
-        sols.append(sol)
-        if reference is not None:
-            xs = sol.grid.nodes()
-            X, XI = np.meshgrid(xs, xs, indexing="ij")
-            tri = XI <= X
-            err = 0.0
-            for i in range(ls.n + 1):
-                vals = reference(i, X, XI)
-                err = max(err, float(np.abs((sol.k[i] - vals))[tri].max()))
-            ref_errors.append(err)
+    if reference is not None:
+        for sol in sols:
+            X, XI = np.meshgrid(sol.grid.nodes(), sol.grid.nodes(), indexing="ij")
+            ref_errors.append(max(float(np.abs(sol.k[i] - reference(i, X, XI))[XI <= X].max())
+                                  for i in range(ls.n + 1)))
     diffs = []
     for s1, s2 in zip(sols, sols[1:]):
         r = s2.grid.m // s1.grid.m
-        sub = s2.k[:, ::r, ::r]
-        xs = s1.grid.nodes()
-        X, XI = np.meshgrid(xs, xs, indexing="ij")
-        tri = XI <= X
-        diffs.append(float(np.abs(s1.k - sub)[:, tri].max()))
+        tri = np.tri(s1.grid.m + 1, dtype=bool)     # the nodes xi <= x
+        diffs.append(float(np.abs(s1.k - s2.k[:, ::r, ::r])[:, tri].max()))
     ratios = [d1 / d2 for d1, d2 in zip(diffs, diffs[1:]) if d2 > 0]
     return RefineReport(m_list=m_list, diffs=diffs, ratios=ratios,
                         reference_errors=ref_errors, solutions=sols)

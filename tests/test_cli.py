@@ -46,7 +46,9 @@ SOLVE_BLOCK = {"order", "order_y", "exact_q", "sigma_sign", "num_unknowns",
                "num_equations", "nnz", "ordering", "span_cut", "wide_rows",
                "panel_cols", "r_diag_ratio", "residual", "certificate",
                "residual_by_source", "stages_s", "timing_s"}
-MARCH_BLOCK = {"iterations", "final_delta", "sweep_history", "stages_s", "timing_s"}
+MARCH_BLOCK = {"iterations", "final_delta", "sweep_history", "checked_levels",
+               "stages_s", "timing_s"}
+MARCH_STAGES = {"stencils", "pass", "check"}
 SIM_OWN = {"n", "steps", "dt", "step_ms", "minor_faults"}
 
 
@@ -67,7 +69,7 @@ def keys(*names, **blocks):
     (["closed-form", "--config", "example2", "--out-prefix", "{d}/r"],
      2, {"closed_form"}, {"applicable"}, keys("applicable", "reason", "details")),
     (["ls-kernels", "--config", "example2", "--m", "16", "--out-prefix", "{d}/r"],
-     0, {"stencils", "sweeps"}, {"iterations", "final_delta"},
+     0, MARCH_STAGES, {"iterations", "final_delta"},
      keys(*MARCH_BLOCK, "n", "m")),
     (["simulate", "--config", "example2", "--mx", "32", "--t-final", "0.2",
       "--solve-order", "4", "--out-prefix", "{d}/r"], 0,
@@ -75,7 +77,8 @@ def keys(*names, **blocks):
      {"verdict", "initial_norm", "final_norm", "norm_ratio"},
      keys(*SIM_OWN, solve=SOLVE_BLOCK)),
     (["bench", "--example", "example1", "--orders", "4,6", "--skip-baseline",
-      "--out", "{d}/r.csv"], 0, {"reference"}, {"residual", "max_error", "d_prev"},
+      "--out", "{d}/r.csv"], 0, {"reference", "import"},
+     {"residual", "max_error", "d_prev"},
      keys("example", reference=None, rows=SOLVE_BLOCK | {"N", "max_error"})),
     (["fit-q", "--config", "example2", "--degree", "2", "--out", "{d}/r_report.json"],
      0, {"fit"}, {"rms_error"}, keys("degree", "coefficients_ascending", "rms_error")),
@@ -83,10 +86,10 @@ def keys(*names, **blocks):
       "--open-loop", "--out-prefix", "{d}/r"], 0, {"setup", "gains", "init", "run"},
      {"verdict", "initial_norm", "final_norm", "norm_ratio"}, keys(*SIM_OWN, solve=None)),
     (["bench", "--example", "example2", "--orders", "4,5", "--baseline-m", "16",
-      "--out", "{d}/r.csv"], 0, {"reference"}, {"residual", "d_np1", "d_prev"},
+      "--out", "{d}/r.csv"], 0, {"reference", "import"}, {"residual", "d_np1", "d_prev"},
      keys("example", reference=MARCH_BLOCK, rows=SOLVE_BLOCK | {"N", "d_np1"})),
     (["ls-kernels", "--config", "example2", "--refine", "8,16,32", "--out-prefix",
-      "{d}/r"], 0, {"stencils", "sweeps"}, {"diff", "ratio"},
+      "{d}/r"], 0, MARCH_STAGES, {"diff", "ratio"},
      keys("n", "m_list", "diffs", "ratios", meshes=MARCH_BLOCK)),
 ])
 def test_one_report_per_run(tmp_path, argv, code, stages, quality, own):
@@ -328,6 +331,15 @@ class TestBench:
                     "--out", str(out)]) == 0
         assert out.read_text().count("\n") == 1  # header only
 
+    def test_scipy_import_is_its_own_stage(self, tmp_path):
+        # the series solver's scipy import is timed once before the rows,
+        # not inside the first row's assemble and solve_ls; a sweep without
+        # orders imports nothing
+        for orders, stages in (("4", {"reference", "import"}), ("", {"reference"})):
+            assert run(["bench", "--example", "example1", "--orders", orders,
+                        "--skip-baseline", "--out", str(tmp_path / "b.csv")]) == 0
+            assert set(read_report(tmp_path / "b_report.json")["stages_s"]) == stages
+
     def test_small_sweep_with_exact_reference(self, tmp_path):
         out = tmp_path / "bench.csv"
         assert run(["bench", "--example", "example1", "--orders", "4,6",
@@ -400,7 +412,7 @@ class TestBench:
         reference = read_report(tmp_path / "b2_report.json")["reference"]
         march = read_report(tmp_path / "lk_report.json")
         assert set(reference) == MARCH_BLOCK
-        for key in ("iterations", "final_delta", "sweep_history"):
+        for key in ("iterations", "final_delta", "sweep_history", "checked_levels"):
             assert reference[key] == march[key], key
 
 
@@ -663,12 +675,14 @@ class TestLsKernels:
         assert run(["ls-kernels", "--config", "example2", "--m", "24",
                     "--out-prefix", prefix]) == 0
         rep = json.loads((tmp_path / "lk_report.json").read_text())
-        # the march solves in one sweep and the second certifies it
+        # the march solves in one pass and the spot check certifies it: the
+        # check counts as the second sweep and changes nothing
         assert rep["iterations"] == 2
         assert rep["sweep_history"][-1] == 0.0
         assert len(rep["sweep_history"]) == rep["iterations"]
         assert rep["sweep_history"][-1] == rep["final_delta"]
-        assert set(rep["stages_s"]) == {"stencils", "sweeps"}
+        assert rep["checked_levels"] == [16, 24]
+        assert set(rep["stages_s"]) == MARCH_STAGES
         assert all(t >= 0.0 for t in rep["stages_s"].values())
         table = read_gain_csv(tmp_path / "lk_gains.csv")
         assert table.sampled and table.k.shape == (10, 25)
@@ -695,8 +709,12 @@ class TestLsKernels:
         assert rep["ratios"] == [rep["diffs"][0] / rep["diffs"][1]]
         assert rep["quality"] == {"diff": rep["diffs"][-1], "ratio": rep["ratios"][-1]}
         assert [len(b["sweep_history"]) for b in rep["meshes"]] == [2, 2, 2]
-        assert rep["stages_s"]["sweeps"] == pytest.approx(
-            sum(b["stages_s"]["sweeps"] for b in rep["meshes"]))
+        assert [b["checked_levels"] for b in rep["meshes"]] == [[8], [16], [16, 32]]
+        # every stage of the meshes is summed, none dropped
+        assert set(rep["stages_s"]) == MARCH_STAGES
+        for stage in MARCH_STAGES:
+            assert rep["stages_s"][stage] == pytest.approx(
+                sum(b["stages_s"][stage] for b in rep["meshes"]))
 
 
 def test_usage_error_exits_1(capsys):

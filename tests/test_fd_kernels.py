@@ -276,6 +276,46 @@ class TestAgainstPerLevelSweeps:
         assert exc.value.history == sol.history[:1]
 
 
+class TestSpotCheck:
+    """One pass solves the march; rerunning every 16th level and the last
+    from the stored level below certifies it."""
+
+    @pytest.mark.parametrize("m,levels", [
+        (16, [16]), (64, [16, 32, 48, 64]), (256, list(range(16, 257, 16)))])
+    def test_checked_levels(self, example2, m, levels):
+        sol = solve_characteristics(example2.large_scale(), TriGrid(m))
+        assert sol.checked_levels == levels
+        assert sol.history == [np.abs(sol.k).max(), 0.0]
+        assert set(sol.stages_s) == {"stencils", "pass", "check"}
+
+    def test_zero_pass_certifies_itself(self, zero_problem):
+        sol = solve_characteristics(n_plus_one(zero_problem.continuum, 3), TriGrid(32))
+        assert sol.history == [0.0] and sol.checked_levels == []
+
+    @pytest.mark.parametrize("name", ["example2", "example1"])
+    def test_order_bug_raises(self, name):
+        # a forced order bug: the diagonal-crossing nodes of level a read the
+        # diagonal sources of level a+1, which the pass computes after them.
+        # The pass reads zeros there and the rerun the stored values, so the
+        # first checked level moves
+        ls = n_plus_one(load_problem(name).continuum, 10)
+        real = fd_kernels._Stencils
+
+        def early(lam, mu, xs, h):
+            st = real(lam, mu, xs, h)
+            # shift S_diag[i, j] to S_diag[i, j + 1] wherever j + 2 is a node
+            st.d_lo = np.where(st.d_lo % len(xs) < len(xs) - 2, st.d_lo + 1, st.d_lo)
+            return st
+
+        with mock.patch.object(fd_kernels, "_Stencils", early):
+            with pytest.raises(ConvergenceError,
+                               match=r"spot check: level 16 moved by") as exc:
+                solve_characteristics(ls, TriGrid(64))
+        assert exc.value.level == 16 and exc.value.iterations == 2
+        assert exc.value.final_delta >= fd_kernels.TOL
+        assert exc.value.history[0] > exc.value.final_delta
+
+
 class TestRefineStudy:
     def test_homogeneous_all_zero(self, zero_problem):
         ls = n_plus_one(zero_problem.continuum, 2)
