@@ -15,6 +15,7 @@ import json
 import resource
 import sys
 import time
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -22,7 +23,8 @@ import numpy as np
 from . import __version__
 from .closed_form import NotApplicable, solve_closed_form
 from .fd_kernels import TriGrid, refine_study, solve_characteristics
-from .gains import diff_solutions, gains, read_gain_csv, write_gain_csv
+from .gains import (DEFAULT_GRID, GainTable, diff_solutions, gains, read_gain_csv,
+                    write_gain_csv)
 from .params import ConfigError, Problem, fit_q, load_problem, number_array
 from .power_series import (SolverConfig, assemble, optimality_certificate,
                            residual_by_source, solve_ls)
@@ -92,16 +94,13 @@ def _series_json(series) -> dict:
     return {",".join(map(str, e)): c for e, c in series.coeffs.items()}
 
 
-def _exact_reference(name: str, problem: Problem):
-    """Resolve a --compare-exact spec: '<config>_exact' or a config path whose
-    closed form supplies the reference gains."""
-    ref = name[:-6] if name.endswith("_exact") else name
-    prob = problem if ref == problem.name else load_problem(ref)
-    kern = solve_closed_form(prob.continuum)
+def _exact_table(problem: Problem, grid: np.ndarray) -> GainTable | None:
+    """The exact reference of ``solve`` and ``bench``: the closed form's gains
+    on ``grid`` x ``grid`` wherever it applies to the problem, else None."""
+    kern = solve_closed_form(problem.continuum)
     if isinstance(kern, NotApplicable):
-        raise ConfigError(
-            f"no exact reference available for {ref!r}: {kern.reason}")
-    return kern
+        return None
+    return gains(kern, grid_xi=grid, grid_y=grid)
 
 
 def _int_list(flag: str, text: str) -> list[int]:
@@ -170,15 +169,13 @@ def _import_scipy() -> None:
 def cmd_solve(args, report_path) -> tuple:
     grid = _gain_grid(args.grid)
     problem = load_problem(args.config)
-    # a bad reference name fails before the solve
-    exact = args.compare_exact and _exact_reference(args.compare_exact, problem)
     cfg = SolverConfig(N=args.order, N_y=args.order_y, use_exact_q=args.exact_q,
                        sigma_sign=args.sigma_sign)
     sol, table, block = _series_solve(problem, cfg, grid, grid)
     quality = {"residual": sol.residual, "certificate": block["certificate"]}
-    if exact:
-        quality["max_error_vs_exact"] = diff_solutions(
-            table, gains(exact, grid_xi=grid, grid_y=grid))
+    exact = _exact_table(problem, grid)
+    if exact is not None:
+        quality["max_error_vs_exact"] = diff_solutions(table, exact)
     write_gain_csv(table, f"{args.out_prefix}_gains.csv", report_path=report_path)
     _write_json(f"{args.out_prefix}_coeffs.json", {
         "report": report_path,
@@ -187,7 +184,7 @@ def cmd_solve(args, report_path) -> tuple:
     })
     print(f"solve: unknowns={sol.num_unknowns} equations={sol.num_equations} "
           f"residual={sol.residual:.6g}")
-    if exact:
+    if exact is not None:
         print(f"solve: max gain error vs exact reference "
               f"{quality['max_error_vs_exact']:.6g}")
     return EXIT_OK, block | quality | {"problem": problem.name, "quality": quality}
@@ -217,9 +214,6 @@ def cmd_fit_q(args, report_path) -> tuple:
     stages = {}
     if args.config:
         problem = load_problem(args.config)
-        if problem.q_data is None:
-            raise ConfigError(f"problem {problem.name!r} has an analytic q; "
-                              f"nothing to fit")
         name = problem.name
         fit = _timed(stages, "fit", problem.with_fit_degree, args.degree).fit
     else:
@@ -235,37 +229,37 @@ def cmd_fit_q(args, report_path) -> tuple:
 
 def cmd_bench(args, report_path) -> tuple:
     problem_name, order_y, exact_q, sigma_sign = BENCH_PRESETS[args.example]
+    if args.sigma_sign is not None:
+        sigma_sign = args.sigma_sign
     problem = load_problem(problem_name)
     orders = _int_list("--orders", args.orders)
     fit_degrees = _int_list("--fit-degrees", args.fit_degrees) or [None]
     if len(fit_degrees) > 1 and len(orders) != 1:
         raise ConfigError("a fit-degree sweep needs exactly one order")
+    # the rows: each one's reflection-fit degree and solve settings
+    sweep = [(M, SolverConfig(N=N, N_y=order_y if order_y is None else min(order_y, N),
+                              use_exact_q=exact_q, sigma_sign=sigma_sign))
+             for M in fit_degrees for N in orders]
     rows = []
-    grid = np.linspace(0.0, 1.0, 101)
+    grid = _gain_grid(DEFAULT_GRID)
     exact_table = reference = baseline = None
     t = time.perf_counter()
-    if orders:  # the closed form is the exact reference wherever it applies
-        exact = solve_closed_form(problem.continuum)
-        if not isinstance(exact, NotApplicable):
-            exact_table = gains(exact, grid_xi=grid, grid_y=grid)
-    if orders and problem.n is not None and not args.skip_baseline:
-        march = solve_characteristics(problem.large_scale(), TriGrid(args.baseline_m))
+    if sweep:
+        exact_table = _exact_table(problem, grid)
+    if sweep and problem.n is not None and not args.skip_baseline:
+        # the n+1 system of the problem the series solve: sigma oriented alike
+        oriented = replace(problem, continuum=sweep[0][1].oriented(problem.continuum))
+        march = solve_characteristics(oriented.large_scale(), TriGrid(args.baseline_m))
         reference, baseline = _march_block(march), gains(march)
     stages = {"reference": time.perf_counter() - t}
-    if orders:
+    if sweep:
         _timed(stages, "import", _import_scipy)
     prev_table = None
-    sweep = [(N, M) for M in fit_degrees for N in orders]
-    for N, M in sweep:
+    for M, cfg in sweep:
         prob = problem if M is None else problem.with_fit_degree(M)
-        cfg = SolverConfig(
-            N=N, N_y=order_y if order_y is None else min(order_y, N),
-            use_exact_q=exact_q,
-            sigma_sign=sigma_sign if args.sigma_sign is None else args.sigma_sign,
-        )
         sol, cur, block = _series_solve(prob, cfg, grid, grid)
         row = {
-            "N": N,
+            "N": cfg.N,
             "num_unknowns": sol.num_unknowns,
             "num_equations": sol.num_equations,
             "residual": sol.residual,
@@ -304,13 +298,10 @@ def _sim_gains(args, problem: Problem, ls) -> tuple:
     solve: a fresh power-series solve and its block, or no block with None
     for the open loop or a gain CSV, which the Simulator places at the
     components."""
-    for flag, value in (("--solve-order-y", args.solve_order_y),
-                        ("--sigma-sign", args.sigma_sign)):
-        if value is not None and args.solve_order is None:
-            raise ConfigError(f"{flag} applies only to --solve-order")
-    if args.solve_order is not None:
-        cfg = SolverConfig(N=args.solve_order, N_y=args.solve_order_y,
-                           sigma_sign=args.sigma_sign or 1)
+    if args.solve_order_y is not None and args.solve_order is None:
+        raise ConfigError("--solve-order-y applies only to --solve-order")
+    if args.solve_order is not None:   # the plant simulated fixes sigma_sign +1
+        cfg = SolverConfig(N=args.solve_order, N_y=args.solve_order_y)
         _, table, block = _series_solve(problem, cfg, np.linspace(0, 1, args.mx),
                                         ls.points)
         return table, block
@@ -395,15 +386,13 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--order-y", type=int, default=None)
     sp.add_argument("--exact-q", action="store_true")
     sp.add_argument("--sigma-sign", type=int, choices=(1, -1), default=1)
-    sp.add_argument("--grid", type=int, default=101)
-    sp.add_argument("--compare-exact", default=None,
-                    help="closed-form reference, e.g. 'example1_exact'")
+    sp.add_argument("--grid", type=int, default=DEFAULT_GRID)
     sp.add_argument("--out-prefix", default="solve")
     sp.set_defaults(func=cmd_solve)
 
     cp = sub.add_parser("closed-form", help="separable closed-form kernels")
     cp.add_argument("--config", required=True)
-    cp.add_argument("--grid", type=int, default=101)
+    cp.add_argument("--grid", type=int, default=DEFAULT_GRID)
     cp.add_argument("--out-prefix", default="closed_form")
     cp.set_defaults(func=cmd_closed_form)
 
@@ -441,7 +430,6 @@ def build_parser() -> argparse.ArgumentParser:
     control.add_argument("--solve-order", type=int, default=None)
     control.add_argument("--open-loop", action="store_true")
     mp.add_argument("--solve-order-y", type=int, default=None)
-    mp.add_argument("--sigma-sign", type=int, choices=(1, -1), default=None)
     mp.add_argument("--out-prefix", default="sim")
     mp.set_defaults(func=cmd_simulate)
 

@@ -9,7 +9,7 @@ compares solutions.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -126,12 +126,12 @@ def continuum_residual(sol, p: ContinuumParams,
     on the family of the points y = xs, each of weight 0, followed by the
     nodes of the 15-point Gauss-Legendre rule, whose weights carry the
     integrals over y. A series solution is checked against the exact
-    parameters, with sigma scaled by its own ``sigma_sign``.
+    parameters of the problem it solves, its config's ``oriented(p)``.
     """
     if isinstance(sol, LsKernelSolution):     # a grid solution has no y
         raise TypeError(f"unsupported kernel solution type {type(sol)!r}")
     if isinstance(sol, PsKernelSolution):
-        p = replace(p, sigma=p.sigma.scale(sol.config.sigma_sign))
+        p = sol.config.oriented(p)
     xs = np.linspace(0.0, 1.0, grid_m)
     family = LargeScaleParams(p, np.concatenate((xs, GL_NODES)),
                               np.concatenate((np.zeros(grid_m), GL_WEIGHTS)))

@@ -350,7 +350,7 @@ class Problem:
     def with_fit_degree(self, degree: int) -> "Problem":
         """Refit the reflection data at another degree."""
         if self.q_data is None:
-            raise ValueError("problem has an analytic q; nothing to refit")
+            raise ValueError(f"problem {self.name!r} has an analytic q; nothing to fit")
         fit = fit_q(self.q_data, degree,
                     sample_points(len(self.q_data), self.q_offset))
         cont = replace(self.continuum, q=fit.as_sum())

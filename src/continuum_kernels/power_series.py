@@ -15,20 +15,20 @@ accuracy metric.
 Equations (everything moved to the left-hand side):
 
   E1: mu(x) dk/dx - lam(xi,y) dk/dxi - theta(xi,y) kbar
-      - dlam/dxi(xi,y) k - s * int_0^1 sigma(xi,eta,y) k(x,xi,eta) deta = 0
+      - dlam/dxi(xi,y) k - int_0^1 sigma(xi,eta,y) k(x,xi,eta) deta = 0
   E2: mu(x) dkbar/dx + mu(xi) dkbar/dxi + mu'(xi) kbar
       - int_0^1 W(xi,y) k(x,xi,y) dy = 0
   E3: (lam(x,y) + mu(x)) k(x,x,y) + theta(x,y) = 0
   E4: mu(0) kbar(x,0) - int_0^1 q(y) lam(0,y) k(x,0,y) dy = 0
 
-``s`` is the configurable sign of the sigma coupling (see SolverConfig).
+with sigma oriented by the configured sign (see SolverConfig.oriented).
 """
 
 from __future__ import annotations
 
 import functools
 import warnings
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from typing import TYPE_CHECKING
 
 import numpy as np
@@ -91,6 +91,11 @@ class SolverConfig:
         object.__setattr__(self, "N_y", ny)
         if self.sigma_sign not in (1, -1):
             raise ValueError("sigma_sign must be +1 or -1")
+
+    def oriented(self, p: ContinuumParams) -> ContinuumParams:
+        """The problem this config's series solves: ``p`` with sigma scaled
+        by ``sigma_sign``. The only place the sign is applied."""
+        return replace(p, sigma=p.sigma.scale(self.sigma_sign))
 
 
 def count_unknowns(N: int, N_y: int | None = None) -> tuple[int, int]:
@@ -225,10 +230,11 @@ def assemble(p: ContinuumParams, cfg: SolverConfig) -> LinearSystem:
     # system start without it
     import scipy.sparse
 
+    p = cfg.oriented(p)
     p.check_speeds(np.linspace(0.0, 1.0, GRID_POINTS))
     lamS, muS, thetaS, WS, sigmaS, qS = _param_series(p, cfg)
     _check_ny_bound(cfg, lamS, thetaS)
-    N, Ny, s_sig = cfg.N, cfg.N_y, float(cfg.sigma_sign)
+    N, Ny = cfg.N, cfg.N_y
 
     k_exps, kb_exps = _monomials(N, N, N, Ny), _monomials(N, N, N)
     nk = len(k_exps)
@@ -269,7 +275,7 @@ def assemble(p: ContinuumParams, cfg: SolverConfig) -> LinearSystem:
         keys.append(key[on])
         vals.append(val[on])
 
-    # E1: mu(x) dk/dx - lam(xi,y) dk/dxi - (dlam/dxi) k - s * sigma moments
+    # E1: mu(x) dk/dx - lam(xi,y) dk/dxi - (dlam/dxi) k - sigma moments
     scat(0, j, mv * a, (a - 1, b, c), (md,))
     scat(0, j, -lv * b, (a, b - 1, c), (0, lp, lq))
     scat(0, j, -dv, (a, b, c), (0, dp, dq))
@@ -277,7 +283,7 @@ def assemble(p: ContinuumParams, cfg: SolverConfig) -> LinearSystem:
     for cc in range(Ny + 1):
         on = c[:, 0] == cc
         mp, mq, mom = _terms(sigma_mom[:, cc])
-        scat(0, j[on], -s_sig * mom, (a[on], b[on]), (0, mp, mq))
+        scat(0, j[on], -mom, (a[on], b[on]), (0, mp, mq))
         wp, wm = _terms(W_mom[:, cc])
         scat(1, j[on], -wm, (a[on], b[on]), (0, wp))
     # E3: (lam+mu)(x,y) k(x,x,y);  E4: -m_c x^a

@@ -122,10 +122,10 @@ class TestSolve:
         assert np.all(table.k == 0.0) and np.all(table.kbar == 0.0)
 
     def test_compare_exact(self, tmp_path):
+        # example1 has a closed form: the solve compares with it unasked
         prefix = str(tmp_path / "e1")
         assert run(["solve", "--config", "example1", "--order", "8",
-                    "--order-y", "2", "--compare-exact", "example1_exact",
-                    "--grid", "41", "--out-prefix", prefix]) == 0
+                    "--order-y", "2", "--grid", "41", "--out-prefix", prefix]) == 0
         report = json.loads((tmp_path / "e1_report.json").read_text())
         assert "max_error_vs_exact" in report
         assert report["num_unknowns"] == 154  # 109 + 45
@@ -171,16 +171,32 @@ class TestSolve:
         assert "non-finite" in capsys.readouterr().err
         assert not (tmp_path / "x_report.json").exists()
 
-    def test_unknown_reference_exits_1_before_the_solve(self, tmp_path, capsys,
-                                                        monkeypatch):
-        def no_work(*args, **kwargs):
-            raise AssertionError("assembled before the reference was resolved")
-        monkeypatch.setattr("continuum_kernels.cli.assemble", no_work)
-        assert run(["solve", "--config", "example2", "--order", "6",
-                    "--compare-exact", "example2_exact",
-                    "--out-prefix", str(tmp_path / "x")]) == 1
-        assert "no exact reference available" in capsys.readouterr().err
-        assert not list(tmp_path.iterdir())
+    @pytest.mark.parametrize("config, error", [
+        ("example1", lambda e: e > 0.0), ("zero", lambda e: e == 0.0),
+        ("example2", None)], ids=["example1", "zero", "example2"])
+    def test_exact_reference_wherever_the_closed_form_applies(self, tmp_path, capsys,
+                                                              config, error):
+        # the zero problem's closed form is the zero kernel; example2 has none
+        assert run(["solve", "--config", config, "--order", "8", "--order-y", "2",
+                    "--out-prefix", str(tmp_path / "s")]) == 0
+        quality = read_report(tmp_path / "s_report.json")["quality"]
+        out = capsys.readouterr().out
+        if error is None:
+            assert "max_error_vs_exact" not in quality and "exact" not in out
+        else:
+            assert error(quality["max_error_vs_exact"])
+            assert f"vs exact reference {quality['max_error_vs_exact']:.6g}" in out
+
+    def test_exact_error_is_bench_max_error(self, tmp_path):
+        # one exact reference: solve's error is the bench row's at the same N, N_y
+        assert run(["solve", "--config", "example1", "--order", "8", "--order-y", "2",
+                    "--out-prefix", str(tmp_path / "s")]) == 0
+        assert run(["bench", "--example", "example1-ry", "--orders", "8",
+                    "--out", str(tmp_path / "b.csv")]) == 0
+        row, = read_report(tmp_path / "b_report.json")["rows"]
+        assert (row["order"], row["order_y"]) == (8, 2)
+        assert read_report(tmp_path / "s_report.json")["quality"][
+            "max_error_vs_exact"] == row["max_error"]
 
     def test_bad_config_exits_1(self, tmp_path):
         assert run(["solve", "--config", "missing-config", "--order", "4",
@@ -297,8 +313,10 @@ class TestFitQ:
         assert data["degree"] == 3
         assert len(data["coefficients_ascending"]) == 4
 
-    def test_analytic_q_rejected(self):
+    def test_analytic_q_rejected(self, capsys):
         assert run(["fit-q", "--config", "example1", "--degree", "2"]) == 1
+        assert "error: problem 'example1' has an analytic q; nothing to fit" in \
+            capsys.readouterr().err
 
     @pytest.mark.parametrize("data, degree", [
         ("[1, NaN, 3, 4]", "2"), ("[1, Infinity, 3, 4]", "2"), ("[1, 2, 3, 4]", "-1"),
@@ -400,20 +418,33 @@ class TestBench:
         rows = read_report(tmp_path / "z_report.json")["rows"]
         assert [r["max_error"] for r in rows] == [0.0, 0.0]
 
-    def test_example2_with_baseline(self, tmp_path):
+    @staticmethod
+    def _assert_baseline_is_march(tmp_path, sign, config):
+        """bench's example2 baseline at ``sign`` is the ls-kernels march of
+        ``config`` at the same m, reported alike."""
         out = tmp_path / "b2.csv"
-        assert run(["bench", "--example", "example2", "--orders", "5",
+        assert run(["bench", "--example", "example2", "--orders", "5", *sign,
                     "--baseline-m", "32", "--out", str(out)]) == 0
-        header = out.read_text().splitlines()[0]
-        assert "d_np1" in header
-        # the baseline is the ls-kernels march at the same m, reported alike
-        assert run(["ls-kernels", "--config", "example2", "--m", "32",
+        assert "d_np1" in out.read_text().splitlines()[0]
+        assert run(["ls-kernels", "--config", config, "--m", "32",
                     "--out-prefix", str(tmp_path / "lk")]) == 0
         reference = read_report(tmp_path / "b2_report.json")["reference"]
         march = read_report(tmp_path / "lk_report.json")
         assert set(reference) == MARCH_BLOCK
         for key in ("iterations", "final_delta", "sweep_history", "checked_levels"):
             assert reference[key] == march[key], key
+
+    def test_example2_with_baseline(self, tmp_path):
+        self._assert_baseline_is_march(tmp_path, ["--sigma-sign", "1"], "example2")
+
+    def test_baseline_solves_at_the_rows_sigma_sign(self, tmp_path):
+        # the preset's rows solve at sigma_sign -1, i.e. the sigma-negated
+        # problem: the baseline marches that problem too, bit for bit
+        cfg = load_problem("example2").source
+        cfg["sigma"]["terms"][0]["scale"] = -1.0
+        path = tmp_path / "negated.json"
+        path.write_text(json.dumps(cfg))
+        self._assert_baseline_is_march(tmp_path, [], str(path))
 
 
 class TestSimulate:
@@ -619,11 +650,10 @@ class TestSimulate:
         assert f"ckpde simulate: error: argument {conflict}" in capsys.readouterr().err
         assert not list(tmp_path.iterdir())
 
-    @pytest.mark.parametrize("flag", [["--solve-order-y", "3"], ["--sigma-sign", "-1"]],
-                             ids=["solve-order-y", "sigma-sign"])
+    @pytest.mark.parametrize("flag", [["--solve-order-y", "3"]], ids=["solve-order-y"])
     @pytest.mark.parametrize("control", ["open-loop", "gains"])
     def test_solve_options_need_solve_order(self, tmp_path, capsys, flag, control):
-        # both used to be ignored: the run went on without them, exit 0
+        # it used to be ignored: the run went on without it, exit 0
         path = tmp_path / "g.csv"
         write_gain_csv(GainTable(grid_xi=np.linspace(0, 1, 5), grid_y=[0.0, 1.0],
                                  k=np.zeros((2, 5)), kbar=np.zeros(5)), path)

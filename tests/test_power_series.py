@@ -1,4 +1,5 @@
 import math
+from dataclasses import replace
 from unittest import mock
 
 import numpy as np
@@ -13,7 +14,7 @@ from conftest import (ARITY, FULL, DictSeries, coeff_vector, col_array,
                       col_keys, duplicated_column_system, optimality_check,
                       residual_series, row_keys, series_from)
 from continuum_kernels import power_series
-from continuum_kernels.gains import diff_solutions, gains
+from continuum_kernels.gains import continuum_residual, diff_solutions, gains
 from continuum_kernels.params import ContinuumParams
 from continuum_kernels.power_series import (SRC_BC_DIAG, SRC_BC_LEFT,
                                             SRC_PDE_K, SRC_PDE_KBAR,
@@ -270,6 +271,21 @@ class TestAssembly:
             "w": 0.0, "q": 0.0})
         with pytest.raises(ValueError, match="positive"):
             assemble(bad.continuum, SolverConfig(N=3))
+
+    @pytest.mark.parametrize("N, N_y", [(20, None), (25, None), (20, 2)])
+    def test_sigma_sign_solves_the_oriented_problem(self, solve_cache, N, N_y):
+        # -1 is the sigma-negated problem at +1: the same system bit for bit,
+        # and the same residual in the equations each solution is measured in
+        p = solve_cache.problem("example2").continuum
+        negated = replace(p, sigma=p.sigma.scale(-1.0))
+        minus, plus = SolverConfig(N=N, N_y=N_y, sigma_sign=-1), SolverConfig(N=N, N_y=N_y)
+        got, want = assemble(p, minus), assemble(negated, plus)
+        for part in ("rows", "cols", "b"):
+            assert np.array_equal(getattr(got, part), getattr(want, part)), part
+        for part in ("indptr", "indices", "data"):
+            assert np.array_equal(getattr(got.A, part), getattr(want.A, part)), part
+        assert continuum_residual(solve_ls(got), p) == \
+            continuum_residual(solve_ls(want), negated)
 
     def test_deterministic_assembly(self, example2):
         cfg = SolverConfig(N=5)
