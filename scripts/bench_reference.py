@@ -12,8 +12,10 @@ BLAS thread and reports the solve's wall time, each of its stages as
 `<stage>_s` (`stencils_s`, `pass_s` and `check_s`: the stencils, the
 march's one pass and its spot check; a tree from before the one-pass
 march reports `stencils_s` and `sweeps_s`), its sweep count (the spot
-check counts as the second), and the process's peak RSS before the solve
-(the imports and the problem) and after it. The cases are
+check counts as the second), the process's peak RSS before the solve
+(the imports and the problem) and after it, and a sha256 of the kernel
+array's bytes. Each case's summary line says whether the digests of all
+its runs, on every tree, match. The cases are
 example2 at n = 10 with m = 128, 256 and 512; example2 at m = 256 with
 n = 20, 80 and 160; example1 at n = 10, m = 256; and, at m = 256 with n = 10
 and 160, `varying`: example2's couplings with lambda = (1+x)(1+y) and
@@ -24,6 +26,7 @@ median and quartiles of each case per tree, and the environment.
 from __future__ import annotations
 
 import argparse
+import hashlib
 import json
 import os
 import platform
@@ -60,9 +63,10 @@ def one_run(name: str, n: int, m: int) -> dict:
     t = time.perf_counter()
     sol = solve_characteristics(ls, TriGrid(m))
     t = time.perf_counter() - t
+    peak = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024
     return {"time_s": t, **{f"{s}_s": v for s, v in sol.stages_s.items()},
-            "sweeps": sol.iterations, "base_rss_mb": base,
-            "peak_rss_mb": resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024}
+            "sweeps": sol.iterations, "base_rss_mb": base, "peak_rss_mb": peak,
+            "k_sha256": hashlib.sha256(sol.k.tobytes()).hexdigest()}
 
 
 def spawn(src: str, case: tuple) -> dict:
@@ -113,10 +117,13 @@ def main() -> int:
             order = list(trees) if rep % 2 == 0 else list(trees)[::-1]
             for label in order:
                 runs[label].setdefault(key, []).append(spawn(trees[label], case))
+        digests = {r["k_sha256"] for label in trees for r in runs[label][key]}
         print(key, {label: round(statistics.median(r["time_s"] for r in runs[label][key]), 3)
-                    for label in trees}, file=sys.stderr)
+                    for label in trees}, "K identical" if len(digests) == 1
+              else "K DIFFERS", file=sys.stderr)
     result = {"environment": environment(), "reps": args.reps, "cases": {
-        label: {key: {k: rs[0][k] if k == "sweeps" else summary([r[k] for r in rs])
+        label: {key: {k: rs[0][k] if k in ("sweeps", "k_sha256")
+                      else summary([r[k] for r in rs])
                       for k in rs[0]}
                 for key, rs in cases.items()}
         for label, cases in runs.items()}}

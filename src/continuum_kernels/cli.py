@@ -25,7 +25,8 @@ from .closed_form import NotApplicable, solve_closed_form
 from .fd_kernels import TriGrid, refine_study, solve_characteristics
 from .gains import (DEFAULT_GRID, GainTable, diff_solutions, gains, read_gain_csv,
                     write_gain_csv)
-from .params import ConfigError, Problem, fit_q, load_problem, number_array
+from .params import (ConfigError, ContinuumParams, Problem, fit_q, load_problem,
+                     number_array)
 from .power_series import (SolverConfig, assemble, optimality_certificate,
                            residual_by_source, solve_ls)
 from .simulate import SimConfig, Simulator, write_sim_csv
@@ -94,10 +95,11 @@ def _series_json(series) -> dict:
     return {",".join(map(str, e)): c for e, c in series.coeffs.items()}
 
 
-def _exact_table(problem: Problem, grid: np.ndarray) -> GainTable | None:
+def _exact_table(p: ContinuumParams, grid: np.ndarray) -> GainTable | None:
     """The exact reference of ``solve`` and ``bench``: the closed form's gains
-    on ``grid`` x ``grid`` wherever it applies to the problem, else None."""
-    kern = solve_closed_form(problem.continuum)
+    on ``grid`` x ``grid`` wherever it applies to ``p``, the problem as the
+    series solves it (sigma oriented), else None."""
+    kern = solve_closed_form(p)
     if isinstance(kern, NotApplicable):
         return None
     return gains(kern, grid_xi=grid, grid_y=grid)
@@ -173,7 +175,7 @@ def cmd_solve(args, report_path) -> tuple:
                        sigma_sign=args.sigma_sign)
     sol, table, block = _series_solve(problem, cfg, grid, grid)
     quality = {"residual": sol.residual, "certificate": block["certificate"]}
-    exact = _exact_table(problem, grid)
+    exact = _exact_table(cfg.oriented(problem.continuum), grid)
     if exact is not None:
         quality["max_error_vs_exact"] = diff_solutions(table, exact)
     write_gain_csv(table, f"{args.out_prefix}_gains.csv", report_path=report_path)
@@ -245,10 +247,11 @@ def cmd_bench(args, report_path) -> tuple:
     exact_table = reference = baseline = None
     t = time.perf_counter()
     if sweep:
-        exact_table = _exact_table(problem, grid)
-    if sweep and problem.n is not None and not args.skip_baseline:
-        # the n+1 system of the problem the series solve: sigma oriented alike
+        # the problem the series solve: sigma oriented alike, for the exact
+        # reference and the n+1 system
         oriented = replace(problem, continuum=sweep[0][1].oriented(problem.continuum))
+        exact_table = _exact_table(oriented.continuum, grid)
+    if sweep and problem.n is not None and not args.skip_baseline:
         march = solve_characteristics(oriented.large_scale(), TriGrid(args.baseline_m))
         reference, baseline = _march_block(march), gains(march)
     stages = {"reference": time.perf_counter() - t}

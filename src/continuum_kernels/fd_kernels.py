@@ -7,6 +7,9 @@ kernel values at that level. So one pass in x, level by level, each
 level's values traced back along the characteristic curves from the level
 below and its sources taken from the values just computed, solves the
 discrete equations; a spot check that reruns a few levels certifies it.
+The characteristics are traced once for each distinct row of lam, and each
+level spreads them to the rows that share them, so besides K the march
+keeps O(r m^2) stencil data, r the number of distinct rows.
 Source integrals use the rectangle rule at the upstream point and off-grid
 values linear interpolation, so the error is in general first order in the
 mesh width, but not always. With an integer lam/mu every foot lands on a
@@ -105,18 +108,19 @@ class _Stencils:
     """The K-independent part of a level step on one grid: the speeds'
     characteristics, so no boundary data.
 
-    Flat indices address one level of the level-major kernel array
-    K[a, i, b] (and the source row S[i, b] that shares its layout): node
-    (i, b) is ``i*(m+1) + b``. An interior node of level a reads the
-    interpolation nodes ``lo`` and ``lo + 1`` at the foot of its
-    characteristic on level a-1. A family node ``d`` meets the diagonal and
-    a counter node ``z`` the edge xi = 0 between the two levels; they read
-    boundary data and diagonal or edge sources instead. Each kind is in
-    level order: level a owns ``slice(starts[a], starts[a+1])`` of it.
-
-    A family characteristic depends only on its row of lam, so each
-    distinct row is traced once, and the rows that share it read its
-    column of the traced tables.
+    A family characteristic depends only on its row of lam, so the traced
+    tables ``j`` and ``w`` hold one column per distinct row g < r and the
+    counter characteristic in column r; row i of the level-major kernel
+    array K[a, i, b] reads column ``col[i]``. They have one row per pair
+    (a, b < a), in level order: level a owns rows a(a-1)/2 .. a(a+1)/2 - 1.
+    A pair's family node (i, a, b) and counter node (n, a, b+1) sit
+    between the nodes ``j`` and ``j + 1`` of level a-1, weight ``w`` on the
+    upper one. A family node ``d`` that meets the diagonal and a counter
+    node ``z`` that meets the edge xi = 0 between the two levels read
+    boundary data and diagonal or edge sources instead; their lists are
+    per node, flat indices ``i*(m+1) + b`` into one level of K (and the
+    source row S[i, b] that shares its layout), and level a owns
+    ``slice(starts[a], starts[a+1])`` of each.
     """
 
     def __init__(self, lam, mu, xs, h):
@@ -124,12 +128,6 @@ class _Stencils:
         mu_of = lambda t: np.interp(t, xs, mu)
         rows, inv = np.unique(lam, axis=0, return_inverse=True)
         r = len(rows)
-        # Tables have one row per pair (a, b < a) of A, B, so they are in
-        # level order. Traced tables hold the family characteristics of
-        # lam's distinct rows in columns g < r and the counter one in
-        # column r; node tables hold the family nodes (i, A, B) in columns
-        # i < n and the counter node (n, A, B+1) in column n. Node column i
-        # reads traced column col[i].
         A, B = np.tril_indices(m + 1, -1)
         col = np.append(inv.reshape(-1), r)
         feet = np.empty((len(A), r + 1))
@@ -160,9 +158,10 @@ class _Stencils:
         self.z_c = (xs[A][out] - x0) / mu_of(x0)
 
         # family nodes that cross the diagonal: few, so their crossing
-        # points are computed per node
-        mask = np.take(inside, col, axis=1)
-        p, i = np.nonzero(~mask[:, :n])
+        # points are computed per node, on the pairs where some row crosses
+        cross = np.flatnonzero(~inside[:, :r].all(axis=1))
+        p, i = np.nonzero(~inside[cross][:, col[:n]])
+        p = cross[p]
         s, xa = slope[p, col[i]], xs[A[p]]
         xd = (xs[B[p]] + s * xa) / (1.0 + s)
         j, w = _weights(xd, h, m + 1)
@@ -172,16 +171,10 @@ class _Stencils:
         self.d_w = w
         self.d_c = (xa - xd) / mu_of(xd)
 
-        # interior nodes; the weights of crossing entries are computed and
-        # dropped. With distinct rows each table is half the size of K, so
-        # each is freed once used
-        j, w = _weights(feet, h, A[:, None])
-        del feet, slope
-        base = np.arange(n + 1) * (m + 1)
-        self.starts = _starts(mask.sum(axis=1), m)
-        self.node = (B[:, None] + (base + (col == r)))[mask]
-        self.lo = (np.take(j, col, axis=1) + base)[mask]
-        self.w = np.take(w, col, axis=1)[mask]
+        # every pair's interpolation, at a clipped foot for the crossing
+        # nodes; their own lists overwrite those values
+        self.col = col
+        self.j, self.w = _weights(feet, h, A[:, None])
 
 
 def _starts(count, m):
@@ -199,15 +192,18 @@ def solve_characteristics(ls: LargeScaleParams, grid: TriGrid | None = None,
     ``level(a)`` sets level a from level a-1 and its source row S. Every
     node value is the boundary value at its characteristic's origin plus
     the source integral, and within a level the nodes come in dependency
-    order (interior nodes, diagonal sources, diagonal-crossing nodes, the
-    xi = 0 boundary value and source, edge-crossing nodes, then the source
+    order (every node from its foot on level a-1, diagonal sources, the
+    diagonal-crossing nodes over their first values, the xi = 0 boundary
+    value and source, the edge-crossing nodes likewise, then the source
     row for level a+1), so the pass solves the discrete equations. A spot
     check reruns ``level(a)`` at every ``CHECK_EVERY``-th level and the
     last, from the stored level below: a value read before the pass set it
     would read zero there, so a broken order moves a rerun level, and a
     move of ``TOL`` or more raises :class:`ConvergenceError`. The check
     counts as a second sweep (``max_iter``); a pass that leaves K at zero
-    certifies itself. The stencils do not depend on K: built once per solve.
+    certifies itself. The stencils do not depend on K: traced once per solve
+    for each distinct row of lam, and spread to a level's rows as the pass
+    reaches it.
     """
     if grid is None:
         grid = TriGrid(256)
@@ -223,6 +219,7 @@ def solve_characteristics(ls: LargeScaleParams, grid: TriGrid | None = None,
     bc = diag_bc.reshape(-1)
     d_k = bc[st.d_lo] * (1.0 - st.d_w) + bc[1:][st.d_lo] * st.d_w
     c = h / mu[:-1]                     # rectangle rule from level a-1
+    base = np.arange(n + 1)[:, None] * (m + 1)      # row i of one flat level
     # the diagonal sources S[:n, a, a] but for their TH * K[n, a, a] part
     D = g.sources(np.vstack((diag_bc, np.zeros(m + 1))))[:n]
 
@@ -236,16 +233,17 @@ def solve_characteristics(ls: LargeScaleParams, grid: TriGrid | None = None,
 
     def level(a):
         Kp, Ka = K[a - 1].reshape(-1), K[a].reshape(-1)
-        # 1. interior nodes and the diagonal data
-        j = slice(st.starts[a], st.starts[a + 1])
-        # 1 - w is formed per level, not stored: the same bits, and no
-        # second weight table as large as the first
-        lo, w = st.lo[j], st.w[j]
+        # 1. every node from its pair's foot on level a-1, spread from the
+        # traced columns to the rows that share them, and the diagonal data
+        p = a * (a - 1) // 2
+        lo = st.j[p:p + a].take(st.col, axis=1).T + base
+        w = st.w[p:p + a].take(st.col, axis=1).T
         w1 = 1.0 - w
-        Ka[st.node[j]] = (Kp[lo] * w1 + Kp[1:][lo] * w
-                          + c[a - 1] * (Sp[lo] * w1 + Sp[1:][lo] * w))
+        v = Kp[lo] * w1 + Kp[1:][lo] * w + c[a - 1] * (Sp[lo] * w1 + Sp[1:][lo] * w)
+        K[a, :n, :a], K[a, n, 1:a + 1] = v[:n], v[n]
         K[a, :n, a] = diag_bc[:, a]
-        # 2. diagonal sources; 3. family nodes that cross the diagonal
+        # 2. diagonal sources (K[a, n, a] never crosses xi = 0); 3. family
+        # nodes that cross the diagonal
         S_diag[:, a] = D[:, a] + TH[:, a] * K[a, n, a]
         j = slice(st.d_starts[a], st.d_starts[a + 1])
         lo, w = st.d_lo[j], st.d_w[j]

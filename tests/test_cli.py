@@ -19,6 +19,21 @@ from continuum_kernels.power_series import SolverConfig, assemble, solve_ls
 from continuum_kernels.simulate import SimConfig, Simulator
 
 
+# a sigma-coupled problem with a closed form: lam = mu = 1, sigma constant
+# and theta independent of y
+PROPORTIONAL_TOY = {
+    "name": "toy", "lambda": 1.0, "mu": 1.0,
+    "sigma": {"terms": [{"scale": 1.0, "factors": [
+        {"var": "x", "kind": "const", "value": 0.4},
+        {"var": "eta", "kind": "const", "value": 1.0},
+        {"var": "y", "kind": "const", "value": 3.0}]}]},
+    "theta": {"terms": [{"scale": 1.0, "factors": [
+        {"var": "x", "kind": "exp", "rate": 0.5},
+        {"var": "y", "kind": "const", "value": 1.0}]}]},
+    "w": 0.0, "q": 0.0,
+}
+
+
 def run(argv):
     return main(argv)
 
@@ -171,14 +186,19 @@ class TestSolve:
         assert "non-finite" in capsys.readouterr().err
         assert not (tmp_path / "x_report.json").exists()
 
-    @pytest.mark.parametrize("config, error", [
-        ("example1", lambda e: e > 0.0), ("zero", lambda e: e == 0.0),
-        ("example2", None)], ids=["example1", "zero", "example2"])
+    @pytest.mark.parametrize("config, order, sign, error", [
+        ("example1", "8", "1", lambda e: e > 0.0), ("zero", "8", "1", lambda e: e == 0.0),
+        ("example2", "8", "1", None), ("toy", "14", "-1", lambda e: e < 1e-10)],
+        ids=["example1", "zero", "example2", "toy-sigma-minus"])
     def test_exact_reference_wherever_the_closed_form_applies(self, tmp_path, capsys,
-                                                              config, error):
-        # the zero problem's closed form is the zero kernel; example2 has none
-        assert run(["solve", "--config", config, "--order", "8", "--order-y", "2",
-                    "--out-prefix", str(tmp_path / "s")]) == 0
+                                                              config, order, sign, error):
+        # the zero problem's closed form is the zero kernel; example2 has
+        # none; the toy's is taken at the sigma sign the series solves
+        if config == "toy":
+            config = str(tmp_path / "toy.json")
+            Path(config).write_text(json.dumps(PROPORTIONAL_TOY))
+        assert run(["solve", "--config", config, "--order", order, "--order-y", "2",
+                    "--sigma-sign", sign, "--out-prefix", str(tmp_path / "s")]) == 0
         quality = read_report(tmp_path / "s_report.json")["quality"]
         out = capsys.readouterr().out
         if error is None:
@@ -278,19 +298,8 @@ class TestClosedForm:
         assert "lambda must be positive" in report["reason"]
 
     def test_proportional_toy_succeeds(self, tmp_path):
-        cfg = {
-            "name": "toy", "lambda": 1.0, "mu": 1.0,
-            "sigma": {"terms": [{"scale": 1.0, "factors": [
-                {"var": "x", "kind": "const", "value": 0.4},
-                {"var": "eta", "kind": "const", "value": 1.0},
-                {"var": "y", "kind": "const", "value": 3.0}]}]},
-            "theta": {"terms": [{"scale": 1.0, "factors": [
-                {"var": "x", "kind": "exp", "rate": 0.5},
-                {"var": "y", "kind": "const", "value": 1.0}]}]},
-            "w": 0.0, "q": 0.0,
-        }
         path = tmp_path / "toy.json"
-        path.write_text(json.dumps(cfg))
+        path.write_text(json.dumps(PROPORTIONAL_TOY))
         prefix = str(tmp_path / "toy_out")
         assert run(["closed-form", "--config", str(path),
                     "--out-prefix", prefix]) == 0

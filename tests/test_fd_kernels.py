@@ -1,3 +1,4 @@
+import tracemalloc
 from unittest import mock
 
 import numpy as np
@@ -190,6 +191,19 @@ class TestSolveCharacteristics:
         with pytest.raises(ConvergenceError) as exc:
             solve_characteristics(ls, TriGrid(16), max_iter=1)
         assert exc.value.final_delta > 0.0
+
+    def test_march_memory_is_about_k(self, example2):
+        # the stencils are kept per distinct row of lam, not per node: with
+        # example2's one distinct row, all else the march holds is small
+        # beside K itself
+        ls = example2.large_scale(80)
+        tracemalloc.start()
+        try:
+            sol = solve_characteristics(ls, TriGrid(64))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 1.5 * sol.k.nbytes
 
     def test_negative_speed_rejected(self):
         cfg = {"lambda": -1.0, "mu": 1.0, "sigma": 0.0, "theta": 0.0,
