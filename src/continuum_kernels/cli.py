@@ -22,7 +22,7 @@ import numpy as np
 
 from . import __version__
 from .closed_form import NotApplicable, solve_closed_form
-from .fd_kernels import TriGrid, refine_study, solve_characteristics
+from .fd_kernels import DEFAULT_M, TriGrid, refine_study, solve_characteristics
 from .gains import (DEFAULT_GRID, GainTable, diff_solutions, gains, read_gain_csv,
                     write_gain_csv)
 from .params import (ConfigError, ContinuumParams, Problem, fit_q, load_problem,
@@ -299,8 +299,8 @@ def cmd_bench(args, report_path) -> tuple:
 def _sim_gains(args, problem: Problem, ls) -> tuple:
     """The feedback gains of ``simulate`` and the report block of their
     solve: a fresh power-series solve and its block, or no block with None
-    for the open loop or a gain CSV, which the Simulator places at the
-    components."""
+    for the open loop or a gain CSV, which the Simulator checks and places
+    at the components."""
     if args.solve_order_y is not None and args.solve_order is None:
         raise ConfigError("--solve-order-y applies only to --solve-order")
     if args.solve_order is not None:   # the plant simulated fixes sigma_sign +1
@@ -310,31 +310,25 @@ def _sim_gains(args, problem: Problem, ls) -> tuple:
         return table, block
     if args.open_loop:
         return None, None
-    table = read_gain_csv(args.gains)
-    g = table.grid_xi   # interpolation would hold a short table's end values
-    if g[0] > 1e-12 or g[-1] < 1.0 - 1e-12:
-        raise ConfigError(f"gain table {args.gains} has a xi grid on "
-                          f"[{g[0]:g}, {g[-1]:g}], which does not cover [0, 1]")
-    return table, None
+    return read_gain_csv(args.gains), None
 
 
 def cmd_simulate(args, report_path) -> tuple:
     t = time.perf_counter()
     problem = load_problem(args.config)
     ls = problem.large_scale(args.n)
-    if args.t_final is None:  # twice the settling time 1/min mu + 1/min lambda
-        args.t_final = 2.0 * sum(1.0 / s for s in ls.check_speeds())
     cfg = SimConfig(n=ls.n, m_x=args.mx, t_final=args.t_final, cfl=args.cfl,
                     initial_profile=args.profile, amplitude=args.amplitude)
     stages = {"setup": time.perf_counter() - t}
     table, solve = _timed(stages, "gains", _sim_gains, args, problem, ls)
     try:
         sim = _timed(stages, "init", Simulator, cfg, ls, table)
-    except ValueError as e:     # the Simulator places the rows: name the file
+    except ValueError as e:     # the Simulator checks the table: name the file
         if args.gains:
             msg = str(e).replace("gain table", f"gain table {args.gains}", 1)
             raise ConfigError(msg) from None
         raise
+    args.t_final = sim.cfg.t_final  # the manifest records the horizon that ran
     faults = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
     rep = _timed(stages, "run", sim.run)
     faults = resource.getrusage(resource.RUSAGE_SELF).ru_minflt - faults
@@ -388,7 +382,8 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--order", "-N", type=int, required=True)
     sp.add_argument("--order-y", type=int, default=None)
     sp.add_argument("--exact-q", action="store_true")
-    sp.add_argument("--sigma-sign", type=int, choices=(1, -1), default=1)
+    sp.add_argument("--sigma-sign", type=int, choices=(1, -1),
+                    default=SolverConfig.sigma_sign)
     sp.add_argument("--grid", type=int, default=DEFAULT_GRID)
     sp.add_argument("--out-prefix", default="solve")
     sp.set_defaults(func=cmd_solve)
@@ -410,7 +405,7 @@ def build_parser() -> argparse.ArgumentParser:
     bp = sub.add_parser("bench", help="order sweeps with reference metrics")
     bp.add_argument("--example", required=True, choices=sorted(BENCH_PRESETS))
     bp.add_argument("--orders", default="")
-    bp.add_argument("--baseline-m", type=int, default=256)
+    bp.add_argument("--baseline-m", type=int, default=DEFAULT_M)
     bp.add_argument("--skip-baseline", action="store_true")
     bp.add_argument("--sigma-sign", type=int, choices=(1, -1), default=None)
     bp.add_argument("--fit-degrees", default="",
@@ -422,12 +417,13 @@ def build_parser() -> argparse.ArgumentParser:
     mp = sub.add_parser("simulate", help="closed-loop simulation")
     mp.add_argument("--config", required=True)
     mp.add_argument("--n", type=int, default=None)
-    mp.add_argument("--mx", type=int, default=256)
-    mp.add_argument("--t-final", type=float, default=None,
-                    help="end time (default 2 (1/min mu + 1/min lambda))")
-    mp.add_argument("--cfl", type=float, default=0.4)
-    mp.add_argument("--profile", default="sine")
-    mp.add_argument("--amplitude", type=float, default=1.0)
+    mp.add_argument("--mx", type=int, default=SimConfig.m_x)
+    mp.add_argument("--t-final", type=float, default=SimConfig.t_final,
+                    help="end time (default: the Simulator's 2 t_F, twice "
+                         "the closed loop's settling time)")
+    mp.add_argument("--cfl", type=float, default=SimConfig.cfl)
+    mp.add_argument("--profile", default=SimConfig.initial_profile)
+    mp.add_argument("--amplitude", type=float, default=SimConfig.amplitude)
     control = mp.add_mutually_exclusive_group(required=True)
     control.add_argument("--gains", default=None, help="gain CSV (sampled rows)")
     control.add_argument("--solve-order", type=int, default=None)
@@ -439,7 +435,7 @@ def build_parser() -> argparse.ArgumentParser:
     lp = sub.add_parser("ls-kernels", help="n+1 reference kernel solve")
     lp.add_argument("--config", required=True)
     lp.add_argument("--n", type=int, default=None)
-    lp.add_argument("--m", type=int, default=256)
+    lp.add_argument("--m", type=int, default=DEFAULT_M)
     lp.add_argument("--refine", default=None,
                     help="comma list of mesh sizes for a refinement study")
     lp.add_argument("--out-prefix", default="ls_kernels")

@@ -70,9 +70,6 @@ class NotApplicable:
     reason: str
     details: dict = field(default_factory=dict)
 
-    def __bool__(self):
-        return False
-
 
 def _eval1(f: SeparableSum, t) -> np.ndarray:
     vs = f.vars()

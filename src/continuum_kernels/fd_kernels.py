@@ -39,6 +39,7 @@ __all__ = ["TriGrid", "LsKernelSolution", "ConvergenceError",
 
 TOL = 1e-10    # a level the spot check reruns must move by less than this
 CHECK_EVERY = 16    # the spot check reruns every 16th level and the last
+DEFAULT_M = 256    # the mesh of `ckpde ls-kernels` and of `bench`'s baseline
 
 
 class ConvergenceError(RuntimeError):
@@ -185,7 +186,7 @@ def _starts(count, m):
     return np.concatenate(([0], np.cumsum(count)))[a * (a - 1) // 2]
 
 
-def solve_characteristics(ls: LargeScaleParams, grid: TriGrid | None = None,
+def solve_characteristics(ls: LargeScaleParams, grid: TriGrid,
                           max_iter: int = 200) -> LsKernelSolution:
     """March the discrete kernel equations level by level in x, in one pass.
 
@@ -205,8 +206,6 @@ def solve_characteristics(ls: LargeScaleParams, grid: TriGrid | None = None,
     for each distinct row of lam, and spread to a level's rows as the pass
     reaches it.
     """
-    if grid is None:
-        grid = TriGrid(256)
     ls.check_speeds()
     t0 = time.perf_counter()
     n, m, h = ls.n, grid.m, grid.h

@@ -80,9 +80,12 @@ def gains(sol, grid_xi: np.ndarray | None = None,
     """Control gains k(1, xi, y) and kbar(1, xi) on a grid.
 
     Grid-function solutions (from the n+1 reference solver) are returned on
-    their own grid with grid_y at the component sample points.
+    their own grid with grid_y at the component sample points; giving
+    either grid for one is a ValueError.
     """
     if isinstance(sol, LsKernelSolution):
+        if grid_xi is not None or grid_y is not None:
+            raise ValueError("a march's gains are on its own grid: give no grids")
         return GainTable(grid_xi=sol.grid.nodes(), grid_y=sol.y_points, sampled=True,
                          k=sol.k[:-1, -1, :].copy(), kbar=sol.k[-1, -1, :].copy())
     default = np.linspace(0.0, 1.0, DEFAULT_GRID)

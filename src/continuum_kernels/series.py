@@ -112,9 +112,6 @@ class TruncatedSeries:
             return NotImplemented
         return self.vars == other.vars and self.coeffs == other.coeffs
 
-    def __hash__(self):
-        return hash((self.vars, tuple(self.coeffs.items())))
-
     def __repr__(self) -> str:
         return f"TruncatedSeries({self.vars!r}, {self.coeffs!r})"
 

@@ -10,9 +10,9 @@ rule; the v(1) = U coupling at the quadrature endpoint is solved exactly
 
 The stability verdict is a threshold on the final/initial norm ratio at
 ``t_final``. Exact kernels bring the closed loop to zero in finite time
-t_F = 1/mu + 1/min(lambda), and kernel and mesh error leave
-a settling tail just past t_F, so the verdict means "stable" only when
-``t_final`` is well past t_F (twice t_F, say).
+t_F = 1/min(mu) + 1/min(lambda), and kernel and mesh error leave a
+settling tail just past t_F, so the verdict means "stable" only when
+``t_final`` is well past t_F, as its default 2 t_F is.
 """
 
 from __future__ import annotations
@@ -28,7 +28,7 @@ from .params import LargeScaleParams
 __all__ = ["SimConfig", "SimReport", "Simulator", "write_sim_csv"]
 
 # Verdict threshold on the final/initial norm ratio at t_final; it reads as
-# stability only when t_final is well past t_F = 1/mu + 1/min(lambda).
+# stability only when t_final is well past t_F = 1/min(mu) + 1/min(lambda).
 STABLE_NORM_FRACTION = 1e-3
 DIVERGE_LIMIT = 1e12           # sup-norm guard that raises the divergence flag
 
@@ -43,7 +43,7 @@ INITIAL_PROFILES = {
 class SimConfig:
     n: int
     m_x: int = 256
-    t_final: float = 3.0
+    t_final: float | None = None    # None: 2 t_F, resolved by the Simulator
     cfl: float = 0.4
     initial_profile: str = "sine"
     amplitude: float = 1.0
@@ -53,7 +53,7 @@ class SimConfig:
             raise ValueError("need at least 16 grid points")
         if not 0.0 < self.cfl < 1.0:
             raise ValueError("cfl must lie in (0, 1)")
-        if not (math.isfinite(self.t_final) and self.t_final > 0):
+        if not (self.t_final is None or 0.0 < self.t_final < math.inf):
             raise ValueError(f"t_final must be finite and positive, "
                              f"got {self.t_final}")
         if not math.isfinite(self.amplitude):
@@ -82,18 +82,20 @@ class Simulator:
     None runs the plant open loop (U = 0). The stage buffers are allocated
     once here; a step writes every term into them in place.
 
-    The Simulator places the table's rows, for API callers and the CLI
-    alike: rows at ``ls.points`` (within 1e-12) are used as they are, an
-    ensemble table (``sampled=False``) whose y grid spans the points is
-    resampled there, and any other table is a ValueError naming both grids.
-    In xi the rows are interpolated onto the simulation grid, holding their
-    end values outside the table's xi grid."""
+    The Simulator owns the run's rules, for API callers and the CLI alike.
+    ``t_final`` None becomes 2 t_F = 2 (1/min mu + 1/min lambda), minima at
+    the family points, and ``self.cfg`` holds the horizon that runs. A
+    table's xi grid must reach 0 and 1, and its rows are interpolated onto
+    the simulation grid; in y they are placed at ``ls.points`` by
+    :func:`_rows_at`, and any other table is a ValueError naming its grid."""
 
     def __init__(self, cfg: SimConfig, ls: LargeScaleParams,
                  gains: GainTable | None):
         if cfg.n != ls.n:
             raise ValueError("config and parameters disagree on n")
-        ls.check_speeds()
+        speeds = ls.check_speeds()
+        if cfg.t_final is None:     # twice the settling time t_F
+            cfg = replace(cfg, t_final=2.0 * sum(1.0 / s for s in speeds))
         self.cfg = cfg
         n, m = ls.n, cfg.m_x
         self.n, self.m = n, m
@@ -217,9 +219,13 @@ class Simulator:
 def _rows_at(table: GainTable, ys: np.ndarray) -> np.ndarray:
     """The table's k rows at the component points ``ys``: its own rows when
     they sit there (within 1e-12), else an ensemble table's rows resampled
-    there. A sampled table elsewhere, or an ensemble table whose y grid
-    does not span ``ys``, is a ValueError naming both grids."""
-    gy, tol = table.grid_y, 1e-12
+    there. A xi grid short of [0, 1] (interpolation would hold its end
+    values), a sampled table elsewhere, or an ensemble table whose y grid
+    does not span ``ys`` is a ValueError naming the grid."""
+    gx, gy, tol = table.grid_xi, table.grid_y, 1e-12
+    if gx[0] > tol or gx[-1] < 1.0 - tol:
+        raise ValueError(f"gain table has a xi grid on [{gx[0]:g}, {gx[-1]:g}], "
+                         f"which does not cover [0, 1]")
     if len(gy) == len(ys) and np.allclose(gy, ys, rtol=0, atol=tol):
         return table.k
     if table.sampled:

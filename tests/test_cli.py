@@ -694,6 +694,20 @@ class TestSimulate:
         assert f"gain table {path} has a {named}" in capsys.readouterr().err
         assert not (tmp_path / "s_sim.csv").exists()
 
+    def test_singular_feedback_exits_1(self, tmp_path, capsys):
+        # kbar(1) = 2/h cancels the endpoint's quadrature weight h/2
+        grid = np.linspace(0, 1, 32)
+        kbar = np.zeros(32)
+        kbar[-1] = 2.0 / (grid[1] - grid[0])
+        path = tmp_path / "g.csv"
+        write_gain_csv(GainTable(grid_xi=grid, grid_y=np.arange(1, 11) / 10,
+                                 k=np.zeros((10, 32)), kbar=kbar, sampled=True), path)
+        assert run(["simulate", "--config", "example2", "--mx", "32",
+                    "--t-final", "0.1", "--gains", str(path),
+                    "--out-prefix", str(tmp_path / "s")]) == 1
+        assert "error: feedback endpoint equation is singular" in capsys.readouterr().err
+        assert not (tmp_path / "s_sim.csv").exists()
+
     def test_solve_block_matches_solve(self, tmp_path):
         # the same series solve behind both commands reports the same block
         assert run(["simulate", "--config", "example2", "--solve-order", "8",

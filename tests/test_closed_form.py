@@ -246,8 +246,12 @@ class TestPipeline:
         (SeparableSum.poly(Y, [1.0, -1.0]), 1.0, "lambda must be positive"),
         (SeparableSum.poly(Y, [0.5, -1.0]), 1.0, "lambda must be positive"),
         (1.0, 0.0, "mu must be positive"),
-        (1.0, -2.0, "mu must be positive")],
-        ids=["lam0", "lam-neg", "lam-y-zero", "lam-y-neg", "mu0", "mu-neg"])
+        (1.0, -2.0, "mu must be positive"),
+        # and the speeds' structure: mu constant, lambda free of x
+        (1.0, SeparableSum.poly(X, [1.0, 0.5]), "mu is not constant"),
+        (SeparableSum.poly(X, [1.0, 0.5]), 1.0, "lambda depends on x")],
+        ids=["lam0", "lam-neg", "lam-y-zero", "lam-y-neg", "mu0", "mu-neg",
+             "mu-x", "lam-x"])
     def test_non_positive_speed_not_applicable(self, lam, mu, reason):
         p = make_continuum(lam=lam, mu=mu,
                            theta=product(1.0, Polynomial(X, [1, 1]), Polynomial(Y, [1, 1])))

@@ -355,6 +355,8 @@ class TestRefineStudy:
                 refine_study(example2.large_scale(), [16, 24])
             with pytest.raises(ValueError, match="two cells"):
                 refine_study(example2.large_scale(), [16, 1])
+            with pytest.raises(ValueError, match="at least one mesh size"):
+                refine_study(example2.large_scale(), [])
         solve.assert_not_called()
 
     def test_reference_errors_recorded(self, example1):

@@ -66,6 +66,18 @@ class TestGains:
         t = sample_gains(kern, 1)
         assert t.k.shape[0] == 1
         np.testing.assert_allclose(t.grid_y, [1.0])
+        with pytest.raises(ValueError, match="n must be positive"):
+            sample_gains(kern, 0)
+
+    @pytest.mark.parametrize("grids", [{"grid_xi": np.linspace(0, 1, 9)},
+                                       {"grid_y": np.linspace(0, 1, 9)}],
+                             ids=["xi", "y"])
+    def test_march_gains_take_no_grid(self, example2, grids):
+        # the march's own grid used to be returned, the grids given ignored
+        sol = solve_characteristics(example2.large_scale(), TriGrid(8))
+        with pytest.raises(ValueError, match="own grid"):
+            gains(sol, **grids)
+        np.testing.assert_array_equal(gains(sol).grid_xi, TriGrid(8).nodes())
 
     def test_gains_match_sample_gains_rowwise(self, solve_cache):
         sol = solve_cache.solution("example1", SolverConfig(N=10))
@@ -100,7 +112,12 @@ class TestDiffSolutions:
         rng = np.random.default_rng(4)
         a = self.rand_table(rng, np.linspace(0, 1, 9))
         b = self.rand_table(rng, np.linspace(0, 1, 10))
-        with pytest.raises(ValueError, match="grid"):
+        with pytest.raises(ValueError, match="different xi grids"):
+            diff_solutions(a, b)
+        # the same xi grid, 9 rows against 10
+        b = GainTable(grid_xi=a.grid_xi, grid_y=b.grid_y,
+                      k=rng.normal(size=(10, 9)), kbar=rng.normal(size=9))
+        with pytest.raises(ValueError, match="different y grids"):
             diff_solutions(a, b)
 
 
@@ -329,6 +346,17 @@ class TestCsvRoundTrip:
         grids[flip] = np.zeros(len(grids[flip]))
         with pytest.raises(ValueError, match="strictly increasing"):
             GainTable(k=np.zeros((2, 4)), kbar=np.zeros(4), **grids)
+
+    @pytest.mark.parametrize("k, kbar, match", [
+        (np.zeros((4, 2)), np.zeros(4), "gain matrix shape does not match grids"),
+        (np.zeros((2, 4)), np.zeros(3), "kbar gain shape does not match grid_xi"),
+        (np.zeros((2, 4)), np.zeros((1, 4)), "kbar gain shape does not match grid_xi"),
+        (np.array([[0, 0, np.nan, 0], [0, 0, 0, 0]]), np.zeros(4), "must be finite"),
+        (np.zeros((2, 4)), np.array([0, np.inf, 0, 0]), "must be finite")],
+        ids=["k-shape", "kbar-length", "kbar-2d", "k-nan", "kbar-inf"])
+    def test_malformed_tables_rejected(self, k, kbar, match):
+        with pytest.raises(ValueError, match=match):
+            GainTable(grid_xi=np.linspace(0, 1, 4), grid_y=[0.5, 1.0], k=k, kbar=kbar)
 
     def test_writers_golden_bytes(self, tmp_path):
         # literal expected text: a change of output format between commits

@@ -10,11 +10,11 @@ import pytest
 from conftest import n_plus_one
 from continuum_kernels.closed_form import solve_closed_form
 from continuum_kernels.gains import sample_gains
-from continuum_kernels.params import (PARAMS, ConfigError, LargeScaleParams,
-                                      fit_q, load_problem, parse_problem_dict,
-                                      sample_points)
+from continuum_kernels.params import (PARAMS, ConfigError, ContinuumParams,
+                                      LargeScaleParams, fit_q, load_problem,
+                                      parse_problem_dict, sample_points)
 from continuum_kernels.series import (Cos, Polynomial, SeparableSum,
-                                      SeparableTerm, Var)
+                                      SeparableTerm, Sin, Var)
 
 X, Y, ETA = Var.X, Var.Y, Var.ETA
 AUDIT = np.linspace(0.0, 1.0, 101)  # the (x, y) points assemble audits
@@ -302,6 +302,10 @@ class TestConfigLoading:
             "theta": 0, "w": 0, "q": 0, "sigma": 0}
         with pytest.raises(ConfigError, match="not allowed"):
             parse_problem_dict(bad)
+        # the constructor holds the same rule for API callers
+        fields = {f: SeparableSum.constant(1.0) for f in PARAMS}
+        with pytest.raises(ValueError, match="parameter mu uses variables"):
+            ContinuumParams(**fields | {"mu": SeparableSum.poly(Y, [1.0, 1.0])})
 
     @pytest.mark.parametrize("field,value", [
         ("theta", {"terms": [{"scale": float("nan"), "factors": [
@@ -362,6 +366,23 @@ class TestConfigLoading:
     def test_example1_q_is_the_cosine(self):
         assert load_problem("example1").continuum.q == SeparableSum(
             [SeparableTerm(1.0, [Cos(Y, 2.0 * np.pi, 0.0)])])
+
+    def test_sin_factor_in_lambda_gives_its_x_derivative(self):
+        # lambda = 1 + 0.3 sin(2x + 0.5)(1 + y): the parsed sin factor's
+        # derivative is on_grid's dlam, against central differences of lam
+        cfg = {"lambda": {"terms": [{"factors": []}, {"scale": 0.3, "factors": [
+                   {"var": "x", "kind": "sin", "angular": 2.0, "phase": 0.5},
+                   {"var": "y", "kind": "poly", "coeffs": [1.0, 1.0]}]}]},
+               "mu": 1, "sigma": 0, "theta": 0, "w": 0, "q": 0}
+        problem = parse_problem_dict(cfg)
+        assert Sin(X, 2.0, 0.5) in problem.continuum.lam.terms[1].factors
+        ls = problem.large_scale(5)
+        xs, h = np.linspace(0.0, 1.0, 21), 1e-5
+        g = ls.on_grid(xs)
+        lam = 1.0 + 0.3 * np.sin(2.0 * xs + 0.5) * (1.0 + ls.points[:, None])
+        np.testing.assert_allclose(g.lam, lam, rtol=1e-14)
+        want = (ls.on_grid(xs + h).lam - ls.on_grid(xs - h).lam) / (2 * h)
+        np.testing.assert_allclose(g.dlam, want, rtol=1e-8, atol=1e-9)
 
     def test_const_factor_is_a_constant_polynomial(self):
         cfg = {"lambda": 1, "mu": 1, "sigma": 0, "theta": 0, "w": 0,

@@ -264,6 +264,17 @@ class TestAssembly:
         assert np.isfinite(sol.residual)
         assert sol.num_unknowns == sum(count_unknowns(N))
 
+    @pytest.mark.parametrize("kw, match", [
+        ({"N": -1}, "N must be non-negative"),
+        ({"N": 4, "N_y": 5}, r"need 0 <= N_y <= N"),
+        ({"N": 4, "N_y": -1}, r"need 0 <= N_y <= N"),
+        ({"N": 4, "sigma_sign": 0}, r"sigma_sign must be \+1 or -1"),
+        ({"N": 4, "sigma_sign": 2}, r"sigma_sign must be \+1 or -1")],
+        ids=["N", "N_y-high", "N_y-negative", "sigma-0", "sigma-2"])
+    def test_config_rejected(self, kw, match):
+        with pytest.raises(ValueError, match=match):
+            SolverConfig(**kw)
+
     def test_positivity_enforced(self):
         from continuum_kernels.params import parse_problem_dict
         bad = parse_problem_dict({

@@ -281,6 +281,23 @@ def test_separable_term_products_and_derivatives():
     np.testing.assert_allclose(dvals, dexp, rtol=1e-13)
 
 
+@pytest.mark.parametrize("factor", [Cos(X, 2.5, 0.7), Sin(X, 2.5, 0.7),
+                                    Cos(X, -1.3, -2.0), Sin(X, -1.3, -2.0)],
+                         ids=["cos", "sin", "cos-negative", "sin-negative"])
+def test_trig_derivatives_match_central_differences(factor):
+    # Cos.derivative and Sin.derivative feed on_grid's dlam and dmu and the
+    # closed form's theta_x'; the nonzero phase must stay inside the argument
+    f = SeparableSum([SeparableTerm(1.5, [factor, Polynomial(Y, [1.0, 2.0])]),
+                      SeparableTerm(-0.5, [factor, Exp(X, 0.4)])])
+    xs, h = np.linspace(0.0, 1.0, 21), 1e-5
+
+    def at(g, x):
+        return g({X: x, Y: np.full_like(x, 0.3)})
+
+    want = (at(f, xs + h) - at(f, xs - h)) / (2 * h)
+    np.testing.assert_allclose(at(f.diff(X), xs), want, rtol=1e-8, atol=1e-9)
+
+
 def test_parts_multiply_back_to_each_term():
     # sigma-like sum over (x, eta, y): one term without an eta factor
     f = SeparableSum([

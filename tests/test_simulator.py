@@ -133,6 +133,18 @@ class TestControl:
         manual = float((w * ((kg * u).mean(axis=0) + sim.kbg * v)).sum())
         assert manual == pytest.approx(v[-1], rel=1e-12)
 
+    def test_singular_endpoint_equation_rejected(self, example2):
+        # kbar(1) = 2/h cancels the endpoint's quadrature weight h/2: the
+        # v(1) = U equation has no solution
+        ls = example2.large_scale()
+        grid = np.linspace(0, 1, 32)
+        kbar = np.zeros(32)
+        kbar[-1] = 2.0 / (grid[1] - grid[0])
+        table = GainTable(grid_xi=grid, grid_y=ls.points, k=np.zeros((10, 32)),
+                          kbar=kbar, sampled=True)
+        with pytest.raises(ValueError, match="feedback endpoint equation is singular"):
+            Simulator(SimConfig(n=10, m_x=32), ls, table)
+
 
 class TestConfigValidation:
     def test_bad_grid(self):
@@ -153,6 +165,30 @@ class TestConfigValidation:
         kw = {"n": 2, "m_x": 32, "t_final": 1.0, field: value}
         with pytest.raises(ValueError, match=field):
             SimConfig(**kw)
+
+    def test_default_horizon_is_twice_the_settling_time(self):
+        # t_F = 1/min mu + 1/min lambda, the minima at the family points
+        ls = varying_plant(6)
+        cfg = SimConfig(n=6, m_x=32)
+        assert cfg.t_final is None
+        sim = Simulator(cfg, ls, None)
+        lam_min, mu_min = ls.check_speeds()
+        assert sim.cfg.t_final == 2.0 * (1.0 / lam_min + 1.0 / mu_min)
+        assert sim.cfg == replace(cfg, t_final=sim.cfg.t_final)
+
+    def test_default_horizon_run_ends_at_4(self, example2):
+        # example2's t_F is 2: the default run is the t_final = 4 run that
+        # `ckpde simulate` makes, bit for bit
+        ls = example2.large_scale()
+        table = sample_gains_for(ls, m=40)
+        sim = Simulator(SimConfig(n=10), ls, table)
+        assert sim.cfg.t_final == 4.0
+        rep = sim.run()
+        want = Simulator(SimConfig(n=10, t_final=4.0), ls, table).run()
+        assert rep.t[-1] == pytest.approx(4.0, rel=1e-14)
+        for field in ("t", "U", "norm"):
+            assert np.array_equal(getattr(rep, field), getattr(want, field)), field
+        assert (rep.dt, rep.stable) == (want.dt, want.stable)
 
     def test_n_mismatch(self, example2):
         ls = example2.large_scale()
@@ -420,9 +456,9 @@ def test_rhs_matches_uv_oracle_on_rows_that_differ(name, seed, example2):
 
 @pytest.mark.parametrize("grid_xi", [
     np.linspace(0.0, 1.0, 40),                   # the simulation grid
-    np.sort(np.random.default_rng(3).uniform(size=17)),  # end values held
-    np.linspace(0.2, 0.7, 9),
-    np.array([0.4])], ids=["same", "random", "inner", "one-point"])
+    np.r_[0.0, np.sort(np.random.default_rng(3).uniform(size=17)), 1.0],
+    np.linspace(0.5e-12, 1.0 - 0.5e-12, 9)],    # within 1e-12 of the ends
+    ids=["same", "random", "near-ends"])
 def test_gain_rows_match_np_interp(grid_xi, example2):
     ls = example2.large_scale()
     rng = np.random.default_rng(4)
@@ -434,6 +470,27 @@ def test_gain_rows_match_np_interp(grid_xi, example2):
     assert sim.kgw.flags.c_contiguous
     assert_rel_close(sim.kgw, rows * (sim.weights / 10), "k")
     assert_rel_close(sim.kbg, np.interp(sim.xs, grid_xi, table.kbar), "kbar")
+
+
+@pytest.mark.parametrize("grid_xi, named", [
+    (np.linspace(0.2, 0.7, 9), "[0.2, 0.7]"),
+    (np.array([0.4]), "[0.4, 0.4]"),
+    (np.linspace(0.0, 1.0 - 1e-6, 9), "[0, 0.999999]"),
+    (np.linspace(1e-11, 1.0, 9), "[1e-11, 1]")],
+    ids=["inner", "one-point", "short-of-1", "short-of-0"])
+def test_gain_table_short_in_xi_names_its_grid(grid_xi, named, example2):
+    # np.interp would hold the table's end values outside its xi grid, the
+    # same rule as in y; xi is checked first, so an ensemble table short in
+    # y too is named by its xi grid
+    ls = example2.large_scale()
+    for grid_y, sampled in ((ls.points, True), (np.linspace(0.4, 0.6, 3), False)):
+        table = GainTable(grid_xi=grid_xi, grid_y=grid_y, sampled=sampled,
+                          k=np.ones((len(grid_y), len(grid_xi))),
+                          kbar=np.ones(len(grid_xi)))
+        with pytest.raises(ValueError) as exc:
+            Simulator(SimConfig(n=10, m_x=32), ls, table)
+        assert str(exc.value) == (f"gain table has a xi grid on {named}, "
+                                  f"which does not cover [0, 1]")
 
 
 @pytest.mark.parametrize("grid_y, sampled, named", [
